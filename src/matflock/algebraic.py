@@ -455,5 +455,7 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
 
 def check_frobenius_axioms(param: LinearizedParam, radius: int) -> FrobeniusWindowReport:
     """(FF1)/(FF2) for all alpha in [-radius, radius]^E (table padded by 1)."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     win = frobenius_window(param, radius + 1)
     return validate_frobenius_window(win, box_radius=radius)

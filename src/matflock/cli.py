@@ -26,13 +26,13 @@ from .jsonio import InputError
 from .matroid import check_basis_axioms, named_matroid
 from .rigidity import lazarson, lazarson_char_check, rigidity_certificate
 from .valuation import (
+    _leader_vertices,
     cell_inequalities,
     check_valuation_axioms,
     enumerate_leaders,
     g_value,
     matroid_at,
     support_matroid,
-    zero_dimensional_cells,
 )
 
 
@@ -132,8 +132,7 @@ def _cmd_leaders(args):
     nu = jsonio.valuation_from_json(_load(args.file))
     scan = enumerate_leaders(nu, args.radius)
     doc = jsonio.leaders_to_json(scan)
-    doc["zero_dimensional_cells"] = [list(c) for c in
-                                     zero_dimensional_cells(nu, args.radius)]
+    doc["zero_dimensional_cells"] = [list(c) for c in _leader_vertices(nu, scan)]
     return doc
 
 

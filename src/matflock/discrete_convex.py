@@ -11,7 +11,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .lattice import INF, box_points, vadd, vjoin, vmeet, vsub
+from . import window
+from .lattice import INF, vadd, vjoin, vmeet, vsub
 from .valuation import Valuation
 
 
@@ -104,7 +105,7 @@ def check_lconvex(g: WindowFunction) -> LConvexReport:
     is skipped; shift pairs (x, x+1) with x+1 outside the box are skipped and
     counted, so a Valid verdict documents its coverage.
     """
-    pts = list(box_points(g.lo, g.hi))
+    pts = list(map(tuple, window.box_array(g.lo, g.hi).tolist()))
     sub_checked = 0
     for x, y in itertools.combinations(pts, 2):
         sub_checked += 1
@@ -176,7 +177,7 @@ def fenchel_dual(h: WindowFunction, dual_lo, dual_hi) -> WindowFunction:
     """h•(x) = max over the finite domain of h of x . y - h(y)."""
     dom = [(pt, h(pt)) for pt in h.domain()]
     values = {}
-    for x in box_points(dual_lo, dual_hi):
+    for x in map(tuple, window.box_array(dual_lo, dual_hi).tolist()):
         values[x] = max(sum(a * b for a, b in zip(x, y)) - v for y, v in dom)
     return WindowFunction(h.n, dual_lo, dual_hi, values)
 

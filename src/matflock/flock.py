@@ -61,9 +61,11 @@ class MatroidFlock:
 
 
 def flock_from_valuation(nu: Valuation) -> MatroidFlock:
-    """The flock alpha -> M^nu_alpha."""
-    if not nu.finite:
-        raise ValueError("valuation violates (V1): no finite value")
+    """The flock alpha -> M^nu_alpha; ValueError unless nu is a valuation."""
+    check = check_valuation_axioms(nu)
+    if not check.ok:
+        raise ValueError(f"valuation violates ({check.kind})"
+                         + ("" if check.witness is None else f" at {check.witness}"))
     return MatroidFlock(nu.ground, nu.d, lambda a: optimal_masks(nu, a),
                         "valuation", valuation=nu)
 
@@ -110,13 +112,9 @@ def window_ids(flock: MatroidFlock, radius: int):
     n = len(flock.ground)
     L = 2 * radius + 1
     if flock.valuation is not None:
-        items = flock.valuation.finite_items()
         points = window.box_array([-radius] * n, [radius] * n)
-        ids = window.score_ids(items, n, points)
-        uniq, inverse = np.unique(ids, return_inverse=True)
-        table = [window.decode_code(int(c), items) for c in uniq]
-        grid = inverse.reshape((L,) * n).astype(np.int32)
-        return grid, table
+        ids, table = window.score_ids(flock.valuation.finite_items(), n, points)
+        return ids.reshape((L,) * n).astype(np.int32), table
     table: list[frozenset[int]] = []
     intern: dict[frozenset[int], int] = {}
     grid = np.empty((L,) * n, dtype=np.int32)
@@ -335,14 +333,7 @@ def extract_valuation(flock: MatroidFlock, cutoff: Optional[int] = None,
         raise ExtractionError(
             f"extracted map violates ({check.kind}) at {check.witness}", cutoff_hits)
     if verify_radius:
-        if flock.valuation is not None:
-            bad = _window_mismatch(nu, flock.valuation, verify_radius)
-        else:
-            bad = next(
-                (alpha for alpha in itertools.product(
-                    range(-verify_radius, verify_radius + 1), repeat=n)
-                 if optimal_masks(nu, alpha) != flock.masks_at(alpha)),
-                None)
+        bad = _window_mismatch(nu, flock, verify_radius)
         if bad is not None:
             raise ExtractionError(
                 f"round-trip mismatch at alpha={bad}; "
@@ -350,19 +341,14 @@ def extract_valuation(flock: MatroidFlock, cutoff: Optional[int] = None,
     return nu
 
 
-def _window_mismatch(nu_a: Valuation, nu_b: Valuation, radius: int):
-    """First alpha in the box where the two induced matroids differ, or None."""
-    n = len(nu_a.ground)
+def _window_mismatch(nu: Valuation, flock: MatroidFlock, radius: int):
+    """Lex-first alpha in the box where M^nu_alpha and the flock differ, or None."""
+    grid, table = window_ids(flock, radius)
+    n = len(nu.ground)
     points = window.box_array([-radius] * n, [radius] * n)
-    items_a = nu_a.finite_items()
-    items_b = nu_b.finite_items()
-    ua, inva = np.unique(window.score_ids(items_a, n, points), return_inverse=True)
-    ub, invb = np.unique(window.score_ids(items_b, n, points), return_inverse=True)
-    combined = inva.astype(np.int64) * len(ub) + invb
-    for code in np.unique(combined):
-        ia, ib = divmod(int(code), len(ub))
-        if window.decode_code(int(ua[ia]), items_a) != \
-           window.decode_code(int(ub[ib]), items_b):
-            idx = int(np.argwhere(combined == code)[0])
-            return tuple(int(x) for x in points[idx])
-    return None
+    ids, nu_table = window.score_ids(nu.finite_items(), n, points)
+    pairs, inverse = np.unique(ids * len(table) + grid.ravel(), return_inverse=True)
+    differs = np.array([nu_table[k // len(table)] != table[k % len(table)]
+                        for k in pairs.tolist()])
+    bad = np.flatnonzero(differs[inverse])
+    return tuple(int(x) for x in points[bad[0]]) if len(bad) else None

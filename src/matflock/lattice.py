@@ -9,14 +9,9 @@ contaminates finite results with floats.  Max-plus conventions apply:
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 INF = float("inf")
-
-
-def is_finite(x) -> bool:
-    return x != INF and x != -INF
 
 
 def vadd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -25,14 +20,6 @@ def vadd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 def vsub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vneg(a: Sequence[int]) -> tuple[int, ...]:
-    return tuple(-x for x in a)
-
-
-def vscale(c: int, a: Sequence[int]) -> tuple[int, ...]:
-    return tuple(c * x for x in a)
 
 
 def vjoin(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -47,46 +34,3 @@ def vmeet(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 def ones(n: int) -> tuple[int, ...]:
     return (1,) * n
-
-
-def zeros(n: int) -> tuple[int, ...]:
-    return (0,) * n
-
-
-def unit(n: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if k == i else 0 for k in range(n))
-
-
-def indicator(n: int, idxs: Iterable[int]) -> tuple[int, ...]:
-    s = set(idxs)
-    return tuple(1 if k in s else 0 for k in range(n))
-
-
-def supp(a: Sequence[int]) -> tuple[int, ...]:
-    return tuple(i for i, x in enumerate(a) if x != 0)
-
-
-def supp_pos(a: Sequence[int]) -> tuple[int, ...]:
-    return tuple(i for i, x in enumerate(a) if x > 0)
-
-
-def supp_neg(a: Sequence[int]) -> tuple[int, ...]:
-    return tuple(i for i, x in enumerate(a) if x < 0)
-
-
-def vle(a: Sequence[int], b: Sequence[int]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def box_points(lo: Sequence[int], hi: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Lattice points of the interval box [lo, hi], in lexicographic order."""
-    return itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
-
-
-def box_size(lo: Sequence[int], hi: Sequence[int]) -> int:
-    size = 1
-    for l, h in zip(lo, hi):
-        if h < l:
-            return 0
-        size *= h - l + 1
-    return size

@@ -7,7 +7,10 @@ the slice are marked with dots.
 
 from __future__ import annotations
 
-from .valuation import Valuation, matroid_at, zero_dimensional_cells
+import numpy as np
+
+from . import window
+from .valuation import Valuation, zero_dimensional_cells
 
 _PALETTE = (
     "#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3", "#937860",
@@ -31,25 +34,23 @@ def render_cells_svg(nu: Valuation, axes, radius: int) -> str:
     if ax == ay:
         raise ValueError("axes must be two distinct elements")
 
+    span = 2 * radius + 1
+    xy = window.box_array((-radius, -radius), (radius, radius))
+    points = np.zeros((len(xy), n), dtype=np.int64)
+    points[:, [ax, ay]] = xy
+    ids, table = window.score_ids(nu.finite_items(), n, points)
     colors: dict = {}
     squares = []
-    span = 2 * radius + 1
-    for x in range(-radius, radius + 1):
-        for y in range(-radius, radius + 1):
-            alpha = [0] * n
-            alpha[ax] = x
-            alpha[ay] = y
-            M = matroid_at(nu, tuple(alpha))
-            key = M.masks
-            if key not in colors:
-                colors[key] = _PALETTE[len(colors) % len(_PALETTE)]
-            px = _PAD + (x + radius) * _CELL
-            py = _PAD + (radius - y) * _CELL
-            squares.append(
-                f'<rect x="{px}" y="{py}" width="{_CELL}" height="{_CELL}" '
-                f'fill="{colors[key]}" stroke="#ffffff" stroke-width="1">'
-                f'<title>alpha[{ground[ax]!r}]={x}, alpha[{ground[ay]!r}]={y}: '
-                f'{len(key)} bases</title></rect>')
+    for (x, y), k in zip(xy.tolist(), ids.tolist()):
+        if k not in colors:
+            colors[k] = _PALETTE[len(colors) % len(_PALETTE)]
+        px = _PAD + (x + radius) * _CELL
+        py = _PAD + (radius - y) * _CELL
+        squares.append(
+            f'<rect x="{px}" y="{py}" width="{_CELL}" height="{_CELL}" '
+            f'fill="{colors[k]}" stroke="#ffffff" stroke-width="1">'
+            f'<title>alpha[{ground[ax]!r}]={x}, alpha[{ground[ay]!r}]={y}: '
+            f'{len(table[k])} bases</title></rect>')
 
     dots = []
     for cell in zero_dimensional_cells(nu):

@@ -437,26 +437,20 @@ def enumerate_leaders(nu: Valuation, window_radius: Optional[int] = None) -> Lea
         raise ValueError("valuation violates (V1): no finite value")
     n = len(nu.ground)
     R = default_leader_radius(nu) if window_radius is None else int(window_radius)
-    if n == 1:
-        M = matroid_at(nu, (0,))
-        return LeaderScan(((M, (0,)),), True, R)
+    if R < 0:
+        raise ValueError("window radius must be nonnegative")
     items = nu.finite_items()
-    reps: dict[int, tuple[int, ...]] = {}
-    # chunked lex-order scan, so the first point seen per code is the
+    reps: dict[frozenset[int], tuple[int, ...]] = {}
+    # chunked lex-order scan, so the first point seen per argmax set is the
     # lexicographically smallest representative and memory stays bounded
-    for pts in window.iter_box_chunks([-R] * (n - 1), [R] * (n - 1)):
-        points = np.concatenate(
-            [np.zeros((len(pts), 1), dtype=pts.dtype), pts], axis=1)
-        ids = window.score_ids(items, n, points)
+    for points in window.iter_box_chunks([0] + [-R] * (n - 1), [0] + [R] * (n - 1)):
+        ids, table = window.score_ids(items, n, points)
         _, first = np.unique(ids, return_index=True)
-        for k in sorted(int(x) for x in first):
-            code = int(ids[k])
-            if code not in reps:
-                reps[code] = tuple(int(x) for x in points[k])
+        for masks, k in zip(table, first.tolist()):
+            reps.setdefault(masks, tuple(points[k].tolist()))
     leaders = []
     seen_bases: set[int] = set()
-    for code, alpha in reps.items():
-        masks = window.decode_code(code, items)
+    for masks, alpha in reps.items():
         seen_bases |= masks
         leaders.append((Matroid(nu.ground, masks), alpha))
     complete = seen_bases == set(nu.finite)
@@ -464,13 +458,8 @@ def enumerate_leaders(nu: Valuation, window_radius: Optional[int] = None) -> Lea
     return LeaderScan(tuple(leaders), complete, R)
 
 
-def zero_dimensional_cells(nu: Valuation, window_radius: Optional[int] = None):
-    """Vertices of the cell decomposition, normalized to alpha_{i0} = 0.
-
-    A leader representative is a vertex exactly when no step alpha ± e_I
-    (I a proper nonempty subset) keeps every reference basis optimal.
-    """
-    scan = enumerate_leaders(nu, window_radius)
+def _leader_vertices(nu: Valuation, scan: LeaderScan):
+    """The leader representatives of ``scan`` that are cell vertices."""
     n = len(nu.ground)
     out = []
     for M, rep in scan.leaders:
@@ -488,3 +477,12 @@ def zero_dimensional_cells(nu: Valuation, window_radius: Optional[int] = None):
         if vertex:
             out.append(rep)
     return sorted(out)
+
+
+def zero_dimensional_cells(nu: Valuation, window_radius: Optional[int] = None):
+    """Vertices of the cell decomposition, normalized to alpha_{i0} = 0.
+
+    A leader representative is a vertex exactly when no step alpha ± e_I
+    (I a proper nonempty subset) keeps every reference basis optimal.
+    """
+    return _leader_vertices(nu, enumerate_leaders(nu, window_radius))

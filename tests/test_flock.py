@@ -2,10 +2,15 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matflock as mf
+from matflock import window
 from matflock.flock import window_ids
+from matflock.valuation import optimal_masks
 
 import flockprops
 from conftest import (
@@ -160,26 +165,51 @@ def test_window_ids_generic_matches_vectorized():
         assert tf[gf[idx]] == ts[gs[idx]]
 
 
-def test_score_path_beyond_word_width(rng):
-    # more than 63 finite bases forces the byte-packed argmax encoding
-    import numpy as np
-    from matflock import window
-    n, d = 9, 4
+# (n, d, number of finite bases): one basis, one and two argmax words at
+# the 64-bit word edge, and more than two words
+SCORE_SHAPES = [(3, 1, 1), (4, 2, 5), (8, 4, 64), (8, 4, 65), (10, 4, 129), (10, 5, 200)]
+
+
+@st.composite
+def score_inputs(draw):
+    n, d, m = draw(st.sampled_from(SCORE_SHAPES))
     subsets = list(itertools.combinations(range(n), d))
-    items = [(sum(1 << i for i in c), rng.randint(0, 2)) for c in subsets]
-    assert len(items) > 63
-    points = np.array([[rng.randint(-2, 2) for _ in range(n)] for _ in range(40)])
-    ids = window.score_ids(items, n, points)
-    for row, code in zip(points, ids):
-        best = None
-        opt = set()
-        for mask, val in items:
-            s = sum(int(row[i]) for i in range(n) if mask >> i & 1) - val
-            if best is None or s > best:
-                best, opt = s, {mask}
-            elif s == best:
-                opt.add(mask)
-        assert window.decode_code(int(code), items) == frozenset(opt)
+    chosen = draw(st.permutations(range(len(subsets))))[:m]
+    # values near 2^60 defeat float64 unless shifted.  A spread or a
+    # coordinate of 2^53 or more forces Python-int scores; shifting one
+    # coordinate by that much makes bases tie far above 2^53
+    base = draw(st.sampled_from([0, 2 ** 60, -(2 ** 60)]))
+    far = draw(st.sampled_from([0, 2 ** 53, 2 ** 62]))
+    items = sorted(
+        (sum(1 << i for i in subsets[k]),
+         base + draw(st.integers(0, 2)) + far * draw(st.booleans()))
+        for k in chosen)
+    rows = draw(st.lists(st.tuples(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        st.integers(0, n)), min_size=1, max_size=30))
+    points = [[x + far * (i == j) for i, x in enumerate(row)] for row, j in rows]
+    return n, d, items, points
+
+
+@given(score_inputs())
+@settings(max_examples=60, deadline=None)
+def test_score_path_beyond_word_width(inputs):
+    # the window kernel agrees with the per-point argmax at any width and
+    # any magnitude, and its ids name distinct argmax sets
+    n, d, items, points = inputs
+    nu = mf.Valuation(range(n), d, dict(items))
+    ids, table = window.score_ids(items, n, np.array(points, dtype=np.int64))
+    assert len(set(table)) == len(table) == len(set(ids.tolist()))
+    for alpha, k in zip(points, ids.tolist()):
+        assert table[k] == optimal_masks(nu, alpha)
+
+
+def test_score_path_near_two_to_the_sixty():
+    items = [(0b01, 2 ** 60), (0b10, 2 ** 60 + 1)]
+    ids, table = window.score_ids(items, 2, np.zeros((1, 2), dtype=np.int64))
+    assert table[ids[0]] == frozenset({0b01})
+    flock = mf.flock_from_valuation(mf.Valuation([1, 2], 1, dict(items)))
+    assert mf.check_flock_axioms(flock, 2).ok
 
 
 # ---------------------------------------------------------------------------

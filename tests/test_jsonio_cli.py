@@ -1,15 +1,16 @@
 """Serialization round trips and the command-line surface."""
 
 import json
+import re
 
 import pytest
 
 import matflock as mf
-from matflock import jsonio
+from matflock import jsonio, svg
 from matflock.cli import main
 from matflock.discrete_convex import WindowFunction
 
-from conftest import example_param, toric_example, u24_valuation
+from conftest import example_param, random_valid_valuation, toric_example, u24_valuation
 
 
 # ---------------------------------------------------------------------------
@@ -212,3 +213,37 @@ def test_cli_domain_errors_exit_1(tmp_path, capsys):
     path2 = write(tmp_path, "t.json", {"p": 2, "A": [[2, 0], [0, 2]]})
     assert main(["lindstrom-toric", path2]) == 2
     capsys.readouterr()
+
+
+def test_cli_check_flock_rejects_non_valuation(tmp_path, capsys):
+    # M_0 of {12: 0, 34: 0} has bases {1,2} and {3,4}: not a matroid
+    path = write(tmp_path, "v.json", {"ground": [1, 2, 3, 4], "d": 2, "values": [
+        {"basis": [1, 2], "value": 0}, {"basis": [3, 4], "value": 0}]})
+    assert main(["check-flock", "--from-valuation", path, "--radius", "1"]) == 1
+    assert "V2" in capsys.readouterr().err
+
+
+def test_cli_check_ff_negative_radius_exit_1(tmp_path, capsys):
+    path = write(tmp_path, "ex.json", jsonio.linearized_to_json(example_param(2, 1)))
+    assert main(["check-ff", path, "--radius", "-1"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_leaders_negative_radius_exit_1(tmp_path, capsys):
+    path = write(tmp_path, "v.json", jsonio.valuation_to_json(u24_valuation()))
+    assert main(["leaders", path, "--radius", "-1"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_svg_colours_follow_matroid_at(rng):
+    nus = [u24_valuation()] + [random_valid_valuation(rng, 4, 2) for _ in range(3)]
+    for nu in nus:
+        text = svg.render_cells_svg(nu, (nu.ground[1], nu.ground[3]), 3)
+        cells = re.findall(r'fill="(#\w+)"[^>]*><title>alpha\[2\]=(-?\d+), '
+                           r'alpha\[4\]=(-?\d+)', text)
+        assert len(cells) == 7 * 7
+        colour_of = {}
+        for colour, x, y in cells:
+            M = mf.matroid_at(nu, (0, int(x), 0, int(y)))
+            assert colour_of.setdefault(M.masks, colour) == colour
+        assert len(set(colour_of.values())) == len(colour_of)
