@@ -67,8 +67,10 @@ from .algebraic import (
     linearized_shift,
     linearized_support_matroid,
     linearized_tangent,
+    linearized_tangent_flock,
     padic_minor_valuation,
     saturate_lattice,
+    tadic_valuation,
     toric_matroid_at,
     validate_frobenius_window,
 )

@@ -9,7 +9,9 @@ Two variety classes are implemented exactly:
 * linearized: additive-polynomial parametrizations over GF(p), coordinates
   sums of terms c * x_v^(p^k) with prime-field coefficients; twisting is a
   Frobenius-level shift on coordinates, with domain reparametrizations
-  x_v -> x_v^p used to keep everything polynomial.
+  x_v -> x_v^p used to keep everything polynomial.  Their flock is the
+  flock of the T-adic valuation of the maximal minors over GF(p)[T]; the
+  tangent spaces remain available as an independent route.
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ class ToricRep:
         return len(self.A[0])
 
 
+# FIFO: dicts keep insertion order, so the first key is the oldest entry
+_LINDSTROM_CACHE_CAP = 32
 _lindstrom_cache: dict[ToricRep, Valuation] = {}
 
 
@@ -112,6 +116,8 @@ def lindstrom_toric(rep: ToricRep) -> Valuation:
         if det != 0:
             finite[sum(1 << j for j in combo)] = linalg.val_p_int(det, rep.p)
     nu = Valuation(rep.ground, d, finite)
+    if len(_lindstrom_cache) >= _LINDSTROM_CACHE_CAP:
+        del _lindstrom_cache[next(iter(_lindstrom_cache))]
     _lindstrom_cache[rep] = nu
     return nu
 
@@ -272,6 +278,29 @@ def linearized_support_matroid(param: LinearizedParam) -> Matroid:
     return Matroid(param.ground, masks)
 
 
+def tadic_valuation(param: LinearizedParam) -> Valuation:
+    """The valuation B -> val_T(det) of the maximal minors over GF(p)[T].
+
+    Prime-field coefficients commute with Frobenius, so this valuation
+    describes the flock of the parametrization (Lindström's valuation).
+    Minors come from d rows of the polynomial matrix that are independent
+    over GF(p)(T); any such choice changes every minor by one common
+    factor, which the normalization to minimum 0 removes.
+    """
+    p = param.p
+    rows = []
+    for row in _param_polymatrix(param):
+        if linalg.polymat_rank(rows + [row], p) > len(rows):
+            rows.append(row)
+    d = len(rows)
+    finite = {}
+    for combo in itertools.combinations(range(param.n), d):
+        det = linalg.poly_det([[row[j] for j in combo] for row in rows], p)
+        if det:
+            finite[sum(1 << j for j in combo)] = next(k for k, c in enumerate(det) if c)
+    return Valuation(param.ground, d, finite).normalized()
+
+
 def _saturated_tangent(param: LinearizedParam, d: int):
     """Tangent rows at 0 via saturation of the GF(p)[T] row module at (T).
 
@@ -327,25 +356,44 @@ def _saturated_tangent(param: LinearizedParam, d: int):
         kept[slot] = [linalg.poly_trim(poly) for poly in shifted]
 
 
+def _tangent_at(param: LinearizedParam, alpha, d: int):
+    """Tangent rows over GF(p) of the parametrization shifted by alpha.
+
+    The level-0 Jacobian is used when it already reaches the generic rank
+    d; rank drops (inseparable shifts) are rescued by saturating the
+    GF(p)[T] row module at (T).
+    """
+    shifted = linearized_shift(param, alpha)
+    tan = linearized_tangent(shifted)
+    if linalg.gf_rank(tan, param.p) != d:
+        tan = _saturated_tangent(shifted, d)
+    return tan
+
+
 def flock_from_linearized(param: LinearizedParam) -> MatroidFlock:
+    """The flock alpha -> M^nu_alpha of the parametrization, nu its T-adic valuation.
+
+    Being valuation-backed, its windows are scored by the vectorized kernel;
+    ``linearized_tangent_flock`` computes the same flock point by point from
+    tangent spaces.
+    """
+    nu = tadic_valuation(param)
+    return MatroidFlock(param.ground, nu.d, lambda a: optimal_masks(nu, a),
+                        "linearized", valuation=nu)
+
+
+def linearized_tangent_flock(param: LinearizedParam) -> MatroidFlock:
     """The flock alpha -> column matroid over GF(p) of the shifted tangent.
 
-    Tangents whose level-0 Jacobian already reaches the generic rank are
-    used as-is; rank drops (inseparable shifts) are rescued by saturating
-    the GF(p)[T] row module at (T).  A parametrization the rescue cannot
-    bring to rank d is degenerate: the base point 0 is not general.
+    A parametrization the saturation rescue cannot bring to rank d is
+    degenerate: the base point 0 is not general.
     """
     d = generic_rank(param)
-    p = param.p
-
-    def ev(alpha):
-        shifted = linearized_shift(param, alpha)
-        tan = linearized_tangent(shifted)
-        if linalg.gf_rank(tan, p) != d:
-            tan = _saturated_tangent(shifted, d)
-        return matroid_from_matrix(tan, GF(p), param.ground).masks
-
-    return MatroidFlock(param.ground, d, ev, "linearized")
+    return MatroidFlock(
+        param.ground, d,
+        lambda a: matroid_from_matrix(_tangent_at(param, a, d), GF(param.p),
+                                      param.ground).masks,
+        "linearized")
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +431,8 @@ class FrobeniusWindowReport:
 
 def frobenius_window(param: LinearizedParam, radius: int) -> FrobeniusFlockWindow:
     d = generic_rank(param)
-    table = {}
-    for alpha in itertools.product(range(-radius, radius + 1), repeat=param.n):
-        shifted = linearized_shift(param, alpha)
-        tan = linearized_tangent(shifted)
-        if linalg.gf_rank(tan, param.p) != d:
-            tan = _saturated_tangent(shifted, d)
-        table[alpha] = tan
+    table = {alpha: _tangent_at(param, alpha, d)
+             for alpha in itertools.product(range(-radius, radius + 1), repeat=param.n)}
     return FrobeniusFlockWindow(radius, param.p, d, param.ground, table)
 
 
@@ -457,5 +500,7 @@ def check_frobenius_axioms(param: LinearizedParam, radius: int) -> FrobeniusWind
     """(FF1)/(FF2) for all alpha in [-radius, radius]^E (table padded by 1)."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    if param.n == 0:
+        raise ValueError("empty ground set")
     win = frobenius_window(param, radius + 1)
     return validate_frobenius_window(win, box_radius=radius)

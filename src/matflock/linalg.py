@@ -474,6 +474,64 @@ def poly_scale(a, c: int, p: int):
     return poly_trim(tuple((c * x) % p for x in a))
 
 
+def poly_divexact(a, b, p: int):
+    """The quotient a / b over GF(p); ValueError unless b divides a."""
+    b = poly_trim(tuple(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = [x % p for x in poly_trim(tuple(a))]
+    if len(rem) < len(b):
+        if rem:
+            raise ValueError("inexact polynomial division")
+        return ()
+    inv = pow(b[-1], -1, p)
+    quot = [0] * (len(rem) - len(b) + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        c = rem[shift + len(b) - 1] * inv % p
+        quot[shift] = c
+        if c:
+            for i, y in enumerate(b):
+                rem[shift + i] = (rem[shift + i] - c * y) % p
+    if any(rem):
+        raise ValueError("inexact polynomial division")
+    return poly_trim(tuple(quot))
+
+
+def poly_det(rows, p: int):
+    """Determinant of a square matrix over GF(p)[T], by Bareiss elimination.
+
+    The same fraction-free scheme as ``det_int``: every division is exact
+    in GF(p)[T], so entries stay polynomials.  Pivots of least degree limit
+    degree growth.
+    """
+    n = len(rows)
+    if n == 0:
+        return (1,)
+    M = [[poly_trim(tuple(e)) for e in r] for r in rows]
+    if any(len(r) != n for r in M):
+        raise ValueError("matrix is not square")
+    sign = 1
+    prev = (1,)
+    for k in range(n - 1):
+        piv = None
+        for i in range(k, n):
+            if M[i][k] and (piv is None or len(M[i][k]) < len(M[piv][k])):
+                piv = i
+        if piv is None:
+            return ()
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = poly_divexact(
+                    poly_sub(poly_mul(M[i][j], M[k][k], p),
+                             poly_mul(M[i][k], M[k][j], p), p), prev, p)
+            M[i][k] = ()
+        prev = M[k][k]
+    return poly_scale(M[n - 1][n - 1], sign, p)
+
+
 def polymat_rank(rows, p: int) -> int:
     """Rank over GF(p)(T) of a matrix with GF(p)[T] entries.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import window
-from .valuation import Valuation, zero_dimensional_cells
+from .valuation import Valuation, _vertex_flags
 
 _PALETTE = (
     "#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3", "#937860",
@@ -52,13 +52,15 @@ def render_cells_svg(nu: Valuation, axes, radius: int) -> str:
             f'<title>alpha[{ground[ax]!r}]={x}, alpha[{ground[ay]!r}]={y}: '
             f'{len(table[k])} bases</title></rect>')
 
+    # vertices are normalized to alpha_{i0} = 0, so only those slice points
+    # can carry a dot
+    candidates = points[points[:, 0] == 0]
+    vertices = sorted(map(tuple, candidates[_vertex_flags(nu, candidates)].tolist()))
     dots = []
-    for cell in zero_dimensional_cells(nu):
-        if all(cell[i] == 0 for i in range(n) if i not in (ax, ay)) and \
-           abs(cell[ax]) <= radius and abs(cell[ay]) <= radius:
-            px = _PAD + (cell[ax] + radius) * _CELL + _CELL // 2
-            py = _PAD + (radius - cell[ay]) * _CELL + _CELL // 2
-            dots.append(f'<circle cx="{px}" cy="{py}" r="5" fill="#000000"/>')
+    for cell in vertices:
+        px = _PAD + (cell[ax] + radius) * _CELL + _CELL // 2
+        py = _PAD + (radius - cell[ay]) * _CELL + _CELL // 2
+        dots.append(f'<circle cx="{px}" cy="{py}" r="5" fill="#000000"/>')
 
     size = 2 * _PAD + span * _CELL
     label_x = f'<text x="{size // 2}" y="{size - 10}" text-anchor="middle" ' \

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, window
-from .lattice import INF, vadd, vsub
+from .lattice import INF
 from .matroid import AxiomCheck, VALID, Matroid, canonical_ground
 
 
@@ -458,25 +458,42 @@ def enumerate_leaders(nu: Valuation, window_radius: Optional[int] = None) -> Lea
     return LeaderScan(tuple(leaders), complete, R)
 
 
+def _vertex_flags(nu: Valuation, points: np.ndarray) -> np.ndarray:
+    """Per row alpha of ``points``: is alpha a vertex of the cell decomposition?
+
+    alpha is a vertex exactly when no step alpha ± e_I (I a proper nonempty
+    subset) keeps every basis of M_alpha optimal.  Each point is scored
+    together with its steps in one ``score_ids`` call per chunk.
+    """
+    n = len(nu.ground)
+    up = np.array([[I >> i & 1 for i in range(n)] for I in range(1, (1 << n) - 1)],
+                  dtype=np.int64).reshape(-1, n)
+    around = np.concatenate([np.zeros((1, n), dtype=np.int64), up, -up])
+    per = len(around)
+    items = nu.finite_items()
+    flags = np.empty(len(points), dtype=bool)
+    chunk = max(1, window._CHUNK // per)
+    for start in range(0, len(points), chunk):
+        block = np.asarray(points[start:start + chunk], dtype=np.int64)
+        steps = (block[:, None, :] + around).reshape(-1, n)
+        ids, table = window.score_ids(items, n, steps)
+        ids = ids.reshape(len(block), per)
+        K = len(table)
+        # (id at alpha, id at a step) -> does the step keep M_alpha optimal?
+        codes = (ids[:, :1] * K + ids[:, 1:]).ravel()
+        pairs, inverse = np.unique(codes, return_inverse=True)
+        keeps = np.array([table[k % K] >= table[k // K] for k in pairs.tolist()],
+                         dtype=bool)
+        flags[start:start + len(block)] = \
+            ~keeps[inverse].reshape(len(block), per - 1).any(axis=1)
+    return flags
+
+
 def _leader_vertices(nu: Valuation, scan: LeaderScan):
     """The leader representatives of ``scan`` that are cell vertices."""
-    n = len(nu.ground)
-    out = []
-    for M, rep in scan.leaders:
-        base = M.masks
-        vertex = True
-        for r in range(1, n):
-            for combo in itertools.combinations(range(n), r):
-                step = tuple(1 if i in combo else 0 for i in range(n))
-                if optimal_masks(nu, vadd(rep, step)) >= base or \
-                   optimal_masks(nu, vsub(rep, step)) >= base:
-                    vertex = False
-                    break
-            if not vertex:
-                break
-        if vertex:
-            out.append(rep)
-    return sorted(out)
+    reps = [rep for _, rep in scan.leaders]
+    flags = _vertex_flags(nu, np.array(reps, dtype=np.int64).reshape(len(reps), -1))
+    return sorted(rep for rep, vertex in zip(reps, flags.tolist()) if vertex)
 
 
 def zero_dimensional_cells(nu: Valuation, window_radius: Optional[int] = None):

@@ -249,7 +249,7 @@ def test_criterion_8_property_suites():
         param = example_param(p, g)
         support = mf.linearized_support_matroid(param)
         flocks.append((f"linearized p={p} g={g}",
-                       mf.flock_from_linearized(param), support.masks, 2))
+                       mf.linearized_tangent_flock(param), support.masks, 2))
 
     for name, flock, support, radius in flocks:
         flockprops.run_property_suite(flock, support, rng, radius=radius)

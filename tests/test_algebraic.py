@@ -55,6 +55,21 @@ def test_lindstrom_toric_example_p3():
                for B in itertools.combinations((1, 2, 3, 4), 2))
 
 
+def test_lindstrom_cache_is_bounded(rng):
+    from matflock import algebraic
+    algebraic._lindstrom_cache.clear()
+    cap = algebraic._LINDSTROM_CACHE_CAP
+    reps = set()
+    while len(reps) < cap + 10:
+        reps.add(random_saturated_toric(rng, 2, 3, rng.choice([2, 3, 5]), -9, 9))
+    for rep in reps:
+        mf.lindstrom_toric(rep)
+        assert len(algebraic._lindstrom_cache) <= cap
+    last = list(reps)[-1]
+    assert last in algebraic._lindstrom_cache
+    assert mf.lindstrom_toric(last) is algebraic._lindstrom_cache[last]
+
+
 def test_lindstrom_identity_matrix():
     rep = mf.ToricRep(((1, 0), (0, 1)), 5)
     nu = mf.lindstrom_toric(rep)
@@ -177,7 +192,7 @@ def test_tangent_matrices_match_display():
 
 
 def test_linearized_flock_parallel_classes():
-    flock = mf.flock_from_linearized(example_param(2, 2))
+    flock = mf.linearized_tangent_flock(example_param(2, 2))
     at = lambda a: mf.Matroid(flock.ground, flock.masks_at(a)).parallel_pairs()
     assert at((0, 0, 0, 0)) == ((1, 4),)
     assert at((0, -1, -1, 0)) == ((1, 4), (2, 3))
@@ -196,7 +211,7 @@ def test_degenerate_parametrization_reported():
     # (s, s + t^p) has generic rank 2 but a rank-1 Jacobian everywhere;
     # saturation rescues the tangent, so the flock stays total
     param = mf.LinearizedParam(2, 2, [[(0, 0, 1)], [(0, 0, 1), (1, 1, 1)]])
-    flock = mf.flock_from_linearized(param)
+    flock = mf.linearized_tangent_flock(param)
     M = flock.matroid_at((0, 0))
     assert M.d == 2 and sorted(M.bases) == [(1, 2)]
 
@@ -259,7 +274,7 @@ def test_both_algebraic_sources_pass_axioms_radius_3():
 
 def test_property_suite_linearized(rng):
     param = example_param(2, 2)
-    flock = mf.flock_from_linearized(param)
+    flock = mf.linearized_tangent_flock(param)
     support = mf.linearized_support_matroid(param)
     flockprops.run_property_suite(flock, support.masks, rng, radius=2)
 
@@ -310,26 +325,73 @@ def _valT_minor_valuation(param):
     return {k: v - base for k, v in vals.items()}
 
 
+def _random_param(rng, p, m, n):
+    """Up to three terms per coordinate, Frobenius levels 0..3."""
+    coords = []
+    for _ in range(n):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            terms[(rng.randint(0, m - 1), rng.randint(0, 3))] = rng.randint(1, p - 1)
+        coords.append([(v, k, c) for (v, k), c in terms.items()])
+    return mf.LinearizedParam(p, m, coords)
+
+
+def _labelled(nu):
+    return {nu.labels_of(mask): v for mask, v in nu.finite.items()}
+
+
 def test_extraction_matches_t_adic_minors(rng):
     checked = 0
     while checked < 50:
         p = rng.choice([2, 3])
         m = rng.randint(1, 3)
-        n = rng.randint(m, 5)
-        coords = []
-        for _ in range(n):
-            terms = {}
-            for _ in range(rng.randint(1, 3)):
-                terms[(rng.randint(0, m - 1), rng.randint(0, 3))] = \
-                    rng.randint(1, p - 1)
-            coords.append([(v, k, c) for (v, k), c in terms.items()])
         try:
-            param = mf.LinearizedParam(p, m, coords)
+            param = _random_param(rng, p, m, rng.randint(m, 5))
         except ValueError:
             continue
         if mf.generic_rank(param) == 0:
             continue
-        nu = mf.extract_valuation(mf.flock_from_linearized(param))
-        got = {nu.labels_of(mask): v for mask, v in nu.finite.items()}
-        assert got == _valT_minor_valuation(param)
+        expect = _valT_minor_valuation(param)
+        nu = mf.extract_valuation(mf.linearized_tangent_flock(param))
+        assert _labelled(nu) == expect
+        assert _labelled(mf.tadic_valuation(param)) == expect
+        assert _labelled(mf.flock_from_linearized(param).valuation) == expect
         checked += 1
+
+
+def test_tangent_flock_equals_tadic_valuation_flock(rng):
+    # (s, s + t^p) needs the saturation rescue at 0: its Jacobian has rank 1
+    rescue = [mf.LinearizedParam(p, 2, [[(0, 0, 1)], [(0, 0, 1), (1, 1, 1)]])
+              for p in (2, 3)]
+    for param in rescue:
+        assert linalg.gf_rank(mf.linearized_tangent(param), param.p) < \
+            mf.generic_rank(param)
+    params = list(rescue)
+    while len(params) < len(rescue) + 40:
+        p = rng.choice([2, 3])
+        m = rng.randint(1, 3)
+        try:
+            params.append(_random_param(rng, p, m, rng.randint(m, 5)))
+        except ValueError:
+            continue
+    for param in params:
+        nu = mf.tadic_valuation(param)
+        assert nu.d == mf.generic_rank(param) and min(nu.finite.values()) == 0
+        tangent = mf.linearized_tangent_flock(param)
+        for alpha in itertools.product(range(-1, 2), repeat=param.n):
+            assert tangent.masks_at(alpha) == mf.matroid_at(nu, alpha).masks, \
+                (param.coords, alpha)
+
+
+def test_linearized_flock_is_valuation_backed():
+    param = example_param(2, 2)
+    flock = mf.flock_from_linearized(param)
+    assert flock.source == "linearized"
+    assert flock.valuation == mf.tadic_valuation(param)
+    assert flock.valuation.value([1, 4]) == 2
+    assert mf.support_matroid(flock.valuation) == mf.linearized_support_matroid(param)
+
+
+def test_frobenius_axioms_reject_empty_ground():
+    with pytest.raises(ValueError, match="empty ground set"):
+        mf.check_frobenius_axioms(mf.LinearizedParam(2, 1, []), 1)

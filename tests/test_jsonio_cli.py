@@ -184,6 +184,17 @@ def test_cli_check_ff(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["valid"] is True
 
 
+def test_cli_empty_parametrization_exit_1(tmp_path, capsys):
+    # no coordinates: every linearized command refuses instead of checking nothing
+    path = write(tmp_path, "empty.json", {"p": 2, "params": ["s"], "coords": []})
+    for argv in (["check-ff", path, "--radius", "1"],
+                 ["check-flock", "--from-linearized", path],
+                 ["extract-valuation", "--from-linearized", path]):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "empty ground set" in out.err
+
+
 def test_cli_check_flock_explicit_table(tmp_path, capsys):
     nu = mf.Valuation.from_values([1, 2], 1, {(1,): 0, (2,): 0})
     entries = []
@@ -247,3 +258,46 @@ def test_svg_colours_follow_matroid_at(rng):
             M = mf.matroid_at(nu, (0, int(x), 0, int(y)))
             assert colour_of.setdefault(M.masks, colour) == colour
         assert len(set(colour_of.values())) == len(colour_of)
+
+
+def _old_svg_dots(nu, ax, ay, radius):
+    """Slice cells as the earlier renderer chose them: every cell vertex
+    from the default leader scan that lands in the slice."""
+    n = len(nu.ground)
+    return sorted(cell for cell in mf.zero_dimensional_cells(nu)
+                  if all(cell[i] == 0 for i in range(n) if i not in (ax, ay))
+                  and abs(cell[ax]) <= radius and abs(cell[ay]) <= radius)
+
+
+def _svg_dots(text, nu, ax, ay, radius):
+    """The slice points of the rendered dots, read back from the SVG."""
+    n = len(nu.ground)
+    found = []
+    for cx, cy in re.findall(r'<circle cx="(\d+)" cy="(\d+)"', text):
+        cell = [0] * n
+        cell[ax] = (int(cx) - svg._PAD - svg._CELL // 2) // svg._CELL - radius
+        cell[ay] = radius - (int(cy) - svg._PAD - svg._CELL // 2) // svg._CELL
+        found.append(tuple(cell))
+    return found
+
+
+def test_svg_dots_match_leader_vertex_filter(rng):
+    for _ in range(25):
+        n = rng.choice([2, 3, 4])
+        nu = random_valid_valuation(rng, n, rng.randint(1, n - 1), vmax=rng.randint(1, 4))
+        ax, ay = rng.sample(range(n), 2)
+        radius = rng.randint(1, 5)
+        text = svg.render_cells_svg(nu, (nu.ground[ax], nu.ground[ay]), radius)
+        assert _svg_dots(text, nu, ax, ay, radius) == _old_svg_dots(nu, ax, ay, radius)
+
+
+def test_svg_never_scans_leaders(monkeypatch):
+    from matflock import valuation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("render_cells_svg ran a leader scan")
+    monkeypatch.setattr(valuation, "enumerate_leaders", refuse)
+    nu = mf.Valuation.from_values([1, 2, 3, 4], 2, {
+        (1, 2): 40, (3, 4): 40, (1, 3): 0, (1, 4): 0, (2, 3): 0, (2, 4): 0})
+    text = svg.render_cells_svg(nu, (2, 3), 2)
+    assert text.count("<rect ") == 1 + 5 * 5

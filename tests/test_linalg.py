@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from matflock import linalg
 from matflock.lattice import INF
 
+from test_algebraic import _poly_det
+
 
 def naive_det(rows):
     """Permutation expansion; the independent determinant oracle."""
@@ -170,3 +172,27 @@ def test_polymat_rank():
     assert linalg.polymat_rank([[()]], 2) == 0
     # (s, s + t^p): rank 2 although the constant-term matrix has rank 1
     assert linalg.polymat_rank([[one, one], [(), T]], 2) == 2
+
+
+@given(st.sampled_from([2, 3, 5]).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(st.lists(
+            st.lists(st.integers(min_value=0, max_value=p - 1), max_size=4)
+            .map(lambda c: linalg.poly_trim(tuple(c))),
+            min_size=n, max_size=n), min_size=n, max_size=n)))))
+@settings(max_examples=150, deadline=None)
+def test_poly_bareiss_matches_permutation_expansion(case):
+    p, rows = case
+    assert linalg.poly_det(rows, p) == _poly_det(rows, p)
+
+
+def test_poly_divexact():
+    a, b = (1, 1), (2, 0, 1)                      # 1 + T, 2 + T^2 over GF(3)
+    assert linalg.poly_divexact(linalg.poly_mul(a, b, 3), b, 3) == a
+    assert linalg.poly_divexact((), b, 3) == ()
+    with pytest.raises(ValueError):
+        linalg.poly_divexact((1, 0, 1), (1, 1), 3)  # 1 + T^2 = (1 + T)(2 + T) + 2
+    with pytest.raises(ValueError):
+        linalg.poly_divexact((1,), (0, 1), 2)
+    with pytest.raises(ZeroDivisionError):
+        linalg.poly_divexact((1,), (), 2)
