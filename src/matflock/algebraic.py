@@ -308,28 +308,12 @@ def _saturated_tangent(param: LinearizedParam, d: int):
     parametrization is inseparable.  Replacing GF(p)-combinations of rows
     whose constant terms vanish by their quotient under T strictly lowers
     total degree and terminates with an evaluation of full rank d, which
-    spans the true tangent space of the image."""
+    spans the true tangent space of the image.  Any d rows spanning the row
+    space over GF(p)(T) saturate to the same module, so the start is the
+    fraction-free elimination's rows with their common powers of T divided out."""
     p = param.p
-    mat = _param_polymatrix(param)
-    # echelon over GF(p)(T): keep d independent polynomial rows spanning the row space
-    rows = [list(r) for r in mat]
-    kept = []
-    r = 0
-    for j in range(param.n):
-        if r >= len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][j]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i][j]:
-                c, pv = rows[i][j], rows[r][j]
-                rows[i] = [linalg.poly_sub(linalg.poly_mul(x, pv, p),
-                                           linalg.poly_mul(y, c, p), p)
-                           for x, y in zip(rows[i], rows[r])]
-        r += 1
-    kept = [row for row in rows[:r]]
+    red, pivots, _ = linalg._bareiss(_param_polymatrix(param), linalg._PolyRing(p))
+    kept = [_t_primitive(row) for row in red[:len(pivots)]]
     if len(kept) != d:
         raise DegenerateParametrization(
             f"row space rank {len(kept)} differs from generic rank {d}")
@@ -338,7 +322,7 @@ def _saturated_tangent(param: LinearizedParam, d: int):
         evals = [[(poly[0] if poly else 0) for poly in row] for row in kept]
         if linalg.gf_rank(evals, p) == d:
             return tuple(tuple(x % p for x in row) for row in evals)
-        # a GF(p) combination with zero constant term: divide it by T
+        # a GF(p) combination with zero constant term: divide out its power of T
         aug = [list(ev) + [int(i == k) for k in range(d)]
                for i, ev in enumerate(evals)]
         red, pivots = linalg.gf_rref(aug, p)
@@ -351,9 +335,13 @@ def _saturated_tangent(param: LinearizedParam, d: int):
                        for a, b in zip(vec, kept[i])]
         if not any(vec) or any(poly and poly[0] for poly in vec):
             raise DegenerateParametrization("saturation at (T) failed")
-        shifted = [poly[1:] if poly else () for poly in vec]
-        slot = next(i for i, c in enumerate(combo) if c)
-        kept[slot] = [linalg.poly_trim(poly) for poly in shifted]
+        kept[next(i for i, c in enumerate(combo) if c)] = _t_primitive(vec)
+
+
+def _t_primitive(vec):
+    """A nonzero polynomial vector divided by the largest power of T dividing it."""
+    k = min(next(i for i, c in enumerate(poly) if c) for poly in vec if poly)
+    return [poly[k:] for poly in vec]
 
 
 def _tangent_at(param: LinearizedParam, alpha, d: int):

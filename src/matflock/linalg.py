@@ -1,27 +1,45 @@
 """Exact linear algebra: integers, rationals, GF(p), and GF(p)[T].
 
-Everything here is exact; no floating point.  Integer determinants use
-fraction-free Bareiss elimination, rational work uses ``fractions.Fraction``,
-GF(p) uses machine-word modular arithmetic, and Smith/Hermite normal forms
-track unimodular transforms so lattice saturation can be read off directly.
+Everything here is exact; no floating point.  Ranks, determinants and
+reduced row echelon forms over Q, GF(p) and GF(p)[T] all come from one
+routine, fraction-free Bareiss elimination over an integral domain
+(``_bareiss``); rational matrices are cleared of denominators row by row
+first, so ``Fraction`` appears only in the final division of an RREF.
+Smith/Hermite normal forms are Euclidean and track unimodular transforms, so
+lattice saturation can be read off directly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
 from .lattice import INF
 
 
+# Miller-Rabin with the first 13 primes as bases decides every n below this
+# bound (Sorenson-Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic primality; ValueError when n has no small factor and
+    lies above the bound the Miller-Rabin bases are proven for."""
+    n = operator.index(n)                               # TypeError for 2.0
     if n < 2:
         return False
-    for q in range(2, int(math.isqrt(n)) + 1):
+    for q in _MR_BASES:
         if n % q == 0:
-            return False
-    return True
+            return n == q
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality of {n} is not decided above {_MR_BOUND}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1          # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << k, n) == n - 1 for k in range(s))
+               for a in _MR_BASES)
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +77,128 @@ def as_rat_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
+# one elimination routine over an integral domain
+#
+# A ring object gives ``one``, the ``size`` by which pivots are chosen, ``row``
+# to normalize an input row, and combine(row, prow, a, c, prev), which is
+# (a * row - c * prow) / prev with the division exact.  Zero is falsy in
+# every ring (0, or the empty polynomial ()).
+
+class _ZZ:
+    one = 1
+    size = staticmethod(abs)
+    row = staticmethod(list)
+
+    @staticmethod
+    def combine(row, prow, a, c, prev):
+        return [(a * x - c * y) // prev for x, y in zip(row, prow)]
+
+
+class _PrimeField:
+    one = 1
+    size = staticmethod(lambda x: 0)          # every nonzero entry is a unit
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def row(self, r):
+        return [x % self.p for x in r]
+
+    def combine(self, row, prow, a, c, prev):
+        p = self.p
+        inv = pow(prev, -1, p)
+        a, c = a * inv % p, c * inv % p
+        return [(a * x - c * y) % p for x, y in zip(row, prow)]
+
+
+class _PolyRing:
+    """GF(p)[T]; polynomials are coefficient tuples, constant term first."""
+    one = (1,)
+    size = staticmethod(len)
+
+    def __init__(self, p: int):
+        self.p = p
+
+    @staticmethod
+    def row(r):
+        return [poly_trim(tuple(e)) for e in r]
+
+    def combine(self, row, prow, a, c, prev):
+        p = self.p
+        return [poly_divexact(poly_sub(poly_mul(x, a, p), poly_mul(y, c, p), p), prev, p)
+                for x, y in zip(row, prow)]
+
+
+def _bareiss(rows, ring):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) over ``ring``.
+
+    Works on any rectangular matrix.  Each column takes as pivot the nonzero
+    entry of least size in the rows not yet used; a column with none is
+    skipped.  Every other nonzero row, above and below, is combined with the
+    pivot row and divided exactly by the previous pivot.  Returns (M,
+    pivots, sign): all pivots of M equal delta, the determinant of the pivot
+    block of the row-swapped input, so M = delta * RREF; ``sign`` is the
+    sign of the row swaps.
+    """
+    M = [ring.row(r) for r in rows]
+    nrows = len(M)
+    ncols = len(M[0]) if M else 0
+    size = ring.size
+    pivots = []
+    sign = 1
+    prev = ring.one
+    for j in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = None
+        for i in range(r, nrows):
+            x = M[i][j]
+            if x and (piv is None or size(x) < size(M[piv][j])):
+                piv = i
+        if piv is None:
+            continue
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sign = -sign
+        prow = M[r]
+        for i in range(nrows):
+            if i != r and any(M[i]):
+                M[i] = ring.combine(M[i], prow, prow[j], M[i][j], prev)
+        prev = prow[j]
+        pivots.append(j)
+    return M, pivots, sign
+
+
+def _integer_rows(rows):
+    """Each row of an exact rational matrix times the lcm of its denominators.
+
+    Returns (rows, scale), scale being the product of those multipliers.
+    """
+    out = []
+    scale = 1
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        m = math.lcm(*(x.denominator for x in row))
+        scale *= m
+        out.append([x.numerator * (m // x.denominator) for x in row])
+    return out, scale
+
+
+def _last_pivot(rows, ring):
+    """(delta, sign) of a square matrix, whose determinant is sign * delta.
+
+    A singular matrix reduces its last row to zero, and delta with it.
+    """
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("matrix is not square")
+    if not rows:
+        return ring.one, 1
+    M, _, sign = _bareiss(rows, ring)
+    return M[-1][-1], sign
+
+
+# ---------------------------------------------------------------------------
 # determinants
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -67,45 +207,14 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     All intermediate divisions are exact, so every value stays an int.
     Pivots are chosen with minimal absolute value to limit entry growth.
     """
-    n = len(rows)
-    if n == 0:
-        return 1
-    M = [list(r) for r in rows]
-    if any(len(r) != n for r in M):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = None
-        for i in range(k, n):
-            if M[i][k] != 0 and (piv is None or abs(M[i][k]) < abs(M[piv][k])):
-                piv = i
-        if piv is None:
-            return 0
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    delta, sign = _last_pivot(rows, _ZZ)
+    return sign * delta
 
 
 def det_frac(rows) -> Fraction:
     """Determinant of a square rational matrix (row scaling + Bareiss)."""
-    R = as_rat_matrix(rows)
-    n = len(R)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    int_rows = []
-    for row in R:
-        m = math.lcm(*(x.denominator for x in row)) if row else 1
-        scale *= m
-        int_rows.append([int(x * m) for x in row])
-    return Fraction(det_int(int_rows)) / scale
+    int_rows, scale = _integer_rows(rows)
+    return Fraction(det_int(int_rows), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -138,31 +247,13 @@ def val_p(q, p: int):
 
 def gf_rref(rows, p: int):
     """Reduced row echelon form over GF(p). Returns (rows, pivot_columns)."""
-    M = [[x % p for x in row] for row in rows]
-    nrows = len(M)
-    ncols = len(M[0]) if M else 0
-    pivots = []
-    r = 0
-    for j in range(ncols):
-        if r >= nrows:
-            break
-        piv = next((i for i in range(r, nrows) if M[i][j]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = pow(M[r][j], -1, p)
-        M[r] = [(x * inv) % p for x in M[r]]
-        for i in range(nrows):
-            if i != r and M[i][j]:
-                c = M[i][j]
-                M[i] = [(a - c * b) % p for a, b in zip(M[i], M[r])]
-        pivots.append(j)
-        r += 1
-    return [tuple(row) for row in M], pivots
+    M, pivots, _ = _bareiss(rows, _PrimeField(p))
+    inv = pow(M[len(pivots) - 1][pivots[-1]], -1, p) if pivots else 1
+    return [tuple([x * inv % p for x in row]) for row in M], pivots
 
 
 def gf_rank(rows, p: int) -> int:
-    return len(gf_rref(rows, p)[1])
+    return len(_bareiss(rows, _PrimeField(p))[1])
 
 
 def gf_row_space(rows, p: int) -> tuple:
@@ -176,31 +267,13 @@ def gf_row_space(rows, p: int) -> tuple:
 
 def rat_rref(rows):
     """RREF over Q. Returns (rows as tuples of Fractions, pivot columns)."""
-    M = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(M)
-    ncols = len(M[0]) if M else 0
-    pivots = []
-    r = 0
-    for j in range(ncols):
-        if r >= nrows:
-            break
-        piv = next((i for i in range(r, nrows) if M[i][j] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][j]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(nrows):
-            if i != r and M[i][j] != 0:
-                c = M[i][j]
-                M[i] = [a - c * b for a, b in zip(M[i], M[r])]
-        pivots.append(j)
-        r += 1
-    return [tuple(row) for row in M], pivots
+    M, pivots, _ = _bareiss(_integer_rows(rows)[0], _ZZ)
+    delta = M[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return [tuple(Fraction(x, delta) for x in row) for row in M], pivots
 
 
 def rat_rank(rows) -> int:
-    return len(rat_rref(rows)[1])
+    return len(_bareiss(_integer_rows(rows)[0], _ZZ)[1])
 
 
 def rat_solve(A, b):
@@ -395,17 +468,12 @@ def saturate_rows(rows):
     integer row space; the result is put in Hermite normal form so it is
     canonical.
     """
-    R = as_rat_matrix(rows)
-    if not R:
+    int_rows, _ = _integer_rows(as_rat_matrix(rows))
+    if not int_rows:
         raise ValueError("empty matrix")
-    d = len(R)
-    n = len(R[0])
-    if rat_rank(R) != d:
+    n = len(int_rows[0])
+    if rat_rank(int_rows) != len(int_rows):
         raise ValueError("matrix does not have full row rank")
-    int_rows = []
-    for row in R:
-        m = math.lcm(*(x.denominator for x in row))
-        int_rows.append([int(x * m) for x in row])
     kern = integer_right_kernel(int_rows)
     if not kern:
         sat = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -504,56 +572,10 @@ def poly_det(rows, p: int):
     in GF(p)[T], so entries stay polynomials.  Pivots of least degree limit
     degree growth.
     """
-    n = len(rows)
-    if n == 0:
-        return (1,)
-    M = [[poly_trim(tuple(e)) for e in r] for r in rows]
-    if any(len(r) != n for r in M):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = (1,)
-    for k in range(n - 1):
-        piv = None
-        for i in range(k, n):
-            if M[i][k] and (piv is None or len(M[i][k]) < len(M[piv][k])):
-                piv = i
-        if piv is None:
-            return ()
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = poly_divexact(
-                    poly_sub(poly_mul(M[i][j], M[k][k], p),
-                             poly_mul(M[i][k], M[k][j], p), p), prev, p)
-            M[i][k] = ()
-        prev = M[k][k]
-    return poly_scale(M[n - 1][n - 1], sign, p)
+    delta, sign = _last_pivot(rows, _PolyRing(p))
+    return poly_scale(delta, sign, p)
 
 
 def polymat_rank(rows, p: int) -> int:
-    """Rank over GF(p)(T) of a matrix with GF(p)[T] entries.
-
-    Cross-multiplication echelon form; entry degree growth is irrelevant at
-    this scale.
-    """
-    M = [[poly_trim(tuple(e)) for e in row] for row in rows]
-    nrows = len(M)
-    ncols = len(M[0]) if M else 0
-    r = 0
-    for j in range(ncols):
-        if r >= nrows:
-            break
-        piv = next((i for i in range(r, nrows) if M[i][j]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        for i in range(r + 1, nrows):
-            if M[i][j]:
-                c = M[i][j]
-                pivval = M[r][j]
-                M[i] = [poly_sub(poly_mul(x, pivval, p), poly_mul(y, c, p), p)
-                        for x, y in zip(M[i], M[r])]
-        r += 1
-    return r
+    """Rank over GF(p)(T) of a matrix with GF(p)[T] entries."""
+    return len(_bareiss(rows, _PolyRing(p))[1])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Optional
 
 from . import linalg
@@ -303,17 +303,13 @@ def matroid_from_matrix(rows, field: FieldSpec = QQ, ground=None) -> Matroid:
     by_label = {lab: j for j, lab in enumerate(labels)}
     raw_cols = list(zip(*A))
     cols = [raw_cols[by_label[lab]] for lab in ground]
-    d = linalg.rat_rank(A) if field.is_rational else linalg.gf_rank(A, field.p)
+    rank = linalg.rat_rank if field.is_rational else partial(linalg.gf_rank, p=field.p)
+    d = rank(A)
     if d == 0:
         raise ValueError("zero matrix has no column basis")
     masks = []
     for combo in itertools.combinations(range(n), d):
-        sub = [[cols[j][i] for j in combo] for i in range(len(A))]
-        if field.is_rational:
-            ok = linalg.det_frac(sub) != 0 if len(sub) == d else linalg.rat_rank(sub) == d
-        else:
-            ok = linalg.gf_rank(sub, field.p) == d
-        if ok:
+        if rank([[cols[j][i] for j in combo] for i in range(len(A))]) == d:
             masks.append(sum(1 << j for j in combo))
     return Matroid(ground, masks)
 

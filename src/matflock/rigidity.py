@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import linalg
 from .matroid import QQ, Matroid, matroid_from_matrix
-from .valuation import Valuation, check_valuation_axioms, is_trivial
+from .valuation import Valuation, _incidence_rows, check_valuation_axioms, is_trivial
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +93,6 @@ class RigidityVerdict:
         return self.kind == "rigid"
 
 
-def _incidence_rows(masks, n):
-    return [[Fraction(1) if m >> i & 1 else Fraction(0) for i in range(n)]
-            for m in masks]
-
-
 def _integerize(vec):
     den = math.lcm(*(Fraction(x).denominator for x in vec))
     ints = [int(Fraction(x) * den) for x in vec]
@@ -121,7 +116,7 @@ def rigidity_certificate(M: Matroid) -> RigidityVerdict:
     system = dw_constraints(M)
     rows = []
     for (b1, b2), (b3, b4) in system.equations:
-        row = [Fraction(0)] * len(basis_masks)
+        row = [0] * len(basis_masks)
         row[var[M.mask_of(b1)]] += 1
         row[var[M.mask_of(b2)]] += 1
         row[var[M.mask_of(b3)]] -= 1
@@ -137,7 +132,7 @@ def rigidity_certificate(M: Matroid) -> RigidityVerdict:
     if rows:
         kernel = linalg.rat_kernel(rows)
     else:
-        kernel = [tuple(Fraction(int(i == j)) for i in range(len(basis_masks)))
+        kernel = [tuple(int(i == j) for i in range(len(basis_masks)))
                   for j in range(len(basis_masks))]
     outside = [k for k in kernel
                if linalg.rat_solve(incidence, list(k)) is None]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -255,14 +254,14 @@ def equivalence_shift(nu: Valuation, other: Valuation):
         raise ValueError("valuations live on different ground sets")
     if nu.support_masks != other.support_masks:
         return None
-    n = len(nu.ground)
-    rows = []
-    rhs = []
-    for mask, v in nu.finite.items():
-        rows.append([Fraction(1) if mask >> i & 1 else Fraction(0) for i in range(n)])
-        rhs.append(Fraction(v - other.finite[mask]))
-    sol = linalg.rat_solve(rows, rhs)
+    rhs = [v - other.finite[mask] for mask, v in nu.finite.items()]
+    sol = linalg.rat_solve(_incidence_rows(nu.finite, len(nu.ground)), rhs)
     return None if sol is None else tuple(sol)
+
+
+def _incidence_rows(masks, n: int):
+    """The 0/1 incidence vector e_B of each basis mask, as int rows."""
+    return [[m >> i & 1 for i in range(n)] for m in masks]
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +328,7 @@ def is_trivial(nu: Valuation) -> TrivialityResult:
     if not nu.finite:
         raise ValueError("valuation violates (V1): no finite value")
     n = len(nu.ground)
-    rows = []
-    rhs = []
-    for mask, v in nu.finite.items():
-        rows.append([Fraction(1) if mask >> i & 1 else Fraction(0) for i in range(n)])
-        rhs.append(Fraction(v))
-    if linalg.rat_solve(rows, rhs) is None:
+    if linalg.rat_solve(_incidence_rows(nu.finite, n), list(nu.finite.values())) is None:
         return TrivialityResult(False)
     alpha = _integral_point(n, _difference_constraints(nu, nu.support_masks))
     if alpha is None:

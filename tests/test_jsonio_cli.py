@@ -1,7 +1,11 @@
 """Serialization round trips and the command-line surface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +139,23 @@ def test_cli_rigidity_and_lazarson(capsys):
     assert len(M.masks) == 29
     assert main(["lazarson-check", "--n", "4", "--p", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["divisible"] is True
+
+
+def test_cli_large_prime_decided_in_bounded_time():
+    # a subprocess, so that an unbounded primality test fails by timeout
+    env = dict(os.environ, PYTHONPATH=str(Path(mf.__file__).parents[1]))
+
+    def run(p):
+        return subprocess.run(
+            [sys.executable, "-m", "matflock.cli", "lazarson-check", "--n", "2",
+             "--p", str(p)],
+            capture_output=True, text=True, env=env, timeout=10)
+    done = run(2 ** 61 - 1)
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["divisible"] is False
+    done = run(2 ** 89 - 1)                       # above the proven Miller-Rabin bound
+    assert done.returncode == 1
+    assert "not decided" in done.stderr
 
 
 def test_cli_cells_and_leaders(tmp_path, capsys):

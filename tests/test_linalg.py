@@ -1,6 +1,7 @@
 """Exact linear algebra against brute-force oracles."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,58 @@ def naive_det(rows):
     return total
 
 
+def gauss_jordan(rows, p=None):
+    """Textbook Gauss-Jordan in Fractions, over Q or (with p) over GF(p).
+
+    The RREF oracle for the library's fraction-free elimination: it divides
+    each pivot row by its pivot, so every entry is reduced at every step.
+    """
+    red = (lambda x: x) if p is None else (lambda x: x % p)
+    M = [[red(Fraction(x)) for x in row] for row in rows]
+    nrows = len(M)
+    ncols = len(M[0]) if M else 0
+    pivots = []
+    r = 0
+    for j in range(ncols):
+        if r >= nrows:
+            break
+        piv = next((i for i in range(r, nrows) if M[i][j] != 0), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = 1 / M[r][j] if p is None else pow(int(M[r][j]), -1, p)
+        M[r] = [red(x * inv) for x in M[r]]
+        for i in range(nrows):
+            if i != r and M[i][j] != 0:
+                c = M[i][j]
+                M[i] = [red(a - c * b) for a, b in zip(M[i], M[r])]
+        pivots.append(j)
+        r += 1
+    return [tuple(row) for row in M], pivots
+
+
 small_ints = st.integers(min_value=-6, max_value=6)
+small_fracs = st.builds(Fraction, st.integers(min_value=-4, max_value=4),
+                        st.integers(min_value=1, max_value=3))
+
+
+@st.composite
+def matrices(draw, entries):
+    """Rectangular matrices; some get a row that is a combination of others,
+    so rank-deficient ones are common, and some are all zero."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    kind = draw(st.sampled_from(["plain", "dependent", "zero"]))
+    if kind == "zero":
+        rows = [[0] * n for _ in range(m)]
+    elif kind == "dependent":
+        a, b = draw(small_ints), draw(small_ints)
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        rows.insert(draw(st.integers(0, m)),
+                    [a * x + b * y for x, y in zip(rows[i], rows[j])])
+    return rows
 
 
 @given(st.integers(min_value=1, max_value=5).flatmap(
@@ -196,3 +248,89 @@ def test_poly_divexact():
         linalg.poly_divexact((1,), (0, 1), 2)
     with pytest.raises(ZeroDivisionError):
         linalg.poly_divexact((1,), (), 2)
+
+
+@given(matrices(st.one_of(small_ints, small_fracs)))
+@settings(max_examples=200, deadline=None)
+def test_rational_elimination_matches_gauss_jordan(rows):
+    rref, pivots = gauss_jordan(rows)
+    assert linalg.rat_rref(rows) == (rref, pivots)
+    assert linalg.rat_rank(rows) == len(pivots)
+    if len(rows) == len(rows[0]):
+        assert linalg.det_frac(rows) == naive_det([list(map(Fraction, r)) for r in rows])
+
+
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(
+    lambda p: st.tuples(st.just(p),
+                        matrices(st.integers(min_value=-p, max_value=2 * p)))))
+@settings(max_examples=200, deadline=None)
+def test_gf_elimination_matches_gauss_jordan(case):
+    p, rows = case
+    rref, pivots = gauss_jordan(rows, p)
+    assert linalg.gf_rref(rows, p) == (rref, pivots)
+    assert linalg.gf_rank(rows, p) == len(pivots)
+
+
+@given(matrices(small_ints))
+@settings(max_examples=150, deadline=None)
+def test_bareiss_output_is_delta_times_rref(rows):
+    M, pivots, _ = linalg._bareiss(rows, linalg._ZZ)
+    rref, expect = gauss_jordan(rows)
+    assert pivots == expect
+    delta = M[len(pivots) - 1][pivots[-1]] if pivots else 1
+    assert all(M[r][j] == delta for r, j in enumerate(pivots))
+    assert [[Fraction(x, delta) for x in row] for row in M] == [list(r) for r in rref]
+
+
+def test_elimination_edge_cases():
+    assert linalg.rat_rref([[0, 0], [0, 0]]) == ([(0, 0), (0, 0)], [])
+    assert linalg.gf_rref([[0, 5, 10]], 5) == ([(0, 0, 0)], [])
+    assert linalg.gf_rref([[3, 6]], 7) == ([(1, 2)], [0])
+    assert linalg.rat_rref([[]]) == ([()], [])
+    assert linalg.det_frac([[Fraction(1, 2), 1], [1, 2]]) == 0
+    assert linalg.poly_det([], 3) == (1,)
+    with pytest.raises(ValueError):
+        linalg.det_int([[1, 2]])
+
+
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(min_value=1, max_value=3).flatmap(
+        lambda m: st.integers(min_value=1, max_value=4).flatmap(
+            lambda n: st.lists(st.lists(
+                st.lists(st.integers(min_value=0, max_value=p - 1), max_size=3)
+                .map(lambda c: linalg.poly_trim(tuple(c))),
+                min_size=n, max_size=n), min_size=m, max_size=m))))))
+@settings(max_examples=150, deadline=None)
+def test_polymat_rank_is_largest_nonzero_minor(case):
+    p, rows = case
+    m, n = len(rows), len(rows[0])
+    rank = max((k for k in range(1, min(m, n) + 1)
+                for R in itertools.combinations(range(m), k)
+                for C in itertools.combinations(range(n), k)
+                if _poly_det([[rows[i][j] for j in C] for i in R], p)), default=0)
+    assert linalg.polymat_rank(rows, p) == rank
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(20000) if linalg.is_prime(n)] == \
+        [n for n in range(20000) if _trial_division(n)]
+
+
+def test_is_prime_on_pseudoprimes_and_large_primes():
+    assert not linalg.is_prime(561)                     # Carmichael number
+    assert not linalg.is_prime(3215031751)              # strong pseudoprime to 2, 3, 5, 7
+    assert not linalg.is_prime(3825123056546413051)     # strong pseudoprime to 2, ..., 23
+    assert linalg.is_prime(2 ** 61 - 1)
+    assert not linalg.is_prime(2 ** 61 + 1)
+
+
+def test_is_prime_refuses_beyond_proven_bound():
+    assert not linalg.is_prime(2 ** 100)                # a small factor still decides
+    with pytest.raises(ValueError):
+        linalg.is_prime(2 ** 89 - 1)                    # prime, but above 3.3e24
+    with pytest.raises(TypeError):
+        linalg.is_prime(2.0)                            # a float p is never accepted
