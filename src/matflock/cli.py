@@ -23,7 +23,7 @@ from .algebraic import (
 from .flock import ExtractionError, check_flock_axioms, extract_valuation, flock_from_valuation
 from .discrete_convex import fenchel_dual
 from .jsonio import InputError
-from .matroid import check_basis_axioms, named_matroid
+from .matroid import _raise_unless, check_basis_axioms, named_matroid
 from .rigidity import lazarson, lazarson_char_check, rigidity_certificate
 from .valuation import (
     _leader_vertices,
@@ -56,6 +56,13 @@ def _alpha(text: str, n: int):
     return parts
 
 
+def _valuation(args):
+    """The valuation in ``args.file``; a map failing (V1)/(V2) exits 1."""
+    nu = jsonio.valuation_from_json(_load(args.file))
+    _raise_unless(check_valuation_axioms(nu), "valuation")
+    return nu
+
+
 def _flock_from_args(args):
     if getattr(args, "from_valuation", None):
         return flock_from_valuation(jsonio.valuation_from_json(_load(args.from_valuation)))
@@ -80,7 +87,7 @@ def _cmd_check_matroid(args):
     bases = jsonio._require(doc, "bases", list)
     try:
         report = check_basis_axioms(ground, rank, bases)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise InputError(str(exc)) from None
     return jsonio.axiom_check_to_json(report)
 
@@ -91,23 +98,23 @@ def _cmd_check_valuation(args):
 
 
 def _cmd_support(args):
-    nu = jsonio.valuation_from_json(_load(args.file))
+    nu = _valuation(args)
     return jsonio.matroid_to_json(support_matroid(nu))
 
 
 def _cmd_matroid_at(args):
-    nu = jsonio.valuation_from_json(_load(args.file))
+    nu = _valuation(args)
     return jsonio.matroid_to_json(matroid_at(nu, _alpha(args.alpha, len(nu.ground))))
 
 
 def _cmd_g_value(args):
-    nu = jsonio.valuation_from_json(_load(args.file))
+    nu = _valuation(args)
     alpha = _alpha(args.alpha, len(nu.ground))
     return {"alpha": list(alpha), "g": g_value(nu, alpha)}
 
 
 def _cmd_cells(args):
-    nu = jsonio.valuation_from_json(_load(args.file))
+    nu = _valuation(args)
     n = len(nu.ground)
     if args.svg:
         if n > 4:
@@ -129,7 +136,7 @@ def _cmd_cells(args):
 
 
 def _cmd_leaders(args):
-    nu = jsonio.valuation_from_json(_load(args.file))
+    nu = _valuation(args)
     scan = enumerate_leaders(nu, args.radius)
     doc = jsonio.leaders_to_json(scan)
     doc["zero_dimensional_cells"] = [list(c) for c in _leader_vertices(nu, scan)]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import window
 from .lattice import vadd
-from .matroid import Matroid, bases_contract, bases_delete
+from .matroid import Matroid, _raise_unless, bases_contract, bases_delete
 from .valuation import Valuation, check_valuation_axioms, optimal_masks
 
 
@@ -62,10 +62,7 @@ class MatroidFlock:
 
 def flock_from_valuation(nu: Valuation) -> MatroidFlock:
     """The flock alpha -> M^nu_alpha; ValueError unless nu is a valuation."""
-    check = check_valuation_axioms(nu)
-    if not check.ok:
-        raise ValueError(f"valuation violates ({check.kind})"
-                         + ("" if check.witness is None else f" at {check.witness}"))
+    _raise_unless(check_valuation_axioms(nu), "valuation")
     return MatroidFlock(nu.ground, nu.d, lambda a: optimal_masks(nu, a),
                         "valuation", valuation=nu)
 

@@ -25,7 +25,7 @@ def _require(doc, key, kind=None):
     if not isinstance(doc, dict) or key not in doc:
         raise InputError(f"missing field {key!r}")
     val = doc[key]
-    if kind is not None and not isinstance(val, kind):
+    if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):
         raise InputError(f"field {key!r} has the wrong type")
     return val
 

@@ -1,11 +1,12 @@
 """Linear constraints on valuations, rigidity certification, Lazarson family.
 
-Every valuation of a matroid satisfies one linear equation per quadruple
-configuration whose non-basis pins the exchange partner.  When those
-equations confine the solution space to the span of the trivial valuations,
-the matroid is certifiably rigid; the converse direction needs more than
-linear algebra, so the verdict degrades honestly to Inconclusive when no
-valuation witness is found.
+Every valuation of a matroid satisfies one linear equation per exchange
+quadruple in which exactly one of the three pairings holds a non-basis; these
+are the quadruples the exchange check walks.  When those equations confine
+the solution space to the span of the trivial valuations, the matroid is
+certifiably rigid; the converse direction needs more than linear algebra, so
+the verdict degrades honestly to Inconclusive when no valuation witness is
+found.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .matroid import QQ, Matroid, matroid_from_matrix
+from .matroid import (QQ, Matroid, _exchange_quads, _raise_unless, check_basis_axioms,
+                      matroid_from_matrix)
 from .valuation import Valuation, _incidence_rows, check_valuation_axioms, is_trivial
 
 
@@ -46,36 +48,18 @@ class ConstraintSystem:
 
 
 def dw_constraints(M: Matroid) -> ConstraintSystem:
-    """All equations from configurations (F, {a,b}, {c,d}) with F+a+b a non-basis.
+    """One equation per exchange quadruple with exactly two finite pairings.
 
-    F runs over (d-2)-subsets; the four elements are distinct outside F and
-    the four cross sets F+a+c, F+a+d, F+b+c, F+b+d are bases.  A rank below
-    2 yields the empty system.
+    The quadruples are those of the exchange check (a (d-2)-set F and four
+    elements outside it); the two pairings of bases must have equal sums, as
+    the third is infinite.  A rank below 2 yields the empty system.
     """
     eqs = {}
-    if M.d >= 2:
-        ground = M.ground
-        n = len(ground)
-        for F in itertools.combinations(range(n), M.d - 2):
-            fmask = sum(1 << i for i in F)
-            rest = [i for i in range(n) if not (fmask >> i & 1)]
-            for quad in itertools.combinations(rest, 4):
-                for (a, b) in itertools.combinations(quad, 2):
-                    c, d = (x for x in quad if x not in (a, b))
-                    if (fmask | 1 << a | 1 << b) in M.masks:
-                        continue
-                    cross = [fmask | 1 << a | 1 << c, fmask | 1 << b | 1 << d,
-                             fmask | 1 << a | 1 << d, fmask | 1 << b | 1 << c]
-                    if any(m not in M.masks for m in cross):
-                        continue
-                    left = tuple(sorted(cross[:2]))
-                    right = tuple(sorted(cross[2:]))
-                    key = tuple(sorted((left, right)))
-                    if key not in eqs:
-                        eqs[key] = (
-                            tuple(M.labels_of(m) for m in key[0]),
-                            tuple(M.labels_of(m) for m in key[1]),
-                        )
+    for triple in _exchange_quads(len(M.ground), M.d):
+        finite = [tuple(sorted(p)) for p in triple if p[0] in M.masks and p[1] in M.masks]
+        if len(finite) == 2:
+            key = tuple(sorted(finite))
+            eqs[key] = tuple(tuple(M.labels_of(m) for m in side) for side in key)
     return ConstraintSystem(M, tuple(eqs[k] for k in sorted(eqs)))
 
 
@@ -108,7 +92,9 @@ def rigidity_certificate(M: Matroid) -> RigidityVerdict:
     the trivial span is scaled to an integer candidate; if some signed copy
     passes the valuation axioms it is a NotRigid witness, and failing that
     the verdict is Inconclusive (the linear method is only sufficient).
+    A basis family that fails (B2) raises ValueError with the witness.
     """
+    _raise_unless(check_basis_axioms(M.ground, M.d, M.bases), "basis family")
     basis_masks = sorted(M.masks)
     var = {m: k for k, m in enumerate(basis_masks)}
     n = len(M.ground)

@@ -8,7 +8,6 @@ the alcoved polyhedra where that argmax set contains a reference one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,7 +15,8 @@ import numpy as np
 
 from . import linalg, window
 from .lattice import INF
-from .matroid import AxiomCheck, VALID, Matroid, canonical_ground
+from .matroid import (AxiomCheck, VALID, Matroid, _exchange_failure, _single_exchanges,
+                      canonical_ground)
 
 
 class Valuation:
@@ -125,42 +125,8 @@ def check_valuation_axioms(nu: Valuation) -> AxiomCheck:
     """
     if not nu.finite:
         return AxiomCheck(False, "V1", None)
-    n = len(nu.ground)
-    subsets = list(itertools.combinations(range(n), nu.d))
-    masks = [sum(1 << i for i in c) for c in subsets]
-    vals = [nu.value_mask(m) for m in masks]
-    for a, B in enumerate(masks):
-        va = vals[a]
-        if va == INF:
-            continue
-        for b, B2 in enumerate(masks):
-            vb = vals[b]
-            if vb == INF:
-                continue
-            lhs = va + vb
-            diff = B & ~B2
-            for i in range(n):
-                if not (diff >> i & 1):
-                    continue
-                feasible = False
-                other = B2 & ~B
-                for j in range(n):
-                    if not (other >> j & 1):
-                        continue
-                    x = nu.value_mask(B & ~(1 << i) | (1 << j))
-                    if x == INF:
-                        continue
-                    y = nu.value_mask(B2 & ~(1 << j) | (1 << i))
-                    if y == INF:
-                        continue
-                    if lhs >= x + y:
-                        feasible = True
-                        break
-                if not feasible:
-                    return AxiomCheck(
-                        False, "V2",
-                        (nu.labels_of(B), nu.labels_of(B2), nu.ground[i]))
-    return VALID
+    witness = _exchange_failure(nu.finite, nu.ground)
+    return VALID if witness is None else AxiomCheck(False, "V2", witness)
 
 
 def support_matroid(nu: Valuation) -> Matroid:
@@ -282,20 +248,14 @@ def _difference_constraints(nu: Valuation, base_masks) -> dict[tuple[int, int], 
     tight: dict[tuple[int, int], int] = {}
     for mask in base_masks:
         v = nu.finite[mask]
-        for i in range(n):
-            if not (mask >> i & 1):
+        for i, j, other in _single_exchanges(mask, n):
+            w = nu.value_mask(other)
+            if w == INF:
                 continue
-            for j in range(n):
-                if mask >> j & 1:
-                    continue
-                other = mask & ~(1 << i) | (1 << j)
-                w = nu.value_mask(other)
-                if w == INF:
-                    continue
-                c = v - w
-                key = (i, j)
-                if key not in tight or c > tight[key]:
-                    tight[key] = c
+            c = v - w
+            key = (i, j)
+            if key not in tight or c > tight[key]:
+                tight[key] = c
     return tight
 
 
@@ -352,16 +312,10 @@ def circuit_hyperplane_valuation(M: Matroid, B0, v: int) -> Valuation:
     b0 = M.mask_of(B0)
     if b0 not in M.masks:
         raise ValueError(f"{sorted(B0)} is not a basis")
-    n = len(M.ground)
-    for i in range(n):
-        if not (b0 >> i & 1):
-            continue
-        for j in range(n):
-            if b0 >> j & 1:
-                continue
-            if (b0 & ~(1 << i) | (1 << j)) not in M.masks:
-                raise ValueError(
-                    f"exchange ({M.ground[i]!r}, {M.ground[j]!r}) leaves the bases")
+    for i, j, other in _single_exchanges(b0, len(M.ground)):
+        if other not in M.masks:
+            raise ValueError(
+                f"exchange ({M.ground[i]!r}, {M.ground[j]!r}) leaves the bases")
     finite = {mask: (v if mask == b0 else 0) for mask in M.masks}
     return Valuation(M.ground, M.d, finite)
 

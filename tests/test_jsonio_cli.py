@@ -255,6 +255,56 @@ def test_cli_check_flock_rejects_non_valuation(tmp_path, capsys):
     assert "V2" in capsys.readouterr().err
 
 
+NON_VALUATION = {"ground": [1, 2, 3, 4], "d": 2, "values": [
+    {"basis": [1, 2], "value": 0}, {"basis": [3, 4], "value": 0}]}
+
+
+@pytest.mark.parametrize("command", [
+    ["support"], ["matroid-at", "--alpha", "0,0,0,0"], ["g-value", "--alpha", "0,0,0,0"],
+    ["cells"], ["leaders"],
+], ids=lambda command: command[0])
+def test_cli_valuation_commands_reject_non_valuation(tmp_path, capsys, command):
+    # {12, 34} is not a matroid; no command may print it as one
+    path = write(tmp_path, "v.json", NON_VALUATION)
+    assert main([command[0], path, *command[1:]]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "(V2)" in out.err
+
+
+@pytest.mark.parametrize("doc", [
+    {"ground": [1, 2, 3, 4], "rank": 2, "bases": [5]},
+    {"ground": [1, 2, 3, 4], "rank": 2, "bases": [[1, [2]]]},
+    {"ground": [1, 2], "rank": True, "bases": [[1], [2]]},
+    {"ground": [True, False], "rank": 1, "bases": [[True]]},
+], ids=["basis-not-a-list", "nested-label", "boolean-rank", "boolean-labels"])
+def test_cli_check_matroid_malformed_input_exit_2(tmp_path, capsys, doc):
+    assert main(["check-matroid", write(tmp_path, "m.json", doc)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "input error" in out.err
+
+
+def test_json_integer_fields_reject_booleans():
+    with pytest.raises(jsonio.InputError):
+        jsonio.valuation_from_json({"ground": [1, 2], "d": True, "values": []})
+    with pytest.raises(jsonio.InputError):
+        jsonio.window_function_from_json({"n": True, "lo": [0], "hi": [0], "values": []})
+
+
+def test_cli_rigidity_rejects_non_matroid(tmp_path, capsys):
+    path = write(tmp_path, "m.json",
+                 {"ground": [1, 2, 3, 4], "rank": 2, "bases": [[1, 2], [3, 4]]})
+    assert main(["rigidity", path]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "(B2)" in out.err
+
+
+def test_cli_fixture_is_a_matroid(capsys):
+    # the fixture the installed-package CI job feeds to check-matroid
+    path = Path(__file__).parent / "fixtures" / "uniform_2_4.json"
+    assert main(["check-matroid", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"valid": True}
+
+
 def test_cli_check_ff_negative_radius_exit_1(tmp_path, capsys):
     path = write(tmp_path, "ex.json", jsonio.linearized_to_json(example_param(2, 1)))
     assert main(["check-ff", path, "--radius", "-1"]) == 1

@@ -72,6 +72,13 @@ def test_uniform_corank_one_rigid():
         assert mf.rigidity_certificate(mf.uniform_matroid(n - 1, n)).kind == "rigid"
 
 
+def test_rigidity_rejects_non_matroid():
+    # {12, 34} fails (B2); a verdict of "rigid" would certify nothing
+    M = mf.Matroid.from_bases([1, 2, 3, 4], [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match=r"\(B2\)"):
+        mf.rigidity_certificate(M)
+
+
 def test_u24_not_rigid_with_verified_witness():
     verdict = mf.rigidity_certificate(mf.uniform_matroid(2, 4))
     assert verdict.kind == "not_rigid"
