@@ -108,14 +108,9 @@ def lindstrom_toric(rep: ToricRep) -> Valuation:
     got = _lindstrom_cache.get(rep)
     if got is not None:
         return got
-    n, d = rep.n, rep.d
-    finite = {}
-    for combo in itertools.combinations(range(n), d):
-        sub = [[row[j] for j in combo] for row in rep.A]
-        det = linalg.det_int(sub)
-        if det != 0:
-            finite[sum(1 << j for j in combo)] = linalg.val_p_int(det, rep.p)
-    nu = Valuation(rep.ground, d, finite)
+    finite = {mask: linalg.val_p_int(minor, rep.p)
+              for mask, minor in linalg._maximal_minors(rep.A, linalg._ZZ)}
+    nu = Valuation(rep.ground, rep.d, finite)
     if len(_lindstrom_cache) >= _LINDSTROM_CACHE_CAP:
         del _lindstrom_cache[next(iter(_lindstrom_cache))]
     _lindstrom_cache[rep] = nu
@@ -268,14 +263,7 @@ def generic_rank(param: LinearizedParam) -> int:
 
 def linearized_support_matroid(param: LinearizedParam) -> Matroid:
     """Column matroid over GF(p)(T): the matroid the parametrization represents."""
-    d = generic_rank(param)
-    mat = _param_polymatrix(param)
-    masks = []
-    for combo in itertools.combinations(range(param.n), d):
-        sub = [[row[j] for j in combo] for row in mat]
-        if linalg.polymat_rank(sub, param.p) == d:
-            masks.append(sum(1 << j for j in combo))
-    return Matroid(param.ground, masks)
+    return Matroid(param.ground, tadic_valuation(param).finite)
 
 
 def tadic_valuation(param: LinearizedParam) -> Valuation:
@@ -283,22 +271,14 @@ def tadic_valuation(param: LinearizedParam) -> Valuation:
 
     Prime-field coefficients commute with Frobenius, so this valuation
     describes the flock of the parametrization (Lindström's valuation).
-    Minors come from d rows of the polynomial matrix that are independent
-    over GF(p)(T); any such choice changes every minor by one common
-    factor, which the normalization to minimum 0 removes.
+    The minor walk drops dependent rows of the polynomial matrix; its
+    minors then share one common factor, which the normalization to
+    minimum 0 removes.
     """
-    p = param.p
-    rows = []
-    for row in _param_polymatrix(param):
-        if linalg.polymat_rank(rows + [row], p) > len(rows):
-            rows.append(row)
-    d = len(rows)
-    finite = {}
-    for combo in itertools.combinations(range(param.n), d):
-        det = linalg.poly_det([[row[j] for j in combo] for row in rows], p)
-        if det:
-            finite[sum(1 << j for j in combo)] = next(k for k, c in enumerate(det) if c)
-    return Valuation(param.ground, d, finite).normalized()
+    finite = {mask: next(k for k, c in enumerate(minor) if c)
+              for mask, minor in linalg._maximal_minors(_param_polymatrix(param),
+                                                        linalg._PolyRing(param.p))}
+    return Valuation(param.ground, next(iter(finite)).bit_count(), finite).normalized()
 
 
 def _saturated_tangent(param: LinearizedParam, d: int):

@@ -5,14 +5,18 @@ reduced row echelon forms over Q, GF(p) and GF(p)[T] all come from one
 routine, fraction-free Bareiss elimination over an integral domain
 (``_bareiss``); rational matrices are cleared of denominators row by row
 first, so ``Fraction`` appears only in the final division of an RREF.
-Smith/Hermite normal forms are Euclidean and track unimodular transforms, so
-lattice saturation can be read off directly.
+Every enumeration of maximal minors is one walk over that routine's
+tableau (``_maximal_minors``); a lattice is saturated when the gcd of the
+maximal minors of its rows is 1.  Smith/Hermite normal forms are Euclidean
+and track unimodular transforms; they serve ``saturate_rows``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
+from collections import deque
 from fractions import Fraction
 from typing import Sequence
 
@@ -168,6 +172,37 @@ def _bareiss(rows, ring):
         prev = prow[j]
         pivots.append(j)
     return M, pivots, sign
+
+
+def _maximal_minors(rows, ring):
+    """Yield (mask, minor) for every nonzero maximal minor of ``rows``.
+
+    At a basis B with minor delta, the tableau delta * A_B^-1 * A of
+    ``_bareiss`` holds +-det A_{B - b_k + j} at (k, j) (Cramer).  A
+    breadth-first walk over single exchanges reaches every basis (Maurer);
+    a step is one fraction-free pivot, divided exactly by the old delta.
+    Dependent rows drop out, so the minors of independent rows are exact
+    up to sign; otherwise they share one common factor.
+    """
+    M, pivots, _ = _bareiss(rows, ring)
+    start = sum(1 << j for j in pivots)
+    yield start, M[0][pivots[0]] if pivots else ring.one
+    seen = {start}
+    todo = deque([(start, pivots, M[:len(pivots)], None, None)])
+    while todo:
+        mask, owner, tab, k, j = todo.popleft()
+        if k is not None:                     # pivot the parent's tableau at (k, j)
+            prow, delta = tab[k], tab[k][owner[k]]
+            tab = [prow if i == k else ring.combine(row, prow, prow[j], row[j], delta)
+                   for i, row in enumerate(tab)]
+            owner = owner[:k] + [j] + owner[k + 1:]
+        for k, row in enumerate(tab):
+            for j, x in enumerate(row):
+                nxt = mask & ~(1 << owner[k]) | 1 << j
+                if x and nxt not in seen:
+                    seen.add(nxt)
+                    yield nxt, x
+                    todo.append((nxt, owner, tab, k, j))
 
 
 def _integer_rows(rows):
@@ -396,12 +431,6 @@ def smith_normal_form(A):
     return ([tuple(r) for r in S], [tuple(r) for r in U], [tuple(r) for r in V])
 
 
-def snf_diagonal(A) -> list[int]:
-    S, _, _ = smith_normal_form(A)
-    k = min(len(S), len(S[0]) if S else 0)
-    return [S[i][i] for i in range(k)]
-
-
 def hermite_normal_form(rows):
     """Row-style Hermite normal form of the integer row lattice.
 
@@ -483,11 +512,16 @@ def saturate_rows(rows):
 
 
 def is_saturated(int_rows) -> bool:
-    """True when the rows generate a saturated full-rank lattice."""
+    """True when the rows are independent and generate a saturated lattice.
+
+    That holds exactly when the gcd of the maximal minors, the
+    determinantal divisor d_d, is 1; the walk stops at the first gcd of 1.
+    """
     A = as_int_matrix(int_rows)
-    d = len(A)
-    diag = snf_diagonal(A)
-    return len(diag) >= d and all(abs(x) == 1 for x in diag[:d])
+    walk = _maximal_minors(A, _ZZ)
+    start, delta = next(walk)
+    gcds = itertools.accumulate((minor for _, minor in walk), math.gcd, initial=abs(delta))
+    return start.bit_count() == len(A) and 1 in gcds
 
 
 # ---------------------------------------------------------------------------
@@ -516,23 +550,11 @@ def poly_mul(a, b, p: int):
 
 
 def poly_sub(a, b, p: int):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = (x - y) % p
-    return poly_trim(tuple(out))
+    return poly_trim(tuple((x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)))
 
 
 def poly_add(a, b, p: int):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = (x + y) % p
-    return poly_trim(tuple(out))
+    return poly_trim(tuple((x + y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)))
 
 
 def poly_scale(a, c: int, p: int):

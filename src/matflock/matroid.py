@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterable, Optional
 
 from . import linalg
@@ -245,13 +245,14 @@ def _single_exchanges(mask: int, n: int):
                     yield i, j, mask & ~(1 << i) | 1 << j
 
 
-def _exchange_quads(n: int, d: int):
-    """The three pairings ((Fab, Fce), (Fac, Fbe), (Fae, Fbc)) of each
-    (d-2)-set F and 4-set a < b < c < e outside it; nothing when d < 2."""
-    if d < 2:
-        return
-    for F in itertools.combinations(range(n), d - 2):
-        f = sum(1 << i for i in F)
+def _exchange_quads(masks, n: int):
+    """The three pairings ((Fab, Fce), (Fac, Fbe), (Fae, Fbc)) of each 4-set
+    a < b < c < e outside a (d-2)-set F, for F = B - x - y with B in
+    ``masks``, in lex order of F.  Every other quadruple pairs no two of
+    ``masks``; nothing when d < 2."""
+    bits = lambda m: [i for i in range(n) if m >> i & 1]
+    Fs = {B & ~(1 << x | 1 << y) for B in masks for x, y in itertools.combinations(bits(B), 2)}
+    for f in sorted(Fs, key=bits):
         rest = [1 << i for i in range(n) if not f >> i & 1]
         for a, b, c, e in itertools.combinations(rest, 4):
             yield ((f | a | b, f | c | e), (f | a | c, f | b | e), (f | a | e, f | b | c))
@@ -269,8 +270,7 @@ def _exchange_failure(values: dict, ground) -> Optional[tuple]:
     n = len(ground)
     labels = lambda m: tuple(e for k, e in enumerate(ground) if m >> k & 1)
     witness = lambda B, B2: (labels(B), labels(B2), ground[(B & ~B2).bit_length() - 1])
-    d = next(iter(values)).bit_count()
-    for triple in _exchange_quads(n, d):
+    for triple in _exchange_quads(values, n):
         sums = [(values[B] + values[B2], B, B2) for B, B2 in triple
                 if B in values and B2 in values]
         if sums:
@@ -341,10 +341,7 @@ def matroid_from_matrix(rows, field: FieldSpec = QQ, ground=None) -> Matroid:
     where d is the rank of the whole matrix.  Columns are indexed by
     ``ground`` (default 1..n).
     """
-    if field.is_rational:
-        A = linalg.as_rat_matrix(rows)
-    else:
-        A = linalg.as_int_matrix(rows)
+    A = linalg.as_rat_matrix(rows) if field.is_rational else linalg.as_int_matrix(rows)
     if not A:
         raise ValueError("empty matrix")
     n = len(A[0])
@@ -355,16 +352,11 @@ def matroid_from_matrix(rows, field: FieldSpec = QQ, ground=None) -> Matroid:
 
     # columns follow the caller's label order; realign to the sorted ground
     by_label = {lab: j for j, lab in enumerate(labels)}
-    raw_cols = list(zip(*A))
-    cols = [raw_cols[by_label[lab]] for lab in ground]
-    rank = linalg.rat_rank if field.is_rational else partial(linalg.gf_rank, p=field.p)
-    d = rank(A)
-    if d == 0:
+    rows = [[row[by_label[lab]] for lab in ground] for row in linalg._integer_rows(A)[0]]
+    ring = linalg._ZZ if field.is_rational else linalg._PrimeField(field.p)
+    masks = [mask for mask, _ in linalg._maximal_minors(rows, ring)]
+    if masks[0] == 0:
         raise ValueError("zero matrix has no column basis")
-    masks = []
-    for combo in itertools.combinations(range(n), d):
-        if rank([[cols[j][i] for j in combo] for i in range(len(A))]) == d:
-            masks.append(sum(1 << j for j in combo))
     return Matroid(ground, masks)
 
 

@@ -55,7 +55,7 @@ def dw_constraints(M: Matroid) -> ConstraintSystem:
     the third is infinite.  A rank below 2 yields the empty system.
     """
     eqs = {}
-    for triple in _exchange_quads(len(M.ground), M.d):
+    for triple in _exchange_quads(M.masks, len(M.ground)):
         finite = [tuple(sorted(p)) for p in triple if p[0] in M.masks and p[1] in M.masks]
         if len(finite) == 2:
             key = tuple(sorted(finite))

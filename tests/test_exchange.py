@@ -98,8 +98,8 @@ def test_single_exchanges_are_the_distance_one_sets():
 
 def test_exchange_quads_cover_each_distance_two_pair_once():
     for n, d in ((4, 2), (6, 3), (7, 4), (5, 1), (6, 0)):
-        pairs = [frozenset(p) for triple in _exchange_quads(n, d) for p in triple]
         masks = [sum(1 << i for i in c) for c in itertools.combinations(range(n), d)]
+        pairs = [frozenset(p) for triple in _exchange_quads(masks, n) for p in triple]
         at_two = {frozenset((a, b)) for a in masks for b in masks
                   if (a & ~b).bit_count() == 2}
         assert len(pairs) == len(set(pairs)) and set(pairs) == at_two

@@ -1,5 +1,6 @@
 """Serialization round trips and the command-line surface."""
 
+import itertools
 import json
 import os
 import re
@@ -141,21 +142,60 @@ def test_cli_rigidity_and_lazarson(capsys):
     assert json.loads(capsys.readouterr().out)["divisible"] is True
 
 
+def _run_cli(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(mf.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "matflock.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=10)
+
+
 def test_cli_large_prime_decided_in_bounded_time():
     # a subprocess, so that an unbounded primality test fails by timeout
-    env = dict(os.environ, PYTHONPATH=str(Path(mf.__file__).parents[1]))
-
-    def run(p):
-        return subprocess.run(
-            [sys.executable, "-m", "matflock.cli", "lazarson-check", "--n", "2",
-             "--p", str(p)],
-            capture_output=True, text=True, env=env, timeout=10)
-    done = run(2 ** 61 - 1)
+    done = _run_cli("lazarson-check", "--n", "2", "--p", str(2 ** 61 - 1))
     assert done.returncode == 0
     assert json.loads(done.stdout)["divisible"] is False
-    done = run(2 ** 89 - 1)                       # above the proven Miller-Rabin bound
-    assert done.returncode == 1
+    done = _run_cli("lazarson-check", "--n", "2", "--p", str(2 ** 89 - 1))
+    assert done.returncode == 1                   # above the proven Miller-Rabin bound
     assert "not decided" in done.stderr
+
+
+# a 4 x 9 matrix on which a Smith-form saturation test never returned
+HARD_TORIC_ROWS = [[-31, 18, -48, -29, -44, -50, -24, 48, 9],
+                   [-5, 50, -4, 20, -46, 12, -27, -20, -49],
+                   [-15, 5, -7, -44, 27, 19, -38, 7, -11],
+                   [-17, -19, 36, 13, 3, 42, -17, -7, -45]]
+
+
+def _hard_toric_minors():
+    """The finite 2-adic minor valuations of HARD_TORIC_ROWS, one minor at a time."""
+    vals = {B: mf.padic_minor_valuation(HARD_TORIC_ROWS, B, 2)
+            for B in itertools.combinations(range(1, 10), 4)}
+    return {B: v for B, v in vals.items() if v != mf.INF}
+
+
+def test_cli_lindstrom_toric_saturation_in_bounded_time(tmp_path):
+    path = write(tmp_path, "A.json", {"rows": HARD_TORIC_ROWS})
+    done = _run_cli("lindstrom-toric", "--p", "2", path)
+    assert done.returncode == 0
+    got = {tuple(e["basis"]): e["value"] for e in json.loads(done.stdout)["values"]}
+    assert got == _hard_toric_minors()
+
+
+def test_cli_toric_matroid_at_in_bounded_time(tmp_path):
+    path = write(tmp_path, "A.json", {"rows": HARD_TORIC_ROWS})
+    done = _run_cli("toric-matroid-at", "--p", "2", "--alpha", "0,0,0,0,0,0,0,0,0", path)
+    assert done.returncode == 0
+    # at alpha = 0 the bases are the minors of least valuation, 0 when saturated
+    want = {B for B, v in _hard_toric_minors().items() if v == 0}
+    assert {tuple(B) for B in json.loads(done.stdout)["bases"]} == want
+
+
+def test_cli_check_valuation_one_basis_wide_ground_in_bounded_time(tmp_path):
+    # n = 20, d = 10: the exchange check visits only quadruples around the basis
+    doc = {"ground": list(range(1, 21)), "d": 10,
+           "values": [{"basis": list(range(1, 11)), "value": 0}]}
+    done = _run_cli("check-valuation", write(tmp_path, "nu.json", doc))
+    assert done.returncode == 0
+    assert json.loads(done.stdout) == {"valid": True}
 
 
 def test_cli_cells_and_leaders(tmp_path, capsys):

@@ -174,6 +174,24 @@ def test_snf_known_case():
     assert [S[i][i] for i in range(3)] == [2, 2, 156]
 
 
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda m: st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=m, max_size=m),
+            st.sampled_from(["plain", "dependent", "zero row"])))))
+@settings(max_examples=200, deadline=None)
+def test_is_saturated_matches_smith_form(case):
+    rows, kind = case
+    if kind == "dependent":
+        rows = rows + [[2 * x - y for x, y in zip(rows[0], rows[-1])]]
+    elif kind == "zero row":
+        rows = rows + [[0] * len(rows[0])]
+    S, _, _ = linalg.smith_normal_form(rows)
+    diag = [S[i][i] for i in range(min(len(S), len(S[0])))]
+    want = len(diag) >= len(rows) and all(abs(x) == 1 for x in diag[:len(rows)])
+    assert linalg.is_saturated(rows) == want
+
+
 def test_integer_right_kernel():
     kern = linalg.integer_right_kernel([[2, 2]])
     assert len(kern) == 1
@@ -334,3 +352,93 @@ def test_is_prime_refuses_beyond_proven_bound():
         linalg.is_prime(2 ** 89 - 1)                    # prime, but above 3.3e24
     with pytest.raises(TypeError):
         linalg.is_prime(2.0)                            # a float p is never accepted
+
+
+# ---------------------------------------------------------------------------
+# the maximal-minor walk against one determinant per column set
+
+@st.composite
+def walk_matrices(draw, entries):
+    """``matrices`` with zero columns and square shapes mixed in."""
+    rows = [list(row) for row in draw(matrices(entries))]
+    shape = draw(st.sampled_from(["as drawn", "zero column", "square"]))
+    if shape == "zero column":
+        j = draw(st.integers(0, len(rows[0]) - 1))
+        for row in rows:
+            row[j] = 0
+    elif shape == "square":
+        k = min(len(rows), len(rows[0]))
+        rows = [row[:k] for row in rows[:k]]
+    return rows
+
+
+def _check_walk(rows, ring, rank, det, mul, neg):
+    """Each nonzero maximal minor once, all off by one common factor and a
+    sign from the minors of a greedily chosen row basis."""
+    basis = []
+    for row in rows:
+        if rank(basis + [row]) > len(basis):
+            basis.append(row)
+    ref = {}
+    for C in itertools.combinations(range(len(rows[0])), len(basis)):
+        x = det([[row[j] for j in C] for row in basis])
+        if x:
+            ref[sum(1 << j for j in C)] = x
+    got = list(linalg._maximal_minors(rows, ring))
+    walk = dict(got)
+    assert len(walk) == len(got) and walk.keys() == ref.keys()
+    B0 = got[0][0]
+    for B, x in walk.items():
+        assert mul(x, ref[B0]) in (mul(ref[B], walk[B0]), neg(mul(ref[B], walk[B0])))
+    return walk, ref
+
+
+@given(walk_matrices(small_ints))
+@settings(max_examples=200, deadline=None)
+def test_minor_walk_matches_integer_determinants(rows):
+    walk, ref = _check_walk(rows, linalg._ZZ, linalg.rat_rank, linalg.det_int,
+                            lambda a, b: a * b, lambda a: -a)
+    if linalg.rat_rank(rows) == len(rows):         # independent rows: exact up to sign
+        assert {B: abs(x) for B, x in walk.items()} == {B: abs(x) for B, x in ref.items()}
+
+
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(
+    lambda p: st.tuples(st.just(p), walk_matrices(st.integers(min_value=-p, max_value=2 * p)))))
+@settings(max_examples=200, deadline=None)
+def test_minor_walk_matches_gf_determinants(case):
+    p, rows = case
+    _check_walk(rows, linalg._PrimeField(p), lambda M: linalg.gf_rank(M, p),
+                lambda M: linalg.det_int(M) % p, lambda a, b: a * b % p, lambda a: -a % p)
+
+
+@st.composite
+def poly_walk_matrices(draw, p):
+    """Matrices over GF(p)[T] with zero columns, square shapes, and a row
+    that is a GF(p)[T]-combination of two others."""
+    m = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=5))
+    poly = (st.lists(st.integers(min_value=0, max_value=p - 1), max_size=3)
+            .map(lambda c: linalg.poly_trim(tuple(c))))
+    rows = draw(st.lists(st.lists(poly, min_size=n, max_size=n), min_size=m, max_size=m))
+    shape = draw(st.sampled_from(["as drawn", "dependent", "zero column", "square"]))
+    if shape == "dependent":
+        a, b = draw(poly), draw(poly)
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        rows.append([linalg.poly_add(linalg.poly_mul(a, x, p), linalg.poly_mul(b, y, p), p)
+                     for x, y in zip(rows[i], rows[j])])
+    elif shape == "zero column":
+        j = draw(st.integers(0, n - 1))
+        rows = [row[:j] + [()] + row[j + 1:] for row in rows]
+    elif shape == "square":
+        k = min(m, n)
+        rows = [row[:k] for row in rows[:k]]
+    return rows
+
+
+@given(st.sampled_from([2, 3]).flatmap(lambda p: st.tuples(st.just(p), poly_walk_matrices(p))))
+@settings(max_examples=150, deadline=None)
+def test_minor_walk_matches_leibniz_over_polynomials(case):
+    p, rows = case
+    _check_walk(rows, linalg._PolyRing(p), lambda M: linalg.polymat_rank(M, p),
+                lambda M: _poly_det(M, p), lambda a, b: linalg.poly_mul(a, b, p),
+                lambda a: linalg.poly_scale(a, -1, p))
