@@ -299,7 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("extract-valuation", help="valuation of a flock")
     _add_flock_source(s)
     s.add_argument("--cutoff", type=int, default=None)
-    s.add_argument("--verify-radius", type=int, default=None)
+    s.add_argument("--verify-radius", type=int, default=None,
+                   help="round-trip window radius for an --explicit flock "
+                        "(default 2, 0 skips); flocks with a valuation are "
+                        "checked exactly against it")
     s.set_defaults(func=_cmd_extract_valuation)
 
     s = sub.add_parser("lindstrom-toric", help="p-adic minor valuation of a matrix")

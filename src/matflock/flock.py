@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import window
-from .lattice import vadd
+from .lattice import INF, vadd
 from .matroid import Matroid, _raise_unless, bases_contract, bases_delete
 from .valuation import Valuation, check_valuation_axioms, optimal_masks
 
@@ -293,16 +293,23 @@ def extract_valuation(flock: MatroidFlock, cutoff: Optional[int] = None,
 
     For each d-subset B, walk alpha = k * e_B until B is a basis of
     M_alpha; then nu(B) = k*d - g(k*e_B).  Subsets that never become bases
-    within the cutoff get nu(B) = ∞.  Algebraic-source flocks are round-trip
-    verified on a window (default radius 2); a mismatch raises
-    ExtractionError listing the subsets that hit the cutoff.
+    within the cutoff get nu(B) = ∞.
+
+    The result is then verified, and a failure raises ExtractionError
+    listing the subsets that hit the cutoff.  A flock that carries a
+    valuation determines it up to a constant, and the walk fixes that
+    constant by g(0) = 0, so the walked map must equal
+    ``flock.valuation.normalized()`` exactly; this holds at every alpha,
+    not just on a window, and ``verify_radius`` is ignored.  Any other flock
+    is compared with M^nu_alpha on the box of ``verify_radius`` (default 2,
+    0 skips the check).
     """
     n = len(flock.ground)
     if cutoff is None:
         cutoff = _default_cutoff(flock)
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    if verify_radius is None and flock.source not in ("valuation",):
+    if verify_radius is None:
         verify_radius = 2
 
     finite: dict[int, int] = {}
@@ -329,13 +336,33 @@ def extract_valuation(flock: MatroidFlock, cutoff: Optional[int] = None,
     if not check.ok:
         raise ExtractionError(
             f"extracted map violates ({check.kind}) at {check.witness}", cutoff_hits)
-    if verify_radius:
+    if flock.valuation is not None:
+        bad = _value_mismatch(nu, flock.valuation.normalized())
+        if bad is not None:
+            subset, got, want = bad
+            raise ExtractionError(
+                f"round-trip mismatch at {subset}: extracted {got}, "
+                f"the flock's valuation {want}; cutoff {cutoff} may be too small",
+                cutoff_hits)
+    elif verify_radius:
         bad = _window_mismatch(nu, flock, verify_radius)
         if bad is not None:
             raise ExtractionError(
                 f"round-trip mismatch at alpha={bad}; "
                 f"cutoff {cutoff} may be too small", cutoff_hits)
     return nu
+
+
+def _value_mismatch(nu: Valuation, ref: Valuation):
+    """(labels, nu value, ref value) at the lex-first d-subset where the two
+    differ, ∞ shown as such, or None; both live on one ground set and rank."""
+    if nu.finite == ref.finite:
+        return None
+    differ = [m for m in nu.finite.keys() | ref.finite.keys()
+              if nu.value_mask(m) != ref.value_mask(m)]
+    mask = min(differ, key=lambda m: [i for i in range(len(nu.ground)) if m >> i & 1])
+    return (nu.labels_of(mask),
+            *("∞" if v == INF else v for v in (nu.value_mask(mask), ref.value_mask(mask))))
 
 
 def _window_mismatch(nu: Valuation, flock: MatroidFlock, radius: int):

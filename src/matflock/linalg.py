@@ -495,7 +495,8 @@ def saturate_rows(rows):
 
     Clears denominators, then saturates via the kernel-of-kernel of the
     integer row space; the result is put in Hermite normal form so it is
-    canonical.
+    canonical.  Rows that already generate a saturated lattice skip the
+    kernels: their Smith-form transforms can grow without bound.
     """
     int_rows, _ = _integer_rows(as_rat_matrix(rows))
     if not int_rows:
@@ -503,6 +504,8 @@ def saturate_rows(rows):
     n = len(int_rows[0])
     if rat_rank(int_rows) != len(int_rows):
         raise ValueError("matrix does not have full row rank")
+    if is_saturated(int_rows):
+        return hermite_normal_form(int_rows)
     kern = integer_right_kernel(int_rows)
     if not kern:
         sat = [tuple(int(i == j) for j in range(n)) for i in range(n)]

@@ -143,6 +143,38 @@ def test_extract_cutoff_too_small_raises():
         mf.extract_valuation(flock, cutoff=2, verify_radius=3)
 
 
+def test_extract_valuation_source_cutoff_too_small_raises():
+    # the walk reads {2} as ∞; the result is a valuation, but not the flock's
+    nu = mf.Valuation.from_values([1, 2], 1, {(1,): 0, (2,): 3})
+    with pytest.raises(mf.ExtractionError, match=r"\(2,\).*may be too small") as err:
+        mf.extract_valuation(mf.flock_from_valuation(nu), cutoff=2)
+    assert err.value.cutoff_hits == ((2,),)
+
+
+def test_extract_exact_check_agrees_with_window(rng):
+    # a basis the walk misreads as ∞ is optimal at alpha = spread * e_B, so
+    # the window of radius spread sees every mismatch the exact check sees
+    outcomes = set()
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        d = rng.randint(1, min(3, n))
+        nu = random_valid_valuation(rng, n, d, vmax=2 if n == 5 else 3)
+        cutoff = rng.randint(1, nu.spread + 1)
+        slow = mf.oracle_flock(nu.ground, nu.d, lambda a, nu=nu: mf.matroid_at(nu, a))
+        results = []
+        for flock, radius in ((mf.flock_from_valuation(nu), None),
+                              (slow, max(1, nu.spread))):
+            try:
+                results.append(mf.extract_valuation(flock, cutoff, radius))
+            except mf.ExtractionError:
+                results.append(None)
+        exact, windowed = results
+        assert (exact is None) == (windowed is None), (nu.finite, cutoff)
+        assert exact == windowed
+        outcomes.add(exact is None)
+    assert outcomes == {True, False}
+
+
 def test_roundtrip_random_sample(rng):
     for _ in range(25):
         n = rng.randint(2, 5)

@@ -129,6 +129,15 @@ def test_cli_extract_and_check_flock(tmp_path, capsys):
     assert doc["valid"] is True and doc["mf1"]["failed"] == 0
 
 
+def test_cli_extract_cutoff_too_small_fails(tmp_path, capsys):
+    nu = mf.Valuation.from_values([1, 2], 1, {(1,): 0, (2,): 3})
+    vpath = write(tmp_path, "v.json", jsonio.valuation_to_json(nu))
+    assert main(["extract-valuation", "--from-valuation", vpath, "--cutoff", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: round-trip mismatch")
+
+
 def test_cli_rigidity_and_lazarson(capsys):
     assert main(["rigidity", "--name", "fano"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "rigid"

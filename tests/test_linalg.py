@@ -1,8 +1,13 @@
 """Exact linear algebra against brute-force oracles."""
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +17,7 @@ from matflock import linalg
 from matflock.lattice import INF
 
 from test_algebraic import _poly_det
+from test_jsonio_cli import HARD_TORIC_ROWS
 
 
 def naive_det(rows):
@@ -222,6 +228,45 @@ def test_saturation_is_idempotent_and_saturated(rows):
     assert linalg.saturate_rows(sat) == sat
     # same rational row space
     assert linalg.rat_rank(list(rows) + list(sat)) == len(rows)
+
+
+def _saturate_by_smith(rows):
+    """The kernel-of-kernel saturation through Smith forms, as an oracle."""
+    n = len(rows[0])
+    kern = linalg.integer_right_kernel(rows)
+    if not kern:
+        return linalg.hermite_normal_form([[int(i == j) for j in range(n)] for i in range(n)])
+    return linalg.hermite_normal_form(
+        linalg.integer_right_kernel([list(k) for k in kern], ncols=n))
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda d: st.integers(min_value=d, max_value=5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=d, max_size=d),
+            st.integers(min_value=1, max_value=3)))))
+@settings(max_examples=150, deadline=None)
+def test_saturate_rows_matches_smith_route(case):
+    rows, scale = case
+    # scaling the last row makes most inputs unsaturated, so both routes run
+    rows = rows[:-1] + [[scale * x for x in rows[-1]]]
+    if linalg.rat_rank(rows) != len(rows):
+        return
+    assert linalg.saturate_rows(rows) == _saturate_by_smith(rows)
+
+
+def test_saturate_rows_saturated_input_in_bounded_time():
+    # a subprocess, so that an unbounded Smith form fails by timeout
+    code = ("import json, sys; from matflock import linalg; "
+            "print(json.dumps(linalg.saturate_rows(json.loads(sys.argv[1]))))")
+    env = dict(os.environ, PYTHONPATH=str(Path(linalg.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(HARD_TORIC_ROWS)],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert done.returncode == 0, done.stderr
+    # the rows are saturated, so their saturation is their own lattice
+    assert linalg.is_saturated(HARD_TORIC_ROWS)
+    assert json.loads(done.stdout) == [list(row) for row in
+                                       linalg.hermite_normal_form(HARD_TORIC_ROWS)]
 
 
 def test_hermite_canonical():
