@@ -10,21 +10,23 @@ Two variety classes are implemented exactly:
   sums of terms c * x_v^(p^k) with prime-field coefficients; twisting is a
   Frobenius-level shift on coordinates, with domain reparametrizations
   x_v -> x_v^p used to keep everything polynomial.  Their flock is the
-  flock of the T-adic valuation of the maximal minors over GF(p)[T]; the
-  tangent spaces remain available as an independent route.
+  flock of the T-adic valuation of the maximal minors over GF(p)[T], and
+  their Frobenius flock V_alpha is built from the lowest coefficients of
+  the same minors, one space per distinct matroid.  Shifted tangent spaces
+  (``linearized_tangent_flock``) remain as the independent route.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
-from . import linalg
+from . import linalg, window
 from .lattice import INF
 from .matroid import GF, Matroid, matroid_from_matrix
 from .valuation import Valuation, matroid_at, optimal_masks
-from .flock import MatroidFlock
+from .flock import MatroidFlock, _id_grid, _local_axioms
 
 
 class DegenerateParametrization(ValueError):
@@ -187,40 +189,21 @@ class LinearizedParam:
 def linearized_shift(param: LinearizedParam, alpha) -> LinearizedParam:
     """Apply F^(-alpha_i) to coordinate i, as a new additive parametrization.
 
-    Raising a coordinate (negative alpha_i) always stays polynomial.
-    Lowering needs every Frobenius level of that coordinate positive; a
-    blocking level-0 variable is fixed by the global reparametrization
-    x_v -> x_v^p, which leaves the image variety unchanged.  The result is
-    normalized by undoing any reparametrization common to all occurrences of
-    a variable, so shifting by 1 and then -1 is the identity.
+    Term (v, k) of coordinate i moves to level k - alpha_i.  The global
+    reparametrization x_v -> x_v^(p^s) leaves the image variety unchanged
+    and adds s to every level of v, so each variable's levels are then
+    moved to start at 0: the result is polynomial, and normalized, so
+    shifting by 1 and then -1 is the identity.
     """
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != param.n:
         raise ValueError("alpha has the wrong length")
-    work = [{(v, k): c for (v, k, c) in terms} for terms in param.coords]
-
-    def bump(var):
-        for i in range(len(work)):
-            work[i] = {(v, k + (1 if v == var else 0)): c
-                       for (v, k), c in work[i].items()}
-
-    for i, a in enumerate(alpha):
-        if a < 0:
-            work[i] = {(v, k - a): c for (v, k), c in work[i].items()}
-    for i, a in enumerate(alpha):
-        for _ in range(max(a, 0)):
-            for var in {v for (v, k) in work[i] if k == 0}:
-                bump(var)
-            work[i] = {(v, k - 1): c for (v, k), c in work[i].items()}
-    # normalize: every variable should reach level 0 somewhere
-    for var in range(param.m):
-        ks = [k for terms in work for (v, k) in terms if v == var]
-        drop = min(ks, default=0)
-        if drop > 0:
-            for i in range(len(work)):
-                work[i] = {(v, k - (drop if v == var else 0)): c
-                           for (v, k), c in work[i].items()}
-    coords = [[(v, k, c) for (v, k), c in terms.items()] for terms in work]
+    low: dict[int, int] = {}
+    for a, terms in zip(alpha, param.coords):
+        for (v, k, _) in terms:
+            low[v] = min(low.get(v, k - a), k - a)
+    coords = [[(v, k - a - low[v], c) for (v, k, c) in terms]
+              for a, terms in zip(alpha, param.coords)]
     return LinearizedParam(param.p, param.m, coords, param.ground)
 
 
@@ -369,7 +352,7 @@ def linearized_tangent_flock(param: LinearizedParam) -> MatroidFlock:
 
 @dataclass(frozen=True)
 class FrobeniusFlockWindow:
-    """Tangent row spaces V_alpha over a box, as matrices over GF(p)."""
+    """Row spaces V_alpha of a Frobenius flock over a box, as matrices over GF(p)."""
     radius: int
     p: int
     d: int
@@ -398,10 +381,36 @@ class FrobeniusWindowReport:
 
 
 def frobenius_window(param: LinearizedParam, radius: int) -> FrobeniusFlockWindow:
-    d = generic_rank(param)
-    table = {alpha: _tangent_at(param, alpha, d)
-             for alpha in itertools.product(range(-radius, radius + 1), repeat=param.n)}
-    return FrobeniusFlockWindow(radius, param.p, d, param.ground, table)
+    """The row spaces V_alpha over [-radius, radius]^E, one per distinct matroid.
+
+    V_alpha, the T = 0 reduction of the row lattice of P * diag(T^-alpha),
+    has as Plücker vector the initial form of the T-adic one (Speyer 2008),
+    so it depends only on the argmax family S at alpha.  With B0 = min(S),
+    entry (r, j) of the tableau delta * P_B0^-1 * P is a Plücker ratio, and
+    V_S keeps its lowest coefficient over delta's where B0 - b_r + j is in S.
+    """
+    nu = tadic_valuation(param)
+    n, p = param.n, param.p
+    points = window.box_array([-radius] * n, [radius] * n)
+    ids, families = window.score_ids(nu.finite_items(), n, points)
+    P = _param_polymatrix(param)
+    spaces = []
+    for S in families:
+        B0 = min(S)
+        order = sorted(range(n), key=lambda j: not B0 >> j & 1)
+        M, pivots, _ = linalg._bareiss([[row[j] for j in order] for row in P],
+                                       linalg._PolyRing(p))
+        inv = pow(next(c for c in M[0][0] if c), -1, p)   # lowest coefficient of delta
+        rows = []
+        for r, b in enumerate(order[:len(pivots)]):
+            row = [0] * n
+            for pos, j in enumerate(order):
+                if (B0 & ~(1 << b)) | 1 << j in S:
+                    row[j] = next(c for c in M[r][pos] if c) * inv % p
+            rows.append(row)
+        spaces.append(linalg.gf_row_space(rows, p))
+    table = {alpha: spaces[k] for alpha, k in zip(map(tuple, points.tolist()), ids.tolist())}
+    return FrobeniusFlockWindow(radius, p, nu.d, param.ground, table)
 
 
 def _space_delete(rows, i: int, p: int):
@@ -410,65 +419,58 @@ def _space_delete(rows, i: int, p: int):
 
 
 def _space_contract(rows, i: int, p: int):
-    """Row space of {w in V : w_i = 0}, coordinate i dropped."""
-    M = [list(r) for r in rows]
-    piv = next((r for r in range(len(M)) if M[r][i] % p), None)
-    if piv is not None:
-        inv = pow(M[piv][i] % p, -1, p)
-        for r in range(len(M)):
-            if r != piv and M[r][i] % p:
-                c = (M[r][i] * inv) % p
-                M[r] = [(a - c * b) % p for a, b in zip(M[r], M[piv])]
-        M.pop(piv)
-    cut = [row[:i] + row[i + 1:] for row in M]
-    return linalg.gf_row_space(cut, p)
+    """Row space of {w in V : w_i = 0}, coordinate i dropped: in the RREF
+    with column i first, the nonzero rows after the one pivoting there,
+    which are in RREF themselves."""
+    red, pivots = linalg.gf_rref([[row[i], *row[:i], *row[i + 1:]] for row in rows], p)
+    first = 1 if pivots[:1] == [0] else 0
+    return tuple(row[1:] for row in red[first:len(pivots)])
 
 
 def validate_frobenius_window(win: FrobeniusFlockWindow,
                               box_radius: Optional[int] = None) -> FrobeniusWindowReport:
-    """Check (FF1) and (FF2) on every pair of points available in the table.
+    """Check (FF1) and (FF2) at every alpha whose shifted points are in the table.
 
+    The table must cover [-win.radius, win.radius]^E (ValueError otherwise).
     ``box_radius`` restricts the base points alpha to a smaller box (used
-    when the table carries padding).
+    when the table carries padding).  Each check runs once per distinct
+    pair of row spaces; the violation is the one at the lex-first failing
+    alpha, (FF1) in ground order before (FF2) at the same alpha.
     """
-    p = win.p
-    n = len(win.ground)
-    ff1_checked = ff1_failed = ff2_checked = ff2_failed = 0
+    p, R, n = win.p, win.radius, len(win.ground)
+    canon: dict[tuple, tuple] = {}
+
+    def space_at(alpha):
+        if alpha not in win.table:
+            raise ValueError(f"the window table has no row space at alpha={alpha}")
+        rows = tuple(map(tuple, win.table[alpha]))
+        if rows not in canon:
+            canon[rows] = linalg.gf_row_space(rows, p)
+        return canon[rows]
+
+    grid, spaces = _id_grid(n, R, space_at)
+
+    def sides(k, a, b):
+        """The two spaces (FF1) at axis k, or (FF2) for k = n, compares."""
+        if k == n:
+            return spaces[a], spaces[b]
+        return _space_contract(spaces[a], k, p), _space_delete(spaces[b], k, p)
+
+    moves = [((k,) if k < n else tuple(range(n)),
+              lambda a, b, k=k: operator.eq(*sides(k, a, b))) for k in range(n + 1)]
+    counts, first = _local_axioms(grid, R if box_radius is None else min(box_radius, R),
+                                  moves)
     violation = None
-    for alpha, rows in sorted(win.table.items()):
-        if box_radius is not None and any(abs(a) > box_radius for a in alpha):
-            continue
-        for i in range(n):
-            beta = tuple(a + (1 if k == i else 0) for k, a in enumerate(alpha))
-            other = win.table.get(beta)
-            if other is None:
-                continue
-            ff1_checked += 1
-            left = _space_contract(rows, i, p)
-            right = _space_delete(other, i, p)
-            if left != right:
-                ff1_failed += 1
-                if violation is None:
-                    violation = (alpha, win.ground[i], left, right)
-        beta = tuple(a + 1 for a in alpha)
-        other = win.table.get(beta)
-        if other is not None:
-            ff2_checked += 1
-            left = linalg.gf_row_space(rows, p)
-            right = linalg.gf_row_space(other, p)
-            if left != right:
-                ff2_failed += 1
-                if violation is None:
-                    violation = (alpha, "1", left, right)
-    return FrobeniusWindowReport(win.radius, ff1_checked, ff1_failed,
-                                 ff2_checked, ff2_failed, violation)
+    if first is not None:
+        alpha, k, a, b = first
+        violation = (alpha, win.ground[k] if k < n else "1", *sides(k, a, b))
+    return FrobeniusWindowReport(R, sum(c for c, _ in counts[:n]),
+                                 sum(f for _, f in counts[:n]), *counts[n], violation)
 
 
 def check_frobenius_axioms(param: LinearizedParam, radius: int) -> FrobeniusWindowReport:
     """(FF1)/(FF2) for all alpha in [-radius, radius]^E (table padded by 1)."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if param.n == 0:
-        raise ValueError("empty ground set")
     win = frobenius_window(param, radius + 1)
     return validate_frobenius_window(win, box_radius=radius)

@@ -12,8 +12,6 @@ import sys
 
 from . import jsonio, svg
 from .algebraic import (
-    DegenerateParametrization,
-    ToricRep,
     check_frobenius_axioms,
     flock_from_linearized,
     flock_from_toric,
@@ -163,18 +161,11 @@ def _cmd_extract_valuation(args):
 
 
 def _toric_from_file(args):
+    """A toric document, or a bare matrix document {"rows": ...} with --p."""
     doc = _load(args.file)
-    if "A" in doc:
-        return jsonio.toric_from_json(doc, args.p)
-    rows = jsonio.matrix_from_json(doc)
-    if args.p is None:
-        raise InputError("matrix input needs --p")
-    if any(not isinstance(x, int) for row in rows for x in row):
-        raise InputError("toric matrices must be integral")
-    try:
-        return ToricRep(rows, args.p)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    if isinstance(doc, dict) and "A" not in doc:
+        doc = {"A": jsonio._require(doc, "rows", list)}
+    return jsonio.toric_from_json(doc, args.p)
 
 
 def _cmd_lindstrom_toric(args):
@@ -195,19 +186,8 @@ def _cmd_flock_from_linearized(args):
 
 def _cmd_check_ff(args):
     param = jsonio.linearized_from_json(_load(args.file), args.p)
-    report = check_frobenius_axioms(param, args.radius)
-    doc = {
-        "valid": report.ok,
-        "radius": args.radius,
-        "ff1": {"checked": report.ff1_checked, "failed": report.ff1_failed},
-        "ff2": {"checked": report.ff2_checked, "failed": report.ff2_failed},
-    }
-    if report.violation is not None:
-        alpha, move, left, right = report.violation
-        doc["violation"] = {"alpha": list(alpha), "move": move,
-                            "left": [list(r) for r in left],
-                            "right": [list(r) for r in right]}
-    return doc
+    return jsonio.frobenius_report_to_json(check_frobenius_axioms(param, args.radius),
+                                           args.radius)
 
 
 def _cmd_rigidity(args):
@@ -353,7 +333,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (ExtractionError, DegenerateParametrization) as exc:
+    except ExtractionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

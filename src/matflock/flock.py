@@ -28,6 +28,10 @@ class ExtractionError(RuntimeError):
         self.cutoff_hits = tuple(cutoff_hits)
 
 
+# FIFO (dicts keep insertion order); a radius-3 check on 5 elements walks 9^5 points
+_MEMO_CAP = 1 << 16
+
+
 class MatroidFlock:
     """An oracle alpha in Z^E -> matroid of rank d on E, memoized per alpha."""
 
@@ -47,6 +51,8 @@ class MatroidFlock:
         got = self._memo.get(alpha)
         if got is None:
             got = self._masks_eval(alpha)
+            if len(self._memo) >= _MEMO_CAP:
+                del self._memo[next(iter(self._memo))]
             self._memo[alpha] = got
         return got
 
@@ -107,21 +113,26 @@ def window_ids(flock: MatroidFlock, radius: int):
     are scored vectorized; anything else walks the oracle.
     """
     n = len(flock.ground)
-    L = 2 * radius + 1
     if flock.valuation is not None:
         points = window.box_array([-radius] * n, [radius] * n)
         ids, table = window.score_ids(flock.valuation.finite_items(), n, points)
-        return ids.reshape((L,) * n).astype(np.int32), table
-    table: list[frozenset[int]] = []
-    intern: dict[frozenset[int], int] = {}
-    grid = np.empty((L,) * n, dtype=np.int32)
-    for idx in np.ndindex(*(L,) * n):
-        masks = flock.masks_at(tuple(k - radius for k in idx))
-        got = intern.get(masks)
+        return ids.reshape((2 * radius + 1,) * n).astype(np.int32), table
+    return _id_grid(n, radius, flock.masks_at)
+
+
+def _id_grid(n: int, radius: int, value_at):
+    """(grid, table) of ``value_at(alpha)`` over [-radius, radius]^E, point
+    by point: equal values share an id, ``table[id]`` is the value."""
+    table: list = []
+    intern: dict = {}
+    grid = np.empty((2 * radius + 1,) * n, dtype=np.int32)
+    for idx in np.ndindex(*grid.shape):
+        value = value_at(tuple(k - radius for k in idx))
+        got = intern.get(value)
         if got is None:
             got = len(table)
-            intern[masks] = got
-            table.append(masks)
+            intern[value] = got
+            table.append(value)
         grid[idx] = got
     return grid, table
 
@@ -156,90 +167,79 @@ class FlockWindowReport:
         return self.ok
 
 
+def _local_axioms(grid: np.ndarray, radius: int, moves):
+    """Local axioms on an id grid centred at alpha = 0, one move (I, holds) at a time.
+
+    A move pairs the id at alpha with the id at alpha + e_I, for every alpha
+    of [-radius, radius]^E whose shift is in the grid (radius <= the grid's),
+    and calls ``holds(id, id')`` once per distinct pair.  Returns (checked,
+    failed) per move and the violation (alpha, move index, id, id') at the
+    lex-first failing alpha, ties going to the earlier move, or None.
+    """
+    L = grid.shape[0] if grid.ndim else 1
+    centre = L // 2
+    K = int(grid.max()) + 1
+    counts = []
+    first = None
+    for k, (axes, holds) in enumerate(moves):
+        base, top = [], []
+        for axis in range(grid.ndim):
+            step = int(axis in axes)
+            start, stop = centre - radius, min(centre + radius + 1, L - step)
+            base.append(slice(start, stop))
+            top.append(slice(start + step, stop + step))
+        pairs = grid[tuple(base)].astype(np.int64) * K + grid[tuple(top)]
+        bad = [code for code in np.unique(pairs).tolist() if not holds(*divmod(code, K))]
+        failed = 0
+        if bad:
+            fails = np.isin(pairs, bad)
+            failed = int(np.count_nonzero(fails))
+            idx = tuple(int(x) for x in np.argwhere(fails)[0])
+            alpha = tuple(x - radius for x in idx)
+            if first is None or alpha < first[0]:
+                first = (alpha, k, *divmod(int(pairs[idx]), K))
+        counts.append((int(pairs.size), failed))
+    return counts, first
+
+
 def check_flock_axioms(flock: MatroidFlock, radius: int,
                        check_sets: bool = False) -> FlockWindowReport:
     """Verify the minor axiom and shift invariance over [-radius, radius]^E.
 
     ``check_sets`` additionally verifies the set version M_a / I = M_{a+e_I} \\ I
-    for every nonempty I.  Violations are data, not errors.
+    for every nonempty I.  Violations are data, not errors.  The violation
+    reported is at the lex-first failing alpha, ties going to the axes in
+    ground order, then the all-ones shift "1", then the sets I in order.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
     n = len(flock.ground)
-    pad = radius + 1
-    grid, table = window_ids(flock, pad)
-    L = 2 * pad + 1
-    K = len(table)
-    inner = tuple(slice(1, L - 1) for _ in range(n))
-    A = grid[inner].astype(np.int64)
+    grid, table = window_ids(flock, radius + 1)
 
-    mf1_checked = mf1_failed = mf2_checked = mf2_failed = 0
-    set_checked = set_failed = 0
-    violation = None
+    def minor_axiom(cmask):
+        return lambda a, b: bases_contract(table[a], cmask) == bases_delete(table[b], cmask)
 
-    def alpha_at(idx):
-        return tuple(int(k) - radius for k in idx)
-
-    def first_bad(pairs, code):
-        return alpha_at(tuple(int(x) for x in np.argwhere(pairs == code)[0]))
-
-    def shifted(axes) -> np.ndarray:
-        slices = [slice(1, L - 1)] * n
-        for ax in axes:
-            slices[ax] = slice(2, L)
-        return grid[tuple(slices)]
-
-    # (MF1): M_alpha / i = M_{alpha + e_i} \ i
-    for axis in range(n):
-        B = shifted([axis])
-        pairs = A * K + B
-        mf1_checked += pairs.size
-        bit = 1 << axis
-        e = flock.ground[axis]
-        for code in np.unique(pairs):
-            ida, idb = divmod(int(code), K)
-            Sa, Sb = table[ida], table[idb]
-            if bases_contract(Sa, bit) != bases_delete(Sb, bit):
-                mf1_failed += int(np.count_nonzero(pairs == code))
-                if violation is None:
-                    left = Matroid(flock.ground, Sa).minor(contract=[e])
-                    right = Matroid(flock.ground, Sb).minor(delete=[e])
-                    violation = FlockViolation(first_bad(pairs, code), e, left, right)
-
-    # (MF2): M_alpha = M_{alpha + 1}
-    B = shifted(range(n))
-    pairs = A * K + B
-    mf2_checked = pairs.size
-    mism = A != B
-    mf2_failed = int(np.count_nonzero(mism))
-    if mf2_failed and violation is None:
-        idx = tuple(int(x) for x in np.argwhere(mism)[0])
-        ida, idb = int(A[idx]), int(B[idx])
-        violation = FlockViolation(
-            alpha_at(idx), "1",
-            Matroid(flock.ground, table[ida]), Matroid(flock.ground, table[idb]))
-
-    # set version of (MF1), for every nonempty I
+    moves = [((axis,), minor_axiom(1 << axis)) for axis in range(n)]
+    moves.append((tuple(range(n)), lambda a, b: a == b))
     if check_sets:
-        for r in range(1, n + 1):
-            for combo in itertools.combinations(range(n), r):
-                B = shifted(combo)
-                pairs = A * K + B
-                set_checked += pairs.size
-                cmask = sum(1 << i for i in combo)
-                labels = tuple(flock.ground[i] for i in combo)
-                for code in np.unique(pairs):
-                    ida, idb = divmod(int(code), K)
-                    Sa, Sb = table[ida], table[idb]
-                    if bases_contract(Sa, cmask) != bases_delete(Sb, cmask):
-                        set_failed += int(np.count_nonzero(pairs == code))
-                        if violation is None:
-                            violation = FlockViolation(
-                                first_bad(pairs, code), labels,
-                                Matroid(flock.ground, Sa), Matroid(flock.ground, Sb))
+        moves += [(combo, minor_axiom(sum(1 << i for i in combo)))
+                  for r in range(1, n + 1) for combo in itertools.combinations(range(n), r)]
+    counts, first = _local_axioms(grid, radius, moves)
 
-    return FlockWindowReport(radius, mf1_checked, mf1_failed, mf2_checked,
-                             mf2_failed, set_checked, set_failed, violation)
+    violation = None
+    if first is not None:
+        alpha, k, ida, idb = first
+        left, right = Matroid(flock.ground, table[ida]), Matroid(flock.ground, table[idb])
+        if k < n:
+            move = flock.ground[k]
+            left, right = left.minor(contract=[move]), right.minor(delete=[move])
+        else:
+            move = "1" if k == n else tuple(flock.ground[i] for i in moves[k][0])
+        violation = FlockViolation(alpha, move, left, right)
+    mf1, mf2, sets = counts[:n], counts[n], counts[n + 1:]
+    return FlockWindowReport(radius, sum(c for c, _ in mf1), sum(f for _, f in mf1),
+                             *mf2, sum(c for c, _ in sets), sum(f for _, f in sets),
+                             violation)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebraic import LinearizedParam, ToricRep
+from .algebraic import FrobeniusWindowReport, LinearizedParam, ToricRep
 from .discrete_convex import WindowFunction
 from .flock import FlockWindowReport, MatroidFlock, explicit_flock
 from .lattice import INF
@@ -168,15 +168,19 @@ def window_function_from_json(doc) -> WindowFunction:
 # ---------------------------------------------------------------------------
 # algebraic representations
 
-def toric_from_json(doc, p_override=None) -> ToricRep:
-    p = doc.get("p", p_override) if isinstance(doc, dict) else None
+def _prime(doc, p_override):
+    """The field ``p`` of a representation document, or the flag's value."""
+    p = doc.get("p", p_override) if isinstance(doc, dict) else p_override
     if p is None:
         raise InputError("missing prime p")
     if p_override is not None and p != p_override:
         raise InputError(f"p mismatch: file says {p}, flag says {p_override}")
+    return p
+
+
+def toric_from_json(doc, p_override=None) -> ToricRep:
+    p = _prime(doc, p_override)
     A = matrix_from_json({"rows": _require(doc, "A", list)})
-    if any(not isinstance(x, int) for row in A for x in row):
-        raise InputError("toric matrices must be integral")
     try:
         return ToricRep(A, p)
     except (ValueError, TypeError) as exc:
@@ -188,11 +192,7 @@ def toric_to_json(rep: ToricRep) -> dict:
 
 
 def linearized_from_json(doc, p_override=None) -> LinearizedParam:
-    p = doc.get("p", p_override) if isinstance(doc, dict) else None
-    if p is None:
-        raise InputError("missing prime p")
-    if p_override is not None and p != p_override:
-        raise InputError(f"p mismatch: file says {p}, flag says {p_override}")
+    p = _prime(doc, p_override)
     params = _require(doc, "params", list)
     coords = _require(doc, "coords", list)
     terms = []
@@ -265,6 +265,22 @@ def flock_report_to_json(rep: FlockWindowReport) -> dict:
             "left": matroid_to_json(v.left),
             "right": matroid_to_json(v.right),
         }
+    return doc
+
+
+def frobenius_report_to_json(rep: FrobeniusWindowReport, radius: int) -> dict:
+    """The check-ff document; ``radius`` is the radius of the checked box."""
+    doc = {
+        "valid": rep.ok,
+        "radius": radius,
+        "ff1": {"checked": rep.ff1_checked, "failed": rep.ff1_failed},
+        "ff2": {"checked": rep.ff2_checked, "failed": rep.ff2_failed},
+    }
+    if rep.violation is not None:
+        alpha, move, left, right = rep.violation
+        doc["violation"] = {"alpha": list(alpha), "move": move,
+                            "left": [list(r) for r in left],
+                            "right": [list(r) for r in right]}
     return doc
 
 

@@ -4,10 +4,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matflock as mf
 from matflock import linalg
-from matflock.algebraic import _param_polymatrix
+from matflock.algebraic import _param_polymatrix, _space_contract, _space_delete, _tangent_at
 from matflock.lattice import INF
 
 import flockprops
@@ -228,6 +230,110 @@ def test_frobenius_corrupted_window():
     bad = mf.FrobeniusFlockWindow(2, win.p, win.d, win.ground, table)
     rep = mf.validate_frobenius_window(bad)
     assert not rep.ok and rep.violation is not None
+
+
+def _random_param(rng, p, m, n, top=3):
+    """A random parametrization with up to three terms per coordinate."""
+    while True:
+        coords = []
+        for _ in range(n):
+            terms = {(rng.randrange(m), rng.randint(0, top)): rng.randint(1, p - 1)
+                     for _ in range(rng.randint(1, 3))}
+            coords.append([(v, k, c) for (v, k), c in terms.items()])
+        try:
+            return mf.LinearizedParam(p, m, coords)
+        except ValueError:
+            continue
+
+
+def test_frobenius_window_matches_tangent_route(rng):
+    # the window's row spaces come from Plücker leading coefficients, one per
+    # distinct matroid; the tangent route shifts and differentiates per point
+    cases = [(example_param(p, g), 2) for p in (2, 3) for g in (1, 2, 3)]
+    cases += [(mf.LinearizedParam(p, 2, [[(0, 0, 1)], [(0, 0, 1), (1, 1, 1)]]), 2)
+              for p in (2, 3)]
+    for k in range(36):
+        p = (2, 3, 5)[k % 3]
+        n = rng.randint(2, 4 if k % 2 else 5)
+        cases.append((_random_param(rng, p, rng.randint(1, 3), n), 1 if n > 3 else 2))
+    for param, radius in cases:
+        win = mf.frobenius_window(param, radius)
+        d = mf.generic_rank(param)
+        assert win.d == d
+        assert len(win.table) == (2 * radius + 1) ** param.n
+        for alpha, rows in win.table.items():
+            want = linalg.gf_row_space(_tangent_at(param, alpha, d), param.p)
+            assert rows == want, (param.coords, alpha)
+
+
+def _ff_failures(win):
+    """Every failing (alpha, move order, move, left, right), point by point."""
+    p, n, R = win.p, len(win.ground), win.radius
+    out = []
+    for alpha, rows in sorted(win.table.items()):
+        for i in range(n):
+            beta = tuple(a + (k == i) for k, a in enumerate(alpha))
+            if max(beta) <= R:
+                left = _space_contract(rows, i, p)
+                right = _space_delete(win.table[beta], i, p)
+                if left != right:
+                    out.append((alpha, i, win.ground[i], left, right))
+        beta = tuple(a + 1 for a in alpha)
+        if max(beta) <= R:
+            left = linalg.gf_row_space(rows, p)
+            right = linalg.gf_row_space(win.table[beta], p)
+            if left != right:
+                out.append((alpha, n, "1", left, right))
+    return out
+
+
+def test_frobenius_violation_is_lex_first_then_move_order():
+    win = mf.frobenius_window(example_param(2, 2), 2)
+    table = dict(win.table)
+    corner = (-2, -2, -2, -2)
+    table[corner] = ((1, 0, 0, 0), (0, 1, 0, 0))
+    bad = mf.FrobeniusFlockWindow(2, win.p, win.d, win.ground, table)
+    fails = _ff_failures(bad)
+    # the corner is the lex-first failing alpha, and every move fails there
+    assert [f[1] for f in fails if f[0] == corner] == [0, 1, 2, 3, 4]
+    rep = mf.validate_frobenius_window(bad)
+    assert rep.violation == min(fails)[:1] + min(fails)[2:]
+    assert rep.violation[:2] == (corner, 1)
+    assert rep.ff1_failed == sum(f[1] < 4 for f in fails)
+    assert rep.ff2_failed == sum(f[1] == 4 for f in fails)
+
+
+def test_frobenius_window_table_must_cover_box():
+    win = mf.frobenius_window(example_param(2, 1), 1)
+    table = dict(win.table)
+    del table[(1, 1, 1, 1)]
+    with pytest.raises(ValueError):
+        mf.validate_frobenius_window(mf.FrobeniusFlockWindow(1, win.p, win.d, win.ground, table))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_shift_levels_fixed_by_three_properties(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    m = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 5))
+    term = st.tuples(st.integers(0, m - 1), st.integers(0, 4))
+    coords = data.draw(st.lists(st.dictionaries(term, st.integers(1, p - 1),
+                                                min_size=1, max_size=3),
+                                min_size=n, max_size=n))
+    param = mf.LinearizedParam(p, m, [[(v, k, c) for (v, k), c in t.items()]
+                                      for t in coords])
+    alpha = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    shifted = mf.linearized_shift(param, alpha)
+    offset = {}
+    for a, before, after in zip(alpha, param.coords, shifted.coords):
+        assert [(v, c) for v, _, c in before] == [(v, c) for v, _, c in after]
+        for (v, k, _), (_, level, _) in zip(before, after):
+            assert level >= 0
+            # level - (k - alpha_i) is one constant per variable
+            assert offset.setdefault(v, level - (k - a)) == level - (k - a)
+    for v in offset:
+        assert min(level for terms in shifted.coords for (u, level, _) in terms if u == v) == 0
 
 
 def test_support_invariant_under_shift(rng):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matflock as mf
-from matflock import window
+from matflock import flock as flock_module, window
 from matflock.flock import window_ids
 from matflock.valuation import optimal_masks
 
@@ -266,6 +266,18 @@ def test_explicit_flock_outside_window():
         flock.masks_at((5, 5))
 
 
+def test_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(flock_module, "_MEMO_CAP", 8)
+    nu = u24_valuation()
+    flock = mf.oracle_flock(nu.ground, nu.d, lambda a: mf.matroid_at(nu, a))
+    points = list(itertools.product(range(-1, 2), repeat=4))[:30]
+    for _ in range(2):
+        for a in points:
+            assert flock.masks_at(a) == optimal_masks(nu, a)
+            assert len(flock._memo) <= 8
+    assert list(flock._memo) == points[-8:]
+
+
 # ---------------------------------------------------------------------------
 # window property suites (small cases; acceptance runs the full matrix)
 
@@ -286,3 +298,23 @@ def test_property_suite_toric(rng):
     nu = mf.lindstrom_toric(rep)
     flockprops.run_property_suite(
         mf.flock_from_toric(rep), nu.support_masks, rng, radius=2)
+
+
+def _two_element_table(corrupt):
+    flock = mf.flock_from_valuation(two_element_valuation())
+    table = {a: flock.matroid_at(a) for a in itertools.product(range(-3, 4), repeat=2)}
+    table[corrupt] = mf.Matroid.from_bases([1, 2], [[2]])
+    return mf.explicit_flock(table, (1, 2), 1)
+
+
+def test_axioms_violation_is_lex_first_then_move_order():
+    # one corrupted point q fails (MF1) at q - e_1 and (MF2) at q - 1, and
+    # q - 1 comes first in lex order although (MF1) comes first in move order
+    rep = mf.check_flock_axioms(_two_element_table((1, 0)), 2, check_sets=True)
+    assert rep.mf1_failed and rep.mf2_failed and rep.set_failed
+    assert (rep.violation.alpha, rep.violation.move) == ((0, -1), "1")
+    # at the corner of the box nothing before it fails, and every move that
+    # fails there is (MF1) on element 1, (MF2) or the set {1}; element 1 wins
+    rep = mf.check_flock_axioms(_two_element_table((-2, -2)), 2, check_sets=True)
+    assert (rep.violation.alpha, rep.violation.move) == ((-2, -2), 1)
+    assert rep.mf2_failed == 1 and rep.set_failed

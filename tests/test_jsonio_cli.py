@@ -67,6 +67,27 @@ def test_toric_and_linearized_round_trip():
 def test_p_mismatch_rejected():
     with pytest.raises(jsonio.InputError):
         jsonio.toric_from_json(jsonio.toric_to_json(toric_example(2)), p_override=3)
+    lin = jsonio.linearized_to_json(example_param(2, 2))
+    with pytest.raises(jsonio.InputError):
+        jsonio.linearized_from_json(lin, p_override=3)
+    for read, doc in ((jsonio.toric_from_json, jsonio.toric_to_json(toric_example(2))),
+                      (jsonio.linearized_from_json, lin)):
+        with pytest.raises(jsonio.InputError):
+            read({**doc, "p": "2"})
+        with pytest.raises(jsonio.InputError, match="missing prime"):
+            read({k: v for k, v in doc.items() if k != "p"})
+
+
+def test_cli_bare_matrix_needs_p(tmp_path, capsys):
+    path = write(tmp_path, "A.json", {"rows": [[1, 0, 1, 1], [0, 1, 1, 2]]})
+    assert main(["lindstrom-toric", path]) == 2
+    assert "missing prime p" in capsys.readouterr().err
+    assert main(["lindstrom-toric", "--p", "2", path]) == 0
+    assert json.loads(capsys.readouterr().out) == \
+        jsonio.valuation_to_json(mf.lindstrom_toric(toric_example(2)))
+    for doc in (5, [[1, 0]], {"rows": [[1, "1/2"]]}):
+        assert main(["lindstrom-toric", "--p", "2", write(tmp_path, "B.json", doc)]) == 2
+    capsys.readouterr()
 
 
 def test_explicit_flock_from_json():
@@ -252,6 +273,15 @@ def test_cli_check_ff(tmp_path, capsys):
     path = write(tmp_path, "ex.json", jsonio.linearized_to_json(example_param(2, 1)))
     assert main(["check-ff", path, "--radius", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+def test_cli_check_ff_prints_report_document(tmp_path, capsys):
+    param = example_param(2, 2)
+    path = write(tmp_path, "ex.json", jsonio.linearized_to_json(param))
+    assert main(["check-ff", path, "--radius", "2"]) == 0
+    doc = jsonio.frobenius_report_to_json(mf.check_frobenius_axioms(param, 2), 2)
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+    assert doc["radius"] == 2 and doc["ff2"]["checked"] == 5 ** 4
 
 
 def test_cli_empty_parametrization_exit_1(tmp_path, capsys):
