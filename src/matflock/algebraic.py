@@ -359,12 +359,10 @@ class FrobeniusFlockWindow:
     ground: tuple
     table: dict
 
-    def space(self, alpha):
-        return self.table[tuple(alpha)]
-
 
 @dataclass(frozen=True)
 class FrobeniusWindowReport:
+    """(FF1)/(FF2) counts over [-radius, radius]^E, the box of checked alphas."""
     radius: int
     ff1_checked: int = 0
     ff1_failed: int = 0
@@ -458,13 +456,13 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
 
     moves = [((k,) if k < n else tuple(range(n)),
               lambda a, b, k=k: operator.eq(*sides(k, a, b))) for k in range(n + 1)]
-    counts, first = _local_axioms(grid, R if box_radius is None else min(box_radius, R),
-                                  moves)
+    radius = R if box_radius is None else min(box_radius, R)
+    counts, first = _local_axioms(grid, radius, moves)
     violation = None
     if first is not None:
         alpha, k, a, b = first
         violation = (alpha, win.ground[k] if k < n else "1", *sides(k, a, b))
-    return FrobeniusWindowReport(R, sum(c for c, _ in counts[:n]),
+    return FrobeniusWindowReport(radius, sum(c for c, _ in counts[:n]),
                                  sum(f for _, f in counts[:n]), *counts[n], violation)
 
 

@@ -186,8 +186,7 @@ def _cmd_flock_from_linearized(args):
 
 def _cmd_check_ff(args):
     param = jsonio.linearized_from_json(_load(args.file), args.p)
-    return jsonio.frobenius_report_to_json(check_frobenius_axioms(param, args.radius),
-                                           args.radius)
+    return jsonio.frobenius_report_to_json(check_frobenius_axioms(param, args.radius))
 
 
 def _cmd_rigidity(args):

@@ -77,6 +77,12 @@ def valuation_point_function(nu: Valuation) -> WindowFunction:
 
 @dataclass(frozen=True)
 class LConvexReport:
+    """Verdict of ``check_lconvex``.
+
+    ``submodular_checked`` counts unit squares when the function is finite
+    on its whole box, and pairs of finite points otherwise; ``witness`` is
+    the failing pair (x, y), or the shift pair (x, x+1).
+    """
     ok: bool
     r: Optional[int] = None
     witness: Optional[tuple] = None
@@ -98,21 +104,59 @@ class MConvexReport:
         return self.ok
 
 
-def check_lconvex(g: WindowFunction) -> LConvexReport:
-    """Submodularity over all in-box pairs plus a constant all-ones slope.
+def _submodular(pts, hi, vals):
+    """First submodularity failure g(x) + g(y) < g(x ∨ y) + g(x ∧ y) on a box.
 
-    Joins and meets of box points stay in the box, so no submodularity pair
-    is skipped; shift pairs (x, x+1) with x+1 outside the box are skipped and
-    counted, so a Valid verdict documents its coverage.
+    ``pts`` lists the box points in ``window.box_array`` order (``pts[0]``
+    is the low corner, ``hi`` the high one) and ``vals`` the values there.
+    A function finite on the whole box is submodular iff every unit square
+    is (Topkis 1978; Murota 2003, ch. 7): for each x and axes i < j with
+    x + e_i + e_j in the box, the pair (x + e_i, x + e_j) is checked, and
+    squares are counted.  With an ∞ value squares are not enough (on the
+    domain {(0, 2), (2, 0)} no square has both diagonal points finite), so
+    the pairs of finite points are checked and counted, in box order; a
+    pair with an ∞ member can never fail.  Returns (count, witness or None).
+    """
+    if INF in vals:
+        value = dict(zip(pts, vals))
+        finite = [(x, v) for x, v in zip(pts, vals) if v != INF]
+        checked = 0
+        for (x, vx), (y, vy) in itertools.combinations(finite, 2):
+            checked += 1
+            if vx + vy < value[vjoin(x, y)] + value[vmeet(x, y)]:
+                return checked, (x, y)
+        return checked, None
+    n = len(hi)
+    strides = [1] * n
+    for k in range(n - 1, 0, -1):
+        strides[k - 1] = strides[k] * (hi[k] - pts[0][k] + 1)
+    checked = 0
+    for f, x in enumerate(pts):
+        up = [k for k in range(n) if x[k] < hi[k]]
+        for a, i in enumerate(up):
+            fi = f + strides[i]
+            for j in up[a + 1:]:
+                fj = f + strides[j]
+                checked += 1
+                if vals[fi] + vals[fj] < vals[f] + vals[fi + strides[j]]:
+                    return checked, (pts[fi], pts[fj])
+    return checked, None
+
+
+def check_lconvex(g: WindowFunction) -> LConvexReport:
+    """Submodularity on the box plus a constant all-ones slope.
+
+    If g is finite on its whole box (always so for ``fenchel_dual``
+    output), submodularity is checked on the unit squares, in box order;
+    otherwise on all pairs of finite box points (see ``_submodular``).
+    Joins and meets of box points stay in the box, so the check is
+    complete either way.  Shift pairs (x, x+1) with x+1 outside the box are
+    skipped and counted, so a Valid verdict documents its coverage.
     """
     pts = list(map(tuple, window.box_array(g.lo, g.hi).tolist()))
-    sub_checked = 0
-    for x, y in itertools.combinations(pts, 2):
-        sub_checked += 1
-        lhs = g(x) + g(y)
-        rhs = g(vjoin(x, y)) + g(vmeet(x, y))
-        if lhs < rhs:
-            return LConvexReport(False, None, (x, y), sub_checked, 0, 0)
+    sub_checked, witness = _submodular(pts, g.hi, [g(x) for x in pts])
+    if witness is not None:
+        return LConvexReport(False, None, witness, sub_checked, 0, 0)
     r = None
     shift_checked = shift_skipped = 0
     one = (1,) * g.n
@@ -191,29 +235,16 @@ def lconvex_is_minimizer(g_oracle: Callable[[tuple], int], x, n: int,
 
     True iff G(x) <= G(x + e_I) for every I and G(x) = G(x + 1).  L-convexity
     of the oracle is the caller's responsibility; ``check_local`` verifies
-    submodularity on the evaluated family {x + e_I} as a guard.
+    submodularity on the evaluated cube {x + e_I} as a guard, with the
+    check of ``check_lconvex`` (unit squares if every value is finite).
     """
     x = tuple(int(v) for v in x)
-    memo: dict[tuple, object] = {}
-
-    def G(pt):
-        got = memo.get(pt)
-        if got is None:
-            got = g_oracle(pt)
-            memo[pt] = got
-        return got
-
-    base = G(x)
-    family = {}
-    for bits in range(1 << n):
-        I = tuple(1 if bits >> i & 1 else 0 for i in range(n))
-        family[bits] = G(vadd(x, I))
-    if check_local:
-        for a, b in itertools.combinations(range(1 << n), 2):
-            lhs = family[a] + family[b]
-            rhs = family[a | b] + family[a & b]
-            if lhs < rhs:
-                raise ValueError(f"oracle is not L-convex near {x}")
-    if any(val < base for val in family.values()):
+    hi = vadd(x, (1,) * n)
+    cube = list(itertools.product(*zip(x, hi)))
+    vals = [g_oracle(pt) for pt in cube]
+    if check_local and _submodular(cube, hi, vals)[1] is not None:
+        raise ValueError(f"oracle is not L-convex near {x}")
+    base = vals[0]
+    if any(val < base for val in vals):
         return False
-    return family[(1 << n) - 1] == base
+    return vals[-1] == base

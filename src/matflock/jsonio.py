@@ -13,7 +13,7 @@ from .discrete_convex import WindowFunction
 from .flock import FlockWindowReport, MatroidFlock, explicit_flock
 from .lattice import INF
 from .matroid import AxiomCheck, Matroid
-from .rigidity import CharacteristicCheck, ConstraintSystem, RigidityVerdict
+from .rigidity import CharacteristicCheck, RigidityVerdict
 from .valuation import CellSystem, LeaderScan, Valuation
 
 
@@ -268,11 +268,11 @@ def flock_report_to_json(rep: FlockWindowReport) -> dict:
     return doc
 
 
-def frobenius_report_to_json(rep: FrobeniusWindowReport, radius: int) -> dict:
-    """The check-ff document; ``radius`` is the radius of the checked box."""
+def frobenius_report_to_json(rep: FrobeniusWindowReport) -> dict:
+    """The check-ff document."""
     doc = {
         "valid": rep.ok,
-        "radius": radius,
+        "radius": rep.radius,
         "ff1": {"checked": rep.ff1_checked, "failed": rep.ff1_failed},
         "ff2": {"checked": rep.ff2_checked, "failed": rep.ff2_failed},
     }
@@ -314,14 +314,4 @@ def char_check_to_json(check: CharacteristicCheck) -> dict:
     return {
         "n": check.n, "p": check.p, "det": check.det,
         "formula_ok": check.formula_ok, "divisible": check.divisible,
-    }
-
-
-def constraints_to_json(system: ConstraintSystem) -> dict:
-    return {
-        "count": len(system.equations),
-        "equations": [
-            {"left": [list(b) for b in lhs], "right": [list(b) for b in rhs]}
-            for lhs, rhs in system.equations
-        ],
     }

@@ -223,6 +223,16 @@ def test_frobenius_axioms_example():
     assert rep.ok and rep.ff1_checked == 4 * 7 ** 4 and rep.ff2_checked == 7 ** 4
 
 
+def test_frobenius_report_radius_is_checked_box():
+    # the table is padded by 1; the report states the box of checked alphas
+    param = example_param(2, 2)
+    for r in range(3):
+        assert mf.check_frobenius_axioms(param, r).radius == r
+    win = mf.frobenius_window(param, 1)
+    assert mf.validate_frobenius_window(win).radius == 1
+    assert mf.validate_frobenius_window(win, box_radius=5).radius == 1
+
+
 def test_frobenius_corrupted_window():
     win = mf.frobenius_window(example_param(2, 2), 2)
     table = dict(win.table)

@@ -279,7 +279,7 @@ def test_cli_check_ff_prints_report_document(tmp_path, capsys):
     param = example_param(2, 2)
     path = write(tmp_path, "ex.json", jsonio.linearized_to_json(param))
     assert main(["check-ff", path, "--radius", "2"]) == 0
-    doc = jsonio.frobenius_report_to_json(mf.check_frobenius_axioms(param, 2), 2)
+    doc = jsonio.frobenius_report_to_json(mf.check_frobenius_axioms(param, 2))
     assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
     assert doc["radius"] == 2 and doc["ff2"]["checked"] == 5 ** 4
 
