@@ -18,7 +18,6 @@ Two variety classes are implemented exactly:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,7 +25,7 @@ from . import linalg, window
 from .lattice import INF
 from .matroid import GF, Matroid, matroid_from_matrix
 from .valuation import Valuation, matroid_at, optimal_masks
-from .flock import MatroidFlock, _id_grid, _local_axioms
+from .flock import MatroidFlock, _id_grid, _local_axioms, _same
 
 
 class DegenerateParametrization(ValueError):
@@ -387,9 +386,14 @@ def frobenius_window(param: LinearizedParam, radius: int) -> FrobeniusFlockWindo
     entry (r, j) of the tableau delta * P_B0^-1 * P is a Plücker ratio, and
     V_S keeps its lowest coefficient over delta's where B0 - b_r + j is in S.
     """
+    return _frobenius_window(param, radius, -radius)
+
+
+def _frobenius_window(param: LinearizedParam, radius: int, lo: int) -> FrobeniusFlockWindow:
+    """``frobenius_window`` with the table held on [lo, radius]^E only."""
     nu = tadic_valuation(param)
     n, p = param.n, param.p
-    points = window.box_array([-radius] * n, [radius] * n)
+    points = window.box_array([lo] * n, [radius] * n)
     ids, families = window.score_ids(nu.finite_items(), n, points)
     P = _param_polymatrix(param)
     spaces = []
@@ -429,13 +433,18 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
                               box_radius: Optional[int] = None) -> FrobeniusWindowReport:
     """Check (FF1) and (FF2) at every alpha whose shifted points are in the table.
 
-    The table must cover [-win.radius, win.radius]^E (ValueError otherwise).
-    ``box_radius`` restricts the base points alpha to a smaller box (used
-    when the table carries padding).  Each check runs once per distinct
-    pair of row spaces; the violation is the one at the lex-first failing
-    alpha, (FF1) in ground order before (FF2) at the same alpha.
+    The checked alphas are those of [-r, r]^E, where r is ``box_radius``
+    capped at win.radius (win.radius by default); each check compares
+    V_alpha with V_{alpha + e_I}, so the table is read on
+    [-r, min(r + 1, win.radius)]^E only and must cover that box (ValueError
+    otherwise).  Each side of a check is computed once per distinct row
+    space; the violation is the one at the lex-first failing alpha, (FF1)
+    in ground order before (FF2) at the same alpha.
     """
     p, R, n = win.p, win.radius, len(win.ground)
+    radius = R if box_radius is None else min(box_radius, R)
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     canon: dict[tuple, tuple] = {}
 
     def space_at(alpha):
@@ -446,7 +455,7 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
             canon[rows] = linalg.gf_row_space(rows, p)
         return canon[rows]
 
-    grid, spaces = _id_grid(n, R, space_at)
+    grid, spaces = _id_grid(n, -radius, min(radius + 1, R), space_at)
 
     def sides(k, a, b):
         """The two spaces (FF1) at axis k, or (FF2) for k = n, compares."""
@@ -454,9 +463,9 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
             return spaces[a], spaces[b]
         return _space_contract(spaces[a], k, p), _space_delete(spaces[b], k, p)
 
-    moves = [((k,) if k < n else tuple(range(n)),
-              lambda a, b, k=k: operator.eq(*sides(k, a, b))) for k in range(n + 1)]
-    radius = R if box_radius is None else min(box_radius, R)
+    moves = [((k,), lambda i, k=k: _space_contract(spaces[i], k, p),
+              lambda i, k=k: _space_delete(spaces[i], k, p)) for k in range(n)]
+    moves.append((tuple(range(n)), _same, _same))
     counts, first = _local_axioms(grid, radius, moves)
     violation = None
     if first is not None:
@@ -467,8 +476,12 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
 
 
 def check_frobenius_axioms(param: LinearizedParam, radius: int) -> FrobeniusWindowReport:
-    """(FF1)/(FF2) for all alpha in [-radius, radius]^E (table padded by 1)."""
+    """(FF1)/(FF2) for all alpha in [-radius, radius]^E.
+
+    The row spaces are computed on [-radius, radius + 1]^E only, the box
+    the checks read.
+    """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    win = frobenius_window(param, radius + 1)
+    win = _frobenius_window(param, radius + 1, -radius)
     return validate_frobenius_window(win, box_radius=radius)

@@ -271,7 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("check-flock", help="flock axioms on a window")
     _add_flock_source(s)
-    s.add_argument("--radius", type=int, default=2)
+    s.add_argument("--radius", type=int, default=2,
+                   help="check every alpha in [-r, r]^E; each check also "
+                        "reads alpha + e_I, so an --explicit table must "
+                        "cover [-r, r+1]^E")
     s.add_argument("--sets", action="store_true", help="also the subset version")
     s.set_defaults(func=_cmd_check_flock)
 

@@ -239,6 +239,8 @@ def lconvex_is_minimizer(g_oracle: Callable[[tuple], int], x, n: int,
     check of ``check_lconvex`` (unit squares if every value is finite).
     """
     x = tuple(int(v) for v in x)
+    if len(x) != n:
+        raise ValueError("x has the wrong length")
     hi = vadd(x, (1,) * n)
     cube = list(itertools.product(*zip(x, hi)))
     vals = [g_oracle(pt) for pt in cube]

@@ -112,22 +112,28 @@ def window_ids(flock: MatroidFlock, radius: int):
     and the list mapping ids to basis-mask families.  Valuation-backed flocks
     are scored vectorized; anything else walks the oracle.
     """
+    return _box_ids(flock, -radius, radius)
+
+
+def _box_ids(flock: MatroidFlock, lo: int, hi: int):
+    """(grid, table) as in ``window_ids``, over [lo, hi]^E, indexed by alpha - lo."""
     n = len(flock.ground)
     if flock.valuation is not None:
-        points = window.box_array([-radius] * n, [radius] * n)
+        points = window.box_array([lo] * n, [hi] * n)
         ids, table = window.score_ids(flock.valuation.finite_items(), n, points)
-        return ids.reshape((2 * radius + 1,) * n).astype(np.int32), table
-    return _id_grid(n, radius, flock.masks_at)
+        return ids.reshape((hi - lo + 1,) * n).astype(np.int32), table
+    return _id_grid(n, lo, hi, flock.masks_at)
 
 
-def _id_grid(n: int, radius: int, value_at):
-    """(grid, table) of ``value_at(alpha)`` over [-radius, radius]^E, point
-    by point: equal values share an id, ``table[id]`` is the value."""
+def _id_grid(n: int, lo: int, hi: int, value_at):
+    """(grid, table) of ``value_at(alpha)`` over [lo, hi]^E, point by point,
+    indexed by alpha - lo: equal values share an id, ``table[id]`` is the
+    value."""
     table: list = []
     intern: dict = {}
-    grid = np.empty((2 * radius + 1,) * n, dtype=np.int32)
+    grid = np.empty((hi - lo + 1,) * n, dtype=np.int32)
     for idx in np.ndindex(*grid.shape):
-        value = value_at(tuple(k - radius for k in idx))
+        value = value_at(tuple(k + lo for k in idx))
         got = intern.get(value)
         if got is None:
             got = len(table)
@@ -168,44 +174,68 @@ class FlockWindowReport:
 
 
 def _local_axioms(grid: np.ndarray, radius: int, moves):
-    """Local axioms on an id grid centred at alpha = 0, one move (I, holds) at a time.
+    """Local axioms on an id grid whose index 0 is alpha = -radius on every axis.
 
-    A move pairs the id at alpha with the id at alpha + e_I, for every alpha
-    of [-radius, radius]^E whose shift is in the grid (radius <= the grid's),
-    and calls ``holds(id, id')`` once per distinct pair.  Returns (checked,
-    failed) per move and the violation (alpha, move index, id, id') at the
-    lex-first failing alpha, ties going to the earlier move, or None.
+    A move (I, left, right) holds at alpha when left(id at alpha) equals
+    right(id at alpha + e_I); it is checked at every alpha of
+    [-radius, radius]^E whose shift is in the grid, so a grid over
+    [-radius, radius + 1]^E checks the whole box.  ``left`` is called once
+    per id occurring in [-radius, radius]^E, ``right`` once per id on the
+    shifted side of the move, and their values interned, so a move costs
+    two gathers and one comparison.  Returns (checked, failed) per move and the violation
+    (alpha, move index, id, id') at the lex-first failing alpha, ties going
+    to the earlier move, or None.
     """
-    L = grid.shape[0] if grid.ndim else 1
-    centre = L // 2
-    K = int(grid.max()) + 1
+    size = int(grid.max()) + 1
+    # every move's base points lie in [-radius, radius]^E
+    checked = _occurring(grid[(slice(0, 2 * radius + 1),) * grid.ndim], size)
     counts = []
     first = None
-    for k, (axes, holds) in enumerate(moves):
+    for k, (axes, left, right) in enumerate(moves):
         base, top = [], []
         for axis in range(grid.ndim):
             step = int(axis in axes)
-            start, stop = centre - radius, min(centre + radius + 1, L - step)
-            base.append(slice(start, stop))
-            top.append(slice(start + step, stop + step))
-        pairs = grid[tuple(base)].astype(np.int64) * K + grid[tuple(top)]
-        bad = [code for code in np.unique(pairs).tolist() if not holds(*divmod(code, K))]
-        failed = 0
-        if bad:
-            fails = np.isin(pairs, bad)
-            failed = int(np.count_nonzero(fails))
-            idx = tuple(int(x) for x in np.argwhere(fails)[0])
-            alpha = tuple(x - radius for x in idx)
+            stop = min(2 * radius + 1, grid.shape[axis] - step)
+            base.append(slice(0, stop))
+            top.append(slice(step, stop + step))
+        at, shifted = grid[tuple(base)], grid[tuple(top)]
+        intern: dict = {}
+        fails = (_keys(left, checked, size, intern)[at]
+                 != _keys(right, _occurring(shifted, size), size, intern)[shifted])
+        failed = int(np.count_nonzero(fails))
+        if failed:
+            idx = np.unravel_index(int(np.argmax(fails)), fails.shape)
+            alpha = tuple(int(x) - radius for x in idx)
             if first is None or alpha < first[0]:
-                first = (alpha, k, *divmod(int(pairs[idx]), K))
-        counts.append((int(pairs.size), failed))
+                first = (alpha, k, int(at[idx]), int(shifted[idx]))
+        counts.append((int(fails.size), failed))
     return counts, first
+
+
+def _occurring(grid: np.ndarray, size: int) -> list:
+    """The ids (all below size) that occur in ``grid``, in increasing order."""
+    return np.flatnonzero(np.bincount(grid.ravel(), minlength=size)).tolist()
+
+
+def _keys(side, ids: list, size: int, intern: dict) -> np.ndarray:
+    """Interned ``side(i)`` at each id i in ``ids``, -1 at the other ids below size."""
+    keys = np.full(size, -1)
+    for i in ids:
+        keys[i] = intern.setdefault(side(i), len(intern))
+    return keys
+
+
+def _same(i):
+    """The key of a move that compares ids themselves (MF2, FF2)."""
+    return i
 
 
 def check_flock_axioms(flock: MatroidFlock, radius: int,
                        check_sets: bool = False) -> FlockWindowReport:
     """Verify the minor axiom and shift invariance over [-radius, radius]^E.
 
+    Each check compares M_alpha with M_{alpha + e_I}, so the flock is read on
+    [-radius, radius + 1]^E only (an explicit table must cover that box).
     ``check_sets`` additionally verifies the set version M_a / I = M_{a+e_I} \\ I
     for every nonempty I.  Violations are data, not errors.  The violation
     reported is at the lex-first failing alpha, ties going to the axes in
@@ -214,16 +244,18 @@ def check_flock_axioms(flock: MatroidFlock, radius: int,
     if radius < 1:
         raise ValueError("radius must be at least 1")
     n = len(flock.ground)
-    grid, table = window_ids(flock, radius + 1)
+    grid, table = _box_ids(flock, -radius, radius + 1)
 
-    def minor_axiom(cmask):
-        return lambda a, b: bases_contract(table[a], cmask) == bases_delete(table[b], cmask)
+    def minor_move(axes):
+        cmask = sum(1 << i for i in axes)
+        return (axes, lambda i: bases_contract(table[i], cmask),
+                lambda i: bases_delete(table[i], cmask))
 
-    moves = [((axis,), minor_axiom(1 << axis)) for axis in range(n)]
-    moves.append((tuple(range(n)), lambda a, b: a == b))
+    moves = [minor_move((axis,)) for axis in range(n)]
+    moves.append((tuple(range(n)), _same, _same))
     if check_sets:
-        moves += [(combo, minor_axiom(sum(1 << i for i in combo)))
-                  for r in range(1, n + 1) for combo in itertools.combinations(range(n), r)]
+        moves += [minor_move(combo) for r in range(1, n + 1)
+                  for combo in itertools.combinations(range(n), r)]
     counts, first = _local_axioms(grid, radius, moves)
 
     violation = None

@@ -199,6 +199,12 @@ def test_minimizer_rejects_non_lconvex():
         mf.lconvex_is_minimizer(lambda a: -(max(a) - min(a)), (0, 0), 2)
 
 
+def test_minimizer_rejects_point_of_wrong_length():
+    for x in ((0, 0, 0), (0,)):
+        with pytest.raises(ValueError, match="wrong length"):
+            mf.lconvex_is_minimizer(lambda a: 0, x, 2)
+
+
 def test_minimizer_guard_with_infinite_values():
     # the cube {x + e_I} of an oracle finite on (1, 0) and (0, 1) only
     with pytest.raises(ValueError):

@@ -384,6 +384,23 @@ def test_cli_fixture_is_a_matroid(capsys):
     assert json.loads(capsys.readouterr().out) == {"valid": True}
 
 
+def test_cli_flock_fixtures_pass(capsys):
+    # the fixtures the installed-package CI job feeds to check-flock and check-ff
+    fixtures = Path(__file__).parent / "fixtures"
+    assert jsonio.valuation_from_json(
+        json.loads((fixtures / "valuation_u24.json").read_text())) == u24_valuation()
+    param = jsonio.linearized_from_json(
+        json.loads((fixtures / "paper_example_param.json").read_text()))
+    assert param.coords == example_param(2, 2).coords
+    assert main(["check-flock", "--from-valuation", str(fixtures / "valuation_u24.json"),
+                 "--radius", "3", "--sets"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["valid"] is True and rep["mf2"]["checked"] == 7 ** 4
+    assert main(["check-ff", str(fixtures / "paper_example_param.json"), "--radius", "1"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["valid"] is True and rep["ff2"]["checked"] == 3 ** 4
+
+
 def test_cli_check_ff_negative_radius_exit_1(tmp_path, capsys):
     path = write(tmp_path, "ex.json", jsonio.linearized_to_json(example_param(2, 1)))
     assert main(["check-ff", path, "--radius", "-1"]) == 1
