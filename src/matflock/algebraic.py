@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import linalg, window
+from . import linalg
 from .lattice import INF
 from .matroid import GF, Matroid, matroid_from_matrix
 from .valuation import Valuation, matroid_at, optimal_masks
-from .flock import MatroidFlock, _id_grid, _local_axioms, _same
+from .flock import MatroidFlock, _same
 
 
 class DegenerateParametrization(ValueError):
@@ -391,6 +391,7 @@ def frobenius_window(param: LinearizedParam, radius: int) -> FrobeniusFlockWindo
 
 def _frobenius_window(param: LinearizedParam, radius: int, lo: int) -> FrobeniusFlockWindow:
     """``frobenius_window`` with the table held on [lo, radius]^E only."""
+    from . import window
     nu = tadic_valuation(param)
     n, p = param.n, param.p
     points = window.box_array([lo] * n, [radius] * n)
@@ -455,7 +456,8 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
             canon[rows] = linalg.gf_row_space(rows, p)
         return canon[rows]
 
-    grid, spaces = _id_grid(n, -radius, min(radius + 1, R), space_at)
+    from . import window
+    grid, spaces = window._id_grid(n, -radius, min(radius + 1, R), space_at)
 
     def sides(k, a, b):
         """The two spaces (FF1) at axis k, or (FF2) for k = n, compares."""
@@ -466,7 +468,7 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
     moves = [((k,), lambda i, k=k: _space_contract(spaces[i], k, p),
               lambda i, k=k: _space_delete(spaces[i], k, p)) for k in range(n)]
     moves.append((tuple(range(n)), _same, _same))
-    counts, first = _local_axioms(grid, radius, moves)
+    counts, first = window._local_axioms(grid, radius, moves)
     violation = None
     if first is not None:
         alpha, k, a, b = first

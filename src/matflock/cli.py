@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import jsonio, svg
+from . import jsonio
 from .algebraic import (
     check_frobenius_axioms,
     flock_from_linearized,
@@ -128,6 +128,7 @@ def _cmd_cells(args):
                     raise InputError(f"unknown axis {a!r}")
                 labels.append(match[0])
         radius = args.radius if args.radius is not None else nu.spread * (n - 1) + 1
+        from . import svg
         return svg.render_cells_svg(nu, labels, radius)
     beta = _alpha(args.beta, n) if args.beta else (0,) * n
     return jsonio.cells_to_json(cell_inequalities(nu, beta))

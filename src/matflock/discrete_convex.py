@@ -11,7 +11,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import window
 from .lattice import INF, vadd, vjoin, vmeet, vsub
 from .valuation import Valuation
 
@@ -153,6 +152,7 @@ def check_lconvex(g: WindowFunction) -> LConvexReport:
     complete either way.  Shift pairs (x, x+1) with x+1 outside the box are
     skipped and counted, so a Valid verdict documents its coverage.
     """
+    from . import window
     pts = list(map(tuple, window.box_array(g.lo, g.hi).tolist()))
     sub_checked, witness = _submodular(pts, g.hi, [g(x) for x in pts])
     if witness is not None:
@@ -219,6 +219,7 @@ def check_mconvex(f: WindowFunction) -> MConvexReport:
 
 def fenchel_dual(h: WindowFunction, dual_lo, dual_hi) -> WindowFunction:
     """h•(x) = max over the finite domain of h of x . y - h(y)."""
+    from . import window
     dom = [(pt, h(pt)) for pt in h.domain()]
     values = {}
     for x in map(tuple, window.box_array(dual_lo, dual_hi).tolist()):

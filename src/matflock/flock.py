@@ -12,9 +12,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
-from . import window
 from .lattice import INF, vadd
 from .matroid import Matroid, _raise_unless, bases_contract, bases_delete
 from .valuation import Valuation, check_valuation_axioms, optimal_masks
@@ -117,30 +114,11 @@ def window_ids(flock: MatroidFlock, radius: int):
 
 def _box_ids(flock: MatroidFlock, lo: int, hi: int):
     """(grid, table) as in ``window_ids``, over [lo, hi]^E, indexed by alpha - lo."""
+    from . import window
     n = len(flock.ground)
     if flock.valuation is not None:
-        points = window.box_array([lo] * n, [hi] * n)
-        ids, table = window.score_ids(flock.valuation.finite_items(), n, points)
-        return ids.reshape((hi - lo + 1,) * n).astype(np.int32), table
-    return _id_grid(n, lo, hi, flock.masks_at)
-
-
-def _id_grid(n: int, lo: int, hi: int, value_at):
-    """(grid, table) of ``value_at(alpha)`` over [lo, hi]^E, point by point,
-    indexed by alpha - lo: equal values share an id, ``table[id]`` is the
-    value."""
-    table: list = []
-    intern: dict = {}
-    grid = np.empty((hi - lo + 1,) * n, dtype=np.int32)
-    for idx in np.ndindex(*grid.shape):
-        value = value_at(tuple(k + lo for k in idx))
-        got = intern.get(value)
-        if got is None:
-            got = len(table)
-            intern[value] = got
-            table.append(value)
-        grid[idx] = got
-    return grid, table
+        return window._scored_grid(flock.valuation.finite_items(), n, lo, hi)
+    return window._id_grid(n, lo, hi, flock.masks_at)
 
 
 # ---------------------------------------------------------------------------
@@ -173,58 +151,6 @@ class FlockWindowReport:
         return self.ok
 
 
-def _local_axioms(grid: np.ndarray, radius: int, moves):
-    """Local axioms on an id grid whose index 0 is alpha = -radius on every axis.
-
-    A move (I, left, right) holds at alpha when left(id at alpha) equals
-    right(id at alpha + e_I); it is checked at every alpha of
-    [-radius, radius]^E whose shift is in the grid, so a grid over
-    [-radius, radius + 1]^E checks the whole box.  ``left`` is called once
-    per id occurring in [-radius, radius]^E, ``right`` once per id on the
-    shifted side of the move, and their values interned, so a move costs
-    two gathers and one comparison.  Returns (checked, failed) per move and the violation
-    (alpha, move index, id, id') at the lex-first failing alpha, ties going
-    to the earlier move, or None.
-    """
-    size = int(grid.max()) + 1
-    # every move's base points lie in [-radius, radius]^E
-    checked = _occurring(grid[(slice(0, 2 * radius + 1),) * grid.ndim], size)
-    counts = []
-    first = None
-    for k, (axes, left, right) in enumerate(moves):
-        base, top = [], []
-        for axis in range(grid.ndim):
-            step = int(axis in axes)
-            stop = min(2 * radius + 1, grid.shape[axis] - step)
-            base.append(slice(0, stop))
-            top.append(slice(step, stop + step))
-        at, shifted = grid[tuple(base)], grid[tuple(top)]
-        intern: dict = {}
-        fails = (_keys(left, checked, size, intern)[at]
-                 != _keys(right, _occurring(shifted, size), size, intern)[shifted])
-        failed = int(np.count_nonzero(fails))
-        if failed:
-            idx = np.unravel_index(int(np.argmax(fails)), fails.shape)
-            alpha = tuple(int(x) - radius for x in idx)
-            if first is None or alpha < first[0]:
-                first = (alpha, k, int(at[idx]), int(shifted[idx]))
-        counts.append((int(fails.size), failed))
-    return counts, first
-
-
-def _occurring(grid: np.ndarray, size: int) -> list:
-    """The ids (all below size) that occur in ``grid``, in increasing order."""
-    return np.flatnonzero(np.bincount(grid.ravel(), minlength=size)).tolist()
-
-
-def _keys(side, ids: list, size: int, intern: dict) -> np.ndarray:
-    """Interned ``side(i)`` at each id i in ``ids``, -1 at the other ids below size."""
-    keys = np.full(size, -1)
-    for i in ids:
-        keys[i] = intern.setdefault(side(i), len(intern))
-    return keys
-
-
 def _same(i):
     """The key of a move that compares ids themselves (MF2, FF2)."""
     return i
@@ -243,6 +169,7 @@ def check_flock_axioms(flock: MatroidFlock, radius: int,
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
+    from . import window
     n = len(flock.ground)
     grid, table = _box_ids(flock, -radius, radius + 1)
 
@@ -254,9 +181,11 @@ def check_flock_axioms(flock: MatroidFlock, radius: int,
     moves = [minor_move((axis,)) for axis in range(n)]
     moves.append((tuple(range(n)), _same, _same))
     if check_sets:
-        moves += [minor_move(combo) for r in range(1, n + 1)
+        # the sets {i} are the (MF1) moves again, whose counts they reuse;
+        # ties go to (MF1), so a singleton never supplies the violation
+        moves += [minor_move(combo) for r in range(2, n + 1)
                   for combo in itertools.combinations(range(n), r)]
-    counts, first = _local_axioms(grid, radius, moves)
+    counts, first = window._local_axioms(grid, radius, moves)
 
     violation = None
     if first is not None:
@@ -269,6 +198,8 @@ def check_flock_axioms(flock: MatroidFlock, radius: int,
             move = "1" if k == n else tuple(flock.ground[i] for i in moves[k][0])
         violation = FlockViolation(alpha, move, left, right)
     mf1, mf2, sets = counts[:n], counts[n], counts[n + 1:]
+    if check_sets:
+        sets = mf1 + sets
     return FlockWindowReport(radius, sum(c for c, _ in mf1), sum(f for _, f in mf1),
                              *mf2, sum(c for c, _ in sets), sum(f for _, f in sets),
                              violation)
@@ -399,12 +330,6 @@ def _value_mismatch(nu: Valuation, ref: Valuation):
 
 def _window_mismatch(nu: Valuation, flock: MatroidFlock, radius: int):
     """Lex-first alpha in the box where M^nu_alpha and the flock differ, or None."""
+    from . import window
     grid, table = window_ids(flock, radius)
-    n = len(nu.ground)
-    points = window.box_array([-radius] * n, [radius] * n)
-    ids, nu_table = window.score_ids(nu.finite_items(), n, points)
-    pairs, inverse = np.unique(ids * len(table) + grid.ravel(), return_inverse=True)
-    differs = np.array([nu_table[k // len(table)] != table[k % len(table)]
-                        for k in pairs.tolist()])
-    bad = np.flatnonzero(differs[inverse])
-    return tuple(int(x) for x in points[bad[0]]) if len(bad) else None
+    return window._first_mismatch(nu.finite_items(), len(nu.ground), grid, table, radius)

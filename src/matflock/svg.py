@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import window
-from .valuation import Valuation, _vertex_flags
+from .valuation import Valuation
 
 _PALETTE = (
     "#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3", "#937860",
@@ -55,7 +55,8 @@ def render_cells_svg(nu: Valuation, axes, radius: int) -> str:
     # vertices are normalized to alpha_{i0} = 0, so only those slice points
     # can carry a dot
     candidates = points[points[:, 0] == 0]
-    vertices = sorted(map(tuple, candidates[_vertex_flags(nu, candidates)].tolist()))
+    flags = window._vertex_flags(nu.finite_items(), n, candidates)
+    vertices = sorted(map(tuple, candidates[flags].tolist()))
     dots = []
     for cell in vertices:
         px = _PAD + (cell[ax] + radius) * _CELL + _CELL // 2

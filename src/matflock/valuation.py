@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from . import linalg, window
+from . import linalg
 from .lattice import INF
 from .matroid import (AxiomCheck, VALID, Matroid, _exchange_failure, _single_exchanges,
                       canonical_ground)
@@ -387,15 +385,8 @@ def enumerate_leaders(nu: Valuation, window_radius: Optional[int] = None) -> Lea
     R = default_leader_radius(nu) if window_radius is None else int(window_radius)
     if R < 0:
         raise ValueError("window radius must be nonnegative")
-    items = nu.finite_items()
-    reps: dict[frozenset[int], tuple[int, ...]] = {}
-    # chunked lex-order scan, so the first point seen per argmax set is the
-    # lexicographically smallest representative and memory stays bounded
-    for points in window.iter_box_chunks([0] + [-R] * (n - 1), [0] + [R] * (n - 1)):
-        ids, table = window.score_ids(items, n, points)
-        _, first = np.unique(ids, return_index=True)
-        for masks, k in zip(table, first.tolist()):
-            reps.setdefault(masks, tuple(points[k].tolist()))
+    from . import window
+    reps = window._leader_reps(nu.finite_items(), n, R)
     leaders = []
     seen_bases: set[int] = set()
     for masks, alpha in reps.items():
@@ -406,41 +397,11 @@ def enumerate_leaders(nu: Valuation, window_radius: Optional[int] = None) -> Lea
     return LeaderScan(tuple(leaders), complete, R)
 
 
-def _vertex_flags(nu: Valuation, points: np.ndarray) -> np.ndarray:
-    """Per row alpha of ``points``: is alpha a vertex of the cell decomposition?
-
-    alpha is a vertex exactly when no step alpha ± e_I (I a proper nonempty
-    subset) keeps every basis of M_alpha optimal.  Each point is scored
-    together with its steps in one ``score_ids`` call per chunk.
-    """
-    n = len(nu.ground)
-    up = np.array([[I >> i & 1 for i in range(n)] for I in range(1, (1 << n) - 1)],
-                  dtype=np.int64).reshape(-1, n)
-    around = np.concatenate([np.zeros((1, n), dtype=np.int64), up, -up])
-    per = len(around)
-    items = nu.finite_items()
-    flags = np.empty(len(points), dtype=bool)
-    chunk = max(1, window._CHUNK // per)
-    for start in range(0, len(points), chunk):
-        block = np.asarray(points[start:start + chunk], dtype=np.int64)
-        steps = (block[:, None, :] + around).reshape(-1, n)
-        ids, table = window.score_ids(items, n, steps)
-        ids = ids.reshape(len(block), per)
-        K = len(table)
-        # (id at alpha, id at a step) -> does the step keep M_alpha optimal?
-        codes = (ids[:, :1] * K + ids[:, 1:]).ravel()
-        pairs, inverse = np.unique(codes, return_inverse=True)
-        keeps = np.array([table[k % K] >= table[k // K] for k in pairs.tolist()],
-                         dtype=bool)
-        flags[start:start + len(block)] = \
-            ~keeps[inverse].reshape(len(block), per - 1).any(axis=1)
-    return flags
-
-
 def _leader_vertices(nu: Valuation, scan: LeaderScan):
     """The leader representatives of ``scan`` that are cell vertices."""
+    from . import window
     reps = [rep for _, rep in scan.leaders]
-    flags = _vertex_flags(nu, np.array(reps, dtype=np.int64).reshape(len(reps), -1))
+    flags = window._vertex_flags(nu.finite_items(), len(nu.ground), reps)
     return sorted(rep for rep, vertex in zip(reps, flags.tolist()) if vertex)
 
 

@@ -172,10 +172,62 @@ def test_cli_rigidity_and_lazarson(capsys):
     assert json.loads(capsys.readouterr().out)["divisible"] is True
 
 
+def _cli_env():
+    return dict(os.environ, PYTHONPATH=str(Path(mf.__file__).parents[1]))
+
+
 def _run_cli(*args):
-    env = dict(os.environ, PYTHONPATH=str(Path(mf.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "matflock.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=10)
+                          capture_output=True, text=True, env=_cli_env(), timeout=10)
+
+
+# runs the CLI as ``python -m matflock.cli`` does, then prints on stderr
+# whether numpy was imported at any point
+_NUMPY_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr))
+runpy.run_module("matflock.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _numpy_loaded(*args):
+    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *args],
+                          capture_output=True, text=True, env=_cli_env(), timeout=10)
+    assert done.returncode == 0, (args, done.stderr)
+    return done.stderr.splitlines()[-1] == "numpy loaded: True"
+
+
+def test_exact_commands_start_without_numpy(tmp_path):
+    fixtures = Path(__file__).parent / "fixtures"
+    matroid = str(fixtures / "uniform_2_4.json")
+    nu = str(fixtures / "valuation_u24.json")
+    param = str(fixtures / "paper_example_param.json")
+    rep = write(tmp_path, "rep.json", jsonio.toric_to_json(toric_example()))
+    exact = [
+        ("check-matroid", matroid),
+        ("check-valuation", nu),
+        ("support", nu),
+        ("matroid-at", nu, "--alpha", "1,0,0,0"),
+        ("g-value", nu, "--alpha", "1,0,0,0"),
+        ("cells", nu, "--beta", "0,0,0,0"),
+        ("lindstrom-toric", rep),
+        ("toric-matroid-at", rep, "--alpha", "0,0,0,1"),
+        ("extract-valuation", "--from-valuation", nu),
+        ("extract-valuation", "--from-toric", rep),
+        ("extract-valuation", "--from-linearized", param),
+        ("flock-from-linearized", param, "--alpha", "0,-2,-2,0"),
+        ("rigidity", "--name", "fano"),
+        ("lazarson-check", "--n", "3", "--p", "3"),
+    ]
+    for args in exact:
+        assert not _numpy_loaded(*args), args
+    # the probe does see numpy where a box is scanned
+    assert _numpy_loaded("check-flock", "--from-valuation", nu, "--radius", "1")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, matflock, matflock.cli; "
+         "print(sorted({'numpy', 'matflock.window'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=_cli_env(), timeout=10)
+    assert done.returncode == 0 and done.stdout == "[]\n", done.stderr
 
 
 def test_cli_large_prime_decided_in_bounded_time():

@@ -17,7 +17,8 @@ import pytest
 import matflock as mf
 from matflock import jsonio, linalg, window
 from matflock.algebraic import FrobeniusWindowReport, _space_contract, _space_delete
-from matflock.flock import FlockViolation, _id_grid, window_ids
+from matflock.flock import FlockViolation, window_ids
+from matflock.window import _id_grid
 from matflock.matroid import bases_contract, bases_delete
 
 from conftest import example_param, random_valid_valuation
