@@ -209,10 +209,14 @@ def _integer_rows(rows):
     """Each row of an exact rational matrix times the lcm of its denominators.
 
     Returns (rows, scale), scale being the product of those multipliers.
+    Rows of ints are copied as they are, with multiplier 1.
     """
     out = []
     scale = 1
     for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
         row = [Fraction(x) for x in row]
         m = math.lcm(*(x.denominator for x in row))
         scale *= m

@@ -357,8 +357,10 @@ def cell_inequalities(nu: Valuation, beta) -> CellSystem:
 class LeaderScan:
     """Distinct matroids seen in a normalized window, with representatives.
 
-    ``complete`` records whether the union of all basis families equals the
-    support, which certifies that every leader was seen.
+    ``complete`` records whether the union of the leaders' basis families
+    equals the support: every basis is optimal somewhere in the window.
+    That is necessary for every leader to have been seen, not sufficient: a
+    leader can lie outside the window while its bases are optimal inside.
     """
     leaders: tuple[tuple[Matroid, tuple[int, ...]], ...]
     complete: bool
@@ -375,9 +377,10 @@ def default_leader_radius(nu: Valuation) -> int:
 def enumerate_leaders(nu: Valuation, window_radius: Optional[int] = None) -> LeaderScan:
     """Scan {alpha : alpha_{i0} = 0, |alpha_i| <= R} for distinct matroids.
 
-    Representatives are the lexicographically smallest window points; the
-    window radius default is a heuristic, so completeness is checked against
-    the support rather than assumed.
+    Representatives are the lexicographically smallest window points.  The
+    default window radius is a heuristic, and ``complete`` checks only that
+    the leaders found cover the support (see ``LeaderScan``); it does not
+    certify that every leader was found.
     """
     if not nu.finite:
         raise ValueError("valuation violates (V1): no finite value")
