@@ -25,7 +25,7 @@ from . import linalg
 from .lattice import INF
 from .matroid import GF, Matroid, matroid_from_matrix
 from .valuation import Valuation, matroid_at, optimal_masks
-from .flock import MatroidFlock, _same
+from .flock import MatroidFlock
 
 
 class DegenerateParametrization(ValueError):
@@ -465,9 +465,11 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
             return spaces[a], spaces[b]
         return _space_contract(spaces[a], k, p), _space_delete(spaces[b], k, p)
 
-    moves = [((k,), lambda i, k=k: _space_contract(spaces[i], k, p),
-              lambda i, k=k: _space_delete(spaces[i], k, p)) for k in range(n)]
-    moves.append((tuple(range(n)), _same, _same))
+    moves = [((k,), *window._id_keys(grid, radius, (k,),
+                                     lambda i, k=k: _space_contract(spaces[i], k, p),
+                                     lambda i, k=k: _space_delete(spaces[i], k, p)))
+             for k in range(n)]
+    moves.append((tuple(range(n)), *window._same_keys(len(spaces))))
     counts, first = window._local_axioms(grid, radius, moves)
     violation = None
     if first is not None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .lattice import INF, vadd
-from .matroid import Matroid, _raise_unless, bases_contract, bases_delete
+from .matroid import Matroid, _raise_unless
 from .valuation import Valuation, check_valuation_axioms, optimal_masks
 
 
@@ -109,16 +109,13 @@ def window_ids(flock: MatroidFlock, radius: int):
     and the list mapping ids to basis-mask families.  Valuation-backed flocks
     are scored vectorized; anything else walks the oracle.
     """
-    return _box_ids(flock, -radius, radius)
-
-
-def _box_ids(flock: MatroidFlock, lo: int, hi: int):
-    """(grid, table) as in ``window_ids``, over [lo, hi]^E, indexed by alpha - lo."""
     from . import window
     n = len(flock.ground)
     if flock.valuation is not None:
-        return window._scored_grid(flock.valuation.finite_items(), n, lo, hi)
-    return window._id_grid(n, lo, hi, flock.masks_at)
+        items = flock.valuation.finite_items()
+        grid, bits = window._scored_grid(items, n, -radius, radius)
+        return grid, window._families([mask for mask, _ in items], bits)
+    return window._id_grid(n, -radius, radius, flock.masks_at)
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +148,6 @@ class FlockWindowReport:
         return self.ok
 
 
-def _same(i):
-    """The key of a move that compares ids themselves (MF2, FF2)."""
-    return i
-
-
 def check_flock_axioms(flock: MatroidFlock, radius: int,
                        check_sets: bool = False) -> FlockWindowReport:
     """Verify the minor axiom and shift invariance over [-radius, radius]^E.
@@ -163,39 +155,46 @@ def check_flock_axioms(flock: MatroidFlock, radius: int,
     Each check compares M_alpha with M_{alpha + e_I}, so the flock is read on
     [-radius, radius + 1]^E only (an explicit table must cover that box).
     ``check_sets`` additionally verifies the set version M_a / I = M_{a+e_I} \\ I
-    for every nonempty I.  Violations are data, not errors.  The violation
-    reported is at the lex-first failing alpha, ties going to the axes in
-    ground order, then the all-ones shift "1", then the sets I in order.
+    for every nonempty I.  Violations are data, not errors: the matroids
+    reported are the two sides the failing move compared, M_a / I and
+    M_{a+e_I} \\ I on E \\ I, or M_a and M_{a+1} for the all-ones shift.  The
+    violation reported is at the lex-first failing alpha, ties going to the
+    axes in ground order, then the all-ones shift "1", then the sets I in
+    order.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
     from . import window
     n = len(flock.ground)
-    grid, table = _box_ids(flock, -radius, radius + 1)
+    if flock.valuation is not None:
+        items = flock.valuation.finite_items()
+        masks = [mask for mask, _ in items]
+        grid, bits = window._scored_grid(items, n, -radius, radius + 1)
+    else:
+        grid, table = window._id_grid(n, -radius, radius + 1, flock.masks_at)
+        masks, bits = window._table_bits(table)
 
-    def minor_move(axes):
-        cmask = sum(1 << i for i in axes)
-        return (axes, lambda i: bases_contract(table[i], cmask),
-                lambda i: bases_delete(table[i], cmask))
-
-    moves = [minor_move((axis,)) for axis in range(n)]
-    moves.append((tuple(range(n)), _same, _same))
-    if check_sets:
-        # the sets {i} are the (MF1) moves again, whose counts they reuse;
-        # ties go to (MF1), so a singleton never supplies the violation
-        moves += [minor_move(combo) for r in range(2, n + 1)
-                  for combo in itertools.combinations(range(n), r)]
-    counts, first = window._local_axioms(grid, radius, moves)
+    axes = [(axis,) for axis in range(n)]
+    # the sets {i} are the (MF1) moves again, whose counts they reuse;
+    # ties go to (MF1), so a singleton never supplies the violation
+    subsets = [combo for r in range(2, n + 1) for combo in itertools.combinations(range(n), r)
+               if check_sets]
+    moves = axes + [tuple(range(n))] + subsets
+    minors = window._minor_moves(n, masks, bits, axes + subsets)
+    counts, first = window._local_axioms(grid, radius, itertools.chain(
+        itertools.islice(minors, n), [(moves[n], *window._same_keys(len(bits)))], minors))
 
     violation = None
     if first is not None:
         alpha, k, ida, idb = first
-        left, right = Matroid(flock.ground, table[ida]), Matroid(flock.ground, table[idb])
-        if k < n:
-            move = flock.ground[k]
-            left, right = left.minor(contract=[move]), right.minor(delete=[move])
+        left, right = (Matroid(flock.ground, itertools.compress(masks, bits[i]))
+                       for i in (ida, idb))
+        if k == n:
+            move = "1"
         else:
-            move = "1" if k == n else tuple(flock.ground[i] for i in moves[k][0])
+            labels = [flock.ground[i] for i in moves[k]]
+            left, right = left.minor(contract=labels), right.minor(delete=labels)
+            move = labels[0] if k < n else tuple(labels)
         violation = FlockViolation(alpha, move, left, right)
     mf1, mf2, sets = counts[:n], counts[n], counts[n + 1:]
     if check_sets:

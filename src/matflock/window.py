@@ -23,6 +23,18 @@ is filled by comparing t with t*: a box of side s costs s^(n-1) * m scores
 for m bases instead of s^n * m, and the leader window {alpha_0 = 0,
 |alpha_i| <= R} costs (2R+1)^(n-2) * m.
 
+The local axioms run here too, on an id grid and the table of its matroids.
+A minor move I compares M_alpha / I with M_{alpha + e_I} \\ I.  For a
+valuation-backed flock the table is the (matroids, bases) bool matrix that
+the box scan produced, otherwise it is built from the frozensets of the
+per-point walk.  ``_minor_moves`` keys both sides of every matroid for all
+moves at once, over the table's (matroid, basis) entries: with
+cnt_j = |b_j ∩ I|, the contraction keeps the bases of largest cnt and the
+deletion those of largest |b_j \\ I|, both projected to b_j \\ I.
+``_local_axioms`` then checks a move over the whole box with two gathers and
+one comparison.  Row spaces (the Frobenius axioms) are keyed one distinct
+space at a time.
+
 Exactness: values are shifted so the smallest is 0, which changes no argmax.
 Every score and partial sum then has absolute value at most
 spread + d * reach, where reach is the largest |coordinate|.  Below 2^53 all
@@ -102,18 +114,22 @@ def _dense_ids(words: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _families(masks, words: np.ndarray) -> list:
-    """The frozenset of basis masks that each row of ``words`` encodes."""
-    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :len(masks)]
+def _bits(words: np.ndarray, m: int) -> np.ndarray:
+    """The (N, m) bool matrix of the sets that the rows of ``words`` encode."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=m, bitorder="little").view(bool)
+
+
+def _families(masks, bits: np.ndarray) -> list:
+    """The frozenset of basis masks that each row of ``bits`` holds."""
     return [frozenset(compress(masks, row)) for row in bits.tolist()]
 
 
-def _ids_table(masks, words: np.ndarray):
-    """(dense ids, table) of the argmax sets encoded by ``words``."""
+def _dense_rows(words: np.ndarray):
+    """(dense ids, the distinct rows of ``words`` in id order)."""
     ids = _dense_ids(words)
     rep = np.zeros(int(ids.max()) + 1 if len(ids) else 0, dtype=np.intp)
     rep[ids] = np.arange(len(words))
-    return ids, _families(masks, words[rep])
+    return ids, words[rep]
 
 
 def score_ids(finite_items, n: int, points: np.ndarray):
@@ -130,7 +146,8 @@ def score_ids(finite_items, n: int, points: np.ndarray):
     for start in range(0, len(points), _CHUNK):
         scores = _scores(EB, vals, points[start:start + _CHUNK])
         words[start:start + _CHUNK] = _pack(scores == scores.max(axis=0))
-    return _ids_table(masks, words)
+    ids, rows = _dense_rows(words)
+    return ids, _families(masks, _bits(rows, len(masks)))
 
 
 def _box_rows(lo, hi, start: int, stop: int) -> np.ndarray:
@@ -222,32 +239,39 @@ def _line_codes(low, high, cut, lo_last: int, hi_last: int):
     return words, occurs
 
 
-def score_box(finite_items, n: int, lo, hi):
-    """``score_ids(finite_items, n, box_array(lo, hi))``, scored one line at
-    a time: a box of side s scores s^(n-1) heads, not s^n points."""
-    masks = [mask for mask, _ in finite_items]
+def _box_sets(finite_items, n: int, lo, hi):
+    """(ids, bits): the ids of ``score_box``, and its table as an
+    (ids, bases) bool matrix whose column j is basis j of ``finite_items``."""
+    m = len(finite_items)
     blocks = list(zip(*_lines(finite_items, n, lo, hi)))
     if not blocks:
-        return np.zeros(0, dtype=np.intp), []
+        return np.zeros(0, dtype=np.intp), np.zeros((0, m), dtype=bool)
     low, high, cut = (np.concatenate(b) for b in blocks[1:])
     words, occurs = _line_codes(low, high, cut, lo[-1], hi[-1])
     # ids of the sets that occur in the box, numbered as score_ids numbers them
     line_ids = np.full(occurs.shape, -1, dtype=np.intp)
-    line_ids[occurs], table = _ids_table(masks, words[occurs])
+    line_ids[occurs], rows = _dense_rows(words[occurs])
     t = np.arange(lo[-1], hi[-1] + 1)
     below, at = t < cut[:, None], t == cut[:, None]
     ids = np.where(below, line_ids[:, :1], np.where(at, line_ids[:, 1:2], line_ids[:, 2:]))
-    return ids.ravel(), table
+    return ids.ravel(), _bits(rows, m)
+
+
+def score_box(finite_items, n: int, lo, hi):
+    """``score_ids(finite_items, n, box_array(lo, hi))``, scored one line at
+    a time: a box of side s scores s^(n-1) heads, not s^n points."""
+    ids, bits = _box_sets(finite_items, n, lo, hi)
+    return ids, _families([mask for mask, _ in finite_items], bits)
 
 
 # ---------------------------------------------------------------------------
 # id grids and the local axioms
 
 def _scored_grid(finite_items, n: int, lo: int, hi: int):
-    """(grid, table) of the argmax families over [lo, hi]^n: an int32 grid
-    indexed by alpha - lo per axis, and ``table`` as in ``score_ids``."""
-    ids, table = score_box(finite_items, n, [lo] * n, [hi] * n)
-    return ids.reshape((hi - lo + 1,) * n).astype(np.int32), table
+    """(grid, bits) of the argmax families over [lo, hi]^n: an int32 grid
+    indexed by alpha - lo per axis, and the table as in ``_box_sets``."""
+    ids, bits = _box_sets(finite_items, n, [lo] * n, [hi] * n)
+    return ids.reshape((hi - lo + 1,) * n).astype(np.int32), bits
 
 
 def _id_grid(n: int, lo: int, hi: int, value_at):
@@ -268,35 +292,35 @@ def _id_grid(n: int, lo: int, hi: int, value_at):
     return grid, table
 
 
+def _table_bits(table):
+    """(masks, bits) of a list of basis-mask families: the masks that occur,
+    in increasing order, and the (families, masks) bool matrix of which
+    family holds which mask."""
+    masks = sorted(set().union(*table))
+    column = {mask: j for j, mask in enumerate(masks)}
+    bits = np.zeros((len(table), len(masks)), dtype=bool)
+    bits[[i for i, family in enumerate(table) for _ in family],
+         [column[mask] for family in table for mask in family]] = True
+    return masks, bits
+
+
 def _local_axioms(grid: np.ndarray, radius: int, moves):
     """Local axioms on an id grid whose index 0 is alpha = -radius on every axis.
 
-    A move (I, left, right) holds at alpha when left(id at alpha) equals
-    right(id at alpha + e_I); it is checked at every alpha of
+    A move (I, left, right) holds at alpha when left[id at alpha] equals
+    right[id at alpha + e_I]: ``left`` and ``right`` are int arrays over the
+    ids, numbered together.  A move is checked at every alpha of
     [-radius, radius]^E whose shift is in the grid, so a grid over
-    [-radius, radius + 1]^E checks the whole box.  ``left`` is called once
-    per id occurring in [-radius, radius]^E, ``right`` once per id on the
-    shifted side of the move, and their values interned, so a move costs
-    two gathers and one comparison.  Returns (checked, failed) per move and the violation
+    [-radius, radius + 1]^E checks the whole box, with two gathers and one
+    comparison.  Returns (checked, failed) per move and the violation
     (alpha, move index, id, id') at the lex-first failing alpha, ties going
     to the earlier move, or None.
     """
-    size = int(grid.max()) + 1
-    # every move's base points lie in [-radius, radius]^E
-    checked = _occurring(grid[(slice(0, 2 * radius + 1),) * grid.ndim], size)
     counts = []
     first = None
     for k, (axes, left, right) in enumerate(moves):
-        base, top = [], []
-        for axis in range(grid.ndim):
-            step = int(axis in axes)
-            stop = min(2 * radius + 1, grid.shape[axis] - step)
-            base.append(slice(0, stop))
-            top.append(slice(step, stop + step))
-        at, shifted = grid[tuple(base)], grid[tuple(top)]
-        intern: dict = {}
-        fails = (_keys(left, checked, size, intern)[at]
-                 != _keys(right, _occurring(shifted, size), size, intern)[shifted])
+        at, shifted = _move_views(grid, radius, axes)
+        fails = left[at] != right[shifted]
         failed = int(np.count_nonzero(fails))
         if failed:
             idx = np.unravel_index(int(np.argmax(fails)), fails.shape)
@@ -307,17 +331,96 @@ def _local_axioms(grid: np.ndarray, radius: int, moves):
     return counts, first
 
 
-def _occurring(grid: np.ndarray, size: int) -> list:
-    """The ids (all below size) that occur in ``grid``, in increasing order."""
-    return np.flatnonzero(np.bincount(grid.ravel(), minlength=size)).tolist()
+def _move_views(grid: np.ndarray, radius: int, axes):
+    """(at, shifted) of the move along ``axes`` in ``_local_axioms``: the ids
+    at the checked alphas whose shift by e_I is in the grid, and the ids at
+    those shifts."""
+    base, top = [], []
+    for axis in range(grid.ndim):
+        step = int(axis in axes)
+        stop = min(2 * radius + 1, grid.shape[axis] - step)
+        base.append(slice(0, stop))
+        top.append(slice(step, stop + step))
+    return grid[tuple(base)], grid[tuple(top)]
 
 
-def _keys(side, ids: list, size: int, intern: dict) -> np.ndarray:
-    """Interned ``side(i)`` at each id i in ``ids``, -1 at the other ids below size."""
-    keys = np.full(size, -1)
-    for i in ids:
-        keys[i] = intern.setdefault(side(i), len(intern))
+def _same_keys(size: int):
+    """(left keys, right keys) of a move that compares the ids themselves
+    (MF2, FF2)."""
+    ids = np.arange(size)
+    return ids, ids
+
+
+def _id_keys(grid: np.ndarray, radius: int, axes, left, right):
+    """(left keys, right keys) of the move along ``axes`` in
+    ``_local_axioms``, given per id: ``left(i)`` at the ids the move reads at
+    alpha and ``right(i)`` at those it reads at alpha + e_I, interned
+    together, and -1 at the other ids."""
+    size = int(grid.max()) + 1
+    intern: dict = {}
+    keys = []
+    for side, view in zip((left, right), _move_views(grid, radius, axes)):
+        keys.append(np.full(size, -1))
+        for i in np.flatnonzero(np.bincount(view.ravel(), minlength=size)).tolist():
+            keys[-1][i] = intern.setdefault(side(i), len(intern))
     return keys
+
+
+# moves x (id, basis) entries per block of ``_minor_moves``
+_KEY_BLOCK = 1 << 18
+
+
+def _minor_moves(n: int, masks, bits: np.ndarray, moves):
+    """(I, left, right) per tuple I of element indices in ``moves``, for
+    ``_local_axioms``: ``left[i]`` is the contraction M / I and ``right[i]``
+    the deletion M \\ I of the family M of bases ``bits[i]`` (column j: basis
+    ``masks[j]``; every family nonempty), as keys numbered together.
+
+    With cnt_j = |b_j ∩ I|, M / I keeps the bases of M of largest cnt and
+    M \\ I those of largest |b_j \\ I|, and both project b_j to b_j \\ I; a key
+    is the set of projected masks.  The work runs over the (id, basis)
+    entries of ``bits``, for all moves of a block at once: a block holds as
+    many moves as keep its arrays within ``_KEY_BLOCK`` entries per side, and
+    at least one.
+    """
+    size, m = bits.shape
+    rows, cols = np.nonzero(bits)
+    # nonzero is row-major: the entries of an id are contiguous
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    bases = np.array(masks, dtype=np.int64)
+    elements = np.arange(n)
+    incidence = (bases[:, None] >> elements & 1).astype(np.int8)
+    sizes = incidence.sum(axis=1, dtype=np.int8)[cols]
+    width = (m + 63) // 64
+    block = max(1, _KEY_BLOCK // len(cols))
+    for start in range(0, len(moves), block):
+        sets = moves[start:start + block]
+        cuts = np.zeros((len(sets), n), dtype=np.int8)
+        for k, axes in enumerate(sets):
+            cuts[k, list(axes)] = 1
+        # (side, move, entry): the count each side maximizes, from bit matrices
+        inside = (cuts @ incidence.T)[:, cols]
+        held = np.stack([inside, sizes - inside])
+        keep = held == np.maximum.reduceat(held, starts, axis=2)[:, :, rows]
+        # the rank of each projected mask among the distinct ones of its move
+        projected = bases & ~(cuts.astype(np.int64) @ (np.int64(1) << elements))[:, None]
+        order = np.argsort(projected, axis=1, kind="stable")
+        ordered = np.take_along_axis(projected, order, axis=1)
+        fresh = np.ones(ordered.shape, dtype=np.intp)
+        fresh[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.cumsum(fresh, axis=1) - 1, axis=1)
+        # a key as words with one bit per projected mask: OR over the kept
+        # entries of an id, so equal projections set one bit
+        word = (rank // 64)[:, cols]
+        bit = (np.uint64(1) << (rank % 64).astype(np.uint64))[:, cols]
+        words = np.empty((2, len(sets), size, width), dtype=np.uint64)
+        for w in range(width):
+            words[..., w] = np.bitwise_or.reduceat(
+                np.where(keep & (word == w), bit, np.uint64(0)), starts, axis=2)
+        keys = _dense_ids(words.reshape(-1, width)).reshape(2, len(sets), size)
+        for k, axes in enumerate(sets):
+            yield axes, keys[0, k], keys[1, k]
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +470,8 @@ def _leader_reps(finite_items, n: int, R: int) -> dict:
         head, k = np.divmod(at, 3)
         t = np.where(k == 0, lo[-1], cut[head] + k - 1)
         points = np.concatenate([heads[head], t[:, None]], axis=1)
-        for family, alpha in zip(_families(masks, words[at]), points.tolist()):
+        for family, alpha in zip(_families(masks, _bits(words[at], len(masks))),
+                                 points.tolist()):
             reps.setdefault(family, tuple(alpha))
     return reps
 

@@ -240,6 +240,18 @@ def test_cli_large_prime_decided_in_bounded_time():
     assert "not decided" in done.stderr
 
 
+def test_cli_check_flock_sets_at_n8_in_bounded_time():
+    # every nonempty set move over [-1, 1]^8 of a valuation with 70 bases:
+    # 255 * 3^8 checks, on about 2700 distinct matroids
+    path = Path(__file__).parent / "fixtures" / "valuation_n8_d4.json"
+    done = subprocess.run([sys.executable, "-m", "matflock.cli", "check-flock",
+                           "--from-valuation", str(path), "--radius", "1", "--sets"],
+                          capture_output=True, text=True, env=_cli_env(), timeout=30)
+    assert done.returncode == 0, done.stderr
+    rep = json.loads(done.stdout)
+    assert rep["valid"] is True and rep["sets"]["checked"] == 255 * 3 ** 8
+
+
 # a 4 x 9 matrix on which a Smith-form saturation test never returned
 HARD_TORIC_ROWS = [[-31, 18, -48, -29, -44, -50, -24, 48, 9],
                    [-5, 50, -4, 20, -46, 12, -27, -20, -49],

@@ -8,20 +8,28 @@ per id; counts and violations must be the same.
 """
 
 import itertools
+import json
 import operator
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matflock as mf
 from matflock import jsonio, linalg, window
 from matflock.algebraic import FrobeniusWindowReport, _space_contract, _space_delete
+from matflock.cli import main
 from matflock.flock import FlockViolation, window_ids
 from matflock.window import _id_grid
 from matflock.matroid import bases_contract, bases_delete
 
 from conftest import example_param, random_valid_valuation
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +82,12 @@ def oracle_flock_report(flock, radius, check_sets=False):
     if first is not None:
         alpha, k, ida, idb = first
         left, right = mf.Matroid(flock.ground, table[ida]), mf.Matroid(flock.ground, table[idb])
-        if k < n:
-            move = flock.ground[k]
-            left, right = left.minor(contract=[move]), right.minor(delete=[move])
+        if k == n:
+            move = "1"
         else:
-            move = "1" if k == n else tuple(flock.ground[i] for i in moves[k][0])
+            labels = [flock.ground[i] for i in moves[k][0]]
+            left, right = left.minor(contract=labels), right.minor(delete=labels)
+            move = labels[0] if k < n else tuple(labels)
         violation = FlockViolation(alpha, move, left, right)
     mf1, mf2, sets = counts[:n], counts[n], counts[n + 1:]
     return mf.FlockWindowReport(radius, sum(c for c, _ in mf1), sum(f for _, f in mf1),
@@ -145,6 +154,38 @@ def test_flock_axioms_match_pair_oracle():
             reports += 1
             violations += want.violation is not None
     assert reports == 96 and 10 <= violations < reports
+
+
+def test_set_move_violation_reports_its_minors():
+    # M at (2, 2, -1) is read by the set move {1, 2} at (1, 1, -1) only: no
+    # (MF1) or (MF2) check reaches that corner of [-1, 2]^3
+    nu = mf.Valuation.from_values([1, 2, 3], 2, {(1, 2): 1, (1, 3): 0, (2, 3): 0})
+    uniform = mf.uniform_matroid(2, 3)
+
+    def at(alpha):
+        return uniform if alpha == (2, 2, -1) else mf.matroid_at(nu, alpha)
+    flock = mf.oracle_flock(nu.ground, 2, at)
+    assert mf.check_flock_axioms(flock, 1).ok
+    got = mf.check_flock_axioms(flock, 1, check_sets=True)
+    assert (got.mf1_failed, got.mf2_failed, got.set_failed) == (0, 0, 1)
+    v = got.violation
+    assert (v.alpha, v.move) == ((1, 1, -1), (1, 2))
+    assert v.left == mf.matroid_at(nu, (1, 1, -1)).minor(contract=[1, 2])
+    assert v.right == uniform.minor(delete=[1, 2])
+    assert v.left.ground == v.right.ground == (3,) and v.left != v.right
+    assert got == oracle_flock_report(flock, 1, check_sets=True)
+
+
+def test_toric_wide_fixture_matches_pair_oracle(capsys):
+    # the fixture the installed-package CI job feeds to check-flock --from-toric:
+    # 70 nonzero maximal minors, so argmax sets and keys take two words
+    path = FIXTURES / "toric_wide.json"
+    flock = mf.flock_from_toric(jsonio.toric_from_json(json.loads(path.read_text())))
+    assert len(flock.valuation.finite) > 64
+    want = oracle_flock_report(flock, 1)
+    assert want.ok and mf.check_flock_axioms(flock, 1) == want
+    assert main(["check-flock", "--from-toric", str(path), "--radius", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == jsonio.flock_report_to_json(want)
 
 
 def _small_param(rng, p, m, n):
@@ -230,3 +271,93 @@ def test_frobenius_check_scores_half_open_box(monkeypatch):
         scored.clear()
         assert mf.check_frobenius_axioms(example_param(2, 2), radius).ok
         assert scored == [(2 * radius + 2) ** 4]
+
+
+# ---------------------------------------------------------------------------
+# the minor-key kernel against per-id minors
+
+def assert_minor_key_classes(n, table, moves):
+    """The keys ``_minor_moves`` gives each move split the contractions and
+    deletions of the families in ``table`` into the classes of equal
+    ``bases_contract`` / ``bases_delete``, left and right numbered together."""
+    masks, bits = window._table_bits(table)
+    got = list(window._minor_moves(n, masks, bits, moves))
+    assert [axes for axes, _, _ in got] == moves
+    for axes, left, right in got:
+        cmask = sum(1 << i for i in axes)
+        sides = ([bases_contract(family, cmask) for family in table]
+                 + [bases_delete(family, cmask) for family in table])
+        keys = left.tolist() + right.tolist()
+        assert len(set(zip(keys, sides))) == len(set(keys)) == len(set(sides)), axes
+
+
+def _axes(mask, n):
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
+@st.composite
+def family_tables(draw):
+    """(n, table, moves): families of equal-size masks on n elements, not
+    necessarily matroid bases, with loops (in no mask) and coloops (in every
+    mask); the moves include E, the loops and coloops, and random sets."""
+    n = draw(st.integers(1, 7))
+    role = draw(st.lists(st.sampled_from("loop coloop free".split()), min_size=n, max_size=n))
+    free = [i for i in range(n) if role[i] == "free"]
+    coloops = sum(1 << i for i in range(n) if role[i] == "coloop")
+    size = draw(st.integers(0, len(free)))
+    pool = [coloops | sum(1 << i for i in combo)
+            for combo in itertools.combinations(free, size)]
+    table = draw(st.lists(st.frozensets(st.sampled_from(pool), min_size=1),
+                          min_size=1, max_size=10, unique=True))
+    special = {(1 << n) - 1, sum(1 << i for i in range(n) if role[i] != "free")}
+    cuts = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=6)) + sorted(special - {0})
+    return n, table, [_axes(cut, n) for cut in cuts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_tables())
+def test_minor_keys_match_per_id_minors(case):
+    assert_minor_key_classes(*case)
+
+
+_ALL_4_OF_8 = [sum(1 << i for i in combo) for combo in itertools.combinations(range(8), 4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.frozensets(st.sampled_from(_ALL_4_OF_8), min_size=1), min_size=1,
+                max_size=12, unique=True),
+       st.lists(st.integers(1, 255), min_size=1, max_size=12))
+def test_minor_keys_match_past_64_masks(families, cuts):
+    # every 4-subset of 8 occurs, so a single-element move projects to 70
+    # distinct masks and its keys take two words
+    table = [frozenset(_ALL_4_OF_8)] + [f for f in families if len(f) < 70]
+    moves = [(i,) for i in range(8)] + [_axes(cut, 8) for cut in cuts]
+    assert_minor_key_classes(8, table, moves)
+
+
+def test_minor_keys_across_blocks(monkeypatch):
+    rng = random.Random(903)
+    table = [frozenset(_ALL_4_OF_8)] + [frozenset(rng.sample(_ALL_4_OF_8, rng.randint(1, 20)))
+                                        for _ in range(30)]
+    moves = [_axes(cut, 8) for cut in range(1, 256)]
+    for block in (1, 1 << 12, window._KEY_BLOCK):
+        monkeypatch.setattr(window, "_KEY_BLOCK", block)
+        assert_minor_key_classes(8, table, moves)
+
+
+def test_flock_check_computes_no_per_id_minors(monkeypatch):
+    rng = random.Random(904)
+    nu = random_valid_valuation(rng, 5, 2)
+    box = itertools.product(range(-2, 4), repeat=5)
+    explicit = mf.explicit_flock({a: mf.matroid_at(nu, a) for a in box}, nu.ground, 2)
+
+    def forbidden(*args):
+        raise AssertionError("a per-id minor was computed")
+    # wherever the library holds a reference to them
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "matflock"]:
+        for name in ("bases_contract", "bases_delete"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for flock in (mf.flock_from_valuation(nu), explicit):
+        rep = mf.check_flock_axioms(flock, 2, check_sets=True)
+        assert rep.ok and rep.set_checked == 31 * 5 ** 5
