@@ -103,11 +103,16 @@ class MConvexReport:
         return self.ok
 
 
+def _box_points(lo, hi):
+    """The lattice points of the box [lo, hi], in lex order."""
+    return list(itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))))
+
+
 def _submodular(pts, hi, vals):
     """First submodularity failure g(x) + g(y) < g(x ∨ y) + g(x ∧ y) on a box.
 
-    ``pts`` lists the box points in ``window.box_array`` order (``pts[0]``
-    is the low corner, ``hi`` the high one) and ``vals`` the values there.
+    ``pts`` lists the box points in lex order (``pts[0]`` is the low
+    corner, ``hi`` the high one) and ``vals`` the values there.
     A function finite on the whole box is submodular iff every unit square
     is (Topkis 1978; Murota 2003, ch. 7): for each x and axes i < j with
     x + e_i + e_j in the box, the pair (x + e_i, x + e_j) is checked, and
@@ -152,8 +157,7 @@ def check_lconvex(g: WindowFunction) -> LConvexReport:
     complete either way.  Shift pairs (x, x+1) with x+1 outside the box are
     skipped and counted, so a Valid verdict documents its coverage.
     """
-    from . import window
-    pts = list(map(tuple, window.box_array(g.lo, g.hi).tolist()))
+    pts = _box_points(g.lo, g.hi)
     sub_checked, witness = _submodular(pts, g.hi, [g(x) for x in pts])
     if witness is not None:
         return LConvexReport(False, None, witness, sub_checked, 0, 0)
@@ -219,10 +223,9 @@ def check_mconvex(f: WindowFunction) -> MConvexReport:
 
 def fenchel_dual(h: WindowFunction, dual_lo, dual_hi) -> WindowFunction:
     """h•(x) = max over the finite domain of h of x . y - h(y)."""
-    from . import window
     dom = [(pt, h(pt)) for pt in h.domain()]
     values = {}
-    for x in map(tuple, window.box_array(dual_lo, dual_hi).tolist()):
+    for x in _box_points(dual_lo, dual_hi):
         values[x] = max(sum(a * b for a, b in zip(x, y)) - v for y, v in dom)
     return WindowFunction(h.n, dual_lo, dual_hi, values)
 

@@ -7,8 +7,9 @@ routine, fraction-free Bareiss elimination over an integral domain
 first, so ``Fraction`` appears only in the final division of an RREF.
 Every enumeration of maximal minors is one walk over that routine's
 tableau (``_maximal_minors``); a lattice is saturated when the gcd of the
-maximal minors of its rows is 1.  Smith/Hermite normal forms are Euclidean
-and track unimodular transforms; they serve ``saturate_rows``.
+maximal minors of its rows is 1.  ``saturate_rows`` reads the saturation
+off that routine's tableau: a kernel modulo its pivot delta, found with
+every entry in [0, delta), then one Euclidean Hermite normal form.
 """
 
 from __future__ import annotations
@@ -351,89 +352,7 @@ def rat_kernel(A):
 
 
 # ---------------------------------------------------------------------------
-# Smith and Hermite normal forms
-
-def smith_normal_form(A):
-    """Smith normal form with transforms: returns (S, U, V), S = U A V.
-
-    U and V are unimodular; the diagonal of S is the divisor chain
-    d_1 | d_2 | ..., all nonnegative.  Pivots are chosen with minimal
-    absolute value to limit entry growth.
-    """
-    S = [list(map(int, row)) for row in A]
-    m = len(S)
-    n = len(S[0]) if S else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(a, b):
-        S[a], S[b] = S[b], S[a]
-        U[a], U[b] = U[b], U[a]
-
-    def swap_cols(a, b):
-        for row in S:
-            row[a], row[b] = row[b], row[a]
-        for row in V:
-            row[a], row[b] = row[b], row[a]
-
-    def add_row(dst, src, c):
-        S[dst] = [x + c * y for x, y in zip(S[dst], S[src])]
-        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
-
-    def add_col(dst, src, c):
-        for row in S:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    t = 0
-    while t < min(m, n):
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if S[i][j] != 0 and (piv is None or abs(S[i][j]) < abs(S[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            changed = False
-            for i in range(t + 1, m):
-                if S[i][t] != 0:
-                    q = S[i][t] // S[t][t]
-                    add_row(i, t, -q)
-                    if S[i][t] != 0:
-                        swap_rows(i, t)
-                        changed = True
-            for j in range(t + 1, n):
-                if S[t][j] != 0:
-                    q = S[t][j] // S[t][t]
-                    add_col(j, t, -q)
-                    if S[t][j] != 0:
-                        swap_cols(j, t)
-                        changed = True
-            if not changed:
-                break
-        # divisor chain: pivot must divide the remaining submatrix
-        d = S[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if S[i][j] % d != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
-        if S[t][t] < 0:
-            S[t] = [-x for x in S[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-    return ([tuple(r) for r in S], [tuple(r) for r in U], [tuple(r) for r in V])
-
+# Hermite normal form and saturation
 
 def hermite_normal_form(rows):
     """Row-style Hermite normal form of the integer row lattice.
@@ -478,44 +397,77 @@ def hermite_normal_form(rows):
     return tuple(tuple(row) for row in M[:r] if any(row))
 
 
-def integer_right_kernel(A, ncols: int | None = None):
-    """Basis of the saturated lattice {x in Z^n : A x = 0}.
+def _xgcd(a: int, b: int):
+    """(g, s, t) with s * a + t * b == g == gcd(a, b), for a, b >= 0."""
+    s, s1, t, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s, s1 = s1, s - q * s1
+        t, t1 = t1, t - q * t1
+    return a, s, t
 
-    ``ncols`` is required when A has no rows.
+
+def _echelon_mod(rows, delta: int):
+    """Echelon basis of the lattice spanned by ``rows`` and delta * Z^w.
+
+    Column j merges delta * e_j and every row with a nonzero entry there
+    into one pivot row, by unimodular extended-Euclid steps; its pivot is
+    the gcd of those entries and delta.  Entries in columns not yet reached
+    are reduced into [0, delta): delta * e_k is still to join the generators
+    there (Domich-Kannan-Trotter 1987).  Returns the w pivot rows, the j-th
+    with pivot in column j.
     """
-    m = len(A)
-    if m == 0:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        return [tuple(int(i == j) for i in range(ncols)) for j in range(ncols)]
-    n = len(A[0])
-    S, _, V = smith_normal_form(A)
-    rank = sum(1 for i in range(min(m, n)) if S[i][i] != 0)
-    return [tuple(V[i][j] for i in range(n)) for j in range(rank, n)]
+    active = [[x % delta for x in row] for row in rows]
+    width = len(active[0])
+    basis = []
+    for j in range(width):
+        piv = [0] * width
+        piv[j] = delta
+        rest = []
+        for row in active:
+            b = row[j]
+            if b:
+                a = piv[j]
+                g, s, t = _xgcd(a, b)
+                a, b = a // g, b // g
+                piv, row = ([(s * x + t * y) % delta for x, y in zip(piv, row)],
+                            [(a * y - b * x) % delta for x, y in zip(piv, row)])
+            if any(row):
+                rest.append(row)
+        basis.append(piv)
+        active = rest
+    return basis
 
 
 def saturate_rows(rows):
     """Basis of rowspace_Q(rows) ∩ Z^n, for a full-row-rank rational matrix.
 
-    Clears denominators, then saturates via the kernel-of-kernel of the
-    integer row space; the result is put in Hermite normal form so it is
-    canonical.  Rows that already generate a saturated lattice skip the
-    kernels: their Smith-form transforms can grow without bound.
+    Clears denominators and takes the Bareiss tableau T = delta * RREF of
+    the d rows.  As T is delta times the identity on the pivot columns,
+    the saturation is {y T / delta : y in Z^d, y T = 0 mod delta}, and y
+    needs checking on the other columns only.  That lattice of y contains
+    delta * Z^d, so ``_echelon_mod`` finds it with every entry in
+    [0, |delta|).  |delta| is a maximal minor of the integer rows, at most
+    the product of their Euclidean norms (Hadamard), so no entry grows
+    past the size of the input's minors.  The image y T / delta is put in
+    Hermite normal form so the result is canonical.
     """
     int_rows, _ = _integer_rows(as_rat_matrix(rows))
     if not int_rows:
         raise ValueError("empty matrix")
-    n = len(int_rows[0])
-    if rat_rank(int_rows) != len(int_rows):
+    d, n = len(int_rows), len(int_rows[0])
+    M, pivots, _ = _bareiss(int_rows, _ZZ)
+    if len(pivots) != d:
         raise ValueError("matrix does not have full row rank")
-    if is_saturated(int_rows):
-        return hermite_normal_form(int_rows)
-    kern = integer_right_kernel(int_rows)
-    if not kern:
-        sat = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    else:
-        sat = integer_right_kernel([list(k) for k in kern], ncols=n)
-    return hermite_normal_form(sat)
+    T = M[:d]
+    delta = abs(T[0][pivots[0]])
+    free = [j for j in range(n) if j not in pivots]
+    gens = [[row[j] for j in free] + [int(i == k) for k in range(d)]
+            for i, row in enumerate(T)]
+    K = [row[len(free):] for row in _echelon_mod(gens, delta)[len(free):]]
+    return hermite_normal_form(
+        [[sum(y * t for y, t in zip(ys, col)) // delta for col in zip(*T)] for ys in K])
 
 
 def is_saturated(int_rows) -> bool:

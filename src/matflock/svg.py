@@ -33,6 +33,8 @@ def render_cells_svg(nu: Valuation, axes, radius: int) -> str:
         raise ValueError(f"unknown axis element {exc.args[0]!r}") from None
     if ax == ay:
         raise ValueError("axes must be two distinct elements")
+    if radius < 0:
+        raise ValueError("window radius must be nonnegative")
 
     span = 2 * radius + 1
     xy = window.box_array((-radius, -radius), (radius, radius))

@@ -202,6 +202,7 @@ def test_exact_commands_start_without_numpy(tmp_path):
     matroid = str(fixtures / "uniform_2_4.json")
     nu = str(fixtures / "valuation_u24.json")
     param = str(fixtures / "paper_example_param.json")
+    point_fn = str(fixtures / "point_function_u24.json")
     rep = write(tmp_path, "rep.json", jsonio.toric_to_json(toric_example()))
     exact = [
         ("check-matroid", matroid),
@@ -218,6 +219,7 @@ def test_exact_commands_start_without_numpy(tmp_path):
         ("flock-from-linearized", param, "--alpha", "0,-2,-2,0"),
         ("rigidity", "--name", "fano"),
         ("lazarson-check", "--n", "3", "--p", "3"),
+        ("fenchel", point_fn, "--lo=-2,-2,-2,-2", "--hi", "2,2,2,2"),
     ]
     for args in exact:
         assert not _numpy_loaded(*args), args
@@ -475,6 +477,15 @@ def test_cli_leaders_negative_radius_exit_1(tmp_path, capsys):
     path = write(tmp_path, "v.json", jsonio.valuation_to_json(u24_valuation()))
     assert main(["leaders", path, "--radius", "-1"]) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_cli_cells_svg_negative_radius_exit_1(capsys):
+    path = str(Path(__file__).parent / "fixtures" / "valuation_u24.json")
+    for radius in ("-1", "-3"):
+        assert main(["cells", path, "--svg", "--radius", radius]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "radius must be nonnegative" in captured.err
 
 
 def test_svg_colours_follow_matroid_at(rng):

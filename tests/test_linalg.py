@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from matflock import linalg
 from matflock.lattice import INF
 
+import oracles
 from test_algebraic import _poly_det
 from test_jsonio_cli import HARD_TORIC_ROWS
 
@@ -151,7 +152,7 @@ def test_rat_solve_and_kernel():
 @settings(max_examples=80, deadline=None)
 def test_snf_transform_identities(data):
     _, rows = data
-    S, U, V = linalg.smith_normal_form(rows)
+    S, U, V = oracles.smith_normal_form(rows)
     m, n = len(rows), len(rows[0])
     # S == U @ rows @ V, exactly
     UA = [[sum(U[i][k] * rows[k][j] for k in range(m)) for j in range(n)]
@@ -176,7 +177,7 @@ def test_snf_transform_identities(data):
 
 
 def test_snf_known_case():
-    S, _, _ = linalg.smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    S, _, _ = oracles.smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     assert [S[i][i] for i in range(3)] == [2, 2, 156]
 
 
@@ -192,18 +193,18 @@ def test_is_saturated_matches_smith_form(case):
         rows = rows + [[2 * x - y for x, y in zip(rows[0], rows[-1])]]
     elif kind == "zero row":
         rows = rows + [[0] * len(rows[0])]
-    S, _, _ = linalg.smith_normal_form(rows)
+    S, _, _ = oracles.smith_normal_form(rows)
     diag = [S[i][i] for i in range(min(len(S), len(S[0])))]
     want = len(diag) >= len(rows) and all(abs(x) == 1 for x in diag[:len(rows)])
     assert linalg.is_saturated(rows) == want
 
 
 def test_integer_right_kernel():
-    kern = linalg.integer_right_kernel([[2, 2]])
+    kern = oracles.integer_right_kernel([[2, 2]])
     assert len(kern) == 1
     assert kern[0][0] + kern[0][1] == 0
     # empty matrix: the whole lattice
-    kern = linalg.integer_right_kernel([], ncols=2)
+    kern = oracles.integer_right_kernel([], ncols=2)
     assert sorted(kern) == [(0, 1), (1, 0)]
 
 
@@ -233,11 +234,11 @@ def test_saturation_is_idempotent_and_saturated(rows):
 def _saturate_by_smith(rows):
     """The kernel-of-kernel saturation through Smith forms, as an oracle."""
     n = len(rows[0])
-    kern = linalg.integer_right_kernel(rows)
+    kern = oracles.integer_right_kernel(rows)
     if not kern:
         return linalg.hermite_normal_form([[int(i == j) for j in range(n)] for i in range(n)])
     return linalg.hermite_normal_form(
-        linalg.integer_right_kernel([list(k) for k in kern], ncols=n))
+        oracles.integer_right_kernel([list(k) for k in kern], ncols=n))
 
 
 @given(st.integers(min_value=1, max_value=3).flatmap(
@@ -255,18 +256,63 @@ def test_saturate_rows_matches_smith_route(case):
     assert linalg.saturate_rows(rows) == _saturate_by_smith(rows)
 
 
-def test_saturate_rows_saturated_input_in_bounded_time():
-    # a subprocess, so that an unbounded Smith form fails by timeout
+wide_ints = st.integers(min_value=-60, max_value=60)
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda d: st.integers(min_value=d, max_value=7).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(wide_ints, min_size=n, max_size=n), min_size=d, max_size=d),
+            st.integers(min_value=1, max_value=60)))))
+@settings(max_examples=150, deadline=None)
+def test_saturate_rows_wide_inputs(case):
+    # entries where the Smith route does not return, so no oracle: the
+    # defining properties of the saturation instead
+    rows, scale = case
+    rows = rows[:-1] + [[scale * x for x in rows[-1]]]
+    if linalg.rat_rank(rows) != len(rows):
+        return
+    sat = linalg.saturate_rows(rows)
+    assert linalg.is_saturated(sat)
+    assert linalg.rat_rank(list(rows) + list(sat)) == len(rows) == len(sat)
+    # every input row is an integer combination of the saturation
+    for row in rows:
+        coef = linalg.rat_solve(list(zip(*sat)), row)
+        assert coef is not None and all(c.denominator == 1 for c in coef)
+    assert linalg.saturate_rows(sat) == sat
+
+
+def _saturate_in_subprocess(rows):
+    """``saturate_rows`` in a subprocess, so that an unbounded route fails by timeout."""
     code = ("import json, sys; from matflock import linalg; "
             "print(json.dumps(linalg.saturate_rows(json.loads(sys.argv[1]))))")
     env = dict(os.environ, PYTHONPATH=str(Path(linalg.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code, json.dumps(HARD_TORIC_ROWS)],
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(rows)],
                           capture_output=True, text=True, env=env, timeout=10)
     assert done.returncode == 0, done.stderr
+    return [tuple(row) for row in json.loads(done.stdout)]
+
+
+def test_saturate_rows_saturated_input_in_bounded_time():
     # the rows are saturated, so their saturation is their own lattice
     assert linalg.is_saturated(HARD_TORIC_ROWS)
-    assert json.loads(done.stdout) == [list(row) for row in
-                                       linalg.hermite_normal_form(HARD_TORIC_ROWS)]
+    assert _saturate_in_subprocess(HARD_TORIC_ROWS) == list(
+        linalg.hermite_normal_form(HARD_TORIC_ROWS))
+
+
+def test_saturate_rows_doubled_row_in_bounded_time():
+    # doubling a row of a saturated lattice leaves its saturation alone
+    rows = HARD_TORIC_ROWS[:-1] + [[2 * x for x in HARD_TORIC_ROWS[-1]]]
+    assert not linalg.is_saturated(rows)
+    assert _saturate_in_subprocess(rows) == list(linalg.hermite_normal_form(HARD_TORIC_ROWS))
+
+
+def test_saturate_rows_small_unsaturated_input_in_bounded_time():
+    # small entries, but the first Smith-form kernel has entries near 10^7
+    rows = [[36, 8, -8, -18, 9], [18, 15, 15, 18, -15]]
+    sat = _saturate_in_subprocess(rows)
+    assert linalg.is_saturated(sat)
+    assert linalg.rat_rank(rows + sat) == len(rows) == len(sat)
 
 
 def test_hermite_canonical():
