@@ -11,13 +11,15 @@ Two variety classes are implemented exactly:
   Frobenius-level shift on coordinates, with domain reparametrizations
   x_v -> x_v^p used to keep everything polynomial.  Their flock is the
   flock of the T-adic valuation of the maximal minors over GF(p)[T], and
-  their Frobenius flock V_alpha is built from the lowest coefficients of
-  the same minors, one space per distinct matroid.  Shifted tangent spaces
-  (``linearized_tangent_flock``) remain as the independent route.
+  their Frobenius flock V_alpha is read off that valuation's scored id
+  grid, one space per argmax family from the lowest coefficients of the
+  same minors.  Shifted tangent spaces (``linearized_tangent_flock``)
+  remain as the independent route.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -378,27 +380,39 @@ class FrobeniusWindowReport:
 
 
 def frobenius_window(param: LinearizedParam, radius: int) -> FrobeniusFlockWindow:
-    """The row spaces V_alpha over [-radius, radius]^E, one per distinct matroid.
+    """The row spaces V_alpha over [-radius, radius]^E, keyed by alpha, read
+    off the T-adic valuation's scored grid (``_frobenius_grid``)."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    d, grid, spaces = _frobenius_grid(param, -radius, radius)
+    points = itertools.product(range(-radius, radius + 1), repeat=param.n)
+    table = dict(zip(points, map(spaces.__getitem__, grid.ravel().tolist())))
+    return FrobeniusFlockWindow(radius, param.p, d, param.ground, table)
+
+
+def _frobenius_grid(param: LinearizedParam, lo: int, hi: int):
+    """(d, grid, spaces) of the row spaces V_alpha over [lo, hi]^E: the id
+    grid indexed by alpha - lo per axis, ``spaces[id]`` its row space, and
+    distinct ids holding distinct spaces.
 
     V_alpha, the T = 0 reduction of the row lattice of P * diag(T^-alpha),
     has as Plücker vector the initial form of the T-adic one (Speyer 2008),
-    so it depends only on the argmax family S at alpha.  With B0 = min(S),
-    entry (r, j) of the tableau delta * P_B0^-1 * P is a Plücker ratio, and
-    V_S keeps its lowest coefficient over delta's where B0 - b_r + j is in S.
+    so it depends only on the argmax family S at alpha, and the grid is the
+    T-adic valuation's scored grid.  With B0 = min(S), entry (r, j) of the
+    tableau delta * P_B0^-1 * P is a Plücker ratio, and V_S keeps its lowest
+    coefficient over delta's where B0 - b_r + j is in S.  Families with equal
+    spaces are merged, so (FF2) may compare ids.
     """
-    return _frobenius_window(param, radius, -radius)
-
-
-def _frobenius_window(param: LinearizedParam, radius: int, lo: int) -> FrobeniusFlockWindow:
-    """``frobenius_window`` with the table held on [lo, radius]^E only."""
+    import numpy as np
     from . import window
     nu = tadic_valuation(param)
     n, p = param.n, param.p
-    points = window.box_array([lo] * n, [radius] * n)
-    ids, families = window.score_ids(nu.finite_items(), n, points)
+    items = nu.finite_items()
+    grid, bits = window._scored_grid(items, n, lo, hi)
     P = _param_polymatrix(param)
-    spaces = []
-    for S in families:
+    intern: dict[tuple, int] = {}
+    ids = []
+    for S in window._families([mask for mask, _ in items], bits):
         B0 = min(S)
         order = sorted(range(n), key=lambda j: not B0 >> j & 1)
         M, pivots, _ = linalg._bareiss([[row[j] for j in order] for row in P],
@@ -411,9 +425,8 @@ def _frobenius_window(param: LinearizedParam, radius: int, lo: int) -> Frobenius
                 if (B0 & ~(1 << b)) | 1 << j in S:
                     row[j] = next(c for c in M[r][pos] if c) * inv % p
             rows.append(row)
-        spaces.append(linalg.gf_row_space(rows, p))
-    table = {alpha: spaces[k] for alpha, k in zip(map(tuple, points.tolist()), ids.tolist())}
-    return FrobeniusFlockWindow(radius, p, nu.d, param.ground, table)
+        ids.append(intern.setdefault(linalg.gf_row_space(rows, p), len(intern)))
+    return nu.d, np.array(ids, dtype=grid.dtype)[grid], list(intern)
 
 
 def _space_delete(rows, i: int, p: int):
@@ -458,6 +471,16 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
 
     from . import window
     grid, spaces = window._id_grid(n, -radius, min(radius + 1, R), space_at)
+    return _frobenius_report(grid, spaces, radius, win.ground, p)
+
+
+def _frobenius_report(grid, spaces, radius: int, ground, p: int) -> FrobeniusWindowReport:
+    """(FF1)/(FF2) over [-radius, radius]^E of an id grid whose index 0 is
+    alpha = -radius on every axis, ``spaces[id]`` the row space V_alpha in
+    RREF; distinct ids must hold distinct spaces.  Alphas whose shift leaves
+    the grid are not checked."""
+    from . import window
+    n = len(ground)
 
     def sides(k, a, b):
         """The two spaces (FF1) at axis k, or (FF2) for k = n, compares."""
@@ -474,7 +497,7 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
     violation = None
     if first is not None:
         alpha, k, a, b = first
-        violation = (alpha, win.ground[k] if k < n else "1", *sides(k, a, b))
+        violation = (alpha, ground[k] if k < n else "1", *sides(k, a, b))
     return FrobeniusWindowReport(radius, sum(c for c, _ in counts[:n]),
                                  sum(f for _, f in counts[:n]), *counts[n], violation)
 
@@ -483,9 +506,9 @@ def check_frobenius_axioms(param: LinearizedParam, radius: int) -> FrobeniusWind
     """(FF1)/(FF2) for all alpha in [-radius, radius]^E.
 
     The row spaces are computed on [-radius, radius + 1]^E only, the box
-    the checks read.
+    the checks read, straight from the T-adic valuation's scored grid.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    win = _frobenius_window(param, radius + 1, -radius)
-    return validate_frobenius_window(win, box_radius=radius)
+    _, grid, spaces = _frobenius_grid(param, -radius, radius + 1)
+    return _frobenius_report(grid, spaces, radius, param.ground, param.p)

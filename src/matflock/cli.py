@@ -62,14 +62,19 @@ def _valuation(args):
 
 
 def _flock_from_args(args):
-    if getattr(args, "from_valuation", None):
+    given = [flag for flag in ("from_valuation", "from_toric", "from_linearized", "explicit")
+             if getattr(args, flag)]
+    if len(given) > 1:
+        raise InputError("more than one flock source given: "
+                         + ", ".join("--" + flag.replace("_", "-") for flag in given))
+    if args.from_valuation:
         return flock_from_valuation(jsonio.valuation_from_json(_load(args.from_valuation)))
-    if getattr(args, "from_toric", None):
+    if args.from_toric:
         return flock_from_toric(jsonio.toric_from_json(_load(args.from_toric), args.p))
-    if getattr(args, "from_linearized", None):
+    if args.from_linearized:
         return flock_from_linearized(
             jsonio.linearized_from_json(_load(args.from_linearized), args.p))
-    if getattr(args, "explicit", None):
+    if args.explicit:
         return jsonio.explicit_flock_from_json(_load(args.explicit))
     raise InputError("no flock source given "
                      "(--from-valuation / --from-toric / --from-linearized / --explicit)")

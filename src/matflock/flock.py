@@ -110,12 +110,21 @@ def window_ids(flock: MatroidFlock, radius: int):
     are scored vectorized; anything else walks the oracle.
     """
     from . import window
+    grid, masks, bits = _grid(flock, -radius, radius)
+    return grid, window._families(masks, bits)
+
+
+def _grid(flock: MatroidFlock, lo: int, hi: int):
+    """(grid, masks, bits) of ``window._scored_grid`` over [lo, hi]^E for a
+    valuation-backed flock, else of the oracle walked by ``_id_grid``."""
+    from . import window
     n = len(flock.ground)
     if flock.valuation is not None:
         items = flock.valuation.finite_items()
-        grid, bits = window._scored_grid(items, n, -radius, radius)
-        return grid, window._families([mask for mask, _ in items], bits)
-    return window._id_grid(n, -radius, radius, flock.masks_at)
+        grid, bits = window._scored_grid(items, n, lo, hi)
+        return grid, [mask for mask, _ in items], bits
+    grid, table = window._id_grid(n, lo, hi, flock.masks_at)
+    return (grid, *window._table_bits(table))
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +175,7 @@ def check_flock_axioms(flock: MatroidFlock, radius: int,
         raise ValueError("radius must be at least 1")
     from . import window
     n = len(flock.ground)
-    if flock.valuation is not None:
-        items = flock.valuation.finite_items()
-        masks = [mask for mask, _ in items]
-        grid, bits = window._scored_grid(items, n, -radius, radius + 1)
-    else:
-        grid, table = window._id_grid(n, -radius, radius + 1, flock.masks_at)
-        masks, bits = window._table_bits(table)
-
+    grid, masks, bits = _grid(flock, -radius, radius + 1)
     axes = [(axis,) for axis in range(n)]
     # the sets {i} are the (MF1) moves again, whose counts they reuse;
     # ties go to (MF1), so a singleton never supplies the violation
@@ -264,7 +266,8 @@ def extract_valuation(flock: MatroidFlock, cutoff: Optional[int] = None,
     ``flock.valuation.normalized()`` exactly; this holds at every alpha,
     not just on a window, and ``verify_radius`` is ignored.  Any other flock
     is compared with M^nu_alpha on the box of ``verify_radius`` (default 2,
-    0 skips the check).
+    0 skips the check); a negative ``verify_radius`` is refused for every
+    flock.
     """
     n = len(flock.ground)
     if cutoff is None:
@@ -273,6 +276,8 @@ def extract_valuation(flock: MatroidFlock, cutoff: Optional[int] = None,
         raise ValueError("cutoff must be at least 1")
     if verify_radius is None:
         verify_radius = 2
+    if verify_radius < 0:
+        raise ValueError("verify_radius must be nonnegative")
 
     finite: dict[int, int] = {}
     cutoff_hits = []

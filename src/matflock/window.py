@@ -8,10 +8,11 @@ valuation-backed flock) never load numpy.
 
 The optimal-basis set at a point alpha is the argmax of e_B . alpha - nu(B)
 over the finite-valued d-subsets.  Two routines score such argmax sets over
-many points: ``score_ids`` at any list of points, and ``score_box`` over a
-box, for the id grids, the round-trip comparison and the leader scan.  They
-share one kernel: ``_kernel`` decides the score dtype, ``_pack`` encodes
-argmax sets as bit words and ``_families`` decodes them.
+many points: ``score_box`` scores every box of a valuation (the id grids of
+flocks and Frobenius windows, the round-trip comparison and the leader
+scan), and ``score_ids`` any list of points (cell vertex flags, the SVG
+slice).  They share one kernel: ``_kernel`` decides the score dtype,
+``_pack`` encodes argmax sets as bit words and ``_families`` decodes them.
 
 Boxes are scored one line along the last axis k at a time.  On the line
 through a head (a point of the first n - 1 axes), the score of B is affine

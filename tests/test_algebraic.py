@@ -233,6 +233,8 @@ def test_frobenius_report_radius_is_checked_box():
     assert mf.validate_frobenius_window(win, box_radius=5).radius == 1
     with pytest.raises(ValueError, match="nonnegative"):
         mf.validate_frobenius_window(win, box_radius=-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        mf.frobenius_window(param, -1)
 
 
 def test_frobenius_corrupted_window():

@@ -473,6 +473,34 @@ def test_cli_check_ff_negative_radius_exit_1(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_cli_check_ff_matches_golden_report(capsys):
+    # a pinned report, so the CLI is not only compared with the library it
+    # calls; the installed-package CI job diffs the console script against it
+    fixtures = Path(__file__).parent / "fixtures"
+    assert main(["check-ff", str(fixtures / "paper_example_param.json"), "--radius", "2"]) == 0
+    assert capsys.readouterr().out == (fixtures / "paper_example_check_ff_r2.json").read_text()
+
+
+def test_cli_extract_negative_verify_radius_exit_1(tmp_path, capsys):
+    nu = mf.Valuation.from_values([1, 2], 1, {(1,): 0, (2,): 1})
+    entries = [{"alpha": [k, l], "matroid": jsonio.matroid_to_json(mf.matroid_at(nu, (k, l)))}
+               for k in range(-3, 4) for l in range(-3, 4)]
+    path = write(tmp_path, "table.json", {"radius": 3, "entries": entries})
+    assert main(["extract-valuation", "--explicit", path, "--verify-radius", "-1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: verify_radius must be nonnegative\n"
+
+
+def test_cli_two_flock_sources_exit_2(tmp_path, capsys):
+    nu = str(Path(__file__).parent / "fixtures" / "valuation_u24.json")
+    param = str(Path(__file__).parent / "fixtures" / "paper_example_param.json")
+    for command in ("check-flock", "extract-valuation"):
+        for extra in (["--explicit", nu], ["--from-linearized", param]):
+            assert main([command, "--from-valuation", nu, *extra]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and "more than one flock source" in out.err
+
+
 def test_cli_leaders_negative_radius_exit_1(tmp_path, capsys):
     path = write(tmp_path, "v.json", jsonio.valuation_to_json(u24_valuation()))
     assert main(["leaders", path, "--radius", "-1"]) == 1

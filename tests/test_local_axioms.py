@@ -228,10 +228,16 @@ def test_frobenius_axioms_match_pair_oracle():
 
 
 def test_check_frobenius_axioms_match_pair_oracle():
-    for param in (example_param(2, 2), example_param(3, 1)):
-        for radius in (0, 1, 2):
-            want = oracle_frobenius_report(mf.frobenius_window(param, radius + 1), radius)
-            assert mf.check_frobenius_axioms(param, radius) == want
+    rng = random.Random(903)
+    cases = [(param, radius) for param in (example_param(2, 2), example_param(3, 1))
+             for radius in (0, 1, 2)]
+    for k in range(20):
+        n = rng.randint(2, 4)
+        param = _small_param(rng, (2, 3, 5)[k % 3], rng.randint(1, 3), n)
+        cases.append((param, rng.randint(0, 2)))
+    for param, radius in cases:
+        want = oracle_frobenius_report(mf.frobenius_window(param, radius + 1), radius)
+        assert mf.check_frobenius_axioms(param, radius) == want, (param.coords, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +267,18 @@ def test_explicit_table_on_half_open_box_suffices():
 
 def test_frobenius_check_scores_half_open_box(monkeypatch):
     scored = []
-    score_ids = window.score_ids
+    scored_grid = window._scored_grid
 
-    def counting(items, n, points):
-        scored.append(len(points))
-        return score_ids(items, n, points)
-    monkeypatch.setattr(window, "score_ids", counting)
+    def recording(items, n, lo, hi):
+        scored.append((n, lo, hi))
+        return scored_grid(items, n, lo, hi)
+    monkeypatch.setattr(window, "_scored_grid", recording)
+    monkeypatch.setattr(window, "score_ids", None)
+    monkeypatch.setattr(window, "_id_grid", None)
     for radius in (0, 1, 2):
         scored.clear()
         assert mf.check_frobenius_axioms(example_param(2, 2), radius).ok
-        assert scored == [(2 * radius + 2) ** 4]
+        assert scored == [(4, -radius, radius + 1)]
 
 
 # ---------------------------------------------------------------------------
