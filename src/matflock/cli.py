@@ -122,6 +122,7 @@ def _cmd_cells(args):
     if args.svg:
         if n > 4:
             raise InputError("--svg slices need at most 4 ground elements")
+        from . import svg
         axes = args.axes.split(",") if args.axes else None
         if axes is None:
             labels = list(nu.ground[-2:]) if n > 2 else list(nu.ground)
@@ -132,8 +133,9 @@ def _cmd_cells(args):
                 if not match:
                     raise InputError(f"unknown axis {a!r}")
                 labels.append(match[0])
+        if len(labels) != 2:
+            raise InputError(svg._AXIS_COUNT.format(len(labels)))
         radius = args.radius if args.radius is not None else nu.spread * (n - 1) + 1
-        from . import svg
         return svg.render_cells_svg(nu, labels, radius)
     beta = _alpha(args.beta, n) if args.beta else (0,) * n
     return jsonio.cells_to_json(cell_inequalities(nu, beta))
@@ -143,7 +145,7 @@ def _cmd_leaders(args):
     nu = _valuation(args)
     scan = enumerate_leaders(nu, args.radius)
     doc = jsonio.leaders_to_json(scan)
-    doc["zero_dimensional_cells"] = [list(c) for c in _leader_vertices(nu, scan)]
+    doc["zero_dimensional_cells"] = [list(c) for c in _leader_vertices(scan)]
     return doc
 
 

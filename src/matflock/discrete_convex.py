@@ -233,14 +233,13 @@ def fenchel_dual(h: WindowFunction, dual_lo, dual_hi) -> WindowFunction:
 # ---------------------------------------------------------------------------
 # local optimality for L-convex oracles
 
-def lconvex_is_minimizer(g_oracle: Callable[[tuple], int], x, n: int,
-                         check_local: bool = True) -> bool:
+def lconvex_is_minimizer(g_oracle: Callable[[tuple], int], x, n: int) -> bool:
     """Global-minimality test for an L-convex oracle: 2^n + 1 evaluations.
 
     True iff G(x) <= G(x + e_I) for every I and G(x) = G(x + 1).  L-convexity
-    of the oracle is the caller's responsibility; ``check_local`` verifies
-    submodularity on the evaluated cube {x + e_I} as a guard, with the
-    check of ``check_lconvex`` (unit squares if every value is finite).
+    of the oracle is the caller's responsibility; as a guard, submodularity
+    is verified on the evaluated cube {x + e_I} with the check of
+    ``check_lconvex`` (unit squares if every value is finite).
     """
     x = tuple(int(v) for v in x)
     if len(x) != n:
@@ -248,7 +247,7 @@ def lconvex_is_minimizer(g_oracle: Callable[[tuple], int], x, n: int,
     hi = vadd(x, (1,) * n)
     cube = list(itertools.product(*zip(x, hi)))
     vals = [g_oracle(pt) for pt in cube]
-    if check_local and _submodular(cube, hi, vals)[1] is not None:
+    if _submodular(cube, hi, vals)[1] is not None:
         raise ValueError(f"oracle is not L-convex near {x}")
     base = vals[0]
     if any(val < base for val in vals):

@@ -279,6 +279,8 @@ def extract_valuation(flock: MatroidFlock, cutoff: Optional[int] = None,
     if verify_radius < 0:
         raise ValueError("verify_radius must be nonnegative")
 
+    # with a valuation, steps past spread + 1 meet only non-bases (_default_cutoff)
+    walk = cutoff if flock.valuation is None else min(cutoff, _default_cutoff(flock))
     finite: dict[int, int] = {}
     cutoff_hits = []
     d = flock.d
@@ -286,7 +288,7 @@ def extract_valuation(flock: MatroidFlock, cutoff: Optional[int] = None,
         bmask = sum(1 << i for i in combo)
         g = 0
         value = None
-        for k in range(cutoff + 1):
+        for k in range(walk + 1):
             point = tuple(k if i in combo else 0 for i in range(n))
             masks = flock.masks_at(point)
             if bmask in masks:

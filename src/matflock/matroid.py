@@ -245,6 +245,24 @@ def _single_exchanges(mask: int, n: int):
                     yield i, j, mask & ~(1 << i) | 1 << j
 
 
+def _connected(masks, n: int) -> bool:
+    """Is the matroid on n elements with the set of basis masks ``masks``
+    connected?  Union-find over the fundamental graph of one basis B
+    (Krogdahl 1977): i in B and j outside it are joined when B - i + j is a
+    basis, and loops and coloops stay isolated."""
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j, other in _single_exchanges(next(iter(masks)), n):
+        if other in masks:
+            parent[root(i)] = root(j)
+    return len({root(i) for i in range(n)}) == 1
+
+
 def _exchange_quads(masks, n: int):
     """The three pairings ((Fab, Fce), (Fac, Fbe), (Fae, Fbc)) of each 4-set
     a < b < c < e outside a (d-2)-set F, for F = B - x - y with B in

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import window
+from .matroid import _connected
 from .valuation import Valuation
 
 _PALETTE = (
@@ -20,6 +21,7 @@ _PALETTE = (
 
 _CELL = 28
 _PAD = 46
+_AXIS_COUNT = "an SVG slice needs exactly 2 axes, got {}"
 
 
 def render_cells_svg(nu: Valuation, axes, radius: int) -> str:
@@ -27,6 +29,8 @@ def render_cells_svg(nu: Valuation, axes, radius: int) -> str:
     ground = nu.ground
     n = len(ground)
     idx = {e: i for i, e in enumerate(ground)}
+    if len(axes) != 2:
+        raise ValueError(_AXIS_COUNT.format(len(axes)))
     try:
         ax, ay = (idx[a] for a in axes)
     except KeyError as exc:
@@ -55,10 +59,9 @@ def render_cells_svg(nu: Valuation, axes, radius: int) -> str:
             f'{len(table[k])} bases</title></rect>')
 
     # vertices are normalized to alpha_{i0} = 0, so only those slice points
-    # can carry a dot
-    candidates = points[points[:, 0] == 0]
-    flags = window._vertex_flags(nu.finite_items(), n, candidates)
-    vertices = sorted(map(tuple, candidates[flags].tolist()))
+    # can carry a dot; alpha is a vertex exactly when M_alpha is connected
+    vertex = np.array([_connected(family, n) for family in table], dtype=bool)
+    vertices = sorted(map(tuple, points[(points[:, 0] == 0) & vertex[ids]].tolist()))
     dots = []
     for cell in vertices:
         px = _PAD + (cell[ax] + radius) * _CELL + _CELL // 2

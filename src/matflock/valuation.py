@@ -13,8 +13,8 @@ from typing import Optional
 
 from . import linalg
 from .lattice import INF
-from .matroid import (AxiomCheck, VALID, Matroid, _exchange_failure, _single_exchanges,
-                      canonical_ground)
+from .matroid import (AxiomCheck, VALID, Matroid, _connected, _exchange_failure,
+                      _single_exchanges, canonical_ground)
 
 
 class Valuation:
@@ -278,21 +278,21 @@ def _integral_point(n: int, constraints: dict[tuple[int, int], int]):
 def is_trivial(nu: Valuation) -> TrivialityResult:
     """Decide whether nu(B) = e_B . alpha on the support for some alpha.
 
-    Solves the linear system exactly over Q; on success the rational witness
-    is turned into an integral one with M^nu_alpha equal to the support
-    matroid (the defining difference constraints are totally unimodular, so
-    an integer point exists whenever a rational one does).
+    For a valuation (d >= 1) this holds exactly when the difference
+    constraints of the single exchanges inside the support are feasible: by
+    local optimality the support matroid is then optimal at their solution.
+    Shortest paths decide them and give the integral alpha returned, which
+    is certified; only a non-valuation whose support is not connected under
+    single exchanges can fail that, and raises ValueError.
     """
-    if not nu.finite:
-        raise ValueError("valuation violates (V1): no finite value")
-    n = len(nu.ground)
-    if linalg.rat_solve(_incidence_rows(nu.finite, n), list(nu.finite.values())) is None:
+    alpha = _integral_point(len(nu.ground), _difference_constraints(nu, nu.support_masks))
+    # a value on the empty set (rank 0) is trivial only when it is e_∅ . alpha = 0;
+    # optimal_masks refuses an empty valuation
+    if alpha is None or nu.finite.get(0):
         return TrivialityResult(False)
-    alpha = _integral_point(n, _difference_constraints(nu, nu.support_masks))
-    if alpha is None:
-        raise AssertionError("rationally trivial valuation with infeasible cell")
     if optimal_masks(nu, alpha) != nu.support_masks:
-        raise AssertionError("integral witness does not realize the support matroid")
+        raise ValueError("the support is not connected under single exchanges: "
+                         "not a valuation")
     return TrivialityResult(True, alpha)
 
 
@@ -400,18 +400,18 @@ def enumerate_leaders(nu: Valuation, window_radius: Optional[int] = None) -> Lea
     return LeaderScan(tuple(leaders), complete, R)
 
 
-def _leader_vertices(nu: Valuation, scan: LeaderScan):
-    """The leader representatives of ``scan`` that are cell vertices."""
-    from . import window
-    reps = [rep for _, rep in scan.leaders]
-    flags = window._vertex_flags(nu.finite_items(), len(nu.ground), reps)
-    return sorted(rep for rep, vertex in zip(reps, flags.tolist()) if vertex)
+def _leader_vertices(scan: LeaderScan):
+    """The leader representatives of ``scan`` that are cell vertices.
+
+    For a valuation alpha is a vertex exactly when M_alpha is connected: a
+    separator I keeps M_alpha optimal at alpha + e_I (local optimality;
+    integer gaps are at least 1 and the step moves them by at most 1), and
+    otherwise some two bases meet each proper I in different sizes.
+    """
+    return [rep for M, rep in scan.leaders if _connected(M.masks, len(M.ground))]
 
 
 def zero_dimensional_cells(nu: Valuation, window_radius: Optional[int] = None):
-    """Vertices of the cell decomposition, normalized to alpha_{i0} = 0.
-
-    A leader representative is a vertex exactly when no step alpha ± e_I
-    (I a proper nonempty subset) keeps every reference basis optimal.
-    """
-    return _leader_vertices(nu, enumerate_leaders(nu, window_radius))
+    """Vertices of the cell decomposition, normalized to alpha_{i0} = 0: for a
+    valuation, the leader representatives alpha with M_alpha connected."""
+    return _leader_vertices(enumerate_leaders(nu, window_radius))

@@ -10,9 +10,9 @@ The optimal-basis set at a point alpha is the argmax of e_B . alpha - nu(B)
 over the finite-valued d-subsets.  Two routines score such argmax sets over
 many points: ``score_box`` scores every box of a valuation (the id grids of
 flocks and Frobenius windows, the round-trip comparison and the leader
-scan), and ``score_ids`` any list of points (cell vertex flags, the SVG
-slice).  They share one kernel: ``_kernel`` decides the score dtype,
-``_pack`` encodes argmax sets as bit words and ``_families`` decodes them.
+scan), and ``score_ids`` any list of points (the SVG slice).  They share
+one kernel: ``_kernel`` decides the score dtype, ``_pack`` encodes argmax
+sets as bit words and ``_families`` decodes them.
 
 Boxes are scored one line along the last axis k at a time.  On the line
 through a head (a point of the first n - 1 axes), the score of B is affine
@@ -449,7 +449,7 @@ def _first_mismatch(finite_items, n: int, grid, table, radius: int):
 
 
 # ---------------------------------------------------------------------------
-# leaders and cell vertices
+# leaders
 
 def _leader_reps(finite_items, n: int, R: int) -> dict:
     """The lex-first point of {alpha : alpha_0 = 0, |alpha_i| <= R} at which
@@ -475,29 +475,3 @@ def _leader_reps(finite_items, n: int, R: int) -> dict:
                                  points.tolist()):
             reps.setdefault(family, tuple(alpha))
     return reps
-
-
-def _vertex_flags(finite_items, n: int, points) -> np.ndarray:
-    """Per point alpha of ``points``: is alpha a vertex of the cell decomposition?
-
-    alpha is a vertex exactly when no step alpha ± e_I (I a proper nonempty
-    subset) keeps every basis of M_alpha optimal.  Each point is scored
-    together with its steps in one ``score_ids`` call per chunk.
-    """
-    points = np.asarray(points, dtype=np.int64).reshape(len(points), n)
-    up = np.array([[I >> i & 1 for i in range(n)] for I in range(1, (1 << n) - 1)],
-                  dtype=np.int64).reshape(-1, n)
-    around = np.concatenate([np.zeros((1, n), dtype=np.int64), up, -up])
-    per = len(around)
-    flags = np.empty(len(points), dtype=bool)
-    chunk = max(1, _CHUNK // per)
-    for start in range(0, len(points), chunk):
-        block = points[start:start + chunk]
-        steps = (block[:, None, :] + around).reshape(-1, n)
-        ids, table = score_ids(finite_items, n, steps)
-        ids = ids.reshape(len(block), per)
-        # (id at alpha, id at a step) -> does the step keep M_alpha optimal?
-        keeps = _pair_holds(ids[:, :1], ids[:, 1:], len(table),
-                            lambda i, j: table[j] >= table[i])
-        flags[start:start + len(block)] = ~keeps.any(axis=1)
-    return flags

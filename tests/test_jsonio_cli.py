@@ -159,6 +159,21 @@ def test_cli_extract_cutoff_too_small_fails(tmp_path, capsys):
     assert captured.err.startswith("error: round-trip mismatch")
 
 
+def test_cli_extract_large_cutoff_in_bounded_time(tmp_path):
+    # {3, 4} never becomes a basis: the walk toward it stops after spread + 1
+    # steps, whatever the cutoff
+    nu = mf.Valuation.from_values([1, 2, 3, 4], 2, {
+        (1, 2): 3, (1, 3): 0, (1, 4): 0, (2, 3): 0, (2, 4): 0})
+    path = write(tmp_path, "v.json", jsonio.valuation_to_json(nu))
+    runs = [subprocess.run([sys.executable, "-m", "matflock.cli", "extract-valuation",
+                            "--from-valuation", path, *extra],
+                           capture_output=True, text=True, env=_cli_env(), timeout=30)
+            for extra in ([], ["--cutoff", "1000000000"])]
+    assert [done.returncode for done in runs] == [0, 0], runs[1].stderr
+    assert runs[1].stdout == runs[0].stdout
+    assert jsonio.valuation_from_json(json.loads(runs[0].stdout)) == nu.normalized()
+
+
 def test_cli_rigidity_and_lazarson(capsys):
     assert main(["rigidity", "--name", "fano"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "rigid"
@@ -481,6 +496,14 @@ def test_cli_check_ff_matches_golden_report(capsys):
     assert capsys.readouterr().out == (fixtures / "paper_example_check_ff_r2.json").read_text()
 
 
+@pytest.mark.parametrize("name", ["valuation_u24", "valuation_n5_d2"])
+def test_cli_leaders_matches_golden_report(capsys, name):
+    # pinned leader documents, vertices included
+    fixtures = Path(__file__).parent / "fixtures"
+    assert main(["leaders", str(fixtures / f"{name}.json")]) == 0
+    assert capsys.readouterr().out == (fixtures / f"{name}_leaders.json").read_text()
+
+
 def test_cli_extract_negative_verify_radius_exit_1(tmp_path, capsys):
     nu = mf.Valuation.from_values([1, 2], 1, {(1,): 0, (2,): 1})
     entries = [{"alpha": [k, l], "matroid": jsonio.matroid_to_json(mf.matroid_at(nu, (k, l)))}
@@ -514,6 +537,29 @@ def test_cli_cells_svg_negative_radius_exit_1(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "radius must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("ground, axes, count", [
+    ([1], [], 1), ([1, 2, 3], ["--axes", "1"], 1), ([1, 2, 3], ["--axes", "1,2,3"], 3)])
+def test_cli_cells_svg_needs_two_axes_exit_2(tmp_path, capsys, ground, axes, count):
+    nu = mf.Valuation.from_values(ground, 1, {(e,): 0 for e in ground})
+    path = write(tmp_path, "v.json", jsonio.valuation_to_json(nu))
+    assert main(["cells", path, "--svg", *axes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: an SVG slice needs exactly 2 axes, got {count}\n"
+    labels = [int(a) for a in axes[1].split(",")] if axes else ground
+    with pytest.raises(ValueError, match=f"^an SVG slice needs exactly 2 axes, got {count}$"):
+        svg.render_cells_svg(nu, labels, 1)
+
+
+def test_svg_scores_once(monkeypatch):
+    from matflock import window
+    calls = []
+    score_ids = window.score_ids
+    monkeypatch.setattr(window, "score_ids", lambda *args: calls.append(1) or score_ids(*args))
+    text = svg.render_cells_svg(u24_valuation(), (3, 4), 3)
+    assert len(calls) == 1 and text.count("<circle ") == 2
 
 
 def test_svg_colours_follow_matroid_at(rng):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matflock as mf
+from matflock.matroid import _connected
 from matflock.rigidity import lazarson_matrix
 
 
@@ -70,6 +71,24 @@ def test_connectivity_examples():
     assert u24.connectivity([1]) == 1
     M = mf.Matroid.from_bases([1, 2, 3, 4], [[1, 3], [1, 4], [2, 3], [2, 4]])
     assert M.connectivity([1, 2]) == 0
+
+
+def brute_connected(M: mf.Matroid) -> bool:
+    """Oracle: no proper nonempty subset I with r(I) + r(E - I) = d."""
+    return all(M.connectivity(I) > 0 for r in range(1, len(M.ground))
+               for I in itertools.combinations(M.ground, r))
+
+
+def test_connected_examples():
+    assert _connected(mf.uniform_matroid(2, 4).masks, 4)
+    # U(1, 2) ⊕ U(1, 2): {1, 2} separates
+    assert not _connected(frozenset({0b0101, 0b1001, 0b0110, 0b1010}), 4)
+    assert _connected(mf.fano_matroid().masks, 7)
+    # a loop (element 3) and a coloop (element 1) stay isolated
+    assert not _connected(frozenset({0b001, 0b010}), 3)
+    assert not _connected(frozenset({0b011, 0b101}), 3)
+    # one element, a loop or a coloop, is connected on its own
+    assert _connected(frozenset({0}), 1) and _connected(frozenset({1}), 1)
 
 
 def test_rank_monotone_and_submodular_exhaustive():
@@ -209,3 +228,14 @@ def test_from_matrix_always_yields_matroid(data):
         return  # zero matrix
     assert mf.check_basis_axioms(M.ground, M.d, M.bases).ok
     assert M.dual().dual() == M
+
+
+@given(gf_matrices())
+@settings(max_examples=80, deadline=None)
+def test_connected_matches_separator_oracle(data):
+    p, mat = data
+    try:
+        M = mf.matroid_from_matrix(mat, mf.GF(p))
+    except ValueError:
+        return  # zero matrix
+    assert _connected(M.masks, len(M.ground)) == brute_connected(M)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import matflock as mf
 from matflock.lattice import INF, vadd, ones
 
-from conftest import toric_example, two_element_valuation, u24_valuation
+import oracles
+from conftest import random_valid_valuation, toric_example, two_element_valuation, u24_valuation
 
 
 def all_pairs_zero(n=4):
@@ -198,6 +199,39 @@ def test_trivial_by_construction():
 
 def test_not_trivial_u24():
     assert not mf.is_trivial(u24_valuation()).trivial
+
+
+def test_trivial_matches_rational_solve_oracle():
+    # half of the cases are e_B . alpha on the support of a random valuation
+    # of any shape; the other half are random valuations of rank 2 <= d <= n - 2,
+    # the shapes with nontrivial ones
+    rng = random.Random(1608)
+    trivial = 0
+    for k in range(1200):
+        n = rng.randint(1, 5) if k % 2 else rng.randint(4, 5)
+        d = rng.randint(0, n) if k % 2 else rng.randint(2, n - 2)
+        nu = random_valid_valuation(rng, n, d, vmax=rng.randint(1, 3))
+        if k % 2:
+            alpha = [rng.randint(-3, 3) for _ in range(n)]
+            nu = mf.Valuation(nu.ground, nu.d, {
+                mask: sum(alpha[i] for i in range(n) if mask >> i & 1) for mask in nu.finite})
+        got = mf.is_trivial(nu)
+        assert got == oracles.rational_is_trivial(nu), nu.finite
+        assert got.trivial or not k % 2
+        trivial += got.trivial
+    assert 600 <= trivial < 900
+    # rank 0: e_B . alpha = 0 for the one subset B, so only the value 0 is trivial
+    for value in (-2, 0, 3):
+        nu = mf.Valuation([1, 2], 0, {0: value})
+        got = mf.is_trivial(nu)
+        assert got == oracles.rational_is_trivial(nu) and got.trivial == (value == 0)
+
+
+def test_trivial_refuses_support_without_exchanges():
+    # not a valuation: no single exchange joins {1, 2} and {3, 4}
+    nu = mf.Valuation.from_values([1, 2, 3, 4], 2, {(1, 2): 0, (3, 4): 1})
+    with pytest.raises(ValueError, match="not connected under single exchanges"):
+        mf.is_trivial(nu)
 
 
 def test_equivalence_shift():

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 import matflock as mf
 from matflock import jsonio, window
+from matflock.matroid import _connected
 
+import oracles
 from conftest import random_valid_valuation
 from test_jsonio_cli import _cli_env, write
 
@@ -124,6 +126,25 @@ def test_leader_scan_matches_chunked_oracle(monkeypatch):
                 want_cells = mf.zero_dimensional_cells(nu, radius)
             assert got == want, (nu.finite, radius)
             assert got_cells == want_cells, (nu.finite, radius)
+
+
+def test_connected_matches_vertex_flags_oracle():
+    # for a valuation, alpha is a vertex (no step alpha ± e_I keeps M_alpha
+    # optimal) exactly when M_alpha is connected
+    rng = random.Random(1607)
+    valuations = [nu for nu in random_cases() if mf.check_valuation_axioms(nu).ok]
+    assert len(valuations) >= 90
+    vertices = 0
+    for nu in valuations:
+        n = len(nu.ground)
+        points = sorted({rep for radius in (0, 1, 2)
+                         for _, rep in mf.enumerate_leaders(nu, radius).leaders})
+        points += [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(50)]
+        want = oracles._vertex_flags(nu.finite_items(), n, points).tolist()
+        got = [_connected(mf.matroid_at(nu, alpha).masks, n) for alpha in points]
+        assert got == want, nu.finite
+        vertices += sum(want)
+    assert vertices >= 50
 
 
 def test_cli_leaders_large_window_in_bounded_time(tmp_path):
