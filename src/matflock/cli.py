@@ -135,6 +135,8 @@ def _cmd_cells(args):
                 labels.append(match[0])
         if len(labels) != 2:
             raise InputError(svg._AXIS_COUNT.format(len(labels)))
+        if labels[0] == labels[1]:
+            raise InputError(svg._AXES_DISTINCT)
         radius = args.radius if args.radius is not None else nu.spread * (n - 1) + 1
         return svg.render_cells_svg(nu, labels, radius)
     beta = _alpha(args.beta, n) if args.beta else (0,) * n

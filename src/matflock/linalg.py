@@ -1,15 +1,17 @@
 """Exact linear algebra: integers, rationals, GF(p), and GF(p)[T].
 
-Everything here is exact; no floating point.  Ranks, determinants and
-reduced row echelon forms over Q, GF(p) and GF(p)[T] all come from one
+Everything here is exact; no floating point.  Determinants, and ranks
+and reduced row echelon forms over GF(p) and GF(p)[T], come from one
 routine, fraction-free Bareiss elimination over an integral domain
-(``_bareiss``); rational matrices are cleared of denominators row by row
-first, so ``Fraction`` appears only in the final division of an RREF.
-Every enumeration of maximal minors is one walk over that routine's
-tableau (``_maximal_minors``); a lattice is saturated when the gcd of the
-maximal minors of its rows is 1.  ``saturate_rows`` reads the saturation
-off that routine's tableau: a kernel modulo its pivot delta, found with
-every entry in [0, delta), then one Euclidean Hermite normal form.
+(``_bareiss``).  Rank, RREF and kernel over Q come from one sparse
+Gauss-Jordan elimination over Z (``_echelon``), whose rows are
+{column: int} dicts cleared of denominators, so ``Fraction`` appears only
+in the final division of an RREF.  Every enumeration of maximal minors is
+one walk over the Bareiss tableau (``_maximal_minors``); a lattice is
+saturated when the gcd of the maximal minors of its rows is 1.
+``saturate_rows`` reads the saturation off the same tableau: a kernel
+modulo its pivot delta, found with every entry in [0, delta), then one
+Euclidean Hermite normal form.
 """
 
 from __future__ import annotations
@@ -303,17 +305,95 @@ def gf_row_space(rows, p: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# rationals
+# rationals, by sparse elimination over Z
+
+def _combine(row, prow, j):
+    """a * row - c * prow, with a / c = prow[j] / row[j] in lowest terms.
+
+    Rows are sparse {column: int} dicts; column j cancels, and every other
+    column of ``prow`` is added into ``row``.
+    """
+    a, c = prow[j], row[j]
+    g = math.gcd(a, c)
+    a, c = a // g, c // g
+    out = {k: a * x for k, x in row.items()} if a != 1 else row.copy()
+    for k, y in prow.items():
+        x = out.get(k, 0) - c * y
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+    return out
+
+
+def _reduce(row, echelon):
+    """A sparse row with every pivot column of ``echelon`` eliminated.
+
+    Each row of a reduced echelon form is zero at the other pivots, so one
+    step per pivot column of the row suffices; what is left is empty
+    exactly when the row lies in the span.
+    """
+    for k in [k for k in row if k in echelon]:
+        row = _combine(row, echelon[k], k)
+    return row
+
+
+def _sparse(row):
+    """A row of an exact rational matrix as a sparse {column: int} dict,
+    times the lcm of its denominators."""
+    out = dict(zip(itertools.compress(itertools.count(), row), filter(None, row)))
+    if all(type(x) is int for x in out.values()):
+        return out
+    out = {k: Fraction(x) for k, x in out.items()}
+    m = math.lcm(*(x.denominator for x in out.values()))
+    return {k: x.numerator * (m // x.denominator) for k, x in out.items() if x}
+
+
+def _primitive(row):
+    g = math.gcd(*row.values())
+    return {k: x // g for k, x in row.items()} if g != 1 else row
+
+
+def _echelon(rows):
+    """Reduced echelon form over Z of a rational matrix, as {pivot: row}.
+
+    Sparse Gauss-Jordan elimination: each input row, cleared of its
+    denominators by ``_sparse``, is reduced against the rows kept so far,
+    and a nonzero remainder, divided by its content, is kept under its
+    leading column, which is then cleared from the kept rows.  The form
+    stays reduced after every row, so each kept row is a primitive integer
+    multiple of a row of the RREF, under that row's pivot column; the RREF
+    is fixed by the row space, whatever the order of the steps.  Reducing a
+    row takes one step per pivot column it meets, sparse rows keep the
+    fill-in small, and dividing by gcds keeps the entries small.
+    """
+    echelon = {}
+    for r in rows:
+        row = _reduce(_sparse(r), echelon)
+        if row:
+            j = min(row)
+            row = _primitive(row)
+            for k, prow in echelon.items():
+                if j in prow:
+                    echelon[k] = _primitive(_combine(prow, row, j))
+            echelon[j] = row
+    return echelon
+
 
 def rat_rref(rows):
     """RREF over Q. Returns (rows as tuples of Fractions, pivot columns)."""
-    M, pivots, _ = _bareiss(_integer_rows(rows)[0], _ZZ)
-    delta = M[len(pivots) - 1][pivots[-1]] if pivots else 1
-    return [tuple(Fraction(x, delta) for x in row) for row in M], pivots
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    echelon = _echelon(rows)
+    pivots = sorted(echelon)
+    rref = [tuple(Fraction(echelon[j].get(k, 0), echelon[j][j]) for k in range(ncols))
+            for j in pivots]
+    rref += [(Fraction(0),) * ncols] * (len(rows) - len(pivots))
+    return rref, pivots
 
 
 def rat_rank(rows) -> int:
-    return len(_bareiss(_integer_rows(rows)[0], _ZZ)[1])
+    return len(_echelon(rows))
 
 
 def rat_solve(A, b):
@@ -339,14 +419,16 @@ def rat_kernel(A):
     if not A:
         return []
     ncols = len(A[0])
-    rref, pivots = rat_rref(A)
-    free = [j for j in range(ncols) if j not in pivots]
+    echelon = _echelon(A)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in echelon:
+            continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for r, j in enumerate(pivots):
-            v[j] = -rref[r][f]
+        for j, row in echelon.items():
+            if f in row:
+                v[j] = Fraction(-row[f], row[j])
         basis.append(tuple(v))
     return basis
 

@@ -84,14 +84,34 @@ def _integerize(vec):
     return tuple(x // max(g, 1) for x in ints)
 
 
+def _outside_directions(kernel, span):
+    """Integer candidates outside the echelon ``span``, generated lazily.
+
+    First each kernel vector not in the span, in kernel order, then the
+    sums of pairs of the first four of them.  A vector lies in the span
+    when nothing of it is left after ``linalg._reduce``; scaling it to
+    integers does not change that.
+    """
+    outside = []
+    for k in kernel:
+        cand = _integerize(k)
+        if linalg._reduce(linalg._sparse(cand), span):
+            outside.append(k)
+            yield cand
+    for k1, k2 in itertools.combinations(outside[:4], 2):
+        yield _integerize([a + b for a, b in zip(k1, k2)])
+
+
 def rigidity_certificate(M: Matroid) -> RigidityVerdict:
     """Rigid when the constraint solution space is exactly the trivial span.
 
     The trivial valuations always satisfy the constraints, so equality of
-    dimensions certifies rigidity.  Otherwise a solution direction outside
-    the trivial span is scaled to an integer candidate; if some signed copy
-    passes the valuation axioms it is a NotRigid witness, and failing that
-    the verdict is Inconclusive (the linear method is only sufficient).
+    dimensions certifies rigidity.  The trivial span is the column space of
+    the basis-incidence matrix, held as one sparse echelon form.  Otherwise
+    the solution directions outside it are scaled to integer candidates,
+    and the first with a signed copy that passes the valuation axioms is a
+    NotRigid witness; failing that the verdict is Inconclusive (the linear
+    method is only sufficient), with the first candidate as its direction.
     A basis family that fails (B2) raises ValueError with the witness.
     """
     _raise_unless(check_basis_axioms(M.ground, M.d, M.bases), "basis family")
@@ -109,25 +129,21 @@ def rigidity_certificate(M: Matroid) -> RigidityVerdict:
         row[var[M.mask_of(b4)]] -= 1
         rows.append(row)
 
-    dim_solutions = len(basis_masks) - (linalg.rat_rank(rows) if rows else 0)
-    incidence = _incidence_rows(basis_masks, n)
-    dim_trivial = linalg.rat_rank(incidence)
-    if dim_solutions == dim_trivial:
-        return RigidityVerdict("rigid")
-
     if rows:
         kernel = linalg.rat_kernel(rows)
+        dim_solutions = len(kernel)
     else:
-        kernel = [tuple(int(i == j) for i in range(len(basis_masks)))
-                  for j in range(len(basis_masks))]
-    outside = [k for k in kernel
-               if linalg.rat_solve(incidence, list(k)) is None]
-    candidates = [_integerize(k) for k in outside]
-    for k1, k2 in itertools.combinations(outside[:4], 2):
-        candidates.append(_integerize([a + b for a, b in zip(k1, k2)]))
+        kernel = (tuple(int(i == j) for i in range(len(basis_masks)))
+                  for j in range(len(basis_masks)))
+        dim_solutions = len(basis_masks)
+    span = linalg._echelon(zip(*_incidence_rows(basis_masks, n)))
+    if dim_solutions == len(span):
+        return RigidityVerdict("rigid")
 
-    first_direction = candidates[0] if candidates else None
-    for cand in candidates:
+    first_direction = None
+    for cand in _outside_directions(kernel, span):
+        if first_direction is None:
+            first_direction = cand
         for w in (cand, tuple(-x for x in cand)):
             lo = min(w)
             nu = Valuation(M.ground, M.d,

@@ -22,6 +22,7 @@ _PALETTE = (
 _CELL = 28
 _PAD = 46
 _AXIS_COUNT = "an SVG slice needs exactly 2 axes, got {}"
+_AXES_DISTINCT = "axes must be two distinct elements"
 
 
 def render_cells_svg(nu: Valuation, axes, radius: int) -> str:
@@ -36,7 +37,7 @@ def render_cells_svg(nu: Valuation, axes, radius: int) -> str:
     except KeyError as exc:
         raise ValueError(f"unknown axis element {exc.args[0]!r}") from None
     if ax == ay:
-        raise ValueError("axes must be two distinct elements")
+        raise ValueError(_AXES_DISTINCT)
     if radius < 0:
         raise ValueError("window radius must be nonnegative")
 

@@ -8,15 +8,27 @@ grow without bound, so they run on small inputs only.
 Cell vertices by scoring every point with all 2^(n+1) - 3 of its steps, and
 triviality by an exact rational solve before the shortest-path pass: the
 routes that ``matroid._connected`` and ``valuation.is_trivial`` replaced.
+
+Rank, RREF, kernel and solve over Q by dense Bareiss elimination, and the
+rigidity certificate built on them with one solve per kernel vector: the
+routes that ``linalg._echelon`` and the span test of
+``rigidity.rigidity_certificate`` replaced.
 """
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 
 from matflock import linalg
-from matflock.valuation import (TrivialityResult, _difference_constraints, _incidence_rows,
-                                _integral_point, optimal_masks)
+from matflock.linalg import _ZZ, _bareiss, _integer_rows
+from matflock.matroid import _raise_unless, check_basis_axioms
+from matflock.rigidity import RigidityVerdict, _integerize, dw_constraints
+from matflock.valuation import (TrivialityResult, Valuation, _difference_constraints,
+                                _incidence_rows, _integral_point, check_valuation_axioms,
+                                is_trivial, optimal_masks)
 from matflock.window import _CHUNK, _pair_holds, score_ids
 
 
@@ -165,3 +177,105 @@ def rational_is_trivial(nu) -> TrivialityResult:
     if optimal_masks(nu, alpha) != nu.support_masks:
         raise AssertionError("integral witness does not realize the support matroid")
     return TrivialityResult(True, alpha)
+
+
+def dense_rat_rref(rows):
+    """RREF over Q. Returns (rows as tuples of Fractions, pivot columns)."""
+    M, pivots, _ = _bareiss(_integer_rows(rows)[0], _ZZ)
+    delta = M[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return [tuple(Fraction(x, delta) for x in row) for row in M], pivots
+
+
+def dense_rat_rank(rows) -> int:
+    return len(_bareiss(_integer_rows(rows)[0], _ZZ)[1])
+
+
+def dense_rat_solve(A, b):
+    """One exact solution of A x = b over Q, or None if inconsistent.
+
+    Free variables are set to 0.
+    """
+    aug = [list(row) + [bx] for row, bx in zip(A, b)]
+    if not aug:
+        return ()
+    ncols = len(A[0])
+    rref, pivots = dense_rat_rref(aug)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, j in enumerate(pivots):
+        x[j] = rref[r][-1]
+    return tuple(x)
+
+
+def dense_rat_kernel(A):
+    """Basis of the right kernel {x : A x = 0} over Q."""
+    if not A:
+        return []
+    ncols = len(A[0])
+    rref, pivots = dense_rat_rref(A)
+    free = [j for j in range(ncols) if j not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, j in enumerate(pivots):
+            v[j] = -rref[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_rigidity_certificate(M) -> RigidityVerdict:
+    """Rigid when the constraint solution space is exactly the trivial span.
+
+    The trivial valuations always satisfy the constraints, so equality of
+    dimensions certifies rigidity.  Otherwise a solution direction outside
+    the trivial span is scaled to an integer candidate; if some signed copy
+    passes the valuation axioms it is a NotRigid witness, and failing that
+    the verdict is Inconclusive (the linear method is only sufficient).
+    A basis family that fails (B2) raises ValueError with the witness.
+    """
+    _raise_unless(check_basis_axioms(M.ground, M.d, M.bases), "basis family")
+    basis_masks = sorted(M.masks)
+    var = {m: k for k, m in enumerate(basis_masks)}
+    n = len(M.ground)
+
+    system = dw_constraints(M)
+    rows = []
+    for (b1, b2), (b3, b4) in system.equations:
+        row = [0] * len(basis_masks)
+        row[var[M.mask_of(b1)]] += 1
+        row[var[M.mask_of(b2)]] += 1
+        row[var[M.mask_of(b3)]] -= 1
+        row[var[M.mask_of(b4)]] -= 1
+        rows.append(row)
+
+    dim_solutions = len(basis_masks) - (dense_rat_rank(rows) if rows else 0)
+    incidence = _incidence_rows(basis_masks, n)
+    dim_trivial = dense_rat_rank(incidence)
+    if dim_solutions == dim_trivial:
+        return RigidityVerdict("rigid")
+
+    if rows:
+        kernel = dense_rat_kernel(rows)
+    else:
+        kernel = [tuple(int(i == j) for i in range(len(basis_masks)))
+                  for j in range(len(basis_masks))]
+    outside = [k for k in kernel
+               if dense_rat_solve(incidence, list(k)) is None]
+    candidates = [_integerize(k) for k in outside]
+    for k1, k2 in itertools.combinations(outside[:4], 2):
+        candidates.append(_integerize([a + b for a, b in zip(k1, k2)]))
+
+    first_direction = candidates[0] if candidates else None
+    for cand in candidates:
+        for w in (cand, tuple(-x for x in cand)):
+            lo = min(w)
+            nu = Valuation(M.ground, M.d,
+                           {m: w[var[m]] - lo for m in basis_masks})
+            if not check_valuation_axioms(nu).ok:
+                continue
+            if is_trivial(nu).trivial:
+                continue
+            return RigidityVerdict("not_rigid", witness=nu, direction=cand)
+    return RigidityVerdict("inconclusive", direction=first_direction)

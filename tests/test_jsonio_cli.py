@@ -496,6 +496,17 @@ def test_cli_check_ff_matches_golden_report(capsys):
     assert capsys.readouterr().out == (fixtures / "paper_example_check_ff_r2.json").read_text()
 
 
+def test_cli_rigidity_lazarson4_matches_pinned_report_in_bounded_time():
+    # 266 bases and 4610 equations; the report was made by the dense
+    # rational route, which took about 50 s
+    fixtures = Path(__file__).parent / "fixtures"
+    done = subprocess.run([sys.executable, "-m", "matflock.cli", "rigidity",
+                           str(fixtures / "lazarson4.json")],
+                          capture_output=True, text=True, env=_cli_env(), timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (fixtures / "lazarson4_rigidity.json").read_text()
+
+
 @pytest.mark.parametrize("name", ["valuation_u24", "valuation_n5_d2"])
 def test_cli_leaders_matches_golden_report(capsys, name):
     # pinned leader documents, vertices included
@@ -551,6 +562,16 @@ def test_cli_cells_svg_needs_two_axes_exit_2(tmp_path, capsys, ground, axes, cou
     labels = [int(a) for a in axes[1].split(",")] if axes else ground
     with pytest.raises(ValueError, match=f"^an SVG slice needs exactly 2 axes, got {count}$"):
         svg.render_cells_svg(nu, labels, 1)
+
+
+def test_cli_cells_svg_repeated_axis_exit_2(capsys):
+    path = str(Path(__file__).parent / "fixtures" / "valuation_u24.json")
+    assert main(["cells", path, "--svg", "--axes", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: axes must be two distinct elements\n"
+    with pytest.raises(ValueError, match="^axes must be two distinct elements$"):
+        svg.render_cells_svg(u24_valuation(), (1, 1), 1)
 
 
 def test_svg_scores_once(monkeypatch):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -389,6 +390,48 @@ def test_bareiss_output_is_delta_times_rref(rows):
     delta = M[len(pivots) - 1][pivots[-1]] if pivots else 1
     assert all(M[r][j] == delta for r, j in enumerate(pivots))
     assert [[Fraction(x, delta) for x in row] for row in M] == [list(r) for r in rref]
+
+
+def _dense_oracle_case(seed):
+    """A small exact matrix: tall, wide or square by ``seed`` mod 3, with
+    Fraction entries on odd seeds, a random density, and sometimes a
+    repeated row or a zero row."""
+    rng = random.Random(seed)
+    small, big = rng.randint(1, 4), rng.randint(4, 8)
+    m, n = [(big, small), (small, big), (small, small)][seed % 3]
+    density = rng.random()
+
+    def entry():
+        if rng.random() > density:
+            return 0
+        x = rng.randint(-3, 3)
+        return Fraction(x, rng.randint(1, 4)) if seed % 2 else x
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.3:
+        rows.append(list(rng.choice(rows)))
+    if rng.random() < 0.2:
+        rows.insert(rng.randrange(len(rows) + 1), [0] * n)
+    return rows
+
+
+def _same_as_dense_oracle(rows, rng):
+    assert repr(linalg.rat_rref(rows)) == repr(oracles.dense_rat_rref(rows)), rows
+    assert linalg.rat_rank(rows) == oracles.dense_rat_rank(rows), rows
+    assert repr(linalg.rat_kernel(rows)) == repr(oracles.dense_rat_kernel(rows)), rows
+    x = [rng.randint(-2, 2) for _ in range(len(rows[0]) if rows else 0)]
+    for b in ([sum(a * y for a, y in zip(row, x)) for row in rows],      # consistent
+              [rng.randint(-2, 2) for _ in rows]):
+        assert repr(linalg.rat_solve(rows, b)) == repr(oracles.dense_rat_solve(rows, b)), rows
+
+
+def test_rational_routines_match_dense_oracle():
+    # the RREF of a row space is unique, so the sparse echelon gives the
+    # dense route's pivots, rows, kernel basis and solution exactly
+    rng = random.Random(0)
+    for rows in ([], [[]], [[], []], [[0, 0], [0, 0]], [[Fraction(0)]], [[1, 2], [2, 4]]):
+        _same_as_dense_oracle(rows, rng)
+    for seed in range(2400):
+        _same_as_dense_oracle(_dense_oracle_case(seed), rng)
 
 
 def test_elimination_edge_cases():

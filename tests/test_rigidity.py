@@ -1,12 +1,16 @@
 """Dress-Wenzel constraints, rigidity verdicts, the determinant family."""
 
 import itertools
+import random
 
 import pytest
 
 import matflock as mf
+from matflock import linalg, rigidity
+from matflock.matroid import AxiomCheck
 from matflock.rigidity import lazarson_matrix
 
+import oracles
 from conftest import random_valid_valuation
 
 
@@ -110,6 +114,67 @@ def test_mk4_verdict_recorded_without_asserting_rigid():
         [[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1]], mf.GF(2))
     verdict = mf.rigidity_certificate(k4)
     assert verdict.kind in ("rigid", "inconclusive")
+
+
+def _same_as_dense_oracle(M):
+    got, want = mf.rigidity_certificate(M), oracles.dense_rigidity_certificate(M)
+    assert (got.kind, got.direction, got.witness) == (want.kind, want.direction, want.witness)
+    return got.kind
+
+
+def _named_matroids():
+    named = [mf.fano_matroid(), mf.nonfano_matroid()] + [
+        mf.lazarson(n, variant) for n in (2, 3) for variant in ("full", "minus")]
+    return named + [M.dual() for M in named]
+
+
+def test_certificate_matches_dense_oracle_on_named_matroids():
+    kinds = [_same_as_dense_oracle(M) for M in _named_matroids()]
+    assert kinds == ["rigid", "not_rigid"] * 6
+
+
+def test_certificate_matches_dense_oracle_on_uniform_matroids():
+    for n in range(1, 8):
+        for d in range(1, n + 1):
+            _same_as_dense_oracle(mf.uniform_matroid(d, n))
+
+
+def test_certificate_matches_dense_oracle_on_random_column_matroids():
+    rng = random.Random(7)
+    kinds = set()
+    for _ in range(40):
+        d = rng.randint(2, 4)
+        n = rng.randint(d + 1, 7)
+        A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)]
+        if linalg.rat_rank(A) == d:
+            kinds.add(_same_as_dense_oracle(mf.matroid_from_matrix(A, mf.QQ)))
+    assert kinds == {"rigid", "not_rigid"}
+
+
+def test_inconclusive_direction_matches_dense_oracle(monkeypatch):
+    # with every candidate refused, both routes end inconclusive, after
+    # trying the same signed candidates in the same order, pair sums included
+    tried = {rigidity: [], oracles: []}
+    for module, log in tried.items():
+        monkeypatch.setattr(module, "check_valuation_axioms",
+                            lambda nu, log=log: log.append(nu) or AxiomCheck(False, "V2"))
+    for M in (mf.nonfano_matroid(), mf.lazarson(3, "minus"), mf.uniform_matroid(2, 5)):
+        got, want = mf.rigidity_certificate(M), oracles.dense_rigidity_certificate(M)
+        assert got.kind == want.kind == "inconclusive"
+        assert got.direction == want.direction and got.direction is not None
+        assert tried[rigidity] == tried[oracles] != []
+        tried[rigidity].clear()
+        tried[oracles].clear()
+
+
+def test_witness_search_stops_at_first_witness(monkeypatch):
+    # U(2,16) has no equations, so its kernel is all 120 unit directions;
+    # the first lies outside the trivial span and is already a witness
+    calls = []
+    integerize = rigidity._integerize
+    monkeypatch.setattr(rigidity, "_integerize", lambda k: calls.append(1) or integerize(k))
+    verdict = mf.rigidity_certificate(mf.uniform_matroid(2, 16))
+    assert verdict.kind == "not_rigid" and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
