@@ -9,6 +9,7 @@ valuation extracted from it give the finite description of the whole family.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,7 +26,9 @@ class ExtractionError(RuntimeError):
         self.cutoff_hits = tuple(cutoff_hits)
 
 
-# FIFO (dicts keep insertion order); a radius-3 check on 5 elements walks 9^5 points
+# FIFO; a radius-3 check on 5 elements walks 9^5 points.  An OrderedDict
+# evicts its oldest entry in O(1): a plain dict's first key sits behind the
+# deleted slots of every eviction since its last resize
 _MEMO_CAP = 1 << 16
 
 
@@ -39,7 +42,7 @@ class MatroidFlock:
         self.source = source
         self.valuation = valuation
         self._masks_eval = masks_eval
-        self._memo: dict[tuple, frozenset[int]] = {}
+        self._memo: OrderedDict[tuple, frozenset[int]] = OrderedDict()
 
     def masks_at(self, alpha) -> frozenset[int]:
         alpha = tuple(int(a) for a in alpha)
@@ -49,7 +52,7 @@ class MatroidFlock:
         if got is None:
             got = self._masks_eval(alpha)
             if len(self._memo) >= _MEMO_CAP:
-                del self._memo[next(iter(self._memo))]
+                self._memo.popitem(last=False)
             self._memo[alpha] = got
         return got
 
@@ -257,7 +260,13 @@ def extract_valuation(flock: MatroidFlock, cutoff: Optional[int] = None,
 
     For each d-subset B, walk alpha = k * e_B until B is a basis of
     M_alpha; then nu(B) = k*d - g(k*e_B).  Subsets that never become bases
-    within the cutoff get nu(B) = ∞.
+    within the cutoff get nu(B) = ∞.  A valuation-backed flock is not
+    evaluated point by point: on the walk the score of B' is
+    k*|B ∩ B'| - nu(B'), so M_alpha comes from the upper envelope of at most
+    d+1 affine functions of k, and g is summed over the envelope's segments
+    (``_envelope_value``).  That costs one pass over the finite bases per
+    subset, whatever the spread.  Any other flock is read at every step
+    through ``masks_at`` (``_point_value``).
 
     The result is then verified, and a failure raises ExtractionError
     listing the subsets that hit the cutoff.  A flock that carries a
@@ -279,22 +288,17 @@ def extract_valuation(flock: MatroidFlock, cutoff: Optional[int] = None,
     if verify_radius < 0:
         raise ValueError("verify_radius must be nonnegative")
 
-    # with a valuation, steps past spread + 1 meet only non-bases (_default_cutoff)
-    walk = cutoff if flock.valuation is None else min(cutoff, _default_cutoff(flock))
+    if flock.valuation is None:
+        walk, walk_value = cutoff, _point_value
+    else:
+        # steps past spread + 1 meet only non-bases (_default_cutoff)
+        walk, walk_value = min(cutoff, _default_cutoff(flock)), _envelope_value
     finite: dict[int, int] = {}
     cutoff_hits = []
     d = flock.d
     for combo in itertools.combinations(range(n), d):
         bmask = sum(1 << i for i in combo)
-        g = 0
-        value = None
-        for k in range(walk + 1):
-            point = tuple(k if i in combo else 0 for i in range(n))
-            masks = flock.masks_at(point)
-            if bmask in masks:
-                value = k * d - g
-                break
-            g += max((b & bmask).bit_count() for b in masks)
+        value = walk_value(flock, bmask, walk)
         if value is None:
             cutoff_hits.append(tuple(flock.ground[i] for i in combo))
         else:
@@ -320,6 +324,50 @@ def extract_valuation(flock: MatroidFlock, cutoff: Optional[int] = None,
                 f"round-trip mismatch at alpha={bad}; "
                 f"cutoff {cutoff} may be too small", cutoff_hits)
     return nu
+
+
+def _point_value(flock: MatroidFlock, bmask: int, walk: int) -> Optional[int]:
+    """k*d - g(k*e_B) at the first k <= walk where B (the subset ``bmask``)
+    is a basis of M_{k*e_B}, reading the flock at every step; else None."""
+    n = len(flock.ground)
+    g = 0
+    for k in range(walk + 1):
+        masks = flock.masks_at(tuple(k if bmask >> i & 1 else 0 for i in range(n)))
+        if bmask in masks:
+            return k * flock.d - g
+        g += max((b & bmask).bit_count() for b in masks)
+    return None
+
+
+def _envelope_value(flock: MatroidFlock, bmask: int, walk: int) -> Optional[int]:
+    """``_point_value`` of a valuation-backed flock, read off the walk's envelope.
+
+    At alpha = k*e_B the score of B' is k*s - nu(B') with slope
+    s = |B ∩ B'|, so only c_s = max(-nu(B')) over each slope matters.  The
+    rank of B in M_alpha is the largest slope attaining max_s(k*s + c_s), and
+    B is a basis exactly when that slope is d.  The top slope only grows with
+    k, so g is summed over at most d+1 segments, each ending where a larger
+    slope first catches up.
+    """
+    best: dict[int, int] = {}
+    for mask, val in flock.valuation.finite.items():
+        s = (mask & bmask).bit_count()
+        if s not in best or -val > best[s]:
+            best[s] = -val
+    if not best:
+        raise ValueError("valuation violates (V1): no finite value")
+    g = k = 0
+    while k <= walk:
+        score = max(k * s + c for s, c in best.items())
+        top = max(s for s, c in best.items() if k * s + c == score)
+        if top == flock.d:
+            return k * top - g
+        # first k' with k'*s + c_s >= k'*top + c_top: ceil((c_top - c_s) / (s - top))
+        nxt = min((-((c - best[top]) // (s - top)) for s, c in best.items() if s > top),
+                  default=walk + 1)
+        g += top * (nxt - k)
+        k = nxt
+    return None
 
 
 def _value_mismatch(nu: Valuation, ref: Valuation):

@@ -54,13 +54,20 @@ def dw_constraints(M: Matroid) -> ConstraintSystem:
     elements outside it); the two pairings of bases must have equal sums, as
     the third is infinite.  A rank below 2 yields the empty system.
     """
-    eqs = {}
+    return ConstraintSystem(M, tuple(
+        tuple(tuple(M.labels_of(m) for m in side) for side in eq) for eq in _dw_masks(M)))
+
+
+def _dw_masks(M: Matroid):
+    """The equations of ``dw_constraints`` as ((B1, B2), (B3, B4)) basis
+    masks, each pair sorted, the two pairs sorted, each equation once, in
+    sorted order."""
+    eqs = set()
     for triple in _exchange_quads(M.masks, len(M.ground)):
         finite = [tuple(sorted(p)) for p in triple if p[0] in M.masks and p[1] in M.masks]
         if len(finite) == 2:
-            key = tuple(sorted(finite))
-            eqs[key] = tuple(tuple(M.labels_of(m) for m in side) for side in key)
-    return ConstraintSystem(M, tuple(eqs[k] for k in sorted(eqs)))
+            eqs.add(tuple(sorted(finite)))
+    yield from sorted(eqs)
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +126,13 @@ def rigidity_certificate(M: Matroid) -> RigidityVerdict:
     var = {m: k for k, m in enumerate(basis_masks)}
     n = len(M.ground)
 
-    system = dw_constraints(M)
     rows = []
-    for (b1, b2), (b3, b4) in system.equations:
+    for (b1, b2), (b3, b4) in _dw_masks(M):
         row = [0] * len(basis_masks)
-        row[var[M.mask_of(b1)]] += 1
-        row[var[M.mask_of(b2)]] += 1
-        row[var[M.mask_of(b3)]] -= 1
-        row[var[M.mask_of(b4)]] -= 1
+        row[var[b1]] += 1
+        row[var[b2]] += 1
+        row[var[b3]] -= 1
+        row[var[b4]] -= 1
         rows.append(row)
 
     if rows:

@@ -1,6 +1,8 @@
 """Flock axioms, the potential, extraction, and the window properties."""
 
 import itertools
+import random
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from matflock.valuation import optimal_masks
 import flockprops
 from conftest import (
     example_param,
+    random_saturated_toric,
     random_valid_valuation,
     toric_example,
     two_element_valuation,
@@ -185,6 +188,84 @@ def test_roundtrip_random_sample(rng):
         assert mf.check_flock_axioms(flock, 2).ok
 
 
+def _wrapped(nu):
+    # a valuation-backed flock whose map need not be a valuation
+    return mf.MatroidFlock(nu.ground, nu.d, lambda a: optimal_masks(nu, a), "wrapped",
+                           valuation=nu)
+
+
+def _random_map(rng):
+    n = rng.randint(1, 5)
+    d = rng.randint(0, n)
+    subsets = [sum(1 << i for i in c) for c in itertools.combinations(range(n), d)]
+    finite = {m: rng.randint(-3, 9) for m in subsets if rng.random() < 0.7}
+    return mf.Valuation(range(1, n + 1), d, finite or {subsets[0]: rng.randint(0, 4)})
+
+
+def _backed_flocks(rng):
+    """Valuation-backed flocks: valuations, arbitrary maps, toric reps for
+    p in {2, 3, 5}, and linearized parametrizations."""
+    for _ in range(12):
+        n = rng.randint(2, 6)
+        d = rng.randint(1, min(3, n))
+        yield mf.flock_from_valuation(random_valid_valuation(rng, n, d, vmax=rng.choice([2, 3, 7])))
+    for _ in range(12):
+        yield _wrapped(_random_map(rng))
+    for p in (2, 3, 5):
+        for _ in range(4):
+            d = rng.randint(1, 3)
+            yield mf.flock_from_toric(random_saturated_toric(rng, d, rng.randint(d + 1, 6), p))
+    for p, g in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        yield mf.flock_from_linearized(example_param(p, g))
+
+
+def _outcome(flock, cutoff):
+    try:
+        return mf.extract_valuation(flock, cutoff).finite
+    except mf.ExtractionError as err:
+        return str(err), err.cutoff_hits
+
+
+def test_extract_envelope_matches_point_walk(monkeypatch):
+    rng = random.Random(1801)
+    cases = 0
+    for flock in _backed_flocks(rng):
+        n, d = len(flock.ground), flock.d
+        default = flock_module._default_cutoff(flock)
+        for walk in (1, 2, 3, 4, 5, default):
+            for combo in itertools.combinations(range(n), d):
+                bmask = sum(1 << i for i in combo)
+                assert flock_module._envelope_value(flock, bmask, walk) == \
+                    flock_module._point_value(flock, bmask, walk), (flock, bmask, walk)
+                cases += 1
+        got = [_outcome(flock, cutoff) for cutoff in (None, 1, 2, 3, 4, 5)]
+        with monkeypatch.context() as patch:
+            patch.setattr(flock_module, "_envelope_value", flock_module._point_value)
+            assert got == [_outcome(flock, cutoff) for cutoff in (None, 1, 2, 3, 4, 5)]
+    assert cases > 1000
+
+
+def test_extract_backed_flock_never_evaluates_points(monkeypatch):
+    def refuse(self, alpha):
+        raise AssertionError(f"masks_at{alpha} called")
+    monkeypatch.setattr(mf.MatroidFlock, "masks_at", refuse)
+    for flock in _backed_flocks(random.Random(1802)):
+        for cutoff in (None, 1, 3):
+            _outcome(flock, cutoff)
+    nu = u24_valuation()
+    assert mf.extract_valuation(mf.flock_from_valuation(nu), cutoff=10 ** 9) == nu
+
+
+@pytest.mark.parametrize("high", [10 ** 6, 2 ** 60 - 5])
+def test_extract_time_does_not_grow_with_spread(high):
+    # walked point by point, {2} becomes a basis only at k = high
+    nu = mf.Valuation([1, 2, 3], 1, {1: 0, 2: high, 4: 3})
+    flock = mf.flock_from_valuation(nu)
+    start = time.perf_counter()
+    assert mf.extract_valuation(flock) == nu
+    assert time.perf_counter() - start < 0.5
+
+
 def test_window_ids_generic_matches_vectorized():
     nu = u24_valuation()
     fast = mf.flock_from_valuation(nu)
@@ -276,6 +357,31 @@ def test_memo_is_bounded(monkeypatch):
             assert flock.masks_at(a) == optimal_masks(nu, a)
             assert len(flock._memo) <= 8
     assert list(flock._memo) == points[-8:]
+
+
+def test_memo_holds_cap_and_drops_oldest():
+    flock = mf.constant_flock(mf.uniform_matroid(2, 4))
+    cap = flock_module._MEMO_CAP
+    points = [(k, 0, 0, 0) for k in range(cap + 1)]
+    for a in points:
+        flock.masks_at(a)
+    assert len(flock._memo) == cap
+    assert points[0] not in flock._memo
+    assert next(iter(flock._memo)) == points[1]
+    flock.masks_at(points[1])            # a hit does not refresh the FIFO order
+    flock.masks_at((-1, 0, 0, 0))
+    assert len(flock._memo) == cap and points[1] not in flock._memo
+
+
+def test_memo_eviction_in_bounded_time():
+    # eviction must be O(1): deleting a plain dict's first key scans the slots
+    # freed by earlier evictions, about 10 s for these calls
+    flock = mf.constant_flock(mf.uniform_matroid(2, 4))
+    start = time.perf_counter()
+    for k in range(200_000):
+        flock.masks_at((k, 0, 0, 0))
+    assert time.perf_counter() - start < 3.0
+    assert len(flock._memo) == flock_module._MEMO_CAP
 
 
 # ---------------------------------------------------------------------------

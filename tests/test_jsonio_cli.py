@@ -174,6 +174,18 @@ def test_cli_extract_large_cutoff_in_bounded_time(tmp_path):
     assert jsonio.valuation_from_json(json.loads(runs[0].stdout)) == nu.normalized()
 
 
+def test_cli_extract_wide_spread_in_bounded_time_without_numpy(tmp_path):
+    # walked point by point, {2} becomes a basis only after 2^60 steps
+    nu = mf.Valuation([1, 2, 3], 1, {1: 0, 2: 2 ** 60 - 5, 4: 3})
+    path = write(tmp_path, "v.json", jsonio.valuation_to_json(nu))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, "extract-valuation",
+                           "--from-valuation", path],
+                          capture_output=True, text=True, env=_cli_env(), timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert jsonio.valuation_from_json(json.loads(done.stdout)) == nu
+    assert done.stderr.splitlines()[-1] == "numpy loaded: False"
+
+
 def test_cli_rigidity_and_lazarson(capsys):
     assert main(["rigidity", "--name", "fano"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "rigid"
@@ -494,6 +506,14 @@ def test_cli_check_ff_matches_golden_report(capsys):
     fixtures = Path(__file__).parent / "fixtures"
     assert main(["check-ff", str(fixtures / "paper_example_param.json"), "--radius", "2"]) == 0
     assert capsys.readouterr().out == (fixtures / "paper_example_check_ff_r2.json").read_text()
+
+
+def test_cli_extract_toric_matches_golden_report(capsys):
+    # the valuation walked from the toric fixture, pinned; the
+    # installed-package CI job diffs the console script against it
+    fixtures = Path(__file__).parent / "fixtures"
+    assert main(["extract-valuation", "--from-toric", str(fixtures / "toric_wide.json")]) == 0
+    assert capsys.readouterr().out == (fixtures / "toric_wide_extracted.json").read_text()
 
 
 def test_cli_rigidity_lazarson4_matches_pinned_report_in_bounded_time():
