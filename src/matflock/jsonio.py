@@ -30,6 +30,14 @@ def _require(doc, key, kind=None):
     return val
 
 
+def _int_vector(doc, key):
+    """The list field ``key`` of ``doc`` as a tuple of ints (no booleans)."""
+    vec = _require(doc, key, list)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in vec):
+        raise InputError(f"field {key!r} must be a list of integers")
+    return tuple(vec)
+
+
 def _ground(entries):
     try:
         return tuple(entries)
@@ -147,12 +155,12 @@ def window_function_to_json(f: WindowFunction) -> dict:
 
 def window_function_from_json(doc) -> WindowFunction:
     n = _require(doc, "n", int)
-    lo = _require(doc, "lo", list)
-    hi = _require(doc, "hi", list)
+    lo = _int_vector(doc, "lo")
+    hi = _int_vector(doc, "hi")
     entries = _require(doc, "values", list)
     values = {}
     for entry in entries:
-        x = tuple(_require(entry, "x", list))
+        x = _int_vector(entry, "x")
         v = _require(entry, "v")
         if v == "inf":
             continue
@@ -222,7 +230,7 @@ def explicit_flock_from_json(doc) -> MatroidFlock:
     table = {}
     ground = None
     for entry in entries:
-        alpha = tuple(_require(entry, "alpha", list))
+        alpha = _int_vector(entry, "alpha")
         M = matroid_from_json(_require(entry, "matroid", dict))
         ground = M.ground
         table[alpha] = M

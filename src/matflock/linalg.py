@@ -10,8 +10,8 @@ in the final division of an RREF.  Every enumeration of maximal minors is
 one walk over the Bareiss tableau (``_maximal_minors``); a lattice is
 saturated when the gcd of the maximal minors of its rows is 1.
 ``saturate_rows`` reads the saturation off the same tableau: a kernel
-modulo its pivot delta, found with every entry in [0, delta), then one
-Euclidean Hermite normal form.
+modulo its pivot delta, whose Hermite basis is found with every entry in
+[0, delta) and maps onto the Hermite normal form of the saturation.
 """
 
 from __future__ import annotations
@@ -227,19 +227,6 @@ def _integer_rows(rows):
     return out, scale
 
 
-def _last_pivot(rows, ring):
-    """(delta, sign) of a square matrix, whose determinant is sign * delta.
-
-    A singular matrix reduces its last row to zero, and delta with it.
-    """
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError("matrix is not square")
-    if not rows:
-        return ring.one, 1
-    M, _, sign = _bareiss(rows, ring)
-    return M[-1][-1], sign
-
-
 # ---------------------------------------------------------------------------
 # determinants
 
@@ -248,9 +235,15 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
 
     All intermediate divisions are exact, so every value stays an int.
     Pivots are chosen with minimal absolute value to limit entry growth.
+    A singular matrix reduces its last row to zero, and the last pivot
+    with it.
     """
-    delta, sign = _last_pivot(rows, _ZZ)
-    return sign * delta
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("matrix is not square")
+    if not rows:
+        return 1
+    M, _, sign = _bareiss(rows, _ZZ)
+    return sign * M[-1][-1]
 
 
 def det_frac(rows) -> Fraction:
@@ -434,50 +427,7 @@ def rat_kernel(A):
 
 
 # ---------------------------------------------------------------------------
-# Hermite normal form and saturation
-
-def hermite_normal_form(rows):
-    """Row-style Hermite normal form of the integer row lattice.
-
-    Canonical: positive pivots, entries above each pivot reduced into
-    [0, pivot), zero rows dropped.
-    """
-    M = [list(map(int, row)) for row in rows]
-    if not M:
-        return ()
-    ncols = len(M[0])
-    r = 0
-    for j in range(ncols):
-        while True:
-            piv = None
-            for i in range(r, len(M)):
-                if M[i][j] != 0 and (piv is None or abs(M[i][j]) < abs(M[piv][j])):
-                    piv = i
-            if piv is None:
-                break
-            M[r], M[piv] = M[piv], M[r]
-            done = True
-            for i in range(r + 1, len(M)):
-                if M[i][j] != 0:
-                    q = M[i][j] // M[r][j]
-                    M[i] = [x - q * y for x, y in zip(M[i], M[r])]
-                    if M[i][j] != 0:
-                        done = False
-            if done:
-                break
-        if piv is None:
-            continue
-        if M[r][j] < 0:
-            M[r] = [-x for x in M[r]]
-        for i in range(r):
-            q = M[i][j] // M[r][j]
-            if q:
-                M[i] = [x - q * y for x, y in zip(M[i], M[r])]
-        r += 1
-        if r == len(M):
-            break
-    return tuple(tuple(row) for row in M[:r] if any(row))
-
+# saturation
 
 def _xgcd(a: int, b: int):
     """(g, s, t) with s * a + t * b == g == gcd(a, b), for a, b >= 0."""
@@ -491,14 +441,15 @@ def _xgcd(a: int, b: int):
 
 
 def _echelon_mod(rows, delta: int):
-    """Echelon basis of the lattice spanned by ``rows`` and delta * Z^w.
+    """Hermite basis of the lattice spanned by ``rows`` and delta * Z^w.
 
     Column j merges delta * e_j and every row with a nonzero entry there
     into one pivot row, by unimodular extended-Euclid steps; its pivot is
     the gcd of those entries and delta.  Entries in columns not yet reached
     are reduced into [0, delta): delta * e_k is still to join the generators
-    there (Domich-Kannan-Trotter 1987).  Returns the w pivot rows, the j-th
-    with pivot in column j.
+    there (Domich-Kannan-Trotter 1987).  Each earlier pivot row is then
+    reduced into [0, pivot) at column j.  Returns the w rows of the Hermite
+    normal form, the j-th with its positive pivot in column j.
     """
     active = [[x % delta for x in row] for row in rows]
     width = len(active[0])
@@ -517,23 +468,29 @@ def _echelon_mod(rows, delta: int):
                             [(a * y - b * x) % delta for x, y in zip(piv, row)])
             if any(row):
                 rest.append(row)
+        for i, row in enumerate(basis):
+            q = row[j] // piv[j]
+            if q:
+                basis[i] = row[:j] + [(x - q * y) % delta for x, y in zip(row[j:], piv[j:])]
         basis.append(piv)
         active = rest
     return basis
 
 
 def saturate_rows(rows):
-    """Basis of rowspace_Q(rows) ∩ Z^n, for a full-row-rank rational matrix.
+    """Hermite basis of rowspace_Q(rows) ∩ Z^n, for a full-row-rank rational matrix.
 
     Clears denominators and takes the Bareiss tableau T = delta * RREF of
     the d rows.  As T is delta times the identity on the pivot columns,
     the saturation is {y T / delta : y in Z^d, y T = 0 mod delta}, and y
     needs checking on the other columns only.  That lattice of y contains
-    delta * Z^d, so ``_echelon_mod`` finds it with every entry in
-    [0, |delta|).  |delta| is a maximal minor of the integer rows, at most
-    the product of their Euclidean norms (Hadamard), so no entry grows
-    past the size of the input's minors.  The image y T / delta is put in
-    Hermite normal form so the result is canonical.
+    delta * Z^d, so ``_echelon_mod`` finds its Hermite basis with every
+    entry in [0, |delta|).  |delta| is a maximal minor of the integer rows,
+    at most the product of their Euclidean norms (Hadamard), so no entry
+    grows past the size of the input's minors.  The map y -> y T / delta
+    is the identity on the pivot columns and keeps zeros left of each
+    pivot, so it takes that basis to the Hermite normal form of the
+    saturation.
     """
     int_rows, _ = _integer_rows(as_rat_matrix(rows))
     if not int_rows:
@@ -543,13 +500,13 @@ def saturate_rows(rows):
     if len(pivots) != d:
         raise ValueError("matrix does not have full row rank")
     T = M[:d]
-    delta = abs(T[0][pivots[0]])
+    delta = T[0][pivots[0]]
     free = [j for j in range(n) if j not in pivots]
     gens = [[row[j] for j in free] + [int(i == k) for k in range(d)]
             for i, row in enumerate(T)]
-    K = [row[len(free):] for row in _echelon_mod(gens, delta)[len(free):]]
-    return hermite_normal_form(
-        [[sum(y * t for y, t in zip(ys, col)) // delta for col in zip(*T)] for ys in K])
+    K = [row[len(free):] for row in _echelon_mod(gens, abs(delta))[len(free):]]
+    return tuple(tuple(sum(y * t for y, t in zip(ys, col)) // delta for col in zip(*T))
+                 for ys in K)
 
 
 def is_saturated(int_rows) -> bool:
@@ -626,17 +583,6 @@ def poly_divexact(a, b, p: int):
     if any(rem):
         raise ValueError("inexact polynomial division")
     return poly_trim(tuple(quot))
-
-
-def poly_det(rows, p: int):
-    """Determinant of a square matrix over GF(p)[T], by Bareiss elimination.
-
-    The same fraction-free scheme as ``det_int``: every division is exact
-    in GF(p)[T], so entries stay polynomials.  Pivots of least degree limit
-    degree growth.
-    """
-    delta, sign = _last_pivot(rows, _PolyRing(p))
-    return poly_scale(delta, sign, p)
 
 
 def polymat_rank(rows, p: int) -> int:

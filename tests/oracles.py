@@ -5,6 +5,12 @@ it gives.  Their kernel of a kernel is an independent saturation route to
 compare ``matflock.linalg.saturate_rows`` against; their transforms can
 grow without bound, so they run on small inputs only.
 
+Hermite normal form by Euclidean row elimination, with no bound on its
+entries, and the saturation that put the modular echelon's image through
+it: the reference for ``linalg._echelon_mod`` and the route that
+``linalg.saturate_rows`` replaced.  The determinant over GF(p)[T] by
+Bareiss elimination, checked against permutation expansion.
+
 Cell vertices by scoring every point with all 2^(n+1) - 3 of its steps, and
 triviality by an exact rational solve before the shortest-path pass: the
 routes that ``matroid._connected`` and ``valuation.is_trivial`` replaced.
@@ -23,7 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from matflock import linalg
-from matflock.linalg import _ZZ, _bareiss, _integer_rows
+from matflock.linalg import (_ZZ, _PolyRing, _bareiss, _echelon_mod, _integer_rows,
+                             as_rat_matrix, poly_scale)
 from matflock.matroid import _raise_unless, check_basis_axioms
 from matflock.rigidity import RigidityVerdict, _integerize, dw_constraints
 from matflock.valuation import (TrivialityResult, Valuation, _difference_constraints,
@@ -130,6 +137,94 @@ def integer_right_kernel(A, ncols: int | None = None):
     S, _, V = smith_normal_form(A)
     rank = sum(1 for i in range(min(m, n)) if S[i][i] != 0)
     return [tuple(V[i][j] for i in range(n)) for j in range(rank, n)]
+
+
+def hermite_normal_form(rows):
+    """Row-style Hermite normal form of the integer row lattice.
+
+    Canonical: positive pivots, entries above each pivot reduced into
+    [0, pivot), zero rows dropped.
+    """
+    M = [list(map(int, row)) for row in rows]
+    if not M:
+        return ()
+    ncols = len(M[0])
+    r = 0
+    for j in range(ncols):
+        while True:
+            piv = None
+            for i in range(r, len(M)):
+                if M[i][j] != 0 and (piv is None or abs(M[i][j]) < abs(M[piv][j])):
+                    piv = i
+            if piv is None:
+                break
+            M[r], M[piv] = M[piv], M[r]
+            done = True
+            for i in range(r + 1, len(M)):
+                if M[i][j] != 0:
+                    q = M[i][j] // M[r][j]
+                    M[i] = [x - q * y for x, y in zip(M[i], M[r])]
+                    if M[i][j] != 0:
+                        done = False
+            if done:
+                break
+        if piv is None:
+            continue
+        if M[r][j] < 0:
+            M[r] = [-x for x in M[r]]
+        for i in range(r):
+            q = M[i][j] // M[r][j]
+            if q:
+                M[i] = [x - q * y for x, y in zip(M[i], M[r])]
+        r += 1
+        if r == len(M):
+            break
+    return tuple(tuple(row) for row in M[:r] if any(row))
+
+
+def saturate_by_hermite(rows):
+    """Basis of rowspace_Q(rows) ∩ Z^n, for a full-row-rank rational matrix.
+
+    Clears denominators and takes the Bareiss tableau T = delta * RREF of
+    the d rows.  As T is delta times the identity on the pivot columns,
+    the saturation is {y T / delta : y in Z^d, y T = 0 mod delta}, and y
+    needs checking on the other columns only.  That lattice of y contains
+    delta * Z^d, so ``_echelon_mod`` finds it with every entry in
+    [0, |delta|).  |delta| is a maximal minor of the integer rows, at most
+    the product of their Euclidean norms (Hadamard), so no entry grows
+    past the size of the input's minors.  The image y T / delta is put in
+    Hermite normal form so the result is canonical.
+    """
+    int_rows, _ = _integer_rows(as_rat_matrix(rows))
+    if not int_rows:
+        raise ValueError("empty matrix")
+    d, n = len(int_rows), len(int_rows[0])
+    M, pivots, _ = _bareiss(int_rows, _ZZ)
+    if len(pivots) != d:
+        raise ValueError("matrix does not have full row rank")
+    T = M[:d]
+    delta = abs(T[0][pivots[0]])
+    free = [j for j in range(n) if j not in pivots]
+    gens = [[row[j] for j in free] + [int(i == k) for k in range(d)]
+            for i, row in enumerate(T)]
+    K = [row[len(free):] for row in _echelon_mod(gens, delta)[len(free):]]
+    return hermite_normal_form(
+        [[sum(y * t for y, t in zip(ys, col)) // delta for col in zip(*T)] for ys in K])
+
+
+def poly_det(rows, p: int):
+    """Determinant of a square matrix over GF(p)[T], by Bareiss elimination.
+
+    The same fraction-free scheme as ``linalg.det_int``: every division is
+    exact in GF(p)[T], so entries stay polynomials.  Pivots of least degree
+    limit degree growth.
+    """
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("matrix is not square")
+    if not rows:
+        return (1,)
+    M, _, sign = _bareiss(rows, _PolyRing(p))
+    return poly_scale(M[-1][-1], sign, p)
 
 
 def _vertex_flags(finite_items, n: int, points) -> np.ndarray:

@@ -461,6 +461,35 @@ def test_cli_check_matroid_malformed_input_exit_2(tmp_path, capsys, doc):
     assert out.out == "" and "input error" in out.err
 
 
+_U12 = {"ground": [1, 2], "rank": 1, "bases": [[1], [2]]}
+
+
+def _point_function(lo=(0, 0), hi=(1, 1), x=(0, 0)):
+    return {"n": 2, "lo": list(lo), "hi": list(hi), "values": [{"x": list(x), "v": 0}]}
+
+
+_FENCHEL = ["fenchel", "--lo", "0,0", "--hi", "1,1"]
+
+
+@pytest.mark.parametrize("command, doc", [
+    (["extract-valuation", "--explicit"], "malformed_explicit_alpha.json"),
+    (["extract-valuation", "--explicit"],
+     {"entries": [{"alpha": [0.5, 0], "matroid": _U12}]}),
+    (_FENCHEL, "malformed_point_function_x.json"),
+    (_FENCHEL, _point_function(lo=(0.5, 0))),
+    (_FENCHEL, _point_function(hi=(1, True))),
+    (_FENCHEL, _point_function(x=(True, 0.9))),
+], ids=["alpha-list", "alpha-float", "x-list", "lo-float", "hi-bool", "x-bool-float"])
+def test_cli_non_integer_coordinates_exit_2(tmp_path, command, doc):
+    # a coordinate that is not an int is refused, not hashed or truncated
+    path = (str(Path(__file__).parent / "fixtures" / doc) if isinstance(doc, str)
+            else write(tmp_path, "doc.json", doc))
+    done = _run_cli(*command, path)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == "" and done.stderr.startswith("input error: ")
+    assert "Traceback" not in done.stderr
+
+
 def test_json_integer_fields_reject_booleans():
     with pytest.raises(jsonio.InputError):
         jsonio.valuation_from_json({"ground": [1, 2], "d": True, "values": []})

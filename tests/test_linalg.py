@@ -237,8 +237,8 @@ def _saturate_by_smith(rows):
     n = len(rows[0])
     kern = oracles.integer_right_kernel(rows)
     if not kern:
-        return linalg.hermite_normal_form([[int(i == j) for j in range(n)] for i in range(n)])
-    return linalg.hermite_normal_form(
+        return oracles.hermite_normal_form([[int(i == j) for j in range(n)] for i in range(n)])
+    return oracles.hermite_normal_form(
         oracles.integer_right_kernel([list(k) for k in kern], ncols=n))
 
 
@@ -254,7 +254,8 @@ def test_saturate_rows_matches_smith_route(case):
     rows = rows[:-1] + [[scale * x for x in rows[-1]]]
     if linalg.rat_rank(rows) != len(rows):
         return
-    assert linalg.saturate_rows(rows) == _saturate_by_smith(rows)
+    sat = linalg.saturate_rows(rows)
+    assert sat == _saturate_by_smith(rows) == oracles.saturate_by_hermite(rows)
 
 
 wide_ints = st.integers(min_value=-60, max_value=60)
@@ -267,13 +268,14 @@ wide_ints = st.integers(min_value=-60, max_value=60)
             st.integers(min_value=1, max_value=60)))))
 @settings(max_examples=150, deadline=None)
 def test_saturate_rows_wide_inputs(case):
-    # entries where the Smith route does not return, so no oracle: the
-    # defining properties of the saturation instead
+    # entries where the Smith route does not return: the Hermite route, and
+    # the defining properties of the saturation
     rows, scale = case
     rows = rows[:-1] + [[scale * x for x in rows[-1]]]
     if linalg.rat_rank(rows) != len(rows):
         return
     sat = linalg.saturate_rows(rows)
+    assert sat == oracles.saturate_by_hermite(rows)
     assert linalg.is_saturated(sat)
     assert linalg.rat_rank(list(rows) + list(sat)) == len(rows) == len(sat)
     # every input row is an integer combination of the saturation
@@ -298,27 +300,43 @@ def test_saturate_rows_saturated_input_in_bounded_time():
     # the rows are saturated, so their saturation is their own lattice
     assert linalg.is_saturated(HARD_TORIC_ROWS)
     assert _saturate_in_subprocess(HARD_TORIC_ROWS) == list(
-        linalg.hermite_normal_form(HARD_TORIC_ROWS))
+        oracles.hermite_normal_form(HARD_TORIC_ROWS))
 
 
 def test_saturate_rows_doubled_row_in_bounded_time():
     # doubling a row of a saturated lattice leaves its saturation alone
     rows = HARD_TORIC_ROWS[:-1] + [[2 * x for x in HARD_TORIC_ROWS[-1]]]
     assert not linalg.is_saturated(rows)
-    assert _saturate_in_subprocess(rows) == list(linalg.hermite_normal_form(HARD_TORIC_ROWS))
+    assert _saturate_in_subprocess(rows) == list(oracles.hermite_normal_form(HARD_TORIC_ROWS))
 
 
 def test_saturate_rows_small_unsaturated_input_in_bounded_time():
     # small entries, but the first Smith-form kernel has entries near 10^7
     rows = [[36, 8, -8, -18, 9], [18, 15, 15, 18, -15]]
     sat = _saturate_in_subprocess(rows)
+    assert sat == list(oracles.saturate_by_hermite(rows))
     assert linalg.is_saturated(sat)
     assert linalg.rat_rank(rows + sat) == len(rows) == len(sat)
 
 
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda w: st.tuples(
+        st.lists(st.lists(st.integers(min_value=-100, max_value=100), min_size=w, max_size=w),
+                 min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=100))))
+@settings(max_examples=150, deadline=None)
+def test_echelon_mod_is_hermite_normal_form(case):
+    # the modular echelon is the canonical basis of rows + delta * Z^w
+    rows, delta = case
+    w = len(rows[0])
+    want = oracles.hermite_normal_form(
+        rows + [[delta * (i == j) for j in range(w)] for i in range(w)])
+    assert tuple(map(tuple, linalg._echelon_mod(rows, delta))) == want
+
+
 def test_hermite_canonical():
-    a = linalg.hermite_normal_form([[1, 2], [0, 3]])
-    b = linalg.hermite_normal_form([[1, 5], [0, 3]])
+    a = oracles.hermite_normal_form([[1, 2], [0, 3]])
+    b = oracles.hermite_normal_form([[1, 5], [0, 3]])
     assert a == b
 
 
@@ -345,7 +363,7 @@ def test_polymat_rank():
 @settings(max_examples=150, deadline=None)
 def test_poly_bareiss_matches_permutation_expansion(case):
     p, rows = case
-    assert linalg.poly_det(rows, p) == _poly_det(rows, p)
+    assert oracles.poly_det(rows, p) == _poly_det(rows, p)
 
 
 def test_poly_divexact():
@@ -440,7 +458,7 @@ def test_elimination_edge_cases():
     assert linalg.gf_rref([[3, 6]], 7) == ([(1, 2)], [0])
     assert linalg.rat_rref([[]]) == ([()], [])
     assert linalg.det_frac([[Fraction(1, 2), 1], [1, 2]]) == 0
-    assert linalg.poly_det([], 3) == (1,)
+    assert oracles.poly_det([], 3) == (1,)
     with pytest.raises(ValueError):
         linalg.det_int([[1, 2]])
 
