@@ -10,11 +10,15 @@ Two variety classes are implemented exactly:
   sums of terms c * x_v^(p^k) with prime-field coefficients; twisting is a
   Frobenius-level shift on coordinates, with domain reparametrizations
   x_v -> x_v^p used to keep everything polynomial.  Their flock is the
-  flock of the T-adic valuation of the maximal minors over GF(p)[T], and
-  their Frobenius flock V_alpha is read off that valuation's scored id
-  grid, one space per argmax family from the lowest coefficients of the
-  same minors.  Shifted tangent spaces (``linearized_tangent_flock``)
-  remain as the independent route.
+  flock of the T-adic valuation of the maximal minors over GF(p)[T].  One
+  walk over those minors, with their Plücker signs, gives both that
+  valuation and the initial Plücker coefficients: the lowest coefficient
+  of each signed minor.  The Frobenius flock V_alpha is read off the
+  valuation's scored id grid, one space per argmax family S, whose RREF
+  rows are ratios of initial coefficients with Cramer signs; contraction
+  and deletion keep a space in RREF by one row operation.  Shifted
+  tangent spaces (``linearized_tangent_flock``) remain as the independent
+  route.
 """
 
 from __future__ import annotations
@@ -250,6 +254,35 @@ def linearized_support_matroid(param: LinearizedParam) -> Matroid:
     return Matroid(param.ground, tadic_valuation(param).finite)
 
 
+# FIFO, as ``_lindstrom_cache``; keyed by the parametrization's data
+_TADIC_CACHE_CAP = 32
+_tadic_cache: dict[tuple, tuple[Valuation, dict[int, int]]] = {}
+
+
+def _tadic_minors(param: LinearizedParam):
+    """(nu, q) from one walk over the maximal minors over GF(p)[T]: nu the
+    T-adic valuation normalized to minimum 0, and q[B] the lowest nonzero
+    coefficient of B's signed minor, for every finite basis B.
+
+    The walk's minors are exact up to one common factor, so the q[B] are
+    the initial Plücker coefficients up to one common unit of GF(p).
+    """
+    key = (param.p, param.m, param.coords, param.ground)
+    got = _tadic_cache.get(key)
+    if got is not None:
+        return got
+    finite, q = {}, {}
+    for mask, minor in linalg._maximal_minors(_param_polymatrix(param),
+                                              linalg._PolyRing(param.p)):
+        k = next(k for k, c in enumerate(minor) if c)
+        finite[mask], q[mask] = k, minor[k]
+    nu = Valuation(param.ground, next(iter(finite)).bit_count(), finite).normalized()
+    if len(_tadic_cache) >= _TADIC_CACHE_CAP:
+        del _tadic_cache[next(iter(_tadic_cache))]
+    _tadic_cache[key] = nu, q
+    return nu, q
+
+
 def tadic_valuation(param: LinearizedParam) -> Valuation:
     """The valuation B -> val_T(det) of the maximal minors over GF(p)[T].
 
@@ -259,10 +292,7 @@ def tadic_valuation(param: LinearizedParam) -> Valuation:
     minors then share one common factor, which the normalization to
     minimum 0 removes.
     """
-    finite = {mask: next(k for k, c in enumerate(minor) if c)
-              for mask, minor in linalg._maximal_minors(_param_polymatrix(param),
-                                                        linalg._PolyRing(param.p))}
-    return Valuation(param.ground, next(iter(finite)).bit_count(), finite).normalized()
+    return _tadic_minors(param)[0]
 
 
 def _saturated_tangent(param: LinearizedParam, d: int):
@@ -392,55 +422,83 @@ def frobenius_window(param: LinearizedParam, radius: int) -> FrobeniusFlockWindo
 
 def _frobenius_grid(param: LinearizedParam, lo: int, hi: int):
     """(d, grid, spaces) of the row spaces V_alpha over [lo, hi]^E: the id
-    grid indexed by alpha - lo per axis, ``spaces[id]`` its row space, and
-    distinct ids holding distinct spaces.
+    grid indexed by alpha - lo per axis, ``spaces[id]`` its row space in
+    RREF, and distinct ids holding distinct spaces.
 
     V_alpha, the T = 0 reduction of the row lattice of P * diag(T^-alpha),
-    has as Plücker vector the initial form of the T-adic one (Speyer 2008),
-    so it depends only on the argmax family S at alpha, and the grid is the
-    T-adic valuation's scored grid.  With B0 = min(S), entry (r, j) of the
-    tableau delta * P_B0^-1 * P is a Plücker ratio, and V_S keeps its lowest
-    coefficient over delta's where B0 - b_r + j is in S.  Families with equal
-    spaces are merged, so (FF2) may compare ids.
+    has as Plücker vector the initial form of the T-adic one (Speyer 2008):
+    q(B), the lowest coefficient of B's signed minor, on the argmax family
+    S at alpha and 0 off it.  So V_alpha depends only on S, and the grid is
+    the T-adic valuation's scored grid.  B0 = min(S) is the lex-first basis
+    of S, the pivot columns of the RREF.  By Cramer's rule the row at b in
+    B0 holds 1 at b and, at j outside B0, q(B0 - b + j) / q(B0) when
+    B0 - b + j is in S, else 0, negated once per element of B0 strictly
+    between b and j.  It is 0 left of b, where B0 - b + j would precede B0,
+    so these rows are the RREF.  Families with equal spaces are merged, so
+    (FF2) may compare ids.
     """
     import numpy as np
     from . import window
-    nu = tadic_valuation(param)
+    nu, q = _tadic_minors(param)
     n, p = param.n, param.p
     items = nu.finite_items()
     grid, bits = window._scored_grid(items, n, lo, hi)
-    P = _param_polymatrix(param)
     intern: dict[tuple, int] = {}
     ids = []
     for S in window._families([mask for mask, _ in items], bits):
         B0 = min(S)
-        order = sorted(range(n), key=lambda j: not B0 >> j & 1)
-        M, pivots, _ = linalg._bareiss([[row[j] for j in order] for row in P],
-                                       linalg._PolyRing(p))
-        inv = pow(next(c for c in M[0][0] if c), -1, p)   # lowest coefficient of delta
+        inv = pow(q[B0], -1, p)
         rows = []
-        for r, b in enumerate(order[:len(pivots)]):
+        for b in range(n):
+            if not B0 >> b & 1:
+                continue
+            rest = B0 & ~(1 << b)
             row = [0] * n
-            for pos, j in enumerate(order):
-                if (B0 & ~(1 << b)) | 1 << j in S:
-                    row[j] = next(c for c in M[r][pos] if c) * inv % p
-            rows.append(row)
-        ids.append(intern.setdefault(linalg.gf_row_space(rows, p), len(intern)))
+            row[b] = 1
+            for j in range(b + 1, n):
+                if not B0 >> j & 1 and rest | 1 << j in S:
+                    x = q[rest | 1 << j] * inv
+                    between = B0 >> b + 1 & (1 << j - b - 1) - 1
+                    row[j] = (-x if between.bit_count() & 1 else x) % p
+            rows.append(tuple(row))
+        ids.append(intern.setdefault(tuple(rows), len(intern)))
     return nu.d, np.array(ids, dtype=grid.dtype)[grid], list(intern)
 
 
 def _space_delete(rows, i: int, p: int):
+    """Row space of V with coordinate i dropped, V in RREF.  Dropping a
+    column keeps the form unless i is the pivot of a row; that row, cut,
+    pivots at its first nonzero entry c (or is dropped when zero), and
+    clears c from the rows above it."""
     cut = [row[:i] + row[i + 1:] for row in rows]
-    return linalg.gf_row_space(cut, p)
+    r = next((r for r, row in enumerate(rows) if row[i] and not any(row[:i])), None)
+    if r is None:
+        return tuple(cut)
+    prow = cut.pop(r)
+    c = next((c for c, x in enumerate(prow) if x), None)
+    if c is None:
+        return tuple(cut)
+    inv = pow(prow[c], -1, p)
+    prow = tuple(x * inv % p for x in prow)
+    cut = [tuple((x - row[c] * y) % p for x, y in zip(row, prow)) if row[c] else row
+           for row in cut]
+    above = sum(1 for row in cut if any(row[:c]))
+    return tuple(cut[:above]) + (prow,) + tuple(cut[above:])
 
 
 def _space_contract(rows, i: int, p: int):
-    """Row space of {w in V : w_i = 0}, coordinate i dropped: in the RREF
-    with column i first, the nonzero rows after the one pivoting there,
-    which are in RREF themselves."""
-    red, pivots = linalg.gf_rref([[row[i], *row[:i], *row[i + 1:]] for row in rows], p)
-    first = 1 if pivots[:1] == [0] else 0
-    return tuple(row[1:] for row in red[first:len(pivots)])
+    """Row space of {w in V : w_i = 0}, coordinate i dropped, V in RREF.
+    The last row s with a nonzero entry at i clears column i from the
+    others and is dropped.  Every row it changes pivots left of s's pivot,
+    where s is zero, and s is zero at the other pivots, so the form is
+    kept."""
+    s = next((s for s in range(len(rows) - 1, -1, -1) if rows[s][i]), None)
+    if s is not None:
+        prow = rows[s]
+        inv = pow(prow[i], -1, p)
+        rows = [tuple((x - row[i] * inv * y) % p for x, y in zip(row, prow))
+                if row[i] else row for r, row in enumerate(rows) if r != s]
+    return tuple(row[:i] + row[i + 1:] for row in rows)
 
 
 def validate_frobenius_window(win: FrobeniusFlockWindow,

@@ -85,6 +85,9 @@ def explicit_flock(table: dict, ground, d: int) -> MatroidFlock:
     tbl = {}
     for alpha, M in table.items():
         alpha = tuple(int(a) for a in alpha)
+        if len(alpha) != len(ground):
+            raise ValueError(f"alpha {alpha} has length {len(alpha)}, "
+                             f"expected {len(ground)}")
         if M.ground != tuple(ground) or M.d != d:
             raise ValueError("table entry with mismatched ground set or rank")
         tbl[alpha] = M.masks

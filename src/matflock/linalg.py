@@ -7,7 +7,8 @@ routine, fraction-free Bareiss elimination over an integral domain
 Gauss-Jordan elimination over Z (``_echelon``), whose rows are
 {column: int} dicts cleared of denominators, so ``Fraction`` appears only
 in the final division of an RREF.  Every enumeration of maximal minors is
-one walk over the Bareiss tableau (``_maximal_minors``); a lattice is
+one walk over the Bareiss tableau (``_maximal_minors``), which yields each
+minor with its Plücker sign, exact up to one common factor; a lattice is
 saturated when the gcd of the maximal minors of its rows is 1.
 ``saturate_rows`` reads the saturation off the same tableau: a kernel
 modulo its pivot delta, whose Hermite basis is found with every entry in
@@ -87,14 +88,15 @@ def as_rat_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
 # one elimination routine over an integral domain
 #
 # A ring object gives ``one``, the ``size`` by which pivots are chosen, ``row``
-# to normalize an input row, and combine(row, prow, a, c, prev), which is
-# (a * row - c * prow) / prev with the division exact.  Zero is falsy in
+# to normalize an input row, ``neg``, and combine(row, prow, a, c, prev), which
+# is (a * row - c * prow) / prev with the division exact.  Zero is falsy in
 # every ring (0, or the empty polynomial ()).
 
 class _ZZ:
     one = 1
     size = staticmethod(abs)
     row = staticmethod(list)
+    neg = staticmethod(operator.neg)
 
     @staticmethod
     def combine(row, prow, a, c, prev):
@@ -110,6 +112,9 @@ class _PrimeField:
 
     def row(self, r):
         return [x % self.p for x in r]
+
+    def neg(self, x):
+        return -x % self.p
 
     def combine(self, row, prow, a, c, prev):
         p = self.p
@@ -129,6 +134,9 @@ class _PolyRing:
     @staticmethod
     def row(r):
         return [poly_trim(tuple(e)) for e in r]
+
+    def neg(self, a):
+        return poly_scale(a, -1, self.p)
 
     def combine(self, row, prow, a, c, prev):
         p = self.p
@@ -181,31 +189,40 @@ def _maximal_minors(rows, ring):
     """Yield (mask, minor) for every nonzero maximal minor of ``rows``.
 
     At a basis B with minor delta, the tableau delta * A_B^-1 * A of
-    ``_bareiss`` holds +-det A_{B - b_k + j} at (k, j) (Cramer).  A
-    breadth-first walk over single exchanges reaches every basis (Maurer);
-    a step is one fraction-free pivot, divided exactly by the old delta.
-    Dependent rows drop out, so the minors of independent rows are exact
-    up to sign; otherwise they share one common factor.
+    ``_bareiss`` holds det A_{B - b_k + j} at (k, j) (Cramer), its columns
+    in the tableau's row order with j in place of b_k.  A breadth-first
+    walk over single exchanges reaches every basis (Maurer); a step is one
+    fraction-free pivot, divided exactly by the old delta.  Each tableau
+    keeps the sign of the permutation that sorts its row order, and an
+    exchange of b_k for j flips it once per element of B strictly between
+    them, so every minor is yielded with its Plücker sign, the columns in
+    ground order.  The minors are then exact up to one common factor: a
+    sign when the rows are independent, and a factor that dependent rows,
+    which drop out, leave behind otherwise.
     """
     M, pivots, _ = _bareiss(rows, ring)
     start = sum(1 << j for j in pivots)
     yield start, M[0][pivots[0]] if pivots else ring.one
     seen = {start}
-    todo = deque([(start, pivots, M[:len(pivots)], None, None)])
+    todo = deque([(start, pivots, M[:len(pivots)], 1, None, None)])
     while todo:
-        mask, owner, tab, k, j = todo.popleft()
+        mask, owner, tab, sign, k, j = todo.popleft()
         if k is not None:                     # pivot the parent's tableau at (k, j)
             prow, delta = tab[k], tab[k][owner[k]]
             tab = [prow if i == k else ring.combine(row, prow, prow[j], row[j], delta)
                    for i, row in enumerate(tab)]
             owner = owner[:k] + [j] + owner[k + 1:]
         for k, row in enumerate(tab):
+            b = owner[k]
             for j, x in enumerate(row):
-                nxt = mask & ~(1 << owner[k]) | 1 << j
+                nxt = mask & ~(1 << b) | 1 << j
                 if x and nxt not in seen:
                     seen.add(nxt)
-                    yield nxt, x
-                    todo.append((nxt, owner, tab, k, j))
+                    lo, hi = (b, j) if b < j else (j, b)
+                    between = mask >> lo + 1 & (1 << hi - lo - 1) - 1
+                    s = -sign if between.bit_count() & 1 else sign
+                    yield nxt, x if s > 0 else ring.neg(x)
+                    todo.append((nxt, owner, tab, s, k, j))
 
 
 def _integer_rows(rows):

@@ -237,12 +237,14 @@ class Matroid:
 # axiom checking
 
 def _single_exchanges(mask: int, n: int):
-    """Every (i, j, mask - i + j) with i in mask and j outside it."""
-    for i in range(n):
-        if mask >> i & 1:
-            for j in range(n):
-                if not mask >> j & 1:
-                    yield i, j, mask & ~(1 << i) | 1 << j
+    """Every (i, j, mask - i + j) with i in mask and j outside it, by
+    increasing i, then j."""
+    inside = [i for i in range(n) if mask >> i & 1]
+    outside = [j for j in range(n) if not mask >> j & 1]
+    for i in inside:
+        rest = mask & ~(1 << i)
+        for j in outside:
+            yield i, j, rest | 1 << j
 
 
 def _connected(masks, n: int) -> bool:

@@ -19,6 +19,12 @@ Rank, RREF, kernel and solve over Q by dense Bareiss elimination, and the
 rigidity certificate built on them with one solve per kernel vector: the
 routes that ``linalg._echelon`` and the span test of
 ``rigidity.rigidity_certificate`` replaced.
+
+Frobenius row spaces by one GF(p)[T] tableau per argmax family, and the
+contraction, deletion and (FF1)/(FF2) report that re-reduce each side with
+``linalg.gf_rref``: the routes that reading V_S off the initial Plücker
+coefficients of one minor walk, and the one-row RREF updates, replaced.
+Single exchanges by a test of all n^2 bit pairs.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from matflock import linalg
+from matflock import linalg, window
+from matflock.algebraic import FrobeniusWindowReport, _param_polymatrix, tadic_valuation
 from matflock.linalg import (_ZZ, _PolyRing, _bareiss, _echelon_mod, _integer_rows,
                              as_rat_matrix, poly_scale)
 from matflock.matroid import _raise_unless, check_basis_axioms
@@ -374,3 +381,90 @@ def dense_rigidity_certificate(M) -> RigidityVerdict:
                 continue
             return RigidityVerdict("not_rigid", witness=nu, direction=cand)
     return RigidityVerdict("inconclusive", direction=first_direction)
+
+
+def tableau_frobenius_grid(param, lo: int, hi: int):
+    """(d, grid, spaces) of the row spaces V_alpha over [lo, hi]^E: the id
+    grid indexed by alpha - lo per axis, ``spaces[id]`` its row space, and
+    distinct ids holding distinct spaces.
+
+    V_alpha, the T = 0 reduction of the row lattice of P * diag(T^-alpha),
+    has as Plücker vector the initial form of the T-adic one (Speyer 2008),
+    so it depends only on the argmax family S at alpha, and the grid is the
+    T-adic valuation's scored grid.  With B0 = min(S), entry (r, j) of the
+    tableau delta * P_B0^-1 * P is a Plücker ratio, and V_S keeps its lowest
+    coefficient over delta's where B0 - b_r + j is in S.  Families with equal
+    spaces are merged, so (FF2) may compare ids.
+    """
+    nu = tadic_valuation(param)
+    n, p = param.n, param.p
+    items = nu.finite_items()
+    grid, bits = window._scored_grid(items, n, lo, hi)
+    P = _param_polymatrix(param)
+    intern: dict[tuple, int] = {}
+    ids = []
+    for S in window._families([mask for mask, _ in items], bits):
+        B0 = min(S)
+        order = sorted(range(n), key=lambda j: not B0 >> j & 1)
+        M, pivots, _ = linalg._bareiss([[row[j] for j in order] for row in P],
+                                       linalg._PolyRing(p))
+        inv = pow(next(c for c in M[0][0] if c), -1, p)   # lowest coefficient of delta
+        rows = []
+        for r, b in enumerate(order[:len(pivots)]):
+            row = [0] * n
+            for pos, j in enumerate(order):
+                if (B0 & ~(1 << b)) | 1 << j in S:
+                    row[j] = next(c for c in M[r][pos] if c) * inv % p
+            rows.append(row)
+        ids.append(intern.setdefault(linalg.gf_row_space(rows, p), len(intern)))
+    return nu.d, np.array(ids, dtype=grid.dtype)[grid], list(intern)
+
+
+def rref_space_delete(rows, i: int, p: int):
+    cut = [row[:i] + row[i + 1:] for row in rows]
+    return linalg.gf_row_space(cut, p)
+
+
+def rref_space_contract(rows, i: int, p: int):
+    """Row space of {w in V : w_i = 0}, coordinate i dropped: in the RREF
+    with column i first, the nonzero rows after the one pivoting there,
+    which are in RREF themselves."""
+    red, pivots = linalg.gf_rref([[row[i], *row[:i], *row[i + 1:]] for row in rows], p)
+    first = 1 if pivots[:1] == [0] else 0
+    return tuple(row[1:] for row in red[first:len(pivots)])
+
+
+def rref_frobenius_report(grid, spaces, radius: int, ground, p: int) -> FrobeniusWindowReport:
+    """(FF1)/(FF2) over [-radius, radius]^E of an id grid whose index 0 is
+    alpha = -radius on every axis, ``spaces[id]`` the row space V_alpha in
+    RREF; distinct ids must hold distinct spaces.  Alphas whose shift leaves
+    the grid are not checked."""
+    n = len(ground)
+
+    def sides(k, a, b):
+        """The two spaces (FF1) at axis k, or (FF2) for k = n, compares."""
+        if k == n:
+            return spaces[a], spaces[b]
+        return rref_space_contract(spaces[a], k, p), rref_space_delete(spaces[b], k, p)
+
+    moves = [((k,), *window._id_keys(grid, radius, (k,),
+                                     lambda i, k=k: rref_space_contract(spaces[i], k, p),
+                                     lambda i, k=k: rref_space_delete(spaces[i], k, p)))
+             for k in range(n)]
+    moves.append((tuple(range(n)), *window._same_keys(len(spaces))))
+    counts, first = window._local_axioms(grid, radius, moves)
+    violation = None
+    if first is not None:
+        alpha, k, a, b = first
+        violation = (alpha, ground[k] if k < n else "1", *sides(k, a, b))
+    return FrobeniusWindowReport(radius, sum(c for c, _ in counts[:n]),
+                                 sum(f for _, f in counts[:n]), *counts[n], violation)
+
+
+def bit_test_single_exchanges(mask: int, n: int):
+    """Every (i, j, mask - i + j) with i in mask and j outside it."""
+    for i in range(n):
+        if mask >> i & 1:
+            for j in range(n):
+                if not mask >> j & 1:
+                    yield i, j, mask & ~(1 << i) | 1 << j

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 import matflock as mf
 from matflock import linalg
+from matflock import algebraic, window
 from matflock.algebraic import _param_polymatrix, _space_contract, _space_delete, _tangent_at
 from matflock.lattice import INF
 
 import flockprops
+import oracles
 from conftest import example_param, random_saturated_toric, toric_example
 
 
@@ -278,6 +280,104 @@ def test_frobenius_window_matches_tangent_route(rng):
         for alpha, rows in win.table.items():
             want = linalg.gf_row_space(_tangent_at(param, alpha, d), param.p)
             assert rows == want, (param.coords, alpha)
+
+
+def _grid_cases():
+    """800 seeded parametrizations (p in {2, 3, 5}, m <= 3, n <= 6), then the
+    paper's example (s, t, s+t, s+c t^(p^g)) for g <= 12 and every c."""
+    rng = random.Random(2021)
+    for k in range(800):
+        p = (2, 3, 5)[k % 3]
+        m = rng.randint(1, 3)
+        yield _random_param(rng, p, m, rng.randint(1, 6 if m > 1 else 5))
+    for p in (2, 3, 5):
+        for g in range(13):
+            for c in range(1, p):
+                yield mf.LinearizedParam(p, 2, [[(0, 0, 1)], [(1, 0, 1)],
+                                                [(0, 0, 1), (1, 0, 1)], [(0, 0, 1), (1, g, c)]])
+
+
+def test_frobenius_grid_matches_tableau_oracle():
+    # V_S read off the initial Plücker coefficients of one walk equals the
+    # per-family GF(p)[T] tableau route: same ids, spaces and reports
+    for param in _grid_cases():
+        radius = 1 if param.n > 4 else 2
+        for lo, hi in ((-radius, radius + 1), (-1, 1), (0, 2)):
+            d, grid, spaces = algebraic._frobenius_grid(param, lo, hi)
+            d0, grid0, spaces0 = oracles.tableau_frobenius_grid(param, lo, hi)
+            assert (d, spaces) == (d0, spaces0), param.coords
+            assert grid.dtype == grid0.dtype and (grid == grid0).all(), param.coords
+        args = (grid, spaces, radius, param.ground, param.p)
+        assert algebraic._frobenius_report(*args) == oracles.rref_frobenius_report(*args)
+
+
+def test_frobenius_report_violations_match_rref_oracle(rng):
+    # corrupted windows: the counts and the violation the gf_rref route gives
+    failed = 0
+    for param in (example_param(2, 2), example_param(3, 1)):
+        table = dict(mf.frobenius_window(param, 2).table)
+        for _ in range(5):
+            alpha = tuple(rng.randint(-2, 2) for _ in range(param.n))
+            rows = [[rng.randrange(param.p) for _ in range(param.n)] for _ in range(2)]
+            table[alpha] = linalg.gf_row_space(rows, param.p)
+            grid, spaces = window._id_grid(param.n, -2, 2, table.__getitem__)
+            args = (grid, spaces, 2, param.ground, param.p)
+            want = oracles.rref_frobenius_report(*args)
+            assert algebraic._frobenius_report(*args) == want
+            bad = mf.FrobeniusFlockWindow(2, param.p, 2, param.ground, table)
+            assert mf.validate_frobenius_window(bad) == want
+            failed += not want.ok
+    assert failed >= 5
+
+
+@st.composite
+def rref_spaces(draw):
+    """A space over GF(p) in RREF, from random rows, some of them zero."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(min_value=1, max_value=7))
+    k = draw(st.integers(min_value=0, max_value=n + 1))
+    entry = st.integers(min_value=0, max_value=p - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    return p, n, linalg.gf_row_space(rows, p)
+
+
+@given(rref_spaces())
+@settings(max_examples=400, deadline=None)
+def test_space_contract_and_delete_match_gf_rref(case):
+    p, n, space = case
+    for i in range(n):
+        assert _space_contract(space, i, p) == oracles.rref_space_contract(space, i, p)
+        assert _space_delete(space, i, p) == oracles.rref_space_delete(space, i, p)
+
+
+def test_tadic_walk_is_cached_and_bounded(monkeypatch):
+    # flock_from_linearized and check_frobenius_axioms walk the minors once
+    calls = []
+    walk = linalg._maximal_minors
+    monkeypatch.setattr(linalg, "_maximal_minors",
+                        lambda *args: calls.append(1) or walk(*args))
+    algebraic._tadic_cache.clear()
+    param = example_param(2, 5)
+    mf.flock_from_linearized(param)
+    mf.check_frobenius_axioms(param, 1)
+    assert mf.tadic_valuation(param) is mf.flock_from_linearized(param).valuation
+    assert len(calls) == 1
+    for g in range(algebraic._TADIC_CACHE_CAP + 5):
+        mf.tadic_valuation(example_param(3, g))
+    assert len(algebraic._tadic_cache) == algebraic._TADIC_CACHE_CAP
+
+
+def test_frobenius_check_runs_no_elimination(monkeypatch):
+    # after the one cached walk, the grid and the report eliminate nothing
+    param = example_param(3, 2)
+    mf.tadic_valuation(param)
+
+    def refuse(*args):
+        raise AssertionError("elimination reached")
+    monkeypatch.setattr(linalg, "_bareiss", refuse)
+    monkeypatch.setattr(linalg, "gf_rref", refuse)
+    rep = mf.check_frobenius_axioms(param, 2)
+    assert rep.ok and rep.ff1_checked == 4 * 5 ** 4
 
 
 def _ff_failures(win):

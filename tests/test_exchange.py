@@ -15,6 +15,8 @@ import matflock as mf
 from matflock import linalg
 from matflock.matroid import _exchange_failure, _exchange_quads, _single_exchanges
 
+import oracles
+
 
 def pairwise_failure(values: dict, n: int):
     """First (B, B', i) of the pairwise scan with no feasible j, or None.
@@ -94,6 +96,14 @@ def test_single_exchanges_are_the_distance_one_sets():
     for i, j, other in got:
         assert mask >> i & 1 and not mask >> j & 1
         assert other == mask - (1 << i) + (1 << j)
+
+
+@given(st.integers(min_value=0, max_value=10).flatmap(
+    lambda n: st.tuples(st.integers(min_value=0, max_value=(1 << n) - 1), st.just(n))))
+@settings(max_examples=300, deadline=None)
+def test_single_exchanges_match_bit_test_scan(case):
+    mask, n = case
+    assert list(_single_exchanges(mask, n)) == list(oracles.bit_test_single_exchanges(mask, n))
 
 
 def test_exchange_quads_cover_each_distance_two_pair_once():

@@ -347,6 +347,12 @@ def test_explicit_flock_outside_window():
         flock.masks_at((5, 5))
 
 
+def test_explicit_flock_rejects_wrong_length_alpha():
+    M = mf.Matroid.from_bases([1, 2], [[1]])
+    with pytest.raises(ValueError, match=r"alpha \(0,\) has length 1, expected 2"):
+        mf.explicit_flock({(0,): M}, (1, 2), 1)
+
+
 def test_memo_is_bounded(monkeypatch):
     monkeypatch.setattr(flock_module, "_MEMO_CAP", 8)
     nu = u24_valuation()

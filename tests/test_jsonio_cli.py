@@ -490,6 +490,18 @@ def test_cli_non_integer_coordinates_exit_2(tmp_path, command, doc):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("command", [["check-flock", "--radius", "1", "--explicit"],
+                                     ["extract-valuation", "--explicit"]])
+def test_cli_wrong_length_alpha_exit_2(command):
+    # an alpha shorter than the ground set is an input error naming it, not a
+    # lookup outside the window
+    path = str(Path(__file__).parent / "fixtures" / "malformed_explicit_alpha_length.json")
+    done = _run_cli(*command, path)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == "" and "Traceback" not in done.stderr
+    assert done.stderr.startswith("input error: ") and "(0,) has length 1, expected 2" in done.stderr
+
+
 def test_json_integer_fields_reject_booleans():
     with pytest.raises(jsonio.InputError):
         jsonio.valuation_from_json({"ground": [1, 2], "d": True, "values": []})
@@ -539,8 +551,11 @@ def test_cli_check_ff_matches_golden_report(capsys):
     # a pinned report, so the CLI is not only compared with the library it
     # calls; the installed-package CI job diffs the console script against it
     fixtures = Path(__file__).parent / "fixtures"
-    assert main(["check-ff", str(fixtures / "paper_example_param.json"), "--radius", "2"]) == 0
-    assert capsys.readouterr().out == (fixtures / "paper_example_check_ff_r2.json").read_text()
+    for param, radius, report in (("paper_example_param.json", 2, "paper_example_check_ff_r2.json"),
+                                  ("linearized_p3_n5_param.json", 1,
+                                   "linearized_p3_n5_check_ff_r1.json")):
+        assert main(["check-ff", str(fixtures / param), "--radius", str(radius)]) == 0
+        assert capsys.readouterr().out == (fixtures / report).read_text()
 
 
 def test_cli_extract_toric_matches_golden_report(capsys):

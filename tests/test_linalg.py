@@ -524,9 +524,10 @@ def walk_matrices(draw, entries):
     return rows
 
 
-def _check_walk(rows, ring, rank, det, mul, neg):
-    """Each nonzero maximal minor once, all off by one common factor and a
-    sign from the minors of a greedily chosen row basis."""
+def _check_walk(rows, ring, rank, det, mul):
+    """Each nonzero maximal minor once, with its sign, all off by one common
+    factor from the minors of a greedily chosen row basis: the ratio of any
+    two is exact."""
     basis = []
     for row in rows:
         if rank(basis + [row]) > len(basis):
@@ -541,7 +542,7 @@ def _check_walk(rows, ring, rank, det, mul, neg):
     assert len(walk) == len(got) and walk.keys() == ref.keys()
     B0 = got[0][0]
     for B, x in walk.items():
-        assert mul(x, ref[B0]) in (mul(ref[B], walk[B0]), neg(mul(ref[B], walk[B0])))
+        assert mul(x, ref[B0]) == mul(ref[B], walk[B0])
     return walk, ref
 
 
@@ -549,9 +550,9 @@ def _check_walk(rows, ring, rank, det, mul, neg):
 @settings(max_examples=200, deadline=None)
 def test_minor_walk_matches_integer_determinants(rows):
     walk, ref = _check_walk(rows, linalg._ZZ, linalg.rat_rank, linalg.det_int,
-                            lambda a, b: a * b, lambda a: -a)
-    if linalg.rat_rank(rows) == len(rows):         # independent rows: exact up to sign
-        assert {B: abs(x) for B, x in walk.items()} == {B: abs(x) for B, x in ref.items()}
+                            lambda a, b: a * b)
+    if linalg.rat_rank(rows) == len(rows):         # independent rows: one common sign
+        assert walk in (ref, {B: -x for B, x in ref.items()})
 
 
 @given(st.sampled_from([2, 3, 5, 7]).flatmap(
@@ -560,7 +561,7 @@ def test_minor_walk_matches_integer_determinants(rows):
 def test_minor_walk_matches_gf_determinants(case):
     p, rows = case
     _check_walk(rows, linalg._PrimeField(p), lambda M: linalg.gf_rank(M, p),
-                lambda M: linalg.det_int(M) % p, lambda a, b: a * b % p, lambda a: -a % p)
+                lambda M: linalg.det_int(M) % p, lambda a, b: a * b % p)
 
 
 @st.composite
@@ -592,5 +593,4 @@ def poly_walk_matrices(draw, p):
 def test_minor_walk_matches_leibniz_over_polynomials(case):
     p, rows = case
     _check_walk(rows, linalg._PolyRing(p), lambda M: linalg.polymat_rank(M, p),
-                lambda M: _poly_det(M, p), lambda a, b: linalg.poly_mul(a, b, p),
-                lambda a: linalg.poly_scale(a, -1, p))
+                lambda M: _poly_det(M, p), lambda a, b: linalg.poly_mul(a, b, p))
