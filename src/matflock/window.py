@@ -32,8 +32,11 @@ per-point walk.  ``_minor_moves`` keys both sides of every matroid for all
 moves at once, over the table's (matroid, basis) entries: with
 cnt_j = |b_j ∩ I|, the contraction keeps the bases of largest cnt and the
 deletion those of largest |b_j \\ I|, both projected to b_j \\ I.
-``_local_axioms`` then checks a move over the whole box with two gathers and
-one comparison.  Row spaces (the Frobenius axioms) are keyed one distinct
+``_local_axioms`` then checks a move over the whole box: the grid of
+``score_box`` is expanded run by run (each line's three ids repeated over
+the t below, at and above its cut), one contiguous copy of the checked
+block is shared by every move, and each side's keys are read from it with
+``np.take``.  Row spaces (the Frobenius axioms) are keyed one distinct
 space at a time.
 
 Exactness: values are shifted so the smallest is 0, which changes no argmax.
@@ -242,7 +245,8 @@ def _line_codes(low, high, cut, lo_last: int, hi_last: int):
 
 def _box_sets(finite_items, n: int, lo, hi):
     """(ids, bits): the ids of ``score_box``, and its table as an
-    (ids, bases) bool matrix whose column j is basis j of ``finite_items``."""
+    (ids, bases) bool matrix whose column j is basis j of ``finite_items``.
+    The ids are expanded run by run, with one ``np.repeat``."""
     m = len(finite_items)
     blocks = list(zip(*_lines(finite_items, n, lo, hi)))
     if not blocks:
@@ -252,10 +256,11 @@ def _box_sets(finite_items, n: int, lo, hi):
     # ids of the sets that occur in the box, numbered as score_ids numbers them
     line_ids = np.full(occurs.shape, -1, dtype=np.intp)
     line_ids[occurs], rows = _dense_rows(words[occurs])
-    t = np.arange(lo[-1], hi[-1] + 1)
-    below, at = t < cut[:, None], t == cut[:, None]
-    ids = np.where(below, line_ids[:, :1], np.where(at, line_ids[:, 1:2], line_ids[:, 2:]))
-    return ids.ravel(), _bits(rows, m)
+    # runs of t below, at and above each cut: empty for a set not occurring
+    side = hi[-1] - lo[-1] + 1
+    runs = np.stack([np.clip(cut - lo[-1], 0, side), occurs[:, 1],
+                     np.clip(hi[-1] - cut, 0, side)], axis=1)
+    return np.repeat(line_ids.ravel(), runs.ravel()), _bits(rows, m)
 
 
 def score_box(finite_items, n: int, lo, hi):
@@ -269,10 +274,10 @@ def score_box(finite_items, n: int, lo, hi):
 # id grids and the local axioms
 
 def _scored_grid(finite_items, n: int, lo: int, hi: int):
-    """(grid, bits) of the argmax families over [lo, hi]^n: an int32 grid
-    indexed by alpha - lo per axis, and the table as in ``_box_sets``."""
+    """(grid, bits) of the argmax families over [lo, hi]^n: the intp ids of
+    ``_box_sets`` as a grid indexed by alpha - lo per axis, and its table."""
     ids, bits = _box_sets(finite_items, n, [lo] * n, [hi] * n)
-    return ids.reshape((hi - lo + 1,) * n).astype(np.int32), bits
+    return ids.reshape((hi - lo + 1,) * n), bits
 
 
 def _id_grid(n: int, lo: int, hi: int, value_at):
@@ -312,16 +317,21 @@ def _local_axioms(grid: np.ndarray, radius: int, moves):
     right[id at alpha + e_I]: ``left`` and ``right`` are int arrays over the
     ids, numbered together.  A move is checked at every alpha of
     [-radius, radius]^E whose shift is in the grid, so a grid over
-    [-radius, radius + 1]^E checks the whole box, with two gathers and one
-    comparison.  Returns (checked, failed) per move and the violation
-    (alpha, move index, id, id') at the lex-first failing alpha, ties going
-    to the earlier move, or None.
+    [-radius, radius + 1]^E checks the whole box.  The checked block is
+    copied once per block shape into a contiguous array that its moves share,
+    and a move reads its keys with ``np.take``: two gathers, one comparison.
+    Returns (checked, failed) per move and the violation (alpha, move index,
+    id, id') at the lex-first failing alpha, ties going to the earlier move,
+    or None.
     """
     counts = []
     first = None
+    blocks: dict = {}
     for k, (axes, left, right) in enumerate(moves):
         at, shifted = _move_views(grid, radius, axes)
-        fails = left[at] != right[shifted]
+        if at.shape not in blocks:
+            blocks[at.shape] = np.ascontiguousarray(at)
+        fails = np.take(left, blocks[at.shape]) != np.take(right, shifted)
         failed = int(np.count_nonzero(fails))
         if failed:
             idx = np.unravel_index(int(np.argmax(fails)), fails.shape)

@@ -25,6 +25,10 @@ contraction, deletion and (FF1)/(FF2) report that re-reduce each side with
 ``linalg.gf_rref``: the routes that reading V_S off the initial Plücker
 coefficients of one minor walk, and the one-row RREF updates, replaced.
 Single exchanges by a test of all n^2 bit pairs.
+
+The local axioms with each move's keys gathered through strided views of
+the id grid: the route that one shared contiguous copy of the checked
+block, read with ``np.take``, replaced.
 """
 
 from __future__ import annotations
@@ -468,3 +472,30 @@ def bit_test_single_exchanges(mask: int, n: int):
             for j in range(n):
                 if not mask >> j & 1:
                     yield i, j, mask & ~(1 << i) | 1 << j
+
+
+def strided_local_axioms(grid: np.ndarray, radius: int, moves):
+    """Local axioms on an id grid whose index 0 is alpha = -radius on every axis.
+
+    A move (I, left, right) holds at alpha when left[id at alpha] equals
+    right[id at alpha + e_I]: ``left`` and ``right`` are int arrays over the
+    ids, numbered together.  A move is checked at every alpha of
+    [-radius, radius]^E whose shift is in the grid, so a grid over
+    [-radius, radius + 1]^E checks the whole box, with two gathers and one
+    comparison.  Returns (checked, failed) per move and the violation
+    (alpha, move index, id, id') at the lex-first failing alpha, ties going
+    to the earlier move, or None.
+    """
+    counts = []
+    first = None
+    for k, (axes, left, right) in enumerate(moves):
+        at, shifted = window._move_views(grid, radius, axes)
+        fails = left[at] != right[shifted]
+        failed = int(np.count_nonzero(fails))
+        if failed:
+            idx = np.unravel_index(int(np.argmax(fails)), fails.shape)
+            alpha = tuple(int(x) - radius for x in idx)
+            if first is None or alpha < first[0]:
+                first = (alpha, k, int(at[idx]), int(shifted[idx]))
+        counts.append((int(fails.size), failed))
+    return counts, first

@@ -248,20 +248,6 @@ def test_frobenius_corrupted_window():
     assert not rep.ok and rep.violation is not None
 
 
-def _random_param(rng, p, m, n, top=3):
-    """A random parametrization with up to three terms per coordinate."""
-    while True:
-        coords = []
-        for _ in range(n):
-            terms = {(rng.randrange(m), rng.randint(0, top)): rng.randint(1, p - 1)
-                     for _ in range(rng.randint(1, 3))}
-            coords.append([(v, k, c) for (v, k), c in terms.items()])
-        try:
-            return mf.LinearizedParam(p, m, coords)
-        except ValueError:
-            continue
-
-
 def test_frobenius_window_matches_tangent_route(rng):
     # the window's row spaces come from Plücker leading coefficients, one per
     # distinct matroid; the tangent route shifts and differentiates per point

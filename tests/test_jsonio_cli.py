@@ -558,6 +558,21 @@ def test_cli_check_ff_matches_golden_report(capsys):
         assert capsys.readouterr().out == (fixtures / report).read_text()
 
 
+def test_cli_check_flock_matches_golden_report(capsys):
+    # a passing report with set-move counts, and a violation on an explicit
+    # table: the matroids of the valuation {12: 0, 13: 1, 23: 0} over
+    # [-1, 2]^3 with the one at (0, 1, 0) swapped for the one at (1, 0, 0).
+    # The installed-package CI job diffs the console script against both
+    fixtures = Path(__file__).parent / "fixtures"
+    for argv, report in ((["--from-valuation", "valuation_n5_d2.json", "--radius", "3", "--sets"],
+                          "valuation_n5_d2_check_flock_r3_sets.json"),
+                         (["--explicit", "explicit_n3_swapped.json", "--radius", "1"],
+                          "explicit_n3_swapped_check_flock_r1.json")):
+        argv[1] = str(fixtures / argv[1])
+        assert main(["check-flock", *argv]) == 0
+        assert capsys.readouterr().out == (fixtures / report).read_text()
+
+
 def test_cli_extract_toric_matches_golden_report(capsys):
     # the valuation walked from the toric fixture, pinned; the
     # installed-package CI job diffs the console script against it

@@ -4,7 +4,9 @@ The oracle is the earlier form of ``_local_axioms``: a grid centred at
 alpha = 0 that reaches one step past the checked box on both sides, and
 moves given as predicates ``holds(id, id')`` evaluated once per distinct
 pair of ids.  The library now reads only [-r, r + 1]^E and compares one key
-per id; counts and violations must be the same.
+per id; counts and violations must be the same.  The kernel itself, which
+reads one contiguous copy of the checked block, is also compared with its
+strided predecessor ``oracles.strided_local_axioms``.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matflock as mf
+from matflock import flock as flock_module
 from matflock import jsonio, linalg, window
 from matflock.algebraic import FrobeniusWindowReport, _space_contract, _space_delete
 from matflock.cli import main
@@ -27,6 +30,7 @@ from matflock.flock import FlockViolation, window_ids
 from matflock.window import _id_grid
 from matflock.matroid import bases_contract, bases_delete
 
+import oracles
 from conftest import example_param, random_valid_valuation
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -369,3 +373,78 @@ def test_flock_check_computes_no_per_id_minors(monkeypatch):
     for flock in (mf.flock_from_valuation(nu), explicit):
         rep = mf.check_flock_axioms(flock, 2, check_sets=True)
         assert rep.ok and rep.set_checked == 31 * 5 ** 5
+
+
+# ---------------------------------------------------------------------------
+# the contiguous-block kernel against the strided one
+
+def _all_moves(n, masks, bits):
+    """Every minor move I of a flock check, with the all-ones shift after
+    the (MF1) moves, keyed as ``check_flock_axioms`` keys them."""
+    subsets = [c for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
+    moves = list(window._minor_moves(n, masks, bits, subsets))
+    return moves[:n] + [(tuple(range(n)), *window._same_keys(len(bits)))] + moves[n:]
+
+
+def _kernel_cases(rng):
+    """Seeded (kind, grid, radius, moves): scored intp grids over
+    [-r, r + 1]^n, int32 grids walked point by point, and grids with some
+    axes cut to 2r + 1, where the checked block differs between moves, as in
+    ``validate_frobenius_window`` when the table ends at the checked box."""
+    shapes = [(6, 3), (5, 3), (6, 2)] + [(rng.randint(1, 5), rng.randint(1, 3))
+                                         for _ in range(12)]
+    for n, radius in shapes:
+        nu = random_valid_valuation(rng, n, rng.randint(0, n))
+        items = nu.finite_items()
+        grid, bits = window._scored_grid(items, n, -radius, radius + 1)
+        masks = [mask for mask, _ in items]
+        yield "scored", grid, radius, _all_moves(n, masks, bits)
+        cut = tuple(slice(0, 2 * radius + 1 if rng.random() < 0.5 else None) for _ in range(n))
+        yield "cut", grid[cut], radius, _all_moves(n, masks, bits)
+        yield "cubic", grid[(slice(0, 2 * radius + 1),) * n], radius, _all_moves(n, masks, bits)
+        if n <= 4 and radius <= 2:
+            walked = mf.oracle_flock(nu.ground, nu.d, lambda a, nu=nu: mf.matroid_at(nu, a))
+            grid, masks, bits = flock_module._grid(walked, -radius, radius + 1)
+            assert grid.dtype == np.int32
+            yield "walked", grid, radius, _all_moves(n, masks, bits)
+
+
+def _perturbed(rng, grid, moves):
+    """Copies of ``moves`` with a few key entries set to a fresh key, and
+    (tie) the index of the earlier of two moves made to fail at the first
+    checked alpha by a left key that no right key equals, or None."""
+    moves = [(axes, left.copy(), right.copy()) for axes, left, right in moves]
+    fresh = max(int(max(left.max(), right.max())) for _, left, right in moves) + 1
+    for _ in range(rng.randint(0, 3)):
+        _, left, right = rng.choice(moves)
+        side = left if rng.random() < 0.5 else right
+        side[rng.randrange(len(side))] = fresh
+    tie = None
+    if len(moves) > 1 and rng.random() < 0.5:
+        tie, later = sorted(rng.sample(range(len(moves)), 2))
+        for k in (tie, later):
+            moves[k][1][grid[(0,) * grid.ndim]] = fresh + 1
+    return moves, tie
+
+
+def test_local_axioms_match_strided_oracle():
+    rng = random.Random(2207)
+    kinds = set()
+    checks = violations = ties = 0
+    for kind, grid, radius, moves in _kernel_cases(rng):
+        kinds.add((kind, str(grid.dtype)))
+        for _ in range(3):
+            perturbed, tie = _perturbed(rng, grid, moves)
+            want = oracles.strided_local_axioms(grid, radius, perturbed)
+            got = window._local_axioms(grid, radius, iter(perturbed))
+            assert got == want, (kind, grid.shape, radius)
+            checks += 1
+            violations += want[1] is not None
+            if tie is not None:
+                # both moves fail at alpha = (-r, ..., -r); an earlier move
+                # that fails there too takes the report
+                assert want[1][0] == (-radius,) * grid.ndim and want[1][1] <= tie
+                ties += 1
+    intp = np.dtype(np.intp).name
+    assert kinds == {("scored", intp), ("cut", intp), ("cubic", intp), ("walked", "int32")}
+    assert 30 <= violations < checks and ties >= 10

@@ -86,6 +86,21 @@ def test_score_box_matches_score_ids_past_63_bases(seed, offset):
     assert_same_scores(items, 8, lo, hi)
 
 
+def test_score_box_matches_score_ids_on_empty_runs():
+    # lines whose runs below, at or above the cut are empty: the last
+    # element a loop (every t below the cut) or a coloop (every t above),
+    # and cuts clipped to lo_last - 1 and hi_last + 1 or at the box's ends
+    for lo, hi in (([-1, -1], [1, 1]), ([0, 2], [3, 2]), ([-2, -1], [-1, 3])):
+        for v in range(-7, 8):
+            assert_same_scores([(0b01, 0), (0b10, v)], 2, lo, hi)
+            assert_same_scores([(0b011, 0), (0b101, v), (0b110, 1)], 3, lo + [-1], hi + [1])
+    loop = [(0b001, 0), (0b010, 1)]
+    coloop = [(0b101, 0), (0b110, 1)]
+    for items in (loop, coloop):
+        for lo, hi in (([-1] * 3, [1] * 3), ([0, -2, 1], [2, 1, 1]), ([-1, 0, -3], [0, 0, 2])):
+            assert_same_scores(items, 3, lo, hi)
+
+
 def test_score_box_empty_box_and_no_values():
     items = [(0b01, 0), (0b10, 1)]
     ids, table = window.score_box(items, 2, [0, 3], [2, 2])
