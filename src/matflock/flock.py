@@ -4,6 +4,10 @@ A flock is an oracle from integer vectors to matroids of fixed rank.  The
 two local axioms (minor compatibility under unit steps, invariance under the
 all-ones shift) are checked exhaustively over boxes; the potential g and the
 valuation extracted from it give the finite description of the whole family.
+
+A flock that carries a valuation checks it once, when it is built, and its
+extraction reads each value off local optimality; the envelope walk over the
+flock's matroids is the oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .lattice import INF, vadd
-from .matroid import Matroid, _raise_unless
+from .matroid import Matroid, _raise_unless, _single_exchanges
 from .valuation import Valuation, check_valuation_axioms, optimal_masks
 
 
@@ -33,12 +37,19 @@ _MEMO_CAP = 1 << 16
 
 
 class MatroidFlock:
-    """An oracle alpha in Z^E -> matroid of rank d on E, memoized per alpha."""
+    """An oracle alpha in Z^E -> matroid of rank d on E, memoized per alpha.
+
+    A ``valuation`` is checked here, once: ValueError unless it satisfies
+    (V1)/(V2) on the flock's ground set and rank."""
 
     def __init__(self, ground, d: int, masks_eval: Callable[[tuple], frozenset],
                  source: str, valuation: Optional[Valuation] = None):
         self.ground = tuple(ground)
         self.d = int(d)
+        if valuation is not None:
+            if (valuation.ground, valuation.d) != (self.ground, self.d):
+                raise ValueError("valuation on another ground set or rank")
+            _raise_unless(check_valuation_axioms(valuation), "valuation")
         self.source = source
         self.valuation = valuation
         self._masks_eval = masks_eval
@@ -67,8 +78,8 @@ class MatroidFlock:
 
 
 def flock_from_valuation(nu: Valuation) -> MatroidFlock:
-    """The flock alpha -> M^nu_alpha; ValueError unless nu is a valuation."""
-    _raise_unless(check_valuation_axioms(nu), "valuation")
+    """The flock alpha -> M^nu_alpha; ValueError unless nu is a valuation
+    (checked once, by ``MatroidFlock``)."""
     return MatroidFlock(nu.ground, nu.d, lambda a: optimal_masks(nu, a),
                         "valuation", valuation=nu)
 
@@ -263,25 +274,24 @@ def extract_valuation(flock: MatroidFlock, cutoff: Optional[int] = None,
 
     For each d-subset B, walk alpha = k * e_B until B is a basis of
     M_alpha; then nu(B) = k*d - g(k*e_B).  Subsets that never become bases
-    within the cutoff get nu(B) = ∞.  A valuation-backed flock is not
-    evaluated point by point: on the walk the score of B' is
-    k*|B ∩ B'| - nu(B'), so M_alpha comes from the upper envelope of at most
-    d+1 affine functions of k, and g is summed over the envelope's segments
-    (``_envelope_value``).  That costs one pass over the finite bases per
-    subset, whatever the spread.  Any other flock is read at every step
-    through ``masks_at`` (``_point_value``).
+    within the cutoff get nu(B) = ∞.  A flock without a valuation is read at
+    every step through ``masks_at`` (``_point_value``); one that carries a
+    valuation, checked when the flock was built, is read off local
+    optimality (``_local_values``).
 
     The result is then verified, and a failure raises ExtractionError
     listing the subsets that hit the cutoff.  A flock that carries a
     valuation determines it up to a constant, and the walk fixes that
     constant by g(0) = 0, so the walked map must equal
-    ``flock.valuation.normalized()`` exactly; this holds at every alpha,
-    not just on a window, and ``verify_radius`` is ignored.  Any other flock
-    is compared with M^nu_alpha on the box of ``verify_radius`` (default 2,
-    0 skips the check); a negative ``verify_radius`` is refused for every
-    flock.
+    ``flock.valuation.normalized()`` exactly, and is returned at once if it
+    does; else its (V2) failure, or the lex-first subset where the two
+    differ, is reported.  This holds at every alpha, not just on a window,
+    and ``verify_radius`` is ignored.  Any other flock's map is checked for
+    (V1)/(V2) and compared with M^nu_alpha on the box of ``verify_radius``
+    (default 2, 0 skips the check); a negative ``verify_radius`` is refused
+    for every flock.
     """
-    n = len(flock.ground)
+    n, d = len(flock.ground), flock.d
     if cutoff is None:
         cutoff = _default_cutoff(flock)
     if cutoff < 1:
@@ -291,36 +301,33 @@ def extract_valuation(flock: MatroidFlock, cutoff: Optional[int] = None,
     if verify_radius < 0:
         raise ValueError("verify_radius must be nonnegative")
 
+    subsets = [sum(1 << i for i in combo) for combo in itertools.combinations(range(n), d)]
     if flock.valuation is None:
-        walk, walk_value = cutoff, _point_value
+        value_of = lambda bmask: _point_value(flock, bmask, cutoff)
     else:
-        # steps past spread + 1 meet only non-bases (_default_cutoff)
-        walk, walk_value = min(cutoff, _default_cutoff(flock)), _envelope_value
-    finite: dict[int, int] = {}
-    cutoff_hits = []
-    d = flock.d
-    for combo in itertools.combinations(range(n), d):
-        bmask = sum(1 << i for i in combo)
-        value = walk_value(flock, bmask, walk)
-        if value is None:
-            cutoff_hits.append(tuple(flock.ground[i] for i in combo))
-        else:
-            finite[bmask] = value
+        value_of = _local_values(flock.valuation, cutoff).get
+    walked = [(bmask, value_of(bmask)) for bmask in subsets]
+    finite = {bmask: value for bmask, value in walked if value is not None}
+    cutoff_hits = [tuple(e for i, e in enumerate(flock.ground) if bmask >> i & 1)
+                   for bmask, value in walked if value is None]
 
     nu = Valuation(flock.ground, d, finite)
+    mismatch = None
+    if flock.valuation is not None:
+        mismatch = _value_mismatch(nu, flock.valuation.normalized())
+        if mismatch is None:
+            return nu
     check = check_valuation_axioms(nu)
     if not check.ok:
         raise ExtractionError(
             f"extracted map violates ({check.kind}) at {check.witness}", cutoff_hits)
-    if flock.valuation is not None:
-        bad = _value_mismatch(nu, flock.valuation.normalized())
-        if bad is not None:
-            subset, got, want = bad
-            raise ExtractionError(
-                f"round-trip mismatch at {subset}: extracted {got}, "
-                f"the flock's valuation {want}; cutoff {cutoff} may be too small",
-                cutoff_hits)
-    elif verify_radius:
+    if mismatch is not None:
+        subset, got, want = mismatch
+        raise ExtractionError(
+            f"round-trip mismatch at {subset}: extracted {got}, "
+            f"the flock's valuation {want}; cutoff {cutoff} may be too small",
+            cutoff_hits)
+    if verify_radius:
         bad = _window_mismatch(nu, flock, verify_radius)
         if bad is not None:
             raise ExtractionError(
@@ -342,35 +349,20 @@ def _point_value(flock: MatroidFlock, bmask: int, walk: int) -> Optional[int]:
     return None
 
 
-def _envelope_value(flock: MatroidFlock, bmask: int, walk: int) -> Optional[int]:
-    """``_point_value`` of a valuation-backed flock, read off the walk's envelope.
-
-    At alpha = k*e_B the score of B' is k*s - nu(B') with slope
-    s = |B ∩ B'|, so only c_s = max(-nu(B')) over each slope matters.  The
-    rank of B in M_alpha is the largest slope attaining max_s(k*s + c_s), and
-    B is a basis exactly when that slope is d.  The top slope only grows with
-    k, so g is summed over at most d+1 segments, each ending where a larger
-    slope first catches up.
-    """
-    best: dict[int, int] = {}
-    for mask, val in flock.valuation.finite.items():
-        s = (mask & bmask).bit_count()
-        if s not in best or -val > best[s]:
-            best[s] = -val
-    if not best:
-        raise ValueError("valuation violates (V1): no finite value")
-    g = k = 0
-    while k <= walk:
-        score = max(k * s + c for s, c in best.items())
-        top = max(s for s, c in best.items() if k * s + c == score)
-        if top == flock.d:
-            return k * top - g
-        # first k' with k'*s + c_s >= k'*top + c_top: ceil((c_top - c_s) / (s - top))
-        nxt = min((-((c - best[top]) // (s - top)) for s, c in best.items() if s > top),
-                  default=walk + 1)
-        g += top * (nxt - k)
-        k = nxt
-    return None
+def _local_values(nu: Valuation, cutoff: int) -> dict[int, int]:
+    """``_point_value`` by mask of each finite B of the valuation nu that is
+    a basis on its walk by k = cutoff.  By local optimality (Dress-Wenzel
+    1992; Murota, *Discrete Convex Analysis*, ch. 5) B is optimal at k*e_B
+    exactly when no finite single exchange B' = B - i + j scores higher,
+    k*(d-1) - nu(B') against k*d - nu(B), so from k_B = max(0, max over B'
+    of nu(B) - nu(B')) <= spread on, where the walk reads nu(B) - min nu."""
+    n, low = len(nu.ground), min(nu.finite.values())
+    values = {}
+    for bmask, value in nu.finite.items():
+        if max((value - nu.finite[other] for _, _, other in _single_exchanges(bmask, n)
+                if other in nu.finite), default=0) <= cutoff:
+            values[bmask] = value - low
+    return values
 
 
 def _value_mismatch(nu: Valuation, ref: Valuation):

@@ -162,13 +162,13 @@ def window_function_from_json(doc) -> WindowFunction:
     for entry in entries:
         x = _int_vector(entry, "x")
         v = _require(entry, "v")
-        if v == "inf":
-            continue
-        if not isinstance(v, int) or isinstance(v, bool):
+        if x in values:
+            raise InputError(f"point x={list(x)} listed twice")
+        if v != "inf" and (not isinstance(v, int) or isinstance(v, bool)):
             raise InputError(f"bad window value {v!r}")
         values[x] = v
     try:
-        return WindowFunction(n, lo, hi, values)
+        return WindowFunction(n, lo, hi, {x: v for x, v in values.items() if v != "inf"})
     except (ValueError, TypeError) as exc:
         raise InputError(f"bad window function document: {exc}") from None
 
@@ -233,6 +233,8 @@ def explicit_flock_from_json(doc) -> MatroidFlock:
         alpha = _int_vector(entry, "alpha")
         M = matroid_from_json(_require(entry, "matroid", dict))
         ground = M.ground
+        if alpha in table:
+            raise InputError(f"alpha={list(alpha)} listed twice")
         table[alpha] = M
     if not table:
         raise InputError("explicit flock with no entries")

@@ -40,10 +40,10 @@ class Valuation:
 
     @classmethod
     def from_values(cls, ground, d: int, values) -> "Valuation":
-        """Build from (subset, value) pairs; value INF entries are dropped."""
+        """Build from (subset, value) pairs; INF values are dropped, repeated subsets refused."""
         ground = canonical_ground(ground)
         index = {e: i for i, e in enumerate(ground)}
-        finite = {}
+        listed = {}
         items = values.items() if isinstance(values, dict) else values
         for subset, val in items:
             try:
@@ -52,10 +52,10 @@ class Valuation:
                 raise ValueError(f"unknown element {exc.args[0]!r}") from None
             if len(set(subset)) != d:
                 raise ValueError(f"subset {sorted(subset)} does not have size {d}")
-            if val == INF:
-                continue
-            finite[mask] = int(val)
-        return cls(ground, d, finite)
+            if mask in listed:
+                raise ValueError(f"subset {sorted(subset)} listed twice")
+            listed[mask] = val
+        return cls(ground, d, {mask: int(val) for mask, val in listed.items() if val != INF})
 
     # -- accessors -----------------------------------------------------------
 

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
 import matflock as mf
+from matflock import flock as flock_module
 from matflock.lattice import INF
+
+import oracles
 
 
 def u24_valuation() -> mf.Valuation:
@@ -86,6 +90,28 @@ def random_saturated_toric(rng: random.Random, d: int, n: int, p: int,
             return mf.ToricRep(tuple(tuple(r) for r in A), p)
         except ValueError:
             continue
+
+
+def _extraction(flock, cutoff, verify_radius):
+    """The valuation extract_valuation returns, or the (message, cutoff_hits)
+    of the ExtractionError it raises, with the error."""
+    try:
+        return mf.extract_valuation(flock, cutoff, verify_radius), None
+    except mf.ExtractionError as err:
+        return (str(err), err.cutoff_hits), err
+
+
+def extract_checked(flock, cutoff=None, verify_radius=None) -> mf.Valuation:
+    """``extract_valuation``, asserting for a flock that carries a valuation
+    that reading the values by local optimality gives the valuation, or the
+    error message and cutoff hits, of walking every subset's envelope."""
+    got, err = _extraction(flock, cutoff, verify_radius)
+    if flock.valuation is not None:
+        with mock.patch.object(flock_module, "_local_values", oracles.envelope_values):
+            assert got == _extraction(flock, cutoff, verify_radius)[0]
+    if err is not None:
+        raise err
+    return got
 
 
 @pytest.fixture

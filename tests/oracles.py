@@ -29,6 +29,10 @@ Single exchanges by a test of all n^2 bit pairs.
 The local axioms with each move's keys gathered through strided views of
 the id grid: the route that one shared contiguous copy of the checked
 block, read with ``np.take``, replaced.
+
+Extraction along the walk's upper envelope, one pass over the finite bases
+per subset: the route that reading each value off local optimality
+(``flock._local_values``) replaced.  It takes any map, valuation or not.
 """
 
 from __future__ import annotations
@@ -499,3 +503,45 @@ def strided_local_axioms(grid: np.ndarray, radius: int, moves):
                 first = (alpha, k, int(at[idx]), int(shifted[idx]))
         counts.append((int(fails.size), failed))
     return counts, first
+
+
+def envelope_value(nu: Valuation, bmask: int, walk: int):
+    """``_point_value`` of the flock alpha -> M^nu_alpha, read off the walk's envelope.
+
+    At alpha = k*e_B the score of B' is k*s - nu(B') with slope
+    s = |B ∩ B'|, so only c_s = max(-nu(B')) over each slope matters.  The
+    rank of B in M_alpha is the largest slope attaining max_s(k*s + c_s), and
+    B is a basis exactly when that slope is d.  The top slope only grows with
+    k, so g is summed over at most d+1 segments, each ending where a larger
+    slope first catches up.
+    """
+    best: dict[int, int] = {}
+    for mask, val in nu.finite.items():
+        s = (mask & bmask).bit_count()
+        if s not in best or -val > best[s]:
+            best[s] = -val
+    if not best:
+        raise ValueError("valuation violates (V1): no finite value")
+    g = k = 0
+    while k <= walk:
+        score = max(k * s + c for s, c in best.items())
+        top = max(s for s, c in best.items() if k * s + c == score)
+        if top == nu.d:
+            return k * top - g
+        # first k' with k'*s + c_s >= k'*top + c_top: ceil((c_top - c_s) / (s - top))
+        nxt = min((-((c - best[top]) // (s - top)) for s, c in best.items() if s > top),
+                  default=walk + 1)
+        g += top * (nxt - k)
+        k = nxt
+    return None
+
+
+def envelope_values(nu: Valuation, cutoff: int) -> dict[int, int]:
+    """``flock._local_values(nu, cutoff)`` by the envelope walk of every d-subset."""
+    values = {}
+    for combo in itertools.combinations(range(len(nu.ground)), nu.d):
+        bmask = sum(1 << i for i in combo)
+        value = envelope_value(nu, bmask, cutoff)
+        if value is not None:
+            values[bmask] = value
+    return values

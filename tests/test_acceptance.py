@@ -16,6 +16,7 @@ import matflock as mf
 import flockprops
 from conftest import (
     example_param,
+    extract_checked,
     random_saturated_toric,
     random_valid_valuation,
     toric_example,
@@ -57,7 +58,7 @@ def test_criterion_2_valuation_flock_round_trip():
     for n, d in sizes:
         nu = random_valid_valuation(rng, n, d, vmax=3, max_inf=2)
         flock = mf.flock_from_valuation(nu)
-        assert mf.extract_valuation(flock) == nu
+        assert extract_checked(flock) == nu
         assert mf.check_flock_axioms(flock, 3).ok
     _report(2, f"{len(sizes)} random valuations round-trip exactly, "
             "axioms hold at radius 3", t0, 60)
@@ -82,7 +83,7 @@ def test_criterion_3_frobenius_example():
     assert pp((0, -2, -2, 0)) == ((2, 3),)
 
     # extracted valuation: value g = 2 on {1,4}, zero elsewhere
-    nu = mf.extract_valuation(flock)
+    nu = extract_checked(flock)
     assert nu.value([1, 4]) == 2
     assert all(nu.value(B) == 0
                for B in [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
@@ -101,7 +102,7 @@ def test_criterion_4_toric_oracle_equivalence():
         n = rng.randint(max(d, 2), 6)
         p = rng.choice([2, 3, 5])
         rep = random_saturated_toric(rng, d, n, p)
-        assert mf.extract_valuation(mf.flock_from_toric(rep)) == \
+        assert extract_checked(mf.flock_from_toric(rep)) == \
             mf.lindstrom_toric(rep)
         count += 1
     _report(4, f"{count} random saturated matrices: walk extraction equals "
@@ -143,7 +144,7 @@ def _test_valuations(rng):
         u24_valuation(),
         two_element_valuation(),
         mf.lindstrom_toric(toric_example(2)),
-        mf.extract_valuation(mf.flock_from_linearized(example_param(2, 2))),
+        extract_checked(mf.flock_from_linearized(example_param(2, 2))),
         mf.circuit_hyperplane_valuation(mf.uniform_matroid(2, 4), [1, 3], 2),
         mf.Valuation.from_values(
             [1, 2, 3], 2, {(1, 2): 0, (1, 3): 0, (2, 3): 0}),

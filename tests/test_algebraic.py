@@ -15,7 +15,7 @@ from matflock.lattice import INF
 
 import flockprops
 import oracles
-from conftest import example_param, random_saturated_toric, toric_example
+from conftest import example_param, extract_checked, random_saturated_toric, toric_example
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def test_row_scaling_by_p_free_integer_is_invisible():
 def test_flock_from_toric_matches_direct_valuation():
     rep = toric_example(2)
     flock = mf.flock_from_toric(rep)
-    assert mf.extract_valuation(flock) == mf.lindstrom_toric(rep)
+    assert extract_checked(flock) == mf.lindstrom_toric(rep)
     assert mf.check_flock_axioms(flock, 3).ok
 
 
@@ -134,7 +134,7 @@ def test_toric_oracle_equivalence_random(rng):
         d = rng.randint(1, 3)
         n = rng.randint(d, 5)
         rep = random_saturated_toric(rng, d, n, rng.choice([2, 3, 5]))
-        assert mf.extract_valuation(mf.flock_from_toric(rep)) == \
+        assert extract_checked(mf.flock_from_toric(rep)) == \
             mf.lindstrom_toric(rep)
 
 
@@ -461,14 +461,14 @@ def test_extraction_family_p_g(rng):
     for p in (2, 3):
         for g in (1, 2, 3):
             flock = mf.flock_from_linearized(example_param(p, g))
-            nu = mf.extract_valuation(flock)
+            nu = extract_checked(flock)
             assert nu.value([1, 4]) == g
             assert all(nu.value(B) == 0
                        for B in [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
     # cross-check g = 1 against the toric model with the same combinatorics
     for p in (2, 3):
         toric = mf.lindstrom_toric(mf.ToricRep(((1, 0, 1, 1), (0, 1, 1, p)), p))
-        lin = mf.extract_valuation(mf.flock_from_linearized(example_param(p, 1)))
+        lin = extract_checked(mf.flock_from_linearized(example_param(p, 1)))
         assert toric == lin
 
 

@@ -15,8 +15,10 @@ from matflock.flock import window_ids
 from matflock.valuation import optimal_masks
 
 import flockprops
+import oracles
 from conftest import (
     example_param,
+    extract_checked,
     random_saturated_toric,
     random_valid_valuation,
     toric_example,
@@ -114,16 +116,16 @@ def test_g_submodular_on_window(rng):
 
 def test_extract_u24_weights_exact():
     nu = u24_valuation()
-    assert mf.extract_valuation(mf.flock_from_valuation(nu), cutoff=8) == nu
+    assert extract_checked(mf.flock_from_valuation(nu), cutoff=8) == nu
 
 
 def test_extract_two_element_example():
-    nu = mf.extract_valuation(mf.flock_from_valuation(two_element_valuation()))
+    nu = extract_checked(mf.flock_from_valuation(two_element_valuation()))
     assert nu.value([1]) == 0 and nu.value([2]) == 0
 
 
 def test_extract_linearized_example():
-    nu = mf.extract_valuation(mf.flock_from_linearized(example_param(2, 2)))
+    nu = extract_checked(mf.flock_from_linearized(example_param(2, 2)))
     assert nu.value([1, 4]) == 2
     assert all(nu.value(B) == 0
                for B in [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
@@ -133,7 +135,7 @@ def test_extract_detects_infinite_values():
     # a loop element: every pair through 4 stays infinite
     nu = mf.Valuation.from_values(
         [1, 2, 3, 4], 2, {(1, 2): 0, (1, 3): 0, (2, 3): 1})
-    got = mf.extract_valuation(mf.flock_from_valuation(nu))
+    got = extract_checked(mf.flock_from_valuation(nu))
     assert got == nu
     assert got.value([1, 4]) == mf.INF
 
@@ -150,7 +152,7 @@ def test_extract_valuation_source_cutoff_too_small_raises():
     # the walk reads {2} as ∞; the result is a valuation, but not the flock's
     nu = mf.Valuation.from_values([1, 2], 1, {(1,): 0, (2,): 3})
     with pytest.raises(mf.ExtractionError, match=r"\(2,\).*may be too small") as err:
-        mf.extract_valuation(mf.flock_from_valuation(nu), cutoff=2)
+        extract_checked(mf.flock_from_valuation(nu), cutoff=2)
     assert err.value.cutoff_hits == ((2,),)
 
 
@@ -168,7 +170,7 @@ def test_extract_exact_check_agrees_with_window(rng):
         for flock, radius in ((mf.flock_from_valuation(nu), None),
                               (slow, max(1, nu.spread))):
             try:
-                results.append(mf.extract_valuation(flock, cutoff, radius))
+                results.append(extract_checked(flock, cutoff, radius))
             except mf.ExtractionError:
                 results.append(None)
         exact, windowed = results
@@ -184,27 +186,29 @@ def test_roundtrip_random_sample(rng):
         d = rng.randint(1, min(3, n))
         nu = random_valid_valuation(rng, n, d)
         flock = mf.flock_from_valuation(nu)
-        assert mf.extract_valuation(flock) == nu
+        assert extract_checked(flock) == nu
         assert mf.check_flock_axioms(flock, 2).ok
 
 
 def _wrapped(nu):
-    # a valuation-backed flock whose map need not be a valuation
+    # a valuation-backed flock built through the public constructor, which
+    # refuses a map that is not a valuation
     return mf.MatroidFlock(nu.ground, nu.d, lambda a: optimal_masks(nu, a), "wrapped",
                            valuation=nu)
 
 
-def _random_map(rng):
-    n = rng.randint(1, 5)
-    d = rng.randint(0, n)
+def _random_map(rng, n=None, d=None):
+    n = rng.randint(1, 5) if n is None else n
+    d = rng.randint(0, n) if d is None else d
     subsets = [sum(1 << i for i in c) for c in itertools.combinations(range(n), d)]
     finite = {m: rng.randint(-3, 9) for m in subsets if rng.random() < 0.7}
     return mf.Valuation(range(1, n + 1), d, finite or {subsets[0]: rng.randint(0, 4)})
 
 
 def _backed_flocks(rng):
-    """Valuation-backed flocks: valuations, arbitrary maps, toric reps for
-    p in {2, 3, 5}, and linearized parametrizations."""
+    """Valuation-backed flocks: valuations, wrapped random maps (on the
+    seeds used here each has d <= 1 or d >= n - 1, so each is a valuation),
+    toric reps for p in {2, 3, 5}, and linearized parametrizations."""
     for _ in range(12):
         n = rng.randint(2, 6)
         d = rng.randint(1, min(3, n))
@@ -230,19 +234,83 @@ def test_extract_envelope_matches_point_walk(monkeypatch):
     rng = random.Random(1801)
     cases = 0
     for flock in _backed_flocks(rng):
-        n, d = len(flock.ground), flock.d
+        n, d, nu = len(flock.ground), flock.d, flock.valuation
         default = flock_module._default_cutoff(flock)
         for walk in (1, 2, 3, 4, 5, default):
+            local = flock_module._local_values(nu, walk)
             for combo in itertools.combinations(range(n), d):
                 bmask = sum(1 << i for i in combo)
-                assert flock_module._envelope_value(flock, bmask, walk) == \
+                assert local.get(bmask) == oracles.envelope_value(nu, bmask, walk) == \
                     flock_module._point_value(flock, bmask, walk), (flock, bmask, walk)
                 cases += 1
         got = [_outcome(flock, cutoff) for cutoff in (None, 1, 2, 3, 4, 5)]
         with monkeypatch.context() as patch:
-            patch.setattr(flock_module, "_envelope_value", flock_module._point_value)
+            patch.setattr(flock_module, "_local_values", oracles.envelope_values)
             assert got == [_outcome(flock, cutoff) for cutoff in (None, 1, 2, 3, 4, 5)]
     assert cases > 1000
+
+
+def test_wrapped_maps_are_checked_when_built():
+    # maps with 2 <= d <= n - 2, where (V2) can fail: the constructor refuses
+    # exactly the non-valuations, and the envelope oracle still walks them
+    rng = random.Random(1803)
+    refused = 0
+    for _ in range(40):
+        n = rng.randint(4, 6)
+        nu = _random_map(rng, n, rng.randint(2, n - 2))
+        check = mf.check_valuation_axioms(nu)
+        if check.ok:
+            assert _wrapped(nu).valuation is nu
+        else:
+            refused += 1
+            with pytest.raises(ValueError, match=rf"^valuation violates \({check.kind}\)"):
+                _wrapped(nu)
+        slow = mf.oracle_flock(nu.ground, nu.d, lambda a, nu=nu: mf.matroid_at(nu, a))
+        for walk in (0, 1, 3, nu.spread + 1):
+            for combo in itertools.combinations(range(n), nu.d):
+                bmask = sum(1 << i for i in combo)
+                assert oracles.envelope_value(nu, bmask, walk) == \
+                    flock_module._point_value(slow, bmask, walk), (nu.finite, bmask, walk)
+    assert refused > 0
+
+
+def test_flock_refuses_valuation_on_other_ground_or_rank():
+    nu = u24_valuation()
+    masks = lambda a: optimal_masks(nu, a)
+    for ground, d in (((1, 2, 3, 5), 2), ((1, 2, 3, 4), 3), ((4, 3, 2, 1), 2)):
+        with pytest.raises(ValueError, match="another ground set or rank"):
+            mf.MatroidFlock(ground, d, masks, "wrapped", valuation=nu)
+
+
+def test_valuation_checked_once_and_not_at_extraction(monkeypatch):
+    calls = []
+    real = flock_module.check_valuation_axioms
+    monkeypatch.setattr(flock_module, "check_valuation_axioms",
+                        lambda nu: calls.append(nu) or real(nu))
+    for build, source in ((mf.flock_from_valuation, u24_valuation()),
+                          (mf.flock_from_toric, toric_example(3)),
+                          (mf.flock_from_linearized, example_param(2, 2))):
+        calls.clear()
+        flock = build(source)
+        assert len(calls) == 1, build
+        calls.clear()
+        assert mf.extract_valuation(flock) == flock.valuation.normalized()
+        assert calls == [], build
+
+
+def test_extract_7x16_toric_in_bounded_time():
+    # 7 x 16 over p = 3, C(16, 7) = 11 440 subsets; reading each value off
+    # its d(n-d) = 63 single exchanges, not walking the envelope over every
+    # basis, keeps build plus extraction to a few seconds
+    rng = random.Random(2316)
+    rows = [tuple([int(i == j) for j in range(7)] + [rng.randint(-4, 4) for _ in range(9)])
+            for i in range(7)]
+    start = time.perf_counter()
+    flock = mf.flock_from_toric(mf.ToricRep(tuple(rows), 3))
+    nu = mf.extract_valuation(flock)
+    elapsed = time.perf_counter() - start
+    assert nu == flock.valuation.normalized() and len(nu.finite) > 10_000
+    assert elapsed < 10, elapsed
 
 
 def test_extract_backed_flock_never_evaluates_points(monkeypatch):

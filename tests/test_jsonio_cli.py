@@ -502,6 +502,30 @@ def test_cli_wrong_length_alpha_exit_2(command):
     assert done.stderr.startswith("input error: ") and "(0,) has length 1, expected 2" in done.stderr
 
 
+def test_from_values_refuses_repeated_subset():
+    # in any order of its elements, and whether either value is ∞
+    for pairs in ([((1, 2), 0), ((2, 1), 5)], [((1, 2), 0), ((1, 2), mf.INF)],
+                  [((2, 1), mf.INF), ((1, 2), 0)]):
+        with pytest.raises(ValueError, match=r"subset \[1, 2\] listed twice"):
+            mf.Valuation.from_values([1, 2, 3], 2, pairs)
+
+
+@pytest.mark.parametrize("command, doc, named", [
+    (["check-valuation"], "malformed_valuation_repeated_basis.json",
+     "subset [1, 2] listed twice"),
+    (_FENCHEL, "malformed_point_function_repeated_x.json", "point x=[0, 0] listed twice"),
+    (["check-flock", "--radius", "1", "--explicit"], "malformed_explicit_repeated_alpha.json",
+     "alpha=[0, 0] listed twice"),
+], ids=["basis", "x", "alpha"])
+def test_cli_repeated_entry_exit_2(command, doc, named):
+    # a second entry for the same basis, x or alpha is refused, not a silent
+    # overwrite whose outcome depends on the order of the entries
+    done = _run_cli(*command, str(Path(__file__).parent / "fixtures" / doc))
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == "" and "Traceback" not in done.stderr
+    assert done.stderr.startswith("input error: ") and named in done.stderr
+
+
 def test_json_integer_fields_reject_booleans():
     with pytest.raises(jsonio.InputError):
         jsonio.valuation_from_json({"ground": [1, 2], "d": True, "values": []})
@@ -579,6 +603,26 @@ def test_cli_extract_toric_matches_golden_report(capsys):
     fixtures = Path(__file__).parent / "fixtures"
     assert main(["extract-valuation", "--from-toric", str(fixtures / "toric_wide.json")]) == 0
     assert capsys.readouterr().out == (fixtures / "toric_wide_extracted.json").read_text()
+
+
+@pytest.mark.parametrize("source, doc, report", [
+    ("--from-valuation", "valuation_n5_d2.json", "valuation_n5_d2_extracted.json"),
+    ("--from-linearized", "linearized_p3_n5_param.json", "linearized_p3_n5_extracted.json"),
+])
+def test_cli_extract_matches_pinned_report(capsys, source, doc, report):
+    # pinned; the installed-package CI job diffs the console script against them
+    fixtures = Path(__file__).parent / "fixtures"
+    assert main(["extract-valuation", source, str(fixtures / doc)]) == 0
+    assert capsys.readouterr().out == (fixtures / report).read_text()
+
+
+def test_cli_extract_toric_cutoff_1_matches_pinned_error(capsys):
+    # at cutoff 1 the walked map fails (V2); the message names its witness
+    fixtures = Path(__file__).parent / "fixtures"
+    assert main(["extract-valuation", "--from-toric", str(fixtures / "toric_wide.json"),
+                 "--cutoff", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (fixtures / "toric_wide_cutoff1_error.txt").read_text()
 
 
 def test_cli_rigidity_lazarson4_matches_pinned_report_in_bounded_time():
