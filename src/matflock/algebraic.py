@@ -29,7 +29,7 @@ from typing import Optional
 
 from . import linalg
 from .lattice import INF
-from .matroid import GF, Matroid, matroid_from_matrix
+from .matroid import GF, Matroid, matroid_from_matrix, positional_ground
 from .valuation import Valuation, matroid_at, optimal_masks
 from .flock import MatroidFlock
 
@@ -80,12 +80,8 @@ class ToricRep:
         if not linalg.is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         n = len(A[0]) if A else 0
-        ground = self.ground or tuple(range(1, n + 1))
-        if len(ground) != n:
-            raise ValueError("ground size does not match column count")
-        if tuple(sorted(ground)) != tuple(ground):
-            raise ValueError("ground must be sorted (columns align positionally)")
-        object.__setattr__(self, "ground", tuple(ground))
+        object.__setattr__(self, "ground", positional_ground(
+            self.ground or range(1, n + 1), n, "column"))
         if linalg.rat_rank(A) != len(A):
             raise ValueError("matrix does not have full row rank")
         if not linalg.is_saturated(A):
@@ -169,11 +165,8 @@ class LinearizedParam:
             canon.append(tuple(sorted((v, k, c) for (v, k), c in seen.items())))
         self.coords = tuple(canon)
         n = len(self.coords)
-        self.ground = tuple(ground) if ground is not None else tuple(range(1, n + 1))
-        if len(self.ground) != n:
-            raise ValueError("ground size does not match coordinate count")
-        if tuple(sorted(self.ground)) != self.ground:
-            raise ValueError("ground must be sorted (coordinates align positionally)")
+        self.ground = positional_ground(range(1, n + 1) if ground is None else ground,
+                                        n, "coordinate")
 
     @property
     def n(self) -> int:

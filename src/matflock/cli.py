@@ -27,6 +27,7 @@ from .valuation import (
     _leader_vertices,
     cell_inequalities,
     check_valuation_axioms,
+    default_leader_radius,
     enumerate_leaders,
     g_value,
     matroid_at,
@@ -137,7 +138,7 @@ def _cmd_cells(args):
             raise InputError(svg._AXIS_COUNT.format(len(labels)))
         if labels[0] == labels[1]:
             raise InputError(svg._AXES_DISTINCT)
-        radius = args.radius if args.radius is not None else nu.spread * (n - 1) + 1
+        radius = args.radius if args.radius is not None else default_leader_radius(nu)
         return svg.render_cells_svg(nu, labels, radius)
     beta = _alpha(args.beta, n) if args.beta else (0,) * n
     return jsonio.cells_to_json(cell_inequalities(nu, beta))

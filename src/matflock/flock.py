@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .lattice import INF, vadd
-from .matroid import Matroid, _raise_unless, _single_exchanges
+from .matroid import Matroid, _raise_unless, _single_exchanges, positional_ground
 from .valuation import Valuation, check_valuation_axioms, optimal_masks
 
 
@@ -39,17 +39,20 @@ _MEMO_CAP = 1 << 16
 class MatroidFlock:
     """An oracle alpha in Z^E -> matroid of rank d on E, memoized per alpha.
 
-    A ``valuation`` is checked here, once: ValueError unless it satisfies
-    (V1)/(V2) on the flock's ground set and rank."""
+    Coordinate i of alpha belongs to ground[i], so the ground must be given
+    in canonical (sorted) order, the order of its matroids' ground sets:
+    ValueError otherwise.  A ``valuation`` is checked here, once: ValueError
+    unless it satisfies (V1)/(V2) on the flock's ground set and rank."""
 
     def __init__(self, ground, d: int, masks_eval: Callable[[tuple], frozenset],
                  source: str, valuation: Optional[Valuation] = None):
-        self.ground = tuple(ground)
+        ground = tuple(ground)
         self.d = int(d)
         if valuation is not None:
-            if (valuation.ground, valuation.d) != (self.ground, self.d):
+            if (valuation.ground, valuation.d) != (ground, self.d):
                 raise ValueError("valuation on another ground set or rank")
             _raise_unless(check_valuation_axioms(valuation), "valuation")
+        self.ground = positional_ground(ground, len(ground), "coordinate")
         self.source = source
         self.valuation = valuation
         self._masks_eval = masks_eval
@@ -308,10 +311,8 @@ def extract_valuation(flock: MatroidFlock, cutoff: Optional[int] = None,
         value_of = _local_values(flock.valuation, cutoff).get
     walked = [(bmask, value_of(bmask)) for bmask in subsets]
     finite = {bmask: value for bmask, value in walked if value is not None}
-    cutoff_hits = [tuple(e for i, e in enumerate(flock.ground) if bmask >> i & 1)
-                   for bmask, value in walked if value is None]
-
     nu = Valuation(flock.ground, d, finite)
+    cutoff_hits = [nu.labels_of(bmask) for bmask, value in walked if value is None]
     mismatch = None
     if flock.valuation is not None:
         mismatch = _value_mismatch(nu, flock.valuation.normalized())

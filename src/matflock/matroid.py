@@ -2,8 +2,9 @@
 
 Ground sets are canonical sorted tuples of labels (all ints or all strings).
 Bases are stored as bit masks over the ground order, which keeps minor and
-rank computations cheap enough for exhaustive window scans.  Target scale is
-n <= 12 elements.
+rank computations cheap enough for exhaustive window scans.  Matroids and
+valuations read label subsets through one reader, ``GroundSet.mask_of``.
+Target scale is n <= 12 elements.
 """
 
 from __future__ import annotations
@@ -26,6 +27,54 @@ def canonical_ground(labels) -> tuple:
     if not (all(type(x) is int for x in labs) or all(isinstance(x, str) for x in labs)):
         raise ValueError("ground labels must be all ints or all strings")
     return tuple(sorted(labs))
+
+
+def positional_ground(labels, n: int, unit: str) -> tuple:
+    """Labels of n positions (columns, coordinates) that they align with in
+    order: n labels, already in canonical order.  The consumer decides
+    whether n = 0 is allowed."""
+    labels = tuple(labels)
+    if len(labels) != n:
+        raise ValueError(f"ground size does not match {unit} count")
+    if labels and canonical_ground(labels) != labels:
+        raise ValueError(f"ground must be sorted ({unit}s align positionally)")
+    return labels
+
+
+def _labels(ground: tuple, mask: int) -> tuple:
+    return tuple(e for i, e in enumerate(ground) if mask >> i & 1)
+
+
+class GroundSet:
+    """A canonical ground set and the reader of its subsets: a subset lists
+    distinct labels of the ground set and is read as a bit mask over it."""
+
+    def __init__(self, ground):
+        self.ground = canonical_ground(ground)
+        self._index = {e: i for i, e in enumerate(self.ground)}
+
+    def mask_of(self, subset) -> int:
+        """ValueError on an unknown or unhashable label, or a repeated one."""
+        mask = 0
+        for e in subset:
+            try:
+                bit = 1 << self._index[e]
+            except (KeyError, TypeError):
+                raise ValueError(f"unknown element {e!r}") from None
+            if mask & bit:
+                raise ValueError(f"subset {list(subset)} repeats an element")
+            mask |= bit
+        return mask
+
+    def _sized_mask(self, subset, d: int) -> int:
+        """``mask_of(subset)``, refused unless it has d elements."""
+        mask = self.mask_of(subset)
+        if mask.bit_count() != d:
+            raise ValueError(f"subset {sorted(subset)} does not have size {d}")
+        return mask
+
+    def labels_of(self, mask: int) -> tuple:
+        return _labels(self.ground, mask)
 
 
 @dataclass(frozen=True)
@@ -84,7 +133,7 @@ def bases_contract(masks: frozenset[int], cmask: int) -> frozenset[int]:
     return frozenset(b & ~cmask for b in masks if (b & cmask).bit_count() == r)
 
 
-class Matroid:
+class Matroid(GroundSet):
     """A matroid (E, B) with an explicit basis family.
 
     Immutable after construction; equality is labelled equality (same ground
@@ -92,8 +141,7 @@ class Matroid:
     """
 
     def __init__(self, ground, masks: Iterable[int]):
-        self.ground = canonical_ground(ground)
-        self._index = {e: i for i, e in enumerate(self.ground)}
+        super().__init__(ground)
         ms = frozenset(int(m) for m in masks)
         if not ms:
             raise ValueError("a matroid needs at least one basis")
@@ -110,32 +158,10 @@ class Matroid:
 
     @classmethod
     def from_bases(cls, ground, bases: Iterable[Iterable]) -> "Matroid":
-        ground = canonical_ground(ground)
-        index = {e: i for i, e in enumerate(ground)}
-        masks = []
-        for B in bases:
-            B = list(B)
-            if len(set(B)) != len(B):
-                raise ValueError(f"repeated element in basis {B}")
-            try:
-                masks.append(sum(1 << index[e] for e in B))
-            except KeyError as exc:
-                raise ValueError(f"unknown element {exc.args[0]!r}") from None
-        return cls(ground, masks)
-
-    # -- element/mask translation -------------------------------------------
-
-    def mask_of(self, subset) -> int:
-        m = 0
-        for e in subset:
-            try:
-                m |= 1 << self._index[e]
-            except KeyError:
-                raise ValueError(f"unknown element {e!r}") from None
-        return m
-
-    def labels_of(self, mask: int) -> tuple:
-        return tuple(e for i, e in enumerate(self.ground) if mask >> i & 1)
+        """The matroid whose bases are listed; each basis lists distinct
+        labels of ``ground`` (ValueError otherwise)."""
+        labelled = GroundSet(ground)
+        return cls(labelled.ground, [labelled.mask_of(B) for B in bases])
 
     @cached_property
     def bases(self) -> tuple:
@@ -201,7 +227,7 @@ class Matroid:
         masks = bases_contract(self.masks, cmask) if cmask else self.masks
         if dmask:
             masks = bases_delete(masks, dmask)
-        keep = [e for e in self.ground if not (self.mask_of([e]) & (dmask | cmask))]
+        keep = self.labels_of(~(dmask | cmask))
         if not keep:
             raise ValueError("minor has empty ground set")
         return self._rebuild(keep, masks)
@@ -288,8 +314,8 @@ def _exchange_failure(values: dict, ground) -> Optional[tuple]:
     single exchanges (Maurer's basis-graph theorem).
     """
     n = len(ground)
-    labels = lambda m: tuple(e for k, e in enumerate(ground) if m >> k & 1)
-    witness = lambda B, B2: (labels(B), labels(B2), ground[(B & ~B2).bit_length() - 1])
+    witness = lambda B, B2: (_labels(ground, B), _labels(ground, B2),
+                             ground[(B & ~B2).bit_length() - 1])
     for triple in _exchange_quads(values, n):
         sums = [(values[B] + values[B2], B, B2) for B, B2 in triple
                 if B in values and B2 in values]
@@ -325,22 +351,15 @@ def _exchange_failure(values: dict, ground) -> Optional[tuple]:
 def check_basis_axioms(ground, d: int, bases) -> AxiomCheck:
     """Executable (B1) nonemptiness and (B2) symmetric exchange check.
 
-    Malformed input (wrong basis size, unknown element) raises ValueError;
-    axiom failures come back as data with a witness.
+    Malformed input raises ValueError: a basis that is not a list of d
+    distinct labels of ``ground``.  Axiom failures come back as data with a
+    witness.
     """
-    ground = canonical_ground(ground)
-    index = {e: i for i, e in enumerate(ground)}
-    masks = []
-    for B in bases:
-        B = sorted(B)
-        if len(set(B)) != len(B) or len(B) != d:
-            raise ValueError(f"subset {B} does not have size {d}")
-        if any(e not in index for e in B):
-            raise ValueError(f"subset {B} contains unknown elements")
-        masks.append(sum(1 << index[e] for e in B))
+    labelled = GroundSet(ground)
+    masks = [labelled._sized_mask(B, d) for B in bases]
     if not masks:
         return AxiomCheck(False, "B1", None)
-    witness = _exchange_failure(dict.fromkeys(masks, 0), ground)
+    witness = _exchange_failure(dict.fromkeys(masks, 0), labelled.ground)
     return VALID if witness is None else AxiomCheck(False, "B2", witness)
 
 

@@ -13,19 +13,18 @@ from typing import Optional
 
 from . import linalg
 from .lattice import INF
-from .matroid import (AxiomCheck, VALID, Matroid, _connected, _exchange_failure,
-                      _single_exchanges, canonical_ground)
+from .matroid import (AxiomCheck, VALID, GroundSet, Matroid, _connected, _exchange_failure,
+                      _single_exchanges)
 
 
-class Valuation:
+class Valuation(GroundSet):
     """A map from d-subsets of the ground set to Z ∪ {∞}."""
 
     def __init__(self, ground, d: int, finite: dict[int, int]):
-        self.ground = canonical_ground(ground)
+        super().__init__(ground)
         self.d = int(d)
         if not 0 <= self.d <= len(self.ground):
             raise ValueError("rank out of range")
-        self._index = {e: i for i, e in enumerate(self.ground)}
         fin = {}
         for mask, val in finite.items():
             mask = int(mask)
@@ -40,42 +39,23 @@ class Valuation:
 
     @classmethod
     def from_values(cls, ground, d: int, values) -> "Valuation":
-        """Build from (subset, value) pairs; INF values are dropped, repeated subsets refused."""
-        ground = canonical_ground(ground)
-        index = {e: i for i, e in enumerate(ground)}
+        """Build from (subset, value) pairs, each subset d distinct labels of
+        ``ground``; INF values are dropped, repeated subsets refused."""
+        labelled = GroundSet(ground)
         listed = {}
         items = values.items() if isinstance(values, dict) else values
         for subset, val in items:
-            try:
-                mask = sum(1 << index[e] for e in set(subset))
-            except KeyError as exc:
-                raise ValueError(f"unknown element {exc.args[0]!r}") from None
-            if len(set(subset)) != d:
-                raise ValueError(f"subset {sorted(subset)} does not have size {d}")
+            mask = labelled._sized_mask(subset, d)
             if mask in listed:
                 raise ValueError(f"subset {sorted(subset)} listed twice")
             listed[mask] = val
-        return cls(ground, d, {mask: int(val) for mask, val in listed.items() if val != INF})
+        return cls(labelled.ground, d, {mask: int(val) for mask, val in listed.items()
+                                        if val != INF})
 
     # -- accessors -----------------------------------------------------------
 
-    def mask_of(self, subset) -> int:
-        m = 0
-        for e in subset:
-            try:
-                m |= 1 << self._index[e]
-            except KeyError:
-                raise ValueError(f"unknown element {e!r}") from None
-        return m
-
-    def labels_of(self, mask: int) -> tuple:
-        return tuple(e for i, e in enumerate(self.ground) if mask >> i & 1)
-
     def value(self, subset):
-        mask = self.mask_of(subset)
-        if mask.bit_count() != self.d:
-            raise ValueError(f"subset {sorted(subset)} does not have size {self.d}")
-        return self.finite.get(mask, INF)
+        return self.finite.get(self._sized_mask(subset, self.d), INF)
 
     def value_mask(self, mask: int):
         return self.finite.get(mask, INF)

@@ -526,6 +526,30 @@ def test_cli_repeated_entry_exit_2(command, doc, named):
     assert done.stderr.startswith("input error: ") and named in done.stderr
 
 
+@pytest.mark.parametrize("command, doc, prefix", [
+    (["check-valuation"], "malformed_valuation_repeated_element.json",
+     "bad valuation document: "),
+    (["extract-valuation", "--from-valuation"], "malformed_valuation_repeated_element.json",
+     "bad valuation document: "),
+    (["check-matroid"], "malformed_matroid_repeated_element.json", ""),
+    (["rigidity"], "malformed_matroid_repeated_element.json", "bad matroid document: "),
+], ids=["check-valuation", "extract-valuation", "check-matroid", "rigidity"])
+def test_cli_repeated_element_exit_2(command, doc, prefix):
+    # a basis [1, 1, 2] is refused by every reader with one message, not
+    # read as {1, 2}
+    done = _run_cli(*command, str(Path(__file__).parent / "fixtures" / doc))
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == f"input error: {prefix}subset [1, 1, 2] repeats an element\n"
+
+
+def test_cli_check_matroid_label_of_other_type_exit_2(tmp_path):
+    path = write(tmp_path, "m.json", {"ground": [1, 2, 3], "rank": 2, "bases": [[1, "x"]]})
+    done = _run_cli("check-matroid", path)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == "" and done.stderr == "input error: unknown element 'x'\n"
+
+
 def test_json_integer_fields_reject_booleans():
     with pytest.raises(jsonio.InputError):
         jsonio.valuation_from_json({"ground": [1, 2], "d": True, "values": []})
