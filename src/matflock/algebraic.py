@@ -29,7 +29,7 @@ from typing import Optional
 
 from . import linalg
 from .lattice import INF
-from .matroid import GF, Matroid, matroid_from_matrix, positional_ground
+from .matroid import GF, GroundSet, Matroid, matroid_from_matrix, positional_ground
 from .valuation import Valuation, matroid_at, optimal_masks
 from .flock import MatroidFlock
 
@@ -47,19 +47,16 @@ def saturate_lattice(rows):
 
 
 def padic_minor_valuation(rows, cols, p: int, ground=None):
-    """val_p(det A_B) for the column subset B; ∞ when the minor vanishes."""
+    """val_p(det A_B) for the column subset B = ``cols``; ∞ when the minor
+    vanishes.  ``ground`` labels the columns in order (1 .. n by default)
+    and must be sorted; B is read through ``GroundSet.mask_of``."""
     if not linalg.is_prime(p):
         raise ValueError(f"{p} is not prime")
     A = linalg.as_rat_matrix(rows)
     n = len(A[0]) if A else 0
-    if ground is None:
-        ground = tuple(range(1, n + 1))
-    ground = tuple(ground)
-    index = {e: i for i, e in enumerate(ground)}
-    try:
-        picks = sorted(index[c] for c in cols)
-    except KeyError as exc:
-        raise ValueError(f"unknown column {exc.args[0]!r}") from None
+    ground = positional_ground(range(1, n + 1) if ground is None else ground, n, "column")
+    mask = GroundSet(ground).mask_of(cols)
+    picks = [j for j in range(n) if mask >> j & 1]
     if len(picks) != len(A):
         raise ValueError("column subset size differs from the row count")
     sub = [[row[j] for j in picks] for row in A]

@@ -17,6 +17,14 @@ from typing import Iterable, Optional
 from . import linalg
 
 
+def _label_kind(label):
+    """int or str, the two kinds of ground label, or None for anything else:
+    True, 1.0 and numpy integers equal the label 1 but are not int labels."""
+    if type(label) is int:
+        return int
+    return str if isinstance(label, str) else None
+
+
 def canonical_ground(labels) -> tuple:
     """Sorted, distinct ground labels; all ints or all strings."""
     labs = list(labels)
@@ -24,7 +32,8 @@ def canonical_ground(labels) -> tuple:
         raise ValueError("empty ground set")
     if len(set(labs)) != len(labs):
         raise ValueError("ground labels are not distinct")
-    if not (all(type(x) is int for x in labs) or all(isinstance(x, str) for x in labs)):
+    kinds = {_label_kind(x) for x in labs}
+    if len(kinds) != 1 or None in kinds:
         raise ValueError("ground labels must be all ints or all strings")
     return tuple(sorted(labs))
 
@@ -52,15 +61,18 @@ class GroundSet:
     def __init__(self, ground):
         self.ground = canonical_ground(ground)
         self._index = {e: i for i, e in enumerate(self.ground)}
+        self._kind = _label_kind(self.ground[0])
 
     def mask_of(self, subset) -> int:
-        """ValueError on an unknown or unhashable label, or a repeated one."""
+        """ValueError on an unknown or unhashable label, one of another kind
+        than the ground's (True or 1.0 where the ground has 1), or a
+        repeated one."""
         mask = 0
         for e in subset:
-            try:
-                bit = 1 << self._index[e]
-            except (KeyError, TypeError):
-                raise ValueError(f"unknown element {e!r}") from None
+            i = self._index.get(e) if _label_kind(e) is self._kind else None
+            if i is None:
+                raise ValueError(f"unknown element {e!r}")
+            bit = 1 << i
             if mask & bit:
                 raise ValueError(f"subset {list(subset)} repeats an element")
             mask |= bit

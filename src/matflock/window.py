@@ -10,19 +10,36 @@ The optimal-basis set at a point alpha is the argmax of e_B . alpha - nu(B)
 over the finite-valued d-subsets.  Two routines score such argmax sets over
 many points: ``score_box`` scores every box of a valuation (the id grids of
 flocks and Frobenius windows, the round-trip comparison and the leader
-scan), and ``score_ids`` any list of points (the SVG slice).  They share
-one kernel: ``_kernel`` decides the score dtype, ``_pack`` encodes argmax
-sets as bit words and ``_families`` decodes them.
+scan), and ``score_ids`` scores any list of points, one point at a time (the
+SVG slice, and the tests' oracle).  Both take the score dtype from
+``_values``, encode argmax sets as ``_pack``'s bit words and number them in
+the lex order of those words, and ``_families`` decodes them.
 
-Boxes are scored one line along the last axis k at a time.  On the line
-through a head (a point of the first n - 1 axes), the score of B is affine
-in t = alpha_k with slope 1 if k is in B and 0 otherwise.  So with G- and G+
-the best head scores of the bases without and with k, and t* = G- - G+, the
-line's argmax set is the argmax M- of the bases without k for t < t*, M+
-for t > t*, and M- ∪ M+ at t = t*.  Only the heads are scored, and the line
-is filled by comparing t with t*: a box of side s costs s^(n-1) * m scores
-for m bases instead of s^n * m, and the leader window {alpha_0 = 0,
-|alpha_i| <= R} costs (2R+1)^(n-2) * m.
+Boxes are scored one axis at a time: the separable lower envelope of
+Felzenszwalb and Huttenlocher's distance transforms, in max-plus form.  A
+family is the set of bases with one pattern on the elements not yet peeled;
+it carries, at every point of the peeled axes, its best score G and the id A
+of its argmax set.  Peeling element k joins the halves F0 and F1 of each
+family (its bases without and with k): at alpha_k = t the family scores
+max(G0, G1 + t), so with c = G0 - G1 its argmax set is A0 for t < c, A1 for
+t > c and A0 ∪ A1 at t = c.  A level is a fixed number of numpy calls over
+the stacked (families, points) arrays: a missing half reads a sentinel row
+of scores -inf, and a level whose families all have both halves reads them
+as views.  Once the first n - 1 axes are peeled, two families remain,
+without and with the last element, and the line through a head (a point of
+the first n - 1 axes) holds A0 below its cut c, A1 above it and their union
+at c; the id grid is expanded from the lines run by run.  Unions are
+interned from their pair of ids at the ties only, through a table of the
+pair codes when it is small and a sort otherwise: the halves are disjoint,
+so a union is never a set seen before, and no set is ever hashed.
+Each id carries the words of its set, the OR of its parts' words, and at the
+end only the sets that occur are numbered, in the lex order of their words.
+The levels of a box of side s fill arrays of at most 2 s^(n-1), 4 s^(n-2),
+... entries, whatever the number m of bases, where scoring every point fills
+m s^n.  A box with more than ``_CHUNK`` heads is scored in slabs along its
+leading axes, so memory stays bounded; the leader window {alpha_0 = 0,
+|alpha_i| <= R} is such a box.  The level plan (``_levels``) is built once
+per box, for all its slabs.
 
 The local axioms run here too, on an id grid and the table of its matroids.
 A minor move I compares M_alpha / I with M_{alpha + e_I} \\ I.  For a
@@ -40,17 +57,20 @@ block is shared by every move, and each side's keys are read from it with
 space at a time.
 
 Exactness: values are shifted so the smallest is 0, which changes no argmax.
-Every score and partial sum then has absolute value at most
-spread + d * reach, where reach is the largest |coordinate|.  Below 2^53 all
-of them are integers that float64 represents exactly, so scores are computed
-with BLAS in float64; otherwise the same code runs on Python ints in object
-arrays.  A line's t* = G- - G+ can round in float64 only when |t*| >= 2^53,
-far outside the box; rounding is monotone, so t* clipped to the line's
-range [lo_k - 1, hi_k + 1] is exact.
+A family's G is a partial sum -nu(B) + sum of alpha_i over the peeled i in
+B, and every score and partial sum, at every level and in ``score_ids``,
+then has absolute value at most spread + d * reach, where reach is the
+largest |coordinate|.  Below 2^53 all of them are integers that float64
+represents exactly, so they are computed in float64 (``score_ids`` with
+BLAS); otherwise the same code runs on Python ints in object arrays.  A cut
+c = G0 - G1 can round in float64 only when |c| >= 2^53, far outside the box;
+rounding is monotone, so c clipped to the axis's range [lo_k - 1, hi_k + 1]
+is exact, and so is every tie.
 """
 
 from __future__ import annotations
 
+import itertools
 from itertools import compress
 
 import numpy as np
@@ -60,27 +80,31 @@ _FLOAT_EXACT = 1 << 53
 _BITS = np.arange(8, dtype=np.uint8)[:, None]
 
 
-def _kernel(finite_items, n: int, reach: int):
-    """(masks, EB, vals) of the scores e_B . alpha - nu(B) at points whose
-    coordinates have absolute value at most ``reach``: ``EB[k]`` is the
-    incidence row of basis k and ``vals[k]`` its shifted value, as an (m, 1)
-    column, both float64 when that is exact and object arrays otherwise."""
-    m = len(finite_items)
-    if m == 0:
+def _values(finite_items, reach: int):
+    """(masks, vals) of the scores e_B . alpha - nu(B) at points whose
+    coordinates have absolute value at most ``reach``: the basis masks, and
+    their values shifted so the smallest is 0, float64 when every score is
+    exact in it and Python ints in an object array otherwise."""
+    if not finite_items:
         raise ValueError("valuation has no finite values")
     masks = [mask for mask, _ in finite_items]
     low = min(val for _, val in finite_items)
     shifted = [val - low for _, val in finite_items]
     d = max(mask.bit_count() for mask in masks)
     exact_float = max(shifted) + d * reach < _FLOAT_EXACT
-    dtype = np.float64 if exact_float else object
+    return masks, np.array(shifted, dtype=np.float64 if exact_float else object)
 
-    EB = np.zeros((m, n), dtype=dtype)
+
+def _kernel(finite_items, n: int, reach: int):
+    """(masks, EB, vals) of ``_values``, with ``EB[k]`` the incidence row of
+    basis k and ``vals`` as an (m, 1) column, both of the values' dtype."""
+    masks, vals = _values(finite_items, reach)
+    EB = np.zeros((len(masks), n), dtype=vals.dtype)
     for k, mask in enumerate(masks):
         for i in range(n):
             if mask >> i & 1:
                 EB[k, i] = 1
-    return masks, EB, np.array(shifted, dtype=dtype)[:, None]
+    return masks, EB, vals[:, None]
 
 
 def _scores(EB, vals, points) -> np.ndarray:
@@ -128,12 +152,12 @@ def _families(masks, bits: np.ndarray) -> list:
     return [frozenset(compress(masks, row)) for row in bits.tolist()]
 
 
-def _dense_rows(words: np.ndarray):
-    """(dense ids, the distinct rows of ``words`` in id order)."""
+def _lex_rows(words: np.ndarray):
+    """(dense ids of the rows of ``words``, the index of one row per id)."""
     ids = _dense_ids(words)
     rep = np.zeros(int(ids.max()) + 1 if len(ids) else 0, dtype=np.intp)
     rep[ids] = np.arange(len(words))
-    return ids, words[rep]
+    return ids, rep
 
 
 def score_ids(finite_items, n: int, points: np.ndarray):
@@ -150,13 +174,12 @@ def score_ids(finite_items, n: int, points: np.ndarray):
     for start in range(0, len(points), _CHUNK):
         scores = _scores(EB, vals, points[start:start + _CHUNK])
         words[start:start + _CHUNK] = _pack(scores == scores.max(axis=0))
-    ids, rows = _dense_rows(words)
-    return ids, _families(masks, _bits(rows, len(masks)))
+    ids, rep = _lex_rows(words)
+    return ids, _families(masks, _bits(words[rep], len(masks)))
 
 
-def _box_rows(lo, hi, start: int, stop: int) -> np.ndarray:
-    """Points start .. stop - 1 of the lex-ordered box [lo, hi], by index."""
-    flat = np.arange(start, stop, dtype=np.int64)
+def _box_points(lo, hi, flat: np.ndarray) -> np.ndarray:
+    """The points of the lex-ordered box [lo, hi] with indices ``flat``."""
     # filled one contiguous coordinate row at a time, returned transposed
     out = np.empty((len(lo), len(flat)), dtype=np.int64)
     for axis in reversed(range(len(lo))):
@@ -177,7 +200,7 @@ def _box_size(lo, hi) -> int:
 
 def box_array(lo, hi) -> np.ndarray:
     """All lattice points of [lo, hi] as an (N, n) int array, lex order."""
-    return _box_rows(lo, hi, 0, _box_size(lo, hi))
+    return _box_points(lo, hi, np.arange(_box_size(lo, hi), dtype=np.int64))
 
 
 def iter_box_chunks(lo, hi, chunk: int = _CHUNK):
@@ -187,85 +210,207 @@ def iter_box_chunks(lo, hi, chunk: int = _CHUNK):
     """
     size = _box_size(lo, hi)
     for start in range(0, size, chunk):
-        yield _box_rows(lo, hi, start, min(start + chunk, size))
+        yield _box_points(lo, hi, np.arange(start, min(start + chunk, size), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
-# boxes, one line along the last axis at a time
+# boxes, one axis at a time
 
-def _lines(finite_items, n: int, lo, hi):
-    """The argmax sets over the box [lo, hi], one line along the last axis
-    at a time.
+def _slabs(lo, hi):
+    """Boxes tiling [lo, hi] in lex order, each with at most ``_CHUNK``
+    heads (points of the first n - 1 axes): every value of the axes after
+    some axis k, a run of values of axis k, one value of the axes before."""
+    heads = len(lo) - 1
+    inner, k = 1, heads
+    while k > 0 and inner * (hi[k - 1] - lo[k - 1] + 1) <= _CHUNK:
+        k -= 1
+        inner *= hi[k] - lo[k] + 1
+    if k == 0:
+        yield lo, hi
+        return
+    step = _CHUNK // inner
+    k -= 1
+    for prefix in itertools.product(*map(range, lo[:k], [h + 1 for h in hi[:k]])):
+        for start in range(lo[k], hi[k] + 1, step):
+            stop = min(start + step - 1, hi[k])
+            yield [*prefix, start, *lo[k + 1:]], [*prefix, stop, *hi[k + 1:]]
 
-    Yields (heads, low, high, cut) per block of at most ``_CHUNK`` heads, the
-    points of the first n - 1 axes in lex order.  On the line through a head
-    the set at alpha_last = t is ``low`` for t < cut, ``high`` for t > cut
-    and ``low | high`` at t = cut, as words in ``_pack``'s encoding; cut is
-    clipped to [lo_last - 1, hi_last + 1].
+
+def _levels(masks, n: int):
+    """How the families of each level make up those of the next.
+
+    Going from level j to j + 1 peels element n - 2 - j for j < n - 1, and
+    the last element for j = n - 1.  The families of level j are the
+    patterns of bases on the elements not yet peeled: the values of
+    key >> j, where a basis's key is its mask with the bits of elements
+    0 .. n - 2 reversed.  So level 0 has a family per basis and level n one.
+    Returns the bases in level-0 order (by key), and per level j < n the
+    rows (ig, ia) in level j of the halves of each family of level j + 1,
+    without and with the element peeled, one pair after the other: ``ig``
+    reads scores and ``ia`` ids.  A missing half is the sentinel row after
+    the families of level j in ``ig``, whose scores are -inf, and its
+    partner's row in ``ia``, whose ids it then never shows.  Where every
+    family has both halves, its halves are rows 2i and 2i + 1, and both are
+    the slice of the first 2 f rows, which reads views.  The plan takes
+    O(m n) Python steps per box, whatever the box's size.
     """
+    width, spec = n - 1, f"0{n - 1}b"
+    key = [mask >> width << width | int(format(mask & ~(-1 << width), spec)[::-1], 2)
+           for mask in masks]
+    rows = sorted(range(len(masks)), key=key.__getitem__)
+    # sorted by key, the bases are sorted by key >> j at every level, so a
+    # family is one or two neighbouring rows of the level below, the half
+    # without the element first
+    family = [key[k] for k in rows]
+    ig, ia, spans = [], [], []
+    for _ in range(n):
+        sentinel, start = len(family), len(ig)
+        up = []
+        for r, v in enumerate(family):
+            if up and up[-1] == v >> 1:
+                ig[-1] = ia[-1] = r
+            else:
+                up.append(v >> 1)
+                ig += (sentinel, r) if v & 1 else (r, sentinel)
+                ia += (r, r)
+        spans.append((start, len(ig), ig[start:] == ia[start:]))
+        family = up
+    index = np.array([rows + ig, rows + ia], dtype=np.intp)
+    m = len(rows)
+    levels = [(slice(0, b - a),) * 2 if view else (index[0, m + a:m + b], index[1, m + a:m + b])
+              for a, b, view in spans]
+    return index[0, :m], levels
+
+
+def _ranks(ids: np.ndarray, size: int):
+    """(rank, distinct) of ids below ``size``: the distinct ids in increasing
+    order, and a (size,) table of their ranks, 0 at the ids absent."""
+    hit = np.zeros(size, dtype=bool)
+    hit[ids] = True
+    distinct = hit.nonzero()[0]
+    rank = np.zeros(size, dtype=np.intp)
+    rank[distinct] = np.arange(len(distinct))
+    return rank, distinct
+
+
+def _intern(a0: np.ndarray, a1: np.ndarray, words: np.ndarray):
+    """(ids, words) of the unions of the sets with ids ``a0`` and ``a1``,
+    sets of disjoint families whose words (in ``_pack``'s encoding) are rows
+    of ``words``.  No union is a set seen before, so each distinct pair gets
+    the next free id, and the words of the new sets are appended."""
+    count = len(words)
+    codes = a0 * count + a1
+    # a bool per possible code when that takes no more memory than the
+    # codes or one page, and a sort otherwise; the table is the cheaper on
+    # small boxes and on most levels of large ones
+    if count * count <= max(8 * len(codes), 1 << 12):
+        rank, pairs = _ranks(codes, count * count)
+        new = rank[codes]
+    else:
+        pairs, new = np.unique(codes, return_inverse=True)
+    first, second = np.divmod(pairs, count)
+    return count + new, np.concatenate([words, words[first] | words[second]])
+
+
+def _slab_lines(rows, levels, vals: np.ndarray, lo, hi):
+    """(lines, runs, rank, words) of the argmax sets over the box [lo, hi].
+
+    Level j of ``_levels`` holds, per family and per point of the axes
+    peeled (n - 1 - j .. n - 2, lex order), its best score G and the id A
+    of its argmax set.  A family F0 ∪ F1 whose halves lack and hold element
+    k scores max(G0, G1 + t) at alpha_k = t: with c = G0 - G1, its argmax is
+    A0 for t < c, A1 for t > c and their interned union at t = c.  Axis k
+    comes first in the new points, so every call runs along the long axis
+    of the points.  At the last axis this is the line through a head: A0
+    below the cut c, A1 above it.
+
+    Returns ``lines``, the (heads, 3) ids of each line's sets below, at and
+    above its cut, ``runs``, the number of t at which the line has each
+    (0 for a set it does not meet), ``words``, the words of the sets that
+    occur, and ``rank``, the row of ``words`` of each id that occurs.
+    """
+    n, m = len(lo), len(rows)
+    # one row per family, and the sentinel row of scores -inf
+    G = np.empty((m + 1, 1), dtype=vals.dtype)
+    np.negative(vals[rows], out=G[:m, 0])
+    G[m] = -np.inf
+    A = rows[:, None]
+    # the words of each basis alone
+    words = np.zeros((m, (m + 63) // 64), dtype="<u8")
+    b = np.arange(m)
+    words.view(np.uint8)[b, b >> 3] = 1 << (b & 7)
+    for j, (ig, ia) in enumerate(levels):
+        g, a = G[ig].reshape(-1, 2, G.shape[1]), A[ia].reshape(-1, 2, A.shape[1])
+        g0, g1, a0, a1, f = g[:, 0], g[:, 1], a[:, 0], a[:, 1], len(g)
+        c = g0 - g1
+        if j == n - 1:
+            break
+        k = n - 2 - j
+        t = np.arange(lo[k], hi[k] + 1, dtype=G.dtype)[:, None]
+        A = np.where(c[:, None] < t, a1[:, None], a0[:, None])
+        q, p = ((c >= lo[k]) & (c <= hi[k])).nonzero()
+        if len(q):
+            A[q, (c[q, p] - lo[k]).astype(np.intp), p], words = _intern(a0[q, p], a1[q, p], words)
+        A = A.reshape(f, -1)
+        G = np.empty((f + 1, A.shape[1]), dtype=G.dtype)
+        new = G[:f].reshape(f, len(t), -1)
+        np.add(g1[:, None], t, out=new)
+        np.maximum(new, g0[:, None], out=new)
+        G[f] = -np.inf
+    # t below, at and above the cut, clipped to [lo - 1, hi + 1]
+    cut = np.minimum(np.maximum(c[0], lo[-1] - 1, out=c[0]), hi[-1] + 1, out=c[0])
+    runs = np.empty((len(cut), 3), dtype=np.intp)
+    np.subtract(cut, lo[-1], out=runs[:, 0], casting="unsafe")
+    np.subtract(hi[-1], cut, out=runs[:, 2], casting="unsafe")
+    np.maximum(runs, 0, out=runs)
+    np.subtract(hi[-1] - lo[-1] + 1 - runs[:, 0], runs[:, 2], out=runs[:, 1])
+    lines = np.empty(runs.shape, dtype=np.intp)
+    lines[:, 0] = lines[:, 1] = a0[0]
+    lines[:, 2] = a1[0]
+    tie = runs[:, 1].nonzero()[0]
+    if len(tie):
+        lines[tie, 1], words = _intern(a0[0, tie], a1[0, tie], words)
+    # only the sets that occur get a row of words
+    rank, distinct = _ranks(lines[runs > 0], len(words))
+    return lines, runs, rank, words[distinct]
+
+
+def _box_lines(finite_items, n: int, lo, hi):
+    """``_slab_lines`` over the slabs of the box [lo, hi], in lex order:
+    yields (slab lo, slab hi, lines, runs, rank, words).  A box with an
+    empty side has no slabs."""
     lo, hi = list(lo), list(hi)
-    size = _box_size(lo[:-1], hi[:-1]) if hi[-1] >= lo[-1] else 0
-    reach = max(-min(lo), max(hi)) if size else 0
-    masks, EB, vals = _kernel(finite_items, n, reach)
-    # a basis scores t more at alpha_last = t when it contains the last
-    # element, so the sets with and without it trade places at one t
-    upper = np.array([mask >> (n - 1) & 1 for mask in masks], dtype=bool)
-    high_bits = _pack(upper[:, None])
-    families = [np.flatnonzero(rows) for rows in (~upper, upper) if rows.any()]
-    for start in range(0, size, _CHUNK):
-        heads = _box_rows(lo[:-1], hi[:-1], start, min(start + _CHUNK, size))
-        scores = _scores(EB[:, :-1], vals, heads)
-        opt = np.empty(scores.shape, dtype=bool)
-        tops = []
-        for rows in families:
-            family = scores[rows]
-            tops.append(family.max(axis=0))
-            opt[rows] = family == tops[-1]
-        if len(tops) == 2:
-            cut = np.clip(tops[0] - tops[1], lo[-1] - 1, hi[-1] + 1).astype(np.int64)
-        else:
-            # the last element is a coloop (every t above cut) or a loop
-            # (every t below)
-            cut = np.full(len(heads), lo[-1] - 1 if upper.all() else hi[-1] + 1)
-        words = _pack(opt)
-        high = words & high_bits
-        yield heads, words ^ high, high, cut
-
-
-def _line_codes(low, high, cut, lo_last: int, hi_last: int):
-    """Per head, the words of its line's three sets in the order the line
-    meets them (low, low | high, high), and whether the line has each:
-    (P, 3, width) words and (P, 3) bools.  The first t with each set is
-    lo_last, cut and cut + 1."""
-    words = np.stack([low, low | high, high], axis=1)
-    occurs = np.stack([cut > lo_last, (cut >= lo_last) & (cut <= hi_last), cut < hi_last],
-                      axis=1)
-    return words, occurs
+    empty = any(h < l for l, h in zip(lo, hi))
+    masks, vals = _values(finite_items, 0 if empty else max(-min(lo), max(hi)))
+    if empty:
+        return
+    rows, levels = _levels(masks, n)
+    for slo, shi in _slabs(lo, hi):
+        yield slo, shi, *_slab_lines(rows, levels, vals, slo, shi)
 
 
 def _box_sets(finite_items, n: int, lo, hi):
     """(ids, bits): the ids of ``score_box``, and its table as an
     (ids, bases) bool matrix whose column j is basis j of ``finite_items``.
-    The ids are expanded run by run, with one ``np.repeat``."""
+    The ids are expanded run by run, with one ``np.repeat`` per slab."""
+    slabs = [slab[2:] for slab in _box_lines(finite_items, n, lo, hi)]
     m = len(finite_items)
-    blocks = list(zip(*_lines(finite_items, n, lo, hi)))
-    if not blocks:
+    if not slabs:
         return np.zeros(0, dtype=np.intp), np.zeros((0, m), dtype=bool)
-    low, high, cut = (np.concatenate(b) for b in blocks[1:])
-    words, occurs = _line_codes(low, high, cut, lo[-1], hi[-1])
-    # ids of the sets that occur in the box, numbered as score_ids numbers them
-    line_ids = np.full(occurs.shape, -1, dtype=np.intp)
-    line_ids[occurs], rows = _dense_rows(words[occurs])
-    # runs of t below, at and above each cut: empty for a set not occurring
-    side = hi[-1] - lo[-1] + 1
-    runs = np.stack([np.clip(cut - lo[-1], 0, side), occurs[:, 1],
-                     np.clip(hi[-1] - cut, 0, side)], axis=1)
-    return np.repeat(line_ids.ravel(), runs.ravel()), _bits(rows, m)
+    words = np.concatenate([slab[3] for slab in slabs])
+    # renumbered as score_ids numbers them: by the lex order of their words
+    order, rep = _lex_rows(words)
+    ids, offset = [], 0
+    for lines, runs, rank, sets in slabs:
+        ids.append(np.repeat(order[offset + rank][lines].ravel(), runs.ravel()))
+        offset += len(sets)
+    # one slab is the whole grid: no copy
+    return ids[0] if len(ids) == 1 else np.concatenate(ids), _bits(words[rep], m)
 
 
 def score_box(finite_items, n: int, lo, hi):
-    """``score_ids(finite_items, n, box_array(lo, hi))``, scored one line at
-    a time: a box of side s scores s^(n-1) heads, not s^n points."""
+    """``score_ids(finite_items, n, box_array(lo, hi))``, scored one axis at
+    a time: a box of side s costs about 2 s^(n-1) scores, not m s^n."""
     ids, bits = _box_sets(finite_items, n, lo, hi)
     return ids, _families([mask for mask, _ in finite_items], bits)
 
@@ -469,19 +614,14 @@ def _leader_reps(finite_items, n: int, R: int) -> dict:
     reps: dict = {}
     # heads come in lex order, and so do the entries of a head's line, so
     # the first entry per set is its lex-first point
-    for heads, low, high, cut in _lines(finite_items, n, lo, hi):
-        words, occurs = _line_codes(low, high, cut, lo[-1], hi[-1])
-        # neighbouring lines mostly repeat their sets: drop those repeats
-        # before sorting what is left
-        occurs[1:] &= ~(occurs[:-1] & (words[1:] == words[:-1]).all(axis=2))
-        words = words.reshape(-1, words.shape[2])
-        at = np.flatnonzero(occurs.ravel())
-        _, pick = np.unique(_dense_ids(words[at]), return_index=True)
-        at = at[pick]
-        head, k = np.divmod(at, 3)
-        t = np.where(k == 0, lo[-1], cut[head] + k - 1)
-        points = np.concatenate([heads[head], t[:, None]], axis=1)
-        for family, alpha in zip(_families(masks, _bits(words[at], len(masks))),
-                                 points.tolist()):
+    for slo, shi, lines, runs, rank, words in _box_lines(finite_items, n, lo, hi):
+        at = runs.ravel().nonzero()[0]
+        first = np.full(len(words), lines.size)
+        np.minimum.at(first, rank[lines.ravel()[at]], at)
+        head, k = np.divmod(first, 3)
+        # an entry's first t is lo_last plus the runs before it
+        t = lo[-1] + (runs[head] * (np.arange(3) < k[:, None])).sum(axis=1)
+        points = np.concatenate([_box_points(slo[:-1], shi[:-1], head), t[:, None]], axis=1)
+        for family, alpha in zip(_families(masks, _bits(words, len(masks))), points.tolist()):
             reps.setdefault(family, tuple(alpha))
     return reps

@@ -43,6 +43,25 @@ def test_padic_minor_examples():
         mf.padic_minor_valuation([[1, 0], [0, 1]], [1, 2], 6)
 
 
+def test_padic_minor_reads_columns_through_the_ground():
+    # a repeated column is refused, not read as a vanishing minor
+    with pytest.raises(ValueError, match=r"^subset \[1, 1\] repeats an element$"):
+        mf.padic_minor_valuation([[1, 0], [0, 1]], [1, 1], 2)
+    with pytest.raises(ValueError, match=r"^unknown element 3$"):
+        mf.padic_minor_valuation([[1, 0], [0, 1]], [1, 3], 2)
+    with pytest.raises(ValueError, match=r"^unknown element True$"):
+        mf.padic_minor_valuation([[1, 0], [0, 1]], [True, 2], 2)
+    # columns align with the ground by position, so it must be sorted
+    with pytest.raises(ValueError, match=r"ground must be sorted"):
+        mf.padic_minor_valuation([[1, 0], [0, 1]], [1, 2], 2, ground=(2, 1))
+    with pytest.raises(ValueError, match=r"ground size does not match column count"):
+        mf.padic_minor_valuation([[1, 0], [0, 1]], [1, 2], 2, ground=(1, 2, 3))
+    # column labels of any kind, read in ground order whatever the order given
+    rows = [[1, 0, 1, 1], [0, 1, 1, 2]]
+    assert mf.padic_minor_valuation(rows, ["d", "a"], 2, ground="abcd") == 1
+    assert mf.padic_minor_valuation(rows, [4, 1], 2) == 1
+
+
 # ---------------------------------------------------------------------------
 # toric representations
 

@@ -2,13 +2,16 @@
 
 Matroids and valuations read every label subset through
 ``GroundSet.mask_of``, so each reader refuses an unknown, unhashable or
-repeated label with the same message.  Flocks, toric representations and
-linearized parametrizations align coordinates with their ground by
-position, and refuse a ground that is not in canonical order.
+repeated label with the same message, and so a label of another type than
+the ground's: True, 1.0 and numpy's int64 1 equal the label 1 but are not
+it.  Flocks, toric representations and linearized parametrizations align
+coordinates with their ground by position, and refuse a ground that is not
+in canonical order.
 """
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +38,9 @@ _MALFORMED = {
     "unknown": ([1, 7], "unknown element 7"),
     "unhashable": ([1, [2]], "unknown element [2]"),
     "repeated": ([1, 1, 2], "subset [1, 1, 2] repeats an element"),
+    "bool": ([True, 2], "unknown element True"),
+    "float": ([1.0, 3], "unknown element 1.0"),
+    "numpy int": ([np.int64(1), 2], "unknown element np.int64(1)"),
 }
 
 
@@ -80,10 +86,12 @@ def test_toric_and_linearized_refuse_repeated_ground_labels():
 @st.composite
 def _basis_lists(draw):
     """(ground, d, bases): distinct valid d-subsets in random label order,
-    with unknown, unhashable and repeated-label entries mixed in."""
+    with unknown, unhashable and repeated-label entries mixed in; unknown
+    labels include booleans and floats equal to ground labels."""
     if draw(st.booleans()):
         ground = draw(st.lists(st.integers(-5, 9), min_size=1, max_size=5, unique=True))
-        unknown = st.sampled_from([99, "x"])
+        unknown = st.one_of(st.sampled_from([99, "x", True, False]),
+                            st.sampled_from(ground).map(float))
     else:
         ground = draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=5,
                                unique=True))

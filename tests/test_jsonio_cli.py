@@ -550,6 +550,23 @@ def test_cli_check_matroid_label_of_other_type_exit_2(tmp_path):
     assert done.stdout == "" and done.stderr == "input error: unknown element 'x'\n"
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    (["check-matroid"], {"ground": [1, 2, 3], "rank": 2, "bases": [[1, 2], [True, 3]]},
+     "unknown element True"),
+    (["check-matroid"], {"ground": [1, 2, 3], "rank": 2, "bases": [[1, 2], [1.0, 3]]},
+     "unknown element 1.0"),
+    (["check-valuation"], {"ground": [1, 2, 3], "d": 2,
+                           "values": [{"basis": [1, 2], "value": 0},
+                                      {"basis": [True, 3], "value": 0}]},
+     "bad valuation document: unknown element True"),
+], ids=["check-matroid-bool", "check-matroid-float", "check-valuation-bool"])
+def test_cli_label_equal_to_a_ground_label_exit_2(tmp_path, command, doc, message):
+    # true and 1.0 equal the label 1, but a ground of ints has no such label
+    done = _run_cli(*command, write(tmp_path, "doc.json", doc))
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == "" and done.stderr == f"input error: {message}\n"
+
+
 def test_json_integer_fields_reject_booleans():
     with pytest.raises(jsonio.InputError):
         jsonio.valuation_from_json({"ground": [1, 2], "d": True, "values": []})
@@ -607,15 +624,18 @@ def test_cli_check_ff_matches_golden_report(capsys):
 
 
 def test_cli_check_flock_matches_golden_report(capsys):
-    # a passing report with set-move counts, and a violation on an explicit
+    # a passing report with set-move counts; a violation on an explicit
     # table: the matroids of the valuation {12: 0, 13: 1, 23: 0} over
-    # [-1, 2]^3 with the one at (0, 1, 0) swapped for the one at (1, 0, 0).
-    # The installed-package CI job diffs the console script against both
+    # [-1, 2]^3 with the one at (0, 1, 0) swapped for the one at (1, 0, 0);
+    # and the toric fixture's 70 bases, two words per argmax set.  The
+    # installed-package CI job diffs the console script against all three
     fixtures = Path(__file__).parent / "fixtures"
     for argv, report in ((["--from-valuation", "valuation_n5_d2.json", "--radius", "3", "--sets"],
                           "valuation_n5_d2_check_flock_r3_sets.json"),
                          (["--explicit", "explicit_n3_swapped.json", "--radius", "1"],
-                          "explicit_n3_swapped_check_flock_r1.json")):
+                          "explicit_n3_swapped_check_flock_r1.json"),
+                         (["--from-toric", "toric_wide.json", "--radius", "1"],
+                          "toric_wide_check_flock_r1.json")):
         argv[1] = str(fixtures / argv[1])
         assert main(["check-flock", *argv]) == 0
         assert capsys.readouterr().out == (fixtures / report).read_text()

@@ -1,10 +1,11 @@
-"""The line-at-a-time box scorer against per-point scoring.
+"""The axis-at-a-time box scorer against per-point scoring.
 
-``window.score_box`` scores only the points of the first n - 1 axes and fills
-each line along the last axis from its crossing value.  It must give exactly
-what ``window.score_ids`` gives on every point of the box, and the leader scan
-built on it must give exactly what the chunked per-point scan kept here as
-the oracle gives.
+``window.score_box`` peels the axes one at a time, interning argmax sets as
+ids, and fills each line along the last axis from its cut.  It must give
+exactly what ``window.score_ids`` gives on every point of the box (ids,
+their dtype and the table), also when a box is scored in several slabs, and
+the leader scan built on it must give exactly what the chunked per-point
+scan kept here as the oracle gives.
 """
 
 import itertools
@@ -107,6 +108,61 @@ def test_score_box_empty_box_and_no_values():
     assert len(ids) == 0 and table == []
     with pytest.raises(ValueError, match="no finite values"):
         window.score_box([], 2, [0, 0], [1, 1])
+
+
+def _slab_cases():
+    """(items, n, lo, hi, R): random value tables on random supports, half of
+    them with values near 2^60 (Python-int scores), and U(4, 8), whose 70
+    bases take two words per argmax set, with and without that offset."""
+    rng = random.Random(2511)
+    cases = []
+    for k in range(24):
+        n = rng.randint(3, 5)
+        d = rng.randint(1, n - 1)
+        subsets = [sum(1 << i for i in c) for c in itertools.combinations(range(n), d)]
+        offset = (1 << 60) * (k % 2)
+        items = sorted((m, offset + rng.randint(-3, 3))
+                       for m in rng.sample(subsets, rng.randint(1, len(subsets))))
+        lo = [rng.randint(-2, 0) for _ in range(n)]
+        hi = [l + rng.randint(2, 3) for l in lo]
+        cases.append((items, n, lo, hi, rng.randint(1, 2)))
+    masks = sorted(mf.uniform_matroid(4, 8).masks)
+    for offset in (0, 1 << 60):
+        items = [(m, offset + rng.randint(0, 3)) for m in masks]
+        lo = [rng.randint(-1, 0) for _ in range(8)]
+        cases.append((items, 8, lo, [l + 1 for l in lo], 1))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_box_scans_across_slabs(monkeypatch, chunk):
+    # a box of more than _CHUNK heads is scored in slabs along its leading
+    # axes; the benchmark's boxes fit in one, so a few heads per slab here
+    # cut every box into several, each scored on its own and renumbered
+    # together
+    cases = _slab_cases()
+    want = []
+    for items, n, lo, hi, R in cases:
+        want.append((window.score_ids(items, n, window.box_array(lo, hi)),
+                     window.score_ids(items, n, window.box_array([lo[0]] * n, [hi[0]] * n)),
+                     chunked_leader_reps(items, n, R)))
+    monkeypatch.setattr(window, "_CHUNK", chunk)
+    for (items, n, lo, hi, R), (box, cube, reps) in zip(cases, want):
+        # the slabs tile the box in lex order, at most _CHUNK heads each
+        slabs = list(window._slabs(lo, hi))
+        assert len(slabs) > 1
+        assert all(window._box_size(slo[:-1], shi[:-1]) <= chunk for slo, shi in slabs)
+        assert np.array_equal(np.concatenate([window.box_array(*slab) for slab in slabs]),
+                              window.box_array(lo, hi))
+        got_ids, got_table = window.score_box(items, n, lo, hi)
+        assert got_ids.dtype == box[0].dtype
+        assert np.array_equal(got_ids, box[0]) and got_table == box[1]
+        side = hi[0] - lo[0] + 1
+        grid, bits = window._scored_grid(items, n, lo[0], hi[0])
+        assert grid.shape == (side,) * n and grid.dtype == cube[0].dtype
+        assert np.array_equal(grid.ravel(), cube[0])
+        assert window._families([mask for mask, _ in items], bits) == cube[1]
+        assert window._leader_reps(items, n, R) == reps
 
 
 def random_cases():
