@@ -14,11 +14,13 @@ Two variety classes are implemented exactly:
   walk over those minors, with their Plücker signs, gives both that
   valuation and the initial Plücker coefficients: the lowest coefficient
   of each signed minor.  The Frobenius flock V_alpha is read off the
-  valuation's scored id grid, one space per argmax family S, whose RREF
-  rows are ratios of initial coefficients with Cramer signs; contraction
-  and deletion keep a space in RREF by one row operation.  Shifted
-  tangent spaces (``linearized_tangent_flock``) remain as the independent
-  route.
+  valuation's scored id grid: its Plücker vector is q on the argmax family
+  S at alpha, so (FF1) is the matroid minor axiom with values attached, and
+  the checks key every move by signed Plücker values in the flock's own
+  minor kernel (``window._minor_moves``).  A space's RREF rows, ratios of
+  initial coefficients with Cramer signs, are built only for a window's
+  table and for the two sides of a violation.  Shifted tangent spaces
+  (``linearized_tangent_flock``) remain as the independent route.
 """
 
 from __future__ import annotations
@@ -160,6 +162,8 @@ class LinearizedParam:
             if not seen:
                 raise ValueError(f"coordinate {i} has no terms")
             canon.append(tuple(sorted((v, k, c) for (v, k), c in seen.items())))
+        if not canon:
+            raise ValueError("no coordinates: empty ground set")
         self.coords = tuple(canon)
         n = len(self.coords)
         self.ground = positional_ground(range(1, n + 1) if ground is None else ground,
@@ -404,91 +408,76 @@ def frobenius_window(param: LinearizedParam, radius: int) -> FrobeniusFlockWindo
     off the T-adic valuation's scored grid (``_frobenius_grid``)."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    d, grid, spaces = _frobenius_grid(param, -radius, radius)
+    d, grid, masks, values = _frobenius_grid(param, -radius, radius)
+    spaces = [_plucker_rref(_plucker_vector(masks, row), param.n, param.p) for row in values]
     points = itertools.product(range(-radius, radius + 1), repeat=param.n)
     table = dict(zip(points, map(spaces.__getitem__, grid.ravel().tolist())))
     return FrobeniusFlockWindow(radius, param.p, d, param.ground, table)
 
 
 def _frobenius_grid(param: LinearizedParam, lo: int, hi: int):
-    """(d, grid, spaces) of the row spaces V_alpha over [lo, hi]^E: the id
-    grid indexed by alpha - lo per axis, ``spaces[id]`` its row space in
-    RREF, and distinct ids holding distinct spaces.
+    """(d, grid, masks, values) of the Frobenius flock over [lo, hi]^E: the
+    id grid indexed by alpha - lo per axis, and the (ids, bases) array over
+    GF(p) whose row id is the Plücker vector of V_alpha (column j: basis
+    ``masks[j]``), the table of ``window._minor_moves``.
 
     V_alpha, the T = 0 reduction of the row lattice of P * diag(T^-alpha),
     has as Plücker vector the initial form of the T-adic one (Speyer 2008):
     q(B), the lowest coefficient of B's signed minor, on the argmax family
-    S at alpha and 0 off it.  So V_alpha depends only on S, and the grid is
-    the T-adic valuation's scored grid.  B0 = min(S) is the lex-first basis
-    of S, the pivot columns of the RREF.  By Cramer's rule the row at b in
-    B0 holds 1 at b and, at j outside B0, q(B0 - b + j) / q(B0) when
-    B0 - b + j is in S, else 0, negated once per element of B0 strictly
-    between b and j.  It is 0 left of b, where B0 - b + j would precede B0,
-    so these rows are the RREF.  Families with equal spaces are merged, so
-    (FF2) may compare ids.
-    """
+    S at alpha and 0 off it.  So the grid is the T-adic valuation's scored
+    grid, its table the bits of S times q, and distinct ids hold distinct
+    spaces."""
     import numpy as np
     from . import window
     nu, q = _tadic_minors(param)
-    n, p = param.n, param.p
     items = nu.finite_items()
-    grid, bits = window._scored_grid(items, n, lo, hi)
-    intern: dict[tuple, int] = {}
-    ids = []
-    for S in window._families([mask for mask, _ in items], bits):
-        B0 = min(S)
-        inv = pow(q[B0], -1, p)
-        rows = []
-        for b in range(n):
-            if not B0 >> b & 1:
-                continue
-            rest = B0 & ~(1 << b)
-            row = [0] * n
-            row[b] = 1
-            for j in range(b + 1, n):
-                if not B0 >> j & 1 and rest | 1 << j in S:
-                    x = q[rest | 1 << j] * inv
-                    between = B0 >> b + 1 & (1 << j - b - 1) - 1
-                    row[j] = (-x if between.bit_count() & 1 else x) % p
-            rows.append(tuple(row))
-        ids.append(intern.setdefault(tuple(rows), len(intern)))
-    return nu.d, np.array(ids, dtype=grid.dtype)[grid], list(intern)
+    masks = [mask for mask, _ in items]
+    grid, bits = window._scored_grid(items, param.n, lo, hi)
+    q_row = np.array([q[mask] for mask in masks], dtype=window._residues(param.p))
+    return nu.d, grid, masks, bits * q_row
 
 
-def _space_delete(rows, i: int, p: int):
-    """Row space of V with coordinate i dropped, V in RREF.  Dropping a
-    column keeps the form unless i is the pivot of a row; that row, cut,
-    pivots at its first nonzero entry c (or is dropped when zero), and
-    clears c from the rows above it."""
-    cut = [row[:i] + row[i + 1:] for row in rows]
-    r = next((r for r, row in enumerate(rows) if row[i] and not any(row[:i])), None)
-    if r is None:
-        return tuple(cut)
-    prow = cut.pop(r)
-    c = next((c for c, x in enumerate(prow) if x), None)
-    if c is None:
-        return tuple(cut)
-    inv = pow(prow[c], -1, p)
-    prow = tuple(x * inv % p for x in prow)
-    cut = [tuple((x - row[c] * y) % p for x, y in zip(row, prow)) if row[c] else row
-           for row in cut]
-    above = sum(1 for row in cut if any(row[:c]))
-    return tuple(cut[:above]) + (prow,) + tuple(cut[above:])
+def _plucker_vector(masks, row):
+    """The Plücker vector {basis mask: value} of a row of a table over ``masks``."""
+    return {masks[j]: int(row[j]) for j in row.nonzero()[0]}
 
 
-def _space_contract(rows, i: int, p: int):
-    """Row space of {w in V : w_i = 0}, coordinate i dropped, V in RREF.
-    The last row s with a nonzero entry at i clears column i from the
-    others and is dropped.  Every row it changes pivots left of s's pivot,
-    where s is zero, and s is zero at the other pivots, so the form is
-    kept."""
-    s = next((s for s in range(len(rows) - 1, -1, -1) if rows[s][i]), None)
-    if s is not None:
-        prow = rows[s]
-        inv = pow(prow[i], -1, p)
-        rows = [tuple((x - row[i] * inv * y) % p for x, y in zip(row, prow))
-                if row[i] else row for r, row in enumerate(rows) if r != s]
-    return tuple(row[:i] + row[i + 1:] for row in rows)
+def _plucker_rref(vector, n: int, p: int):
+    """The RREF of the space over GF(p)^n whose Plücker vector is
+    ``vector``, a dict {basis mask: nonzero value} up to one unit.
+
+    B0 = min(vector) is the lex-first basis, the pivot columns of the RREF.
+    By Cramer's rule the row at b in B0 holds 1 at b and, at j outside B0,
+    q(B0 - b + j) / q(B0) (0 when B0 - b + j is no basis), negated once per
+    element of B0 strictly between b and j.  It is 0 left of b, where
+    B0 - b + j would precede B0, so these rows are the RREF.
+    """
+    B0 = min(vector)
+    inv = pow(vector[B0], -1, p)
+    rows = []
+    for b in range(n):
+        if not B0 >> b & 1:
+            continue
+        rest = B0 & ~(1 << b)
+        row = [0] * n
+        row[b] = 1
+        for j in range(b + 1, n):
+            x = vector.get(rest | 1 << j)
+            if x:
+                between = B0 >> b + 1 & (1 << j - b - 1) - 1
+                row[j] = (-x if between.bit_count() & 1 else x) * inv % p
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _plucker_minor(vector, i: int, contract: bool, p: int):
+    """``window._minor_moves``'s rule for one element i: the Plücker vector
+    of V / i (``contract``) or V \\ i on the other elements, in order."""
+    kept = [B for B in vector if bool(B >> i & 1) == contract] or list(vector)
+    low = (1 << i) - 1
+    return {B & low | B >> i + 1 << i:
+            -vector[B] % p if B >> i & 1 and (B & low).bit_count() & 1 else vector[B]
+            for B in kept}
 
 
 def validate_frobenius_window(win: FrobeniusFlockWindow,
@@ -498,65 +487,69 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
     The checked alphas are those of [-r, r]^E, where r is ``box_radius``
     capped at win.radius (win.radius by default); each check compares
     V_alpha with V_{alpha + e_I}, so the table is read on
-    [-r, min(r + 1, win.radius)]^E only and must cover that box (ValueError
-    otherwise).  Each side of a check is computed once per distinct row
-    space; the violation is the one at the lex-first failing alpha, (FF1)
-    in ground order before (FF2) at the same alpha.
+    [-r, min(r + 1, win.radius)]^E only and must cover that box, with rows
+    of one entry per ground element (ValueError otherwise).  Each distinct
+    entry's Plücker vector comes from one walk over its minors, scaled to 1
+    at its least basis, so equal spaces share an id; the violation is the
+    one at the lex-first failing alpha, (FF1) in ground order first.
     """
+    import numpy as np
+    from . import window
     p, R, n = win.p, win.radius, len(win.ground)
     radius = R if box_radius is None else min(box_radius, R)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     canon: dict[tuple, tuple] = {}
 
-    def space_at(alpha):
+    def vector_at(alpha):
         if alpha not in win.table:
             raise ValueError(f"the window table has no row space at alpha={alpha}")
         rows = tuple(map(tuple, win.table[alpha]))
         if rows not in canon:
-            canon[rows] = linalg.gf_row_space(rows, p)
+            wrong = {len(row) for row in rows} - {n}
+            if wrong:
+                raise ValueError(f"the row space at alpha={alpha} has a row of "
+                                 f"length {min(wrong)}, not {n}")
+            minors = dict(linalg._maximal_minors(rows, linalg._PrimeField(p)))
+            inv = pow(minors[min(minors)], -1, p)
+            canon[rows] = tuple((mask, x * inv % p) for mask, x in sorted(minors.items()))
         return canon[rows]
 
-    from . import window
-    grid, spaces = window._id_grid(n, -radius, min(radius + 1, R), space_at)
-    return _frobenius_report(grid, spaces, radius, win.ground, p)
+    grid, vectors = window._id_grid(n, -radius, min(radius + 1, R), vector_at)
+    masks, bits = window._table_bits([dict(vector) for vector in vectors])
+    values = np.zeros(bits.shape, dtype=window._residues(p))
+    values[bits] = [x for vector in vectors for _, x in vector]
+    return _frobenius_report(grid, masks, values, radius, win.ground, p)
 
 
-def _frobenius_report(grid, spaces, radius: int, ground, p: int) -> FrobeniusWindowReport:
+def _frobenius_report(grid, masks, values, radius: int, ground,
+                      p: int) -> FrobeniusWindowReport:
     """(FF1)/(FF2) over [-radius, radius]^E of an id grid whose index 0 is
-    alpha = -radius on every axis, ``spaces[id]`` the row space V_alpha in
-    RREF; distinct ids must hold distinct spaces.  Alphas whose shift leaves
-    the grid are not checked."""
+    alpha = -radius on every axis, ``values[id]`` the Plücker vector of
+    V_alpha over ``masks``, distinct ids holding distinct spaces.  Alphas
+    whose shift leaves the grid are not checked."""
     from . import window
     n = len(ground)
-
-    def sides(k, a, b):
-        """The two spaces (FF1) at axis k, or (FF2) for k = n, compares."""
-        if k == n:
-            return spaces[a], spaces[b]
-        return _space_contract(spaces[a], k, p), _space_delete(spaces[b], k, p)
-
-    moves = [((k,), *window._id_keys(grid, radius, (k,),
-                                     lambda i, k=k: _space_contract(spaces[i], k, p),
-                                     lambda i, k=k: _space_delete(spaces[i], k, p)))
-             for k in range(n)]
-    moves.append((tuple(range(n)), *window._same_keys(len(spaces))))
+    moves = itertools.chain(window._minor_moves(n, masks, values, [(k,) for k in range(n)], p),
+                            [(tuple(range(n)), *window._same_keys(len(values)))])
     counts, first = window._local_axioms(grid, radius, moves)
     violation = None
     if first is not None:
         alpha, k, a, b = first
-        violation = (alpha, ground[k] if k < n else "1", *sides(k, a, b))
+        left, right = _plucker_vector(masks, values[a]), _plucker_vector(masks, values[b])
+        if k < n:
+            left, right = _plucker_minor(left, k, True, p), _plucker_minor(right, k, False, p)
+        violation = (alpha, ground[k] if k < n else "1",
+                     *(_plucker_rref(side, n - (k < n), p) for side in (left, right)))
     return FrobeniusWindowReport(radius, sum(c for c, _ in counts[:n]),
                                  sum(f for _, f in counts[:n]), *counts[n], violation)
 
 
 def check_frobenius_axioms(param: LinearizedParam, radius: int) -> FrobeniusWindowReport:
-    """(FF1)/(FF2) for all alpha in [-radius, radius]^E.
-
-    The row spaces are computed on [-radius, radius + 1]^E only, the box
-    the checks read, straight from the T-adic valuation's scored grid.
-    """
+    """(FF1)/(FF2) for all alpha in [-radius, radius]^E, from the Plücker
+    vectors of ``_frobenius_grid`` over [-radius, radius + 1]^E, the box the
+    checks compare; no row space is built unless a check fails."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    _, grid, spaces = _frobenius_grid(param, -radius, radius + 1)
-    return _frobenius_report(grid, spaces, radius, param.ground, param.p)
+    _, grid, masks, values = _frobenius_grid(param, -radius, radius + 1)
+    return _frobenius_report(grid, masks, values, radius, param.ground, param.p)

@@ -45,7 +45,11 @@ def render_cells_svg(nu: Valuation, axes, radius: int) -> str:
     xy = window.box_array((-radius, -radius), (radius, radius))
     points = np.zeros((len(xy), n), dtype=np.int64)
     points[:, [ax, ay]] = xy
-    ids, table = window.score_ids(nu.finite_items(), n, points)
+    # the slice is the box that is 0 on every other axis, scored in ground
+    # order: transposed to x-major when the x axis comes second
+    ids, table = window.score_box(nu.finite_items(), n, points[0].tolist(), points[-1].tolist())
+    if ax > ay:
+        ids = ids.reshape(span, span).T.ravel()
     colors: dict = {}
     squares = []
     for (x, y), k in zip(xy.tolist(), ids.tolist()):

@@ -9,9 +9,9 @@ valuation-backed flock) never load numpy.
 The optimal-basis set at a point alpha is the argmax of e_B . alpha - nu(B)
 over the finite-valued d-subsets.  Two routines score such argmax sets over
 many points: ``score_box`` scores every box of a valuation (the id grids of
-flocks and Frobenius windows, the round-trip comparison and the leader
-scan), and ``score_ids`` scores any list of points, one point at a time (the
-SVG slice, and the tests' oracle).  Both take the score dtype from
+flocks and Frobenius windows, the round-trip comparison, the leader scan
+and the SVG slice), and ``score_ids`` scores any list of points, one point
+at a time (the tests' oracle).  Both take the score dtype from
 ``_values``, encode argmax sets as ``_pack``'s bit words and number them in
 the lex order of those words, and ``_families`` decodes them.
 
@@ -41,20 +41,21 @@ leading axes, so memory stays bounded; the leader window {alpha_0 = 0,
 |alpha_i| <= R} is such a box.  The level plan (``_levels``) is built once
 per box, for all its slabs.
 
-The local axioms run here too, on an id grid and the table of its matroids.
-A minor move I compares M_alpha / I with M_{alpha + e_I} \\ I.  For a
-valuation-backed flock the table is the (matroids, bases) bool matrix that
-the box scan produced, otherwise it is built from the frozensets of the
-per-point walk.  ``_minor_moves`` keys both sides of every matroid for all
-moves at once, over the table's (matroid, basis) entries: with
+The local axioms run here too, on an id grid and the table of its families.
+A minor move I compares M_alpha / I with M_{alpha + e_I} \\ I (V_alpha for
+(FF1)).  The table is an (ids, bases) array over GF(p), nonzero exactly on
+each family's bases: for a flock the bool matrix (p = 2) of the box scan or
+of the per-point walk's frozensets, for a Frobenius flock the Plücker
+vectors of its row spaces.  ``_minor_moves`` keys both sides of every family
+for all moves at once, over the table's (id, basis) entries: with
 cnt_j = |b_j ∩ I|, the contraction keeps the bases of largest cnt and the
-deletion those of largest |b_j \\ I|, both projected to b_j \\ I.
+deletion those of largest |b_j \\ I|, both projected to b_j \\ I with their
+values signed and scaled, so that equal keys are equal minors.
 ``_local_axioms`` then checks a move over the whole box: the grid of
 ``score_box`` is expanded run by run (each line's three ids repeated over
 the t below, at and above its cut), one contiguous copy of the checked
 block is shared by every move, and each side's keys are read from it with
-``np.take``.  Row spaces (the Frobenius axioms) are keyed one distinct
-space at a time.
+``np.take``.
 
 Exactness: values are shifted so the smallest is 0, which changes no argmax.
 A family's G is a partial sum -nu(B) + sum of alpha_i over the peeled i in
@@ -93,25 +94,6 @@ def _values(finite_items, reach: int):
     d = max(mask.bit_count() for mask in masks)
     exact_float = max(shifted) + d * reach < _FLOAT_EXACT
     return masks, np.array(shifted, dtype=np.float64 if exact_float else object)
-
-
-def _kernel(finite_items, n: int, reach: int):
-    """(masks, EB, vals) of ``_values``, with ``EB[k]`` the incidence row of
-    basis k and ``vals`` as an (m, 1) column, both of the values' dtype."""
-    masks, vals = _values(finite_items, reach)
-    EB = np.zeros((len(masks), n), dtype=vals.dtype)
-    for k, mask in enumerate(masks):
-        for i in range(n):
-            if mask >> i & 1:
-                EB[k, i] = 1
-    return masks, EB, vals[:, None]
-
-
-def _scores(EB, vals, points) -> np.ndarray:
-    """(m, N) scores of every basis at every point of the (N, n) ``points``."""
-    # one row per basis: maxima run across rows, which numpy vectorizes far
-    # better than a max along short rows
-    return EB @ points.T.astype(EB.dtype) - vals
 
 
 def _pack(opt: np.ndarray) -> np.ndarray:
@@ -169,10 +151,13 @@ def score_ids(finite_items, n: int, points: np.ndarray):
     point with id k, so ids are dense: 0 .. len(table) - 1.
     """
     reach = max(-int(points.min()), int(points.max())) if points.size else 0
-    masks, EB, vals = _kernel(finite_items, n, reach)
+    masks, vals = _values(finite_items, reach)
+    # one row per basis: maxima run across rows, which numpy vectorizes far
+    # better than a max along short rows
+    EB = np.array([[mask >> i & 1 for i in range(n)] for mask in masks], dtype=vals.dtype)
     words = np.empty((len(points), (len(masks) + 63) // 64), dtype="<u8")
     for start in range(0, len(points), _CHUNK):
-        scores = _scores(EB, vals, points[start:start + _CHUNK])
+        scores = EB @ points[start:start + _CHUNK].T.astype(EB.dtype) - vals[:, None]
         words[start:start + _CHUNK] = _pack(scores == scores.max(axis=0))
     ids, rep = _lex_rows(words)
     return ids, _families(masks, _bits(words[rep], len(masks)))
@@ -507,47 +492,47 @@ def _same_keys(size: int):
     return ids, ids
 
 
-def _id_keys(grid: np.ndarray, radius: int, axes, left, right):
-    """(left keys, right keys) of the move along ``axes`` in
-    ``_local_axioms``, given per id: ``left(i)`` at the ids the move reads at
-    alpha and ``right(i)`` at those it reads at alpha + e_I, interned
-    together, and -1 at the other ids."""
-    size = int(grid.max()) + 1
-    intern: dict = {}
-    keys = []
-    for side, view in zip((left, right), _move_views(grid, radius, axes)):
-        keys.append(np.full(size, -1))
-        for i in np.flatnonzero(np.bincount(view.ravel(), minlength=size)).tolist():
-            keys[-1][i] = intern.setdefault(side(i), len(intern))
-    return keys
+def _residues(p: int):
+    """The dtype of residues mod p: int64 while a product of two fits it."""
+    return np.int64 if p < 1 << 31 else object
 
 
 # moves x (id, basis) entries per block of ``_minor_moves``
 _KEY_BLOCK = 1 << 18
 
 
-def _minor_moves(n: int, masks, bits: np.ndarray, moves):
+def _minor_moves(n: int, masks, values: np.ndarray, moves, p: int):
     """(I, left, right) per tuple I of element indices in ``moves``, for
-    ``_local_axioms``: ``left[i]`` is the contraction M / I and ``right[i]``
-    the deletion M \\ I of the family M of bases ``bits[i]`` (column j: basis
-    ``masks[j]``; every family nonempty), as keys numbered together.
+    ``_local_axioms``: ``left[i]`` keys the contraction and ``right[i]`` the
+    deletion by I of row i of ``values``, numbered together.  ``values`` is
+    an (ids, bases) array over GF(p), column j for basis ``masks[j]``,
+    nonzero exactly on each family's bases (every family nonempty): a
+    matroid's bool row with p = 2, or a space's Plücker vector up to a unit.
 
-    With cnt_j = |b_j ∩ I|, M / I keeps the bases of M of largest cnt and
-    M \\ I those of largest |b_j \\ I|, and both project b_j to b_j \\ I; a key
-    is the set of projected masks.  The work runs over the (id, basis)
-    entries of ``bits``, for all moves of a block at once: a block holds as
-    many moves as keep its arrays within ``_KEY_BLOCK`` entries per side, and
-    at least one.
+    With cnt_j = |b_j ∩ I|, the contraction keeps the bases of largest cnt
+    and the deletion those of largest |b_j \\ I|: for I = {i}, the bases that
+    hold i (all of them when i is a loop) and those that miss i (all of them
+    when i is a coloop).  A kept b_j projects to b_j \\ I with its value,
+    negated when i is in b_j above an odd number of its elements.  A key is
+    these values over the one at the least projected mask, each in a
+    (p - 1).bit_length()-bit field (for Python ints, its rank among the
+    values) at its mask's rank among the move's projected masks.  Over GF(2)
+    signs and ratios are 1, so a key is the set of projected masks, the
+    matroid minor, for any I; for p > 2 values are folded for single-element
+    moves only.  A block holds as many moves as keep its arrays within
+    ``_KEY_BLOCK`` (id, basis) entries per side, and at least one.
     """
-    size, m = bits.shape
-    rows, cols = np.nonzero(bits)
+    size, m = values.shape
+    rows, cols = np.nonzero(values)
     # nonzero is row-major: the entries of an id are contiguous
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
     bases = np.array(masks, dtype=np.int64)
     elements = np.arange(n)
     incidence = (bases[:, None] >> elements & 1).astype(np.int8)
     sizes = incidence.sum(axis=1, dtype=np.int8)[cols]
-    width = (m + 63) // 64
+    # does the basis hold the element above an odd number of its elements
+    odd = incidence & (np.cumsum(incidence, axis=1, dtype=np.int8) - incidence)
+    entries = values[rows, cols].astype(_residues(p)) % p if p > 2 else None
     block = max(1, _KEY_BLOCK // len(cols))
     for start in range(0, len(moves), block):
         sets = moves[start:start + block]
@@ -566,15 +551,32 @@ def _minor_moves(n: int, masks, bits: np.ndarray, moves):
         fresh[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
         rank = np.empty_like(order)
         np.put_along_axis(rank, order, np.cumsum(fresh, axis=1) - 1, axis=1)
-        # a key as words with one bit per projected mask: OR over the kept
-        # entries of an id, so equal projections set one bit
-        word = (rank // 64)[:, cols]
-        bit = (np.uint64(1) << (rank % 64).astype(np.uint64))[:, cols]
-        words = np.empty((2, len(sets), size, width), dtype=np.uint64)
-        for w in range(width):
+        width = 1
+        if p > 2:
+            # each signed value over the one of least rank kept for its id
+            signed = np.where((cuts @ odd.T)[:, cols] & 1, p - entries, entries)
+            at = rank[:, cols]
+            least = np.minimum.reduceat(np.where(keep, at, m), starts, axis=2)[:, :, rows]
+            pivots = np.add.reduceat(np.where(keep & (at == least), signed, 0), starts, axis=2)
+            units, which = np.unique(pivots, return_inverse=True)
+            inverse = np.array([pow(int(u), -1, p) for u in units], dtype=entries.dtype)
+            field = signed * inverse[which.reshape(pivots.shape)][:, :, rows] % p
+            width = (p - 1).bit_length()
+            if field.dtype == object:
+                distinct, which = np.unique(field, return_inverse=True)
+                field, width = which.reshape(field.shape) + 1, len(distinct).bit_length()
+            field = field.astype(np.uint64)
+        # a key as words of fields, one per projected mask: OR over the kept
+        # entries of an id, so over GF(2) equal projections set one bit
+        per = 64 // width
+        word = (rank // per)[:, cols]
+        shift = (rank % per * width).astype(np.uint64)
+        fields = (np.uint64(1) << shift)[:, cols] if p == 2 else field << shift[:, cols]
+        words = np.empty((2, len(sets), size, -(-m // per)), dtype=np.uint64)
+        for w in range(words.shape[3]):
             words[..., w] = np.bitwise_or.reduceat(
-                np.where(keep & (word == w), bit, np.uint64(0)), starts, axis=2)
-        keys = _dense_ids(words.reshape(-1, width)).reshape(2, len(sets), size)
+                np.where(keep & (word == w), fields, np.uint64(0)), starts, axis=2)
+        keys = _dense_ids(words.reshape(-1, words.shape[3])).reshape(2, len(sets), size)
         for k, axes in enumerate(sets):
             yield axes, keys[0, k], keys[1, k]
 

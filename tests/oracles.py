@@ -22,8 +22,10 @@ routes that ``linalg._echelon`` and the span test of
 
 Frobenius row spaces by one GF(p)[T] tableau per argmax family, and the
 contraction, deletion and (FF1)/(FF2) report that re-reduce each side with
-``linalg.gf_rref``: the routes that reading V_S off the initial Plücker
-coefficients of one minor walk, and the one-row RREF updates, replaced.
+``linalg.gf_rref``, keyed one distinct space at a time (``_id_keys``): the
+routes that reading V_S off the initial Plücker coefficients of one minor
+walk, and keying each move by its signed Plücker values in
+``window._minor_moves``, replaced.
 Single exchanges by a test of all n^2 bit pairs.
 
 The local axioms with each move's keys gathered through strided views of
@@ -442,6 +444,21 @@ def rref_space_contract(rows, i: int, p: int):
     return tuple(row[1:] for row in red[first:len(pivots)])
 
 
+def _id_keys(grid: np.ndarray, radius: int, axes, left, right):
+    """(left keys, right keys) of the move along ``axes`` in
+    ``window._local_axioms``, given per id: ``left(i)`` at the ids the move
+    reads at alpha and ``right(i)`` at those it reads at alpha + e_I,
+    interned together, and -1 at the other ids."""
+    size = int(grid.max()) + 1
+    intern: dict = {}
+    keys = []
+    for side, view in zip((left, right), window._move_views(grid, radius, axes)):
+        keys.append(np.full(size, -1))
+        for i in np.flatnonzero(np.bincount(view.ravel(), minlength=size)).tolist():
+            keys[-1][i] = intern.setdefault(side(i), len(intern))
+    return keys
+
+
 def rref_frobenius_report(grid, spaces, radius: int, ground, p: int) -> FrobeniusWindowReport:
     """(FF1)/(FF2) over [-radius, radius]^E of an id grid whose index 0 is
     alpha = -radius on every axis, ``spaces[id]`` the row space V_alpha in
@@ -455,9 +472,9 @@ def rref_frobenius_report(grid, spaces, radius: int, ground, p: int) -> Frobeniu
             return spaces[a], spaces[b]
         return rref_space_contract(spaces[a], k, p), rref_space_delete(spaces[b], k, p)
 
-    moves = [((k,), *window._id_keys(grid, radius, (k,),
-                                     lambda i, k=k: rref_space_contract(spaces[i], k, p),
-                                     lambda i, k=k: rref_space_delete(spaces[i], k, p)))
+    moves = [((k,), *_id_keys(grid, radius, (k,),
+                              lambda i, k=k: rref_space_contract(spaces[i], k, p),
+                              lambda i, k=k: rref_space_delete(spaces[i], k, p)))
              for k in range(n)]
     moves.append((tuple(range(n)), *window._same_keys(len(spaces))))
     counts, first = window._local_axioms(grid, radius, moves)

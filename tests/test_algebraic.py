@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import matflock as mf
 from matflock import linalg
 from matflock import algebraic, window
-from matflock.algebraic import _param_polymatrix, _space_contract, _space_delete, _tangent_at
+from matflock.algebraic import _param_polymatrix, _plucker_minor, _plucker_rref, _tangent_at
 from matflock.lattice import INF
 
 import flockprops
@@ -302,18 +303,45 @@ def _grid_cases():
                                                 [(0, 0, 1), (1, 0, 1)], [(0, 0, 1), (1, g, c)]])
 
 
+def _grid_spaces(param, lo, hi):
+    """``_frobenius_grid`` with each id's Plücker vector read as its RREF."""
+    d, grid, masks, values = algebraic._frobenius_grid(param, lo, hi)
+    return d, grid, [_plucker_rref(algebraic._plucker_vector(masks, row), param.n, param.p)
+                     for row in values]
+
+
 def test_frobenius_grid_matches_tableau_oracle():
     # V_S read off the initial Plücker coefficients of one walk equals the
-    # per-family GF(p)[T] tableau route: same ids, spaces and reports
+    # per-family GF(p)[T] tableau route: same ids and spaces, and the check
+    # keyed by Plücker values reports what the gf_rref route reports
     for param in _grid_cases():
         radius = 1 if param.n > 4 else 2
         for lo, hi in ((-radius, radius + 1), (-1, 1), (0, 2)):
-            d, grid, spaces = algebraic._frobenius_grid(param, lo, hi)
+            d, grid, spaces = _grid_spaces(param, lo, hi)
             d0, grid0, spaces0 = oracles.tableau_frobenius_grid(param, lo, hi)
             assert (d, spaces) == (d0, spaces0), param.coords
             assert grid.dtype == grid0.dtype and (grid == grid0).all(), param.coords
-        args = (grid, spaces, radius, param.ground, param.p)
-        assert algebraic._frobenius_report(*args) == oracles.rref_frobenius_report(*args)
+            if (lo, hi) == (-radius, radius + 1):
+                want = oracles.rref_frobenius_report(grid0, spaces0, radius, param.ground, param.p)
+        assert mf.check_frobenius_axioms(param, radius) == want, param.coords
+
+
+def test_frobenius_grid_spaces_have_plucker_vector_q():
+    # the maximal minors over GF(p) of each space are q on its family S, up
+    # to one unit
+    for param in itertools.islice(_grid_cases(), 0, None, 4):
+        p = param.p
+        nu, q = algebraic._tadic_minors(param)
+        items = nu.finite_items()
+        _, bits = window._scored_grid(items, param.n, -1, 1)
+        families = window._families([mask for mask, _ in items], bits)
+        _, _, spaces = _grid_spaces(param, -1, 1)
+        assert len(spaces) == len(families)
+        for S, space in zip(families, spaces):
+            minors = dict(linalg._maximal_minors(space, linalg._PrimeField(p)))
+            assert set(minors) == S, param.coords
+            unit = minors[min(S)] * pow(q[min(S)], -1, p) % p
+            assert all(minors[B] == unit * q[B] % p for B in S), param.coords
 
 
 def test_frobenius_report_violations_match_rref_oracle(rng):
@@ -326,33 +354,111 @@ def test_frobenius_report_violations_match_rref_oracle(rng):
             rows = [[rng.randrange(param.p) for _ in range(param.n)] for _ in range(2)]
             table[alpha] = linalg.gf_row_space(rows, param.p)
             grid, spaces = window._id_grid(param.n, -2, 2, table.__getitem__)
-            args = (grid, spaces, 2, param.ground, param.p)
-            want = oracles.rref_frobenius_report(*args)
-            assert algebraic._frobenius_report(*args) == want
+            want = oracles.rref_frobenius_report(grid, spaces, 2, param.ground, param.p)
             bad = mf.FrobeniusFlockWindow(2, param.p, 2, param.ground, table)
             assert mf.validate_frobenius_window(bad) == want
             failed += not want.ok
     assert failed >= 5
 
 
-@st.composite
-def rref_spaces(draw):
-    """A space over GF(p) in RREF, from random rows, some of them zero."""
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    n = draw(st.integers(min_value=1, max_value=7))
-    k = draw(st.integers(min_value=0, max_value=n + 1))
+def test_frobenius_checks_past_int64_residues():
+    # residues past 2^31 are Python ints, and their ratios are keyed by rank
+    rng = random.Random(31)
+    for p in (2 ** 31 - 1, 4294967311, 2 ** 61 - 1):
+        for _ in range(4):
+            param = _random_param(rng, p, rng.randint(1, 2), rng.randint(2, 4))
+            for radius in (1, 2):
+                _, grid0, spaces0 = oracles.tableau_frobenius_grid(param, -radius, radius + 1)
+                want = oracles.rref_frobenius_report(grid0, spaces0, radius, param.ground, p)
+                assert mf.check_frobenius_axioms(param, radius) == want, (p, param.coords)
+            table = dict(mf.frobenius_window(param, 2).table)
+            table[(0,) * param.n] = linalg.gf_row_space(
+                [[rng.randrange(p) for _ in range(param.n)] for _ in range(2)], p)
+            grid, spaces = window._id_grid(param.n, -2, 2, table.__getitem__)
+            want = oracles.rref_frobenius_report(grid, spaces, 2, param.ground, p)
+            bad = mf.FrobeniusFlockWindow(2, p, 2, param.ground, table)
+            assert mf.validate_frobenius_window(bad) == want, (p, param.coords)
+
+
+def _space_rows(draw, p, n):
+    """Rows spanning a space of GF(p)^n: the zero space, the full space, or
+    random rows with loops (zero columns) and coloops (unit rows)."""
+    kind = draw(st.sampled_from(["zero", "full", "random"]))
+    if kind == "zero":
+        return draw(st.sampled_from([(), ((0,) * n,)]))
+    if kind == "full":
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    role = draw(st.lists(st.sampled_from(["loop", "coloop", "free"]), min_size=n, max_size=n))
     entry = st.integers(min_value=0, max_value=p - 1)
-    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
-    return p, n, linalg.gf_row_space(rows, p)
+    rows = [[draw(entry) if role[j] == "free" else 0 for j in range(n)]
+            for _ in range(draw(st.integers(min_value=0, max_value=n)))]
+    rows += [[int(j == i) for j in range(n)] for i in range(n) if role[i] == "coloop"]
+    return tuple(map(tuple, draw(st.permutations(rows))))
 
 
-@given(rref_spaces())
+@st.composite
+def plucker_spaces(draw):
+    """(p, n, rows): rows spanning a space of GF(p)^n, n = 3..6."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(min_value=3, max_value=6))
+    return p, n, _space_rows(draw, p, n)
+
+
+@st.composite
+def plucker_tables(draw):
+    """(p, n, tables): rows of up to six spaces of one GF(p)^n, each followed
+    by a space W with W \\ i = V / i for some i: a random column inserted at
+    i into V / i.  So contractions meet deletions of other spaces, where the
+    signs of the key rule decide."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(min_value=3, max_value=6))
+    tables = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        rows = _space_rows(draw, p, n)
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        contracted = oracles.rref_space_contract(linalg.gf_row_space(rows, p), i, p)
+        column = st.integers(min_value=0, max_value=p - 1)
+        tables += [rows, tuple(row[:i] + (draw(column),) + row[i:] for row in contracted)]
+    return p, n, tables
+
+
+@given(plucker_spaces())
 @settings(max_examples=400, deadline=None)
 def test_space_contract_and_delete_match_gf_rref(case):
-    p, n, space = case
+    # the key rule on one space: its contraction and deletion by each
+    # element, read off its Plücker vector, are the spaces gf_rref gives
+    p, n, rows = case
+    space = linalg.gf_row_space(rows, p)
+    vector = dict(linalg._maximal_minors(rows, linalg._PrimeField(p)))
+    assert _plucker_rref(vector, n, p) == space
     for i in range(n):
-        assert _space_contract(space, i, p) == oracles.rref_space_contract(space, i, p)
-        assert _space_delete(space, i, p) == oracles.rref_space_delete(space, i, p)
+        contracted = _plucker_rref(_plucker_minor(vector, i, True, p), n - 1, p)
+        deleted = _plucker_rref(_plucker_minor(vector, i, False, p), n - 1, p)
+        assert contracted == oracles.rref_space_contract(space, i, p)
+        assert deleted == oracles.rref_space_delete(space, i, p)
+
+
+@given(plucker_tables())
+@settings(max_examples=200, deadline=None)
+def test_plucker_keys_match_rref_minors(case):
+    # the keys _minor_moves gives each single-element move split the
+    # contractions and deletions of the spaces into the classes of equal
+    # gf_rref minors, left and right numbered together, whatever the scale
+    # of each Plücker vector
+    p, n, tables = case
+    vectors = [dict(linalg._maximal_minors(rows, linalg._PrimeField(p))) for rows in tables]
+    masks = sorted(set().union(*vectors))
+    values = np.zeros((len(vectors), len(masks)), dtype=np.int64)
+    for k, vector in enumerate(vectors):
+        values[k, [masks.index(mask) for mask in vector]] = list(vector.values())
+    spaces = [linalg.gf_row_space(rows, p) for rows in tables]
+    moves = list(window._minor_moves(n, masks, values, [(i,) for i in range(n)], p))
+    for i, (axes, left, right) in enumerate(moves):
+        assert axes == (i,)
+        sides = ([oracles.rref_space_contract(space, i, p) for space in spaces]
+                 + [oracles.rref_space_delete(space, i, p) for space in spaces])
+        keys = left.tolist() + right.tolist()
+        assert len(set(zip(keys, sides))) == len(set(keys)) == len(set(sides)), i
 
 
 def test_tadic_walk_is_cached_and_bounded(monkeypatch):
@@ -385,6 +491,18 @@ def test_frobenius_check_runs_no_elimination(monkeypatch):
     assert rep.ok and rep.ff1_checked == 4 * 5 ** 4
 
 
+def test_frobenius_check_builds_no_space_when_it_passes(monkeypatch):
+    # a window that passes is keyed by Plücker values alone
+    win = mf.frobenius_window(example_param(2, 2), 2)
+
+    def refuse(*args):
+        raise AssertionError("a row space was built")
+    monkeypatch.setattr(algebraic, "_plucker_rref", refuse)
+    for param in (example_param(2, 2), example_param(3, 1), example_param(5, 3)):
+        assert mf.check_frobenius_axioms(param, 2).ok
+    assert mf.validate_frobenius_window(win).ok
+
+
 def _ff_failures(win):
     """Every failing (alpha, move order, move, left, right), point by point."""
     p, n, R = win.p, len(win.ground), win.radius
@@ -393,8 +511,8 @@ def _ff_failures(win):
         for i in range(n):
             beta = tuple(a + (k == i) for k, a in enumerate(alpha))
             if max(beta) <= R:
-                left = _space_contract(rows, i, p)
-                right = _space_delete(win.table[beta], i, p)
+                left = oracles.rref_space_contract(rows, i, p)
+                right = oracles.rref_space_delete(win.table[beta], i, p)
                 if left != right:
                     out.append((alpha, i, win.ground[i], left, right))
         beta = tuple(a + 1 for a in alpha)
@@ -420,6 +538,25 @@ def test_frobenius_violation_is_lex_first_then_move_order():
     assert rep.violation[:2] == (corner, 1)
     assert rep.ff1_failed == sum(f[1] < 4 for f in fails)
     assert rep.ff2_failed == sum(f[1] == 4 for f in fails)
+
+
+@pytest.mark.parametrize("length", [3, 5])
+def test_frobenius_window_rows_of_wrong_length_refused(monkeypatch, length):
+    # a row shorter or longer than the ground set is refused, naming its
+    # alpha, before its minors are walked
+    win = mf.frobenius_window(example_param(2, 2), 1)
+    table = dict(win.table)
+    table[(0, 0, 0, 0)] = tuple(row[:3] + (0,) * (length - 3) for row in table[(0, 0, 0, 0)])
+    walk = linalg._maximal_minors
+
+    def checked_walk(rows, field):
+        assert all(len(row) == 4 for row in rows), "a row of the wrong length was walked"
+        return walk(rows, field)
+    monkeypatch.setattr(linalg, "_maximal_minors", checked_walk)
+    bad = mf.FrobeniusFlockWindow(1, win.p, win.d, win.ground, table)
+    message = rf"alpha=\(0, 0, 0, 0\) has a row of length {length}, not 4"
+    with pytest.raises(ValueError, match=message):
+        mf.validate_frobenius_window(bad)
 
 
 def test_frobenius_window_table_must_cover_box():

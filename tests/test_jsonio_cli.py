@@ -383,15 +383,18 @@ def test_cli_check_ff_prints_report_document(tmp_path, capsys):
     assert doc["radius"] == 2 and doc["ff2"]["checked"] == 5 ** 4
 
 
-def test_cli_empty_parametrization_exit_1(tmp_path, capsys):
-    # no coordinates: every linearized command refuses instead of checking nothing
-    path = write(tmp_path, "empty.json", {"p": 2, "params": ["s"], "coords": []})
+def test_cli_empty_parametrization_exit_2(capsys):
+    # no coordinates: every linearized command refuses the input itself
+    path = str(Path(__file__).parent / "fixtures" / "malformed_linearized_no_coords.json")
     for argv in (["check-ff", path, "--radius", "1"],
-                 ["check-flock", "--from-linearized", path],
-                 ["extract-valuation", "--from-linearized", path]):
-        assert main(argv) == 1
+                 ["flock-from-linearized", path, "--alpha", "0"],
+                 ["extract-valuation", "--from-linearized", path],
+                 ["check-flock", "--from-linearized", path]):
+        assert main(argv) == 2
         out = capsys.readouterr()
-        assert out.out == "" and "empty ground set" in out.err
+        assert out.out == ""
+        assert out.err == ("input error: bad linearized parametrization: "
+                           "no coordinates: empty ground set\n"), argv
 
 
 def test_cli_check_flock_explicit_table(tmp_path, capsys):
@@ -750,10 +753,20 @@ def test_cli_cells_svg_repeated_axis_exit_2(capsys):
 def test_svg_scores_once(monkeypatch):
     from matflock import window
     calls = []
-    score_ids = window.score_ids
-    monkeypatch.setattr(window, "score_ids", lambda *args: calls.append(1) or score_ids(*args))
+    score_box = window.score_box
+    monkeypatch.setattr(window, "score_box",
+                        lambda *args: calls.append(args[2:]) or score_box(*args))
+    monkeypatch.setattr(window, "score_ids", None)
     text = svg.render_cells_svg(u24_valuation(), (3, 4), 3)
-    assert len(calls) == 1 and text.count("<circle ") == 2
+    assert calls == [([0, 0, -3, -3], [0, 0, 3, 3])] and text.count("<circle ") == 2
+
+
+def test_cli_svg_matches_pinned_slice(capsys):
+    # axis 4 comes after axis 2 in the ground, so the scored box is transposed
+    fixtures = Path(__file__).parent / "fixtures"
+    assert main(["cells", str(fixtures / "valuation_u24.json"), "--svg",
+                 "--axes", "4,2", "--radius", "3"]) == 0
+    assert capsys.readouterr().out == (fixtures / "valuation_u24_cells_axes42_r3.svg").read_text()
 
 
 def test_svg_colours_follow_matroid_at(rng):

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import matflock as mf
 from matflock import flock as flock_module
 from matflock import jsonio, linalg, window
-from matflock.algebraic import FrobeniusWindowReport, _space_contract, _space_delete
+from matflock.algebraic import FrobeniusWindowReport
 from matflock.cli import main
 from matflock.flock import FlockViolation, window_ids
 from matflock.window import _id_grid
@@ -107,7 +107,8 @@ def oracle_frobenius_report(win, box_radius=None):
     def sides(k, a, b):
         if k == n:
             return spaces[a], spaces[b]
-        return _space_contract(spaces[a], k, p), _space_delete(spaces[b], k, p)
+        return (oracles.rref_space_contract(spaces[a], k, p),
+                oracles.rref_space_delete(spaces[b], k, p))
 
     moves = [((k,) if k < n else tuple(range(n)),
               lambda a, b, k=k: operator.eq(*sides(k, a, b))) for k in range(n + 1)]
@@ -293,7 +294,7 @@ def assert_minor_key_classes(n, table, moves):
     deletions of the families in ``table`` into the classes of equal
     ``bases_contract`` / ``bases_delete``, left and right numbered together."""
     masks, bits = window._table_bits(table)
-    got = list(window._minor_moves(n, masks, bits, moves))
+    got = list(window._minor_moves(n, masks, bits, moves, 2))
     assert [axes for axes, _, _ in got] == moves
     for axes, left, right in got:
         cmask = sum(1 << i for i in axes)
@@ -382,7 +383,7 @@ def _all_moves(n, masks, bits):
     """Every minor move I of a flock check, with the all-ones shift after
     the (MF1) moves, keyed as ``check_flock_axioms`` keys them."""
     subsets = [c for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
-    moves = list(window._minor_moves(n, masks, bits, subsets))
+    moves = list(window._minor_moves(n, masks, bits, subsets, 2))
     return moves[:n] + [(tuple(range(n)), *window._same_keys(len(bits)))] + moves[n:]
 
 
