@@ -471,8 +471,12 @@ def _plucker_rref(vector, n: int, p: int):
 
 
 def _plucker_minor(vector, i: int, contract: bool, p: int):
-    """``window._minor_moves``'s rule for one element i: the Plücker vector
-    of V / i (``contract``) or V \\ i on the other elements, in order."""
+    """The Plücker vector of V / i (``contract``) or V \\ i on the other
+    elements, in order: the values at the bases that hold i (contraction)
+    or miss i (deletion), at all of them when none do, each B projected to
+    B - i and its value negated when i lies above an odd number of B's
+    elements.  ``window._minor_moves`` keys the same values in basis space,
+    scaled, without projecting; this builds the two sides of a violation."""
     kept = [B for B in vector if bool(B >> i & 1) == contract] or list(vector)
     low = (1 << i) - 1
     return {B & low | B >> i + 1 << i:

@@ -65,6 +65,9 @@ class MatroidFlock:
         got = self._memo.get(alpha)
         if got is None:
             got = self._masks_eval(alpha)
+            if any(mask.bit_count() != self.d for mask in got):
+                raise ValueError(f"the matroid at alpha={alpha} has a basis whose size "
+                                 f"is not the flock's rank {self.d}")
             if len(self._memo) >= _MEMO_CAP:
                 self._memo.popitem(last=False)
             self._memo[alpha] = got

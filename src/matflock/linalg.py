@@ -308,12 +308,6 @@ def gf_rank(rows, p: int) -> int:
     return len(_bareiss(rows, _PrimeField(p))[1])
 
 
-def gf_row_space(rows, p: int) -> tuple:
-    """Canonical form of the row space over GF(p): nonzero RREF rows."""
-    rref, pivots = gf_rref(rows, p)
-    return tuple(rref[: len(pivots)])
-
-
 # ---------------------------------------------------------------------------
 # rationals, by sparse elimination over Z
 

@@ -47,15 +47,19 @@ A minor move I compares M_alpha / I with M_{alpha + e_I} \\ I (V_alpha for
 each family's bases: for a flock the bool matrix (p = 2) of the box scan or
 of the per-point walk's frozensets, for a Frobenius flock the Plücker
 vectors of its row spaces.  ``_minor_moves`` keys both sides of every family
-for all moves at once, over the table's (id, basis) entries: with
-cnt_j = |b_j ∩ I|, the contraction keeps the bases of largest cnt and the
-deletion those of largest |b_j \\ I|, both projected to b_j \\ I with their
-values signed and scaled, so that equal keys are equal minors.
-``_local_axioms`` then checks a move over the whole box: the grid of
-``score_box`` is expanded run by run (each line's three ids repeated over
-the t below, at and above its cut), one contiguous copy of the checked
-block is shared by every move, and each side's keys are read from it with
-``np.take``.
+as rows of uint64 words, in basis space: within a family every basis has
+one size, so B -> B - i is injective, and M / i is the family's bases that
+hold i and M \\ i those that miss i (all of them when i is a loop or a
+coloop).  So a single-element key is the row with the other columns
+cleared, its values signed and scaled, with no projection; over GF(2) it
+is the row's words ANDed with a column mask, and rows of another rank
+write a basis B that holds i at the column of B - i.  Set moves (GF(2)
+only) keep the projected masks b_j \\ I as their bits.  ``_local_axioms``
+then checks a move over the whole box: the grid of ``score_box`` is
+expanded run by run (each line's three ids repeated over the t below, at
+and above its cut), one contiguous copy of the checked block is shared by
+every move, and each side's keys are read from it with ``np.take`` and
+compared word by word, so no key is ranked.
 
 Exactness: values are shifted so the smallest is 0, which changes no argmax.
 A family's G is a partial sum -nu(B) + sum of alpha_i over the peeled i in
@@ -443,13 +447,14 @@ def _table_bits(table):
 def _local_axioms(grid: np.ndarray, radius: int, moves):
     """Local axioms on an id grid whose index 0 is alpha = -radius on every axis.
 
-    A move (I, left, right) holds at alpha when left[id at alpha] equals
-    right[id at alpha + e_I]: ``left`` and ``right`` are int arrays over the
-    ids, numbered together.  A move is checked at every alpha of
-    [-radius, radius]^E whose shift is in the grid, so a grid over
-    [-radius, radius + 1]^E checks the whole box.  The checked block is
-    copied once per block shape into a contiguous array that its moves share,
-    and a move reads its keys with ``np.take``: two gathers, one comparison.
+    A move (I, left, right) holds at alpha when row left[id at alpha] equals
+    row right[id at alpha + e_I]: ``left`` and ``right`` are (ids, words)
+    arrays of keys, one row per id, of one width.  A move is checked at
+    every alpha of [-radius, radius]^E whose shift is in the grid, so a grid
+    over [-radius, radius + 1]^E checks the whole box.  The checked block is
+    copied once per block shape into a contiguous array that its moves
+    share, and a move compares its keys word by word, each word read with
+    ``np.take``: two gathers and one comparison per word, no key ranked.
     Returns (checked, failed) per move and the violation (alpha, move index,
     id, id') at the lex-first failing alpha, ties going to the earlier move,
     or None.
@@ -461,7 +466,9 @@ def _local_axioms(grid: np.ndarray, radius: int, moves):
         at, shifted = _move_views(grid, radius, axes)
         if at.shape not in blocks:
             blocks[at.shape] = np.ascontiguousarray(at)
-        fails = np.take(left, blocks[at.shape]) != np.take(right, shifted)
+        fails = np.take(left[:, 0], blocks[at.shape]) != np.take(right[:, 0], shifted)
+        for w in range(1, left.shape[1]):
+            fails |= np.take(left[:, w], blocks[at.shape]) != np.take(right[:, w], shifted)
         failed = int(np.count_nonzero(fails))
         if failed:
             idx = np.unravel_index(int(np.argmax(fails)), fails.shape)
@@ -487,8 +494,8 @@ def _move_views(grid: np.ndarray, radius: int, axes):
 
 def _same_keys(size: int):
     """(left keys, right keys) of a move that compares the ids themselves
-    (MF2, FF2)."""
-    ids = np.arange(size)
+    (MF2, FF2), one word per id."""
+    ids = np.arange(size)[:, None]
     return ids, ids
 
 
@@ -497,42 +504,124 @@ def _residues(p: int):
     return np.int64 if p < 1 << 31 else object
 
 
-# moves x (id, basis) entries per block of ``_minor_moves``
+# moves x (id, basis) entries per block of ``_set_moves``
 _KEY_BLOCK = 1 << 18
+
+
+def _row_words(bits: np.ndarray) -> np.ndarray:
+    """The rows of an (N, m) array as (N, width) words in ``_pack``'s
+    encoding: bit j of a row, set where entry j is nonzero, is bit j % 64
+    of its little-endian word j // 64."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((len(bits), (bits.shape[1] + 63) // 64), dtype="<u8")
+    words.view(np.uint8)[:, :packed.shape[1]] = packed
+    return words
 
 
 def _minor_moves(n: int, masks, values: np.ndarray, moves, p: int):
     """(I, left, right) per tuple I of element indices in ``moves``, for
-    ``_local_axioms``: ``left[i]`` keys the contraction and ``right[i]`` the
-    deletion by I of row i of ``values``, numbered together.  ``values`` is
-    an (ids, bases) array over GF(p), column j for basis ``masks[j]``,
-    nonzero exactly on each family's bases (every family nonempty): a
-    matroid's bool row with p = 2, or a space's Plücker vector up to a unit.
+    ``_local_axioms``: row k of ``left`` keys the contraction and row k of
+    ``right`` the deletion by I of row k of ``values``, as rows of uint64
+    words, so that equal keys are equal minors.  ``values`` is an
+    (ids, bases) array over GF(p), column j for basis ``masks[j]``, nonzero
+    exactly on each family's bases, all of one size per family (every
+    family nonempty): a matroid's bool row with p = 2, or a space's Plücker
+    vector up to a unit.
 
-    With cnt_j = |b_j ∩ I|, the contraction keeps the bases of largest cnt
-    and the deletion those of largest |b_j \\ I|: for I = {i}, the bases that
-    hold i (all of them when i is a loop) and those that miss i (all of them
-    when i is a coloop).  A kept b_j projects to b_j \\ I with its value,
-    negated when i is in b_j above an odd number of its elements.  A key is
-    these values over the one at the least projected mask, each in a
-    (p - 1).bit_length()-bit field (for Python ints, its rank among the
-    values) at its mask's rank among the move's projected masks.  Over GF(2)
-    signs and ratios are 1, so a key is the set of projected masks, the
-    matroid minor, for any I; for p > 2 values are folded for single-element
-    moves only.  A block holds as many moves as keep its arrays within
-    ``_KEY_BLOCK`` (id, basis) entries per side, and at least one.
+    A single-element move i is keyed in basis space: within a family
+    B -> B - i is injective, so the contraction is the family's bases that
+    hold i (all of them when i is a loop) and the deletion those that miss
+    i (all of them when i is a coloop), and a key is the row with the other
+    columns cleared.  Over GF(2) with one basis size that is the row's
+    words ANDed with a column mask (``_word_keys``); otherwise values are
+    signed, scaled and written in fields (``_field_keys``).  A set move,
+    over GF(2) only, is keyed by its projected masks (``_set_moves``).
+    """
+    one_size = len({mask.bit_count() for mask in masks}) < 2
+    keys = (_word_keys(n, masks, values) if p == 2 and one_size
+            else _field_keys(n, masks, values, p))
+    for single, run in itertools.groupby(moves, key=lambda axes: len(axes) == 1):
+        if single:
+            for axes in run:
+                yield axes, keys[0, axes[0]], keys[1, axes[0]]
+        elif p == 2:
+            yield from _set_moves(n, masks, values, list(run))
+        else:
+            raise ValueError("set moves are keyed over GF(2) only")
+
+
+def _word_keys(n: int, masks, bits: np.ndarray) -> np.ndarray:
+    """``_minor_moves``'s keys over GF(2) when every basis has one size, as
+    a (side, element, id, word) array: the words of each row ANDed with
+    those of the columns that hold the element (contraction) or miss it
+    (deletion), the whole row where that leaves nothing."""
+    table = _row_words(bits)
+    hold = _row_words((np.array(masks, dtype=np.int64) >> np.arange(n)[:, None] & 1).astype(bool))
+    sides = np.stack([table & hold[:, None], table & ~hold[:, None]])
+    return np.where(sides.any(axis=3, keepdims=True), sides, table)
+
+
+def _field_keys(n: int, masks, values: np.ndarray, p: int) -> np.ndarray:
+    """``_minor_moves``'s keys over GF(p) of rows of any rank, as a (side,
+    element, id, word) array.
+
+    A kept value is negated when i is in its basis above an odd number of
+    the basis's elements, and the key is scaled to 1 at its least position.
+    Column j keys the projected mask masks[j] - i at a position: the column
+    of masks[j] - i when there is one (a row of rank one less holds it),
+    and j otherwise.  Each value takes a (p - 1).bit_length()-bit field at
+    its position; for Python-int residues, its rank among the values of all
+    keys, plus 1.
     """
     size, m = values.shape
-    rows, cols = np.nonzero(values)
+    dtype = _residues(p)
+    values = values.astype(dtype) % p
+    nonzero = values != 0
+    hold = (np.array(masks, dtype=np.int64) >> np.arange(n)[:, None] & 1).astype(bool)
+    # does the basis hold the element above an odd number of its elements
+    odd = hold & (np.cumsum(hold, axis=0) - hold & 1).astype(bool)
+    column = {mask: j for j, mask in enumerate(masks)}
+    at = np.array([[column.get(mask & ~(1 << i), j) for j, mask in enumerate(masks)]
+                   for i in range(n)], dtype=np.intp).reshape(n, m)
+    kept = nonzero & np.stack([hold, ~hold])[:, :, None]
+    kept |= nonzero & ~kept.any(axis=3, keepdims=True)
+    field = np.where(kept, np.where(odd[:, None], (p - values) % p, values), 0)
+    lead = np.where(kept, at[:, None], m).argmin(axis=3)[..., None]
+    units, which = np.unique(np.take_along_axis(field, lead, axis=3), return_inverse=True)
+    inverse = np.array([pow(int(u), -1, p) for u in units], dtype=dtype)
+    field = field * inverse[which.reshape(lead.shape)] % p
+    width = (p - 1).bit_length()
+    if dtype is object:
+        hit = field != 0
+        distinct, code = np.unique(field[hit], return_inverse=True)
+        field = np.zeros(field.shape, dtype=np.uint64)
+        field[hit] = code + 1
+        width = len(distinct).bit_length()
+    per = 64 // width
+    shifted = field.astype(np.uint64) << (at % per * width).astype(np.uint64)[:, None]
+    words = np.empty((*field.shape[:3], -(-m // per)), dtype=np.uint64)
+    for w in range(words.shape[3]):
+        words[..., w] = np.bitwise_or.reduce(
+            np.where((at // per == w)[:, None], shifted, np.uint64(0)), axis=3)
+    return words
+
+
+def _set_moves(n: int, masks, bits: np.ndarray, moves):
+    """``_minor_moves``'s keys of the moves I over GF(2), with no values
+    attached.  With cnt_j = |b_j ∩ I|, the contraction keeps the bases of
+    largest cnt and the deletion those of largest |b_j \\ I|, and a key is
+    the set of their projections b_j \\ I, one bit per projected mask at
+    its rank among the move's projected masks.  A block holds as many moves
+    as keep its arrays within ``_KEY_BLOCK`` (id, basis) entries per side,
+    and at least one."""
+    size, m = bits.shape
+    rows, cols = np.nonzero(bits)
     # nonzero is row-major: the entries of an id are contiguous
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
     bases = np.array(masks, dtype=np.int64)
     elements = np.arange(n)
     incidence = (bases[:, None] >> elements & 1).astype(np.int8)
     sizes = incidence.sum(axis=1, dtype=np.int8)[cols]
-    # does the basis hold the element above an odd number of its elements
-    odd = incidence & (np.cumsum(incidence, axis=1, dtype=np.int8) - incidence)
-    entries = values[rows, cols].astype(_residues(p)) % p if p > 2 else None
     block = max(1, _KEY_BLOCK // len(cols))
     for start in range(0, len(moves), block):
         sets = moves[start:start + block]
@@ -551,34 +640,16 @@ def _minor_moves(n: int, masks, values: np.ndarray, moves, p: int):
         fresh[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
         rank = np.empty_like(order)
         np.put_along_axis(rank, order, np.cumsum(fresh, axis=1) - 1, axis=1)
-        width = 1
-        if p > 2:
-            # each signed value over the one of least rank kept for its id
-            signed = np.where((cuts @ odd.T)[:, cols] & 1, p - entries, entries)
-            at = rank[:, cols]
-            least = np.minimum.reduceat(np.where(keep, at, m), starts, axis=2)[:, :, rows]
-            pivots = np.add.reduceat(np.where(keep & (at == least), signed, 0), starts, axis=2)
-            units, which = np.unique(pivots, return_inverse=True)
-            inverse = np.array([pow(int(u), -1, p) for u in units], dtype=entries.dtype)
-            field = signed * inverse[which.reshape(pivots.shape)][:, :, rows] % p
-            width = (p - 1).bit_length()
-            if field.dtype == object:
-                distinct, which = np.unique(field, return_inverse=True)
-                field, width = which.reshape(field.shape) + 1, len(distinct).bit_length()
-            field = field.astype(np.uint64)
-        # a key as words of fields, one per projected mask: OR over the kept
-        # entries of an id, so over GF(2) equal projections set one bit
-        per = 64 // width
-        word = (rank // per)[:, cols]
-        shift = (rank % per * width).astype(np.uint64)
-        fields = (np.uint64(1) << shift)[:, cols] if p == 2 else field << shift[:, cols]
-        words = np.empty((2, len(sets), size, -(-m // per)), dtype=np.uint64)
+        # a key as words: OR over the kept entries of an id, so equal
+        # projections set one bit
+        word = (rank // 64)[:, cols]
+        fields = (np.uint64(1) << (rank % 64).astype(np.uint64))[:, cols]
+        words = np.empty((2, len(sets), size, -(-m // 64)), dtype=np.uint64)
         for w in range(words.shape[3]):
             words[..., w] = np.bitwise_or.reduceat(
                 np.where(keep & (word == w), fields, np.uint64(0)), starts, axis=2)
-        keys = _dense_ids(words.reshape(-1, words.shape[3])).reshape(2, len(sets), size)
         for k, axes in enumerate(sets):
-            yield axes, keys[0, k], keys[1, k]
+            yield axes, words[0, k], words[1, k]
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,17 @@ routes that ``linalg._echelon`` and the span test of
 
 Frobenius row spaces by one GF(p)[T] tableau per argmax family, and the
 contraction, deletion and (FF1)/(FF2) report that re-reduce each side with
-``linalg.gf_rref``, keyed one distinct space at a time (``_id_keys``): the
-routes that reading V_S off the initial Plücker coefficients of one minor
-walk, and keying each move by its signed Plücker values in
-``window._minor_moves``, replaced.
+``linalg.gf_rref`` (``gf_row_space``, the canonical nonzero RREF rows),
+keyed one distinct space at a time (``_id_keys``): the routes that reading
+V_S off the initial Plücker coefficients of one minor walk, and keying each
+move by its signed Plücker values in ``window._minor_moves``, replaced.
 Single exchanges by a test of all n^2 bit pairs.
+
+Minor keys by projection (``projected_minor_moves``): every (move, id,
+basis) entry projected to b_j \\ I, its signed and scaled value written
+at the projected mask's rank among the move's, and the keys of all moves
+ranked together with ``np.unique``: the rule that keying single-element
+moves in basis space, as rows of words compared word by word, replaced.
 
 The local axioms with each move's keys gathered through strided views of
 the id grid: the route that one shared contiguous copy of the checked
@@ -47,13 +53,13 @@ import numpy as np
 from matflock import linalg, window
 from matflock.algebraic import FrobeniusWindowReport, _param_polymatrix, tadic_valuation
 from matflock.linalg import (_ZZ, _PolyRing, _bareiss, _echelon_mod, _integer_rows,
-                             as_rat_matrix, poly_scale)
+                             as_rat_matrix, gf_rref, poly_scale)
 from matflock.matroid import _raise_unless, check_basis_axioms
 from matflock.rigidity import RigidityVerdict, _integerize, dw_constraints
 from matflock.valuation import (TrivialityResult, Valuation, _difference_constraints,
                                 _incidence_rows, _integral_point, check_valuation_axioms,
                                 is_trivial, optimal_masks)
-from matflock.window import _CHUNK, _pair_holds, score_ids
+from matflock.window import _CHUNK, _KEY_BLOCK, _dense_ids, _pair_holds, _residues, score_ids
 
 
 def smith_normal_form(A):
@@ -426,13 +432,19 @@ def tableau_frobenius_grid(param, lo: int, hi: int):
                 if (B0 & ~(1 << b)) | 1 << j in S:
                     row[j] = next(c for c in M[r][pos] if c) * inv % p
             rows.append(row)
-        ids.append(intern.setdefault(linalg.gf_row_space(rows, p), len(intern)))
+        ids.append(intern.setdefault(gf_row_space(rows, p), len(intern)))
     return nu.d, np.array(ids, dtype=grid.dtype)[grid], list(intern)
+
+
+def gf_row_space(rows, p: int) -> tuple:
+    """Canonical form of the row space over GF(p): nonzero RREF rows."""
+    rref, pivots = gf_rref(rows, p)
+    return tuple(rref[: len(pivots)])
 
 
 def rref_space_delete(rows, i: int, p: int):
     cut = [row[:i] + row[i + 1:] for row in rows]
-    return linalg.gf_row_space(cut, p)
+    return gf_row_space(cut, p)
 
 
 def rref_space_contract(rows, i: int, p: int):
@@ -448,12 +460,12 @@ def _id_keys(grid: np.ndarray, radius: int, axes, left, right):
     """(left keys, right keys) of the move along ``axes`` in
     ``window._local_axioms``, given per id: ``left(i)`` at the ids the move
     reads at alpha and ``right(i)`` at those it reads at alpha + e_I,
-    interned together, and -1 at the other ids."""
+    interned together, and -1 at the other ids, as one-word rows."""
     size = int(grid.max()) + 1
     intern: dict = {}
     keys = []
     for side, view in zip((left, right), window._move_views(grid, radius, axes)):
-        keys.append(np.full(size, -1))
+        keys.append(np.full((size, 1), -1))
         for i in np.flatnonzero(np.bincount(view.ravel(), minlength=size)).tolist():
             keys[-1][i] = intern.setdefault(side(i), len(intern))
     return keys
@@ -486,6 +498,87 @@ def rref_frobenius_report(grid, spaces, radius: int, ground, p: int) -> Frobeniu
                                  sum(f for _, f in counts[:n]), *counts[n], violation)
 
 
+def projected_minor_moves(n: int, masks, values: np.ndarray, moves, p: int):
+    """(I, left, right) per tuple I of element indices in ``moves``, for
+    ``_local_axioms``: ``left[i]`` keys the contraction and ``right[i]`` the
+    deletion by I of row i of ``values``, numbered together.  ``values`` is
+    an (ids, bases) array over GF(p), column j for basis ``masks[j]``,
+    nonzero exactly on each family's bases (every family nonempty): a
+    matroid's bool row with p = 2, or a space's Plücker vector up to a unit.
+
+    With cnt_j = |b_j ∩ I|, the contraction keeps the bases of largest cnt
+    and the deletion those of largest |b_j \\ I|: for I = {i}, the bases that
+    hold i (all of them when i is a loop) and those that miss i (all of them
+    when i is a coloop).  A kept b_j projects to b_j \\ I with its value,
+    negated when i is in b_j above an odd number of its elements.  A key is
+    these values over the one at the least projected mask, each in a
+    (p - 1).bit_length()-bit field (for Python ints, its rank among the
+    values) at its mask's rank among the move's projected masks.  Over GF(2)
+    signs and ratios are 1, so a key is the set of projected masks, the
+    matroid minor, for any I; for p > 2 values are folded for single-element
+    moves only.  A block holds as many moves as keep its arrays within
+    ``_KEY_BLOCK`` (id, basis) entries per side, and at least one.
+    """
+    size, m = values.shape
+    rows, cols = np.nonzero(values)
+    # nonzero is row-major: the entries of an id are contiguous
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    bases = np.array(masks, dtype=np.int64)
+    elements = np.arange(n)
+    incidence = (bases[:, None] >> elements & 1).astype(np.int8)
+    sizes = incidence.sum(axis=1, dtype=np.int8)[cols]
+    # does the basis hold the element above an odd number of its elements
+    odd = incidence & (np.cumsum(incidence, axis=1, dtype=np.int8) - incidence)
+    entries = values[rows, cols].astype(_residues(p)) % p if p > 2 else None
+    block = max(1, _KEY_BLOCK // len(cols))
+    for start in range(0, len(moves), block):
+        sets = moves[start:start + block]
+        cuts = np.zeros((len(sets), n), dtype=np.int8)
+        for k, axes in enumerate(sets):
+            cuts[k, list(axes)] = 1
+        # (side, move, entry): the count each side maximizes, from bit matrices
+        inside = (cuts @ incidence.T)[:, cols]
+        held = np.stack([inside, sizes - inside])
+        keep = held == np.maximum.reduceat(held, starts, axis=2)[:, :, rows]
+        # the rank of each projected mask among the distinct ones of its move
+        projected = bases & ~(cuts.astype(np.int64) @ (np.int64(1) << elements))[:, None]
+        order = np.argsort(projected, axis=1, kind="stable")
+        ordered = np.take_along_axis(projected, order, axis=1)
+        fresh = np.ones(ordered.shape, dtype=np.intp)
+        fresh[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.cumsum(fresh, axis=1) - 1, axis=1)
+        width = 1
+        if p > 2:
+            # each signed value over the one of least rank kept for its id
+            signed = np.where((cuts @ odd.T)[:, cols] & 1, p - entries, entries)
+            at = rank[:, cols]
+            least = np.minimum.reduceat(np.where(keep, at, m), starts, axis=2)[:, :, rows]
+            pivots = np.add.reduceat(np.where(keep & (at == least), signed, 0), starts, axis=2)
+            units, which = np.unique(pivots, return_inverse=True)
+            inverse = np.array([pow(int(u), -1, p) for u in units], dtype=entries.dtype)
+            field = signed * inverse[which.reshape(pivots.shape)][:, :, rows] % p
+            width = (p - 1).bit_length()
+            if field.dtype == object:
+                distinct, which = np.unique(field, return_inverse=True)
+                field, width = which.reshape(field.shape) + 1, len(distinct).bit_length()
+            field = field.astype(np.uint64)
+        # a key as words of fields, one per projected mask: OR over the kept
+        # entries of an id, so over GF(2) equal projections set one bit
+        per = 64 // width
+        word = (rank // per)[:, cols]
+        shift = (rank % per * width).astype(np.uint64)
+        fields = (np.uint64(1) << shift)[:, cols] if p == 2 else field << shift[:, cols]
+        words = np.empty((2, len(sets), size, -(-m // per)), dtype=np.uint64)
+        for w in range(words.shape[3]):
+            words[..., w] = np.bitwise_or.reduceat(
+                np.where(keep & (word == w), fields, np.uint64(0)), starts, axis=2)
+        keys = _dense_ids(words.reshape(-1, words.shape[3])).reshape(2, len(sets), size)
+        for k, axes in enumerate(sets):
+            yield axes, keys[0, k], keys[1, k]
+
+
+
 def bit_test_single_exchanges(mask: int, n: int):
     """Every (i, j, mask - i + j) with i in mask and j outside it."""
     for i in range(n):
@@ -511,7 +604,7 @@ def strided_local_axioms(grid: np.ndarray, radius: int, moves):
     first = None
     for k, (axes, left, right) in enumerate(moves):
         at, shifted = window._move_views(grid, radius, axes)
-        fails = left[at] != right[shifted]
+        fails = (left[at] != right[shifted]).any(axis=-1)
         failed = int(np.count_nonzero(fails))
         if failed:
             idx = np.unravel_index(int(np.argmax(fails)), fails.shape)

@@ -421,6 +421,23 @@ def test_explicit_flock_rejects_wrong_length_alpha():
         mf.explicit_flock({(0,): M}, (1, 2), 1)
 
 
+def test_oracle_of_another_rank_is_refused():
+    # a rank-3 matroid from a rank-2 flock: refused at the first alpha read,
+    # not reported as (MF1) failures
+    U34 = mf.uniform_matroid(3, 4)
+    flock = mf.oracle_flock((1, 2, 3, 4), 2, lambda a: U34)
+    with pytest.raises(ValueError, match=r"alpha=\(-1, -1, -1, -1\) .* rank 2"):
+        mf.check_flock_axioms(flock, 1)
+
+
+def test_oracle_of_mixed_basis_sizes_is_refused():
+    flock = mf.MatroidFlock((1, 2, 3), 2, lambda a: frozenset({0b011, 0b100, 0b110}), "oracle")
+    with pytest.raises(ValueError, match=r"alpha=\(-1, -1, -1\) .* rank 2"):
+        mf.check_flock_axioms(flock, 1, check_sets=True)
+    with pytest.raises(ValueError, match=r"alpha=\(0, 0, 0\)"):
+        flock.masks_at((0, 0, 0))
+
+
 def test_memo_is_bounded(monkeypatch):
     monkeypatch.setattr(flock_module, "_MEMO_CAP", 8)
     nu = u24_valuation()

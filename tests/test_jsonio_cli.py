@@ -630,15 +630,18 @@ def test_cli_check_flock_matches_golden_report(capsys):
     # a passing report with set-move counts; a violation on an explicit
     # table: the matroids of the valuation {12: 0, 13: 1, 23: 0} over
     # [-1, 2]^3 with the one at (0, 1, 0) swapped for the one at (1, 0, 0);
-    # and the toric fixture's 70 bases, two words per argmax set.  The
-    # installed-package CI job diffs the console script against all three
+    # and the toric fixture's 70 bases, two words per argmax set and per
+    # minor key, with and without set moves.  The installed-package CI job
+    # diffs the console script against all four
     fixtures = Path(__file__).parent / "fixtures"
     for argv, report in ((["--from-valuation", "valuation_n5_d2.json", "--radius", "3", "--sets"],
                           "valuation_n5_d2_check_flock_r3_sets.json"),
                          (["--explicit", "explicit_n3_swapped.json", "--radius", "1"],
                           "explicit_n3_swapped_check_flock_r1.json"),
                          (["--from-toric", "toric_wide.json", "--radius", "1"],
-                          "toric_wide_check_flock_r1.json")):
+                          "toric_wide_check_flock_r1.json"),
+                         (["--from-toric", "toric_wide.json", "--radius", "1", "--sets"],
+                          "toric_wide_check_flock_r1_sets.json")):
         argv[1] = str(fixtures / argv[1])
         assert main(["check-flock", *argv]) == 0
         assert capsys.readouterr().out == (fixtures / report).read_text()

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import matflock as mf
 from matflock import flock as flock_module
-from matflock import jsonio, linalg, window
+from matflock import jsonio, window
 from matflock.algebraic import FrobeniusWindowReport
 from matflock.cli import main
 from matflock.flock import FlockViolation, window_ids
@@ -102,7 +102,7 @@ def oracle_flock_report(flock, radius, check_sets=False):
 def oracle_frobenius_report(win, box_radius=None):
     """``validate_frobenius_window`` on the whole table [-R, R]^E."""
     p, R, n = win.p, win.radius, len(win.ground)
-    grid, spaces = _id_grid(n, -R, R, lambda a: linalg.gf_row_space(win.table[a], p))
+    grid, spaces = _id_grid(n, -R, R, lambda a: oracles.gf_row_space(win.table[a], p))
 
     def sides(k, a, b):
         if k == n:
@@ -300,7 +300,7 @@ def assert_minor_key_classes(n, table, moves):
         cmask = sum(1 << i for i in axes)
         sides = ([bases_contract(family, cmask) for family in table]
                  + [bases_delete(family, cmask) for family in table])
-        keys = left.tolist() + right.tolist()
+        keys = list(map(tuple, left.tolist())) + list(map(tuple, right.tolist()))
         assert len(set(zip(keys, sides))) == len(set(keys)) == len(set(sides)), axes
 
 
@@ -356,6 +356,89 @@ def test_minor_keys_across_blocks(monkeypatch):
     for block in (1, 1 << 12, window._KEY_BLOCK):
         monkeypatch.setattr(window, "_KEY_BLOCK", block)
         assert_minor_key_classes(8, table, moves)
+
+
+def _derived_row(draw, row, i, p):
+    """A row whose minor by i meets one of ``row``'s (``row`` a dict
+    {mask: value}), or None: ``row`` restricted to the masks that hold or
+    miss i, of the same size, or with i dropped from or added to the masks
+    that hold or miss it, of a size one less or one more, the values signed
+    as the key rule signs them and scaled by a random unit."""
+    kind = draw(st.sampled_from(["hold", "miss", "drop", "add"]))
+    unit = draw(st.integers(1, p - 1))
+
+    def signed(mask, x):
+        odd = mask >> i & 1 and (mask & (1 << i) - 1).bit_count() & 1
+        return (-x if odd else x) * unit % p
+    bit = 1 << i
+    if kind == "hold":
+        out = {mask: x * unit % p for mask, x in row.items() if mask & bit}
+    elif kind == "miss":
+        out = {mask: x * unit % p for mask, x in row.items() if not mask & bit}
+    elif kind == "drop":
+        out = {mask & ~bit: signed(mask, x) for mask, x in row.items() if mask & bit}
+    else:
+        out = {mask | bit: signed(mask | bit, x) for mask, x in row.items() if not mask & bit}
+    return out or None
+
+
+@st.composite
+def valued_tables(draw):
+    """(p, n, masks, values, moves): rows over GF(p) of one basis size each,
+    with loops and coloops, of one size for all rows or of several, each
+    base row followed by rows derived from it (``_derived_row``), so that
+    contractions meet deletions; up to all 70 masks of size 4 on 8 elements.
+    The moves are every single element, and random sets when p = 2."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 4294967311]))
+    # a quarter of the tables start with a row on all 70 masks
+    wide = draw(st.integers(0, 3)) == 0
+    n = 8 if wide else draw(st.integers(1, 8))
+    one_size = draw(st.booleans())
+    value = st.integers(1, p - 1)
+    rows = []
+    for k in range(draw(st.integers(1, 4))):
+        role = draw(st.lists(st.sampled_from(["loop", "coloop", "free"]), min_size=n, max_size=n))
+        free = [i for i in range(n) if role[i] == "free"]
+        coloops = sum(1 << i for i in range(n) if role[i] == "coloop")
+        size = draw(st.integers(0, len(free)))
+        pool = [coloops | sum(1 << i for i in combo)
+                for combo in itertools.combinations(free, size)]
+        if wide and k == 0:
+            support = set(_ALL_4_OF_8)
+        else:
+            support = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=len(pool)))
+        row = {mask: draw(value) for mask in sorted(support)}
+        rows.append(row)
+        for _ in range(draw(st.integers(0, 3))):
+            derived = _derived_row(draw, row, draw(st.integers(0, n - 1)), p)
+            if derived and not (one_size and len({mask.bit_count() for mask in derived}
+                                                 | {mask.bit_count() for mask in row}) > 1):
+                rows.append(derived)
+    masks = sorted(set().union(*rows))
+    values = np.zeros((len(rows), len(masks)), dtype=object if p >= 1 << 31 else np.int64)
+    for k, row in enumerate(rows):
+        values[k, [masks.index(mask) for mask in row]] = list(row.values())
+    moves = [(i,) for i in range(n)]
+    if p == 2:
+        values = values.astype(bool)
+        moves += [_axes(cut, n) for cut in draw(st.lists(st.integers(1, (1 << n) - 1), max_size=4))]
+    return p, n, masks, values, moves
+
+
+@settings(max_examples=300, deadline=None)
+@given(valued_tables())
+def test_minor_keys_match_projected_oracle(case):
+    # the word-row keys split left ∪ right into the classes of equal keys
+    # that the projected-mask rule gives, move by move
+    p, n, masks, values, moves = case
+    got = list(window._minor_moves(n, masks, values, moves, p))
+    want = list(oracles.projected_minor_moves(n, masks, values, moves, p))
+    assert [axes for axes, _, _ in got] == moves
+    for (axes, left, right), (_, old_left, old_right) in zip(got, want):
+        assert left.shape == right.shape == (len(values), left.shape[1])
+        keys = list(map(tuple, left.tolist())) + list(map(tuple, right.tolist()))
+        old = old_left.tolist() + old_right.tolist()
+        assert len(set(zip(keys, old))) == len(set(keys)) == len(set(old)), (p, axes)
 
 
 def test_flock_check_computes_no_per_id_minors(monkeypatch):
