@@ -24,7 +24,7 @@ from .jsonio import InputError
 from .matroid import _raise_unless, check_basis_axioms, named_matroid
 from .rigidity import lazarson, lazarson_char_check, rigidity_certificate
 from .valuation import (
-    _leader_vertices,
+    _window_vertices,
     cell_inequalities,
     check_valuation_axioms,
     default_leader_radius,
@@ -148,7 +148,7 @@ def _cmd_leaders(args):
     nu = _valuation(args)
     scan = enumerate_leaders(nu, args.radius)
     doc = jsonio.leaders_to_json(scan)
-    doc["zero_dimensional_cells"] = [list(c) for c in _leader_vertices(scan)]
+    doc["zero_dimensional_cells"] = [list(c) for c in _window_vertices(nu, scan.radius)]
     return doc
 
 

@@ -285,11 +285,12 @@ def _single_exchanges(mask: int, n: int):
             yield i, j, rest | 1 << j
 
 
-def _connected(masks, n: int) -> bool:
-    """Is the matroid on n elements with the set of basis masks ``masks``
-    connected?  Union-find over the fundamental graph of one basis B
-    (Krogdahl 1977): i in B and j outside it are joined when B - i + j is a
-    basis, and loops and coloops stay isolated."""
+def _components(masks, n: int) -> list[int]:
+    """The components of the matroid on n elements with the set of basis
+    masks ``masks``, as element masks in order of their least element.
+    Union-find over the fundamental graph of one basis B (Krogdahl 1977):
+    i in B and j outside it are joined when B - i + j is a basis, and loops
+    and coloops stay isolated."""
     parent = list(range(n))
 
     def root(i):
@@ -300,7 +301,16 @@ def _connected(masks, n: int) -> bool:
     for i, j, other in _single_exchanges(next(iter(masks)), n):
         if other in masks:
             parent[root(i)] = root(j)
-    return len({root(i) for i in range(n)}) == 1
+    parts: dict[int, int] = {}
+    for i in range(n):
+        parts[root(i)] = parts.get(root(i), 0) | 1 << i
+    return list(parts.values())
+
+
+def _connected(masks, n: int) -> bool:
+    """Is the matroid on n elements with the set of basis masks ``masks``
+    connected?"""
+    return len(_components(masks, n)) == 1
 
 
 def _exchange_quads(masks, n: int):

@@ -9,12 +9,13 @@ the alcoved polyhedra where that argmax set contains a reference one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from . import linalg
 from .lattice import INF
-from .matroid import (AxiomCheck, VALID, GroundSet, Matroid, _connected, _exchange_failure,
-                      _single_exchanges)
+from .matroid import (AxiomCheck, VALID, GroundSet, Matroid, _components, _connected,
+                      _exchange_failure, _raise_unless, _single_exchanges)
 
 
 class Valuation(GroundSet):
@@ -256,13 +257,16 @@ def _integral_point(n: int, constraints: dict[tuple[int, int], int]):
 
 
 def is_trivial(nu: Valuation) -> TrivialityResult:
-    """Decide whether nu(B) = e_B . alpha on the support for some alpha.
+    """Decide whether nu(B) - e_B . alpha is constant on the support for
+    some integral alpha, that is, whether M_alpha is the support matroid.
 
-    For a valuation (d >= 1) this holds exactly when the difference
+    The alpha returned meets this up to that constant: for nu = 5 on every
+    basis of U(2, 3) it is (0, 0, 0), where e_B . alpha = 0.  For a
+    valuation (d >= 1) such an alpha exists exactly when the difference
     constraints of the single exchanges inside the support are feasible: by
     local optimality the support matroid is then optimal at their solution.
-    Shortest paths decide them and give the integral alpha returned, which
-    is certified; only a non-valuation whose support is not connected under
+    Shortest paths decide them and give the alpha returned, which is
+    certified; only a non-valuation whose support is not connected under
     single exchanges can fail that, and raises ValueError.
     """
     alpha = _integral_point(len(nu.ground), _difference_constraints(nu, nu.support_masks))
@@ -354,6 +358,23 @@ def default_leader_radius(nu: Valuation) -> int:
     return (len(nu.ground) - 1) * nu.spread + 1
 
 
+def _window_radius(nu: Valuation, window_radius) -> int:
+    """The window radius R: the default for None, else a nonnegative
+    integer (an integral value of another type, but not a bool, reads as
+    that integer)."""
+    if window_radius is None:
+        return default_leader_radius(nu)
+    try:
+        R = int(window_radius)
+    except (TypeError, ValueError, OverflowError):
+        R = None
+    if isinstance(window_radius, bool) or R is None or R != window_radius:
+        raise ValueError(f"window radius must be an integer, got {window_radius!r}")
+    if R < 0:
+        raise ValueError("window radius must be nonnegative")
+    return R
+
+
 def enumerate_leaders(nu: Valuation, window_radius: Optional[int] = None) -> LeaderScan:
     """Scan {alpha : alpha_{i0} = 0, |alpha_i| <= R} for distinct matroids.
 
@@ -365,9 +386,7 @@ def enumerate_leaders(nu: Valuation, window_radius: Optional[int] = None) -> Lea
     if not nu.finite:
         raise ValueError("valuation violates (V1): no finite value")
     n = len(nu.ground)
-    R = default_leader_radius(nu) if window_radius is None else int(window_radius)
-    if R < 0:
-        raise ValueError("window radius must be nonnegative")
+    R = _window_radius(nu, window_radius)
     from . import window
     reps = window._leader_reps(nu.finite_items(), n, R)
     leaders = []
@@ -380,18 +399,125 @@ def enumerate_leaders(nu: Valuation, window_radius: Optional[int] = None) -> Lea
     return LeaderScan(tuple(leaders), complete, R)
 
 
-def _leader_vertices(scan: LeaderScan):
-    """The leader representatives of ``scan`` that are cell vertices.
+# ---------------------------------------------------------------------------
+# cell vertices
 
-    For a valuation alpha is a vertex exactly when M_alpha is connected: a
-    separator I keeps M_alpha optimal at alpha + e_I (local optimality;
-    integer gaps are at least 1 and the step moves them by at most 1), and
-    otherwise some two bases meet each proper I in different sizes.
+def _first_tie(scored, opt: int, optimal: set[int], S: int):
+    """The first tie along alpha + t e_S, t > 0, from a point with scores
+    ``scored`` ((mask, e_B . alpha - nu(B)) pairs), maximum ``opt`` and
+    argmax masks ``optimal``.
+
+    With k the most elements of S in an optimal basis, a basis B with
+    |B & S| > k ties the optimum at t = (opt - s_B) / (|B & S| - k).  Returns
+    the least such t and the argmax family there (the optimal bases with k
+    elements in S and the bases that tie), or None when no basis has more
+    than k elements in S.
     """
-    return [rep for M, rep in scan.leaders if _connected(M.masks, len(M.ground))]
+    k = max((B & S).bit_count() for B in optimal)
+    gap, step, ties = 0, 0, []
+    for B, s in scored:
+        c = (B & S).bit_count() - k
+        if c > 0:
+            g = opt - s
+            if not ties or g * step < gap * c:
+                gap, step, ties = g, c, [B]
+            elif g * step == gap * c:
+                ties.append(B)
+    if not ties:
+        return None
+    face = {B for B in optimal if (B & S).bit_count() == k}
+    face.update(ties)
+    return Fraction(gap, step), face
+
+
+def _vertices(nu: Valuation) -> set[tuple[int, ...]]:
+    """Every vertex of a valuation's cells, normalized to alpha_{i0} = 0:
+    the alpha with M_alpha connected, found by a walk from vertex to vertex.
+
+    The start moves from alpha = 0 while M_alpha has two or more
+    components: along e_S for a component S to the first tie of a basis
+    with more elements in S, or along e_{E-S} (that is, -e_S up to the
+    all-ones vector) when there is none.  M_alpha is then a proper face of
+    the new matroid, so the number of components falls.  When neither
+    direction meets a basis, S separates the support and no M_alpha is
+    connected.
+
+    From a vertex v the walk goes along e_S, for every proper nonempty
+    S, to the first tie (``_first_tie``); where that t is an integer and the
+    matroid there is connected, it has reached a vertex.  This finds every
+    vertex, by the duality between the cells and the regular matroid
+    subdivision that nu induces on the support's polytope (Speyer,
+    *Tropical linear spaces*, 2008), which needs (V2):
+    - vertices are dual to the maximal cells P(M_v), and bounded edges
+      to interior facets: the edge dual to F is the set of alpha whose
+      M_alpha contains F, and it joins the two vertices whose cells share F;
+    - every facet of a matroid polytope has an outer normal e_S modulo the
+      all-ones vector, so from v along that e_S the argmax family is F
+      until the first tie, which is the edge's other end;
+    - the dual graph of a polyhedral subdivision of a convex polytope is
+      connected, so crossing every interior facet reaches every maximal
+      cell;
+    - a direction that is not an edge lands on a point that is not a
+      vertex, or on a vertex that the walk reaches anyway: either is
+      harmless;
+    - vertices are integral: at a vertex, alpha_i - alpha_j = nu(B) -
+      nu(B - i + j) along the exchanges of the connected M_v, which fix
+      alpha up to the all-ones vector, so a tie at a non-integral t is no
+      vertex.
+    The walk takes (vertices) x (2^n - 2) first ties over the m finite
+    values, whatever the window radius, with ints and Fractions only.
+    """
+    n = len(nu.ground)
+    full = (1 << n) - 1
+    items = [(mask, [i for i in range(n) if mask >> i & 1], val)
+             for mask, val in nu.finite_items()]
+
+    def at(alpha):
+        scored = [(mask, sum(alpha[i] for i in elems) - val) for mask, elems, val in items]
+        opt = max(s for _, s in scored)
+        return scored, opt, {mask for mask, s in scored if s == opt}
+
+    alpha = [0] * n
+    scored, opt, optimal = at(alpha)
+    while len(parts := _components(optimal, n)) > 1:
+        for S in (parts[0], full ^ parts[0]):
+            tie = _first_tie(scored, opt, optimal, S)
+            if tie is not None:
+                break
+        else:
+            return set()
+        alpha = [a + tie[0] if S >> i & 1 else a for i, a in enumerate(alpha)]
+        scored, opt, optimal = at(alpha)
+    start = tuple(int(a - alpha[0]) for a in alpha)
+    seen = {start}
+    queue = [start]
+    for v in queue:
+        scored, opt, optimal = at(v)
+        for S in range(1, full):
+            tie = _first_tie(scored, opt, optimal, S)
+            if tie is None or tie[0].denominator != 1 or not _connected(tie[1], n):
+                continue
+            w = [a + tie[0].numerator if S >> i & 1 else a for i, a in enumerate(v)]
+            w = tuple(a - w[0] for a in w)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def _window_vertices(nu: Valuation, R: int) -> list[tuple[int, ...]]:
+    """The vertices of a valuation's cells in the window |alpha_i| <= R, sorted."""
+    return sorted(v for v in _vertices(nu) if all(abs(a) <= R for a in v))
 
 
 def zero_dimensional_cells(nu: Valuation, window_radius: Optional[int] = None):
-    """Vertices of the cell decomposition, normalized to alpha_{i0} = 0: for a
-    valuation, the leader representatives alpha with M_alpha connected."""
-    return _leader_vertices(enumerate_leaders(nu, window_radius))
+    """Vertices of the cell decomposition, normalized to alpha_{i0} = 0, in
+    the window |alpha_i| <= R of ``enumerate_leaders`` (same default), sorted.
+
+    They are the alpha with M_alpha connected, the leader representatives
+    of the scan that are vertices, but found by a walk from vertex to vertex
+    (``_vertices``) that scans no window.  The walk needs (V2), so a map
+    that fails (V1)/(V2) raises ValueError.
+    """
+    _raise_unless(check_valuation_axioms(nu), "valuation")
+    return _window_vertices(nu, _window_radius(nu, window_radius))

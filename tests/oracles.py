@@ -14,6 +14,9 @@ Bareiss elimination, checked against permutation expansion.
 Cell vertices by scoring every point with all 2^(n+1) - 3 of its steps, and
 triviality by an exact rational solve before the shortest-path pass: the
 routes that ``matroid._connected`` and ``valuation.is_trivial`` replaced.
+Cell vertices as the leaders of a window scan whose matroid is connected
+(``_leader_vertices``): the route that the walk from vertex to vertex,
+``valuation._vertices``, replaced.
 
 Rank, RREF, kernel and solve over Q by dense Bareiss elimination, and the
 rigidity certificate built on them with one solve per kernel vector: the
@@ -54,11 +57,11 @@ from matflock import linalg, window
 from matflock.algebraic import FrobeniusWindowReport, _param_polymatrix, tadic_valuation
 from matflock.linalg import (_ZZ, _PolyRing, _bareiss, _echelon_mod, _integer_rows,
                              as_rat_matrix, gf_rref, poly_scale)
-from matflock.matroid import _raise_unless, check_basis_axioms
+from matflock.matroid import _connected, _raise_unless, check_basis_axioms
 from matflock.rigidity import RigidityVerdict, _integerize, dw_constraints
-from matflock.valuation import (TrivialityResult, Valuation, _difference_constraints,
-                                _incidence_rows, _integral_point, check_valuation_axioms,
-                                is_trivial, optimal_masks)
+from matflock.valuation import (LeaderScan, TrivialityResult, Valuation,
+                                _difference_constraints, _incidence_rows, _integral_point,
+                                check_valuation_axioms, is_trivial, optimal_masks)
 from matflock.window import _CHUNK, _KEY_BLOCK, _dense_ids, _pair_holds, _residues, score_ids
 
 
@@ -274,6 +277,17 @@ def _vertex_flags(finite_items, n: int, points) -> np.ndarray:
                             lambda i, j: table[j] >= table[i])
         flags[start:start + len(block)] = ~keeps.any(axis=1)
     return flags
+
+
+def _leader_vertices(scan: LeaderScan):
+    """The leader representatives of ``scan`` that are cell vertices.
+
+    For a valuation alpha is a vertex exactly when M_alpha is connected: a
+    separator I keeps M_alpha optimal at alpha + e_I (local optimality;
+    integer gaps are at least 1 and the step moves them by at most 1), and
+    otherwise some two bases meet each proper I in different sizes.
+    """
+    return [rep for M, rep in scan.leaders if _connected(M.masks, len(M.ground))]
 
 
 def rational_is_trivial(nu) -> TrivialityResult:

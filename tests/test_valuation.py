@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from matflock.lattice import INF, vadd, ones
 
 import oracles
 from conftest import random_valid_valuation, toric_example, two_element_valuation, u24_valuation
+from test_jsonio_cli import _cli_env
 
 
 def all_pairs_zero(n=4):
@@ -360,6 +363,77 @@ def test_zero_dim_cells_u24():
     # both vertices really induce incomparable maximal basis sets
     for c in cells:
         assert len(mf.matroid_at(u24_valuation(), c).masks) >= 4
+
+
+def _walk_cases():
+    """Seeded valuations for the vertex walk, each with the window radii to
+    compare at: random valid ones with n <= 6, every rank and up to four
+    infinite values, and circuit-hyperplane valuations."""
+    rng = random.Random(2810)
+    radii = (None, 0, 1, 2, 3)
+    cases = [(random_valid_valuation(rng, n, d, vmax=3, max_inf=4), radii)
+             for n in range(1, 7) for d in range(0, n + 1) for _ in range(3)]
+    u37 = mf.uniform_matroid(3, 7)
+    cases += [
+        (mf.circuit_hyperplane_valuation(u37, (1, 2, 3), 1), radii),
+        # the default radius 13 scans 27^5 heads: too slow for the oracle here
+        (mf.circuit_hyperplane_valuation(u37, (1, 2, 3), 2), radii[1:]),
+        (mf.circuit_hyperplane_valuation(mf.named_matroid("nonfano"), (5, 6, 7), 1), radii),
+    ]
+    for d, n in ((2, 5), (3, 6)):
+        for v in (1, 2):
+            M = mf.uniform_matroid(d, n)
+            cases.append((mf.circuit_hyperplane_valuation(M, M.bases[0], v), radii))
+    return cases
+
+
+def test_zero_dim_cells_match_leader_vertex_oracle():
+    # the walk from vertex to vertex against the window scan's connected
+    # leaders, which need the window to hold every vertex to find it
+    vertices = empty = 0
+    for nu, radii in _walk_cases():
+        for radius in radii:
+            want = oracles._leader_vertices(mf.enumerate_leaders(nu, radius))
+            assert mf.zero_dimensional_cells(nu, radius) == want, (nu.finite, radius)
+            vertices += len(want)
+            empty += not want
+    assert vertices >= 250 and empty >= 50
+
+
+def test_zero_dim_cells_refuse_non_valuations():
+    with pytest.raises(ValueError, match=r"valuation violates \(V1\)"):
+        mf.zero_dimensional_cells(mf.Valuation([1, 2], 1, {}))
+    # the exchange of 1 and 3 between {1, 2} and {3, 4} has no partner
+    nu = mf.Valuation.from_values([1, 2, 3, 4], 2, {(1, 2): 0, (3, 4): 0})
+    with pytest.raises(ValueError, match=r"valuation violates \(V2\)"):
+        mf.zero_dimensional_cells(nu)
+
+
+@pytest.mark.parametrize("scan", [mf.enumerate_leaders, mf.zero_dimensional_cells])
+def test_window_radius_must_be_a_nonnegative_integer(scan):
+    nu = u24_valuation()
+    for radius in (1.5, True, False, "2", float("inf")):
+        with pytest.raises(ValueError, match="window radius must be an integer"):
+            scan(nu, radius)
+    with pytest.raises(ValueError, match="window radius must be nonnegative"):
+        scan(nu, -1)
+    # an integral value of another type reads as that integer
+    assert scan(nu, 2.0) == scan(nu, 2)
+    if scan is mf.enumerate_leaders:
+        assert scan(nu, 2.0).radius == 2 and type(scan(nu, 2.0).radius) is int
+
+
+def test_zero_dim_cells_wide_spread_in_bounded_time_without_numpy():
+    # at v = 4 the default radius is 25: the window scan would score 51^5
+    # heads, while the walk visits the two vertices
+    code = ("import sys, matflock as mf; "
+            "nu = mf.circuit_hyperplane_valuation(mf.uniform_matroid(3, 7), (1, 2, 3), 4); "
+            "print(mf.zero_dimensional_cells(nu)); print('numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_cli_env(), timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "[(0, 0, 0, -4, -4, -4, -4), (0, 0, 0, 0, 0, 0, 0)]", "False"]
 
 
 # ---------------------------------------------------------------------------
