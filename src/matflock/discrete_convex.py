@@ -8,6 +8,7 @@ function is finite (always the case for valuation-derived functions).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -15,32 +16,68 @@ from .lattice import INF, vadd, vjoin, vmeet, vsub
 from .valuation import Valuation
 
 
+def _ints(xs: list):
+    """``xs`` as a list of ints, or None if an entry is not integral or is a
+    bool (an integral value of another type, such as 2.0, reads as that
+    integer, the rule of ``valuation._window_radius``)."""
+    if set(map(type, xs)) <= {int}:
+        return xs
+    try:
+        ints = list(map(int, xs))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if ints != xs or bool in set(map(type, xs)):
+        return None
+    return ints
+
+
+def _box(n, lo, hi):
+    """(n, lo, hi) of a box as ints, with bounds of length n and lo <= hi."""
+    ints = _ints([n])
+    lo, hi = _ints(list(lo)), _ints(list(hi))
+    if ints is None or lo is None or hi is None:
+        raise ValueError("box size and bounds must be integers")
+    n = ints[0]
+    if len(lo) != n or len(hi) != n:
+        raise ValueError("box bounds have the wrong length")
+    if any(l > h for l, h in zip(lo, hi)):
+        raise ValueError("empty box")
+    return n, tuple(lo), tuple(hi)
+
+
 class WindowFunction:
     """A map from the lattice points of a box to Z ∪ {∞}.
 
     Only finite values are stored; lattice points of the box without an
-    entry, and everything outside the box, take the value ∞.
+    entry, and everything outside the box, take the value ∞.  Bounds,
+    coordinates and values must be integers (see ``_ints``); a point of the
+    wrong length or outside the box raises ValueError.  Each check reads
+    one axis, or the values, at a time.
     """
 
     def __init__(self, n: int, lo, hi, values: dict):
-        self.n = int(n)
-        self.lo = tuple(int(x) for x in lo)
-        self.hi = tuple(int(x) for x in hi)
-        if len(self.lo) != self.n or len(self.hi) != self.n:
-            raise ValueError("box bounds have the wrong length")
-        if any(l > h for l, h in zip(self.lo, self.hi)):
-            raise ValueError("empty box")
-        vals = {}
-        for pt, v in values.items():
-            pt = tuple(int(x) for x in pt)
-            if len(pt) != self.n or not all(
-                    l <= x <= h for x, l, h in zip(pt, self.lo, self.hi)):
-                raise ValueError(f"point {pt} outside the box")
-            if v == INF:
-                continue
-            vals[pt] = int(v)
+        self.n, self.lo, self.hi = n, lo, hi = _box(n, lo, hi)
+        pts = list(values)
+        if set(map(len, pts)) - {n}:
+            bad = next(pt for pt in pts if len(pt) != n)
+            raise ValueError(f"point {tuple(bad)} outside the box")
+        axes = [_ints(list(axis)) for axis in zip(*pts)]
+        if None in axes:
+            bad = next(pt for pt in pts if _ints(list(pt)) is None)
+            raise ValueError(f"point {tuple(bad)} has a coordinate that is not an integer")
+        if any(min(axis) < l or max(axis) > h for axis, l, h in zip(axes, lo, hi)):
+            bad = next(pt for pt in pts if not self.in_box(pt))
+            raise ValueError(f"point {tuple(bad)} outside the box")
+        vals = dict(zip(zip(*axes) if n else [()] * len(pts), values.values()))
+        if INF in vals.values():
+            vals = {pt: v for pt, v in vals.items() if v != INF}
         if not vals:
             raise ValueError("empty domain")
+        ints = _ints(list(vals.values()))
+        if ints is None:
+            pt, v = next((pt, v) for pt, v in vals.items() if _ints([v]) is None)
+            raise ValueError(f"value {v!r} at {pt} is not an integer")
+        vals = dict(zip(vals, ints))
         self.values = vals
 
     def __call__(self, pt):
@@ -108,20 +145,44 @@ def _box_points(lo, hi):
     return list(itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))))
 
 
-def _submodular(pts, hi, vals):
-    """First submodularity failure g(x) + g(y) < g(x ∨ y) + g(x ∧ y) on a box.
+def _strides(lo, hi):
+    """The sides of the box [lo, hi] and the stride of each axis in its flat
+    (box order) index: the last axis has stride 1."""
+    sides = [h - l + 1 for l, h in zip(lo, hi)]
+    strides = [1] * len(sides)
+    for k in range(len(sides) - 1, 0, -1):
+        strides[k - 1] = strides[k] * sides[k]
+    return sides, strides
 
-    ``pts`` lists the box points in lex order (``pts[0]`` is the low
-    corner, ``hi`` the high one) and ``vals`` the values there.
+
+def _flat_indices(extent, strides):
+    """The flat indices, in box order, of the points lo + t with
+    0 <= t_k < extent_k."""
+    flat = [0]
+    for e, s in zip(extent, strides):
+        flat = [f + t for f in flat for t in range(0, e * s, s)]
+    return flat
+
+
+def _submodular(lo, hi, vals):
+    """First submodularity failure g(x) + g(y) < g(x ∨ y) + g(x ∧ y) on the
+    box [lo, hi], whose values ``vals`` are listed in box order.
+
     A function finite on the whole box is submodular iff every unit square
     is (Topkis 1978; Murota 2003, ch. 7): for each x and axes i < j with
-    x + e_i + e_j in the box, the pair (x + e_i, x + e_j) is checked, and
-    squares are counted.  With an ∞ value squares are not enough (on the
-    domain {(0, 2), (2, 0)} no square has both diagonal points finite), so
-    the pairs of finite points are checked and counted, in box order; a
-    pair with an ∞ member can never fail.  Returns (count, witness or None).
+    x + e_i + e_j in the box, the pair (x + e_i, x + e_j).  With strides
+    s_k, the square at flat index f in plane (i, j) is (f, f + s_i, f + s_j,
+    f + s_i + s_j): one comprehension per plane lists the failing squares.
+    The witness is the first failure in box order of x, then (i, j) in
+    order, and the count is the number of squares up to it in that order;
+    both follow from the planes' lists by bisection.  With an ∞ value
+    squares are not enough (on the domain {(0, 2), (2, 0)} no square has
+    both diagonal points finite), so the pairs of finite points are checked
+    and counted, in box order; a pair with an ∞ member can never fail.
+    Returns (count, witness or None).
     """
     if INF in vals:
+        pts = _box_points(lo, hi)
         value = dict(zip(pts, vals))
         finite = [(x, v) for x, v in zip(pts, vals) if v != INF]
         checked = 0
@@ -130,59 +191,61 @@ def _submodular(pts, hi, vals):
             if vx + vy < value[vjoin(x, y)] + value[vmeet(x, y)]:
                 return checked, (x, y)
         return checked, None
-    n = len(hi)
-    strides = [1] * n
-    for k in range(n - 1, 0, -1):
-        strides[k - 1] = strides[k] * (hi[k] - pts[0][k] + 1)
-    checked = 0
-    for f, x in enumerate(pts):
-        up = [k for k in range(n) if x[k] < hi[k]]
-        for a, i in enumerate(up):
-            fi = f + strides[i]
-            for j in up[a + 1:]:
-                fj = f + strides[j]
-                checked += 1
-                if vals[fi] + vals[fj] < vals[f] + vals[fi + strides[j]]:
-                    return checked, (pts[fi], pts[fj])
-    return checked, None
+    sides, strides = _strides(lo, hi)
+    planes = []
+    for i, j in itertools.combinations(range(len(sides)), 2):
+        si, sj = strides[i], strides[j]
+        sij = si + sj
+        extent = [s - (k == i or k == j) for k, s in enumerate(sides)]
+        squares = _flat_indices(extent, strides)
+        failed = [f for f in squares if vals[f + si] + vals[f + sj] < vals[f] + vals[f + sij]]
+        planes.append((squares, failed, si, sj))
+    first = min(((failed[0], p) for p, (_, failed, _, _) in enumerate(planes) if failed),
+                default=None)
+    if first is None:
+        return sum(len(squares) for squares, *_ in planes), None
+    f, p = first
+    checked = (sum(bisect_right(squares, f) for squares, *_ in planes[:p + 1])
+               + sum(bisect_left(squares, f) for squares, *_ in planes[p + 1:]))
+    pts = _box_points(lo, hi)
+    si, sj = planes[p][2:]
+    return checked, (pts[f + si], pts[f + sj])
 
 
 def check_lconvex(g: WindowFunction) -> LConvexReport:
     """Submodularity on the box plus a constant all-ones slope.
 
-    If g is finite on its whole box (always so for ``fenchel_dual``
-    output), submodularity is checked on the unit squares, in box order;
-    otherwise on all pairs of finite box points (see ``_submodular``).
-    Joins and meets of box points stay in the box, so the check is
-    complete either way.  Shift pairs (x, x+1) with x+1 outside the box are
-    skipped and counted, so a Valid verdict documents its coverage.
+    The values are read once into a list in box order.  If g is finite on
+    its whole box (always so for ``fenchel_dual`` output), submodularity is
+    checked on the unit squares, plane by plane at flat strides; otherwise
+    on all pairs of finite box points (see ``_submodular``).  Joins and
+    meets of box points stay in the box, so the check is complete either
+    way.  The shift pairs (x, x+1) are the flat indices f of [lo, hi - 1]
+    and f + sum of the strides, checked in one comprehension: both values
+    ∞ passes, one ∞ fails, and every finite step must equal the first.
+    Shift pairs with x+1 outside the box are skipped and counted, so a
+    Valid verdict documents its coverage; on a failure both counts stop at
+    the witness, in box order.
     """
     pts = _box_points(g.lo, g.hi)
-    sub_checked, witness = _submodular(pts, g.hi, [g(x) for x in pts])
+    vals = list(map(g.values.get, pts, itertools.repeat(INF)))
+    sub_checked, witness = _submodular(g.lo, g.hi, vals)
     if witness is not None:
         return LConvexReport(False, None, witness, sub_checked, 0, 0)
-    r = None
-    shift_checked = shift_skipped = 0
-    one = (1,) * g.n
-    for x in pts:
-        xs = vadd(x, one)
-        if not g.in_box(xs):
-            shift_skipped += 1
-            continue
-        shift_checked += 1
-        a, b = g(x), g(xs)
-        if a == INF and b == INF:
-            continue
-        if (a == INF) != (b == INF):
-            return LConvexReport(False, None, (x, xs), sub_checked,
-                                 shift_checked, shift_skipped)
-        step = b - a
-        if r is None:
-            r = step
-        elif step != r:
-            return LConvexReport(False, None, (x, xs), sub_checked,
-                                 shift_checked, shift_skipped)
-    return LConvexReport(True, r, None, sub_checked, shift_checked, shift_skipped)
+    sides, strides = _strides(g.lo, g.hi)
+    corners = _flat_indices([s - 1 for s in sides], strides)
+    shift = sum(strides)
+    r = next((vals[f + shift] - vals[f] for f in corners
+              if vals[f] != INF and vals[f + shift] != INF), None)
+    failed = [c for c, f in enumerate(corners)
+              if (vals[f] == INF) != (vals[f + shift] == INF)
+              or vals[f] != INF and vals[f + shift] - vals[f] != r]
+    if not failed:
+        return LConvexReport(True, r, None, sub_checked, len(corners),
+                             len(pts) - len(corners))
+    c = failed[0]
+    f = corners[c]
+    return LConvexReport(False, None, (pts[f], pts[f + shift]), sub_checked, c + 1, f - c)
 
 
 def check_mconvex(f: WindowFunction) -> MConvexReport:
@@ -222,12 +285,34 @@ def check_mconvex(f: WindowFunction) -> MConvexReport:
 # duality
 
 def fenchel_dual(h: WindowFunction, dual_lo, dual_hi) -> WindowFunction:
-    """h•(x) = max over the finite domain of h of x . y - h(y)."""
-    dom = [(pt, h(pt)) for pt in h.domain()]
-    values = {}
-    for x in _box_points(dual_lo, dual_hi):
-        values[x] = max(sum(a * b for a, b in zip(x, y)) - v for y, v in dom)
-    return WindowFunction(h.n, dual_lo, dual_hi, values)
+    """h•(x) = max over the finite domain D of h of x . y - h(y), on the dual box.
+
+    The max is taken one axis at a time, like the separable max-plus
+    transform of the window kernel (Lucet 1997).  Start from H_0 = -h on D;
+    pass k turns each state (x_0..x_{k-1}; y_k..y_{n-1}) into
+    H_{k+1}(x_0..x_k; y_{k+1}..y_{n-1}) = max over y_k of x_k y_k + H_k,
+    for every x_k of the dual box, so that after n passes the states are
+    the dual points and H_n = h•.  This regroups the same finite max, so it
+    is exact in ints.  Pass k visits (dual points on the first k axes) x
+    (distinct suffixes of D) states, so it never takes more steps than the
+    exhaustive max has products.  Each suffix keeps its values as one list
+    over the dual box of the first k axes, in box order, so no state is a
+    tuple until the last pass has run.
+    """
+    n, lo, hi = _box(h.n, dual_lo, dual_hi)
+    # H_k maps each suffix (y_k..y_{n-1}) to its values at the dual points
+    # of the first k axes, in box order
+    H = {y: [-v] for y, v in h.values.items()}
+    for k in range(n):
+        xs = range(lo[k], hi[k] + 1)
+        children = {}
+        for s, col in H.items():
+            children.setdefault(s[1:], []).append((s[0], col))
+        H = {}
+        for rest, pairs in children.items():
+            lines = [[x * y + c for c in col for x in xs] for y, col in pairs]
+            H[rest] = lines[0] if len(lines) == 1 else list(map(max, *lines))
+    return WindowFunction(n, lo, hi, dict(zip(_box_points(lo, hi), H[()])))
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +330,8 @@ def lconvex_is_minimizer(g_oracle: Callable[[tuple], int], x, n: int) -> bool:
     if len(x) != n:
         raise ValueError("x has the wrong length")
     hi = vadd(x, (1,) * n)
-    cube = list(itertools.product(*zip(x, hi)))
-    vals = [g_oracle(pt) for pt in cube]
-    if _submodular(cube, hi, vals)[1] is not None:
+    vals = [g_oracle(pt) for pt in itertools.product(*zip(x, hi))]
+    if _submodular(x, hi, vals)[1] is not None:
         raise ValueError(f"oracle is not L-convex near {x}")
     base = vals[0]
     if any(val < base for val in vals):

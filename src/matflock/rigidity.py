@@ -20,7 +20,7 @@ from typing import Optional
 from . import linalg
 from .matroid import (QQ, Matroid, _exchange_quads, _raise_unless, check_basis_axioms,
                       matroid_from_matrix)
-from .valuation import Valuation, _incidence_rows, check_valuation_axioms, is_trivial
+from .valuation import Valuation, _incidence_rows, _trivial, check_valuation_axioms
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +156,7 @@ def rigidity_certificate(M: Matroid) -> RigidityVerdict:
                            {m: w[var[m]] - lo for m in basis_masks})
             if not check_valuation_axioms(nu).ok:
                 continue
-            if is_trivial(nu).trivial:
+            if _trivial(nu).trivial:
                 continue
             return RigidityVerdict("not_rigid", witness=nu, direction=cand)
     return RigidityVerdict("inconclusive", direction=first_direction)

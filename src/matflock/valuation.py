@@ -266,9 +266,16 @@ def is_trivial(nu: Valuation) -> TrivialityResult:
     constraints of the single exchanges inside the support are feasible: by
     local optimality the support matroid is then optimal at their solution.
     Shortest paths decide them and give the alpha returned, which is
-    certified; only a non-valuation whose support is not connected under
-    single exchanges can fail that, and raises ValueError.
+    certified.  That argument needs (V2): without it a support that single
+    exchanges do not connect, such as {12, 34}, has no constraints at all.
+    So a map that fails (V1)/(V2) raises ValueError.
     """
+    _raise_unless(check_valuation_axioms(nu), "valuation")
+    return _trivial(nu)
+
+
+def _trivial(nu: Valuation) -> TrivialityResult:
+    """``is_trivial`` for a map already checked to be a valuation."""
     alpha = _integral_point(len(nu.ground), _difference_constraints(nu, nu.support_masks))
     # a value on the empty set (rank 0) is trivial only when it is e_∅ . alpha = 0;
     # optimal_masks refuses an empty valuation
@@ -381,10 +388,10 @@ def enumerate_leaders(nu: Valuation, window_radius: Optional[int] = None) -> Lea
     Representatives are the lexicographically smallest window points.  The
     default window radius is a heuristic, and ``complete`` checks only that
     the leaders found cover the support (see ``LeaderScan``); it does not
-    certify that every leader was found.
+    certify that every leader was found.  A leader is a matroid only under
+    (V2), so a map that fails (V1)/(V2) raises ValueError.
     """
-    if not nu.finite:
-        raise ValueError("valuation violates (V1): no finite value")
+    _raise_unless(check_valuation_axioms(nu), "valuation")
     n = len(nu.ground)
     R = _window_radius(nu, window_radius)
     from . import window

@@ -44,6 +44,12 @@ block, read with ``np.take``, replaced.
 Extraction along the walk's upper envelope, one pass over the finite bases
 per subset: the route that reading each value off local optimality
 (``flock._local_values``) replaced.  It takes any map, valuation or not.
+
+The Legendre-Fenchel dual by the exhaustive max over the primal domain at
+every dual point, and the L-convexity check that walks every box point in
+a Python loop (``check_lconvex``, ``_submodular``): the routes that the
+conjugate one axis at a time and the flat-stride checks of
+``matflock.discrete_convex`` replaced.
 """
 
 from __future__ import annotations
@@ -55,6 +61,8 @@ import numpy as np
 
 from matflock import linalg, window
 from matflock.algebraic import FrobeniusWindowReport, _param_polymatrix, tadic_valuation
+from matflock.discrete_convex import LConvexReport, WindowFunction, _box_points
+from matflock.lattice import INF, vadd, vjoin, vmeet
 from matflock.linalg import (_ZZ, _PolyRing, _bareiss, _echelon_mod, _integer_rows,
                              as_rat_matrix, gf_rref, poly_scale)
 from matflock.matroid import _connected, _raise_unless, check_basis_axioms
@@ -669,3 +677,89 @@ def envelope_values(nu: Valuation, cutoff: int) -> dict[int, int]:
         if value is not None:
             values[bmask] = value
     return values
+
+
+def _submodular(pts, hi, vals):
+    """First submodularity failure g(x) + g(y) < g(x ∨ y) + g(x ∧ y) on a box.
+
+    ``pts`` lists the box points in lex order (``pts[0]`` is the low
+    corner, ``hi`` the high one) and ``vals`` the values there.
+    A function finite on the whole box is submodular iff every unit square
+    is (Topkis 1978; Murota 2003, ch. 7): for each x and axes i < j with
+    x + e_i + e_j in the box, the pair (x + e_i, x + e_j) is checked, and
+    squares are counted.  With an ∞ value squares are not enough (on the
+    domain {(0, 2), (2, 0)} no square has both diagonal points finite), so
+    the pairs of finite points are checked and counted, in box order; a
+    pair with an ∞ member can never fail.  Returns (count, witness or None).
+    """
+    if INF in vals:
+        value = dict(zip(pts, vals))
+        finite = [(x, v) for x, v in zip(pts, vals) if v != INF]
+        checked = 0
+        for (x, vx), (y, vy) in itertools.combinations(finite, 2):
+            checked += 1
+            if vx + vy < value[vjoin(x, y)] + value[vmeet(x, y)]:
+                return checked, (x, y)
+        return checked, None
+    n = len(hi)
+    strides = [1] * n
+    for k in range(n - 1, 0, -1):
+        strides[k - 1] = strides[k] * (hi[k] - pts[0][k] + 1)
+    checked = 0
+    for f, x in enumerate(pts):
+        up = [k for k in range(n) if x[k] < hi[k]]
+        for a, i in enumerate(up):
+            fi = f + strides[i]
+            for j in up[a + 1:]:
+                fj = f + strides[j]
+                checked += 1
+                if vals[fi] + vals[fj] < vals[f] + vals[fi + strides[j]]:
+                    return checked, (pts[fi], pts[fj])
+    return checked, None
+
+
+def check_lconvex(g: WindowFunction) -> LConvexReport:
+    """Submodularity on the box plus a constant all-ones slope.
+
+    If g is finite on its whole box (always so for ``fenchel_dual``
+    output), submodularity is checked on the unit squares, in box order;
+    otherwise on all pairs of finite box points (see ``_submodular``).
+    Joins and meets of box points stay in the box, so the check is
+    complete either way.  Shift pairs (x, x+1) with x+1 outside the box are
+    skipped and counted, so a Valid verdict documents its coverage.
+    """
+    pts = _box_points(g.lo, g.hi)
+    sub_checked, witness = _submodular(pts, g.hi, [g(x) for x in pts])
+    if witness is not None:
+        return LConvexReport(False, None, witness, sub_checked, 0, 0)
+    r = None
+    shift_checked = shift_skipped = 0
+    one = (1,) * g.n
+    for x in pts:
+        xs = vadd(x, one)
+        if not g.in_box(xs):
+            shift_skipped += 1
+            continue
+        shift_checked += 1
+        a, b = g(x), g(xs)
+        if a == INF and b == INF:
+            continue
+        if (a == INF) != (b == INF):
+            return LConvexReport(False, None, (x, xs), sub_checked,
+                                 shift_checked, shift_skipped)
+        step = b - a
+        if r is None:
+            r = step
+        elif step != r:
+            return LConvexReport(False, None, (x, xs), sub_checked,
+                                 shift_checked, shift_skipped)
+    return LConvexReport(True, r, None, sub_checked, shift_checked, shift_skipped)
+
+
+def fenchel_dual(h: WindowFunction, dual_lo, dual_hi) -> WindowFunction:
+    """h•(x) = max over the finite domain of h of x . y - h(y)."""
+    dom = [(pt, h(pt)) for pt in h.domain()]
+    values = {}
+    for x in _box_points(dual_lo, dual_hi):
+        values[x] = max(sum(a * b for a, b in zip(x, y)) - v for y, v in dom)
+    return WindowFunction(h.n, dual_lo, dual_hi, values)

@@ -5,18 +5,51 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matflock as mf
 from matflock.discrete_convex import WindowFunction
 from matflock.lattice import INF, vjoin, vmeet
 
+import oracles
 from conftest import random_valid_valuation, u24_valuation
 
 
 def box(lo, hi):
     return itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+
+
+# ---------------------------------------------------------------------------
+# window functions
+
+@pytest.mark.parametrize("bad", [1.5, True])
+def test_window_function_refuses_non_integral_coordinate(bad):
+    with pytest.raises(ValueError, match=r"point \(.*\) has a coordinate that is not an integer"):
+        WindowFunction(2, (0, 0), (2, 2), {(0, 0): 0, (1, bad): 1})
+
+
+@pytest.mark.parametrize("bad", [1.5, True])
+def test_window_function_refuses_non_integral_bound(bad):
+    h = WindowFunction(1, (0,), (1,), {(0,): 0})
+    for lo, hi in (((bad,), (2,)), ((0,), (bad,))):
+        with pytest.raises(ValueError, match="bounds must be integers"):
+            WindowFunction(1, lo, hi, {(1,): 0})
+        with pytest.raises(ValueError, match="bounds must be integers"):
+            mf.fenchel_dual(h, lo, hi)
+
+
+@pytest.mark.parametrize("bad", [1.5, True])
+def test_window_function_refuses_non_integral_value(bad):
+    with pytest.raises(ValueError, match=r"value .* at \(1,\) is not an integer"):
+        WindowFunction(1, (0,), (1,), {(0,): 1, (1,): bad})
+
+
+def test_window_function_reads_integral_values_of_other_types():
+    f = WindowFunction(2.0, (0, -1.0), (2.0, 1), {(2.0, 1): 2.0, (0, -1): 3})
+    assert (f.n, f.lo, f.hi, f.values) == (2, (0, -1), (2, 1), {(2, 1): 2, (0, -1): 3})
+    assert {type(x) for pt, v in f.values.items() for x in (*pt, v)} == {int}
+    assert {type(x) for x in (f.n, *f.lo, *f.hi)} == {int}
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +151,7 @@ def box_functions(draw):
 @given(box_functions())
 def test_lconvex_matches_all_pairs_oracle(g):
     rep = mf.check_lconvex(g)
+    assert rep == oracles.check_lconvex(g)
     ok, r, witness, kind = all_pairs_lconvex(g)
     assert (rep.ok, rep.r) == (ok, r)
     total = len(g.values) == math.prod(h - l + 1 for l, h in zip(g.lo, g.hi))
@@ -163,6 +197,30 @@ def test_fenchel_two_point_sup():
     h = WindowFunction(2, (0, 0), (1, 1), {(1, 0): 0, (0, 1): 0})
     dual = mf.fenchel_dual(h, (-3, -3), (3, 3))
     assert all(dual(x) == max(x) for x in box((-3, -3), (3, 3)))
+
+
+@st.composite
+def primal_and_dual_box(draw):
+    """A function with n <= 4 on a box with negative corners, its domain
+    any nonempty set of box points, and a dual box of sides 1 to 4."""
+    n = draw(st.integers(1, 4))
+    lo = tuple(draw(st.integers(-2, 0)) for _ in range(n))
+    hi = tuple(l + draw(st.integers(0, 2)) for l in lo)
+    pts = list(box(lo, hi))
+    domain = draw(st.lists(st.sampled_from(pts), min_size=1, max_size=len(pts), unique=True))
+    values = {x: draw(st.integers(-5, 5)) for x in domain}
+    dual_lo = tuple(draw(st.integers(-3, 1)) for _ in range(n))
+    dual_hi = tuple(l + draw(st.integers(0, 3)) for l in dual_lo)
+    return WindowFunction(n, lo, hi, values), dual_lo, dual_hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(primal_and_dual_box())
+@example((WindowFunction(1, (-1,), (1,), {(-1,): 4}), (-2,), (1,)))
+@example((WindowFunction(3, (-1,) * 3, (1,) * 3, {(1, -1, 0): 2}), (-1,) * 3, (2,) * 3))
+def test_fenchel_matches_exhaustive_oracle(case):
+    h, dual_lo, dual_hi = case
+    assert mf.fenchel_dual(h, dual_lo, dual_hi) == oracles.fenchel_dual(h, dual_lo, dual_hi)
 
 
 def test_fenchel_matches_g_value(rng):

@@ -695,6 +695,16 @@ def test_cli_leaders_matches_golden_report(capsys, name):
     assert capsys.readouterr().out == (fixtures / f"{name}_leaders.json").read_text()
 
 
+@pytest.mark.parametrize("name, n", [("point_function_u24", 4), ("point_function_n3_partial", 3)])
+def test_cli_fenchel_matches_golden_report(capsys, name, n):
+    # pinned duals on [-2, 2]^n; point_function_n3_partial has negative
+    # coordinates and holes
+    fixtures = Path(__file__).parent / "fixtures"
+    assert main(["fenchel", str(fixtures / f"{name}.json"),
+                 "--lo=" + ",".join(["-2"] * n), "--hi", ",".join(["2"] * n)]) == 0
+    assert capsys.readouterr().out == (fixtures / f"{name}_fenchel_r2.json").read_text()
+
+
 def test_cli_extract_negative_verify_radius_exit_1(tmp_path, capsys):
     nu = mf.Valuation.from_values([1, 2], 1, {(1,): 0, (2,): 1})
     entries = [{"alpha": [k, l], "matroid": jsonio.matroid_to_json(mf.matroid_at(nu, (k, l)))}

@@ -167,6 +167,21 @@ def test_inconclusive_direction_matches_dense_oracle(monkeypatch):
         tried[oracles].clear()
 
 
+def test_witness_search_checks_each_candidate_once(monkeypatch):
+    # the candidate loop checks (V1)/(V2) itself, so the triviality test
+    # that follows must not check again
+    from matflock import valuation
+    checked = []
+    check = valuation.check_valuation_axioms
+    for module in (rigidity, valuation):
+        monkeypatch.setattr(module, "check_valuation_axioms",
+                            lambda nu: checked.append(nu) or check(nu))
+    for M in (mf.uniform_matroid(2, 4), mf.nonfano_matroid(), mf.lazarson(3, "minus")):
+        checked.clear()
+        mf.rigidity_certificate(M)
+        assert checked and len({id(nu) for nu in checked}) == len(checked), M
+
+
 def test_witness_search_stops_at_first_witness(monkeypatch):
     # U(2,16) has no equations, so its kernel is all 120 unit directions;
     # the first lies outside the trivial span and is already a witness

@@ -233,8 +233,17 @@ def test_trivial_matches_rational_solve_oracle():
 def test_trivial_refuses_support_without_exchanges():
     # not a valuation: no single exchange joins {1, 2} and {3, 4}
     nu = mf.Valuation.from_values([1, 2, 3, 4], 2, {(1, 2): 0, (3, 4): 1})
-    with pytest.raises(ValueError, match="not connected under single exchanges"):
+    with pytest.raises(ValueError, match=r"valuation violates \(V2\)"):
         mf.is_trivial(nu)
+
+
+@pytest.mark.parametrize("check", [mf.is_trivial, mf.enumerate_leaders])
+def test_refuses_equal_values_on_a_support_without_exchanges(check):
+    # with equal values the difference system is empty and the leader scan
+    # sees one family, {12, 34}, which is not a matroid
+    nu = mf.Valuation.from_values([1, 2, 3, 4], 2, {(1, 2): 0, (3, 4): 0})
+    with pytest.raises(ValueError, match=r"valuation violates \(V2\)"):
+        check(nu)
 
 
 def test_equivalence_shift():

@@ -185,27 +185,31 @@ def random_cases():
 
 
 def test_leader_scan_matches_chunked_oracle(monkeypatch):
-    # cell vertices come from the vertex walk, which needs (V2): compared
-    # with the chunked scan's connected leaders on valuations, refused on
-    # the raw tables that are not
+    # leader scans and cell vertices need (V2): on valuations both are
+    # compared with the chunked scan, on the raw tables that are not the
+    # kernel is compared directly and both functions refuse
     cases = random_cases()
     assert len(cases) >= 100
     refused = 0
     for nu in cases:
         valid = mf.check_valuation_axioms(nu).ok
         for radius in (0, 1, 2):
+            if not valid:
+                refused += 1
+                n = len(nu.ground)
+                assert window._leader_reps(nu.finite_items(), n, radius) == \
+                    chunked_leader_reps(nu.finite_items(), n, radius), (nu.finite, radius)
+                for scan in (mf.enumerate_leaders, mf.zero_dimensional_cells):
+                    with pytest.raises(ValueError, match=r"valuation violates \(V2\)"):
+                        scan(nu, radius)
+                continue
             got = mf.enumerate_leaders(nu, radius)
             with monkeypatch.context() as m:
                 m.setattr(window, "_leader_reps", chunked_leader_reps)
                 want = mf.enumerate_leaders(nu, radius)
             assert got == want, (nu.finite, radius)
-            if valid:
-                assert mf.zero_dimensional_cells(nu, radius) == oracles._leader_vertices(want), \
-                    (nu.finite, radius)
-            else:
-                refused += 1
-                with pytest.raises(ValueError, match=r"valuation violates \(V2\)"):
-                    mf.zero_dimensional_cells(nu, radius)
+            assert mf.zero_dimensional_cells(nu, radius) == oracles._leader_vertices(want), \
+                (nu.finite, radius)
     assert refused
 
 
