@@ -358,22 +358,27 @@ def _primitive(row):
     return {k: x // g for k, x in row.items()} if g != 1 else row
 
 
-def _echelon(rows):
-    """Reduced echelon form over Z of a rational matrix, as {pivot: row}.
+def _echelon(rows, limit=None):
+    """Reduced echelon form over Z of sparse integer rows, as {pivot: row}.
 
-    Sparse Gauss-Jordan elimination: each input row, cleared of its
-    denominators by ``_sparse``, is reduced against the rows kept so far,
-    and a nonzero remainder, divided by its content, is kept under its
-    leading column, which is then cleared from the kept rows.  The form
-    stays reduced after every row, so each kept row is a primitive integer
-    multiple of a row of the RREF, under that row's pivot column; the RREF
-    is fixed by the row space, whatever the order of the steps.  Reducing a
-    row takes one step per pivot column it meets, sparse rows keep the
-    fill-in small, and dividing by gcds keeps the entries small.
+    Sparse Gauss-Jordan elimination: each input row, a {column: int} dict
+    (``_sparse`` clears a rational row of its denominators), is reduced
+    against the rows kept so far, and a nonzero remainder, divided by its
+    content, is kept under its leading column, which is then cleared from
+    the kept rows.  The form stays reduced after every row, so each kept
+    row is a primitive integer multiple of a row of the RREF, under that
+    row's pivot column; the RREF is fixed by the row space, whatever the
+    order of the steps.  Reducing a row takes one step per pivot column it
+    meets, sparse rows keep the fill-in small, and dividing by gcds keeps
+    the entries small.  With a ``limit``, it stops reducing rows once it
+    holds ``limit`` pivots: a caller that knows the rank can go no higher
+    stops there.
     """
     echelon = {}
     for r in rows:
-        row = _reduce(_sparse(r), echelon)
+        if len(echelon) == limit:
+            break
+        row = _reduce(r, echelon)
         if row:
             j = min(row)
             row = _primitive(row)
@@ -388,7 +393,7 @@ def rat_rref(rows):
     """RREF over Q. Returns (rows as tuples of Fractions, pivot columns)."""
     rows = list(rows)
     ncols = len(rows[0]) if rows else 0
-    echelon = _echelon(rows)
+    echelon = _echelon(map(_sparse, rows))
     pivots = sorted(echelon)
     rref = [tuple(Fraction(echelon[j].get(k, 0), echelon[j][j]) for k in range(ncols))
             for j in pivots]
@@ -397,7 +402,7 @@ def rat_rref(rows):
 
 
 def rat_rank(rows) -> int:
-    return len(_echelon(rows))
+    return len(_echelon(map(_sparse, rows)))
 
 
 def rat_solve(A, b):
@@ -422,9 +427,13 @@ def rat_kernel(A):
     """Basis of the right kernel {x : A x = 0} over Q."""
     if not A:
         return []
-    ncols = len(A[0])
-    echelon = _echelon(A)
-    basis = []
+    return list(_kernel(_echelon(map(_sparse, A)), len(A[0])))
+
+
+def _kernel(echelon, ncols: int):
+    """The kernel basis of the RREF held by ``echelon``, one vector per free
+    column f in increasing order, generated lazily: 1 at f, and at each
+    pivot j minus the RREF entry of row j in column f."""
     for f in range(ncols):
         if f in echelon:
             continue
@@ -433,8 +442,7 @@ def rat_kernel(A):
         for j, row in echelon.items():
             if f in row:
                 v[j] = Fraction(-row[f], row[j])
-        basis.append(tuple(v))
-    return basis
+        yield tuple(v)
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,17 @@ class Matroid(GroundSet):
     # -- construction ------------------------------------------------------
 
     @classmethod
+    def _on(cls, labelled: GroundSet, masks: frozenset[int], d: int) -> "Matroid":
+        """The matroid on the ground set of ``labelled`` whose bases are
+        ``masks``, a nonempty frozenset of d-element int masks inside it.
+        Nothing is checked or converted again: for families read off an
+        object whose ground set is already canonical."""
+        M = cls.__new__(cls)
+        M.ground, M._index, M._kind = labelled.ground, labelled._index, labelled._kind
+        M.masks, M.d = masks, d
+        return M
+
+    @classmethod
     def from_bases(cls, ground, bases: Iterable[Iterable]) -> "Matroid":
         """The matroid whose bases are listed; each basis lists distinct
         labels of ``ground`` (ValueError otherwise)."""
@@ -326,6 +337,19 @@ def _exchange_quads(masks, n: int):
             yield ((f | a | b, f | c | e), (f | a | c, f | b | e), (f | a | e, f | b | c))
 
 
+def _reached(masks, n: int) -> set[int]:
+    """The masks of ``masks`` that single exchanges inside it reach from its
+    first one: the component of that basis in the basis graph."""
+    reached = {next(iter(masks))}
+    todo = list(reached)
+    while todo:
+        for _, _, B2 in _single_exchanges(todo.pop(), n):
+            if B2 in masks and B2 not in reached:
+                reached.add(B2)
+                todo.append(B2)
+    return reached
+
+
 def _exchange_failure(values: dict, ground) -> Optional[tuple]:
     """A witness (B, B', i) against the valuated exchange axiom, or None.
 
@@ -345,13 +369,7 @@ def _exchange_failure(values: dict, ground) -> Optional[tuple]:
             low = min(sums)
             if sum(s == low[0] for s, _, _ in sums) == 1:
                 return witness(low[1], low[2])
-    reached = {next(iter(values))}
-    todo = list(reached)
-    while todo:
-        for _, _, B2 in _single_exchanges(todo.pop(), n):
-            if B2 in values and B2 not in reached:
-                reached.add(B2)
-                todo.append(B2)
+    reached = _reached(values, n)
     if len(reached) == len(values):
         return None
     # breadth-first over all d-sets from the reached bases finds a closest

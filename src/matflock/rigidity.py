@@ -7,6 +7,12 @@ the solution space to the span of the trivial valuations, the matroid is
 certifiably rigid; the converse direction needs more than linear algebra, so
 the verdict degrades honestly to Inconclusive when no valuation witness is
 found.
+
+The trivial valuations satisfy every equation, so on m bases the equations
+have rank at most m - dim(trivial span), and they confine the solutions to
+the trivial span exactly when they reach that rank.  The elimination stops
+as soon as it does, so a rigid verdict reads only as many equations as it
+needs and builds no kernel.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .matroid import (QQ, Matroid, _exchange_quads, _raise_unless, check_basis_axioms,
-                      matroid_from_matrix)
-from .valuation import Valuation, _incidence_rows, _trivial, check_valuation_axioms
+from .matroid import (QQ, Matroid, _exchange_quads, _raise_unless, _reached,
+                      check_basis_axioms, matroid_from_matrix)
+from .valuation import Valuation, _trivial, check_valuation_axioms
 
 
 # ---------------------------------------------------------------------------
@@ -54,20 +60,23 @@ def dw_constraints(M: Matroid) -> ConstraintSystem:
     elements outside it); the two pairings of bases must have equal sums, as
     the third is infinite.  A rank below 2 yields the empty system.
     """
+    # as basis masks: each pair sorted, the two pairs sorted, in sorted order
+    eqs = sorted(tuple(sorted(tuple(sorted(p)) for p in finite))
+                 for finite in _finite_pairings(M.masks, len(M.ground)) if len(finite) == 2)
     return ConstraintSystem(M, tuple(
-        tuple(tuple(M.labels_of(m) for m in side) for side in eq) for eq in _dw_masks(M)))
+        tuple(tuple(M.labels_of(m) for m in side) for side in eq) for eq in eqs))
 
 
-def _dw_masks(M: Matroid):
-    """The equations of ``dw_constraints`` as ((B1, B2), (B3, B4)) basis
-    masks, each pair sorted, the two pairs sorted, each equation once, in
-    sorted order."""
-    eqs = set()
-    for triple in _exchange_quads(M.masks, len(M.ground)):
-        finite = [tuple(sorted(p)) for p in triple if p[0] in M.masks and p[1] in M.masks]
-        if len(finite) == 2:
-            eqs.add(tuple(sorted(finite)))
-    yield from sorted(eqs)
+def _finite_pairings(masks, n: int):
+    """For each exchange quadruple with one or two finite pairings, the list
+    of those pairings.  One is a failure of (B2), as the least pairing sum
+    of the all-zero map is then reached once; two give a Dress-Wenzel
+    equation.  Each equation comes from one quadruple, as its two pairings
+    fix F and the four elements."""
+    for triple in _exchange_quads(masks, n):
+        finite = [p for p in triple if p[0] in masks and p[1] in masks]
+        if 0 < len(finite) < 3:
+            yield finite
 
 
 # ---------------------------------------------------------------------------
@@ -112,48 +121,48 @@ def _outside_directions(kernel, span):
 def rigidity_certificate(M: Matroid) -> RigidityVerdict:
     """Rigid when the constraint solution space is exactly the trivial span.
 
-    The trivial valuations always satisfy the constraints, so equality of
-    dimensions certifies rigidity.  The trivial span is the column space of
-    the basis-incidence matrix, held as one sparse echelon form.  Otherwise
-    the solution directions outside it are scaled to integer candidates,
-    and the first with a signed copy that passes the valuation axioms is a
-    NotRigid witness; failing that the verdict is Inconclusive (the linear
-    method is only sufficient), with the first candidate as its direction.
-    A basis family that fails (B2) raises ValueError with the witness.
+    The trivial span is spanned by the basis-incidence columns and the
+    all-ones vector (which the columns sum to d times, so it is needed only
+    for d = 0), held as one sparse echelon form.  Trivial valuations satisfy
+    every equation, so the equations have rank at most m - dim(trivial
+    span) over the m bases, and reaching that rank certifies rigidity: the
+    elimination stops there, with no kernel built.  Otherwise the kernel is
+    read off the full echelon form, and its directions outside the span are
+    scaled to integer candidates; the first with a signed copy that passes
+    the valuation axioms is a NotRigid witness, and failing that the verdict
+    is Inconclusive (the linear method is only sufficient), with the first
+    candidate as its direction.  The equations come from one pass over the
+    exchange quadruples; a basis family that fails (B2) there, or whose
+    basis graph is not connected, raises check_basis_axioms's ValueError.
     """
-    _raise_unless(check_basis_axioms(M.ground, M.d, M.bases), "basis family")
     basis_masks = sorted(M.masks)
-    var = {m: k for k, m in enumerate(basis_masks)}
-    n = len(M.ground)
+    m, n = len(basis_masks), len(M.ground)
+    var = {b: k for k, b in enumerate(basis_masks)}
 
-    rows = []
-    for (b1, b2), (b3, b4) in _dw_masks(M):
-        row = [0] * len(basis_masks)
-        row[var[b1]] += 1
-        row[var[b2]] += 1
-        row[var[b3]] -= 1
-        row[var[b4]] -= 1
-        rows.append(row)
+    pairings = list(_finite_pairings(M.masks, n))
+    if any(len(finite) == 1 for finite in pairings) or len(_reached(M.masks, n)) < m:
+        _raise_unless(check_basis_axioms(M.ground, M.d, M.bases), "basis family")
+    # the last quadruples first: the elimination then measured 1.3-4 times
+    # faster (less fill-in), and a rigid lazarson(3) reduces 483 of its 816
+    # rows; each row is built only when the elimination reads it
+    rows = ({var[b1]: 1, var[b2]: 1, var[b3]: -1, var[b4]: -1}
+            for (b1, b2), (b3, b4) in reversed(pairings))
 
-    if rows:
-        kernel = linalg.rat_kernel(rows)
-        dim_solutions = len(kernel)
-    else:
-        kernel = (tuple(int(i == j) for i in range(len(basis_masks)))
-                  for j in range(len(basis_masks)))
-        dim_solutions = len(basis_masks)
-    span = linalg._echelon(zip(*_incidence_rows(basis_masks, n)))
-    if dim_solutions == len(span):
+    span = linalg._echelon([{k: 1 for k, b in enumerate(basis_masks) if b >> i & 1}
+                            for i in range(n)] + [dict.fromkeys(range(m), 1)])
+    bound = m - len(span)
+    echelon = linalg._echelon(rows, limit=bound)
+    if len(echelon) == bound:
         return RigidityVerdict("rigid")
 
     first_direction = None
-    for cand in _outside_directions(kernel, span):
+    for cand in _outside_directions(linalg._kernel(echelon, m), span):
         if first_direction is None:
             first_direction = cand
         for w in (cand, tuple(-x for x in cand)):
             lo = min(w)
             nu = Valuation(M.ground, M.d,
-                           {m: w[var[m]] - lo for m in basis_masks})
+                           {b: w[var[b]] - lo for b in basis_masks})
             if not check_valuation_axioms(nu).ok:
                 continue
             if _trivial(nu).trivial:

@@ -400,7 +400,7 @@ def enumerate_leaders(nu: Valuation, window_radius: Optional[int] = None) -> Lea
     seen_bases: set[int] = set()
     for masks, alpha in reps.items():
         seen_bases |= masks
-        leaders.append((Matroid(nu.ground, masks), alpha))
+        leaders.append((Matroid._on(nu, masks, nu.d), alpha))
     complete = seen_bases == set(nu.finite)
     leaders.sort(key=lambda t: t[1])
     return LeaderScan(tuple(leaders), complete, R)

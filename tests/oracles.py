@@ -21,7 +21,9 @@ Cell vertices as the leaders of a window scan whose matroid is connected
 Rank, RREF, kernel and solve over Q by dense Bareiss elimination, and the
 rigidity certificate built on them with one solve per kernel vector: the
 routes that ``linalg._echelon`` and the span test of
-``rigidity.rigidity_certificate`` replaced.
+``rigidity.rigidity_certificate`` replaced.  The oracle eliminates every
+equation and builds the kernel before it compares dimensions, where the
+certificate stops at the rank bound.
 
 Frobenius row spaces by one GF(p)[T] tableau per argmax family, and the
 contraction, deletion and (FF1)/(FF2) report that re-reduce each side with
@@ -391,7 +393,9 @@ def dense_rigidity_certificate(M) -> RigidityVerdict:
         rows.append(row)
 
     dim_solutions = len(basis_masks) - (dense_rat_rank(rows) if rows else 0)
-    incidence = _incidence_rows(basis_masks, n)
+    # the incidence columns and the constants, which the columns span only
+    # for d >= 1
+    incidence = [row + [1] for row in _incidence_rows(basis_masks, n)]
     dim_trivial = dense_rat_rank(incidence)
     if dim_solutions == dim_trivial:
         return RigidityVerdict("rigid")

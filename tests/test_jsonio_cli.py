@@ -695,6 +695,22 @@ def test_cli_leaders_matches_golden_report(capsys, name):
     assert capsys.readouterr().out == (fixtures / f"{name}_leaders.json").read_text()
 
 
+@pytest.mark.parametrize("name", ["fano", "nonfano"])
+def test_cli_rigidity_matches_golden_report(capsys, name):
+    # pinned verdicts: fano is rigid, nonfano's report carries its witness
+    # and direction
+    fixtures = Path(__file__).parent / "fixtures"
+    assert main(["rigidity", "--name", name]) == 0
+    assert capsys.readouterr().out == (fixtures / f"{name}_rigidity.json").read_text()
+
+
+def test_cli_rigidity_rank_zero_is_rigid(tmp_path, capsys):
+    # every valuation of a rank-0 matroid is a constant, so trivial
+    path = write(tmp_path, "m.json", {"ground": [1, 2, 3], "rank": 0, "bases": [[]]})
+    assert main(["rigidity", path]) == 0
+    assert json.loads(capsys.readouterr().out) == {"verdict": "rigid"}
+
+
 @pytest.mark.parametrize("name, n", [("point_function_u24", 4), ("point_function_n3_partial", 3)])
 def test_cli_fenchel_matches_golden_report(capsys, name, n):
     # pinned duals on [-2, 2]^n; point_function_n3_partial has negative

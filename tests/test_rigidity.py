@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import matflock as mf
 from matflock import linalg, rigidity
@@ -81,6 +83,87 @@ def test_rigidity_rejects_non_matroid():
     M = mf.Matroid.from_bases([1, 2, 3, 4], [[1, 2], [3, 4]])
     with pytest.raises(ValueError, match=r"\(B2\)"):
         mf.rigidity_certificate(M)
+
+
+def _refusal(M):
+    """The certificate's ValueError message for M, or None."""
+    try:
+        mf.rigidity_certificate(M)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def _basis_axioms_refusal(M):
+    check = mf.check_basis_axioms(M.ground, M.d, M.bases)
+    return None if check.ok else f"basis family violates ({check.kind}) at {check.witness}"
+
+
+def test_rigidity_refusals_are_the_basis_check_messages():
+    # {12, 34}: its one quadruple has a single finite pairing (and the two
+    # bases are not joined by an exchange); {123, 456}: no quadruple has one,
+    # but the basis graph has two components
+    for ground, bases in [([1, 2, 3, 4], [[1, 2], [3, 4]]),
+                          (range(1, 7), [[1, 2, 3], [4, 5, 6]]),
+                          (range(1, 9), [[1, 2, 3, 4], [5, 6, 7, 8], [1, 5, 6, 7]])]:
+        M = mf.Matroid.from_bases(ground, bases)
+        assert _refusal(M) == _basis_axioms_refusal(M) is not None, bases
+
+
+@settings(max_examples=200, deadline=None)
+@example((6, 3, [0, 19]))  # {012, 345}: disconnected, no single-pairing quadruple
+@given(st.integers(4, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(2, 3),
+    st.lists(st.integers(0, 2 ** n - 1), min_size=1, max_size=12))))
+def test_rigidity_refuses_exactly_the_failing_basis_families(case):
+    # a family of d-subsets fails (B2) by one quadruple with a single finite
+    # pairing, or by a disconnected basis graph; either way the certificate
+    # raises check_basis_axioms's message, and otherwise it gives a verdict
+    n, d, words = case
+    subsets = list(itertools.combinations(range(n), d))
+    masks = {sum(1 << i for i in subsets[w % len(subsets)]) for w in words}
+    M = mf.Matroid(range(n), masks)
+    assert _refusal(M) == _basis_axioms_refusal(M)
+
+
+def test_rank_zero_rigid():
+    # every valuation of a rank-0 matroid is a constant; the constants are
+    # trivial although the incidence columns (all zero) do not span them
+    M = mf.Matroid((1, 2, 3), [0])
+    assert mf.rigidity_certificate(M).kind == "rigid"
+    assert oracles.dense_rigidity_certificate(M).kind == "rigid"
+
+
+def test_rigid_verdicts_stop_at_the_rank_bound(monkeypatch):
+    # the equations have rank at most m - dim(trivial span); a rigid verdict
+    # stops reading them there and never builds a kernel
+    def no_kernel(echelon, ncols):
+        raise AssertionError("a rigid verdict built a kernel")
+
+    read = []
+    echelon = linalg._echelon
+
+    def counted(rows, limit=None):
+        if limit is None:
+            return echelon(rows)
+        rows = list(rows)
+        used = []
+        out = echelon((used.append(r) or r for r in rows), limit)
+        read.append((len(used), len(rows)))
+        return out
+
+    monkeypatch.setattr(linalg, "_kernel", no_kernel)
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    for M in (mf.fano_matroid(), mf.lazarson(3)):
+        read.clear()
+        assert mf.rigidity_certificate(M).kind == "rigid"
+        [(used, total)] = read
+        assert used < total, (M, used, total)
+    for n in range(2, 7):
+        for M in (mf.uniform_matroid(1, n), mf.uniform_matroid(n - 1, n)):
+            read.clear()
+            assert mf.rigidity_certificate(M).kind == "rigid"
+            assert read == [(0, 0)], M
 
 
 def test_u24_not_rigid_with_verified_witness():

@@ -350,6 +350,25 @@ def test_leaders_two_element():
     assert len(scan.leaders) == 3
 
 
+def test_leader_matroids_equal_validated_ones():
+    # leaders are built on the valuation's ground set without a second
+    # validation; they must behave as the same matroids built through the
+    # public constructor: equality, hash, labels and masks
+    for nu in (u24_valuation(), two_element_valuation(),
+               mf.Valuation.from_values(["a", "b", "c"], 2, {("a", "b"): 3, ("a", "c"): 1,
+                                                             ("b", "c"): 0})):
+        for M, _ in mf.enumerate_leaders(nu).leaders:
+            built = mf.Matroid(nu.ground, M.masks)
+            assert M == built and hash(M) == hash(built)
+            assert (M.ground, M.d, M.bases, repr(M)) == (built.ground, built.d, built.bases,
+                                                        repr(built))
+            for mask in M.masks:
+                assert M.labels_of(mask) == built.labels_of(mask)
+                assert M.mask_of(M.labels_of(mask)) == mask
+            with pytest.raises(ValueError, match="unknown element"):
+                M.mask_of([True] if nu.ground[0] == 1 else ["z"])
+
+
 def test_trivial_iff_support_among_leaders():
     cases = [
         all_pairs_zero(),
