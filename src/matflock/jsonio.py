@@ -7,14 +7,17 @@ domain violations inside the library keep raising ValueError.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .algebraic import FrobeniusWindowReport, LinearizedParam, ToricRep
-from .discrete_convex import WindowFunction
-from .flock import FlockWindowReport, MatroidFlock, explicit_flock
 from .lattice import INF
 from .matroid import AxiomCheck, Matroid
-from .rigidity import CharacteristicCheck, RigidityVerdict
 from .valuation import CellSystem, LeaderScan, Valuation
+
+if TYPE_CHECKING:       # annotations only: each reader imports what it builds
+    from .algebraic import FrobeniusWindowReport, LinearizedParam, ToricRep
+    from .discrete_convex import WindowFunction
+    from .flock import FlockWindowReport, MatroidFlock
+    from .rigidity import CharacteristicCheck, RigidityVerdict
 
 
 class InputError(ValueError):
@@ -154,6 +157,7 @@ def window_function_to_json(f: WindowFunction) -> dict:
 
 
 def window_function_from_json(doc) -> WindowFunction:
+    from .discrete_convex import WindowFunction
     n = _require(doc, "n", int)
     lo = _int_vector(doc, "lo")
     hi = _int_vector(doc, "hi")
@@ -187,6 +191,7 @@ def _prime(doc, p_override):
 
 
 def toric_from_json(doc, p_override=None) -> ToricRep:
+    from .algebraic import ToricRep
     p = _prime(doc, p_override)
     A = matrix_from_json({"rows": _require(doc, "A", list)})
     try:
@@ -200,6 +205,7 @@ def toric_to_json(rep: ToricRep) -> dict:
 
 
 def linearized_from_json(doc, p_override=None) -> LinearizedParam:
+    from .algebraic import LinearizedParam
     p = _prime(doc, p_override)
     params = _require(doc, "params", list)
     coords = _require(doc, "coords", list)
@@ -226,6 +232,7 @@ def linearized_to_json(param: LinearizedParam) -> dict:
 
 
 def explicit_flock_from_json(doc) -> MatroidFlock:
+    from .flock import explicit_flock
     entries = _require(doc, "entries", list)
     table = {}
     ground = None

@@ -208,20 +208,44 @@ def _run_cli(*args):
                           capture_output=True, text=True, env=_cli_env(), timeout=10)
 
 
-# runs the CLI as ``python -m matflock.cli`` does, then prints on stderr
-# whether numpy was imported at any point
-_NUMPY_PROBE = """
-import atexit, runpy, sys
-atexit.register(lambda: print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr))
+# runs the CLI as ``python -m matflock.cli`` does, then prints on stderr the
+# sorted matflock submodules it loaded and whether numpy was imported at any
+# point
+_REPORT = """
+import atexit, sys
+def _report():
+    print("matflock modules:", sorted(n for n in sys.modules if n.startswith("matflock.")),
+          file=sys.stderr)
+    print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+atexit.register(_report)
+"""
+_NUMPY_PROBE = _REPORT + """
+import runpy
 runpy.run_module("matflock.cli", run_name="__main__", alter_sys=True)
+"""
+# the same, run as the installed ``matflock`` console script runs it
+_SCRIPT_PROBE = _REPORT + """
+from matflock.__main__ import main
+main()
 """
 
 
-def _numpy_loaded(*args):
-    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *args],
+def _probe(*args, probe=_NUMPY_PROBE):
+    """(numpy loaded, the matflock submodules loaded) by one CLI call."""
+    done = subprocess.run([sys.executable, "-c", probe, *args],
                           capture_output=True, text=True, env=_cli_env(), timeout=10)
     assert done.returncode == 0, (args, done.stderr)
-    return done.stderr.splitlines()[-1] == "numpy loaded: True"
+    modules, numpy = done.stderr.splitlines()[-2:]
+    assert modules.startswith("matflock modules: "), done.stderr
+    return numpy == "numpy loaded: True", modules[len("matflock modules: "):]
+
+
+def _numpy_loaded(*args):
+    return _probe(*args)[0]
+
+
+def _modules(*names):
+    return str([f"matflock.{name}" for name in sorted(names)])
 
 
 def test_exact_commands_start_without_numpy(tmp_path):
@@ -263,6 +287,28 @@ def test_exact_commands_start_without_numpy(tmp_path):
     assert done.stdout == str([f"matflock.{name}" for name in (
         "algebraic", "cli", "discrete_convex", "flock", "jsonio", "lattice", "linalg",
         "matroid", "rigidity", "valuation")]) + "\n"
+
+
+def test_each_command_loads_only_its_modules():
+    # run as a script, a command loads the modules its handler imports and
+    # none of algebraic, flock, discrete_convex and rigidity beyond them
+    fixtures = Path(__file__).parent / "fixtures"
+    nu = str(fixtures / "valuation_u24.json")
+    point_fn = str(fixtures / "point_function_u24.json")
+    base = ("jsonio", "lattice", "linalg", "matroid", "valuation")
+    expected = [
+        (("check-valuation", nu), base),
+        (("matroid-at", nu, "--alpha", "1,0,0,0"), base),
+        (("cells", nu, "--beta", "0,0,0,0"), base),
+        (("extract-valuation", "--from-valuation", nu), (*base, "flock")),
+        (("fenchel", point_fn, "--lo=-2,-2,-2,-2", "--hi", "2,2,2,2"),
+         (*base, "discrete_convex")),
+        (("rigidity", "--name", "fano"), (*base, "rigidity")),
+    ]
+    for args, names in expected:
+        assert _probe(*args) == (False, _modules(*names)), args
+        # the console script adds only its own entry module
+        assert _probe(*args, probe=_SCRIPT_PROBE) == (False, _modules(*names, "__main__")), args
 
 
 def test_cli_large_prime_decided_in_bounded_time():
@@ -729,6 +775,29 @@ def test_cli_extract_negative_verify_radius_exit_1(tmp_path, capsys):
     assert main(["extract-valuation", "--explicit", path, "--verify-radius", "-1"]) == 1
     out = capsys.readouterr()
     assert out.out == "" and out.err == "error: verify_radius must be nonnegative\n"
+
+
+def test_cli_window_too_large_for_memory_exit_1(monkeypatch, capsys):
+    # an oversized box ends in one error line and exit 1, not numpy's
+    # traceback; the scoring raises as numpy would, so nothing large is
+    # allocated.  The box scored at radius 6, [-6, 7]^8, has 14^8 = 1.5e9 points
+    from matflock import window
+
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 6.1 GiB for an array")
+
+    fixtures = Path(__file__).parent / "fixtures"
+    monkeypatch.setattr(window, "score_box", out_of_memory)
+    assert main(["cells", str(fixtures / "valuation_u24.json"), "--svg"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == ("error: the window is too large for memory: "
+                                         "Unable to allocate 6.1 GiB for an array\n")
+    monkeypatch.setattr(window, "_box_sets", out_of_memory)
+    assert main(["check-flock", "--from-valuation", str(fixtures / "valuation_n8_d4.json"),
+                 "--radius", "6"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: the window is too large for memory")
+    assert len(out.err.splitlines()) == 1
 
 
 def test_cli_two_flock_sources_exit_2(tmp_path, capsys):
