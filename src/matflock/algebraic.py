@@ -27,13 +27,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import linalg
 from .lattice import INF
 from .matroid import GF, GroundSet, Matroid, matroid_from_matrix, positional_ground
 from .valuation import Valuation, matroid_at, optimal_masks
-from .flock import MatroidFlock
+
+if TYPE_CHECKING:       # annotations only: each flock builder imports the class
+    from .flock import MatroidFlock
 
 
 class DegenerateParametrization(ValueError):
@@ -125,6 +127,7 @@ def toric_matroid_at(rep: ToricRep, alpha) -> Matroid:
 
 
 def flock_from_toric(rep: ToricRep) -> MatroidFlock:
+    from .flock import MatroidFlock
     nu = lindstrom_toric(rep)
     return MatroidFlock(rep.ground, rep.d, lambda a: optimal_masks(nu, a),
                         "toric", valuation=nu)
@@ -353,6 +356,7 @@ def flock_from_linearized(param: LinearizedParam) -> MatroidFlock:
     ``linearized_tangent_flock`` computes the same flock point by point from
     tangent spaces.
     """
+    from .flock import MatroidFlock
     nu = tadic_valuation(param)
     return MatroidFlock(param.ground, nu.d, lambda a: optimal_masks(nu, a),
                         "linearized", valuation=nu)
@@ -364,6 +368,7 @@ def linearized_tangent_flock(param: LinearizedParam) -> MatroidFlock:
     A parametrization the saturation rescue cannot bring to rank d is
     degenerate: the base point 0 is not general.
     """
+    from .flock import MatroidFlock
     d = generic_rank(param)
     return MatroidFlock(
         param.ground, d,

@@ -14,7 +14,6 @@ from . import jsonio
 from .jsonio import InputError
 from .matroid import _raise_unless, check_basis_axioms, named_matroid
 from .valuation import (
-    _window_vertices,
     cell_inequalities,
     check_valuation_axioms,
     default_leader_radius,
@@ -22,6 +21,7 @@ from .valuation import (
     g_value,
     matroid_at,
     support_matroid,
+    zero_dimensional_cells,
 )
 
 
@@ -141,7 +141,7 @@ def _cmd_leaders(args):
     nu = _valuation(args)
     scan = enumerate_leaders(nu, args.radius)
     doc = jsonio.leaders_to_json(scan)
-    doc["zero_dimensional_cells"] = [list(c) for c in _window_vertices(nu, scan.radius)]
+    doc["zero_dimensional_cells"] = [list(c) for c in zero_dimensional_cells(nu, scan.radius)]
     return doc
 
 

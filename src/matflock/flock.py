@@ -5,9 +5,9 @@ two local axioms (minor compatibility under unit steps, invariance under the
 all-ones shift) are checked exhaustively over boxes; the potential g and the
 valuation extracted from it give the finite description of the whole family.
 
-A flock that carries a valuation checks it once, when it is built, and its
-extraction reads each value off local optimality; the envelope walk over the
-flock's matroids is the oracle in tests/oracles.py.
+A flock that carries a valuation has it checked, once per ``Valuation``, when
+it is built; its extraction reads each value off local optimality, and the
+envelope walk over the flock's matroids is the oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ class MatroidFlock:
 
     Coordinate i of alpha belongs to ground[i], so the ground must be given
     in canonical (sorted) order, the order of its matroids' ground sets:
-    ValueError otherwise.  A ``valuation`` is checked here, once: ValueError
-    unless it satisfies (V1)/(V2) on the flock's ground set and rank."""
+    ValueError otherwise.  A ``valuation`` is checked here, once per read-only
+    ``Valuation``, which stores its verdict: ValueError unless it satisfies
+    (V1)/(V2) on the flock's ground set and rank."""
 
     def __init__(self, ground, d: int, masks_eval: Callable[[tuple], frozenset],
                  source: str, valuation: Optional[Valuation] = None):

@@ -26,7 +26,7 @@ from typing import Optional
 from . import linalg
 from .matroid import (QQ, Matroid, _exchange_quads, _raise_unless, _reached,
                       check_basis_axioms, matroid_from_matrix)
-from .valuation import Valuation, _trivial, check_valuation_axioms
+from .valuation import Valuation, check_valuation_axioms, is_trivial
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +163,8 @@ def rigidity_certificate(M: Matroid) -> RigidityVerdict:
             lo = min(w)
             nu = Valuation(M.ground, M.d,
                            {b: w[var[b]] - lo for b in basis_masks})
-            if not check_valuation_axioms(nu).ok:
-                continue
-            if _trivial(nu).trivial:
-                continue
-            return RigidityVerdict("not_rigid", witness=nu, direction=cand)
+            if check_valuation_axioms(nu).ok and not is_trivial(nu).trivial:
+                return RigidityVerdict("not_rigid", witness=nu, direction=cand)
     return RigidityVerdict("inconclusive", direction=first_direction)
 
 

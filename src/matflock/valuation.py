@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional
 
 from . import linalg
@@ -19,7 +20,8 @@ from .matroid import (AxiomCheck, VALID, GroundSet, Matroid, _components, _conne
 
 
 class Valuation(GroundSet):
-    """A map from d-subsets of the ground set to Z ∪ {∞}."""
+    """A map from d-subsets of the ground set to Z ∪ {∞}.  ``finite`` is
+    read-only, so the verdict ``check_valuation_axioms`` stores describes it."""
 
     def __init__(self, ground, d: int, finite: dict[int, int]):
         super().__init__(ground)
@@ -36,12 +38,13 @@ class Valuation(GroundSet):
             if not isinstance(val, int) or isinstance(val, bool):
                 raise ValueError(f"finite values must be ints, got {val!r}")
             fin[mask] = val
-        self.finite = fin
+        self.finite = MappingProxyType(fin)
+        self._axioms: Optional[AxiomCheck] = None
 
     @classmethod
     def from_values(cls, ground, d: int, values) -> "Valuation":
         """Build from (subset, value) pairs, each subset d distinct labels of
-        ``ground``; INF values are dropped, repeated subsets refused."""
+        ``ground``; INF values are dropped, repeated subsets and non-ints refused."""
         labelled = GroundSet(ground)
         listed = {}
         items = values.items() if isinstance(values, dict) else values
@@ -50,8 +53,7 @@ class Valuation(GroundSet):
             if mask in listed:
                 raise ValueError(f"subset {sorted(subset)} listed twice")
             listed[mask] = val
-        return cls(labelled.ground, d, {mask: int(val) for mask, val in listed.items()
-                                        if val != INF})
+        return cls(labelled.ground, d, {m: v for m, v in listed.items() if v != INF})
 
     # -- accessors -----------------------------------------------------------
 
@@ -100,12 +102,16 @@ class Valuation(GroundSet):
 def check_valuation_axioms(nu: Valuation) -> AxiomCheck:
     """(V1) some finite value; (V2) the valuated exchange inequality.
 
-    The witness of a (V2) failure is (B, B', i) with no feasible j.
+    The witness of a (V2) failure is (B, B', i) with no feasible j.  The
+    first call stores the verdict on nu; later calls return it.
     """
-    if not nu.finite:
-        return AxiomCheck(False, "V1", None)
-    witness = _exchange_failure(nu.finite, nu.ground)
-    return VALID if witness is None else AxiomCheck(False, "V2", witness)
+    if nu._axioms is None:
+        if not nu.finite:
+            nu._axioms = AxiomCheck(False, "V1", None)
+        else:
+            witness = _exchange_failure(nu.finite, nu.ground)
+            nu._axioms = VALID if witness is None else AxiomCheck(False, "V2", witness)
+    return nu._axioms
 
 
 def support_matroid(nu: Valuation) -> Matroid:
@@ -271,11 +277,6 @@ def is_trivial(nu: Valuation) -> TrivialityResult:
     So a map that fails (V1)/(V2) raises ValueError.
     """
     _raise_unless(check_valuation_axioms(nu), "valuation")
-    return _trivial(nu)
-
-
-def _trivial(nu: Valuation) -> TrivialityResult:
-    """``is_trivial`` for a map already checked to be a valuation."""
     alpha = _integral_point(len(nu.ground), _difference_constraints(nu, nu.support_masks))
     # a value on the empty set (rank 0) is trivial only when it is e_∅ . alpha = 0;
     # optimal_masks refuses an empty valuation
@@ -512,11 +513,6 @@ def _vertices(nu: Valuation) -> set[tuple[int, ...]]:
     return seen
 
 
-def _window_vertices(nu: Valuation, R: int) -> list[tuple[int, ...]]:
-    """The vertices of a valuation's cells in the window |alpha_i| <= R, sorted."""
-    return sorted(v for v in _vertices(nu) if all(abs(a) <= R for a in v))
-
-
 def zero_dimensional_cells(nu: Valuation, window_radius: Optional[int] = None):
     """Vertices of the cell decomposition, normalized to alpha_{i0} = 0, in
     the window |alpha_i| <= R of ``enumerate_leaders`` (same default), sorted.
@@ -527,4 +523,5 @@ def zero_dimensional_cells(nu: Valuation, window_radius: Optional[int] = None):
     that fails (V1)/(V2) raises ValueError.
     """
     _raise_unless(check_valuation_axioms(nu), "valuation")
-    return _window_vertices(nu, _window_radius(nu, window_radius))
+    R = _window_radius(nu, window_radius)
+    return sorted(v for v in _vertices(nu) if all(abs(a) <= R for a in v))

@@ -117,3 +117,15 @@ def extract_checked(flock, cutoff=None, verify_radius=None) -> mf.Valuation:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260808)
+
+
+@pytest.fixture
+def exchange_walks(monkeypatch) -> list:
+    """The values map of every (V1)/(V2) exchange walk that
+    ``check_valuation_axioms`` runs during the test, in order."""
+    from matflock import valuation
+    walks = []
+    walk = valuation._exchange_failure
+    monkeypatch.setattr(valuation, "_exchange_failure",
+                        lambda values, ground: walks.append(values) or walk(values, ground))
+    return walks

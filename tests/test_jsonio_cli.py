@@ -295,11 +295,14 @@ def test_each_command_loads_only_its_modules():
     fixtures = Path(__file__).parent / "fixtures"
     nu = str(fixtures / "valuation_u24.json")
     point_fn = str(fixtures / "point_function_u24.json")
+    toric = str(fixtures / "toric_wide.json")
     base = ("jsonio", "lattice", "linalg", "matroid", "valuation")
     expected = [
         (("check-valuation", nu), base),
         (("matroid-at", nu, "--alpha", "1,0,0,0"), base),
         (("cells", nu, "--beta", "0,0,0,0"), base),
+        (("lindstrom-toric", toric), (*base, "algebraic")),
+        (("toric-matroid-at", toric, "--alpha", "1,0,0,0,0,0,0,0"), (*base, "algebraic")),
         (("extract-valuation", "--from-valuation", nu), (*base, "flock")),
         (("fenchel", point_fn, "--lo=-2,-2,-2,-2", "--hi", "2,2,2,2"),
          (*base, "discrete_convex")),
@@ -559,6 +562,14 @@ def test_from_values_refuses_repeated_subset():
             mf.Valuation.from_values([1, 2, 3], 2, pairs)
 
 
+@pytest.mark.parametrize("value", [2.5, True])
+def test_from_values_refuses_non_int_values(value):
+    # as the constructor does: no silent int() truncation of 2.5 or True
+    pairs = [((1, 2), value), ((1, 3), 0), ((2, 3), 0)]
+    with pytest.raises(ValueError, match=f"finite values must be ints, got {value!r}"):
+        mf.Valuation.from_values([1, 2, 3], 2, pairs)
+
+
 @pytest.mark.parametrize("command, doc, named", [
     (["check-valuation"], "malformed_valuation_repeated_basis.json",
      "subset [1, 2] listed twice"),
@@ -733,12 +744,15 @@ def test_cli_rigidity_lazarson4_matches_pinned_report_in_bounded_time():
 
 
 @pytest.mark.parametrize("name", ["valuation_u24", "valuation_n5_d2", "valuation_n5_d2_parallel"])
-def test_cli_leaders_matches_golden_report(capsys, name):
+def test_cli_leaders_matches_golden_report(tmp_path, exchange_walks, name):
     # pinned leader documents, vertices included; in valuation_n5_d2_parallel
-    # elements 1 and 3 are parallel, so its support is not uniform
+    # elements 1 and 3 are parallel, so its support is not uniform.  The
+    # scan, the vertex walk and the CLI's own check share one (V1)/(V2) walk
     fixtures = Path(__file__).parent / "fixtures"
-    assert main(["leaders", str(fixtures / f"{name}.json")]) == 0
-    assert capsys.readouterr().out == (fixtures / f"{name}_leaders.json").read_text()
+    out = tmp_path / "leaders.json"
+    assert main(["--out", str(out), "leaders", str(fixtures / f"{name}.json")]) == 0
+    assert out.read_text() == (fixtures / f"{name}_leaders.json").read_text()
+    assert len(exchange_walks) == 1
 
 
 @pytest.mark.parametrize("name", ["fano", "nonfano"])

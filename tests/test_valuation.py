@@ -246,6 +246,34 @@ def test_refuses_equal_values_on_a_support_without_exchanges(check):
         check(nu)
 
 
+def test_one_exchange_walk_per_valuation(exchange_walks):
+    # the (V1)/(V2) verdict is stored on the Valuation: the scans and the
+    # triviality test on one map walk its exchanges once between them, and a
+    # map failing (V2) raises the same error from each, on every call
+    nu = mf.circuit_hyperplane_valuation(mf.uniform_matroid(2, 5), (1, 2), 1)
+    mf.enumerate_leaders(nu)
+    mf.zero_dimensional_cells(nu)
+    assert not mf.is_trivial(nu).trivial
+    assert len(exchange_walks) == 1
+    bad = mf.Valuation.from_values([1, 2, 3, 4], 2, {(1, 2): 0, (3, 4): 0})
+    for _ in range(2):
+        for check in (mf.enumerate_leaders, mf.zero_dimensional_cells, mf.is_trivial):
+            with pytest.raises(ValueError) as err:
+                check(bad)
+            assert str(err.value) == "valuation violates (V2) at ((1, 2), (3, 4), 2)"
+    assert len(exchange_walks) == 2
+
+
+def test_valuation_values_are_read_only():
+    nu = u24_valuation()
+    mask = min(nu.finite)
+    with pytest.raises(TypeError):
+        nu.finite[mask] = 0
+    values = dict(nu.finite)
+    assert nu.finite == values and nu.finite.items() == values.items()
+    assert nu.finite.keys() | {0} == values.keys() | {0}
+
+
 def test_equivalence_shift():
     nu = u24_valuation()
     assert mf.equivalence_shift(nu, nu) is not None
