@@ -26,12 +26,11 @@ Two variety classes are implemented exactly:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from . import linalg
 from .lattice import INF
-from .matroid import GF, GroundSet, Matroid, matroid_from_matrix, positional_ground
+from .matroid import GF, GroundSet, Matroid, matroid_from_matrix, positional_ground, record
 from .valuation import Valuation, matroid_at, optimal_masks
 
 if TYPE_CHECKING:       # annotations only: each flock builder imports the class
@@ -68,7 +67,7 @@ def padic_minor_valuation(rows, cols, p: int, ground=None):
     return INF if det == 0 else linalg.val_p(det, p)
 
 
-@dataclass(frozen=True)
+@record
 class ToricRep:
     """A saturated integer d x n matrix together with a prime p."""
     A: tuple
@@ -380,7 +379,7 @@ def linearized_tangent_flock(param: LinearizedParam) -> MatroidFlock:
 # ---------------------------------------------------------------------------
 # Frobenius flock windows over GF(p)
 
-@dataclass(frozen=True)
+@record
 class FrobeniusFlockWindow:
     """Row spaces V_alpha of a Frobenius flock over a box, as matrices over GF(p)."""
     radius: int
@@ -390,7 +389,7 @@ class FrobeniusFlockWindow:
     table: dict
 
 
-@dataclass(frozen=True)
+@record
 class FrobeniusWindowReport:
     """(FF1)/(FF2) counts over [-radius, radius]^E, the box of checked alphas."""
     radius: int

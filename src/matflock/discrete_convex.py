@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .lattice import INF, vadd, vjoin, vmeet, vsub
+from .matroid import record
 from .valuation import Valuation
 
 
@@ -111,7 +111,7 @@ def valuation_point_function(nu: Valuation) -> WindowFunction:
 # ---------------------------------------------------------------------------
 # checks
 
-@dataclass(frozen=True)
+@record
 class LConvexReport:
     """Verdict of ``check_lconvex``.
 
@@ -130,7 +130,7 @@ class LConvexReport:
         return self.ok
 
 
-@dataclass(frozen=True)
+@record
 class MConvexReport:
     ok: bool
     witness: Optional[tuple] = None

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .lattice import INF, vadd
-from .matroid import Matroid, _raise_unless, _single_exchanges, positional_ground
+from .matroid import Matroid, _raise_unless, _single_exchanges, positional_ground, record
 from .valuation import Valuation, check_valuation_axioms, optimal_masks
 
 
@@ -154,7 +153,7 @@ def _grid(flock: MatroidFlock, lo: int, hi: int):
 # ---------------------------------------------------------------------------
 # axiom checking
 
-@dataclass(frozen=True)
+@record
 class FlockViolation:
     alpha: tuple
     move: object          # an element label, "1", or a tuple of labels
@@ -162,7 +161,7 @@ class FlockViolation:
     right: Matroid
 
 
-@dataclass(frozen=True)
+@record
 class FlockWindowReport:
     radius: int
     mf1_checked: int = 0

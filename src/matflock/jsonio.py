@@ -6,7 +6,6 @@ domain violations inside the library keep raising ValueError.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .lattice import INF
@@ -81,6 +80,7 @@ def _parse_entry(x):
     if isinstance(x, int):
         return x
     if isinstance(x, str):
+        from fractions import Fraction
         try:
             f = Fraction(x)
         except (ValueError, ZeroDivisionError):
@@ -108,6 +108,7 @@ def matrix_from_json(doc):
 
 
 def matrix_to_json(rows) -> dict:
+    from fractions import Fraction
     enc = []
     for row in rows:
         out = []

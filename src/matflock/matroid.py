@@ -10,11 +10,51 @@ Target scale is n <= 12 elements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from . import linalg
+
+def record(cls):
+    """``@dataclass(frozen=True)`` without the start-up cost of that module:
+    the fields are the annotated names, trailing ones default to their class
+    values, ``__post_init__`` runs once they are set, class-body dunders stay."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    post_init, title = getattr(cls, "__post_init__", lambda self: None), cls.__qualname__
+
+    def bind(args, kwargs):
+        by_position = names[:len(args)]
+        problems = [f"{len(args)} given by position"] * (len(args) > len(names)) + [
+            f"{key!r} given twice" if key in by_position else f"{key!r} is not a field"
+            for key in kwargs if key in by_position or key not in names] + [
+            f"{n!r} missing" for n in names[len(args):] if n not in kwargs and n not in defaults]
+        if problems:
+            raise TypeError(f"{title}() takes {', '.join(names)}: {problems[0]}")
+        return [*args, *(kwargs[n] if n in kwargs else defaults[n] for n in names[len(args):])]
+
+    def __init__(self, *args, **kwargs):
+        values = args if len(args) == len(names) and not kwargs else bind(args, kwargs)
+        for n, value in zip(names, values):  # not self.__dict__, which slows later reads
+            object.__setattr__(self, n, value)
+        post_init(self)
+
+    def fields(self):
+        return tuple(getattr(self, n) for n in names)
+
+    def frozen(self, name, *value):
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    def __repr__(self):
+        return f"{title}({', '.join(f'{n}={v!r}' for n, v in zip(names, fields(self)))})"
+
+    for key, value in {
+            "__init__": __init__, "__setattr__": frozen, "__delattr__": frozen, "__repr__": __repr__,
+            "__eq__": lambda self, other: (fields(self) == fields(other) if
+                                           other.__class__ is self.__class__ else NotImplemented),
+            "__hash__": lambda self: hash(fields(self)), "__match_args__": names}.items():
+        if key not in cls.__dict__:
+            setattr(cls, key, value)
+    return cls
 
 
 def _label_kind(label):
@@ -89,7 +129,7 @@ class GroundSet:
         return _labels(self.ground, mask)
 
 
-@dataclass(frozen=True)
+@record
 class AxiomCheck:
     """Outcome of an executable axiom check; witness pins the first failure."""
     ok: bool
@@ -106,14 +146,16 @@ VALID = AxiomCheck(True)
 # ---------------------------------------------------------------------------
 # field choice for linear matroids
 
-@dataclass(frozen=True)
+@record
 class FieldSpec:
     """The field for a linear matroid: the rationals, or GF(p)."""
     p: Optional[int] = None
 
     def __post_init__(self):
-        if self.p is not None and not linalg.is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        if self.p is not None:
+            from . import linalg
+            if not linalg.is_prime(self.p):
+                raise ValueError(f"{self.p} is not prime")
 
     @property
     def is_rational(self) -> bool:
@@ -420,6 +462,7 @@ def matroid_from_matrix(rows, field: FieldSpec = QQ, ground=None) -> Matroid:
     where d is the rank of the whole matrix.  Columns are indexed by
     ``ground`` (default 1..n).
     """
+    from . import linalg
     A = linalg.as_rat_matrix(rows) if field.is_rational else linalg.as_int_matrix(rows)
     if not A:
         raise ValueError("empty matrix")

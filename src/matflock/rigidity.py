@@ -19,20 +19,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import linalg
 from .matroid import (QQ, Matroid, _exchange_quads, _raise_unless, _reached,
-                      check_basis_axioms, matroid_from_matrix)
+                      check_basis_axioms, matroid_from_matrix, record)
 from .valuation import Valuation, check_valuation_axioms, is_trivial
 
 
 # ---------------------------------------------------------------------------
 # Dress-Wenzel constraints
 
-@dataclass(frozen=True)
+@record
 class ConstraintSystem:
     """Equations nu(B1) + nu(B2) = nu(B3) + nu(B4) over the bases of M.
 
@@ -82,7 +81,7 @@ def _finite_pairings(masks, n: int):
 # ---------------------------------------------------------------------------
 # rigidity
 
-@dataclass(frozen=True)
+@record
 class RigidityVerdict:
     kind: str                      # "rigid" | "not_rigid" | "inconclusive"
     witness: Optional[Valuation] = None
@@ -215,7 +214,7 @@ def central_bases(n: int):
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
+@record
 class CharacteristicCheck:
     n: int
     p: int

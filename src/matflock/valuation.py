@@ -8,20 +8,17 @@ the alcoved polyhedra where that argmax set contains a reference one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Optional
 
-from . import linalg
 from .lattice import INF
 from .matroid import (AxiomCheck, VALID, GroundSet, Matroid, _components, _connected,
-                      _exchange_failure, _raise_unless, _single_exchanges)
+                      _exchange_failure, _raise_unless, _single_exchanges, record)
 
 
 class Valuation(GroundSet):
-    """A map from d-subsets of the ground set to Z ∪ {∞}.  ``finite`` is
-    read-only, so the verdict ``check_valuation_axioms`` stores describes it."""
+    """A map from d-subsets of the ground set to Z ∪ {∞}.  ``ground``, ``d`` and
+    the read-only ``finite`` cannot be rebound, so a stored verdict stays true."""
 
     def __init__(self, ground, d: int, finite: dict[int, int]):
         super().__init__(ground)
@@ -40,6 +37,12 @@ class Valuation(GroundSet):
             fin[mask] = val
         self.finite = MappingProxyType(fin)
         self._axioms: Optional[AxiomCheck] = None
+
+    def __setattr__(self, name, value):
+        # hasattr, not self.__dict__: touching that slows every later attribute read
+        if name in ("ground", "d", "finite") and hasattr(self, name):
+            raise AttributeError(f"cannot rebind Valuation.{name}")
+        object.__setattr__(self, name, value)
 
     @classmethod
     def from_values(cls, ground, d: int, values) -> "Valuation":
@@ -205,6 +208,7 @@ def equivalence_shift(nu: Valuation, other: Valuation):
         raise ValueError("valuations live on different ground sets")
     if nu.support_masks != other.support_masks:
         return None
+    from . import linalg
     rhs = [v - other.finite[mask] for mask, v in nu.finite.items()]
     sol = linalg.rat_solve(_incidence_rows(nu.finite, len(nu.ground)), rhs)
     return None if sol is None else tuple(sol)
@@ -218,7 +222,7 @@ def _incidence_rows(masks, n: int):
 # ---------------------------------------------------------------------------
 # triviality
 
-@dataclass(frozen=True)
+@record
 class TrivialityResult:
     trivial: bool
     alpha: Optional[tuple[int, ...]] = None
@@ -313,7 +317,7 @@ def circuit_hyperplane_valuation(M: Matroid, B0, v: int) -> Valuation:
 # ---------------------------------------------------------------------------
 # cells
 
-@dataclass(frozen=True)
+@record
 class CellSystem:
     """Difference constraints cutting out the cell of a reference point.
 
@@ -345,7 +349,7 @@ def cell_inequalities(nu: Valuation, beta) -> CellSystem:
 # ---------------------------------------------------------------------------
 # leaders
 
-@dataclass(frozen=True)
+@record
 class LeaderScan:
     """Distinct matroids seen in a normalized window, with representatives.
 
@@ -433,6 +437,7 @@ def _first_tie(scored, opt: int, optimal: set[int], S: int):
                 ties.append(B)
     if not ties:
         return None
+    from fractions import Fraction
     face = {B for B in optimal if (B & S).bit_count() == k}
     face.update(ties)
     return Fraction(gap, step), face

@@ -209,12 +209,15 @@ def _run_cli(*args):
 
 
 # runs the CLI as ``python -m matflock.cli`` does, then prints on stderr the
-# sorted matflock submodules it loaded and whether numpy was imported at any
-# point
+# sorted matflock submodules it loaded, which of the stdlib modules
+# dataclasses and fractions it loaded, and whether numpy was imported at
+# any point
 _REPORT = """
 import atexit, sys
 def _report():
     print("matflock modules:", sorted(n for n in sys.modules if n.startswith("matflock.")),
+          file=sys.stderr)
+    print("stdlib loaded:", [n for n in ("dataclasses", "fractions") if n in sys.modules],
           file=sys.stderr)
     print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
 atexit.register(_report)
@@ -231,13 +234,16 @@ main()
 
 
 def _probe(*args, probe=_NUMPY_PROBE):
-    """(numpy loaded, the matflock submodules loaded) by one CLI call."""
+    """(numpy loaded, the matflock submodules loaded, which of dataclasses
+    and fractions were loaded) by one CLI call."""
     done = subprocess.run([sys.executable, "-c", probe, *args],
                           capture_output=True, text=True, env=_cli_env(), timeout=10)
     assert done.returncode == 0, (args, done.stderr)
-    modules, numpy = done.stderr.splitlines()[-2:]
+    modules, stdlib, numpy = done.stderr.splitlines()[-3:]
     assert modules.startswith("matflock modules: "), done.stderr
-    return numpy == "numpy loaded: True", modules[len("matflock modules: "):]
+    assert stdlib.startswith("stdlib loaded: "), done.stderr
+    return (numpy == "numpy loaded: True", modules[len("matflock modules: "):],
+            stdlib[len("stdlib loaded: "):])
 
 
 def _numpy_loaded(*args):
@@ -291,27 +297,34 @@ def test_exact_commands_start_without_numpy(tmp_path):
 
 def test_each_command_loads_only_its_modules():
     # run as a script, a command loads the modules its handler imports and
-    # none of algebraic, flock, discrete_convex and rigidity beyond them
+    # none of algebraic, flock, discrete_convex, rigidity and linalg beyond
+    # them; of dataclasses and fractions it loads only fractions, and only
+    # with linalg
     fixtures = Path(__file__).parent / "fixtures"
     nu = str(fixtures / "valuation_u24.json")
     point_fn = str(fixtures / "point_function_u24.json")
     toric = str(fixtures / "toric_wide.json")
-    base = ("jsonio", "lattice", "linalg", "matroid", "valuation")
+    param = str(fixtures / "paper_example_param.json")
+    base = ("jsonio", "lattice", "matroid", "valuation")
     expected = [
         (("check-valuation", nu), base),
         (("matroid-at", nu, "--alpha", "1,0,0,0"), base),
         (("cells", nu, "--beta", "0,0,0,0"), base),
-        (("lindstrom-toric", toric), (*base, "algebraic")),
-        (("toric-matroid-at", toric, "--alpha", "1,0,0,0,0,0,0,0"), (*base, "algebraic")),
+        (("lindstrom-toric", toric), (*base, "algebraic", "linalg")),
+        (("toric-matroid-at", toric, "--alpha", "1,0,0,0,0,0,0,0"),
+         (*base, "algebraic", "linalg")),
         (("extract-valuation", "--from-valuation", nu), (*base, "flock")),
+        (("extract-valuation", "--from-linearized", param),
+         (*base, "algebraic", "flock", "linalg")),
         (("fenchel", point_fn, "--lo=-2,-2,-2,-2", "--hi", "2,2,2,2"),
          (*base, "discrete_convex")),
-        (("rigidity", "--name", "fano"), (*base, "rigidity")),
+        (("rigidity", "--name", "fano"), (*base, "linalg", "rigidity")),
     ]
     for args, names in expected:
-        assert _probe(*args) == (False, _modules(*names)), args
-        # the console script adds only its own entry module
-        assert _probe(*args, probe=_SCRIPT_PROBE) == (False, _modules(*names, "__main__")), args
+        stdlib = str(["fractions"] if "linalg" in names else [])
+        for probe, entry in ((_NUMPY_PROBE, ()), (_SCRIPT_PROBE, ("__main__",))):
+            # the console script adds only its own entry module
+            assert _probe(*args, probe=probe) == (False, _modules(*names, *entry), stdlib), args
 
 
 def test_cli_large_prime_decided_in_bounded_time():

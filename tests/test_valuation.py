@@ -274,6 +274,21 @@ def test_valuation_values_are_read_only():
     assert nu.finite.keys() | {0} == values.keys() | {0}
 
 
+def test_valuation_fields_cannot_be_rebound_after_a_verdict():
+    # the verdict check_valuation_axioms stores must keep describing nu:
+    # d = 3 on U(2, 4) would otherwise still read as a valid valuation
+    nu = u24_valuation()
+    verdict = mf.check_valuation_axioms(nu)
+    assert verdict.ok
+    for name, value in (("d", 3), ("ground", (1, 2, 3)), ("finite", {})):
+        with pytest.raises(AttributeError, match=f"cannot rebind Valuation.{name}"):
+            setattr(nu, name, value)
+    assert (nu.d, nu.ground, len(nu.finite)) == (2, (1, 2, 3, 4), 6)
+    assert mf.check_valuation_axioms(nu) is verdict
+    nu._axioms = None       # the stored verdict itself stays writable
+    assert mf.check_valuation_axioms(nu) == verdict
+
+
 def test_equivalence_shift():
     nu = u24_valuation()
     assert mf.equivalence_shift(nu, nu) is not None
