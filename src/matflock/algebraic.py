@@ -10,17 +10,17 @@ Two variety classes are implemented exactly:
   sums of terms c * x_v^(p^k) with prime-field coefficients; twisting is a
   Frobenius-level shift on coordinates, with domain reparametrizations
   x_v -> x_v^p used to keep everything polynomial.  Their flock is the
-  flock of the T-adic valuation of the maximal minors over GF(p)[T].  One
-  walk over those minors, with their Plücker signs, gives both that
-  valuation and the initial Plücker coefficients: the lowest coefficient
-  of each signed minor.  The Frobenius flock V_alpha is read off the
-  valuation's scored id grid: its Plücker vector is q on the argmax family
-  S at alpha, so (FF1) is the matroid minor axiom with values attached, and
-  the checks key every move by signed Plücker values in the flock's own
-  minor kernel (``window._minor_moves``).  A space's RREF rows, ratios of
-  initial coefficients with Cramer signs, are built only for a window's
-  table and for the two sides of a violation.  Shifted tangent spaces
-  (``linearized_tangent_flock``) remain as the independent route.
+  flock of the T-adic valuation of the maximal minors over GF(p)[T].
+
+One walk over the signed maximal minors, behind one cache, gives both
+sources' Lindström valuation nu and initial coefficients q(B) in GF(p)
+(``_lindstrom``): q is the initial form of the valued Plücker vector
+(Speyer 2008).  The Frobenius flock V_alpha has as Plücker vector q on the
+argmax family S at alpha, so (FF1) is the matroid minor axiom with values
+attached, checked by signed Plücker values in the flock's own minor kernel
+(``window._minor_moves``).  A space's RREF rows are built only for a
+window's table and for the two sides of a violation.  Shifted tangent
+spaces (``linearized_tangent_flock``) remain as the independent route.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ import itertools
 from typing import TYPE_CHECKING, Optional
 
 from . import linalg
-from .lattice import INF
+from .lattice import INF, as_ints
 from .matroid import GF, GroundSet, Matroid, matroid_from_matrix, positional_ground, record
-from .valuation import Valuation, matroid_at, optimal_masks
+from .valuation import Valuation, _check_alpha, matroid_at, optimal_masks
 
 if TYPE_CHECKING:       # annotations only: each flock builder imports the class
     from .flock import MatroidFlock
@@ -97,27 +97,13 @@ class ToricRep:
         return len(self.A[0])
 
 
-# FIFO: dicts keep insertion order, so the first key is the oldest entry
-_LINDSTROM_CACHE_CAP = 32
-_lindstrom_cache: dict[ToricRep, Valuation] = {}
-
-
 def lindstrom_toric(rep: ToricRep) -> Valuation:
     """The valuation B -> val_p(det A_B) over all d-subsets of columns.
 
     Saturation guarantees some minor is a p-adic unit, so the minimum value
     is 0 and the support matroid is the column matroid of A over Q.
     """
-    got = _lindstrom_cache.get(rep)
-    if got is not None:
-        return got
-    finite = {mask: linalg.val_p_int(minor, rep.p)
-              for mask, minor in linalg._maximal_minors(rep.A, linalg._ZZ)}
-    nu = Valuation(rep.ground, rep.d, finite)
-    if len(_lindstrom_cache) >= _LINDSTROM_CACHE_CAP:
-        del _lindstrom_cache[next(iter(_lindstrom_cache))]
-    _lindstrom_cache[rep] = nu
-    return nu
+    return _lindstrom(rep)[0]
 
 
 def toric_matroid_at(rep: ToricRep, alpha) -> Matroid:
@@ -196,9 +182,7 @@ def linearized_shift(param: LinearizedParam, alpha) -> LinearizedParam:
     moved to start at 0: the result is polynomial, and normalized, so
     shifting by 1 and then -1 is the identity.
     """
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != param.n:
-        raise ValueError("alpha has the wrong length")
+    alpha = _check_alpha(param, alpha)
     low: dict[int, int] = {}
     for a, terms in zip(alpha, param.coords):
         for (v, k, _) in terms:
@@ -250,32 +234,35 @@ def linearized_support_matroid(param: LinearizedParam) -> Matroid:
     return Matroid(param.ground, tadic_valuation(param).finite)
 
 
-# FIFO, as ``_lindstrom_cache``; keyed by the parametrization's data
-_TADIC_CACHE_CAP = 32
-_tadic_cache: dict[tuple, tuple[Valuation, dict[int, int]]] = {}
+# FIFO: dicts keep insertion order, so the first key is the oldest entry
+_LINDSTROM_CACHE_CAP = 32
+_lindstrom_cache: dict[ToricRep | LinearizedParam, tuple[Valuation, dict[int, int]]] = {}
 
 
-def _tadic_minors(param: LinearizedParam):
-    """(nu, q) from one walk over the maximal minors over GF(p)[T]: nu the
-    T-adic valuation normalized to minimum 0, and q[B] the lowest nonzero
-    coefficient of B's signed minor, for every finite basis B.
-
-    The walk's minors are exact up to one common factor, so the q[B] are
-    the initial Plücker coefficients up to one common unit of GF(p).
-    """
-    key = (param.p, param.m, param.coords, param.ground)
-    got = _tadic_cache.get(key)
+def _lindstrom(rep: ToricRep | LinearizedParam):
+    """(nu, q) from one walk over the maximal minors: A's over Z read
+    p-adically, or the parametrization's over GF(p)[T] read T-adically
+    (the ring's ``initial``).  nu(B) is the valuation of B's minor shifted
+    to minimum 0, q[B] its initial coefficient.  The minors carry their
+    Plücker signs and are exact up to one common factor, so q is the
+    initial Plücker vector up to one unit of GF(p)."""
+    got = _lindstrom_cache.get(rep)
     if got is not None:
         return got
+    if isinstance(rep, ToricRep):
+        rows, ring = rep.A, linalg._ZZ
+    else:
+        rows, ring = _param_polymatrix(rep), linalg._PolyRing(rep.p)
+    initial, p = ring.initial, rep.p
     finite, q = {}, {}
-    for mask, minor in linalg._maximal_minors(_param_polymatrix(param),
-                                              linalg._PolyRing(param.p)):
-        k = next(k for k, c in enumerate(minor) if c)
-        finite[mask], q[mask] = k, minor[k]
-    nu = Valuation(param.ground, next(iter(finite)).bit_count(), finite).normalized()
-    if len(_tadic_cache) >= _TADIC_CACHE_CAP:
-        del _tadic_cache[next(iter(_tadic_cache))]
-    _tadic_cache[key] = nu, q
+    for mask, minor in linalg._maximal_minors(rows, ring):
+        finite[mask], q[mask] = initial(minor, p)
+    low = min(finite.values())
+    nu = Valuation(rep.ground, next(iter(finite)).bit_count(),
+                   {mask: v - low for mask, v in finite.items()} if low else finite)
+    if len(_lindstrom_cache) >= _LINDSTROM_CACHE_CAP:
+        del _lindstrom_cache[next(iter(_lindstrom_cache))]
+    _lindstrom_cache[rep] = nu, q
     return nu, q
 
 
@@ -285,10 +272,10 @@ def tadic_valuation(param: LinearizedParam) -> Valuation:
     Prime-field coefficients commute with Frobenius, so this valuation
     describes the flock of the parametrization (Lindström's valuation).
     The minor walk drops dependent rows of the polynomial matrix; its
-    minors then share one common factor, which the normalization to
-    minimum 0 removes.
+    minors then share one common factor, which the shift to minimum 0
+    removes.
     """
-    return _tadic_minors(param)[0]
+    return _lindstrom(param)[0]
 
 
 def _saturated_tangent(param: LinearizedParam, d: int):
@@ -410,6 +397,7 @@ class FrobeniusWindowReport:
 def frobenius_window(param: LinearizedParam, radius: int) -> FrobeniusFlockWindow:
     """The row spaces V_alpha over [-radius, radius]^E, keyed by alpha, read
     off the T-adic valuation's scored grid (``_frobenius_grid``)."""
+    radius, = as_ints([radius], "radius")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     d, grid, masks, values = _frobenius_grid(param, -radius, radius)
@@ -433,7 +421,7 @@ def _frobenius_grid(param: LinearizedParam, lo: int, hi: int):
     spaces."""
     import numpy as np
     from . import window
-    nu, q = _tadic_minors(param)
+    nu, q = _lindstrom(param)
     items = nu.finite_items()
     masks = [mask for mask, _ in items]
     grid, bits = window._scored_grid(items, param.n, lo, hi)
@@ -557,6 +545,7 @@ def check_frobenius_axioms(param: LinearizedParam, radius: int) -> FrobeniusWind
     """(FF1)/(FF2) for all alpha in [-radius, radius]^E, from the Plücker
     vectors of ``_frobenius_grid`` over [-radius, radius + 1]^E, the box the
     checks compare; no row space is built unless a check fails."""
+    radius, = as_ints([radius], "radius")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     _, grid, masks, values = _frobenius_grid(param, -radius, radius + 1)

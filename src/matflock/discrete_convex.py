@@ -11,38 +11,30 @@ import itertools
 from bisect import bisect_left, bisect_right
 from typing import Callable, Optional
 
-from .lattice import INF, vadd, vjoin, vmeet, vsub
+from .lattice import INF, as_ints, vadd, vjoin, vmeet, vsub
 from .matroid import record
 from .valuation import Valuation
 
 
-def _ints(xs: list):
-    """``xs`` as a list of ints, or None if an entry is not integral or is a
-    bool (an integral value of another type, such as 2.0, reads as that
-    integer, the rule of ``valuation._window_radius``)."""
-    if set(map(type, xs)) <= {int}:
-        return xs
+def _ints(xs):
+    """``xs`` as a list of ints by ``lattice.as_ints``, or None where it refuses."""
     try:
-        ints = list(map(int, xs))
-    except (TypeError, ValueError, OverflowError):
+        return list(as_ints(xs, "entry"))
+    except ValueError:
         return None
-    if ints != xs or bool in set(map(type, xs)):
-        return None
-    return ints
 
 
 def _box(n, lo, hi):
     """(n, lo, hi) of a box as ints, with bounds of length n and lo <= hi."""
-    ints = _ints([n])
-    lo, hi = _ints(list(lo)), _ints(list(hi))
-    if ints is None or lo is None or hi is None:
-        raise ValueError("box size and bounds must be integers")
-    n = ints[0]
+    try:
+        (n,), lo, hi = as_ints([n], "n"), as_ints(lo, "lo"), as_ints(hi, "hi")
+    except ValueError:
+        raise ValueError("box size and bounds must be integers") from None
     if len(lo) != n or len(hi) != n:
         raise ValueError("box bounds have the wrong length")
     if any(l > h for l, h in zip(lo, hi)):
         raise ValueError("empty box")
-    return n, tuple(lo), tuple(hi)
+    return n, lo, hi
 
 
 class WindowFunction:
@@ -61,9 +53,9 @@ class WindowFunction:
         if set(map(len, pts)) - {n}:
             bad = next(pt for pt in pts if len(pt) != n)
             raise ValueError(f"point {tuple(bad)} outside the box")
-        axes = [_ints(list(axis)) for axis in zip(*pts)]
+        axes = [_ints(axis) for axis in zip(*pts)]
         if None in axes:
-            bad = next(pt for pt in pts if _ints(list(pt)) is None)
+            bad = next(pt for pt in pts if _ints(pt) is None)
             raise ValueError(f"point {tuple(bad)} has a coordinate that is not an integer")
         if any(min(axis) < l or max(axis) > h for axis, l, h in zip(axes, lo, hi)):
             bad = next(pt for pt in pts if not self.in_box(pt))
@@ -73,7 +65,7 @@ class WindowFunction:
             vals = {pt: v for pt, v in vals.items() if v != INF}
         if not vals:
             raise ValueError("empty domain")
-        ints = _ints(list(vals.values()))
+        ints = _ints(vals.values())
         if ints is None:
             pt, v = next((pt, v) for pt, v in vals.items() if _ints([v]) is None)
             raise ValueError(f"value {v!r} at {pt} is not an integer")

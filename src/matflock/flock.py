@@ -16,9 +16,9 @@ import itertools
 from collections import OrderedDict
 from typing import Callable, Optional
 
-from .lattice import INF, vadd
+from .lattice import INF, as_ints, vadd
 from .matroid import Matroid, _raise_unless, _single_exchanges, positional_ground, record
-from .valuation import Valuation, check_valuation_axioms, optimal_masks
+from .valuation import Valuation, _check_alpha, check_valuation_axioms, optimal_masks
 
 
 class ExtractionError(RuntimeError):
@@ -59,9 +59,7 @@ class MatroidFlock:
         self._memo: OrderedDict[tuple, frozenset[int]] = OrderedDict()
 
     def masks_at(self, alpha) -> frozenset[int]:
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != len(self.ground):
-            raise ValueError("alpha has the wrong length")
+        alpha = _check_alpha(self, alpha)
         got = self._memo.get(alpha)
         if got is None:
             got = self._masks_eval(alpha)
@@ -101,7 +99,7 @@ def explicit_flock(table: dict, ground, d: int) -> MatroidFlock:
     """
     tbl = {}
     for alpha, M in table.items():
-        alpha = tuple(int(a) for a in alpha)
+        alpha = as_ints(alpha, "alpha entry")
         if len(alpha) != len(ground):
             raise ValueError(f"alpha {alpha} has length {len(alpha)}, "
                              f"expected {len(ground)}")
@@ -194,6 +192,7 @@ def check_flock_axioms(flock: MatroidFlock, radius: int,
     axes in ground order, then the all-ones shift "1", then the sets I in
     order.
     """
+    radius, = as_ints([radius], "radius")
     if radius < 1:
         raise ValueError("radius must be at least 1")
     from . import window
@@ -240,10 +239,8 @@ def g_M(flock: MatroidFlock, alpha, check_path: bool = False) -> int:
     Path independence holds for genuine flocks; ``check_path`` re-derives the
     value along per-coordinate unit steps and asserts agreement.
     """
-    alpha = tuple(int(a) for a in alpha)
+    alpha = _check_alpha(flock, alpha)
     n = len(flock.ground)
-    if len(alpha) != n:
-        raise ValueError("alpha has the wrong length")
     m = min(alpha, default=0)
     beta = tuple(a - m for a in alpha)
     g = flock.d * m

@@ -14,6 +14,23 @@ from typing import Sequence
 INF = float("inf")
 
 
+def as_ints(xs, what: str) -> tuple[int, ...]:
+    """The entries of ``xs`` as ints.  An int passes, and an integral value
+    of another type (2.0, numpy.int64(2)) reads as that int; a bool or a
+    non-integral value raises ValueError("<what> must be an integer, ...")."""
+    xs = tuple(xs)
+    if set(map(type, xs)) <= {int}:
+        return xs
+    for x in xs:
+        try:
+            ok = int(x) == x and not isinstance(x, bool)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValueError(f"{what} must be an integer, got {x!r}")
+    return tuple(map(int, xs))
+
+
 def vadd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))
 

@@ -90,7 +90,10 @@ def as_rat_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
 # A ring object gives ``one``, the ``size`` by which pivots are chosen, ``row``
 # to normalize an input row, ``neg``, and combine(row, prow, a, c, prev), which
 # is (a * row - c * prow) / prev with the division exact.  Zero is falsy in
-# every ring (0, or the empty polynomial ()).
+# every ring (0, or the empty polynomial ()).  Z and GF(p)[T] also give
+# initial(x, p), the valuation and initial coefficient in GF(p) of a nonzero
+# x: (val_p x, x / p^val_p(x) mod p) over Z, (k, x_k) at the least k with
+# x_k nonzero over GF(p)[T].
 
 class _ZZ:
     one = 1
@@ -101,6 +104,14 @@ class _ZZ:
     @staticmethod
     def combine(row, prow, a, c, prev):
         return [(a * x - c * y) // prev for x, y in zip(row, prow)]
+
+    @staticmethod
+    def initial(x, p):
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return v, x % p
 
 
 class _PrimeField:
@@ -142,6 +153,11 @@ class _PolyRing:
         p = self.p
         return [poly_divexact(poly_sub(poly_mul(x, a, p), poly_mul(y, c, p), p), prev, p)
                 for x, y in zip(row, prow)]
+
+    @staticmethod
+    def initial(a, p):
+        k = next(k for k, c in enumerate(a) if c)
+        return k, a[k]
 
 
 def _bareiss(rows, ring):
@@ -274,14 +290,7 @@ def det_frac(rows) -> Fraction:
 
 def val_p_int(x: int, p: int):
     """p-adic valuation of an integer; INF for 0."""
-    if x == 0:
-        return INF
-    v = 0
-    x = abs(x)
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+    return _ZZ.initial(x, p)[0] if x else INF
 
 
 def val_p(q, p: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Optional
 
-from .lattice import INF
+from .lattice import INF, as_ints
 from .matroid import (AxiomCheck, VALID, GroundSet, Matroid, _components, _connected,
                       _exchange_failure, _raise_unless, _single_exchanges, record)
 
@@ -127,9 +127,10 @@ def support_matroid(nu: Valuation) -> Matroid:
 # ---------------------------------------------------------------------------
 # the induced matroids M^nu_alpha and the gauge g^nu
 
-def _check_alpha(nu: Valuation, alpha) -> tuple[int, ...]:
-    alpha = tuple(alpha)
-    if len(alpha) != len(nu.ground):
+def _check_alpha(owner, alpha) -> tuple[int, ...]:
+    """alpha as ints (``lattice.as_ints``), one per element of ``owner.ground``."""
+    alpha = as_ints(alpha, "alpha entry")
+    if len(alpha) != len(owner.ground):
         raise ValueError("alpha has the wrong length")
     return alpha
 
@@ -371,17 +372,10 @@ def default_leader_radius(nu: Valuation) -> int:
 
 
 def _window_radius(nu: Valuation, window_radius) -> int:
-    """The window radius R: the default for None, else a nonnegative
-    integer (an integral value of another type, but not a bool, reads as
-    that integer)."""
+    """R: the default for None, else a nonnegative int (``lattice.as_ints``)."""
     if window_radius is None:
         return default_leader_radius(nu)
-    try:
-        R = int(window_radius)
-    except (TypeError, ValueError, OverflowError):
-        R = None
-    if isinstance(window_radius, bool) or R is None or R != window_radius:
-        raise ValueError(f"window radius must be an integer, got {window_radius!r}")
+    R, = as_ints([window_radius], "window radius")
     if R < 0:
         raise ValueError("window radius must be nonnegative")
     return R

@@ -79,21 +79,6 @@ def test_lindstrom_toric_example_p3():
                for B in itertools.combinations((1, 2, 3, 4), 2))
 
 
-def test_lindstrom_cache_is_bounded(rng):
-    from matflock import algebraic
-    algebraic._lindstrom_cache.clear()
-    cap = algebraic._LINDSTROM_CACHE_CAP
-    reps = set()
-    while len(reps) < cap + 10:
-        reps.add(random_saturated_toric(rng, 2, 3, rng.choice([2, 3, 5]), -9, 9))
-    for rep in reps:
-        mf.lindstrom_toric(rep)
-        assert len(algebraic._lindstrom_cache) <= cap
-    last = list(reps)[-1]
-    assert last in algebraic._lindstrom_cache
-    assert mf.lindstrom_toric(last) is algebraic._lindstrom_cache[last]
-
-
 def test_lindstrom_identity_matrix():
     rep = mf.ToricRep(((1, 0), (0, 1)), 5)
     nu = mf.lindstrom_toric(rep)
@@ -101,12 +86,24 @@ def test_lindstrom_identity_matrix():
 
 
 def test_lindstrom_support_is_rational_matroid():
+    # the one walk against each minor's determinant: nu(B) = val_p(det A_B)
+    # and q(B) = eps * det A_B / p^nu(B) mod p, one sign eps per matrix
     rng = random.Random(1)
-    for _ in range(10):
-        rep = random_saturated_toric(rng, rng.randint(1, 3), rng.randint(3, 5),
+    for _ in range(40):
+        rep = random_saturated_toric(rng, rng.randint(1, 3), rng.randint(3, 6),
                                      rng.choice([2, 3, 5]))
-        assert mf.support_matroid(mf.lindstrom_toric(rep)) == \
-            mf.matroid_from_matrix(rep.A, mf.QQ)
+        nu, q = algebraic._lindstrom(rep)
+        assert nu is mf.lindstrom_toric(rep)
+        assert mf.support_matroid(nu) == mf.matroid_from_matrix(rep.A, mf.QQ)
+        p, signs = rep.p, set()
+        for combo in itertools.combinations(range(rep.n), rep.d):
+            det = linalg.det_int([[row[j] for j in combo] for row in rep.A])
+            mask = sum(1 << j for j in combo)
+            assert nu.value_mask(mask) == linalg.val_p_int(det, p), rep
+            if det:
+                unit = det // p ** nu.finite[mask] % p
+                signs.add(1 if q[mask] == unit else -1 if q[mask] == -unit % p else 0)
+        assert set(q) == set(nu.finite) and len(signs) == 1 and 0 not in signs, rep
 
 
 def test_unsaturated_rejected():
@@ -331,7 +328,7 @@ def test_frobenius_grid_spaces_have_plucker_vector_q():
     # to one unit
     for param in itertools.islice(_grid_cases(), 0, None, 4):
         p = param.p
-        nu, q = algebraic._tadic_minors(param)
+        nu, q = algebraic._lindstrom(param)
         items = nu.finite_items()
         _, bits = window._scored_grid(items, param.n, -1, 1)
         families = window._families([mask for mask, _ in items], bits)
@@ -461,21 +458,44 @@ def test_plucker_keys_match_rref_minors(case):
         assert len(set(zip(keys, sides))) == len(set(keys)) == len(set(sides)), i
 
 
-def test_tadic_walk_is_cached_and_bounded(monkeypatch):
-    # flock_from_linearized and check_frobenius_axioms walk the minors once
+@pytest.mark.parametrize("source", ["toric", "linearized"])
+def test_lindstrom_walk_is_cached_and_bounded(monkeypatch, rng, source):
+    # one minor walk per representation, whichever builders read it; the
+    # one cache keeps the last _LINDSTROM_CACHE_CAP representations and
+    # returns the cached valuation; once cleared, as at the start of a
+    # process, it walks again
+    cap = algebraic._LINDSTROM_CACHE_CAP
+    if source == "toric":
+        rep, valuation, flock = toric_example(2), mf.lindstrom_toric, mf.flock_from_toric
+        others = set()
+        while len(others) < cap + 10:
+            others.add(random_saturated_toric(rng, 2, 3, rng.choice([2, 3, 5]), -9, 9))
+        others = list(others)
+    else:
+        rep, valuation, flock = example_param(2, 5), mf.tadic_valuation, mf.flock_from_linearized
+        others = [example_param(3, g) for g in range(cap + 5)]
+    # counted from here: building a ToricRep walks minors to test saturation
     calls = []
     walk = linalg._maximal_minors
     monkeypatch.setattr(linalg, "_maximal_minors",
                         lambda *args: calls.append(1) or walk(*args))
-    algebraic._tadic_cache.clear()
-    param = example_param(2, 5)
-    mf.flock_from_linearized(param)
-    mf.check_frobenius_axioms(param, 1)
-    assert mf.tadic_valuation(param) is mf.flock_from_linearized(param).valuation
+    algebraic._lindstrom_cache.clear()
+    if source == "toric":
+        mf.toric_matroid_at(rep, (0, 0, 0, 1))
+    else:
+        mf.check_frobenius_axioms(rep, 1)
+    assert valuation(rep) is flock(rep).valuation
     assert len(calls) == 1
-    for g in range(algebraic._TADIC_CACHE_CAP + 5):
-        mf.tadic_valuation(example_param(3, g))
-    assert len(algebraic._tadic_cache) == algebraic._TADIC_CACHE_CAP
+    for other in others:
+        valuation(other)
+        assert len(algebraic._lindstrom_cache) <= cap
+    assert len(algebraic._lindstrom_cache) == cap
+    last = others[-1]
+    assert valuation(last) is algebraic._lindstrom_cache[last][0]
+    calls.clear()
+    algebraic._lindstrom_cache.clear()
+    assert valuation(last) == algebraic._lindstrom_cache[last][0]
+    assert len(calls) == 1
 
 
 def test_frobenius_check_runs_no_elimination(monkeypatch):
@@ -670,6 +690,8 @@ def _poly_det(rows, p):
 
 
 def _valT_minor_valuation(param):
+    """The T-adic valuation of the minors, normalized to minimum 0, and each
+    minor's lowest nonzero coefficient, both keyed by labels."""
     mat = _param_polymatrix(param)
     d = mf.generic_rank(param)
     rows = []
@@ -677,14 +699,15 @@ def _valT_minor_valuation(param):
         if linalg.polymat_rank(rows + [row], param.p) > len(rows):
             rows.append(row)
     assert len(rows) == d
-    vals = {}
+    vals, q = {}, {}
     for combo in itertools.combinations(range(param.n), d):
         det = _poly_det([[row[j] for j in combo] for row in rows], param.p)
         if det:
-            vals[tuple(param.ground[j] for j in combo)] = \
-                next(i for i, c in enumerate(det) if c)
+            B = tuple(param.ground[j] for j in combo)
+            vals[B] = next(i for i, c in enumerate(det) if c)
+            q[B] = det[vals[B]]
     base = min(vals.values())
-    return {k: v - base for k, v in vals.items()}
+    return {k: v - base for k, v in vals.items()}, q
 
 
 def _random_param(rng, p, m, n):
@@ -713,11 +736,16 @@ def test_extraction_matches_t_adic_minors(rng):
             continue
         if mf.generic_rank(param) == 0:
             continue
-        expect = _valT_minor_valuation(param)
+        expect, q_ref = _valT_minor_valuation(param)
         nu = mf.extract_valuation(mf.linearized_tangent_flock(param))
         assert _labelled(nu) == expect
         assert _labelled(mf.tadic_valuation(param)) == expect
         assert _labelled(mf.flock_from_linearized(param).valuation) == expect
+        # the walk's initial coefficients: the reference's times one unit
+        nu, q = algebraic._lindstrom(param)
+        unit = q[min(q)] * pow(q_ref[nu.labels_of(min(q))], -1, p) % p
+        assert {nu.labels_of(mask): c for mask, c in q.items()} == \
+            {B: unit * c % p for B, c in q_ref.items()}
         checked += 1
 
 

@@ -28,6 +28,40 @@ from conftest import (
 
 
 # ---------------------------------------------------------------------------
+# integer inputs: one reader (lattice.as_ints) at every entry point
+
+def _explicit_at(x):
+    M = mf.uniform_matroid(1, 2)
+    return mf.explicit_flock({(x, 0): M}, M.ground, 1).masks_at((2, 0))
+
+
+_INTEGER_ENTRIES = {
+    "matroid_at": lambda x: mf.matroid_at(u24_valuation(), (x, 0, 0, 0)),
+    "g_value": lambda x: mf.g_value(u24_valuation(), (x, 0, 0, 0)),
+    "masks_at": lambda x: mf.flock_from_valuation(u24_valuation()).masks_at((x, 0, 0, 0)),
+    "g_M": lambda x: mf.g_M(mf.flock_from_valuation(u24_valuation()), (x, 0, 0, 0)),
+    "explicit_flock": _explicit_at,
+    "linearized_shift": lambda x: mf.linearized_shift(example_param(2, 2), (x, 0, 0, 0)),
+    "check_flock_axioms": lambda x: mf.check_flock_axioms(
+        mf.flock_from_valuation(u24_valuation()), x),
+    "check_frobenius_axioms": lambda x: mf.check_frobenius_axioms(example_param(2, 2), x),
+    "frobenius_window": lambda x: mf.frobenius_window(example_param(2, 2), x),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRIES))
+def test_lattice_inputs_must_be_integers(entry):
+    # a non-integral value or a bool is refused, not truncated or scored as
+    # a float; an integral value of another type reads as that integer
+    call = _INTEGER_ENTRIES[entry]
+    for bad in (0.5, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(bad)
+    want = call(2)
+    assert call(2.0) == want and call(np.int64(2)) == want
+
+
+# ---------------------------------------------------------------------------
 # axiom checking
 
 def test_axioms_u24_weights_pass():

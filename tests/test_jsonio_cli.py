@@ -725,6 +725,21 @@ def test_cli_extract_toric_matches_golden_report(capsys):
     assert capsys.readouterr().out == (fixtures / "toric_wide_extracted.json").read_text()
 
 
+@pytest.mark.parametrize("argv, report", [
+    # the Lindström valuation is the valuation extraction recovers
+    (["lindstrom-toric", "toric_wide.json"], "toric_wide_extracted.json"),
+    (["toric-matroid-at", "toric_wide.json", "--alpha=1,0,0,2,0,-1,0,0"],
+     "toric_wide_matroid_at.json"),
+    (["flock-from-linearized", "linearized_p3_n5_param.json", "--alpha=0,0,-1,0,0"],
+     "linearized_p3_n5_matroid_at.json"),
+])
+def test_cli_algebraic_commands_match_pinned_reports(capsys, argv, report):
+    # pinned; the installed-package CI job diffs the console script against them
+    fixtures = Path(__file__).parent / "fixtures"
+    assert main([argv[0], str(fixtures / argv[1]), *argv[2:]]) == 0
+    assert capsys.readouterr().out == (fixtures / report).read_text()
+
+
 @pytest.mark.parametrize("source, doc, report", [
     ("--from-valuation", "valuation_n5_d2.json", "valuation_n5_d2_extracted.json"),
     ("--from-linearized", "linearized_p3_n5_param.json", "linearized_p3_n5_extracted.json"),
