@@ -492,7 +492,7 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
     import numpy as np
     from . import window
     p, R, n = win.p, win.radius, len(win.ground)
-    radius = R if box_radius is None else min(box_radius, R)
+    radius = R if box_radius is None else min(as_ints([box_radius], "box_radius")[0], R)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     canon: dict[tuple, tuple] = {}

@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha", required=True)
     s.set_defaults(func=_cmd_toric_matroid_at)
 
-    s = sub.add_parser("flock-from-linearized", help="tangent matroid at alpha")
+    s = sub.add_parser("flock-from-linearized", help="M^nu_alpha of the T-adic valuation at alpha")
     s.add_argument("file")
     s.add_argument("--p", type=int, default=None)
     s.add_argument("--alpha", required=True)

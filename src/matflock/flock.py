@@ -131,6 +131,7 @@ def window_ids(flock: MatroidFlock, radius: int):
     are scored vectorized; anything else walks the oracle.
     """
     from . import window
+    radius, = as_ints([radius], "radius")
     grid, masks, bits = _grid(flock, -radius, radius)
     return grid, window._families(masks, bits)
 
@@ -297,10 +298,10 @@ def extract_valuation(flock: MatroidFlock, cutoff: Optional[int] = None,
     n, d = len(flock.ground), flock.d
     if cutoff is None:
         cutoff = _default_cutoff(flock)
+    cutoff, = as_ints([cutoff], "cutoff")
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    if verify_radius is None:
-        verify_radius = 2
+    verify_radius, = as_ints([2 if verify_radius is None else verify_radius], "verify_radius")
     if verify_radius < 0:
         raise ValueError("verify_radius must be nonnegative")
 

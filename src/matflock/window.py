@@ -11,9 +11,9 @@ over the finite-valued d-subsets.  Two routines score such argmax sets over
 many points: ``score_box`` scores every box of a valuation (the id grids of
 flocks and Frobenius windows, the round-trip comparison, the leader scan
 and the SVG slice), and ``score_ids`` scores any list of points, one point
-at a time (the tests' oracle).  Both take the score dtype from
-``_values``, encode argmax sets as ``_pack``'s bit words and number them in
-the lex order of those words, and ``_families`` decodes them.
+at a time (the tests' oracle).  Both encode argmax sets as
+``_row_words``'s bit words and number them in the lex order of those
+words, and ``_families`` decodes them.
 
 Boxes are scored one axis at a time: the separable lower envelope of
 Felzenszwalb and Huttenlocher's distance transforms, in max-plus form.  A
@@ -24,7 +24,7 @@ family (its bases without and with k): at alpha_k = t the family scores
 max(G0, G1 + t), so with c = G0 - G1 its argmax set is A0 for t < c, A1 for
 t > c and A0 ∪ A1 at t = c.  A level is a fixed number of numpy calls over
 the stacked (families, points) arrays: a missing half reads a sentinel row
-of scores -inf, and a level whose families all have both halves reads them
+of scores -2^62, and a level whose families all have both halves reads them
 as views.  Once the first n - 1 axes are peeled, two families remain,
 without and with the last element, and the line through a head (a point of
 the first n - 1 axes) holds A0 below its cut c, A1 above it and their union
@@ -61,16 +61,12 @@ and above its cut), one contiguous copy of the checked block is shared by
 every move, and each side's keys are read from it with ``np.take`` and
 compared word by word, so no key is ranked.
 
-Exactness: values are shifted so the smallest is 0, which changes no argmax.
-A family's G is a partial sum -nu(B) + sum of alpha_i over the peeled i in
-B, and every score and partial sum, at every level and in ``score_ids``,
-then has absolute value at most spread + d * reach, where reach is the
-largest |coordinate|.  Below 2^53 all of them are integers that float64
-represents exactly, so they are computed in float64 (``score_ids`` with
-BLAS); otherwise the same code runs on Python ints in object arrays.  A cut
-c = G0 - G1 can round in float64 only when |c| >= 2^53, far outside the box;
-rounding is monotone, so c clipped to the axis's range [lo_k - 1, hi_k + 1]
-is exact, and so is every tie.
+Exactness: a box [lo, hi] of side s is read at beta = alpha - lo, in
+[0, s]^n, against w(B) = nu(B) - e_B . lo, shifted to minimum 0 and capped
+at d s + 1: the minimizer of w scores >= 0 at every beta and a capped basis
+< 0, so no argmax moves.  Every score and partial sum then lies in
+[-(d s + 1), d s], and the scan runs in int64 with a sentinel of -2^62,
+exact while (d + 1) s + 1 < 2^62; a larger box is refused.
 """
 
 from __future__ import annotations
@@ -81,40 +77,17 @@ from itertools import compress
 import numpy as np
 
 _CHUNK = 1 << 16
-_FLOAT_EXACT = 1 << 53
-_BITS = np.arange(8, dtype=np.uint8)[:, None]
+# scores stay within 2^62 of 0, and -2^62 is the sentinel score
+_LIMIT = 1 << 62
 
 
-def _values(finite_items, reach: int):
-    """(masks, vals) of the scores e_B . alpha - nu(B) at points whose
-    coordinates have absolute value at most ``reach``: the basis masks, and
-    their values shifted so the smallest is 0, float64 when every score is
-    exact in it and Python ints in an object array otherwise."""
-    if not finite_items:
-        raise ValueError("valuation has no finite values")
-    masks = [mask for mask, _ in finite_items]
-    low = min(val for _, val in finite_items)
-    shifted = [val - low for _, val in finite_items]
-    d = max(mask.bit_count() for mask in masks)
-    exact_float = max(shifted) + d * reach < _FLOAT_EXACT
-    return masks, np.array(shifted, dtype=np.float64 if exact_float else object)
-
-
-def _pack(opt: np.ndarray) -> np.ndarray:
-    """The argmax sets of an (m, N) bool array as (N, width) words.
-
-    Bit j of a set (basis j optimal) is bit j % 64 of its little-endian
-    word j // 64, so the union of two sets is the OR of their words.
-    """
-    m, count = opt.shape
-    nbytes = (m + 7) // 8
-    # eight rows per byte by shifts: np.packbits along axis 0 is several
-    # times slower on these short, wide arrays
-    padded = np.zeros((8 * nbytes, count), dtype=np.uint8)
-    padded[:m] = opt
-    packed = np.bitwise_or.reduce(padded.reshape(nbytes, 8, count) << _BITS, axis=1)
-    words = np.zeros((count, (m + 63) // 64), dtype="<u8")
-    words.view(np.uint8)[:, :nbytes] = packed.T
+def _row_words(bits: np.ndarray) -> np.ndarray:
+    """The rows of an (N, m) array as (N, width) words: bit j of a row, set
+    where entry j is nonzero, is bit j % 64 of its little-endian word
+    j // 64, so the union of two sets is the OR of their words."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((len(bits), (bits.shape[1] + 63) // 64), dtype="<u8")
+    words.view(np.uint8)[:, :packed.shape[1]] = packed
     return words
 
 
@@ -152,17 +125,26 @@ def score_ids(finite_items, n: int, points: np.ndarray):
     ``finite_items`` is a list of (basis_mask, value); ``points`` is an
     (N, n) int array.  Returns ``(ids, table)``: ``ids`` is an (N,) int
     array and ``table[k]`` is the frozenset of basis masks optimal at every
-    point with id k, so ids are dense: 0 .. len(table) - 1.
+    point with id k, so ids are dense: 0 .. len(table) - 1.  Scores are
+    int64 when spread + d * reach < 2^62 (reach the largest |coordinate|),
+    Python ints otherwise.
     """
+    if not finite_items:
+        raise ValueError("valuation has no finite values")
+    masks = [mask for mask, _ in finite_items]
+    low = min(val for _, val in finite_items)
+    shifted = [val - low for _, val in finite_items]
+    d = max(mask.bit_count() for mask in masks)
     reach = max(-int(points.min()), int(points.max())) if points.size else 0
-    masks, vals = _values(finite_items, reach)
+    dtype = np.int64 if max(shifted) + d * reach < _LIMIT else object
+    vals = np.array(shifted, dtype=dtype)
     # one row per basis: maxima run across rows, which numpy vectorizes far
     # better than a max along short rows
-    EB = np.array([[mask >> i & 1 for i in range(n)] for mask in masks], dtype=vals.dtype)
+    EB = np.array([[mask >> i & 1 for i in range(n)] for mask in masks], dtype=dtype)
     words = np.empty((len(points), (len(masks) + 63) // 64), dtype="<u8")
     for start in range(0, len(points), _CHUNK):
-        scores = EB @ points[start:start + _CHUNK].T.astype(EB.dtype) - vals[:, None]
-        words[start:start + _CHUNK] = _pack(scores == scores.max(axis=0))
+        scores = EB @ points[start:start + _CHUNK].T.astype(dtype) - vals[:, None]
+        words[start:start + _CHUNK] = _row_words((scores == scores.max(axis=0)).T)
     ids, rep = _lex_rows(words)
     return ids, _families(masks, _bits(words[rep], len(masks)))
 
@@ -237,7 +219,7 @@ def _levels(masks, n: int):
     rows (ig, ia) in level j of the halves of each family of level j + 1,
     without and with the element peeled, one pair after the other: ``ig``
     reads scores and ``ia`` ids.  A missing half is the sentinel row after
-    the families of level j in ``ig``, whose scores are -inf, and its
+    the families of level j in ``ig``, whose scores are -2^62, and its
     partner's row in ``ia``, whose ids it then never shows.  Where every
     family has both halves, its halves are rows 2i and 2i + 1, and both are
     the slice of the first 2 f rows, which reads views.  The plan takes
@@ -284,9 +266,9 @@ def _ranks(ids: np.ndarray, size: int):
 
 def _intern(a0: np.ndarray, a1: np.ndarray, words: np.ndarray):
     """(ids, words) of the unions of the sets with ids ``a0`` and ``a1``,
-    sets of disjoint families whose words (in ``_pack``'s encoding) are rows
-    of ``words``.  No union is a set seen before, so each distinct pair gets
-    the next free id, and the words of the new sets are appended."""
+    sets of disjoint families whose words (``_row_words``'s encoding) are
+    rows of ``words``.  No union is a set seen before, so each distinct pair
+    gets the next free id, and the words of the new sets are appended."""
     count = len(words)
     codes = a0 * count + a1
     # a bool per possible code when that takes no more memory than the
@@ -302,12 +284,13 @@ def _intern(a0: np.ndarray, a1: np.ndarray, words: np.ndarray):
 
 
 def _slab_lines(rows, levels, vals: np.ndarray, lo, hi):
-    """(lines, runs, rank, words) of the argmax sets over the box [lo, hi].
+    """(lines, runs, rank, words) of the argmax sets over the box [lo, hi] of
+    beta, against the int64 values ``vals`` of ``_box_values``.
 
     Level j of ``_levels`` holds, per family and per point of the axes
     peeled (n - 1 - j .. n - 2, lex order), its best score G and the id A
     of its argmax set.  A family F0 ∪ F1 whose halves lack and hold element
-    k scores max(G0, G1 + t) at alpha_k = t: with c = G0 - G1, its argmax is
+    k scores max(G0, G1 + t) at beta_k = t: with c = G0 - G1, its argmax is
     A0 for t < c, A1 for t > c and their interned union at t = c.  Axis k
     comes first in the new points, so every call runs along the long axis
     of the points.  At the last axis this is the line through a head: A0
@@ -319,10 +302,10 @@ def _slab_lines(rows, levels, vals: np.ndarray, lo, hi):
     occur, and ``rank``, the row of ``words`` of each id that occurs.
     """
     n, m = len(lo), len(rows)
-    # one row per family, and the sentinel row of scores -inf
-    G = np.empty((m + 1, 1), dtype=vals.dtype)
+    # one row per family, and the sentinel row
+    G = np.empty((m + 1, 1), dtype=np.int64)
     np.negative(vals[rows], out=G[:m, 0])
-    G[m] = -np.inf
+    G[m] = -_LIMIT
     A = rows[:, None]
     # the words of each basis alone
     words = np.zeros((m, (m + 63) // 64), dtype="<u8")
@@ -335,17 +318,17 @@ def _slab_lines(rows, levels, vals: np.ndarray, lo, hi):
         if j == n - 1:
             break
         k = n - 2 - j
-        t = np.arange(lo[k], hi[k] + 1, dtype=G.dtype)[:, None]
+        t = np.arange(lo[k], hi[k] + 1, dtype=np.int64)[:, None]
         A = np.where(c[:, None] < t, a1[:, None], a0[:, None])
         q, p = ((c >= lo[k]) & (c <= hi[k])).nonzero()
         if len(q):
-            A[q, (c[q, p] - lo[k]).astype(np.intp), p], words = _intern(a0[q, p], a1[q, p], words)
+            A[q, c[q, p] - lo[k], p], words = _intern(a0[q, p], a1[q, p], words)
         A = A.reshape(f, -1)
-        G = np.empty((f + 1, A.shape[1]), dtype=G.dtype)
+        G = np.empty((f + 1, A.shape[1]), dtype=np.int64)
         new = G[:f].reshape(f, len(t), -1)
         np.add(g1[:, None], t, out=new)
         np.maximum(new, g0[:, None], out=new)
-        G[f] = -np.inf
+        G[f] = -_LIMIT
     # t below, at and above the cut, clipped to [lo - 1, hi + 1]
     cut = np.minimum(np.maximum(c[0], lo[-1] - 1, out=c[0]), hi[-1] + 1, out=c[0])
     runs = np.empty((len(cut), 3), dtype=np.intp)
@@ -364,18 +347,38 @@ def _slab_lines(rows, levels, vals: np.ndarray, lo, hi):
     return lines, runs, rank, words[distinct]
 
 
+def _box_values(finite_items, lo, hi):
+    """(masks, vals) of the box [lo, hi] read from its corner: the basis
+    masks, and the int64 values w(B) = nu(B) - e_B . lo shifted to minimum 0
+    and capped at d * side + 1, which moves no argmax in the box (module
+    docstring).  A box with (d + 1) * side + 1 >= 2^62 is refused."""
+    if not finite_items:
+        raise ValueError("valuation has no finite values")
+    masks = [mask for mask, _ in finite_items]
+    d = max(mask.bit_count() for mask in masks)
+    side = max((h - l for l, h in zip(lo, hi)), default=0)
+    if (d + 1) * side + 1 >= _LIMIT:
+        raise ValueError(f"the box from {lo} to {hi} is too large to score: bases of "
+                         f"size d = {d} and a side of {side} need (d + 1) * side + 1 < 2^62")
+    w = [val - sum(l for i, l in enumerate(lo) if mask >> i & 1) for mask, val in finite_items]
+    low, cap = min(w), d * side + 1
+    return masks, np.array([min(v - low, cap) for v in w], dtype=np.int64)
+
+
 def _box_lines(finite_items, n: int, lo, hi):
-    """``_slab_lines`` over the slabs of the box [lo, hi], in lex order:
-    yields (slab lo, slab hi, lines, runs, rank, words).  A box with an
-    empty side has no slabs."""
+    """``_slab_lines`` over the slabs of the box [lo, hi], in lex order, each
+    scored at beta = alpha - lo: yields (slab lo, slab hi, lines, runs, rank,
+    words), the slab bounds in alpha.  A box with an empty side has no
+    slabs."""
     lo, hi = list(lo), list(hi)
     empty = any(h < l for l, h in zip(lo, hi))
-    masks, vals = _values(finite_items, 0 if empty else max(-min(lo), max(hi)))
+    masks, vals = _box_values(finite_items, lo, lo if empty else hi)
     if empty:
         return
     rows, levels = _levels(masks, n)
     for slo, shi in _slabs(lo, hi):
-        yield slo, shi, *_slab_lines(rows, levels, vals, slo, shi)
+        yield slo, shi, *_slab_lines(rows, levels, vals, [l - o for l, o in zip(slo, lo)],
+                                     [h - o for h, o in zip(shi, lo)])
 
 
 def _box_sets(finite_items, n: int, lo, hi):
@@ -506,16 +509,6 @@ def _residues(p: int):
 
 # moves x (id, basis) entries per block of ``_set_moves``
 _KEY_BLOCK = 1 << 18
-
-
-def _row_words(bits: np.ndarray) -> np.ndarray:
-    """The rows of an (N, m) array as (N, width) words in ``_pack``'s
-    encoding: bit j of a row, set where entry j is nonzero, is bit j % 64
-    of its little-endian word j // 64."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    words = np.zeros((len(bits), (bits.shape[1] + 63) // 64), dtype="<u8")
-    words.view(np.uint8)[:, :packed.shape[1]] = packed
-    return words
 
 
 def _minor_moves(n: int, masks, values: np.ndarray, moves, p: int):

@@ -35,6 +35,19 @@ def _explicit_at(x):
     return mf.explicit_flock({(x, 0): M}, M.ground, 1).masks_at((2, 0))
 
 
+def _explicit_two_element():
+    """The flock of ``two_element_valuation`` as an explicit table on [-3, 3]^2."""
+    flock = mf.flock_from_valuation(two_element_valuation())
+    return mf.explicit_flock({alpha: flock.matroid_at(alpha)
+                              for alpha in itertools.product(range(-3, 4), repeat=2)},
+                             (1, 2), 1)
+
+
+def _window_ids_at(x):
+    grid, table = window_ids(mf.flock_from_valuation(u24_valuation()), x)
+    return grid.tolist(), table
+
+
 _INTEGER_ENTRIES = {
     "matroid_at": lambda x: mf.matroid_at(u24_valuation(), (x, 0, 0, 0)),
     "g_value": lambda x: mf.g_value(u24_valuation(), (x, 0, 0, 0)),
@@ -46,6 +59,15 @@ _INTEGER_ENTRIES = {
         mf.flock_from_valuation(u24_valuation()), x),
     "check_frobenius_axioms": lambda x: mf.check_frobenius_axioms(example_param(2, 2), x),
     "frobenius_window": lambda x: mf.frobenius_window(example_param(2, 2), x),
+    "window_ids": _window_ids_at,
+    "extract_valuation_cutoff": lambda x: mf.extract_valuation(
+        mf.flock_from_valuation(u24_valuation()), cutoff=x),
+    "extract_valuation_explicit_cutoff": lambda x: mf.extract_valuation(
+        _explicit_two_element(), cutoff=x),
+    "extract_valuation_verify_radius": lambda x: mf.extract_valuation(
+        _explicit_two_element(), verify_radius=x),
+    "validate_frobenius_window": lambda x: mf.validate_frobenius_window(
+        mf.frobenius_window(example_param(2, 2), 1), x),
 }
 
 
@@ -390,9 +412,10 @@ def score_inputs(draw):
     n, d, m = draw(st.sampled_from(SCORE_SHAPES))
     subsets = list(itertools.combinations(range(n), d))
     chosen = draw(st.permutations(range(len(subsets))))[:m]
-    # values near 2^60 defeat float64 unless shifted.  A spread or a
-    # coordinate of 2^53 or more forces Python-int scores; shifting one
-    # coordinate by that much makes bases tie far above 2^53
+    # values near 2^60 are shifted to minimum 0 first.  A spread or a
+    # coordinate of 2^62 takes score_ids to Python ints, and one of 2^53
+    # stays in int64; shifting one coordinate by that much makes bases tie
+    # far from 0
     base = draw(st.sampled_from([0, 2 ** 60, -(2 ** 60)]))
     far = draw(st.sampled_from([0, 2 ** 53, 2 ** 62]))
     items = sorted(

@@ -842,6 +842,17 @@ def test_cli_window_too_large_for_memory_exit_1(monkeypatch, capsys):
     assert len(out.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", [["leaders"], ["check-flock", "--from-valuation"]])
+def test_cli_radius_past_int64_scores_exit_1(command, capsys):
+    # a box whose scores could leave int64 is refused before anything is
+    # allocated: one error line and exit 1, not an OverflowError traceback
+    fixture = str(Path(__file__).parent / "fixtures" / "valuation_u24.json")
+    assert main([*command, fixture, "--radius", str(2 ** 62)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: the box from ")
+    assert "too large to score" in out.err and len(out.err.splitlines()) == 1
+
+
 def test_cli_two_flock_sources_exit_2(tmp_path, capsys):
     nu = str(Path(__file__).parent / "fixtures" / "valuation_u24.json")
     param = str(Path(__file__).parent / "fixtures" / "paper_example_param.json")

@@ -48,11 +48,19 @@ def assert_same_scores(items, n, lo, hi):
     assert got_table == want_table
 
 
+# spreads on both sides of float64's exact range (2^53) and of the int64
+# scores of score_ids (2^62), and far past int64, and box corners far from 0
+SPREADS = [0, (1 << 53) - 1, (1 << 53) + 1, (1 << 62) - 1, (1 << 62) + 1, 1 << 100]
+CORNERS = [0, 1 << 55, -(1 << 55), 1 << 61]
+
+
 @st.composite
 def tables(draw, max_n=4):
     """Random finite value tables on d-subsets (not necessarily valuations),
-    with the last element often a loop or a coloop of the support, and
-    values sometimes near 2^60, past float64's exact range."""
+    with the last element often a loop or a coloop of the support.  Some
+    raise a few values by a spread of about 2^53 to 2^100, which the box
+    scan caps and ``score_ids`` scores in Python ints past 2^62, and some
+    move a few axes of the box by a corner of +-2^55 or 2^61."""
     n = draw(st.integers(1, max_n))
     d = draw(st.integers(0, n))
     subsets = [sum(1 << i for i in c) for c in itertools.combinations(range(n), d)]
@@ -61,9 +69,11 @@ def tables(draw, max_n=4):
                                  [m for m in subsets if m & last] or subsets,
                                  [m for m in subsets if not m & last] or subsets]))
     masks = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
-    offset = draw(st.sampled_from([0, 0, 1 << 60]))
-    items = sorted((m, offset + draw(st.integers(-4, 4))) for m in masks)
-    lo = [draw(st.integers(-3, 2)) for _ in range(n)]
+    spread = draw(st.sampled_from([0, 0, *SPREADS]))
+    items = sorted((m, draw(st.integers(-4, 4)) + spread * draw(st.booleans()))
+                   for m in masks)
+    corner = draw(st.sampled_from([0, 0, *CORNERS]))
+    lo = [draw(st.integers(-3, 2)) + corner * draw(st.booleans()) for _ in range(n)]
     hi = [l + draw(st.integers(-1, 4)) for l in lo]
     return items, n, lo, hi
 
@@ -75,13 +85,13 @@ def test_score_box_matches_score_ids(case):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 1 << 60]))
-def test_score_box_matches_score_ids_past_63_bases(seed, offset):
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(SPREADS))
+def test_score_box_matches_score_ids_past_63_bases(seed, spread):
     # U(4, 8) has 70 bases: two words per argmax set
     rng = random.Random(seed)
     M = mf.uniform_matroid(4, 8)
     masks = sorted(M.masks) if seed % 2 else rng.sample(sorted(M.masks), 66)
-    items = sorted((m, offset + rng.randint(0, 3)) for m in masks)
+    items = sorted((m, rng.randint(0, 3) + spread * rng.randint(0, 1)) for m in masks)
     lo = [rng.randint(-2, 0) for _ in range(8)]
     hi = [l + rng.randint(0, 2) for l in lo]
     assert_same_scores(items, 8, lo, hi)
@@ -102,6 +112,41 @@ def test_score_box_matches_score_ids_on_empty_runs():
             assert_same_scores(items, 3, lo, hi)
 
 
+def test_box_value_cap_binds_or_not():
+    # d = 1 and side 2 cap the values at 3: a basis 100 above the least is
+    # capped and one 2 above is not, and neither table changes
+    for far, vals in ((100, [0, 3]), (2, [0, 2])):
+        items = [(0b01, 0), (0b10, far)]
+        assert window._box_values(items, [5, 5], [7, 7])[1].tolist() == vals
+        assert_same_scores(items, 2, [5, 5], [7, 7])
+    # read from the corner (5, -1): w = (-5, 101) shifts to (0, 106)
+    items = [(0b01, 0), (0b10, 100)]
+    assert window._box_values(items, [5, -1], [7, 1])[1].tolist() == [0, 3]
+    assert_same_scores(items, 2, [5, -1], [7, 1])
+
+
+def test_box_bound_just_inside_and_outside(monkeypatch):
+    # the leader window of n = 2 has one head, so a side of 2R is one line:
+    # with d = 1, (d + 1) * 2R + 1 < 2^62 holds up to R = 2^60 - 1
+    R = (1 << 60) - 1
+    items = [(0b01, 0), (0b10, 5)]
+    assert window._leader_reps(items, 2, R) == {
+        frozenset({0b01}): (0, -R), frozenset({0b01, 0b10}): (0, 5), frozenset({0b10}): (0, 6)}
+    assert window._leader_reps([(0b01, 0), (0b10, 1 << 100)], 2, R) == {
+        frozenset({0b01}): (0, -R)}
+
+    # past the bound a box is refused before any slab is scored
+    def scored(*args):
+        raise AssertionError("a slab was scored")
+
+    monkeypatch.setattr(window, "_slab_lines", scored)
+    for scan in (lambda: window._leader_reps(items, 2, R + 1),
+                 lambda: window.score_box(items, 2, [0, 0], [0, 1 << 61]),
+                 lambda: window.score_box(items, 2, [-(1 << 62)] * 2, [0, 0])):
+        with pytest.raises(ValueError, match="too large to score"):
+            scan()
+
+
 def test_score_box_empty_box_and_no_values():
     items = [(0b01, 0), (0b10, 1)]
     ids, table = window.score_box(items, 2, [0, 3], [2, 2])
@@ -111,24 +156,24 @@ def test_score_box_empty_box_and_no_values():
 
 
 def _slab_cases():
-    """(items, n, lo, hi, R): random value tables on random supports, half of
-    them with values near 2^60 (Python-int scores), and U(4, 8), whose 70
-    bases take two words per argmax set, with and without that offset."""
+    """(items, n, lo, hi, R): random value tables on random supports, and
+    U(4, 8), whose 70 bases take two words per argmax set.  Case k raises
+    about half of its values by SPREADS[k % 6] and moves about half of the
+    axes of its box by CORNERS[k // 6]."""
     rng = random.Random(2511)
     cases = []
     for k in range(24):
         n = rng.randint(3, 5)
         d = rng.randint(1, n - 1)
         subsets = [sum(1 << i for i in c) for c in itertools.combinations(range(n), d)]
-        offset = (1 << 60) * (k % 2)
-        items = sorted((m, offset + rng.randint(-3, 3))
+        items = sorted((m, rng.randint(-3, 3) + SPREADS[k % 6] * rng.randint(0, 1))
                        for m in rng.sample(subsets, rng.randint(1, len(subsets))))
-        lo = [rng.randint(-2, 0) for _ in range(n)]
+        lo = [rng.randint(-2, 0) + CORNERS[k // 6] * rng.randint(0, 1) for _ in range(n)]
         hi = [l + rng.randint(2, 3) for l in lo]
         cases.append((items, n, lo, hi, rng.randint(1, 2)))
     masks = sorted(mf.uniform_matroid(4, 8).masks)
-    for offset in (0, 1 << 60):
-        items = [(m, offset + rng.randint(0, 3)) for m in masks]
+    for spread in (0, 1 << 100):
+        items = [(m, rng.randint(0, 3) + spread * rng.randint(0, 1)) for m in masks]
         lo = [rng.randint(-1, 0) for _ in range(8)]
         cases.append((items, 8, lo, [l + 1 for l in lo], 1))
     return cases
@@ -163,6 +208,25 @@ def test_box_scans_across_slabs(monkeypatch, chunk):
         assert np.array_equal(grid.ravel(), cube[0])
         assert window._families([mask for mask, _ in items], bits) == cube[1]
         assert window._leader_reps(items, n, R) == reps
+
+
+def test_box_scans_score_in_int64_only(monkeypatch):
+    # every slab of every box scan is scored in int64, also at spreads past
+    # 2^62 and at corners far from 0, where score_ids turns to Python ints
+    dtypes = []
+    slab_lines = window._slab_lines
+
+    def recorded(rows, levels, vals, lo, hi):
+        dtypes.append(vals.dtype)
+        return slab_lines(rows, levels, vals, lo, hi)
+
+    monkeypatch.setattr(window, "_slab_lines", recorded)
+    for items, n, lo, hi, R in _slab_cases():
+        window.score_box(items, n, lo, hi)
+        window._scored_grid(items, n, lo[0], hi[0])
+        window._leader_reps(items, n, R)
+    assert len(dtypes) == 3 * len(_slab_cases())
+    assert set(dtypes) == {np.dtype(np.int64)}
 
 
 def random_cases():
