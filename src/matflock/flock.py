@@ -126,13 +126,17 @@ def oracle_flock(ground, d: int, fn: Callable[[tuple], Matroid],
 def window_ids(flock: MatroidFlock, radius: int):
     """Matroid identities over the box [-radius, radius]^E.
 
-    Returns (grid, table): an int array indexed by alpha + radius per axis,
-    and the list mapping ids to basis-mask families.  Valuation-backed flocks
-    are scored vectorized; anything else walks the oracle.
+    Returns (grid, table): a read-only int array indexed by alpha + radius
+    per axis, and the list mapping ids to basis-mask families.
+    Valuation-backed flocks are scored vectorized; anything else walks the
+    oracle.  A negative radius is refused before anything is scanned.
     """
     from . import window
     radius, = as_ints([radius], "radius")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     grid, masks, bits = _grid(flock, -radius, radius)
+    grid.setflags(write=False)
     return grid, window._families(masks, bits)
 
 

@@ -61,6 +61,19 @@ and above its cut), one contiguous copy of the checked block is shared by
 every move, and each side's keys are read from it with ``np.take`` and
 compared word by word, so no key is ranked.
 
+The id grids of flocks and Frobenius flocks come from ``_scored_grid``,
+which remembers one box: the last one it scored, keyed by content as (n,
+the valuation's finite items).  A flock check over [-r, r + 1]^n and a
+Frobenius check of the same valuation over a nested box thus share one
+scan.  A request for a nonempty box [lo, hi]^n inside the remembered one,
+with the same key, slices the remembered grid and renumbers the slice by
+``_ranks``; the remembered ids are ranked in the lex order of their words,
+so the renumbered ids and the rows ``bits[distinct]`` are what a fresh
+scan returns.  Any other request forgets the remembered box before it
+scans, so at most one grid is held and a scan's peak is not raised by it; a
+grid of more than ``_MEMO_IDS`` ids is not kept.  The arrays returned are
+read-only, so no caller can change what a later request reads.
+
 Exactness: a box [lo, hi] of side s is read at beta = alpha - lo, in
 [0, s]^n, against w(B) = nu(B) - e_B . lo, shifted to minimum 0 and capped
 at d s + 1: the minimizer of w scores >= 0 at every beta and a capped basis
@@ -79,6 +92,10 @@ import numpy as np
 _CHUNK = 1 << 16
 # scores stay within 2^62 of 0, and -2^62 is the sentinel score
 _LIMIT = 1 << 62
+# _scored_grid's last box, {(n, finite items): (lo, hi, grid, bits)}, and
+# the most ids it keeps
+_grid_memo: dict = {}
+_MEMO_IDS = 1 << 20
 
 
 def _row_words(bits: np.ndarray) -> np.ndarray:
@@ -412,9 +429,27 @@ def score_box(finite_items, n: int, lo, hi):
 
 def _scored_grid(finite_items, n: int, lo: int, hi: int):
     """(grid, bits) of the argmax families over [lo, hi]^n: the intp ids of
-    ``_box_sets`` as a grid indexed by alpha - lo per axis, and its table."""
-    ids, bits = _box_sets(finite_items, n, [lo] * n, [hi] * n)
-    return ids.reshape((hi - lo + 1,) * n), bits
+    ``_box_sets`` as a grid indexed by alpha - lo per axis, and its table,
+    both read-only.  A nonempty box inside the one remembered for the same
+    (n, finite_items) is sliced from it and renumbered by ``_ranks``, which
+    keeps the lex order of the remembered ids, so it is what a scan gives;
+    any other request forgets that box before it scans (module docstring)."""
+    key = (n, tuple(finite_items))
+    held = _grid_memo.get(key)
+    if held is not None and held[0] <= lo <= hi <= held[1]:
+        start, _, whole, table = held
+        part = whole[(slice(lo - start, hi - start + 1),) * n]
+        rank, distinct = _ranks(part, len(table))
+        grid, bits = rank[part], table[distinct]
+    else:
+        _grid_memo.clear()
+        ids, bits = _box_sets(finite_items, n, [lo] * n, [hi] * n)
+        grid = ids.reshape((hi - lo + 1,) * n)
+        if lo <= hi and grid.size <= _MEMO_IDS:
+            _grid_memo[key] = (lo, hi, grid, bits)
+    grid.setflags(write=False)
+    bits.setflags(write=False)
+    return grid, bits
 
 
 def _id_grid(n: int, lo: int, hi: int, value_at):

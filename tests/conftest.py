@@ -114,6 +114,14 @@ def extract_checked(flock, cutoff=None, verify_radius=None) -> mf.Valuation:
     return got
 
 
+@pytest.fixture(autouse=True)
+def empty_grid_memo():
+    """Every test starts with no remembered box, so a test that patches the
+    box scan sees its calls whatever ran before it."""
+    from matflock import window
+    window._grid_memo.clear()
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260808)

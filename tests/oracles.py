@@ -441,7 +441,9 @@ def tableau_frobenius_grid(param, lo: int, hi: int):
     nu = tadic_valuation(param)
     n, p = param.n, param.p
     items = nu.finite_items()
-    grid, bits = window._scored_grid(items, n, lo, hi)
+    # a fresh scan, not the remembered box of the library's checks
+    ids, bits = window._box_sets(items, n, [lo] * n, [hi] * n)
+    grid = ids.reshape((hi - lo + 1,) * n)
     P = _param_polymatrix(param)
     intern: dict[tuple, int] = {}
     ids = []

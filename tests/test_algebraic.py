@@ -498,6 +498,38 @@ def test_lindstrom_walk_is_cached_and_bounded(monkeypatch, rng, source):
     assert len(calls) == 1
 
 
+def test_flock_and_frobenius_checks_share_one_scan(monkeypatch):
+    # the flock check scores [-2, 3]^E and the Frobenius check the nested
+    # [-1, 2]^E of the same valuation, sliced from it; both reports are
+    # those of fresh scans
+    param = example_param(2, 2)
+    flock = mf.flock_from_linearized(param)
+    want = (mf.check_flock_axioms(flock, 2), mf.check_frobenius_axioms(param, 1))
+    window._grid_memo.clear()
+    scans = []
+    box_sets = window._box_sets
+    monkeypatch.setattr(window, "_box_sets", lambda *args: scans.append(args[2:]) or box_sets(*args))
+    flock = mf.flock_from_linearized(param)
+    got = (mf.check_flock_axioms(flock, 2), mf.check_frobenius_axioms(param, 1))
+    assert got == want and got[0].ok and got[1].ok
+    assert scans == [([-2] * 4, [3] * 4)]
+
+
+def test_memo_hit_equals_fresh_scan_on_linearized_params(rng):
+    from test_window import assert_nested_boxes_hit
+    checked = 0
+    while checked < 30:
+        p = rng.choice([2, 3, 5])
+        m = rng.randint(1, 3)
+        try:
+            param = _random_param(rng, p, m, rng.randint(m, 5))
+        except ValueError:
+            continue
+        nu, _ = algebraic._lindstrom(param)
+        assert_nested_boxes_hit(nu.finite_items(), param.n, -2 + (param.n > 4), 3)
+        checked += 1
+
+
 def test_frobenius_check_runs_no_elimination(monkeypatch):
     # after the one cached walk, the grid and the report eliminate nothing
     param = example_param(3, 2)

@@ -402,6 +402,37 @@ def test_window_ids_generic_matches_vectorized():
         assert tf[gf[idx]] == ts[gs[idx]]
 
 
+def test_window_ids_negative_radius_refused_before_scanning(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a box was scanned")
+    monkeypatch.setattr(window, "_box_sets", refuse)
+    monkeypatch.setattr(window, "_id_grid", refuse)
+    nu = u24_valuation()
+    for flock in (mf.flock_from_valuation(nu),
+                  mf.oracle_flock(nu.ground, nu.d, lambda a: mf.matroid_at(nu, a))):
+        for radius in (-1, -2):
+            with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+                window_ids(flock, radius)
+
+
+def test_window_ids_grid_is_read_only():
+    # the grid window_ids returns is the remembered box the next check
+    # slices, so writing to it is refused and leaves that check's report as
+    # a fresh scan gives it
+    nu = u24_valuation()
+    flock = mf.flock_from_valuation(nu)
+    want = mf.check_flock_axioms(flock, 2)
+    walked = mf.oracle_flock(nu.ground, nu.d, lambda a: mf.matroid_at(nu, a))
+    for source in (flock, walked):
+        grid, table = window_ids(source, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            grid[(0,) * 4] = grid[(3,) * 4]
+        with pytest.raises(ValueError, match="read-only"):
+            grid.fill(0)
+    assert window._grid_memo
+    assert mf.check_flock_axioms(flock, 2) == want
+
+
 # (n, d, number of finite bases): one basis, one and two argmax words at
 # the 64-bit word edge, and more than two words
 SCORE_SHAPES = [(3, 1, 1), (4, 2, 5), (8, 4, 64), (8, 4, 65), (10, 4, 129), (10, 5, 200)]

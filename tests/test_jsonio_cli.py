@@ -701,11 +701,14 @@ def test_cli_check_flock_matches_golden_report(capsys):
     # table: the matroids of the valuation {12: 0, 13: 1, 23: 0} over
     # [-1, 2]^3 with the one at (0, 1, 0) swapped for the one at (1, 0, 0);
     # and the toric fixture's 70 bases, two words per argmax set and per
-    # minor key, with and without set moves.  The installed-package CI job
-    # diffs the console script against all four
+    # minor key, with and without set moves; and the paper's linearized
+    # example, the flock half of the check-ff pipeline.  The
+    # installed-package CI job diffs the console script against all five
     fixtures = Path(__file__).parent / "fixtures"
     for argv, report in ((["--from-valuation", "valuation_n5_d2.json", "--radius", "3", "--sets"],
                           "valuation_n5_d2_check_flock_r3_sets.json"),
+                         (["--from-linearized", "paper_example_param.json", "--radius", "2"],
+                          "paper_example_check_flock_r2.json"),
                          (["--explicit", "explicit_n3_swapped.json", "--radius", "1"],
                           "explicit_n3_swapped_check_flock_r1.json"),
                          (["--from-toric", "toric_wide.json", "--radius", "1"],

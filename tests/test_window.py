@@ -13,6 +13,7 @@ import json
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from matflock import jsonio, window
 from matflock.matroid import _connected
 
 import oracles
-from conftest import random_valid_valuation
+from conftest import random_valid_valuation, u24_valuation
 from test_jsonio_cli import _cli_env, write
 
 
@@ -306,3 +307,71 @@ def test_cli_leaders_large_window_in_bounded_time(tmp_path):
     assert done.returncode == 0, done.stderr
     scan = json.loads(done.stdout)
     assert scan["radius"] == 21 and scan["complete"] is True
+
+
+# ---------------------------------------------------------------------------
+# the remembered box of _scored_grid
+
+def assert_nested_boxes_hit(items, n: int, lo: int, hi: int):
+    """Once [lo, hi]^n is scored, every nonempty box inside it is answered
+    without a scan, with the grid and bits, byte for byte, of a fresh scan
+    (``_box_sets`` called directly, which remembers nothing)."""
+    box_sets = window._box_sets
+    window._grid_memo.clear()
+    with mock.patch.object(window, "_box_sets", wraps=box_sets) as scans:
+        window._scored_grid(items, n, lo, hi)
+        for a, b in itertools.combinations_with_replacement(range(lo, hi + 1), 2):
+            grid, bits = window._scored_grid(items, n, a, b)
+            ids, want = box_sets(items, n, [a] * n, [b] * n)
+            assert grid.shape == (b - a + 1,) * n and grid.dtype == ids.dtype
+            assert grid.tobytes() == ids.tobytes()
+            assert bits.dtype == want.dtype and np.array_equal(bits, want)
+            assert not grid.flags.writeable and not bits.flags.writeable
+        assert scans.call_count == 1
+    assert len(window._grid_memo) == 1
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tables(max_n=5), st.integers(0, 4))
+def test_memo_hit_equals_fresh_scan(case, side):
+    # random tables (not only valuations), at corners near 0 and far from it
+    items, n, lo, _ = case
+    assert_nested_boxes_hit(items, n, lo[0], lo[0] + side)
+
+
+def test_memo_misses_scan_after_forgetting(monkeypatch):
+    # a box that only overlaps the remembered one, a disjoint box, another n,
+    # another valuation with the same masks, a larger box and an empty box
+    # all scan, and each forgets the remembered box before it scans
+    items = u24_valuation().finite_items()
+    other = [(mask, val + (mask == items[0][0])) for mask, val in items]
+    box_sets = window._box_sets
+    scans = []
+
+    def scan(finite_items, n, lo, hi):
+        assert window._grid_memo == {}
+        scans.append((n, lo[0], hi[0]))
+        return box_sets(finite_items, n, lo, hi)
+    monkeypatch.setattr(window, "_box_sets", scan)
+    requests = [(items, 4, -1, 2), (items, 4, 0, 3), (items, 4, 5, 6), (items, 5, 5, 6),
+                (other, 5, 5, 6), (other, 5, 4, 6), (other, 5, 1, 0), (other, 5, 4, 6)]
+    for finite_items, n, lo, hi in requests:
+        grid, bits = window._scored_grid(finite_items, n, lo, hi)
+        ids, want = box_sets(finite_items, n, [lo] * n, [hi] * n)
+        assert grid.tobytes() == ids.tobytes() and np.array_equal(bits, want)
+        assert len(window._grid_memo) == (lo <= hi)
+    assert scans == [(n, lo, hi) for _, n, lo, hi in requests]
+    # the one remembered box answers the boxes inside it
+    window._scored_grid(other, 5, 5, 5)
+    assert len(scans) == len(requests)
+
+
+def test_memo_keeps_no_grid_above_its_cap(monkeypatch):
+    items = u24_valuation().finite_items()
+    monkeypatch.setattr(window, "_MEMO_IDS", 4 ** 4)
+    window._scored_grid(items, 4, -2, 2)
+    assert window._grid_memo == {}
+    window._scored_grid(items, 4, -1, 2)
+    assert [entry[:2] for entry in window._grid_memo.values()] == [(-1, 2)]
+    window._scored_grid(items, 4, -2, 2)
+    assert window._grid_memo == {}
