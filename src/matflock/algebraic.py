@@ -527,7 +527,7 @@ def _frobenius_report(grid, masks, values, radius: int, ground,
     from . import window
     n = len(ground)
     moves = itertools.chain(window._minor_moves(n, masks, values, [(k,) for k in range(n)], p),
-                            [(tuple(range(n)), *window._same_keys(len(values)))])
+                            [(tuple(range(n)), None, None)])
     counts, first = window._local_axioms(grid, radius, moves)
     violation = None
     if first is not None:

@@ -3,12 +3,21 @@
 Functions live on explicit boxes; every sup over Z^n is replaced by a max
 over a finite domain, which is exact whenever the domain of the primal
 function is finite (always the case for valuation-derived functions).
+
+A ``WindowFunction``'s ``values`` is read-only, and its box, once set, is
+never rebound.  The public constructor checks every input; ``_on_box``
+builds a function from a box the library has already checked and values
+it computed in box order, and reads neither again.  ``fenchel_dual``
+returns through ``_on_box`` and hands its box-ordered values on, so
+``check_lconvex`` reads them as they are; for a function from the public
+constructor that list is built on first use and kept.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from types import MappingProxyType
 from typing import Callable, Optional
 
 from .lattice import INF, as_ints, vadd, vjoin, vmeet, vsub
@@ -40,11 +49,13 @@ def _box(n, lo, hi):
 class WindowFunction:
     """A map from the lattice points of a box to Z ∪ {∞}.
 
-    Only finite values are stored; lattice points of the box without an
-    entry, and everything outside the box, take the value ∞.  Bounds,
-    coordinates and values must be integers (see ``_ints``); a point of the
-    wrong length or outside the box raises ValueError.  Each check reads
-    one axis, or the values, at a time.
+    Only finite values are stored, in the read-only mapping ``values``;
+    lattice points of the box without an entry, and everything outside the
+    box, take the value ∞.  Bounds, coordinates and values must be integers
+    (see ``_ints``); a point of the wrong length or outside the box raises
+    ValueError.  Each check reads one axis, or the values, at a time.
+    ``n``, ``lo``, ``hi`` and ``values`` cannot be rebound, so the values
+    in box order that ``_box_values`` keeps always agree with ``values``.
     """
 
     def __init__(self, n: int, lo, hi, values: dict):
@@ -69,8 +80,34 @@ class WindowFunction:
         if ints is None:
             pt, v = next((pt, v) for pt, v in vals.items() if _ints([v]) is None)
             raise ValueError(f"value {v!r} at {pt} is not an integer")
-        vals = dict(zip(vals, ints))
-        self.values = vals
+        self.values = MappingProxyType(dict(zip(vals, ints)))
+        self._box_vals = None
+
+    @classmethod
+    def _on_box(cls, n: int, lo: tuple, hi: tuple, vals) -> "WindowFunction":
+        """The function finite on the whole box [lo, hi], a box of
+        ``_box``'s output, with the int values ``vals`` listed in box order.
+        Nothing is checked or converted again: for boxes the library has
+        checked and values it computed, such as ``fenchel_dual``'s.
+        ``vals`` is kept, as a tuple, for ``check_lconvex``."""
+        f = cls.__new__(cls)
+        f.n, f.lo, f.hi = n, lo, hi
+        f._box_vals = vals = tuple(vals)
+        f.values = MappingProxyType(dict(zip(_box_points(lo, hi), vals)))
+        return f
+
+    def __setattr__(self, name, value):
+        if name in ("n", "lo", "hi", "values") and hasattr(self, name):
+            raise AttributeError(f"cannot rebind WindowFunction.{name}")
+        object.__setattr__(self, name, value)
+
+    def _box_values(self) -> tuple:
+        """The values at the lattice points of the box in box order (lex
+        order), ∞ off the domain: built on the first call and kept."""
+        if self._box_vals is None:
+            self._box_vals = tuple(map(self.values.get, _box_points(self.lo, self.hi),
+                                       itertools.repeat(INF)))
+        return self._box_vals
 
     def __call__(self, pt):
         return self.values.get(tuple(pt), INF)
@@ -207,20 +244,22 @@ def _submodular(lo, hi, vals):
 def check_lconvex(g: WindowFunction) -> LConvexReport:
     """Submodularity on the box plus a constant all-ones slope.
 
-    The values are read once into a list in box order.  If g is finite on
-    its whole box (always so for ``fenchel_dual`` output), submodularity is
-    checked on the unit squares, plane by plane at flat strides; otherwise
-    on all pairs of finite box points (see ``_submodular``).  Joins and
-    meets of box points stay in the box, so the check is complete either
-    way.  The shift pairs (x, x+1) are the flat indices f of [lo, hi - 1]
-    and f + sum of the strides, checked in one comprehension: both values
-    ∞ passes, one ∞ fails, and every finite step must equal the first.
+    The values are read in box order from ``g._box_values()``: the list
+    ``fenchel_dual`` computed, or one built from ``g.values`` once.  If g
+    is finite on its whole box (always so for ``fenchel_dual`` output),
+    submodularity is checked on the unit squares, plane by plane at flat
+    strides; otherwise on all pairs of finite box points (see
+    ``_submodular``).  Joins and meets of box points stay in the box, so
+    the check is complete either way.  The shift pairs (x, x+1) are the
+    flat indices f of [lo, hi - 1] and f + sum of the strides, checked in
+    one comprehension: both values ∞ passes, one ∞ fails, and every finite
+    step must equal the first.
     Shift pairs with x+1 outside the box are skipped and counted, so a
     Valid verdict documents its coverage; on a failure both counts stop at
-    the witness, in box order.
+    the witness, in box order.  The box's points are listed only to name a
+    witness.
     """
-    pts = _box_points(g.lo, g.hi)
-    vals = list(map(g.values.get, pts, itertools.repeat(INF)))
+    vals = g._box_values()
     sub_checked, witness = _submodular(g.lo, g.hi, vals)
     if witness is not None:
         return LConvexReport(False, None, witness, sub_checked, 0, 0)
@@ -234,9 +273,10 @@ def check_lconvex(g: WindowFunction) -> LConvexReport:
               or vals[f] != INF and vals[f + shift] - vals[f] != r]
     if not failed:
         return LConvexReport(True, r, None, sub_checked, len(corners),
-                             len(pts) - len(corners))
+                             len(vals) - len(corners))
     c = failed[0]
     f = corners[c]
+    pts = _box_points(g.lo, g.hi)
     return LConvexReport(False, None, (pts[f], pts[f + shift]), sub_checked, c + 1, f - c)
 
 
@@ -289,7 +329,9 @@ def fenchel_dual(h: WindowFunction, dual_lo, dual_hi) -> WindowFunction:
     (distinct suffixes of D) states, so it never takes more steps than the
     exhaustive max has products.  Each suffix keeps its values as one list
     over the dual box of the first k axes, in box order, so no state is a
-    tuple until the last pass has run.
+    tuple until the last pass has run.  The last pass's list is h• in box
+    order: it becomes the dual through ``WindowFunction._on_box``, and
+    ``check_lconvex`` reads it as it is.
     """
     n, lo, hi = _box(h.n, dual_lo, dual_hi)
     # H_k maps each suffix (y_k..y_{n-1}) to its values at the dual points
@@ -304,7 +346,7 @@ def fenchel_dual(h: WindowFunction, dual_lo, dual_hi) -> WindowFunction:
         for rest, pairs in children.items():
             lines = [[x * y + c for c in col for x in xs] for y, col in pairs]
             H[rest] = lines[0] if len(lines) == 1 else list(map(max, *lines))
-    return WindowFunction(n, lo, hi, dict(zip(_box_points(lo, hi), H[()])))
+    return WindowFunction._on_box(n, lo, hi, H[()])
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ def check_flock_axioms(flock: MatroidFlock, radius: int,
     moves = axes + [tuple(range(n))] + subsets
     minors = window._minor_moves(n, masks, bits, axes + subsets, 2)
     counts, first = window._local_axioms(grid, radius, itertools.chain(
-        itertools.islice(minors, n), [(moves[n], *window._same_keys(len(bits)))], minors))
+        itertools.islice(minors, n), [(moves[n], None, None)], minors))
 
     violation = None
     if first is not None:

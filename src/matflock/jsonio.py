@@ -173,7 +173,8 @@ def window_function_from_json(doc) -> WindowFunction:
             raise InputError(f"bad window value {v!r}")
         values[x] = v
     try:
-        return WindowFunction(n, lo, hi, {x: v for x, v in values.items() if v != "inf"})
+        # "inf" points are passed on as ∞, so they too must lie in the box
+        return WindowFunction(n, lo, hi, {x: INF if v == "inf" else v for x, v in values.items()})
     except (ValueError, TypeError) as exc:
         raise InputError(f"bad window function document: {exc}") from None
 

@@ -59,7 +59,8 @@ then checks a move over the whole box: the grid of ``score_box`` is
 expanded run by run (each line's three ids repeated over the t below, at
 and above its cut), one contiguous copy of the checked block is shared by
 every move, and each side's keys are read from it with ``np.take`` and
-compared word by word, so no key is ranked.
+compared word by word, so no key is ranked.  The all-ones shift (MF2,
+FF2) has no keys: it compares the ids themselves.
 
 The id grids of flocks and Frobenius flocks come from ``_scored_grid``,
 which remembers one box: the last one it scored, keyed by content as (n,
@@ -288,9 +289,11 @@ def _intern(a0: np.ndarray, a1: np.ndarray, words: np.ndarray):
     gets the next free id, and the words of the new sets are appended."""
     count = len(words)
     codes = a0 * count + a1
-    # a bool per possible code when that takes no more memory than the
-    # codes or one page, and a sort otherwise; the table is the cheaper on
-    # small boxes and on most levels of large ones
+    # a table per possible code while count^2 <= 8 len(codes) (or 2^12),
+    # and a sort otherwise.  _ranks then allocates a bool hit table of
+    # count^2 bytes, at most the codes' bytes, and an intp rank table of
+    # 8 count^2 bytes, up to 8 times the codes' bytes.  The table is the
+    # cheaper on small boxes and on most levels of large ones
     if count * count <= max(8 * len(codes), 1 << 12):
         rank, pairs = _ranks(codes, count * count)
         new = rank[codes]
@@ -487,9 +490,11 @@ def _local_axioms(grid: np.ndarray, radius: int, moves):
 
     A move (I, left, right) holds at alpha when row left[id at alpha] equals
     row right[id at alpha + e_I]: ``left`` and ``right`` are (ids, words)
-    arrays of keys, one row per id, of one width.  A move is checked at
-    every alpha of [-radius, radius]^E whose shift is in the grid, so a grid
-    over [-radius, radius + 1]^E checks the whole box.  The checked block is
+    arrays of keys, one row per id, of one width.  A move without keys
+    (I, None, None) holds when the two ids are equal (MF2, FF2): distinct
+    ids hold distinct families.  A move is checked at every alpha of
+    [-radius, radius]^E whose shift is in the grid, so a grid over
+    [-radius, radius + 1]^E checks the whole box.  The checked block is
     copied once per block shape into a contiguous array that its moves
     share, and a move compares its keys word by word, each word read with
     ``np.take``: two gathers and one comparison per word, no key ranked.
@@ -504,9 +509,12 @@ def _local_axioms(grid: np.ndarray, radius: int, moves):
         at, shifted = _move_views(grid, radius, axes)
         if at.shape not in blocks:
             blocks[at.shape] = np.ascontiguousarray(at)
-        fails = np.take(left[:, 0], blocks[at.shape]) != np.take(right[:, 0], shifted)
-        for w in range(1, left.shape[1]):
-            fails |= np.take(left[:, w], blocks[at.shape]) != np.take(right[:, w], shifted)
+        if left is None:
+            fails = blocks[at.shape] != shifted
+        else:
+            fails = np.take(left[:, 0], blocks[at.shape]) != np.take(right[:, 0], shifted)
+            for w in range(1, left.shape[1]):
+                fails |= np.take(left[:, w], blocks[at.shape]) != np.take(right[:, w], shifted)
         failed = int(np.count_nonzero(fails))
         if failed:
             idx = np.unravel_index(int(np.argmax(fails)), fails.shape)
@@ -528,13 +536,6 @@ def _move_views(grid: np.ndarray, radius: int, axes):
         base.append(slice(0, stop))
         top.append(slice(step, stop + step))
     return grid[tuple(base)], grid[tuple(top)]
-
-
-def _same_keys(size: int):
-    """(left keys, right keys) of a move that compares the ids themselves
-    (MF2, FF2), one word per id."""
-    ids = np.arange(size)[:, None]
-    return ids, ids
 
 
 def _residues(p: int):

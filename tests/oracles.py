@@ -516,7 +516,7 @@ def rref_frobenius_report(grid, spaces, radius: int, ground, p: int) -> Frobeniu
                               lambda i, k=k: rref_space_contract(spaces[i], k, p),
                               lambda i, k=k: rref_space_delete(spaces[i], k, p)))
              for k in range(n)]
-    moves.append((tuple(range(n)), *window._same_keys(len(spaces))))
+    moves.append((tuple(range(n)), None, None))
     counts, first = window._local_axioms(grid, radius, moves)
     violation = None
     if first is not None:
@@ -621,7 +621,8 @@ def strided_local_axioms(grid: np.ndarray, radius: int, moves):
 
     A move (I, left, right) holds at alpha when left[id at alpha] equals
     right[id at alpha + e_I]: ``left`` and ``right`` are int arrays over the
-    ids, numbered together.  A move is checked at every alpha of
+    ids, numbered together, and a move without keys (I, None, None) is read
+    as keyed by the ids themselves.  A move is checked at every alpha of
     [-radius, radius]^E whose shift is in the grid, so a grid over
     [-radius, radius + 1]^E checks the whole box, with two gathers and one
     comparison.  Returns (checked, failed) per move and the violation
@@ -632,6 +633,8 @@ def strided_local_axioms(grid: np.ndarray, radius: int, moves):
     first = None
     for k, (axes, left, right) in enumerate(moves):
         at, shifted = window._move_views(grid, radius, axes)
+        if left is None:
+            left = right = np.arange(int(grid.max()) + 1)[:, None]
         fails = (left[at] != right[shifted]).any(axis=-1)
         failed = int(np.count_nonzero(fails))
         if failed:

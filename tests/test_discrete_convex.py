@@ -117,11 +117,15 @@ def box_functions(draw):
     lo = tuple(draw(st.integers(-2, 0)) for _ in range(n))
     hi = tuple(l + draw(st.integers(0, 3)) for l in lo)
     pts = list(box(lo, hi))
-    kind = draw(st.sampled_from(["dual", "max_affine", "differences"]))
-    if kind == "dual":
+    kind = draw(st.sampled_from(["dual", "max_affine", "differences", "trusted_dual"]))
+    if kind in ("dual", "trusted_dual"):
         rng = random.Random(draw(st.integers(0, 2 ** 32)))
         nu = random_valid_valuation(rng, n, rng.randint(1, n))
-        values = mf.fenchel_dual(mf.valuation_point_function(nu), lo, hi).values
+        dual = mf.fenchel_dual(mf.valuation_point_function(nu), lo, hi)
+        if kind == "trusted_dual":
+            # as fenchel_dual returns it: built by _on_box, values kept in box order
+            return dual
+        values = dict(dual.values)
     elif kind == "max_affine":
         pieces = draw(st.lists(st.tuples(st.lists(st.integers(-2, 2), min_size=n,
                                                   max_size=n),
@@ -218,9 +222,85 @@ def primal_and_dual_box(draw):
 @given(primal_and_dual_box())
 @example((WindowFunction(1, (-1,), (1,), {(-1,): 4}), (-2,), (1,)))
 @example((WindowFunction(3, (-1,) * 3, (1,) * 3, {(1, -1, 0): 2}), (-1,) * 3, (2,) * 3))
+# a primal built by _on_box: the dual of a dual
+@example((mf.fenchel_dual(WindowFunction(2, (0, 0), (1, 1), {(1, 0): 0, (0, 1): 2}),
+                          (-1, -2), (1, 0)), (0, 0), (1, 1)))
 def test_fenchel_matches_exhaustive_oracle(case):
     h, dual_lo, dual_hi = case
     assert mf.fenchel_dual(h, dual_lo, dual_hi) == oracles.fenchel_dual(h, dual_lo, dual_hi)
+
+
+@st.composite
+def point_function_and_dual_box(draw):
+    """A function with 0 <= n <= 4 on a box of sides 1 to 3, finite on the
+    whole box (dense) or on a random nonempty part of it (sparse), and a
+    dual box of sides 1 to 5 with at most 625 points."""
+    n = draw(st.integers(0, 4))
+    lo = tuple(draw(st.integers(-2, 1)) for _ in range(n))
+    hi = tuple(l + draw(st.integers(0, 2)) for l in lo)
+    pts = list(box(lo, hi))
+    if draw(st.booleans()):
+        domain = pts
+    else:
+        domain = draw(st.lists(st.sampled_from(pts), min_size=1, max_size=len(pts),
+                               unique=True))
+    values = {x: draw(st.integers(-6, 6)) for x in domain}
+    dual_lo = tuple(draw(st.integers(-3, 1)) for _ in range(n))
+    dual_hi = tuple(l + draw(st.integers(0, 4)) for l in dual_lo)
+    return WindowFunction(n, lo, hi, values), dual_lo, dual_hi
+
+
+def _mconvex_report(f):
+    """``check_mconvex``'s report, on boxes small enough for its pair scan."""
+    return mf.check_mconvex(f) if len(f.values) <= 125 else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_function_and_dual_box())
+@example((WindowFunction(0, (), (), {(): 3}), (), ()))
+def test_trusted_dual_matches_public_constructor(case):
+    # fenchel_dual builds its output by _on_box, which checks nothing; the
+    # public constructor, fed the same values, must give the same function
+    # and the same verdicts, field by field
+    h, dual_lo, dual_hi = case
+    g = mf.fenchel_dual(h, dual_lo, dual_hi)
+    public = WindowFunction(g.n, dual_lo, dual_hi, dict(g.values))
+    assert g == public and public == g
+    assert repr(g) == repr(public) and g.domain() == public.domain()
+    assert {type(x) for pt, v in g.values.items() for x in (*pt, v)} <= {int}
+    # reports compare field by field: ok, r, witness and every count
+    assert mf.check_lconvex(g) == mf.check_lconvex(public)
+    assert _mconvex_report(g) == _mconvex_report(public)
+
+
+def test_window_function_values_are_read_only():
+    h = WindowFunction(2, (0, 0), (1, 1), {(1, 0): 0, (0, 1): 0})
+    g = mf.fenchel_dual(h, (-1, -1), (1, 1))
+    for f in (h, g):
+        with pytest.raises(TypeError):
+            f.values[(0, 0)] = 7
+        with pytest.raises(TypeError):
+            del f.values[next(iter(f.values))]
+        for name in ("n", "lo", "hi", "values"):
+            with pytest.raises(AttributeError, match=f"cannot rebind WindowFunction.{name}"):
+                setattr(f, name, getattr(f, name))
+    assert mf.check_lconvex(g) == mf.check_lconvex(WindowFunction(2, (-1, -1), (1, 1),
+                                                                   {x: max(x) for x in
+                                                                    box((-1, -1), (1, 1))}))
+
+
+def test_public_function_with_infinite_points_checks_through_kept_list():
+    # no unit square has both diagonal points finite: the pairs of finite
+    # points decide, read from the box list built on the first check
+    g = WindowFunction(2, (0, 0), (2, 2), {(0, 2): 0, (2, 0): 0})
+    assert g._box_vals is None
+    rep = mf.check_lconvex(g)
+    assert g._box_vals == tuple(g(x) for x in box((0, 0), (2, 2)))
+    assert g._box_vals.count(INF) == 7
+    assert rep == oracles.check_lconvex(g) and not rep.ok
+    assert rep.witness == ((0, 2), (2, 0))
+    kept = g._box_vals
+    assert mf.check_lconvex(g) == rep and g._box_vals is kept
 
 
 def test_fenchel_matches_g_value(rng):

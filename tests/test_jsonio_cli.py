@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matflock as mf
 from matflock import jsonio, svg
@@ -551,6 +553,125 @@ def test_cli_non_integer_coordinates_exit_2(tmp_path, command, doc):
             else write(tmp_path, "doc.json", doc))
     done = _run_cli(*command, path)
     assert done.returncode == 2, done.stderr
+    assert done.stdout == "" and done.stderr.startswith("input error: ")
+    assert "Traceback" not in done.stderr
+
+
+# a valid window-function document, and the classes of malformed ones:
+# each mutation breaks one rule of the loader
+_WINDOW_DOC = {"n": 2, "lo": [0, -1], "hi": [2, 1], "values": [
+    {"x": [0, 0], "v": 1}, {"x": [1, 1], "v": "inf"}, {"x": [2, -1], "v": -3}]}
+_NOT_INT = st.one_of(st.booleans(), st.floats(), st.text(max_size=3),
+                     st.lists(st.integers(-2, 2), max_size=2))
+
+
+def _bad_coordinate(draw, doc):
+    bad = draw(_NOT_INT)
+    field = draw(st.sampled_from(["n", "lo", "hi", "x"]))
+    if field == "n":
+        doc["n"] = bad
+    elif field == "x":
+        draw(st.sampled_from(doc["values"]))["x"][draw(st.integers(0, 1))] = bad
+    else:
+        doc[field][draw(st.integers(0, 1))] = bad
+
+
+def _bad_value(draw, doc):
+    bad = draw(_NOT_INT.filter(lambda v: v != "inf"))
+    draw(st.sampled_from(doc["values"]))["v"] = bad
+
+
+def _bound_length(draw, doc):
+    field = draw(st.sampled_from(["lo", "hi"]))
+    if draw(st.booleans()):
+        doc[field].append(0)
+    else:
+        doc[field].pop()
+
+
+def _lo_above_hi(draw, doc):
+    k = draw(st.integers(0, 1))
+    doc["lo"][k] = doc["hi"][k] + draw(st.integers(1, 3))
+
+
+def _outside(draw, doc):
+    entry = draw(st.sampled_from(doc["values"]))
+    kind = draw(st.sampled_from(["below", "above", "short", "long"]))
+    k = draw(st.integers(0, 1))
+    if kind == "below":
+        entry["x"][k] = doc["lo"][k] - draw(st.integers(1, 3))
+    elif kind == "above":
+        entry["x"][k] = doc["hi"][k] + draw(st.integers(1, 3))
+    elif kind == "short":
+        entry["x"].pop()
+    else:
+        entry["x"].append(0)
+
+
+def _repeated_x(draw, doc):
+    entry = draw(st.sampled_from(doc["values"]))
+    doc["values"].insert(draw(st.integers(0, 3)),
+                         {"x": list(entry["x"]), "v": draw(st.sampled_from([0, 5, "inf"]))})
+
+
+def _all_inf(draw, doc):
+    for entry in doc["values"]:
+        entry["v"] = "inf"
+
+
+def _entry_not_dict(draw, doc):
+    bad = draw(st.one_of(st.integers(), st.text(max_size=3), st.none(),
+                         st.lists(st.integers(-2, 2), max_size=2)))
+    doc["values"][draw(st.integers(0, 2))] = bad
+
+
+def _values_not_list(draw, doc):
+    doc["values"] = draw(st.one_of(st.integers(), st.text(max_size=3), st.none(),
+                                   st.just({"x": [0, 0], "v": 1})))
+
+
+_MALFORMED_WINDOW = {
+    "coordinate": _bad_coordinate, "value": _bad_value, "bound-length": _bound_length,
+    "lo-above-hi": _lo_above_hi, "outside": _outside, "repeated-x": _repeated_x,
+    "all-inf": _all_inf, "entry-not-dict": _entry_not_dict,
+    "values-not-list": _values_not_list,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_window_function_loader_refuses_malformed_documents(data):
+    # whatever the class, the loader refuses with InputError, never another
+    # exception
+    kind = data.draw(st.sampled_from(sorted(_MALFORMED_WINDOW)))
+    doc = json.loads(json.dumps(_WINDOW_DOC))
+    _MALFORMED_WINDOW[kind](data.draw, doc)
+    doc = json.loads(json.dumps(doc))
+    with pytest.raises(jsonio.InputError):
+        jsonio.window_function_from_json(doc)
+
+
+def test_window_function_loader_reads_the_valid_document():
+    f = jsonio.window_function_from_json(_WINDOW_DOC)
+    assert f == WindowFunction(2, (0, -1), (2, 1), {(0, 0): 1, (2, -1): -3})
+
+
+@pytest.mark.parametrize("kind, doc", [
+    ("coordinate", {**_WINDOW_DOC, "lo": [0, "0"]}),
+    ("value", {**_WINDOW_DOC, "values": [{"x": [0, 0], "v": [1]}]}),
+    ("bound-length", {**_WINDOW_DOC, "hi": [2, 1, 0]}),
+    ("lo-above-hi", {**_WINDOW_DOC, "lo": [3, -1]}),
+    ("outside", {**_WINDOW_DOC, "values": [{"x": [0, 2], "v": 1}]}),
+    # an "inf" point is in the document too: it must lie in the box as well
+    ("outside-inf", {**_WINDOW_DOC, "values": [{"x": [0, 0], "v": 1}, {"x": [5], "v": "inf"}]}),
+    ("repeated-x", {**_WINDOW_DOC, "values": [{"x": [0, 0], "v": 1}, {"x": [0, 0], "v": 2}]}),
+    ("all-inf", {**_WINDOW_DOC, "values": [{"x": [0, 0], "v": "inf"}]}),
+    ("entry-not-dict", {**_WINDOW_DOC, "values": [[0, 0, 1]]}),
+    ("values-not-list", {**_WINDOW_DOC, "values": {"x": [0, 0], "v": 1}}),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_cli_fenchel_malformed_window_exit_2(tmp_path, kind, doc):
+    done = _run_cli("fenchel", write(tmp_path, "f.json", doc), "--lo", "0,0", "--hi", "1,1")
+    assert done.returncode == 2, (kind, done.stderr)
     assert done.stdout == "" and done.stderr.startswith("input error: ")
     assert "Traceback" not in done.stderr
 

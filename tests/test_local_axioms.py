@@ -464,10 +464,11 @@ def test_flock_check_computes_no_per_id_minors(monkeypatch):
 
 def _all_moves(n, masks, bits):
     """Every minor move I of a flock check, with the all-ones shift after
-    the (MF1) moves, keyed as ``check_flock_axioms`` keys them."""
+    the (MF1) moves, keyed as ``check_flock_axioms`` keys them: the shift
+    has no keys."""
     subsets = [c for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
     moves = list(window._minor_moves(n, masks, bits, subsets, 2))
-    return moves[:n] + [(tuple(range(n)), *window._same_keys(len(bits)))] + moves[n:]
+    return moves[:n] + [(tuple(range(n)), None, None)] + moves[n:]
 
 
 def _kernel_cases(rng):
@@ -495,17 +496,20 @@ def _kernel_cases(rng):
 
 def _perturbed(rng, grid, moves):
     """Copies of ``moves`` with a few key entries set to a fresh key, and
-    (tie) the index of the earlier of two moves made to fail at the first
-    checked alpha by a left key that no right key equals, or None."""
-    moves = [(axes, left.copy(), right.copy()) for axes, left, right in moves]
-    fresh = max(int(max(left.max(), right.max())) for _, left, right in moves) + 1
+    (tie) the index of the earlier of two keyed moves made to fail at the
+    first checked alpha by a left key that no right key equals, or None.
+    A move without keys is kept as it is."""
+    moves = [(axes, left, right) if left is None else (axes, left.copy(), right.copy())
+             for axes, left, right in moves]
+    keyed = [k for k, (_, left, _) in enumerate(moves) if left is not None]
+    fresh = max(int(max(moves[k][1].max(), moves[k][2].max())) for k in keyed) + 1
     for _ in range(rng.randint(0, 3)):
-        _, left, right = rng.choice(moves)
+        _, left, right = moves[rng.choice(keyed)]
         side = left if rng.random() < 0.5 else right
         side[rng.randrange(len(side))] = fresh
     tie = None
-    if len(moves) > 1 and rng.random() < 0.5:
-        tie, later = sorted(rng.sample(range(len(moves)), 2))
+    if len(keyed) > 1 and rng.random() < 0.5:
+        tie, later = sorted(rng.sample(keyed, 2))
         for k in (tie, later):
             moves[k][1][grid[(0,) * grid.ndim]] = fresh + 1
     return moves, tie
@@ -532,3 +536,23 @@ def test_local_axioms_match_strided_oracle():
     intp = np.dtype(np.intp).name
     assert kinds == {("scored", intp), ("cut", intp), ("cubic", intp), ("walked", "int32")}
     assert 30 <= violations < checks and ties >= 10
+
+
+def test_keyless_move_matches_identity_keys():
+    """A move without keys fails exactly where the ids differ: as the
+    strided oracle, and as the same move keyed by the ids themselves."""
+    rng = random.Random(3707)
+    failing = 0
+    for _ in range(60):
+        n, radius = rng.randint(1, 4), rng.randint(1, 2)
+        shape = [2 * radius + 1 + rng.randint(0, 1) for _ in range(n)]
+        grid = np.array([rng.randrange(3) for _ in range(int(np.prod(shape)))],
+                        dtype=rng.choice([np.intp, np.int32])).reshape(shape)
+        same = np.arange(3)[:, None]
+        moves = [tuple(sorted(rng.sample(range(n), rng.randint(1, n)))) for _ in range(3)]
+        got = window._local_axioms(grid, radius, [(axes, None, None) for axes in moves])
+        assert got == window._local_axioms(grid, radius, [(axes, same, same) for axes in moves])
+        assert got == oracles.strided_local_axioms(grid, radius,
+                                                   [(axes, None, None) for axes in moves])
+        failing += got[1] is not None
+    assert 30 <= failing < 60
