@@ -29,8 +29,8 @@ import itertools
 from typing import TYPE_CHECKING, Optional
 
 from . import linalg
-from .lattice import INF, as_ints
-from .matroid import GF, GroundSet, Matroid, matroid_from_matrix, positional_ground, record
+from .lattice import INF, as_int, as_ints
+from .matroid import GF, GroundSet, Matroid, _write, matroid_from_matrix, positional_ground, record
 from .valuation import Valuation, _check_alpha, matroid_at, optimal_masks
 
 if TYPE_CHECKING:       # annotations only: each flock builder imports the class
@@ -53,8 +53,7 @@ def padic_minor_valuation(rows, cols, p: int, ground=None):
     """val_p(det A_B) for the column subset B = ``cols``; ∞ when the minor
     vanishes.  ``ground`` labels the columns in order (1 .. n by default)
     and must be sorted; B is read through ``GroundSet.mask_of``."""
-    if not linalg.is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    p = linalg.as_prime(p)
     A = linalg.as_rat_matrix(rows)
     n = len(A[0]) if A else 0
     ground = positional_ground(range(1, n + 1) if ground is None else ground, n, "column")
@@ -76,12 +75,10 @@ class ToricRep:
 
     def __post_init__(self):
         A = linalg.as_int_matrix(self.A)
-        object.__setattr__(self, "A", A)
-        if not linalg.is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        _write(self, "A", A)
+        _write(self, "p", linalg.as_prime(self.p))
         n = len(A[0]) if A else 0
-        object.__setattr__(self, "ground", positional_ground(
-            self.ground or range(1, n + 1), n, "column"))
+        _write(self, "ground", positional_ground(self.ground or range(1, n + 1), n, "column"))
         if linalg.rat_rank(A) != len(A):
             raise ValueError("matrix does not have full row rank")
         if not linalg.is_saturated(A):
@@ -121,24 +118,30 @@ def flock_from_toric(rep: ToricRep) -> MatroidFlock:
 # ---------------------------------------------------------------------------
 # linearized (additive-polynomial) representations
 
+@record
 class LinearizedParam:
     """An additive parametrization: coordinate i is sum of c * x_v^(p^k).
 
     Coefficients live in the prime field GF(p), so inverse Frobenius fixes
-    them and all twist mechanics reduce to shifting the exponents k.
+    them and all twist mechanics reduce to shifting the exponents k.  A
+    record, so it can key ``_lindstrom_cache``; p, m and the terms' (v, k,
+    c) are read by ``lattice.as_ints``.
     """
+    p: int
+    m: int
+    coords: tuple
+    ground: Optional[tuple] = None
 
-    def __init__(self, p: int, m: int, coords, ground=None):
-        if not linalg.is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.m = int(m)
+    def __post_init__(self):
+        p, m = linalg.as_prime(self.p), as_int(self.m, "m")
         canon = []
-        for i, terms in enumerate(coords):
+        for i, terms in enumerate(self.coords):
             seen = {}
-            for (v, k, c) in terms:
-                v, k, c = int(v), int(k), int(c) % p
-                if not 0 <= v < self.m:
+            what = f"coordinate {i}: term entry"
+            for term in terms:
+                v, k, c = as_ints(term, what)
+                c %= p
+                if not 0 <= v < m:
                     raise ValueError(f"coordinate {i}: parameter index {v} out of range")
                 if k < 0:
                     raise ValueError(f"coordinate {i}: negative Frobenius level")
@@ -152,25 +155,17 @@ class LinearizedParam:
             canon.append(tuple(sorted((v, k, c) for (v, k), c in seen.items())))
         if not canon:
             raise ValueError("no coordinates: empty ground set")
-        self.coords = tuple(canon)
-        n = len(self.coords)
-        self.ground = positional_ground(range(1, n + 1) if ground is None else ground,
-                                        n, "coordinate")
+        ground = positional_ground(range(1, len(canon) + 1) if self.ground is None
+                                   else self.ground, len(canon), "coordinate")
+        for name, value in (("p", p), ("m", m), ("coords", tuple(canon)), ("ground", ground)):
+            _write(self, name, value)
 
     @property
     def n(self) -> int:
         return len(self.coords)
 
-    def __eq__(self, other):
-        return (isinstance(other, LinearizedParam) and self.p == other.p
-                and self.m == other.m and self.coords == other.coords
-                and self.ground == other.ground)
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.coords, self.ground))
-
     def __repr__(self):
-        return f"LinearizedParam(p={self.p}, m={self.m}, n={self.n})"
+        return f"LinearizedParam(p={self.p}, m={self.m}, n={len(self.coords)})"
 
 
 def linearized_shift(param: LinearizedParam, alpha) -> LinearizedParam:
@@ -397,9 +392,7 @@ class FrobeniusWindowReport:
 def frobenius_window(param: LinearizedParam, radius: int) -> FrobeniusFlockWindow:
     """The row spaces V_alpha over [-radius, radius]^E, keyed by alpha, read
     off the T-adic valuation's scored grid (``_frobenius_grid``)."""
-    radius, = as_ints([radius], "radius")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    radius = as_int(radius, "radius", 0)
     d, grid, masks, values = _frobenius_grid(param, -radius, radius)
     spaces = [_plucker_rref(_plucker_vector(masks, row), param.n, param.p) for row in values]
     points = itertools.product(range(-radius, radius + 1), repeat=param.n)
@@ -492,9 +485,8 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
     import numpy as np
     from . import window
     p, R, n = win.p, win.radius, len(win.ground)
-    radius = R if box_radius is None else min(as_ints([box_radius], "box_radius")[0], R)
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    radius = as_int(R if box_radius is None else min(as_int(box_radius, "box_radius"), R),
+                    "radius", 0)
     canon: dict[tuple, tuple] = {}
 
     def vector_at(alpha):
@@ -545,8 +537,6 @@ def check_frobenius_axioms(param: LinearizedParam, radius: int) -> FrobeniusWind
     """(FF1)/(FF2) for all alpha in [-radius, radius]^E, from the Plücker
     vectors of ``_frobenius_grid`` over [-radius, radius + 1]^E, the box the
     checks compare; no row space is built unless a check fails."""
-    radius, = as_ints([radius], "radius")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    radius = as_int(radius, "radius", 0)
     _, grid, masks, values = _frobenius_grid(param, -radius, radius + 1)
     return _frobenius_report(grid, masks, values, radius, param.ground, param.p)

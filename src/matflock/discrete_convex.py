@@ -4,8 +4,9 @@ Functions live on explicit boxes; every sup over Z^n is replaced by a max
 over a finite domain, which is exact whenever the domain of the primal
 function is finite (always the case for valuation-derived functions).
 
-A ``WindowFunction``'s ``values`` is read-only, and its box, once set, is
-never rebound.  The public constructor checks every input; ``_on_box``
+A ``WindowFunction`` is a ``matroid.record`` with a read-only ``values``;
+its integers, and the x of ``lconvex_is_minimizer``, are read by
+``lattice.as_ints``.  The public constructor checks every input; ``_on_box``
 builds a function from a box the library has already checked and values
 it computed in box order, and reads neither again.  ``fenchel_dual``
 returns through ``_on_box`` and hands its box-ordered values on, so
@@ -20,8 +21,8 @@ from bisect import bisect_left, bisect_right
 from types import MappingProxyType
 from typing import Callable, Optional
 
-from .lattice import INF, as_ints, vadd, vjoin, vmeet, vsub
-from .matroid import record
+from .lattice import INF, as_int, as_ints, vadd, vjoin, vmeet, vsub
+from .matroid import _write, record
 from .valuation import Valuation
 
 
@@ -36,7 +37,7 @@ def _ints(xs):
 def _box(n, lo, hi):
     """(n, lo, hi) of a box as ints, with bounds of length n and lo <= hi."""
     try:
-        (n,), lo, hi = as_ints([n], "n"), as_ints(lo, "lo"), as_ints(hi, "hi")
+        n, lo, hi = as_int(n, "n"), as_ints(lo, "lo"), as_ints(hi, "hi")
     except ValueError:
         raise ValueError("box size and bounds must be integers") from None
     if len(lo) != n or len(hi) != n:
@@ -46,6 +47,13 @@ def _box(n, lo, hi):
     return n, lo, hi
 
 
+def _fill(f, *values):
+    """Write a ``WindowFunction``'s n, lo, hi, values and kept box-order values."""
+    for name, value in zip(("n", "lo", "hi", "values", "_box_vals"), values):
+        _write(f, name, value)
+
+
+@record
 class WindowFunction:
     """A map from the lattice points of a box to Z ∪ {∞}.
 
@@ -53,14 +61,20 @@ class WindowFunction:
     lattice points of the box without an entry, and everything outside the
     box, take the value ∞.  Bounds, coordinates and values must be integers
     (see ``_ints``); a point of the wrong length or outside the box raises
-    ValueError.  Each check reads one axis, or the values, at a time.
-    ``n``, ``lo``, ``hi`` and ``values`` cannot be rebound, so the values
-    in box order that ``_box_values`` keeps always agree with ``values``.
+    ValueError.  Each check reads one axis, or the values, at a time.  A
+    record without a hash, so the values in box order that ``_box_values``
+    keeps always agree with ``values``.
     """
+    n: int
+    lo: tuple
+    hi: tuple
+    values: dict
 
-    def __init__(self, n: int, lo, hi, values: dict):
-        self.n, self.lo, self.hi = n, lo, hi = _box(n, lo, hi)
-        pts = list(values)
+    __hash__ = None
+
+    def __post_init__(self):
+        n, lo, hi = _box(self.n, self.lo, self.hi)
+        pts = list(self.values)
         if set(map(len, pts)) - {n}:
             bad = next(pt for pt in pts if len(pt) != n)
             raise ValueError(f"point {tuple(bad)} outside the box")
@@ -69,9 +83,9 @@ class WindowFunction:
             bad = next(pt for pt in pts if _ints(pt) is None)
             raise ValueError(f"point {tuple(bad)} has a coordinate that is not an integer")
         if any(min(axis) < l or max(axis) > h for axis, l, h in zip(axes, lo, hi)):
-            bad = next(pt for pt in pts if not self.in_box(pt))
+            bad = next(pt for pt in pts if not all(l <= x <= h for x, l, h in zip(pt, lo, hi)))
             raise ValueError(f"point {tuple(bad)} outside the box")
-        vals = dict(zip(zip(*axes) if n else [()] * len(pts), values.values()))
+        vals = dict(zip(zip(*axes) if n else [()] * len(pts), self.values.values()))
         if INF in vals.values():
             vals = {pt: v for pt, v in vals.items() if v != INF}
         if not vals:
@@ -80,8 +94,7 @@ class WindowFunction:
         if ints is None:
             pt, v = next((pt, v) for pt, v in vals.items() if _ints([v]) is None)
             raise ValueError(f"value {v!r} at {pt} is not an integer")
-        self.values = MappingProxyType(dict(zip(vals, ints)))
-        self._box_vals = None
+        _fill(self, n, lo, hi, MappingProxyType(dict(zip(vals, ints))), None)
 
     @classmethod
     def _on_box(cls, n: int, lo: tuple, hi: tuple, vals) -> "WindowFunction":
@@ -90,23 +103,17 @@ class WindowFunction:
         Nothing is checked or converted again: for boxes the library has
         checked and values it computed, such as ``fenchel_dual``'s.
         ``vals`` is kept, as a tuple, for ``check_lconvex``."""
+        vals = tuple(vals)
         f = cls.__new__(cls)
-        f.n, f.lo, f.hi = n, lo, hi
-        f._box_vals = vals = tuple(vals)
-        f.values = MappingProxyType(dict(zip(_box_points(lo, hi), vals)))
+        _fill(f, n, lo, hi, MappingProxyType(dict(zip(_box_points(lo, hi), vals))), vals)
         return f
-
-    def __setattr__(self, name, value):
-        if name in ("n", "lo", "hi", "values") and hasattr(self, name):
-            raise AttributeError(f"cannot rebind WindowFunction.{name}")
-        object.__setattr__(self, name, value)
 
     def _box_values(self) -> tuple:
         """The values at the lattice points of the box in box order (lex
         order), ∞ off the domain: built on the first call and kept."""
         if self._box_vals is None:
-            self._box_vals = tuple(map(self.values.get, _box_points(self.lo, self.hi),
-                                       itertools.repeat(INF)))
+            _write(self, "_box_vals", tuple(map(
+                self.values.get, _box_points(self.lo, self.hi), itertools.repeat(INF))))
         return self._box_vals
 
     def __call__(self, pt):
@@ -117,11 +124,6 @@ class WindowFunction:
 
     def in_box(self, pt) -> bool:
         return all(l <= x <= h for x, l, h in zip(pt, self.lo, self.hi))
-
-    def __eq__(self, other):
-        return (isinstance(other, WindowFunction) and self.n == other.n
-                and self.lo == other.lo and self.hi == other.hi
-                and self.values == other.values)
 
     def __repr__(self):
         return f"WindowFunction(n={self.n}, box=[{self.lo}, {self.hi}], |dom|={len(self.values)})"
@@ -358,9 +360,10 @@ def lconvex_is_minimizer(g_oracle: Callable[[tuple], int], x, n: int) -> bool:
     True iff G(x) <= G(x + e_I) for every I and G(x) = G(x + 1).  L-convexity
     of the oracle is the caller's responsibility; as a guard, submodularity
     is verified on the evaluated cube {x + e_I} with the check of
-    ``check_lconvex`` (unit squares if every value is finite).
+    ``check_lconvex`` (unit squares if every value is finite).  The
+    entries of x are read by ``lattice.as_ints``.
     """
-    x = tuple(int(v) for v in x)
+    x = as_ints(x, "x entry")
     if len(x) != n:
         raise ValueError("x has the wrong length")
     hi = vadd(x, (1,) * n)

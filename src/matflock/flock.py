@@ -16,7 +16,7 @@ import itertools
 from collections import OrderedDict
 from typing import Callable, Optional
 
-from .lattice import INF, as_ints, vadd
+from .lattice import INF, as_int, as_ints, vadd
 from .matroid import Matroid, _raise_unless, _single_exchanges, positional_ground, record
 from .valuation import Valuation, _check_alpha, check_valuation_axioms, optimal_masks
 
@@ -47,7 +47,7 @@ class MatroidFlock:
     def __init__(self, ground, d: int, masks_eval: Callable[[tuple], frozenset],
                  source: str, valuation: Optional[Valuation] = None):
         ground = tuple(ground)
-        self.d = int(d)
+        self.d = as_int(d, "rank")
         if valuation is not None:
             if (valuation.ground, valuation.d) != (ground, self.d):
                 raise ValueError("valuation on another ground set or rank")
@@ -132,9 +132,7 @@ def window_ids(flock: MatroidFlock, radius: int):
     oracle.  A negative radius is refused before anything is scanned.
     """
     from . import window
-    radius, = as_ints([radius], "radius")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    radius = as_int(radius, "radius", 0)
     grid, masks, bits = _grid(flock, -radius, radius)
     grid.setflags(write=False)
     return grid, window._families(masks, bits)
@@ -197,9 +195,7 @@ def check_flock_axioms(flock: MatroidFlock, radius: int,
     axes in ground order, then the all-ones shift "1", then the sets I in
     order.
     """
-    radius, = as_ints([radius], "radius")
-    if radius < 1:
-        raise ValueError("radius must be at least 1")
+    radius = as_int(radius, "radius", 1)
     from . import window
     n = len(flock.ground)
     grid, masks, bits = _grid(flock, -radius, radius + 1)
@@ -300,14 +296,8 @@ def extract_valuation(flock: MatroidFlock, cutoff: Optional[int] = None,
     for every flock.
     """
     n, d = len(flock.ground), flock.d
-    if cutoff is None:
-        cutoff = _default_cutoff(flock)
-    cutoff, = as_ints([cutoff], "cutoff")
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
-    verify_radius, = as_ints([2 if verify_radius is None else verify_radius], "verify_radius")
-    if verify_radius < 0:
-        raise ValueError("verify_radius must be nonnegative")
+    cutoff = as_int(_default_cutoff(flock) if cutoff is None else cutoff, "cutoff", 1)
+    verify_radius = as_int(2 if verify_radius is None else verify_radius, "verify_radius", 0)
 
     subsets = [sum(1 << i for i in combo) for combo in itertools.combinations(range(n), d)]
     if flock.valuation is None:

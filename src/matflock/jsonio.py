@@ -183,10 +183,12 @@ def window_function_from_json(doc) -> WindowFunction:
 # algebraic representations
 
 def _prime(doc, p_override):
-    """The field ``p`` of a representation document, or the flag's value."""
+    """The field ``p`` (a JSON int) of a representation document, or the flag's value."""
     p = doc.get("p", p_override) if isinstance(doc, dict) else p_override
     if p is None:
         raise InputError("missing prime p")
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise InputError("field 'p' has the wrong type")
     if p_override is not None and p != p_override:
         raise InputError(f"p mismatch: file says {p}, flag says {p_override}")
     return p

@@ -24,7 +24,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import INF
+from .lattice import INF, as_int
 
 
 # Miller-Rabin with the first 13 primes as bases decides every n below this
@@ -48,6 +48,14 @@ def is_prime(n: int) -> bool:
     d = (n - 1) >> s
     return all(pow(a, d, n) == 1 or any(pow(a, d << k, n) == n - 1 for k in range(s))
                for a in _MR_BASES)
+
+
+def as_prime(p) -> int:
+    """p as an int by ``lattice.as_int``; ValueError unless it is prime."""
+    p = as_int(p, "p")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +303,7 @@ def val_p_int(x: int, p: int):
 
 def val_p(q, p: int):
     """p-adic valuation of an exact rational; INF for 0."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    p = as_prime(p)
     q = Fraction(q)
     if q == 0:
         return INF

@@ -10,8 +10,16 @@ Target scale is n <= 12 elements.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cached_property
 from typing import Iterable, Optional
+
+from .lattice import as_ints
+
+
+# writes a field past a record's read-only __setattr__ (bound once: looking
+# object.__setattr__ up costs about as much as the write)
+_write = object.__setattr__
 
 
 def record(cls):
@@ -35,11 +43,12 @@ def record(cls):
     def __init__(self, *args, **kwargs):
         values = args if len(args) == len(names) and not kwargs else bind(args, kwargs)
         for n, value in zip(names, values):  # not self.__dict__, which slows later reads
-            object.__setattr__(self, n, value)
+            _write(self, n, value)
         post_init(self)
 
-    def fields(self):
-        return tuple(getattr(self, n) for n in names)
+    # attrgetter reads the fields in C; it returns a bare value for one name
+    fields = (operator.attrgetter(*names) if len(names) > 1
+              else lambda self: tuple(getattr(self, n) for n in names))
 
     def frozen(self, name, *value):
         raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
@@ -99,9 +108,10 @@ class GroundSet:
     distinct labels of the ground set and is read as a bit mask over it."""
 
     def __init__(self, ground):
-        self.ground = canonical_ground(ground)
-        self._index = {e: i for i, e in enumerate(self.ground)}
-        self._kind = _label_kind(self.ground[0])
+        ground = canonical_ground(ground)     # _write: a record's __post_init__ calls this
+        _write(self, "ground", ground)
+        _write(self, "_index", {e: i for i, e in enumerate(ground)})
+        _write(self, "_kind", _label_kind(ground[0]))
 
     def mask_of(self, subset) -> int:
         """ValueError on an unknown or unhashable label, one of another kind
@@ -154,8 +164,7 @@ class FieldSpec:
     def __post_init__(self):
         if self.p is not None:
             from . import linalg
-            if not linalg.is_prime(self.p):
-                raise ValueError(f"{self.p} is not prime")
+            _write(self, "p", linalg.as_prime(self.p))
 
     @property
     def is_rational(self) -> bool:
@@ -187,26 +196,28 @@ def bases_contract(masks: frozenset[int], cmask: int) -> frozenset[int]:
     return frozenset(b & ~cmask for b in masks if (b & cmask).bit_count() == r)
 
 
+@record
 class Matroid(GroundSet):
-    """A matroid (E, B) with an explicit basis family.
-
-    Immutable after construction; equality is labelled equality (same ground
+    """A matroid (E, B) with an explicit basis family: a record, whose
+    ``ground``, ``masks`` (read by ``lattice.as_ints``) and rank ``d`` cannot
+    be assigned or deleted.  Equality is labelled equality (same ground
     set, same basis family).
     """
+    ground: tuple
+    masks: frozenset
 
-    def __init__(self, ground, masks: Iterable[int]):
-        super().__init__(ground)
-        ms = frozenset(int(m) for m in masks)
+    def __post_init__(self):
+        GroundSet.__init__(self, self.ground)
+        ms = frozenset(as_ints(self.masks, "basis mask"))
         if not ms:
             raise ValueError("a matroid needs at least one basis")
         sizes = {m.bit_count() for m in ms}
         if len(sizes) != 1:
             raise ValueError("bases have mixed sizes")
-        full = (1 << len(self.ground)) - 1
-        if any(m & ~full for m in ms):
+        if any(m >> len(self.ground) for m in ms):
             raise ValueError("basis mask outside ground set")
-        self.masks = ms
-        self.d = sizes.pop()
+        _write(self, "masks", ms)
+        _write(self, "d", sizes.pop())
 
     # -- construction ------------------------------------------------------
 
@@ -217,8 +228,11 @@ class Matroid(GroundSet):
         Nothing is checked or converted again: for families read off an
         object whose ground set is already canonical."""
         M = cls.__new__(cls)
-        M.ground, M._index, M._kind = labelled.ground, labelled._index, labelled._kind
-        M.masks, M.d = masks, d
+        _write(M, "ground", labelled.ground)
+        _write(M, "_index", labelled._index)
+        _write(M, "_kind", labelled._kind)
+        _write(M, "masks", masks)
+        _write(M, "d", d)
         return M
 
     @classmethod
@@ -310,15 +324,6 @@ class Matroid(GroundSet):
             new_labels,
             [[mapping[e] for e in B] for B in self.bases],
         )
-
-    # -- value semantics ------------------------------------------------------
-
-    def __eq__(self, other):
-        return (isinstance(other, Matroid) and self.ground == other.ground
-                and self.masks == other.masks)
-
-    def __hash__(self):
-        return hash((self.ground, self.masks))
 
     def __repr__(self):
         return f"Matroid(n={len(self.ground)}, d={self.d}, bases={len(self.masks)})"

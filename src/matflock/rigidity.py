@@ -234,8 +234,7 @@ def lazarson_char_check(n: int, p: int) -> CharacteristicCheck:
     p divides n; that is the obstruction turning into a characteristic
     restriction for the full variant.
     """
-    if not linalg.is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    p = linalg.as_prime(p)
     rows, labels = lazarson_matrix(n)
     ycols = [labels.index(f"y{i}") for i in range(n + 1)]
     sub = [[row[j] for j in ycols] for row in rows]

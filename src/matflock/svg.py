@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import window
+from .lattice import as_int
 from .matroid import _connected
 from .valuation import Valuation
 
@@ -26,7 +27,8 @@ _AXES_DISTINCT = "axes must be two distinct elements"
 
 
 def render_cells_svg(nu: Valuation, axes, radius: int) -> str:
-    """Color the integer points of the (axes) slice by induced matroid."""
+    """Color the integer points of the (axes) slice by induced matroid, on
+    the window |alpha_i| <= radius (a nonnegative int, ``lattice.as_int``)."""
     ground = nu.ground
     n = len(ground)
     idx = {e: i for i, e in enumerate(ground)}
@@ -38,8 +40,7 @@ def render_cells_svg(nu: Valuation, axes, radius: int) -> str:
         raise ValueError(f"unknown axis element {exc.args[0]!r}") from None
     if ax == ay:
         raise ValueError(_AXES_DISTINCT)
-    if radius < 0:
-        raise ValueError("window radius must be nonnegative")
+    radius = as_int(radius, "window radius", 0)
 
     span = 2 * radius + 1
     xy = window.box_array((-radius, -radius), (radius, radius))

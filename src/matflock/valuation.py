@@ -11,38 +11,37 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Optional
 
-from .lattice import INF, as_ints
+from .lattice import INF, as_int, as_ints
 from .matroid import (AxiomCheck, VALID, GroundSet, Matroid, _components, _connected,
-                      _exchange_failure, _raise_unless, _single_exchanges, record)
+                      _exchange_failure, _raise_unless, _single_exchanges, _write, record)
 
 
+@record
 class Valuation(GroundSet):
-    """A map from d-subsets of the ground set to Z ∪ {∞}.  ``ground``, ``d`` and
-    the read-only ``finite`` cannot be rebound, so a stored verdict stays true."""
+    """A map from d-subsets of the ground set to Z ∪ {∞}.  A record: ``ground``,
+    ``d`` and the read-only ``finite`` cannot be assigned or deleted, so a stored
+    verdict stays true.  d and the masks are read by ``lattice.as_ints``."""
+    ground: tuple
+    d: int
+    finite: dict
 
-    def __init__(self, ground, d: int, finite: dict[int, int]):
-        super().__init__(ground)
-        self.d = int(d)
-        if not 0 <= self.d <= len(self.ground):
+    def __post_init__(self):
+        GroundSet.__init__(self, self.ground)
+        d = as_int(self.d, "rank")
+        if not 0 <= d <= len(self.ground):
             raise ValueError("rank out of range")
         fin = {}
-        for mask, val in finite.items():
-            mask = int(mask)
-            if mask.bit_count() != self.d:
+        for mask, val in zip(as_ints(self.finite, "basis mask"), self.finite.values()):
+            if mask.bit_count() != d:
                 raise ValueError("finite value on a subset of the wrong size")
             if mask >> len(self.ground):
                 raise ValueError("subset outside the ground set")
             if not isinstance(val, int) or isinstance(val, bool):
                 raise ValueError(f"finite values must be ints, got {val!r}")
             fin[mask] = val
-        self.finite = MappingProxyType(fin)
-        self._axioms: Optional[AxiomCheck] = None
-
-    def __setattr__(self, name, value):
-        # hasattr, not self.__dict__: touching that slows every later attribute read
-        if name in ("ground", "d", "finite") and hasattr(self, name):
-            raise AttributeError(f"cannot rebind Valuation.{name}")
-        object.__setattr__(self, name, value)
+        _write(self, "d", d)
+        _write(self, "finite", MappingProxyType(fin))
+        _write(self, "_axioms", None)   # check_valuation_axioms's verdict
 
     @classmethod
     def from_values(cls, ground, d: int, values) -> "Valuation":
@@ -88,11 +87,7 @@ class Valuation(GroundSet):
         m = min(self.finite.values())
         return Valuation(self.ground, self.d, {k: v - m for k, v in self.finite.items()})
 
-    def __eq__(self, other):
-        return (isinstance(other, Valuation) and self.ground == other.ground
-                and self.d == other.d and self.finite == other.finite)
-
-    def __hash__(self):
+    def __hash__(self):     # finite, a read-only mapping, has no hash
         return hash((self.ground, self.d, tuple(sorted(self.finite.items()))))
 
     def __repr__(self):
@@ -110,10 +105,11 @@ def check_valuation_axioms(nu: Valuation) -> AxiomCheck:
     """
     if nu._axioms is None:
         if not nu.finite:
-            nu._axioms = AxiomCheck(False, "V1", None)
+            verdict = AxiomCheck(False, "V1", None)
         else:
             witness = _exchange_failure(nu.finite, nu.ground)
-            nu._axioms = VALID if witness is None else AxiomCheck(False, "V2", witness)
+            verdict = VALID if witness is None else AxiomCheck(False, "V2", witness)
+        _write(nu, "_axioms", verdict)
     return nu._axioms
 
 
@@ -302,8 +298,7 @@ def circuit_hyperplane_valuation(M: Matroid, B0, v: int) -> Valuation:
     Requires every B0 - i + j to be a basis; the failing exchange pair is
     reported otherwise.
     """
-    if v < 0:
-        raise ValueError("v must be nonnegative")
+    v = as_int(v, "v", 0)
     b0 = M.mask_of(B0)
     if b0 not in M.masks:
         raise ValueError(f"{sorted(B0)} is not a basis")
@@ -372,13 +367,10 @@ def default_leader_radius(nu: Valuation) -> int:
 
 
 def _window_radius(nu: Valuation, window_radius) -> int:
-    """R: the default for None, else a nonnegative int (``lattice.as_ints``)."""
+    """R: the default for None, else a nonnegative int (``lattice.as_int``)."""
     if window_radius is None:
         return default_leader_radius(nu)
-    R, = as_ints([window_radius], "window radius")
-    if R < 0:
-        raise ValueError("window radius must be nonnegative")
-    return R
+    return as_int(window_radius, "window radius", 0)
 
 
 def enumerate_leaders(nu: Valuation, window_radius: Optional[int] = None) -> LeaderScan:

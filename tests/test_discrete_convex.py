@@ -282,7 +282,7 @@ def test_window_function_values_are_read_only():
         with pytest.raises(TypeError):
             del f.values[next(iter(f.values))]
         for name in ("n", "lo", "hi", "values"):
-            with pytest.raises(AttributeError, match=f"cannot rebind WindowFunction.{name}"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
                 setattr(f, name, getattr(f, name))
     assert mf.check_lconvex(g) == mf.check_lconvex(WindowFunction(2, (-1, -1), (1, 1),
                                                                    {x: max(x) for x in

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import matflock as mf
 from matflock import flock as flock_module, window
 from matflock.flock import window_ids
+from matflock.svg import render_cells_svg
 from matflock.valuation import optimal_masks
 
 import flockprops
@@ -68,6 +69,20 @@ _INTEGER_ENTRIES = {
         _explicit_two_element(), verify_radius=x),
     "validate_frobenius_window": lambda x: mf.validate_frobenius_window(
         mf.frobenius_window(example_param(2, 2), 1), x),
+    "Valuation_rank": lambda x: mf.Valuation([1, 2, 3], x, {3: 0, 5: 0, 6: 1}),
+    "Valuation_basis_mask": lambda x: mf.Valuation([1, 2], 1, {x: 0}),
+    "Matroid_basis_mask": lambda x: mf.Matroid([1, 2], [x]),
+    "MatroidFlock_rank": lambda x: mf.MatroidFlock(
+        (1, 2), x, lambda a: frozenset({3}), "constant").matroid_at((0, 0)),
+    "LinearizedParam_m": lambda x: mf.LinearizedParam(3, x, [[(0, 0, 1)], [(1, 0, 1)]]),
+    "LinearizedParam_level": lambda x: mf.LinearizedParam(3, 2, [[(0, x, 1)], [(1, 0, 1)]]),
+    "LinearizedParam_coefficient": lambda x: mf.LinearizedParam(
+        3, 2, [[(0, 0, x)], [(1, 0, 1)]]),
+    "ToricRep_p": lambda x: mf.ToricRep(((1, 0, 1), (0, 1, 1)), x),
+    # |x_1 - x_2 - 2| is L-convex and least exactly where x_1 - x_2 = 2
+    "lconvex_is_minimizer": lambda x: mf.lconvex_is_minimizer(
+        lambda pt: abs(pt[0] - pt[1] - 2), (x, 0), 2),
+    "render_cells_svg_radius": lambda x: render_cells_svg(u24_valuation(), (1, 2), x),
 }
 
 
@@ -76,7 +91,7 @@ def test_lattice_inputs_must_be_integers(entry):
     # a non-integral value or a bool is refused, not truncated or scored as
     # a float; an integral value of another type reads as that integer
     call = _INTEGER_ENTRIES[entry]
-    for bad in (0.5, True):
+    for bad in (0.5, True, np.True_):
         with pytest.raises(ValueError, match="must be an integer"):
             call(bad)
     want = call(2)

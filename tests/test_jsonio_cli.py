@@ -461,6 +461,21 @@ def test_cli_empty_parametrization_exit_2(capsys):
                            "no coordinates: empty ground set\n"), argv
 
 
+@pytest.mark.parametrize("name", ["malformed_linearized_p_float.json",
+                                  "malformed_linearized_p_bool.json"])
+def test_cli_prime_must_be_a_json_int(tmp_path, capsys, name):
+    # "p": 2.0 and "p": true are refused as the wrong type, as the other
+    # integer fields of a document are, not read as 2 or as "True is not prime"
+    path = str(Path(__file__).parent / "fixtures" / name)
+    p = json.loads(Path(path).read_text())["p"]
+    toric = write(tmp_path, "t.json", {"p": p, "A": [[1, 0, 1], [0, 1, 1]]})
+    for argv in (["check-ff", path, "--radius", "1"],
+                 ["extract-valuation", "--from-linearized", path], ["lindstrom-toric", toric]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "input error: field 'p' has the wrong type\n", argv
+
+
 def test_cli_check_flock_explicit_table(tmp_path, capsys):
     nu = mf.Valuation.from_values([1, 2], 1, {(1,): 0, (2,): 0})
     entries = []

@@ -1,10 +1,11 @@
-"""The record classes against ``@dataclass(frozen=True)``, their former form.
+"""The record classes against ``@dataclass(frozen=True)``.
 
-Each report and spec class of the package is built by ``matroid.record``.
-For each one, a twin made by ``dataclasses.make_dataclass`` from the same
-annotations, defaults and ``__post_init__`` is the oracle: both must accept
-and refuse the same arguments and agree on equality, hashing, repr and
-read-only fields.
+Each value, report and spec class of the package is built by
+``matroid.record``.  For each one, a twin made by
+``dataclasses.make_dataclass`` from the same annotations, defaults,
+``__post_init__`` and class-body ``__repr__`` and ``__hash__`` is the
+oracle: both must accept and refuse the same arguments and agree on
+equality, hashing, repr and read-only fields.
 """
 
 import dataclasses
@@ -19,7 +20,8 @@ RECORDS = [
     "AxiomCheck", "FieldSpec", "TrivialityResult", "CellSystem", "LeaderScan",
     "FlockViolation", "FlockWindowReport", "ToricRep", "FrobeniusFlockWindow",
     "FrobeniusWindowReport", "ConstraintSystem", "RigidityVerdict", "CharacteristicCheck",
-    "LConvexReport", "MConvexReport",
+    "LConvexReport", "MConvexReport", "Matroid", "Valuation", "WindowFunction",
+    "LinearizedParam",
 ]
 # (arguments, other arguments) for the classes that check their fields or
 # hold an unhashable one; every other class gets (0, 1, ...) and (1, 2, ...)
@@ -27,6 +29,10 @@ SAMPLES = {
     "FieldSpec": ((3,), (5,)),
     "ToricRep": ((((1, 0, 1), (0, 1, 1)), 3), (((1, 0, 2), (0, 1, 1)), 3)),
     "FrobeniusFlockWindow": ((1, 2, 1, (1, 2), {}), (1, 2, 1, (1, 2), {(0, 0): ()})),
+    "Matroid": (((1, 2, 3), (3, 5)), ((1, 2, 3), (3, 6))),
+    "Valuation": (((1, 2, 3), 2, {3: 0, 5: 1}), ((1, 2, 3), 2, {3: 0, 6: 1})),
+    "WindowFunction": ((1, (0,), (1,), {(0,): 0}), (1, (0,), (1,), {(1,): 0})),
+    "LinearizedParam": ((3, 1, [[(0, 0, 1)]]), (3, 1, [[(0, 1, 1)]])),
 }
 
 
@@ -39,13 +45,20 @@ def _classes():
             if inspect.isclass(obj) and obj.__module__ == mod.__name__ and _is_record(obj)}
 
 
+def _own(cls):
+    """The ``__post_init__``, ``__repr__`` and ``__hash__`` of the class body,
+    not the ones ``record`` made."""
+    made = lambda value: getattr(value, "__qualname__", "").startswith("record.")
+    return {key: value for key, value in cls.__dict__.items()
+            if key in ("__post_init__", "__repr__", "__hash__") and not made(value)}
+
+
 def _twin(cls):
     """The ``@dataclass(frozen=True)`` form of a record class."""
     names = cls.__match_args__
     specs = [(n, cls.__annotations__[n], dataclasses.field(default=getattr(cls, n)))
              if n in cls.__dict__ else (n, cls.__annotations__[n]) for n in names]
-    namespace = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
-    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True, namespace=namespace)
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True, namespace=_own(cls))
 
 
 def _copy(cls):
@@ -102,10 +115,11 @@ def test_record_matches_frozen_dataclass(name):
     assert rec == rec2 and rec != rec_other and rec != copy and rec != dc
 
     assert _outcome(lambda: hash(rec), True) == _outcome(lambda: hash(dc), True)
+    assert repr(rec) == repr(dc)
     if cls.__repr__.__qualname__ == "record.<locals>.__repr__":
-        assert repr(rec) == repr(dc) == repr(copy)
-    else:       # a repr of the class body's own stays
-        assert name == "FieldSpec" and repr(rec) == "GF(3)"
+        assert repr(rec) == repr(copy)
+    elif name == "FieldSpec":   # a repr of the class body's own stays
+        assert repr(rec) == "GF(3)"
 
     # every field, and any other name, is read-only
     for attr in (*names, "not_a_field"):
@@ -114,3 +128,37 @@ def test_record_matches_frozen_dataclass(name):
         assert _outcome(lambda: delattr(rec, attr), True) == _outcome(
             lambda: delattr(dc, attr), True)
     assert _fields(rec) == _fields(dc)
+
+
+def _value_objects():
+    """A Matroid, Valuation, WindowFunction and LinearizedParam, each with
+    the names of its fields and of what a check reads off it."""
+    M = matroid.uniform_matroid(2, 4)
+    nu = valuation.Valuation.from_values([1, 2, 3], 2, {(1, 2): 0, (1, 3): 0, (2, 3): 1})
+    h = discrete_convex.WindowFunction(2, (0, 0), (1, 1), {(1, 0): 0, (0, 1): 0})
+    param = algebraic.LinearizedParam(2, 2, [[(0, 0, 1)], [(1, 0, 1)], [(0, 0, 1), (1, 0, 1)],
+                                             [(0, 0, 1), (1, 2, 1)]])
+    return {
+        "Matroid": (M, ("ground", "masks", "d"), lambda: M.bases),
+        "Valuation": (nu, ("ground", "d", "finite"),
+                      lambda: (valuation.check_valuation_axioms(nu), dict(nu.finite))),
+        "WindowFunction": (h, ("n", "lo", "hi", "values"),
+                           lambda: (discrete_convex.check_lconvex(h), dict(h.values))),
+        "LinearizedParam": (param, ("p", "m", "coords", "ground"),
+                            lambda: (param.n, algebraic.tadic_valuation(param))),
+    }
+
+
+@pytest.mark.parametrize("name", ["Matroid", "Valuation", "WindowFunction", "LinearizedParam"])
+def test_value_objects_refuse_assignment_and_deletion(name):
+    # a matroid's cached bases and a parametrization's cached valuation
+    # must keep describing the object they were read from
+    obj, fields, read = _value_objects()[name]
+    before = read()
+    for attr in fields:
+        other = getattr(obj, attr)[:1] if attr in ("ground", "coords") else 1
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, other)
+        with pytest.raises(AttributeError):
+            delattr(obj, attr)
+    assert read() == before

@@ -281,11 +281,11 @@ def test_valuation_fields_cannot_be_rebound_after_a_verdict():
     verdict = mf.check_valuation_axioms(nu)
     assert verdict.ok
     for name, value in (("d", 3), ("ground", (1, 2, 3)), ("finite", {})):
-        with pytest.raises(AttributeError, match=f"cannot rebind Valuation.{name}"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(nu, name, value)
     assert (nu.d, nu.ground, len(nu.finite)) == (2, (1, 2, 3, 4), 6)
     assert mf.check_valuation_axioms(nu) is verdict
-    nu._axioms = None       # the stored verdict itself stays writable
+    object.__setattr__(nu, "_axioms", None)     # the stored verdict itself stays writable
     assert mf.check_valuation_axioms(nu) == verdict
 
 
