@@ -17,10 +17,16 @@ sources' Lindström valuation nu and initial coefficients q(B) in GF(p)
 (``_lindstrom``): q is the initial form of the valued Plücker vector
 (Speyer 2008).  The Frobenius flock V_alpha has as Plücker vector q on the
 argmax family S at alpha, so (FF1) is the matroid minor axiom with values
-attached, checked by signed Plücker values in the flock's own minor kernel
-(``window._minor_moves``).  A space's RREF rows are built only for a
-window's table and for the two sides of a violation.  Shifted tangent
-spaces (``linearized_tangent_flock``) remain as the independent route.
+attached.  A move i keeps the bases of S that hold i, or those that miss
+i, or all of them, and signs each by B and i alone, so two such minors of
+one q are equal up to a unit exactly when they keep the same bases: a
+source's (FF1)/(FF2) check is the flock's own GF(2) pass over the argmax
+families (``window._minor_moves``), and q is read only for a violation's
+two sides.  Windows given as data have no common q, and their minors are
+keyed one distinct space at a time (``_plucker_keys``).  A space's RREF
+rows are built only for a window's table and for the two sides of a
+violation.  Shifted tangent spaces (``linearized_tangent_flock``) remain
+as the independent route.
 """
 
 from __future__ import annotations
@@ -392,39 +398,33 @@ class FrobeniusWindowReport:
 def frobenius_window(param: LinearizedParam, radius: int) -> FrobeniusFlockWindow:
     """The row spaces V_alpha over [-radius, radius]^E, keyed by alpha, read
     off the T-adic valuation's scored grid (``_frobenius_grid``)."""
+    from . import window
     radius = as_int(radius, "radius", 0)
-    d, grid, masks, values = _frobenius_grid(param, -radius, radius)
-    spaces = [_plucker_rref(_plucker_vector(masks, row), param.n, param.p) for row in values]
+    d, grid, masks, bits, q = _frobenius_grid(param, -radius, radius)
+    spaces = [_plucker_rref({B: q[B] for B in family}, param.n, param.p)
+              for family in window._families(masks, bits)]
     points = itertools.product(range(-radius, radius + 1), repeat=param.n)
     table = dict(zip(points, map(spaces.__getitem__, grid.ravel().tolist())))
     return FrobeniusFlockWindow(radius, param.p, d, param.ground, table)
 
 
 def _frobenius_grid(param: LinearizedParam, lo: int, hi: int):
-    """(d, grid, masks, values) of the Frobenius flock over [lo, hi]^E: the
-    id grid indexed by alpha - lo per axis, and the (ids, bases) array over
-    GF(p) whose row id is the Plücker vector of V_alpha (column j: basis
-    ``masks[j]``), the table of ``window._minor_moves``.
+    """(d, grid, masks, bits, q) of the Frobenius flock over [lo, hi]^E: the
+    id grid indexed by alpha - lo per axis, the (ids, bases) bool table of
+    its argmax families (column j: basis ``masks[j]``), and the initial
+    coefficients q, so that the space of id k has Plücker vector q on the
+    bases of row k.
 
     V_alpha, the T = 0 reduction of the row lattice of P * diag(T^-alpha),
     has as Plücker vector the initial form of the T-adic one (Speyer 2008):
     q(B), the lowest coefficient of B's signed minor, on the argmax family
     S at alpha and 0 off it.  So the grid is the T-adic valuation's scored
-    grid, its table the bits of S times q, and distinct ids hold distinct
-    spaces."""
-    import numpy as np
+    grid, and distinct ids hold distinct spaces."""
     from . import window
     nu, q = _lindstrom(param)
     items = nu.finite_items()
-    masks = [mask for mask, _ in items]
     grid, bits = window._scored_grid(items, param.n, lo, hi)
-    q_row = np.array([q[mask] for mask in masks], dtype=window._residues(param.p))
-    return nu.d, grid, masks, bits * q_row
-
-
-def _plucker_vector(masks, row):
-    """The Plücker vector {basis mask: value} of a row of a table over ``masks``."""
-    return {masks[j]: int(row[j]) for j in row.nonzero()[0]}
+    return nu.d, grid, [mask for mask, _ in items], bits, q
 
 
 def _plucker_rref(vector, n: int, p: int):
@@ -460,8 +460,9 @@ def _plucker_minor(vector, i: int, contract: bool, p: int):
     elements, in order: the values at the bases that hold i (contraction)
     or miss i (deletion), at all of them when none do, each B projected to
     B - i and its value negated when i lies above an odd number of B's
-    elements.  ``window._minor_moves`` keys the same values in basis space,
-    scaled, without projecting; this builds the two sides of a violation."""
+    elements.  This builds the two sides of a violation and, scaled, the
+    keys of ``_plucker_keys``; on a source's grid every space has one q, so
+    the bases kept decide the minor and ``window._minor_moves`` keys them."""
     kept = [B for B in vector if bool(B >> i & 1) == contract] or list(vector)
     low = (1 << i) - 1
     return {B & low | B >> i + 1 << i:
@@ -479,10 +480,10 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
     [-r, min(r + 1, win.radius)]^E only and must cover that box, with rows
     of one entry per ground element (ValueError otherwise).  Each distinct
     entry's Plücker vector comes from one walk over its minors, scaled to 1
-    at its least basis, so equal spaces share an id; the violation is the
-    one at the lex-first failing alpha, (FF1) in ground order first.
+    at its least basis, so equal spaces share an id, and its minors are
+    keyed once (``_plucker_keys``); the violation is the one at the
+    lex-first failing alpha, (FF1) in ground order first.
     """
-    import numpy as np
     from . import window
     p, R, n = win.p, win.radius, len(win.ground)
     radius = as_int(R if box_radius is None else min(as_int(box_radius, "box_radius"), R),
@@ -498,33 +499,56 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
             if wrong:
                 raise ValueError(f"the row space at alpha={alpha} has a row of "
                                  f"length {min(wrong)}, not {n}")
-            minors = dict(linalg._maximal_minors(rows, linalg._PrimeField(p)))
-            inv = pow(minors[min(minors)], -1, p)
-            canon[rows] = tuple((mask, x * inv % p) for mask, x in sorted(minors.items()))
+            canon[rows] = _scaled(dict(linalg._maximal_minors(rows, linalg._PrimeField(p))), p)
         return canon[rows]
 
     grid, vectors = window._id_grid(n, -radius, min(radius + 1, R), vector_at)
-    masks, bits = window._table_bits([dict(vector) for vector in vectors])
-    values = np.zeros(bits.shape, dtype=window._residues(p))
-    values[bits] = [x for vector in vectors for _, x in vector]
-    return _frobenius_report(grid, masks, values, radius, win.ground, p)
+    vectors = [dict(vector) for vector in vectors]
+    keys = _plucker_keys(vectors, n, p)
+    moves = [((k,), keys[0, k], keys[1, k]) for k in range(n)]
+    return _frobenius_report(grid, moves, vectors.__getitem__, radius, win.ground, p)
 
 
-def _frobenius_report(grid, masks, values, radius: int, ground,
+def _scaled(vector, p: int) -> tuple:
+    """The items of a Plücker vector {basis mask: value}, sorted, over the
+    value at its least basis: equal for two vectors of one space."""
+    inv = pow(vector[min(vector)], -1, p)
+    return tuple((B, x * inv % p) for B, x in sorted(vector.items()))
+
+
+def _plucker_keys(vectors, n: int, p: int):
+    """The (FF1) keys of the spaces with Plücker vectors ``vectors`` (dicts
+    {basis mask: nonzero value}, of any scale and rank) for
+    ``window._local_axioms``, as a (side, element, id, 1) uint64 array:
+    side 0 keys V / i and side 1 V \\ i, each ``_plucker_minor`` scaled and
+    numbered in one table, so equal keys are equal spaces."""
+    import numpy as np
+    seen: dict = {}
+    keys = np.empty((2, n, len(vectors), 1), dtype=np.uint64)
+    for k, vector in enumerate(vectors):
+        for i in range(n):
+            for side in (0, 1):
+                key = _scaled(_plucker_minor(vector, i, not side, p), p)
+                keys[side, i, k] = seen.setdefault(key, len(seen))
+    return keys
+
+
+def _frobenius_report(grid, moves, vector_of, radius: int, ground,
                       p: int) -> FrobeniusWindowReport:
     """(FF1)/(FF2) over [-radius, radius]^E of an id grid whose index 0 is
-    alpha = -radius on every axis, ``values[id]`` the Plücker vector of
-    V_alpha over ``masks``, distinct ids holding distinct spaces.  Alphas
-    whose shift leaves the grid are not checked."""
+    alpha = -radius on every axis, distinct ids holding distinct spaces.
+    ``moves`` are the (FF1) moves of ``window._local_axioms``, one per
+    element in ground order, and ``vector_of(id)`` is the Plücker vector of
+    V_alpha, read only for a violation's two sides.  Alphas whose shift
+    leaves the grid are not checked."""
     from . import window
     n = len(ground)
-    moves = itertools.chain(window._minor_moves(n, masks, values, [(k,) for k in range(n)], p),
-                            [(tuple(range(n)), None, None)])
-    counts, first = window._local_axioms(grid, radius, moves)
+    counts, first = window._local_axioms(
+        grid, radius, itertools.chain(moves, [(tuple(range(n)), None, None)]))
     violation = None
     if first is not None:
         alpha, k, a, b = first
-        left, right = _plucker_vector(masks, values[a]), _plucker_vector(masks, values[b])
+        left, right = vector_of(a), vector_of(b)
         if k < n:
             left, right = _plucker_minor(left, k, True, p), _plucker_minor(right, k, False, p)
         violation = (alpha, ground[k] if k < n else "1",
@@ -534,9 +558,15 @@ def _frobenius_report(grid, masks, values, radius: int, ground,
 
 
 def check_frobenius_axioms(param: LinearizedParam, radius: int) -> FrobeniusWindowReport:
-    """(FF1)/(FF2) for all alpha in [-radius, radius]^E, from the Plücker
-    vectors of ``_frobenius_grid`` over [-radius, radius + 1]^E, the box the
-    checks compare; no row space is built unless a check fails."""
+    """(FF1)/(FF2) for all alpha in [-radius, radius]^E, by the flock's own
+    minor keys on the argmax families of ``_frobenius_grid`` over
+    [-radius, radius + 1]^E, the box the checks compare; no row space is
+    built unless a check fails."""
+    from . import window
     radius = as_int(radius, "radius", 0)
-    _, grid, masks, values = _frobenius_grid(param, -radius, radius + 1)
-    return _frobenius_report(grid, masks, values, radius, param.ground, param.p)
+    _, grid, masks, bits, q = _frobenius_grid(param, -radius, radius + 1)
+    n = param.n
+    moves = window._minor_moves(n, masks, bits, [(k,) for k in range(n)])
+    return _frobenius_report(
+        grid, moves, lambda k: {B: q[B] for B in itertools.compress(masks, bits[k].tolist())},
+        radius, param.ground, param.p)

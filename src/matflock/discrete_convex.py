@@ -361,9 +361,9 @@ def lconvex_is_minimizer(g_oracle: Callable[[tuple], int], x, n: int) -> bool:
     of the oracle is the caller's responsibility; as a guard, submodularity
     is verified on the evaluated cube {x + e_I} with the check of
     ``check_lconvex`` (unit squares if every value is finite).  The
-    entries of x are read by ``lattice.as_ints``.
+    entries of x are read by ``lattice.as_ints``, and n by ``as_int``.
     """
-    x = as_ints(x, "x entry")
+    x, n = as_ints(x, "x entry"), as_int(n, "n")
     if len(x) != n:
         raise ValueError("x has the wrong length")
     hi = vadd(x, (1,) * n)

@@ -205,7 +205,7 @@ def check_flock_axioms(flock: MatroidFlock, radius: int,
     subsets = [combo for r in range(2, n + 1) for combo in itertools.combinations(range(n), r)
                if check_sets]
     moves = axes + [tuple(range(n))] + subsets
-    minors = window._minor_moves(n, masks, bits, axes + subsets, 2)
+    minors = window._minor_moves(n, masks, bits, axes + subsets)
     counts, first = window._local_axioms(grid, radius, itertools.chain(
         itertools.islice(minors, n), [(moves[n], None, None)], minors))
 

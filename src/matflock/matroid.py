@@ -14,7 +14,7 @@ import operator
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .lattice import as_ints
+from .lattice import as_int, as_ints
 
 
 # writes a field past a record's read-only __setattr__ (bound once: looking
@@ -442,7 +442,7 @@ def check_basis_axioms(ground, d: int, bases) -> AxiomCheck:
     distinct labels of ``ground``.  Axiom failures come back as data with a
     witness.
     """
-    labelled = GroundSet(ground)
+    labelled, d = GroundSet(ground), as_int(d, "rank")
     masks = [labelled._sized_mask(B, d) for B in bases]
     if not masks:
         return AxiomCheck(False, "B1", None)
@@ -491,6 +491,7 @@ def matroid_from_matrix(rows, field: FieldSpec = QQ, ground=None) -> Matroid:
 # named matroids (test fixtures)
 
 def uniform_matroid(d: int, n: int) -> Matroid:
+    d, n = as_int(d, "rank"), as_int(n, "n")
     if not 0 < d <= n:
         raise ValueError("uniform matroid needs 0 < d <= n")
     ground = range(1, n + 1)

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
+from .lattice import as_int
 from .matroid import (QQ, Matroid, _exchange_quads, _raise_unless, _reached,
                       check_basis_axioms, matroid_from_matrix, record)
 from .valuation import Valuation, check_valuation_axioms, is_trivial
@@ -176,6 +177,7 @@ def lazarson_matrix(n: int):
     x_i is the i-th unit column, z is all ones, and y_i is all ones with a
     zero in row i.  Returns (rows, column_labels).
     """
+    n = as_int(n, "n")
     if n < 2:
         raise ValueError("the family needs n >= 2")
     labels = [f"x{i}" for i in range(n + 1)] + ["z"] + [f"y{i}" for i in range(n + 1)]
@@ -190,6 +192,7 @@ def lazarson_matrix(n: int):
 
 def lazarson(n: int, variant: str = "full") -> Matroid:
     """variant 'minus': the column matroid over Q; 'full': the all-y basis removed."""
+    n = as_int(n, "n")
     rows, labels = lazarson_matrix(n)
     M = matroid_from_matrix(rows, QQ, ground=labels)
     if variant == "minus":
@@ -204,6 +207,7 @@ def lazarson(n: int, variant: str = "full") -> Matroid:
 
 def central_bases(n: int):
     """Bases {x_i : i not in I} ∪ {y_i : i in I} of the full variant with |I| > 2."""
+    n = as_int(n, "n")
     M = lazarson(n, "full")
     out = []
     for size in range(3, n + 2):
@@ -234,7 +238,7 @@ def lazarson_char_check(n: int, p: int) -> CharacteristicCheck:
     p divides n; that is the obstruction turning into a characteristic
     restriction for the full variant.
     """
-    p = linalg.as_prime(p)
+    n, p = as_int(n, "n"), linalg.as_prime(p)
     rows, labels = lazarson_matrix(n)
     ycols = [labels.index(f"y{i}") for i in range(n + 1)]
     sub = [[row[j] for j in ycols] for row in rows]

@@ -42,25 +42,22 @@ leading axes, so memory stays bounded; the leader window {alpha_0 = 0,
 per box, for all its slabs.
 
 The local axioms run here too, on an id grid and the table of its families.
-A minor move I compares M_alpha / I with M_{alpha + e_I} \\ I (V_alpha for
-(FF1)).  The table is an (ids, bases) array over GF(p), nonzero exactly on
-each family's bases: for a flock the bool matrix (p = 2) of the box scan or
-of the per-point walk's frozensets, for a Frobenius flock the Plücker
-vectors of its row spaces.  ``_minor_moves`` keys both sides of every family
-as rows of uint64 words, in basis space: within a family every basis has
-one size, so B -> B - i is injective, and M / i is the family's bases that
-hold i and M \\ i those that miss i (all of them when i is a loop or a
-coloop).  So a single-element key is the row with the other columns
-cleared, its values signed and scaled, with no projection; over GF(2) it
-is the row's words ANDed with a column mask, and rows of another rank
-write a basis B that holds i at the column of B - i.  Set moves (GF(2)
-only) keep the projected masks b_j \\ I as their bits.  ``_local_axioms``
-then checks a move over the whole box: the grid of ``score_box`` is
-expanded run by run (each line's three ids repeated over the t below, at
-and above its cut), one contiguous copy of the checked block is shared by
-every move, and each side's keys are read from it with ``np.take`` and
-compared word by word, so no key is ranked.  The all-ones shift (MF2,
-FF2) has no keys: it compares the ids themselves.
+A minor move I compares M_alpha / I with M_{alpha + e_I} \\ I.  The table is
+the (ids, bases) bool matrix of the box scan or of the per-point walk's
+frozensets, every basis of one size.  A Frobenius flock built from a source
+is checked by the same pass: every id's space there has one Plücker vector q
+on its family, so two of its minors are equal exactly when they keep the
+same bases (``algebraic``).  ``_minor_moves`` keys both sides of every family
+as rows of uint64 words, in basis space: B -> B - i is injective, so M / i
+is the family's bases that hold i and M \\ i those that miss i (all of them
+when i is a loop or a coloop), and a single-element key is the row's words
+ANDed with a column mask.  Set moves keep the projected masks b_j \\ I as
+their bits.  ``_local_axioms`` then checks a move over the whole box: the
+grid of ``score_box`` is expanded run by run (each line's three ids repeated
+over the t below, at and above its cut), one contiguous copy of the checked
+block is shared by every move, and each side's keys are read from it with
+``np.take`` and compared word by word, so no key is ranked.  The all-ones
+shift (MF2, FF2) has no keys: it compares the ids themselves.
 
 The id grids of flocks and Frobenius flocks come from ``_scored_grid``,
 which remembers one box: the last one it scored, keyed by content as (n,
@@ -538,111 +535,52 @@ def _move_views(grid: np.ndarray, radius: int, axes):
     return grid[tuple(base)], grid[tuple(top)]
 
 
-def _residues(p: int):
-    """The dtype of residues mod p: int64 while a product of two fits it."""
-    return np.int64 if p < 1 << 31 else object
-
-
 # moves x (id, basis) entries per block of ``_set_moves``
 _KEY_BLOCK = 1 << 18
 
 
-def _minor_moves(n: int, masks, values: np.ndarray, moves, p: int):
+def _minor_moves(n: int, masks, bits: np.ndarray, moves):
     """(I, left, right) per tuple I of element indices in ``moves``, for
     ``_local_axioms``: row k of ``left`` keys the contraction and row k of
-    ``right`` the deletion by I of row k of ``values``, as rows of uint64
-    words, so that equal keys are equal minors.  ``values`` is an
-    (ids, bases) array over GF(p), column j for basis ``masks[j]``, nonzero
-    exactly on each family's bases, all of one size per family (every
-    family nonempty): a matroid's bool row with p = 2, or a space's Plücker
-    vector up to a unit.
+    ``right`` the deletion by I of the family in row k of ``bits``, as rows
+    of uint64 words, so that equal keys are equal minors.  ``bits`` is an
+    (ids, bases) bool table, column j for basis ``masks[j]``, every family
+    nonempty and every basis of one size.
 
-    A single-element move i is keyed in basis space: within a family
-    B -> B - i is injective, so the contraction is the family's bases that
-    hold i (all of them when i is a loop) and the deletion those that miss
-    i (all of them when i is a coloop), and a key is the row with the other
-    columns cleared.  Over GF(2) with one basis size that is the row's
-    words ANDed with a column mask (``_word_keys``); otherwise values are
-    signed, scaled and written in fields (``_field_keys``).  A set move,
-    over GF(2) only, is keyed by its projected masks (``_set_moves``).
+    A single-element move i is keyed in basis space: B -> B - i is
+    injective, so the contraction is the family's bases that hold i (all of
+    them when i is a loop) and the deletion those that miss i (all of them
+    when i is a coloop), and a key is the row's words ANDed with a column
+    mask (``_word_keys``).  A set move is keyed by its projected masks
+    (``_set_moves``).
     """
-    one_size = len({mask.bit_count() for mask in masks}) < 2
-    keys = (_word_keys(n, masks, values) if p == 2 and one_size
-            else _field_keys(n, masks, values, p))
+    keys = _word_keys(n, masks, bits)
     for single, run in itertools.groupby(moves, key=lambda axes: len(axes) == 1):
         if single:
             for axes in run:
                 yield axes, keys[0, axes[0]], keys[1, axes[0]]
-        elif p == 2:
-            yield from _set_moves(n, masks, values, list(run))
         else:
-            raise ValueError("set moves are keyed over GF(2) only")
+            yield from _set_moves(n, masks, bits, list(run))
 
 
 def _word_keys(n: int, masks, bits: np.ndarray) -> np.ndarray:
-    """``_minor_moves``'s keys over GF(2) when every basis has one size, as
-    a (side, element, id, word) array: the words of each row ANDed with
-    those of the columns that hold the element (contraction) or miss it
-    (deletion), the whole row where that leaves nothing."""
+    """``_minor_moves``'s single-element keys, as a (side, element, id,
+    word) array: the words of each row ANDed with those of the columns
+    that hold the element (contraction) or miss it (deletion), the whole
+    row where that leaves nothing."""
     table = _row_words(bits)
     hold = _row_words((np.array(masks, dtype=np.int64) >> np.arange(n)[:, None] & 1).astype(bool))
     sides = np.stack([table & hold[:, None], table & ~hold[:, None]])
     return np.where(sides.any(axis=3, keepdims=True), sides, table)
 
 
-def _field_keys(n: int, masks, values: np.ndarray, p: int) -> np.ndarray:
-    """``_minor_moves``'s keys over GF(p) of rows of any rank, as a (side,
-    element, id, word) array.
-
-    A kept value is negated when i is in its basis above an odd number of
-    the basis's elements, and the key is scaled to 1 at its least position.
-    Column j keys the projected mask masks[j] - i at a position: the column
-    of masks[j] - i when there is one (a row of rank one less holds it),
-    and j otherwise.  Each value takes a (p - 1).bit_length()-bit field at
-    its position; for Python-int residues, its rank among the values of all
-    keys, plus 1.
-    """
-    size, m = values.shape
-    dtype = _residues(p)
-    values = values.astype(dtype) % p
-    nonzero = values != 0
-    hold = (np.array(masks, dtype=np.int64) >> np.arange(n)[:, None] & 1).astype(bool)
-    # does the basis hold the element above an odd number of its elements
-    odd = hold & (np.cumsum(hold, axis=0) - hold & 1).astype(bool)
-    column = {mask: j for j, mask in enumerate(masks)}
-    at = np.array([[column.get(mask & ~(1 << i), j) for j, mask in enumerate(masks)]
-                   for i in range(n)], dtype=np.intp).reshape(n, m)
-    kept = nonzero & np.stack([hold, ~hold])[:, :, None]
-    kept |= nonzero & ~kept.any(axis=3, keepdims=True)
-    field = np.where(kept, np.where(odd[:, None], (p - values) % p, values), 0)
-    lead = np.where(kept, at[:, None], m).argmin(axis=3)[..., None]
-    units, which = np.unique(np.take_along_axis(field, lead, axis=3), return_inverse=True)
-    inverse = np.array([pow(int(u), -1, p) for u in units], dtype=dtype)
-    field = field * inverse[which.reshape(lead.shape)] % p
-    width = (p - 1).bit_length()
-    if dtype is object:
-        hit = field != 0
-        distinct, code = np.unique(field[hit], return_inverse=True)
-        field = np.zeros(field.shape, dtype=np.uint64)
-        field[hit] = code + 1
-        width = len(distinct).bit_length()
-    per = 64 // width
-    shifted = field.astype(np.uint64) << (at % per * width).astype(np.uint64)[:, None]
-    words = np.empty((*field.shape[:3], -(-m // per)), dtype=np.uint64)
-    for w in range(words.shape[3]):
-        words[..., w] = np.bitwise_or.reduce(
-            np.where((at // per == w)[:, None], shifted, np.uint64(0)), axis=3)
-    return words
-
-
 def _set_moves(n: int, masks, bits: np.ndarray, moves):
-    """``_minor_moves``'s keys of the moves I over GF(2), with no values
-    attached.  With cnt_j = |b_j ∩ I|, the contraction keeps the bases of
-    largest cnt and the deletion those of largest |b_j \\ I|, and a key is
-    the set of their projections b_j \\ I, one bit per projected mask at
-    its rank among the move's projected masks.  A block holds as many moves
-    as keep its arrays within ``_KEY_BLOCK`` (id, basis) entries per side,
-    and at least one."""
+    """``_minor_moves``'s keys of the moves I.  With cnt_j = |b_j ∩ I|, the
+    contraction keeps the bases of largest cnt and the deletion those of
+    largest |b_j \\ I|, and a key is the set of their projections b_j \\ I,
+    one bit per projected mask at its rank among the move's projected
+    masks.  A block holds as many moves as keep its arrays within
+    ``_KEY_BLOCK`` (id, basis) entries per side, and at least one."""
     size, m = bits.shape
     rows, cols = np.nonzero(bits)
     # nonzero is row-major: the entries of an id are contiguous

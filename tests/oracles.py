@@ -30,14 +30,17 @@ contraction, deletion and (FF1)/(FF2) report that re-reduce each side with
 ``linalg.gf_rref`` (``gf_row_space``, the canonical nonzero RREF rows),
 keyed one distinct space at a time (``_id_keys``): the routes that reading
 V_S off the initial Plücker coefficients of one minor walk, and keying each
-move by its signed Plücker values in ``window._minor_moves``, replaced.
+move of a source by its argmax families alone in the flock's GF(2) pass
+(``window._minor_moves``), replaced.
 Single exchanges by a test of all n^2 bit pairs.
 
 Minor keys by projection (``projected_minor_moves``): every (move, id,
 basis) entry projected to b_j \\ I, its signed and scaled value written
 at the projected mask's rank among the move's, and the keys of all moves
-ranked together with ``np.unique``: the rule that keying single-element
-moves in basis space, as rows of words compared word by word, replaced.
+ranked together with ``np.unique``: the rules that keying single-element
+moves in basis space, as rows of words compared word by word, and keying
+the Plücker vectors of a window given as data by their scaled minors, one
+distinct space at a time (``algebraic._plucker_keys``), replaced.
 
 The local axioms with each move's keys gathered through strided views of
 the id grid: the route that one shared contiguous copy of the checked
@@ -72,7 +75,7 @@ from matflock.rigidity import RigidityVerdict, _integerize, dw_constraints
 from matflock.valuation import (LeaderScan, TrivialityResult, Valuation,
                                 _difference_constraints, _incidence_rows, _integral_point,
                                 check_valuation_axioms, is_trivial, optimal_masks)
-from matflock.window import _CHUNK, _KEY_BLOCK, _dense_ids, _pair_holds, _residues, score_ids
+from matflock.window import _CHUNK, _KEY_BLOCK, _dense_ids, _pair_holds, score_ids
 
 
 def smith_normal_form(A):
@@ -557,7 +560,9 @@ def projected_minor_moves(n: int, masks, values: np.ndarray, moves, p: int):
     sizes = incidence.sum(axis=1, dtype=np.int8)[cols]
     # does the basis hold the element above an odd number of its elements
     odd = incidence & (np.cumsum(incidence, axis=1, dtype=np.int8) - incidence)
-    entries = values[rows, cols].astype(_residues(p)) % p if p > 2 else None
+    # residues are int64 while a product of two fits it, Python ints otherwise
+    residues = np.int64 if p < 1 << 31 else object
+    entries = values[rows, cols].astype(residues) % p if p > 2 else None
     block = max(1, _KEY_BLOCK // len(cols))
     for start in range(0, len(moves), block):
         sets = moves[start:start + block]

@@ -3,7 +3,6 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +10,8 @@ from hypothesis import strategies as st
 import matflock as mf
 from matflock import linalg
 from matflock import algebraic, window
-from matflock.algebraic import _param_polymatrix, _plucker_minor, _plucker_rref, _tangent_at
+from matflock.algebraic import (_param_polymatrix, _plucker_keys, _plucker_minor, _plucker_rref,
+                                _tangent_at)
 from matflock.lattice import INF
 
 import flockprops
@@ -302,9 +302,9 @@ def _grid_cases():
 
 def _grid_spaces(param, lo, hi):
     """``_frobenius_grid`` with each id's Plücker vector read as its RREF."""
-    d, grid, masks, values = algebraic._frobenius_grid(param, lo, hi)
-    return d, grid, [_plucker_rref(algebraic._plucker_vector(masks, row), param.n, param.p)
-                     for row in values]
+    d, grid, masks, bits, q = algebraic._frobenius_grid(param, lo, hi)
+    return d, grid, [_plucker_rref({B: q[B] for B in family}, param.n, param.p)
+                     for family in window._families(masks, bits)]
 
 
 def test_frobenius_grid_matches_tableau_oracle():
@@ -321,6 +321,19 @@ def test_frobenius_grid_matches_tableau_oracle():
             if (lo, hi) == (-radius, radius + 1):
                 want = oracles.rref_frobenius_report(grid0, spaces0, radius, param.ground, param.p)
         assert mf.check_frobenius_axioms(param, radius) == want, param.coords
+
+
+def test_frobenius_counts_are_flock_counts():
+    # the matroid of V_alpha is M_alpha, and a source's (FF1)/(FF2) check is
+    # its flock's (MF1)/(MF2) check: the same counts, and both pass
+    for param in _grid_cases():
+        flock = mf.flock_from_linearized(param)
+        for radius in (2, 1):
+            ff = mf.check_frobenius_axioms(param, radius)
+            rep = mf.check_flock_axioms(flock, radius)
+            assert ((ff.ff1_checked, ff.ff1_failed, ff.ff2_checked, ff.ff2_failed)
+                    == (rep.mf1_checked, rep.mf1_failed, rep.mf2_checked, rep.mf2_failed))
+            assert ff.ok and rep.ok, param.coords
 
 
 def test_frobenius_grid_spaces_have_plucker_vector_q():
@@ -438,20 +451,16 @@ def test_space_contract_and_delete_match_gf_rref(case):
 @given(plucker_tables())
 @settings(max_examples=200, deadline=None)
 def test_plucker_keys_match_rref_minors(case):
-    # the keys _minor_moves gives each single-element move split the
+    # the keys _plucker_keys gives each single-element move split the
     # contractions and deletions of the spaces into the classes of equal
     # gf_rref minors, left and right numbered together, whatever the scale
     # of each Plücker vector
     p, n, tables = case
     vectors = [dict(linalg._maximal_minors(rows, linalg._PrimeField(p))) for rows in tables]
-    masks = sorted(set().union(*vectors))
-    values = np.zeros((len(vectors), len(masks)), dtype=np.int64)
-    for k, vector in enumerate(vectors):
-        values[k, [masks.index(mask) for mask in vector]] = list(vector.values())
     spaces = [oracles.gf_row_space(rows, p) for rows in tables]
-    moves = list(window._minor_moves(n, masks, values, [(i,) for i in range(n)], p))
-    for i, (axes, left, right) in enumerate(moves):
-        assert axes == (i,)
+    keys = _plucker_keys(vectors, n, p)
+    assert keys.shape == (2, n, len(vectors), 1)
+    for i, (left, right) in enumerate(zip(keys[0], keys[1])):
         sides = ([oracles.rref_space_contract(space, i, p) for space in spaces]
                  + [oracles.rref_space_delete(space, i, p) for space in spaces])
         keys = list(map(tuple, left.tolist())) + list(map(tuple, right.tolist()))

@@ -83,6 +83,16 @@ _INTEGER_ENTRIES = {
     "lconvex_is_minimizer": lambda x: mf.lconvex_is_minimizer(
         lambda pt: abs(pt[0] - pt[1] - 2), (x, 0), 2),
     "render_cells_svg_radius": lambda x: render_cells_svg(u24_valuation(), (1, 2), x),
+    "uniform_matroid_rank": lambda x: mf.uniform_matroid(x, 4),
+    "uniform_matroid_n": lambda x: mf.uniform_matroid(2, x),
+    "check_basis_axioms_rank": lambda x: mf.check_basis_axioms(
+        [1, 2, 3], x, [[1, 2], [1, 3], [2, 3]]),
+    "lazarson_matrix": lambda x: mf.lazarson_matrix(x),
+    "lazarson": lambda x: mf.lazarson(x),
+    "central_bases": lambda x: mf.central_bases(x),
+    "lazarson_char_check_n": lambda x: mf.lazarson_char_check(x, 3),
+    "lconvex_is_minimizer_n": lambda x: mf.lconvex_is_minimizer(
+        lambda pt: abs(pt[0] - pt[1] - 2), (2, 0), x),
 }
 
 

@@ -827,7 +827,9 @@ def test_cli_check_ff_matches_golden_report(capsys):
     fixtures = Path(__file__).parent / "fixtures"
     for param, radius, report in (("paper_example_param.json", 2, "paper_example_check_ff_r2.json"),
                                   ("linearized_p3_n5_param.json", 1,
-                                   "linearized_p3_n5_check_ff_r1.json")):
+                                   "linearized_p3_n5_check_ff_r1.json"),
+                                  ("linearized_p2147483647_param.json", 1,
+                                   "linearized_p2147483647_check_ff_r1.json")):
         assert main(["check-ff", str(fixtures / param), "--radius", str(radius)]) == 0
         assert capsys.readouterr().out == (fixtures / report).read_text()
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import matflock as mf
 from matflock import flock as flock_module
 from matflock import jsonio, window
-from matflock.algebraic import FrobeniusWindowReport
+from matflock.algebraic import FrobeniusWindowReport, _plucker_keys
 from matflock.cli import main
 from matflock.flock import FlockViolation, window_ids
 from matflock.window import _id_grid
@@ -294,7 +294,7 @@ def assert_minor_key_classes(n, table, moves):
     deletions of the families in ``table`` into the classes of equal
     ``bases_contract`` / ``bases_delete``, left and right numbered together."""
     masks, bits = window._table_bits(table)
-    got = list(window._minor_moves(n, masks, bits, moves, 2))
+    got = list(window._minor_moves(n, masks, bits, moves))
     assert [axes for axes, _, _ in got] == moves
     for axes, left, right in got:
         cmask = sum(1 << i for i in axes)
@@ -428,17 +428,71 @@ def valued_tables(draw):
 @settings(max_examples=300, deadline=None)
 @given(valued_tables())
 def test_minor_keys_match_projected_oracle(case):
-    # the word-row keys split left ∪ right into the classes of equal keys
-    # that the projected-mask rule gives, move by move
+    # the keys split left ∪ right into the classes of equal keys that the
+    # projected-mask rule gives, move by move: the word-row keys of a
+    # one-size bool table, and otherwise (values over GF(p > 2), or several
+    # basis sizes) the Plücker keys of the single moves
     p, n, masks, values, moves = case
-    got = list(window._minor_moves(n, masks, values, moves, p))
     want = list(oracles.projected_minor_moves(n, masks, values, moves, p))
-    assert [axes for axes, _, _ in got] == moves
+    if p == 2 and len({mask.bit_count() for mask in masks}) == 1:
+        got = list(window._minor_moves(n, masks, values, moves))
+    else:
+        vectors = [{masks[j]: int(row[j]) for j in row.nonzero()[0]} for row in values]
+        keys = _plucker_keys(vectors, n, p)
+        # by element: at n = 1 the single move (0,) can be drawn twice
+        got = [(axes, keys[0, axes[0]], keys[1, axes[0]]) for axes in moves if len(axes) == 1]
+        want = [move for move in want if len(move[0]) == 1]
+    assert [axes for axes, _, _ in got] == [axes for axes, _, _ in want]
     for (axes, left, right), (_, old_left, old_right) in zip(got, want):
         assert left.shape == right.shape == (len(values), left.shape[1])
         keys = list(map(tuple, left.tolist())) + list(map(tuple, right.tolist()))
         old = old_left.tolist() + old_right.tolist()
         assert len(set(zip(keys, old))) == len(set(keys)) == len(set(old)), (p, axes)
+
+
+@st.composite
+def source_grids(draw):
+    """(p, n, radius, masks, bits, q, grid): distinct nonempty families of
+    one basis size, with loops and coloops, as a bool table; nonzero values
+    q over GF(p) on its masks; and an id grid over [-radius, radius + 1]^n
+    of random ids, constant along some axes so that some moves hold."""
+    p = draw(st.sampled_from([2, 3, 5, 2 ** 31 - 1, 2 ** 61 - 1]))
+    n = draw(st.integers(1, 4))
+    role = draw(st.lists(st.sampled_from(["loop", "coloop", "free"]), min_size=n, max_size=n))
+    free = [i for i in range(n) if role[i] == "free"]
+    coloops = sum(1 << i for i in range(n) if role[i] == "coloop")
+    size = draw(st.integers(0, len(free)))
+    pool = [coloops | sum(1 << i for i in combo)
+            for combo in itertools.combinations(free, size)]
+    table = draw(st.lists(st.frozensets(st.sampled_from(pool), min_size=1),
+                          min_size=1, max_size=6, unique=True))
+    masks, bits = window._table_bits(table)
+    q = {mask: draw(st.integers(1, p - 1)) for mask in masks}
+    radius = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grid = rng.integers(len(table), size=(2 * radius + 2,) * n).astype(np.intp)
+    for axis in range(n):
+        if draw(st.booleans()):
+            grid = np.repeat(grid.take([0], axis=axis), grid.shape[axis], axis=axis)
+    return p, n, radius, masks, bits, q, grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(source_grids())
+def test_family_keys_match_plucker_keys_of_one_q(case):
+    # on a source's grid every space has Plücker vector q on its family, so
+    # the flock's GF(2) keys of the families give the counts and the first
+    # violation that the Plücker keys of the vectors bits ⊙ q give
+    p, n, radius, masks, bits, q, grid = case
+    vectors = [{mask: q[mask] for mask in itertools.compress(masks, row)}
+               for row in bits.tolist()]
+    keys = _plucker_keys(vectors, n, p)
+    shift = [(tuple(range(n)), None, None)]
+    got = window._local_axioms(
+        grid, radius, [*window._minor_moves(n, masks, bits, [(k,) for k in range(n)]), *shift])
+    want = window._local_axioms(
+        grid, radius, [*(((k,), keys[0, k], keys[1, k]) for k in range(n)), *shift])
+    assert got == want
 
 
 def test_flock_check_computes_no_per_id_minors(monkeypatch):
@@ -467,7 +521,7 @@ def _all_moves(n, masks, bits):
     the (MF1) moves, keyed as ``check_flock_axioms`` keys them: the shift
     has no keys."""
     subsets = [c for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
-    moves = list(window._minor_moves(n, masks, bits, subsets, 2))
+    moves = list(window._minor_moves(n, masks, bits, subsets))
     return moves[:n] + [(tuple(range(n)), None, None)] + moves[n:]
 
 
