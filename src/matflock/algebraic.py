@@ -83,7 +83,9 @@ class ToricRep:
         A = linalg.as_int_matrix(self.A)
         _write(self, "A", A)
         _write(self, "p", linalg.as_prime(self.p))
-        n = len(A[0]) if A else 0
+        if not A:
+            raise ValueError("empty matrix")
+        n = len(A[0])
         _write(self, "ground", positional_ground(self.ground or range(1, n + 1), n, "column"))
         if linalg.rat_rank(A) != len(A):
             raise ValueError("matrix does not have full row rank")
@@ -400,20 +402,20 @@ def frobenius_window(param: LinearizedParam, radius: int) -> FrobeniusFlockWindo
     off the T-adic valuation's scored grid (``_frobenius_grid``)."""
     from . import window
     radius = as_int(radius, "radius", 0)
-    d, grid, masks, bits, q = _frobenius_grid(param, -radius, radius)
+    d, grid, masks, words, q = _frobenius_grid(param, -radius, radius)
     spaces = [_plucker_rref({B: q[B] for B in family}, param.n, param.p)
-              for family in window._families(masks, bits)]
+              for family in window._families(masks, words)]
     points = itertools.product(range(-radius, radius + 1), repeat=param.n)
     table = dict(zip(points, map(spaces.__getitem__, grid.ravel().tolist())))
     return FrobeniusFlockWindow(radius, param.p, d, param.ground, table)
 
 
 def _frobenius_grid(param: LinearizedParam, lo: int, hi: int):
-    """(d, grid, masks, bits, q) of the Frobenius flock over [lo, hi]^E: the
-    id grid indexed by alpha - lo per axis, the (ids, bases) bool table of
-    its argmax families (column j: basis ``masks[j]``), and the initial
-    coefficients q, so that the space of id k has Plücker vector q on the
-    bases of row k.
+    """(d, grid, masks, words, q) of the Frobenius flock over [lo, hi]^E:
+    the id grid indexed by alpha - lo per axis, the table of its argmax
+    families as ``window._scored_grid`` gives it (bit j: basis
+    ``masks[j]``), and the initial coefficients q, so that the space of id
+    k has Plücker vector q on the bases of row k.
 
     V_alpha, the T = 0 reduction of the row lattice of P * diag(T^-alpha),
     has as Plücker vector the initial form of the T-adic one (Speyer 2008):
@@ -422,9 +424,7 @@ def _frobenius_grid(param: LinearizedParam, lo: int, hi: int):
     grid, and distinct ids hold distinct spaces."""
     from . import window
     nu, q = _lindstrom(param)
-    items = nu.finite_items()
-    grid, bits = window._scored_grid(items, param.n, lo, hi)
-    return nu.d, grid, [mask for mask, _ in items], bits, q
+    return (nu.d, *window._scored_grid(nu.finite_items(), param.n, lo, hi), q)
 
 
 def _plucker_rref(vector, n: int, p: int):
@@ -564,9 +564,8 @@ def check_frobenius_axioms(param: LinearizedParam, radius: int) -> FrobeniusWind
     built unless a check fails."""
     from . import window
     radius = as_int(radius, "radius", 0)
-    _, grid, masks, bits, q = _frobenius_grid(param, -radius, radius + 1)
-    n = param.n
-    moves = window._minor_moves(n, masks, bits, [(k,) for k in range(n)])
+    _, grid, masks, words, q = _frobenius_grid(param, -radius, radius + 1)
+    moves = window._minor_moves(param.n, masks, words, [(k,) for k in range(param.n)])
     return _frobenius_report(
-        grid, moves, lambda k: {B: q[B] for B in itertools.compress(masks, bits[k].tolist())},
+        grid, moves, lambda k: {B: q[B] for B in window._families(masks, words[[k]])[0]},
         radius, param.ground, param.p)

@@ -31,8 +31,11 @@ def _load(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # malformed JSON, bytes that are not UTF-8, or an int past Python's digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} nests too deeply to read") from None
 
 
 def _alpha(text: str, n: int):
@@ -361,8 +364,12 @@ def main(argv=None) -> int:
         return 1
     text = result if isinstance(result, str) else json.dumps(result, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"input error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -133,22 +133,20 @@ def window_ids(flock: MatroidFlock, radius: int):
     """
     from . import window
     radius = as_int(radius, "radius", 0)
-    grid, masks, bits = _grid(flock, -radius, radius)
+    grid, masks, words = _grid(flock, -radius, radius)
     grid.setflags(write=False)
-    return grid, window._families(masks, bits)
+    return grid, window._families(masks, words)
 
 
 def _grid(flock: MatroidFlock, lo: int, hi: int):
-    """(grid, masks, bits) of ``window._scored_grid`` over [lo, hi]^E for a
-    valuation-backed flock, else of the oracle walked by ``_id_grid``."""
+    """(grid, masks, words) of ``window._scored_grid`` over [lo, hi]^E for a
+    valuation-backed flock, else of the oracle walked by ``window._id_grid``."""
     from . import window
     n = len(flock.ground)
     if flock.valuation is not None:
-        items = flock.valuation.finite_items()
-        grid, bits = window._scored_grid(items, n, lo, hi)
-        return grid, [mask for mask, _ in items], bits
+        return window._scored_grid(flock.valuation.finite_items(), n, lo, hi)
     grid, table = window._id_grid(n, lo, hi, flock.masks_at)
-    return (grid, *window._table_bits(table))
+    return (grid, *window._table_words(table))
 
 
 # ---------------------------------------------------------------------------
@@ -198,22 +196,22 @@ def check_flock_axioms(flock: MatroidFlock, radius: int,
     radius = as_int(radius, "radius", 1)
     from . import window
     n = len(flock.ground)
-    grid, masks, bits = _grid(flock, -radius, radius + 1)
+    grid, masks, words = _grid(flock, -radius, radius + 1)
     axes = [(axis,) for axis in range(n)]
     # the sets {i} are the (MF1) moves again, whose counts they reuse;
     # ties go to (MF1), so a singleton never supplies the violation
     subsets = [combo for r in range(2, n + 1) for combo in itertools.combinations(range(n), r)
                if check_sets]
     moves = axes + [tuple(range(n))] + subsets
-    minors = window._minor_moves(n, masks, bits, axes + subsets)
+    minors = window._minor_moves(n, masks, words, axes + subsets)
     counts, first = window._local_axioms(grid, radius, itertools.chain(
         itertools.islice(minors, n), [(moves[n], None, None)], minors))
 
     violation = None
     if first is not None:
         alpha, k, ida, idb = first
-        left, right = (Matroid(flock.ground, itertools.compress(masks, bits[i]))
-                       for i in (ida, idb))
+        left, right = (Matroid(flock.ground, family)
+                       for family in window._families(masks, words[[ida, idb]]))
         if k == n:
             move = "1"
         else:

@@ -42,22 +42,23 @@ leading axes, so memory stays bounded; the leader window {alpha_0 = 0,
 per box, for all its slabs.
 
 The local axioms run here too, on an id grid and the table of its families.
-A minor move I compares M_alpha / I with M_{alpha + e_I} \\ I.  The table is
-the (ids, bases) bool matrix of the box scan or of the per-point walk's
-frozensets, every basis of one size.  A Frobenius flock built from a source
-is checked by the same pass: every id's space there has one Plücker vector q
-on its family, so two of its minors are equal exactly when they keep the
-same bases (``algebraic``).  ``_minor_moves`` keys both sides of every family
-as rows of uint64 words, in basis space: B -> B - i is injective, so M / i
-is the family's bases that hold i and M \\ i those that miss i (all of them
-when i is a loop or a coloop), and a single-element key is the row's words
-ANDed with a column mask.  Set moves keep the projected masks b_j \\ I as
-their bits.  ``_local_axioms`` then checks a move over the whole box: the
-grid of ``score_box`` is expanded run by run (each line's three ids repeated
-over the t below, at and above its cut), one contiguous copy of the checked
-block is shared by every move, and each side's keys are read from it with
-``np.take`` and compared word by word, so no key is ranked.  The all-ones
-shift (MF2, FF2) has no keys: it compares the ids themselves.
+A minor move I compares M_alpha / I with M_{alpha + e_I} \\ I.  A table is
+one row of ``_row_words``'s words per id, bit j for basis ``masks[j]``, every
+basis of one size, and no other module reads its bits.  A Frobenius flock
+built from a source is checked by the same pass: every id's space there has
+one Plücker vector q on its family, so two of its minors are equal exactly
+when they keep the same bases (``algebraic``).  ``_minor_moves`` keys both
+sides of every family as rows of uint64 words, in basis space: B -> B - i
+is injective, so M / i is the family's bases that hold i and M \\ i those
+that miss i (all of them when i is a loop or a coloop), and a
+single-element key is the table's row ANDed with a column mask.  Set moves
+keep the projected masks b_j \\ I as their bits.  ``_local_axioms`` then
+checks a move over the whole box: the grid of ``score_box`` is expanded run
+by run (each line's three ids repeated over the t below, at and above its
+cut), one contiguous copy of the checked block is shared by every move, and
+each side's keys are read from it with ``np.take`` and compared word by
+word, so no key is ranked.  The all-ones shift (MF2, FF2) has no keys: it
+compares the ids themselves.
 
 The id grids of flocks and Frobenius flocks come from ``_scored_grid``,
 which remembers one box: the last one it scored, keyed by content as (n,
@@ -66,7 +67,7 @@ Frobenius check of the same valuation over a nested box thus share one
 scan.  A request for a nonempty box [lo, hi]^n inside the remembered one,
 with the same key, slices the remembered grid and renumbers the slice by
 ``_ranks``; the remembered ids are ranked in the lex order of their words,
-so the renumbered ids and the rows ``bits[distinct]`` are what a fresh
+so the renumbered ids and the rows ``words[distinct]`` are what a fresh
 scan returns.  Any other request forgets the remembered box before it
 scans, so at most one grid is held and a scan's peak is not raised by it; a
 grid of more than ``_MEMO_IDS`` ids is not kept.  The arrays returned are
@@ -90,7 +91,7 @@ import numpy as np
 _CHUNK = 1 << 16
 # scores stay within 2^62 of 0, and -2^62 is the sentinel score
 _LIMIT = 1 << 62
-# _scored_grid's last box, {(n, finite items): (lo, hi, grid, bits)}, and
+# _scored_grid's last box, {(n, finite items): (lo, hi, grid, words)}, and
 # the most ids it keeps
 _grid_memo: dict = {}
 _MEMO_IDS = 1 << 20
@@ -121,9 +122,9 @@ def _bits(words: np.ndarray, m: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, count=m, bitorder="little").view(bool)
 
 
-def _families(masks, bits: np.ndarray) -> list:
-    """The frozenset of basis masks that each row of ``bits`` holds."""
-    return [frozenset(compress(masks, row)) for row in bits.tolist()]
+def _families(masks, words: np.ndarray) -> list:
+    """The frozenset of basis masks that each row of the table ``words`` holds."""
+    return [frozenset(compress(masks, row)) for row in _bits(words, len(masks)).tolist()]
 
 
 def _lex_rows(words: np.ndarray):
@@ -161,7 +162,7 @@ def score_ids(finite_items, n: int, points: np.ndarray):
         scores = EB @ points[start:start + _CHUNK].T.astype(dtype) - vals[:, None]
         words[start:start + _CHUNK] = _row_words((scores == scores.max(axis=0)).T)
     ids, rep = _lex_rows(words)
-    return ids, _families(masks, _bits(words[rep], len(masks)))
+    return ids, _families(masks, words[rep])
 
 
 def _box_points(lo, hi, flat: np.ndarray) -> np.ndarray:
@@ -399,13 +400,12 @@ def _box_lines(finite_items, n: int, lo, hi):
 
 
 def _box_sets(finite_items, n: int, lo, hi):
-    """(ids, bits): the ids of ``score_box``, and its table as an
-    (ids, bases) bool matrix whose column j is basis j of ``finite_items``.
+    """(ids, words): the ids of ``score_box``, and its table, one row of
+    ``_row_words``'s words per id, bit j for basis j of ``finite_items``.
     The ids are expanded run by run, with one ``np.repeat`` per slab."""
     slabs = [slab[2:] for slab in _box_lines(finite_items, n, lo, hi)]
-    m = len(finite_items)
     if not slabs:
-        return np.zeros(0, dtype=np.intp), np.zeros((0, m), dtype=bool)
+        return np.zeros(0, dtype=np.intp), np.zeros((0, (len(finite_items) + 63) // 64), "<u8")
     words = np.concatenate([slab[3] for slab in slabs])
     # renumbered as score_ids numbers them: by the lex order of their words
     order, rep = _lex_rows(words)
@@ -414,42 +414,43 @@ def _box_sets(finite_items, n: int, lo, hi):
         ids.append(np.repeat(order[offset + rank][lines].ravel(), runs.ravel()))
         offset += len(sets)
     # one slab is the whole grid: no copy
-    return ids[0] if len(ids) == 1 else np.concatenate(ids), _bits(words[rep], m)
+    return ids[0] if len(ids) == 1 else np.concatenate(ids), words[rep]
 
 
 def score_box(finite_items, n: int, lo, hi):
     """``score_ids(finite_items, n, box_array(lo, hi))``, scored one axis at
     a time: a box of side s costs about 2 s^(n-1) scores, not m s^n."""
-    ids, bits = _box_sets(finite_items, n, lo, hi)
-    return ids, _families([mask for mask, _ in finite_items], bits)
+    ids, words = _box_sets(finite_items, n, lo, hi)
+    return ids, _families([mask for mask, _ in finite_items], words)
 
 
 # ---------------------------------------------------------------------------
 # id grids and the local axioms
 
 def _scored_grid(finite_items, n: int, lo: int, hi: int):
-    """(grid, bits) of the argmax families over [lo, hi]^n: the intp ids of
-    ``_box_sets`` as a grid indexed by alpha - lo per axis, and its table,
-    both read-only.  A nonempty box inside the one remembered for the same
-    (n, finite_items) is sliced from it and renumbered by ``_ranks``, which
-    keeps the lex order of the remembered ids, so it is what a scan gives;
-    any other request forgets that box before it scans (module docstring)."""
+    """(grid, masks, words) of ``_box_sets`` over [lo, hi]^n: its ids as a
+    grid indexed by alpha - lo per axis, the masks of ``finite_items`` and
+    its table, grid and table read-only.  A nonempty box inside the one
+    remembered for the same (n, finite_items) is sliced from it and
+    renumbered by ``_ranks``, which keeps the lex order of the remembered
+    ids, so it is what a scan gives; any other request forgets that box
+    before it scans (module docstring)."""
     key = (n, tuple(finite_items))
     held = _grid_memo.get(key)
     if held is not None and held[0] <= lo <= hi <= held[1]:
         start, _, whole, table = held
         part = whole[(slice(lo - start, hi - start + 1),) * n]
         rank, distinct = _ranks(part, len(table))
-        grid, bits = rank[part], table[distinct]
+        grid, words = rank[part], table[distinct]
     else:
         _grid_memo.clear()
-        ids, bits = _box_sets(finite_items, n, [lo] * n, [hi] * n)
+        ids, words = _box_sets(finite_items, n, [lo] * n, [hi] * n)
         grid = ids.reshape((hi - lo + 1,) * n)
         if lo <= hi and grid.size <= _MEMO_IDS:
-            _grid_memo[key] = (lo, hi, grid, bits)
+            _grid_memo[key] = (lo, hi, grid, words)
     grid.setflags(write=False)
-    bits.setflags(write=False)
-    return grid, bits
+    words.setflags(write=False)
+    return grid, [mask for mask, _ in finite_items], words
 
 
 def _id_grid(n: int, lo: int, hi: int, value_at):
@@ -470,16 +471,11 @@ def _id_grid(n: int, lo: int, hi: int, value_at):
     return grid, table
 
 
-def _table_bits(table):
-    """(masks, bits) of a list of basis-mask families: the masks that occur,
-    in increasing order, and the (families, masks) bool matrix of which
-    family holds which mask."""
+def _table_words(table):
+    """(masks, words) of a list of basis-mask families: the masks that
+    occur, in increasing order, and the table whose row k holds ``table[k]``."""
     masks = sorted(set().union(*table))
-    column = {mask: j for j, mask in enumerate(masks)}
-    bits = np.zeros((len(table), len(masks)), dtype=bool)
-    bits[[i for i, family in enumerate(table) for _ in family],
-         [column[mask] for family in table for mask in family]] = True
-    return masks, bits
+    return masks, _row_words(np.array([[mask in family for mask in masks] for family in table]))
 
 
 def _local_axioms(grid: np.ndarray, radius: int, moves):
@@ -539,12 +535,12 @@ def _move_views(grid: np.ndarray, radius: int, axes):
 _KEY_BLOCK = 1 << 18
 
 
-def _minor_moves(n: int, masks, bits: np.ndarray, moves):
+def _minor_moves(n: int, masks, words: np.ndarray, moves):
     """(I, left, right) per tuple I of element indices in ``moves``, for
     ``_local_axioms``: row k of ``left`` keys the contraction and row k of
-    ``right`` the deletion by I of the family in row k of ``bits``, as rows
-    of uint64 words, so that equal keys are equal minors.  ``bits`` is an
-    (ids, bases) bool table, column j for basis ``masks[j]``, every family
+    ``right`` the deletion by I of the family in row k of ``words``, as rows
+    of uint64 words, so that equal keys are equal minors.  ``words`` is a
+    table (module docstring), bit j for basis ``masks[j]``, every family
     nonempty and every basis of one size.
 
     A single-element move i is keyed in basis space: B -> B - i is
@@ -554,35 +550,34 @@ def _minor_moves(n: int, masks, bits: np.ndarray, moves):
     mask (``_word_keys``).  A set move is keyed by its projected masks
     (``_set_moves``).
     """
-    keys = _word_keys(n, masks, bits)
+    keys = _word_keys(n, masks, words)
     for single, run in itertools.groupby(moves, key=lambda axes: len(axes) == 1):
         if single:
             for axes in run:
                 yield axes, keys[0, axes[0]], keys[1, axes[0]]
         else:
-            yield from _set_moves(n, masks, bits, list(run))
+            yield from _set_moves(n, masks, words, list(run))
 
 
-def _word_keys(n: int, masks, bits: np.ndarray) -> np.ndarray:
+def _word_keys(n: int, masks, table: np.ndarray) -> np.ndarray:
     """``_minor_moves``'s single-element keys, as a (side, element, id,
-    word) array: the words of each row ANDed with those of the columns
+    word) array: each row of the table ANDed with the words of the columns
     that hold the element (contraction) or miss it (deletion), the whole
     row where that leaves nothing."""
-    table = _row_words(bits)
     hold = _row_words((np.array(masks, dtype=np.int64) >> np.arange(n)[:, None] & 1).astype(bool))
     sides = np.stack([table & hold[:, None], table & ~hold[:, None]])
     return np.where(sides.any(axis=3, keepdims=True), sides, table)
 
 
-def _set_moves(n: int, masks, bits: np.ndarray, moves):
+def _set_moves(n: int, masks, words: np.ndarray, moves):
     """``_minor_moves``'s keys of the moves I.  With cnt_j = |b_j ∩ I|, the
     contraction keeps the bases of largest cnt and the deletion those of
     largest |b_j \\ I|, and a key is the set of their projections b_j \\ I,
     one bit per projected mask at its rank among the move's projected
     masks.  A block holds as many moves as keep its arrays within
     ``_KEY_BLOCK`` (id, basis) entries per side, and at least one."""
-    size, m = bits.shape
-    rows, cols = np.nonzero(bits)
+    size, m = len(words), len(masks)
+    rows, cols = np.nonzero(_bits(words, m))
     # nonzero is row-major: the entries of an id are contiguous
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
     bases = np.array(masks, dtype=np.int64)
@@ -611,12 +606,12 @@ def _set_moves(n: int, masks, bits: np.ndarray, moves):
         # projections set one bit
         word = (rank // 64)[:, cols]
         fields = (np.uint64(1) << (rank % 64).astype(np.uint64))[:, cols]
-        words = np.empty((2, len(sets), size, -(-m // 64)), dtype=np.uint64)
-        for w in range(words.shape[3]):
-            words[..., w] = np.bitwise_or.reduceat(
+        keys = np.empty((2, len(sets), size, -(-m // 64)), dtype=np.uint64)
+        for w in range(keys.shape[3]):
+            keys[..., w] = np.bitwise_or.reduceat(
                 np.where(keep & (word == w), fields, np.uint64(0)), starts, axis=2)
         for k, axes in enumerate(sets):
-            yield axes, words[0, k], words[1, k]
+            yield axes, keys[0, k], keys[1, k]
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +657,6 @@ def _leader_reps(finite_items, n: int, R: int) -> dict:
         # an entry's first t is lo_last plus the runs before it
         t = lo[-1] + (runs[head] * (np.arange(3) < k[:, None])).sum(axis=1)
         points = np.concatenate([_box_points(slo[:-1], shi[:-1], head), t[:, None]], axis=1)
-        for family, alpha in zip(_families(masks, _bits(words, len(masks))), points.tolist()):
+        for family, alpha in zip(_families(masks, words), points.tolist()):
             reps.setdefault(family, tuple(alpha))
     return reps

@@ -445,12 +445,12 @@ def tableau_frobenius_grid(param, lo: int, hi: int):
     n, p = param.n, param.p
     items = nu.finite_items()
     # a fresh scan, not the remembered box of the library's checks
-    ids, bits = window._box_sets(items, n, [lo] * n, [hi] * n)
+    ids, words = window._box_sets(items, n, [lo] * n, [hi] * n)
     grid = ids.reshape((hi - lo + 1,) * n)
     P = _param_polymatrix(param)
     intern: dict[tuple, int] = {}
     ids = []
-    for S in window._families([mask for mask, _ in items], bits):
+    for S in window._families([mask for mask, _ in items], words):
         B0 = min(S)
         order = sorted(range(n), key=lambda j: not B0 >> j & 1)
         M, pivots, _ = linalg._bareiss([[row[j] for j in order] for row in P],

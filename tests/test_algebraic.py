@@ -111,6 +111,13 @@ def test_unsaturated_rejected():
         mf.ToricRep(((2, 0), (0, 2)), 2)
 
 
+@pytest.mark.parametrize("A", [(), []])
+def test_empty_matrix_rejected(A):
+    # as saturate_rows and matroid_from_matrix refuse it, not with d = 0
+    with pytest.raises(ValueError, match="^empty matrix$"):
+        mf.ToricRep(A, 2)
+
+
 def test_toric_matroid_at_examples():
     rep = toric_example(2)
     assert sorted(mf.toric_matroid_at(rep, (0, 0, 0, 0)).bases) == \
@@ -302,9 +309,9 @@ def _grid_cases():
 
 def _grid_spaces(param, lo, hi):
     """``_frobenius_grid`` with each id's Plücker vector read as its RREF."""
-    d, grid, masks, bits, q = algebraic._frobenius_grid(param, lo, hi)
+    d, grid, masks, words, q = algebraic._frobenius_grid(param, lo, hi)
     return d, grid, [_plucker_rref({B: q[B] for B in family}, param.n, param.p)
-                     for family in window._families(masks, bits)]
+                     for family in window._families(masks, words)]
 
 
 def test_frobenius_grid_matches_tableau_oracle():
@@ -343,8 +350,8 @@ def test_frobenius_grid_spaces_have_plucker_vector_q():
         p = param.p
         nu, q = algebraic._lindstrom(param)
         items = nu.finite_items()
-        _, bits = window._scored_grid(items, param.n, -1, 1)
-        families = window._families([mask for mask, _ in items], bits)
+        _, masks, words = window._scored_grid(items, param.n, -1, 1)
+        families = window._families(masks, words)
         _, _, spaces = _grid_spaces(param, -1, 1)
         assert len(spaces) == len(families)
         for S, space in zip(families, spaces):
@@ -372,7 +379,9 @@ def test_frobenius_report_violations_match_rref_oracle(rng):
 
 
 def test_frobenius_checks_past_int64_residues():
-    # residues past 2^31 are Python ints, and their ratios are keyed by rank
+    # residues past 2^31: a source's check keys its argmax families over
+    # GF(2) whatever p, and a window given as data has its Plücker vectors
+    # keyed by _plucker_keys in Python ints
     rng = random.Random(31)
     for p in (2 ** 31 - 1, 4294967311, 2 ** 61 - 1):
         for _ in range(4):

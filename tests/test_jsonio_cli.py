@@ -498,6 +498,34 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content", [b'{"ground": ["\xe9"]}', b'{"d": ' + b"9" * 5000 + b"}"],
+                         ids=["latin1", "5000_digits"])
+def test_cli_undecodable_input_exit_2(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["check-valuation", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"input error: {bad} is not valid JSON: ")
+
+
+def test_cli_deeply_nested_input_exit_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["check-valuation", str(deep)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"input error: {deep} nests too deeply to read\n"
+
+
+@pytest.mark.parametrize("target, reason", [("missing/dir/out.json", "No such file or directory"),
+                                            (".", "Is a directory")])
+def test_cli_unwritable_out_exit_2(tmp_path, capsys, target, reason):
+    vpath = write(tmp_path, "v.json", jsonio.valuation_to_json(u24_valuation()))
+    out_path = str(tmp_path / target)
+    assert main(["--out", out_path, "check-valuation", vpath]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"input error: cannot write {out_path}: {reason}\n"
+
+
 def test_cli_domain_errors_exit_1(tmp_path, capsys):
     path = write(tmp_path, "A.json", {"rows": [[2, 0], [0, 2]]})
     assert main(["lindstrom-toric", "--p", "2", path]) == 2  # rejected at parse

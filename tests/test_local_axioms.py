@@ -29,6 +29,7 @@ from matflock.cli import main
 from matflock.flock import FlockViolation, window_ids
 from matflock.window import _id_grid
 from matflock.matroid import bases_contract, bases_delete
+from matflock.valuation import optimal_masks
 
 import oracles
 from conftest import example_param, random_valid_valuation
@@ -193,6 +194,29 @@ def test_toric_wide_fixture_matches_pair_oracle(capsys):
     assert json.loads(capsys.readouterr().out) == jsonio.flock_report_to_json(want)
 
 
+def test_walked_wide_flock_reports_its_minors():
+    # the toric_wide fixture's valuation walked point by point, with U(4, 8)
+    # planted at one point of radius 1: its table rows take two words, and a
+    # violation's sides are decoded from them
+    path = FIXTURES / "toric_wide.json"
+    nu = mf.lindstrom_toric(jsonio.toric_from_json(json.loads(path.read_text())))
+    planted, uniform = (1, 0, 0, 0, -1, 0, 0, 0), frozenset(_ALL_4_OF_8)
+    flock = mf.MatroidFlock(
+        nu.ground, nu.d,
+        lambda alpha: uniform if alpha == planted else optimal_masks(nu, alpha), "oracle")
+    assert optimal_masks(nu, planted) != uniform
+    assert len(flock_module._grid(flock, -1, 2)[1]) > 64
+    v = mf.check_flock_axioms(flock, 1).violation
+    assert v is not None and max(map(abs, v.alpha)) <= 1
+    labels = nu.ground if v.move == "1" else (v.move,)
+    step = tuple(a + (e in labels) for a, e in zip(v.alpha, nu.ground))
+    assert planted in (v.alpha, step)
+    left, right = flock.matroid_at(v.alpha), flock.matroid_at(step)
+    if v.move != "1":
+        left, right = left.minor(contract=labels), right.minor(delete=labels)
+    assert (v.left, v.right) == (left, right) and v.left != v.right
+
+
 def _small_param(rng, p, m, n):
     """A random parametrization, one or two terms per coordinate, levels 0..2."""
     while True:
@@ -293,8 +317,8 @@ def assert_minor_key_classes(n, table, moves):
     """The keys ``_minor_moves`` gives each move split the contractions and
     deletions of the families in ``table`` into the classes of equal
     ``bases_contract`` / ``bases_delete``, left and right numbered together."""
-    masks, bits = window._table_bits(table)
-    got = list(window._minor_moves(n, masks, bits, moves))
+    masks, words = window._table_words(table)
+    got = list(window._minor_moves(n, masks, words, moves))
     assert [axes for axes, _, _ in got] == moves
     for axes, left, right in got:
         cmask = sum(1 << i for i in axes)
@@ -435,7 +459,7 @@ def test_minor_keys_match_projected_oracle(case):
     p, n, masks, values, moves = case
     want = list(oracles.projected_minor_moves(n, masks, values, moves, p))
     if p == 2 and len({mask.bit_count() for mask in masks}) == 1:
-        got = list(window._minor_moves(n, masks, values, moves))
+        got = list(window._minor_moves(n, masks, window._row_words(values), moves))
     else:
         vectors = [{masks[j]: int(row[j]) for j in row.nonzero()[0]} for row in values]
         keys = _plucker_keys(vectors, n, p)
@@ -452,8 +476,8 @@ def test_minor_keys_match_projected_oracle(case):
 
 @st.composite
 def source_grids(draw):
-    """(p, n, radius, masks, bits, q, grid): distinct nonempty families of
-    one basis size, with loops and coloops, as a bool table; nonzero values
+    """(p, n, radius, masks, words, q, grid): distinct nonempty families of
+    one basis size, with loops and coloops, as a table; nonzero values
     q over GF(p) on its masks; and an id grid over [-radius, radius + 1]^n
     of random ids, constant along some axes so that some moves hold."""
     p = draw(st.sampled_from([2, 3, 5, 2 ** 31 - 1, 2 ** 61 - 1]))
@@ -466,7 +490,7 @@ def source_grids(draw):
             for combo in itertools.combinations(free, size)]
     table = draw(st.lists(st.frozensets(st.sampled_from(pool), min_size=1),
                           min_size=1, max_size=6, unique=True))
-    masks, bits = window._table_bits(table)
+    masks, words = window._table_words(table)
     q = {mask: draw(st.integers(1, p - 1)) for mask in masks}
     radius = draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -474,7 +498,7 @@ def source_grids(draw):
     for axis in range(n):
         if draw(st.booleans()):
             grid = np.repeat(grid.take([0], axis=axis), grid.shape[axis], axis=axis)
-    return p, n, radius, masks, bits, q, grid
+    return p, n, radius, masks, words, q, grid
 
 
 @settings(max_examples=300, deadline=None)
@@ -482,14 +506,13 @@ def source_grids(draw):
 def test_family_keys_match_plucker_keys_of_one_q(case):
     # on a source's grid every space has Plücker vector q on its family, so
     # the flock's GF(2) keys of the families give the counts and the first
-    # violation that the Plücker keys of the vectors bits ⊙ q give
-    p, n, radius, masks, bits, q, grid = case
-    vectors = [{mask: q[mask] for mask in itertools.compress(masks, row)}
-               for row in bits.tolist()]
+    # violation that the Plücker keys of the vectors q on the families give
+    p, n, radius, masks, words, q, grid = case
+    vectors = [{mask: q[mask] for mask in family} for family in window._families(masks, words)]
     keys = _plucker_keys(vectors, n, p)
     shift = [(tuple(range(n)), None, None)]
     got = window._local_axioms(
-        grid, radius, [*window._minor_moves(n, masks, bits, [(k,) for k in range(n)]), *shift])
+        grid, radius, [*window._minor_moves(n, masks, words, [(k,) for k in range(n)]), *shift])
     want = window._local_axioms(
         grid, radius, [*(((k,), keys[0, k], keys[1, k]) for k in range(n)), *shift])
     assert got == want
@@ -516,12 +539,12 @@ def test_flock_check_computes_no_per_id_minors(monkeypatch):
 # ---------------------------------------------------------------------------
 # the contiguous-block kernel against the strided one
 
-def _all_moves(n, masks, bits):
+def _all_moves(n, masks, words):
     """Every minor move I of a flock check, with the all-ones shift after
     the (MF1) moves, keyed as ``check_flock_axioms`` keys them: the shift
     has no keys."""
     subsets = [c for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
-    moves = list(window._minor_moves(n, masks, bits, subsets))
+    moves = list(window._minor_moves(n, masks, words, subsets))
     return moves[:n] + [(tuple(range(n)), None, None)] + moves[n:]
 
 
@@ -535,17 +558,16 @@ def _kernel_cases(rng):
     for n, radius in shapes:
         nu = random_valid_valuation(rng, n, rng.randint(0, n))
         items = nu.finite_items()
-        grid, bits = window._scored_grid(items, n, -radius, radius + 1)
-        masks = [mask for mask, _ in items]
-        yield "scored", grid, radius, _all_moves(n, masks, bits)
+        grid, masks, words = window._scored_grid(items, n, -radius, radius + 1)
+        yield "scored", grid, radius, _all_moves(n, masks, words)
         cut = tuple(slice(0, 2 * radius + 1 if rng.random() < 0.5 else None) for _ in range(n))
-        yield "cut", grid[cut], radius, _all_moves(n, masks, bits)
-        yield "cubic", grid[(slice(0, 2 * radius + 1),) * n], radius, _all_moves(n, masks, bits)
+        yield "cut", grid[cut], radius, _all_moves(n, masks, words)
+        yield "cubic", grid[(slice(0, 2 * radius + 1),) * n], radius, _all_moves(n, masks, words)
         if n <= 4 and radius <= 2:
             walked = mf.oracle_flock(nu.ground, nu.d, lambda a, nu=nu: mf.matroid_at(nu, a))
-            grid, masks, bits = flock_module._grid(walked, -radius, radius + 1)
+            grid, masks, words = flock_module._grid(walked, -radius, radius + 1)
             assert grid.dtype == np.int32
-            yield "walked", grid, radius, _all_moves(n, masks, bits)
+            yield "walked", grid, radius, _all_moves(n, masks, words)
 
 
 def _perturbed(rng, grid, moves):

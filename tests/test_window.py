@@ -204,10 +204,10 @@ def test_box_scans_across_slabs(monkeypatch, chunk):
         assert got_ids.dtype == box[0].dtype
         assert np.array_equal(got_ids, box[0]) and got_table == box[1]
         side = hi[0] - lo[0] + 1
-        grid, bits = window._scored_grid(items, n, lo[0], hi[0])
+        grid, masks, words = window._scored_grid(items, n, lo[0], hi[0])
         assert grid.shape == (side,) * n and grid.dtype == cube[0].dtype
         assert np.array_equal(grid.ravel(), cube[0])
-        assert window._families([mask for mask, _ in items], bits) == cube[1]
+        assert window._families(masks, words) == cube[1]
         assert window._leader_reps(items, n, R) == reps
 
 
@@ -314,19 +314,20 @@ def test_cli_leaders_large_window_in_bounded_time(tmp_path):
 
 def assert_nested_boxes_hit(items, n: int, lo: int, hi: int):
     """Once [lo, hi]^n is scored, every nonempty box inside it is answered
-    without a scan, with the grid and bits, byte for byte, of a fresh scan
+    without a scan, with the grid and words, byte for byte, of a fresh scan
     (``_box_sets`` called directly, which remembers nothing)."""
     box_sets = window._box_sets
     window._grid_memo.clear()
     with mock.patch.object(window, "_box_sets", wraps=box_sets) as scans:
         window._scored_grid(items, n, lo, hi)
         for a, b in itertools.combinations_with_replacement(range(lo, hi + 1), 2):
-            grid, bits = window._scored_grid(items, n, a, b)
+            grid, masks, words = window._scored_grid(items, n, a, b)
             ids, want = box_sets(items, n, [a] * n, [b] * n)
             assert grid.shape == (b - a + 1,) * n and grid.dtype == ids.dtype
             assert grid.tobytes() == ids.tobytes()
-            assert bits.dtype == want.dtype and np.array_equal(bits, want)
-            assert not grid.flags.writeable and not bits.flags.writeable
+            assert masks == [mask for mask, _ in items]
+            assert words.dtype == want.dtype and np.array_equal(words, want)
+            assert not grid.flags.writeable and not words.flags.writeable
         assert scans.call_count == 1
     assert len(window._grid_memo) == 1
 
@@ -356,9 +357,9 @@ def test_memo_misses_scan_after_forgetting(monkeypatch):
     requests = [(items, 4, -1, 2), (items, 4, 0, 3), (items, 4, 5, 6), (items, 5, 5, 6),
                 (other, 5, 5, 6), (other, 5, 4, 6), (other, 5, 1, 0), (other, 5, 4, 6)]
     for finite_items, n, lo, hi in requests:
-        grid, bits = window._scored_grid(finite_items, n, lo, hi)
+        grid, _, words = window._scored_grid(finite_items, n, lo, hi)
         ids, want = box_sets(finite_items, n, [lo] * n, [hi] * n)
-        assert grid.tobytes() == ids.tobytes() and np.array_equal(bits, want)
+        assert grid.tobytes() == ids.tobytes() and np.array_equal(words, want)
         assert len(window._grid_memo) == (lo <= hi)
     assert scans == [(n, lo, hi) for _, n, lo, hi in requests]
     # the one remembered box answers the boxes inside it
@@ -375,3 +376,23 @@ def test_memo_keeps_no_grid_above_its_cap(monkeypatch):
     assert [entry[:2] for entry in window._grid_memo.values()] == [(-1, 2)]
     window._scored_grid(items, 4, -2, 2)
     assert window._grid_memo == {}
+
+
+@st.composite
+def wide_tables(draw):
+    """Families over up to 192 distinct masks, so a table row takes up to
+    three words; one family holds every mask, so every column is used."""
+    m = draw(st.integers(1, 192))
+    masks = draw(st.lists(st.integers(0, (1 << 12) - 1), min_size=m, max_size=m, unique=True))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m), max_size=5))
+    table = [frozenset(itertools.compress(masks, row)) for row in rows] + [frozenset(masks)]
+    return draw(st.permutations(table))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_tables())
+def test_table_words_round_trip(table):
+    masks, words = window._table_words(table)
+    assert masks == sorted(set().union(*table))
+    assert words.shape == (len(table), (len(masks) + 63) // 64)
+    assert window._families(masks, words) == table
