@@ -12,21 +12,22 @@ Two variety classes are implemented exactly:
   x_v -> x_v^p used to keep everything polynomial.  Their flock is the
   flock of the T-adic valuation of the maximal minors over GF(p)[T].
 
-One walk over the signed maximal minors, behind one cache, gives both
-sources' Lindström valuation nu and initial coefficients q(B) in GF(p)
+One walk over the signed maximal minors, behind one cache, gives either
+source's Lindström valuation nu and initial coefficients q(B) in GF(p)
 (``_lindstrom``): q is the initial form of the valued Plücker vector
-(Speyer 2008).  The Frobenius flock V_alpha has as Plücker vector q on the
-argmax family S at alpha, so (FF1) is the matroid minor axiom with values
-attached.  A move i keeps the bases of S that hold i, or those that miss
-i, or all of them, and signs each by B and i alone, so two such minors of
-one q are equal up to a unit exactly when they keep the same bases: a
-source's (FF1)/(FF2) check is the flock's own GF(2) pass over the argmax
-families (``window._minor_moves``), and q is read only for a violation's
-two sides.  Windows given as data have no common q, and their minors are
-keyed one distinct space at a time (``_plucker_keys``).  A space's RREF
-rows are built only for a window's table and for the two sides of a
-violation.  Shifted tangent spaces (``linearized_tangent_flock``) remain
-as the independent route.
+(Speyer 2008).  Every later step is one path for both sources: one flock
+builder (``_source_flock``), and Frobenius routines that take either.
+V_alpha has as Plücker vector q on the argmax family S at alpha, so (FF1)
+is the matroid minor axiom with values attached.  A move i keeps the bases
+of S that hold i, or those that miss i, or all of them, and signs each by B
+and i alone, so two such minors of one q are equal up to a unit exactly
+when they keep the same bases: a source's (FF1)/(FF2) check is the flock's
+own GF(2) pass over the argmax families (``window._minor_moves``), and q is
+read only for a violation's two sides.  Windows given as data have no
+common q, and their minors are keyed one distinct space at a time
+(``_plucker_keys``).  A space's RREF rows are built only for a window's
+table and for the two sides of a violation.  Shifted tangent spaces
+(``linearized_tangent_flock``) remain as the independent route.
 """
 
 from __future__ import annotations
@@ -117,10 +118,8 @@ def toric_matroid_at(rep: ToricRep, alpha) -> Matroid:
 
 
 def flock_from_toric(rep: ToricRep) -> MatroidFlock:
-    from .flock import MatroidFlock
-    nu = lindstrom_toric(rep)
-    return MatroidFlock(rep.ground, rep.d, lambda a: optimal_masks(nu, a),
-                        "toric", valuation=nu)
+    """The flock of the p-adic Lindström valuation of A (``_source_flock``)."""
+    return _source_flock(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +207,23 @@ def linearized_tangent(param: LinearizedParam):
     return tuple(rows)
 
 
+_MAX_COEFFICIENTS = 1 << 16     # of a parametrization's matrix over GF(p)[T]
+
+
 def _param_polymatrix(param: LinearizedParam):
     """The m x n matrix over GF(p)[T]: entry (v, i) collects coordinate i's
-    terms in variable v, with T recording the Frobenius level."""
-    mat = []
-    for v in range(param.m):
-        row = []
-        for terms in param.coords:
-            coeffs = {k: c for (tv, k, c) in terms if tv == v}
-            deg = max(coeffs, default=-1)
-            row.append(tuple(coeffs.get(k, 0) for k in range(deg + 1)))
-        mat.append(row)
-    return mat
+    terms in variable v, with T recording the Frobenius level.  An entry of
+    level k holds k + 1 coefficients; a matrix that would hold more than
+    ``_MAX_COEFFICIENTS`` is refused (ValueError) before it is built."""
+    entries = [[{k: c for (tv, k, c) in terms if tv == v} for terms in param.coords]
+               for v in range(param.m)]
+    count = sum(max(entry, default=-1) + 1 for row in entries for entry in row)
+    if count > _MAX_COEFFICIENTS:
+        top = max(k for terms in param.coords for _, k, _ in terms)
+        raise ValueError(f"Frobenius level {top} needs {count} polynomial "
+                         f"coefficients, more than the {_MAX_COEFFICIENTS} allowed")
+    return [[tuple(entry.get(k, 0) for k in range(max(entry, default=-1) + 1))
+             for entry in row] for row in entries]
 
 
 def generic_rank(param: LinearizedParam) -> int:
@@ -339,16 +343,19 @@ def _tangent_at(param: LinearizedParam, alpha, d: int):
 
 
 def flock_from_linearized(param: LinearizedParam) -> MatroidFlock:
-    """The flock alpha -> M^nu_alpha of the parametrization, nu its T-adic valuation.
+    """The flock of the T-adic Lindström valuation (``_source_flock``);
+    ``linearized_tangent_flock`` computes it point by point from tangents."""
+    return _source_flock(param)
 
-    Being valuation-backed, its windows are scored by the vectorized kernel;
-    ``linearized_tangent_flock`` computes the same flock point by point from
-    tangent spaces.
-    """
+
+def _source_flock(source: ToricRep | LinearizedParam) -> MatroidFlock:
+    """alpha -> M^nu_alpha for either source, nu its Lindström valuation:
+    valuation-backed, so its windows are scored by the vectorized kernel."""
     from .flock import MatroidFlock
-    nu = tadic_valuation(param)
-    return MatroidFlock(param.ground, nu.d, lambda a: optimal_masks(nu, a),
-                        "linearized", valuation=nu)
+    nu = _lindstrom(source)[0]
+    return MatroidFlock(source.ground, nu.d, lambda a: optimal_masks(nu, a),
+                        "toric" if isinstance(source, ToricRep) else "linearized",
+                        valuation=nu)
 
 
 def linearized_tangent_flock(param: LinearizedParam) -> MatroidFlock:
@@ -397,34 +404,36 @@ class FrobeniusWindowReport:
         return self.ok
 
 
-def frobenius_window(param: LinearizedParam, radius: int) -> FrobeniusFlockWindow:
-    """The row spaces V_alpha over [-radius, radius]^E, keyed by alpha, read
-    off the T-adic valuation's scored grid (``_frobenius_grid``)."""
+def frobenius_window(source: ToricRep | LinearizedParam, radius: int) -> FrobeniusFlockWindow:
+    """The row spaces V_alpha of either source over [-radius, radius]^E,
+    keyed by alpha, read off its Lindström valuation's scored grid
+    (``_frobenius_grid``)."""
     from . import window
     radius = as_int(radius, "radius", 0)
-    d, grid, masks, words, q = _frobenius_grid(param, -radius, radius)
-    spaces = [_plucker_rref({B: q[B] for B in family}, param.n, param.p)
+    d, grid, masks, words, q = _frobenius_grid(source, -radius, radius)
+    spaces = [_plucker_rref({B: q[B] for B in family}, source.n, source.p)
               for family in window._families(masks, words)]
-    points = itertools.product(range(-radius, radius + 1), repeat=param.n)
+    points = itertools.product(range(-radius, radius + 1), repeat=source.n)
     table = dict(zip(points, map(spaces.__getitem__, grid.ravel().tolist())))
-    return FrobeniusFlockWindow(radius, param.p, d, param.ground, table)
+    return FrobeniusFlockWindow(radius, source.p, d, source.ground, table)
 
 
-def _frobenius_grid(param: LinearizedParam, lo: int, hi: int):
-    """(d, grid, masks, words, q) of the Frobenius flock over [lo, hi]^E:
-    the id grid indexed by alpha - lo per axis, the table of its argmax
-    families as ``window._scored_grid`` gives it (bit j: basis
-    ``masks[j]``), and the initial coefficients q, so that the space of id
-    k has Plücker vector q on the bases of row k.
+def _frobenius_grid(source: ToricRep | LinearizedParam, lo: int, hi: int):
+    """(d, grid, masks, words, q) of the Frobenius flock of either source
+    over [lo, hi]^E: the id grid indexed by alpha - lo per axis, the table
+    of its argmax families as ``window._scored_grid`` gives it (bit j:
+    basis ``masks[j]``), and the initial coefficients q, so that the space
+    of id k has Plücker vector q on the bases of row k.
 
-    V_alpha, the T = 0 reduction of the row lattice of P * diag(T^-alpha),
-    has as Plücker vector the initial form of the T-adic one (Speyer 2008):
-    q(B), the lowest coefficient of B's signed minor, on the argmax family
-    S at alpha and 0 off it.  So the grid is the T-adic valuation's scored
-    grid, and distinct ids hold distinct spaces."""
+    V_alpha, the reduction at p (toric) or T = 0 (linearized) of the row
+    lattice twisted by alpha, has as Plücker vector the initial form of
+    the valued one (Speyer 2008): q(B), the lowest coefficient of B's
+    signed minor, on the argmax family S at alpha and 0 off it.  So the
+    grid is the Lindström valuation's scored grid, and distinct ids hold
+    distinct spaces."""
     from . import window
-    nu, q = _lindstrom(param)
-    return (nu.d, *window._scored_grid(nu.finite_items(), param.n, lo, hi), q)
+    nu, q = _lindstrom(source)
+    return (nu.d, *window._scored_grid(nu.finite_items(), source.n, lo, hi), q)
 
 
 def _plucker_rref(vector, n: int, p: int):
@@ -557,15 +566,15 @@ def _frobenius_report(grid, moves, vector_of, radius: int, ground,
                                  sum(f for _, f in counts[:n]), *counts[n], violation)
 
 
-def check_frobenius_axioms(param: LinearizedParam, radius: int) -> FrobeniusWindowReport:
-    """(FF1)/(FF2) for all alpha in [-radius, radius]^E, by the flock's own
-    minor keys on the argmax families of ``_frobenius_grid`` over
-    [-radius, radius + 1]^E, the box the checks compare; no row space is
-    built unless a check fails."""
+def check_frobenius_axioms(source: ToricRep | LinearizedParam, radius: int) -> FrobeniusWindowReport:
+    """(FF1)/(FF2) of either source for all alpha in [-radius, radius]^E,
+    by the flock's own minor keys on the argmax families of
+    ``_frobenius_grid`` over [-radius, radius + 1]^E, the box the checks
+    compare; no row space is built unless a check fails."""
     from . import window
     radius = as_int(radius, "radius", 0)
-    _, grid, masks, words, q = _frobenius_grid(param, -radius, radius + 1)
-    moves = window._minor_moves(param.n, masks, words, [(k,) for k in range(param.n)])
+    _, grid, masks, words, q = _frobenius_grid(source, -radius, radius + 1)
+    moves = window._minor_moves(source.n, masks, words, [(k,) for k in range(source.n)])
     return _frobenius_report(
         grid, moves, lambda k: {B: q[B] for B in window._families(masks, words[[k]])[0]},
-        radius, param.ground, param.p)
+        radius, source.ground, source.p)

@@ -55,6 +55,12 @@ def _valuation(args):
     return nu
 
 
+def _source(path, kind: str, p):
+    """The source of kind ``kind`` ("toric", "linearized") in ``path``, p from --p."""
+    read = jsonio.toric_from_json if kind == "toric" else jsonio.linearized_from_json
+    return read(_load(path), p)
+
+
 def _flock_from_args(args):
     given = [flag for flag in ("from_valuation", "from_toric", "from_linearized", "explicit")
              if getattr(args, flag)]
@@ -64,13 +70,10 @@ def _flock_from_args(args):
     if args.from_valuation:
         from .flock import flock_from_valuation
         return flock_from_valuation(jsonio.valuation_from_json(_load(args.from_valuation)))
-    if args.from_toric:
-        from .algebraic import flock_from_toric
-        return flock_from_toric(jsonio.toric_from_json(_load(args.from_toric), args.p))
-    if args.from_linearized:
-        from .algebraic import flock_from_linearized
-        return flock_from_linearized(
-            jsonio.linearized_from_json(_load(args.from_linearized), args.p))
+    if args.from_toric or args.from_linearized:
+        from .algebraic import _source_flock
+        kind = "toric" if args.from_toric else "linearized"
+        return _source_flock(_source(args.from_toric or args.from_linearized, kind, args.p))
     if args.explicit:
         return jsonio.explicit_flock_from_json(_load(args.explicit))
     raise InputError("no flock source given "
@@ -173,37 +176,23 @@ def _cmd_extract_valuation(args):
     return jsonio.valuation_to_json(nu)
 
 
-def _toric_from_file(args):
-    """A toric document, or a bare matrix document {"rows": ...} with --p."""
-    doc = _load(args.file)
-    if isinstance(doc, dict) and "A" not in doc:
-        doc = {"A": jsonio._require(doc, "rows", list)}
-    return jsonio.toric_from_json(doc, args.p)
-
-
 def _cmd_lindstrom_toric(args):
     from .algebraic import lindstrom_toric
-    return jsonio.valuation_to_json(lindstrom_toric(_toric_from_file(args)))
+    return jsonio.valuation_to_json(lindstrom_toric(_source(args.file, args.kind, args.p)))
 
 
-def _cmd_toric_matroid_at(args):
-    from .algebraic import toric_matroid_at
-    rep = _toric_from_file(args)
-    return jsonio.matroid_to_json(toric_matroid_at(rep, _alpha(args.alpha, rep.n)))
-
-
-def _cmd_flock_from_linearized(args):
-    from .algebraic import flock_from_linearized
-    param = jsonio.linearized_from_json(_load(args.file), args.p)
-    flock = flock_from_linearized(param)
-    alpha = _alpha(args.alpha, param.n)
-    return jsonio.matroid_to_json(flock.matroid_at(alpha))
+def _cmd_source_matroid_at(args):
+    """toric-matroid-at and flock-from-linearized: M^nu_alpha, nu the Lindström valuation."""
+    from .algebraic import _lindstrom
+    source = _source(args.file, args.kind, args.p)
+    alpha = _alpha(args.alpha, source.n)
+    return jsonio.matroid_to_json(matroid_at(_lindstrom(source)[0], alpha))
 
 
 def _cmd_check_ff(args):
     from .algebraic import check_frobenius_axioms
-    param = jsonio.linearized_from_json(_load(args.file), args.p)
-    return jsonio.frobenius_report_to_json(check_frobenius_axioms(param, args.radius))
+    source = _source(args.file, args.kind, args.p)
+    return jsonio.frobenius_report_to_json(check_frobenius_axioms(source, args.radius))
 
 
 def _cmd_rigidity(args):
@@ -232,6 +221,13 @@ def _cmd_lazarson_check(args):
 
 # ---------------------------------------------------------------------------
 # parser
+
+def _add_source(sub, kind: str, func):
+    """A command ``func`` that reads one source of kind ``kind``: its file and --p."""
+    sub.add_argument("file")
+    sub.add_argument("--p", type=int, default=None)
+    sub.set_defaults(kind=kind, func=func)
+
 
 def _add_flock_source(sub):
     sub.add_argument("--from-valuation", metavar="FILE")
@@ -308,27 +304,19 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_extract_valuation)
 
     s = sub.add_parser("lindstrom-toric", help="p-adic minor valuation of a matrix")
-    s.add_argument("file")
-    s.add_argument("--p", type=int, default=None)
-    s.set_defaults(func=_cmd_lindstrom_toric)
+    _add_source(s, "toric", _cmd_lindstrom_toric)
 
     s = sub.add_parser("toric-matroid-at", help="toric twist matroid at alpha")
-    s.add_argument("file")
-    s.add_argument("--p", type=int, default=None)
+    _add_source(s, "toric", _cmd_source_matroid_at)
     s.add_argument("--alpha", required=True)
-    s.set_defaults(func=_cmd_toric_matroid_at)
 
     s = sub.add_parser("flock-from-linearized", help="M^nu_alpha of the T-adic valuation at alpha")
-    s.add_argument("file")
-    s.add_argument("--p", type=int, default=None)
+    _add_source(s, "linearized", _cmd_source_matroid_at)
     s.add_argument("--alpha", required=True)
-    s.set_defaults(func=_cmd_flock_from_linearized)
 
     s = sub.add_parser("check-ff", help="Frobenius flock axioms on a window")
-    s.add_argument("file")
-    s.add_argument("--p", type=int, default=None)
+    _add_source(s, "linearized", _cmd_check_ff)
     s.add_argument("--radius", type=int, default=2)
-    s.set_defaults(func=_cmd_check_ff)
 
     s = sub.add_parser("rigidity", help="rigidity certificate of a matroid")
     s.add_argument("file", nargs="?", default=None)

@@ -31,7 +31,9 @@ contraction, deletion and (FF1)/(FF2) report that re-reduce each side with
 keyed one distinct space at a time (``_id_keys``): the routes that reading
 V_S off the initial Plücker coefficients of one minor walk, and keying each
 move of a source by its argmax families alone in the flock's GF(2) pass
-(``window._minor_moves``), replaced.
+(``window._minor_moves``), replaced.  A toric source's row spaces by
+saturation (``saturation_frobenius_window``): each twisted row lattice
+saturated over Z and reduced mod p, the independent route to V_alpha.
 Single exchanges by a test of all n^2 bit pairs.
 
 Minor keys by projection (``projected_minor_moves``): every (move, id,
@@ -65,7 +67,8 @@ from fractions import Fraction
 import numpy as np
 
 from matflock import linalg, window
-from matflock.algebraic import FrobeniusWindowReport, _param_polymatrix, tadic_valuation
+from matflock.algebraic import (FrobeniusWindowReport, _param_polymatrix, saturate_lattice,
+                                tadic_valuation)
 from matflock.discrete_convex import LConvexReport, WindowFunction, _box_points
 from matflock.lattice import INF, vadd, vjoin, vmeet
 from matflock.linalg import (_ZZ, _PolyRing, _bareiss, _echelon_mod, _integer_rows,
@@ -465,6 +468,19 @@ def tableau_frobenius_grid(param, lo: int, hi: int):
             rows.append(row)
         ids.append(intern.setdefault(gf_row_space(rows, p), len(intern)))
     return nu.d, np.array(ids, dtype=grid.dtype)[grid], list(intern)
+
+
+def saturation_frobenius_window(rep, radius: int) -> dict:
+    """The row spaces V_alpha of a toric representation over
+    [-radius, radius]^E, keyed by alpha: column j of A scaled by
+    p^(max alpha - alpha_j), the row lattice saturated over Z, and its row
+    space mod p (``gf_row_space``)."""
+    table = {}
+    for alpha in itertools.product(range(-radius, radius + 1), repeat=rep.n):
+        top = max(alpha)
+        rows = [[x * rep.p ** (top - a) for x, a in zip(row, alpha)] for row in rep.A]
+        table[alpha] = gf_row_space(saturate_lattice(rows), rep.p)
+    return table
 
 
 def gf_row_space(rows, p: int) -> tuple:

@@ -330,17 +330,41 @@ def test_frobenius_grid_matches_tableau_oracle():
         assert mf.check_frobenius_axioms(param, radius) == want, param.coords
 
 
+def _toric_cases():
+    """100 seeded saturated toric representations (p in {2, 3, 5}, d <= 3,
+    n <= 5): an identity block and entries in [-4, 4], columns shuffled."""
+    rng = random.Random(5)
+    for k in range(100):
+        d = rng.randint(1, 3)
+        n = rng.randint(max(d, 2), 5)
+        rows = [[int(i == j) for j in range(d)] + [rng.randint(-4, 4) for _ in range(n - d)]
+                for i in range(d)]
+        order = rng.sample(range(n), n)
+        yield mf.ToricRep([[row[j] for j in order] for row in rows], (2, 3, 5)[k % 3])
+
+
+def test_toric_frobenius_window_matches_saturation_oracle():
+    # a toric source's V_alpha read off q is the saturation of the twisted
+    # row lattice, reduced mod p
+    for rep in _toric_cases():
+        assert mf.frobenius_window(rep, 1).table == \
+            oracles.saturation_frobenius_window(rep, 1), (rep.A, rep.p)
+
+
 def test_frobenius_counts_are_flock_counts():
     # the matroid of V_alpha is M_alpha, and a source's (FF1)/(FF2) check is
     # its flock's (MF1)/(MF2) check: the same counts, and both pass
-    for param in _grid_cases():
-        flock = mf.flock_from_linearized(param)
+    for source in itertools.chain(_grid_cases(), _toric_cases()):
+        if isinstance(source, mf.ToricRep):
+            flock = mf.flock_from_toric(source)
+        else:
+            flock = mf.flock_from_linearized(source)
         for radius in (2, 1):
-            ff = mf.check_frobenius_axioms(param, radius)
+            ff = mf.check_frobenius_axioms(source, radius)
             rep = mf.check_flock_axioms(flock, radius)
             assert ((ff.ff1_checked, ff.ff1_failed, ff.ff2_checked, ff.ff2_failed)
                     == (rep.mf1_checked, rep.mf1_failed, rep.mf2_checked, rep.mf2_failed))
-            assert ff.ok and rep.ok, param.coords
+            assert ff.ok and rep.ok, source
 
 
 def test_frobenius_grid_spaces_have_plucker_vector_q():
@@ -758,6 +782,21 @@ def _valT_minor_valuation(param):
             q[B] = det[vals[B]]
     base = min(vals.values())
     return {k: v - base for k, v in vals.items()}, q
+
+
+def test_param_polymatrix_refuses_too_many_coefficients():
+    # a level k entry holds k + 1 coefficients, counted over all entries
+    # before any is built
+    cap = algebraic._MAX_COEFFICIENTS
+    assert len(_param_polymatrix(mf.LinearizedParam(2, 1, [[(0, cap - 1, 1)]]))[0][0]) == cap
+    for coords, top, count in (([[(0, cap, 1)]], cap, cap + 1),
+                               ([[(0, cap // 2, 1)], [(0, cap // 2, 1)]], cap // 2, cap + 2),
+                               ([[(0, 10 ** 11, 1)]], 10 ** 11, 10 ** 11 + 1)):
+        param = mf.LinearizedParam(2, 1, coords)
+        with pytest.raises(ValueError, match=f"level {top} needs {count} polynomial"):
+            _param_polymatrix(param)
+        with pytest.raises(ValueError, match=f"level {top} needs {count} polynomial"):
+            mf.check_frobenius_axioms(param, 1)
 
 
 def _random_param(rng, p, m, n):

@@ -1,11 +1,14 @@
 """Serialization round trips and the command-line surface."""
 
+import contextlib
+import io
 import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -81,15 +84,22 @@ def test_p_mismatch_rejected():
 
 
 def test_cli_bare_matrix_needs_p(tmp_path, capsys):
+    # every toric reader takes a bare matrix {"rows": ...} with --p, and
+    # prints what it prints for the toric document of that matrix
     path = write(tmp_path, "A.json", {"rows": [[1, 0, 1, 1], [0, 1, 1, 2]]})
-    assert main(["lindstrom-toric", path]) == 2
-    assert "missing prime p" in capsys.readouterr().err
-    assert main(["lindstrom-toric", "--p", "2", path]) == 0
-    assert json.loads(capsys.readouterr().out) == \
-        jsonio.valuation_to_json(mf.lindstrom_toric(toric_example(2)))
-    for doc in (5, [[1, 0]], {"rows": [[1, "1/2"]]}):
-        assert main(["lindstrom-toric", "--p", "2", write(tmp_path, "B.json", doc)]) == 2
-    capsys.readouterr()
+    rep = write(tmp_path, "rep.json", jsonio.toric_to_json(toric_example(2)))
+    for command in (["lindstrom-toric"], ["toric-matroid-at", "--alpha", "0,0,0,1"],
+                    ["check-flock", "--radius", "1", "--from-toric"],
+                    ["extract-valuation", "--from-toric"]):
+        assert main([*command, path]) == 2
+        assert "missing prime p" in capsys.readouterr().err
+        assert main([*command, rep]) == 0
+        want = capsys.readouterr().out
+        assert main([*command, path, "--p", "2"]) == 0, command
+        assert capsys.readouterr().out == want
+        for doc in (5, [[1, 0]], {"rows": [[1, "1/2"]]}):
+            assert main([*command, write(tmp_path, "B.json", doc), "--p", "2"]) == 2
+        capsys.readouterr()
 
 
 def test_explicit_flock_from_json():
@@ -318,6 +328,8 @@ def test_each_command_loads_only_its_modules():
         (("extract-valuation", "--from-valuation", nu), (*base, "flock")),
         (("extract-valuation", "--from-linearized", param),
          (*base, "algebraic", "flock", "linalg")),
+        (("flock-from-linearized", param, "--alpha", "0,-2,-2,0"),
+         (*base, "algebraic", "linalg")),
         (("fenchel", point_fn, "--lo=-2,-2,-2,-2", "--hi", "2,2,2,2"),
          (*base, "discrete_convex")),
         (("rigidity", "--name", "fano"), (*base, "linalg", "rigidity")),
@@ -719,6 +731,100 @@ def test_cli_fenchel_malformed_window_exit_2(tmp_path, kind, doc):
     assert "Traceback" not in done.stderr
 
 
+# every command that reads a toric or linearized document, by the kind it
+# reads, with placeholders for the document's path and an alpha
+_SOURCE_COMMANDS = [
+    ("toric", ["lindstrom-toric", "{path}"]),
+    ("toric", ["toric-matroid-at", "{path}", "--alpha={alpha}"]),
+    ("toric", ["check-flock", "--from-toric", "{path}", "--radius", "1"]),
+    ("toric", ["extract-valuation", "--from-toric", "{path}"]),
+    ("linearized", ["flock-from-linearized", "{path}", "--alpha={alpha}"]),
+    ("linearized", ["check-ff", "{path}", "--radius", "1"]),
+    ("linearized", ["check-flock", "--from-linearized", "{path}", "--radius", "1"]),
+    ("linearized", ["extract-valuation", "--from-linearized", "{path}"]),
+]
+# JSON values of every type, small enough for any field
+_JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 64), st.floats(-4, 4),
+              st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(["p", "A", "rows", "v", "k", "c"]),
+                                            inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def _source_calls(draw):
+    """A source command, an alpha and a document: mostly a valid one of the
+    kind the command reads (a toric matrix at most 4 x 6, an identity block
+    and entries in [-4, 4] with columns shuffled, maybe bare with --p; or a
+    parametrization with levels at most 64), and then, mostly, one value
+    somewhere in it replaced by junk or dropped."""
+    kind, argv = draw(st.sampled_from(_SOURCE_COMMANDS))
+    if not draw(st.integers(0, 5)):
+        kind = "toric" if kind == "linearized" else "linearized"
+    p = draw(st.sampled_from([2, 3, 5, 2, 3, 5, 4, 1]))
+    if kind == "linearized":
+        m, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+        level = st.tuples(st.integers(0, m - 1), st.integers(0, 64))
+        coords = [[{"v": v, "k": k, "c": draw(st.integers(1, max(p - 1, 1)))}
+                   for v, k in draw(st.lists(level, min_size=1, max_size=3, unique=True))]
+                  for _ in range(n)]
+        doc = {"p": p, "params": ["x"] * m, "coords": coords}
+    else:
+        d = draw(st.integers(1, 4))
+        n = draw(st.integers(d, 6))
+        order = draw(st.permutations(range(n)))
+        rows = [[int(i == j) for j in range(d)] + draw(st.lists(
+            st.integers(-4, 4), min_size=n - d, max_size=n - d)) for i in range(d)]
+        rows = [[row[j] for j in order] for row in rows]
+        if draw(st.booleans()):
+            doc = {"p": p, "A": rows}
+        else:
+            doc = {"rows": rows}
+            if draw(st.integers(0, 3)):
+                argv = [*argv, "--p", str(p)]
+    alpha = ",".join(map(str, draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+                                   if draw(st.integers(0, 5)) else
+                                   st.lists(st.integers(-2, 2), min_size=1, max_size=7))))
+    node = doc
+    while draw(st.integers(0, 2)):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        if not keys:
+            break
+        key = draw(st.sampled_from(keys))
+        if not isinstance(node[key], (dict, list)) or not draw(st.integers(0, 2)):
+            if isinstance(node, dict) and draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = draw(_JUNK)
+            break
+        node = node[key]
+    return argv, alpha, doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(_source_calls())
+def test_cli_source_documents_end_in_an_exit_code(call):
+    # whatever the document, every source command exits 0, 1 or 2 without
+    # a traceback, and an input error is one line
+    argv, alpha, doc = call
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        Path(path).write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.format(path=path, alpha=alpha) for arg in argv])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("input error: "), lines
+    elif code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert lines == [] and json.loads(out.getvalue())
+
+
 @pytest.mark.parametrize("command", [["check-flock", "--radius", "1", "--explicit"],
                                      ["extract-valuation", "--explicit"]])
 def test_cli_wrong_length_alpha_exit_2(command):
@@ -1009,6 +1115,35 @@ def test_cli_window_too_large_for_memory_exit_1(monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: the window is too large for memory")
     assert len(out.err.splitlines()) == 1
+
+
+# runs the CLI under a 1 GiB cap on address space, so that a command that
+# builds what its input asks for fails by memory or by timeout, not by
+# exhausting the machine
+_MEMORY_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from matflock.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["check-ff", "{}", "--radius", "1"], ["flock-from-linearized", "{}", "--alpha", "0"],
+    ["check-flock", "--from-linearized", "{}"], ["extract-valuation", "--from-linearized", "{}"],
+], ids=lambda command: command[0])
+def test_cli_huge_frobenius_level_refused_exit_1(command):
+    # level 10^11 asks for 10^11 + 1 coefficients: refused before any is
+    # stored, with one error line naming the level and the count
+    path = str(Path(__file__).parent / "fixtures" / "linearized_huge_level.json")
+    done = subprocess.run([sys.executable, "-c", _MEMORY_CAPPED,
+                           *(path if arg == "{}" else arg for arg in command)],
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(_cli_env(), OPENBLAS_NUM_THREADS="1"))
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == ("error: Frobenius level 99999999999 needs 100000000000 polynomial "
+                           "coefficients, more than the 65536 allowed\n")
 
 
 @pytest.mark.parametrize("command", [["leaders"], ["check-flock", "--from-valuation"]])
