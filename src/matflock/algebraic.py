@@ -515,7 +515,8 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
     vectors = [dict(vector) for vector in vectors]
     keys = _plucker_keys(vectors, n, p)
     moves = [((k,), keys[0, k], keys[1, k]) for k in range(n)]
-    return _frobenius_report(grid, moves, vectors.__getitem__, radius, win.ground, p)
+    counts, first = window._local_axioms(grid, radius, [*moves, (tuple(range(n)), None, None)])
+    return _frobenius_report(counts, first, vectors.__getitem__, radius, win.ground, p)
 
 
 def _scaled(vector, p: int) -> tuple:
@@ -542,18 +543,15 @@ def _plucker_keys(vectors, n: int, p: int):
     return keys
 
 
-def _frobenius_report(grid, moves, vector_of, radius: int, ground,
+def _frobenius_report(counts, first, vector_of, radius: int, ground,
                       p: int) -> FrobeniusWindowReport:
-    """(FF1)/(FF2) over [-radius, radius]^E of an id grid whose index 0 is
-    alpha = -radius on every axis, distinct ids holding distinct spaces.
-    ``moves`` are the (FF1) moves of ``window._local_axioms``, one per
-    element in ground order, and ``vector_of(id)`` is the Plücker vector of
-    V_alpha, read only for a violation's two sides.  Alphas whose shift
-    leaves the grid are not checked."""
-    from . import window
+    """The report over [-radius, radius]^E of ``window._local_axioms``'s
+    ``counts`` and ``first`` for the (FF1) moves, one per element in ground
+    order, then the all-ones shift (FF2), on an id grid whose distinct ids
+    hold distinct spaces.  ``vector_of(x)`` is the Plücker vector of the
+    space that ``first`` names x (an id, or a family of bases), read only
+    for a violation's two sides."""
     n = len(ground)
-    counts, first = window._local_axioms(
-        grid, radius, itertools.chain(moves, [(tuple(range(n)), None, None)]))
     violation = None
     if first is not None:
         alpha, k, a, b = first
@@ -567,14 +565,19 @@ def _frobenius_report(grid, moves, vector_of, radius: int, ground,
 
 
 def check_frobenius_axioms(source: ToricRep | LinearizedParam, radius: int) -> FrobeniusWindowReport:
-    """(FF1)/(FF2) of either source for all alpha in [-radius, radius]^E,
-    by the flock's own minor keys on the argmax families of
+    """(FF1)/(FF2) of either source for all alpha in [-radius, radius]^E.
+
+    They are the (MF1)/(MF2) moves of its flock on the argmax families of
     ``_frobenius_grid`` over [-radius, radius + 1]^E, the box the checks
-    compare; no row space is built unless a check fails."""
+    compare, keyed by the flock's own minor keys: ``window._move_verdicts``
+    runs them once per remembered box, so after a check of the source's
+    flock at a radius >= ``radius`` every verdict is read back, not
+    recomputed.  No row space is built unless a check fails."""
     from . import window
     radius = as_int(radius, "radius", 0)
-    _, grid, masks, words, q = _frobenius_grid(source, -radius, radius + 1)
-    moves = window._minor_moves(source.n, masks, words, [(k,) for k in range(source.n)])
-    return _frobenius_report(
-        grid, moves, lambda k: {B: q[B] for B in window._families(masks, words[[k]])[0]},
-        radius, source.ground, source.p)
+    nu, q = _lindstrom(source)
+    n = source.n
+    counts, first = window._move_verdicts(nu.finite_items(), n, radius,
+                                          [(k,) for k in range(n)] + [None])
+    return _frobenius_report(counts, first, lambda family: {B: q[B] for B in family},
+                             radius, source.ground, source.p)

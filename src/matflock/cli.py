@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import jsonio
@@ -336,8 +337,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# integer-vector options, and a value argparse would read as a flag
+_VECTOR_FLAGS = ("--alpha", "--beta", "--lo", "--hi")
+_VECTOR = re.compile(r"-?\d+(,-?\d+)*")
+
+
+def _join_vectors(argv):
+    """``argv`` with each vector option and its value joined by "=", so
+    that ``--alpha -1,0`` reads as ``--alpha=-1,0``: argparse takes a
+    separate value that starts with "-" for a flag."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _VECTOR_FLAGS and _VECTOR.fullmatch(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_vectors(sys.argv[1:] if argv is None else argv))
     try:
         result = args.func(args)
     except InputError as exc:

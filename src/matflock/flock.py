@@ -191,28 +191,33 @@ def check_flock_axioms(flock: MatroidFlock, radius: int,
     M_{a+e_I} \\ I on E \\ I, or M_a and M_{a+1} for the all-ones shift.  The
     violation reported is at the lex-first failing alpha, ties going to the
     axes in ground order, then the all-ones shift "1", then the sets I in
-    order.
+    order.  A flock that carries a valuation is checked on its scored grid
+    by ``window._move_verdicts``, which reads back the verdict of each move
+    an earlier check of that valuation made at a radius as large.
     """
     radius = as_int(radius, "radius", 1)
     from . import window
     n = len(flock.ground)
-    grid, masks, words = _grid(flock, -radius, radius + 1)
-    axes = [(axis,) for axis in range(n)]
     # the sets {i} are the (MF1) moves again, whose counts they reuse;
     # ties go to (MF1), so a singleton never supplies the violation
     subsets = [combo for r in range(2, n + 1) for combo in itertools.combinations(range(n), r)
                if check_sets]
-    moves = axes + [tuple(range(n))] + subsets
-    minors = window._minor_moves(n, masks, words, axes + subsets)
-    counts, first = window._local_axioms(grid, radius, itertools.chain(
-        itertools.islice(minors, n), [(moves[n], None, None)], minors))
+    moves = [(axis,) for axis in range(n)] + [None] + subsets
+    if flock.valuation is not None:
+        # verdicts a check of this valuation already made are read back
+        counts, first = window._move_verdicts(flock.valuation.finite_items(), n, radius, moves)
+    else:
+        grid, masks, words = _grid(flock, -radius, radius + 1)
+        counts, first = window._local_axioms(grid, radius,
+                                             window._keyed_moves(n, masks, words, moves))
+        if first is not None:
+            first = (*first[:2], *window._families(masks, words[list(first[2:])]))
 
     violation = None
     if first is not None:
-        alpha, k, ida, idb = first
-        left, right = (Matroid(flock.ground, family)
-                       for family in window._families(masks, words[[ida, idb]]))
-        if k == n:
+        alpha, k, left, right = first
+        left, right = Matroid(flock.ground, left), Matroid(flock.ground, right)
+        if moves[k] is None:
             move = "1"
         else:
             labels = [flock.ground[i] for i in moves[k]]
@@ -349,8 +354,12 @@ def _local_values(nu: Valuation, cutoff: int) -> dict[int, int]:
     1992; Murota, *Discrete Convex Analysis*, ch. 5) B is optimal at k*e_B
     exactly when no finite single exchange B' = B - i + j scores higher,
     k*(d-1) - nu(B') against k*d - nu(B), so from k_B = max(0, max over B'
-    of nu(B) - nu(B')) <= spread on, where the walk reads nu(B) - min nu."""
+    of nu(B) - nu(B')) <= spread on, where the walk reads nu(B) - min nu.
+    So a cutoff >= spread (the default is spread + 1) keeps every B, and
+    no exchange is read."""
     n, low = len(nu.ground), min(nu.finite.values())
+    if cutoff >= nu.spread:
+        return {bmask: value - low for bmask, value in nu.finite.items()}
     values = {}
     for bmask, value in nu.finite.items():
         if max((value - nu.finite[other] for _, _, other in _single_exchanges(bmask, n)

@@ -195,10 +195,11 @@ def _prime(doc, p_override):
 
 
 def toric_from_json(doc, p_override=None) -> ToricRep:
-    """A toric document, or a bare matrix {"rows": …} with p from ``p_override``."""
+    """A toric document, or a bare matrix {"rows": …}, p from the document's
+    field or ``p_override`` (both given must agree)."""
     from .algebraic import ToricRep
     bare = isinstance(doc, dict) and "A" not in doc
-    p = _prime({} if bare else doc, p_override)
+    p = _prime(doc, p_override)
     A = matrix_from_json(doc if bare else {"rows": _require(doc, "A", list)})
     try:
         return ToricRep(A, p)

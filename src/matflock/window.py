@@ -73,6 +73,17 @@ scans, so at most one grid is held and a scan's peak is not raised by it; a
 grid of more than ``_MEMO_IDS`` ids is not kept.  The arrays returned are
 read-only, so no caller can change what a later request reads.
 
+The remembered box's entry also keeps the verdicts of the local axioms
+checked on it (``_move_verdicts``, which both the flock check of a
+valuation and a source's Frobenius check call): per move, the radius R
+checked and the flat indices of the alphas of [-R, R]^n where it fails.  A
+check compares the families at alpha and alpha + e_I, not their ids, so
+a later check at a radius <= R reads the move's failures inside its own
+box from them and compares nothing: a flock check at radius 2 and a
+Frobenius check at radius 1 make each comparison once.  A valid flock
+keeps empty arrays, so the entry grows with the failures, not the box,
+and the verdicts are forgotten with their grid.
+
 Exactness: a box [lo, hi] of side s is read at beta = alpha - lo, in
 [0, s]^n, against w(B) = nu(B) - e_B . lo, shifted to minimum 0 and capped
 at d s + 1: the minimizer of w scores >= 0 at every beta and a capped basis
@@ -91,8 +102,9 @@ import numpy as np
 _CHUNK = 1 << 16
 # scores stay within 2^62 of 0, and -2^62 is the sentinel score
 _LIMIT = 1 << 62
-# _scored_grid's last box, {(n, finite items): (lo, hi, grid, words)}, and
-# the most ids it keeps
+# _scored_grid's last box, {(n, finite items): (lo, hi, grid, words,
+# verdicts)}, verdicts {move: (radius, failing flat indices)} of
+# _move_verdicts, and the most ids and failing indices it keeps
 _grid_memo: dict = {}
 _MEMO_IDS = 1 << 20
 
@@ -438,7 +450,7 @@ def _scored_grid(finite_items, n: int, lo: int, hi: int):
     key = (n, tuple(finite_items))
     held = _grid_memo.get(key)
     if held is not None and held[0] <= lo <= hi <= held[1]:
-        start, _, whole, table = held
+        start, _, whole, table, _ = held
         part = whole[(slice(lo - start, hi - start + 1),) * n]
         rank, distinct = _ranks(part, len(table))
         grid, words = rank[part], table[distinct]
@@ -447,7 +459,7 @@ def _scored_grid(finite_items, n: int, lo: int, hi: int):
         ids, words = _box_sets(finite_items, n, [lo] * n, [hi] * n)
         grid = ids.reshape((hi - lo + 1,) * n)
         if lo <= hi and grid.size <= _MEMO_IDS:
-            _grid_memo[key] = (lo, hi, grid, words)
+            _grid_memo[key] = (lo, hi, grid, words, {})
     grid.setflags(write=False)
     words.setflags(write=False)
     return grid, [mask for mask, _ in finite_items], words
@@ -487,27 +499,14 @@ def _local_axioms(grid: np.ndarray, radius: int, moves):
     (I, None, None) holds when the two ids are equal (MF2, FF2): distinct
     ids hold distinct families.  A move is checked at every alpha of
     [-radius, radius]^E whose shift is in the grid, so a grid over
-    [-radius, radius + 1]^E checks the whole box.  The checked block is
-    copied once per block shape into a contiguous array that its moves
-    share, and a move compares its keys word by word, each word read with
-    ``np.take``: two gathers and one comparison per word, no key ranked.
+    [-radius, radius + 1]^E checks the whole box (``_move_fails``).
     Returns (checked, failed) per move and the violation (alpha, move index,
     id, id') at the lex-first failing alpha, ties going to the earlier move,
     or None.
     """
     counts = []
     first = None
-    blocks: dict = {}
-    for k, (axes, left, right) in enumerate(moves):
-        at, shifted = _move_views(grid, radius, axes)
-        if at.shape not in blocks:
-            blocks[at.shape] = np.ascontiguousarray(at)
-        if left is None:
-            fails = blocks[at.shape] != shifted
-        else:
-            fails = np.take(left[:, 0], blocks[at.shape]) != np.take(right[:, 0], shifted)
-            for w in range(1, left.shape[1]):
-                fails |= np.take(left[:, w], blocks[at.shape]) != np.take(right[:, w], shifted)
+    for k, (at, shifted, fails) in enumerate(_move_fails(grid, radius, moves)):
         failed = int(np.count_nonzero(fails))
         if failed:
             idx = np.unravel_index(int(np.argmax(fails)), fails.shape)
@@ -516,6 +515,28 @@ def _local_axioms(grid: np.ndarray, radius: int, moves):
                 first = (alpha, k, int(at[idx]), int(shifted[idx]))
         counts.append((int(fails.size), failed))
     return counts, first
+
+
+def _move_fails(grid: np.ndarray, radius: int, moves):
+    """(at, shifted, fails) of each move of ``_local_axioms``, in order: the
+    views of ``_move_views`` and the bool array of the alphas where the move
+    fails.  The checked block is copied once per block shape into a
+    contiguous array that its moves share, and a move compares its keys word
+    by word, each word read with ``np.take``: two gathers and one comparison
+    per word, no key ranked."""
+    blocks: dict = {}
+    for axes, left, right in moves:
+        at, shifted = _move_views(grid, radius, axes)
+        if at.shape not in blocks:
+            blocks[at.shape] = np.ascontiguousarray(at)
+        block = blocks[at.shape]
+        if left is None:
+            fails = block != shifted
+        else:
+            fails = np.take(left[:, 0], block) != np.take(right[:, 0], shifted)
+            for w in range(1, left.shape[1]):
+                fails |= np.take(left[:, w], block) != np.take(right[:, w], shifted)
+        yield at, shifted, fails
 
 
 def _move_views(grid: np.ndarray, radius: int, axes):
@@ -612,6 +633,67 @@ def _set_moves(n: int, masks, words: np.ndarray, moves):
                 np.where(keep & (word == w), fields, np.uint64(0)), starts, axis=2)
         for k, axes in enumerate(sets):
             yield axes, keys[0, k], keys[1, k]
+
+
+def _keyed_moves(n: int, masks, words: np.ndarray, moves):
+    """``_local_axioms``'s (I, left, right) of each move, in order: a tuple
+    I of element indices keyed by ``_minor_moves``, or None, the all-ones
+    shift (MF2, FF2), which has no keys."""
+    minors = _minor_moves(n, masks, words, [move for move in moves if move is not None])
+    for move in moves:
+        yield (tuple(range(n)), None, None) if move is None else next(minors)
+
+
+def _move_verdicts(finite_items, n: int, radius: int, moves):
+    """``_local_axioms`` of ``_keyed_moves``'s ``moves`` over
+    [-radius, radius]^n on the scored grid of [-radius, radius + 1]^n:
+    (counts, first), its counts and its violation with the two families
+    the failing move compared, (alpha, move index, family at alpha, family
+    at alpha + e_I), each a frozenset of basis masks.
+
+    The verdict of a move, the radius R it was checked at and the flat
+    indices of its failing alphas in [-R, R]^n, is kept in the remembered
+    box's entry (module docstring).  A move with a verdict at R >= radius is
+    read from it: a check compares the families at alpha and alpha + e_I,
+    whatever their ids, and lex order is the flat order of every box.  The
+    other moves run ``_move_fails`` on ``_scored_grid``'s grid, and their
+    verdicts are kept unless the entry would then hold more than
+    ``_MEMO_IDS`` failing indices.  A request that reads every verdict asks
+    for the grid only if a move fails, for the two families."""
+    key = (n, tuple(finite_items))
+    held = _grid_memo.get(key)
+    todo = [move for move in moves if held is None or held[4].get(move, (-1,))[0] < radius]
+    grid, fresh = None, {}
+    if todo:
+        grid, masks, words = _scored_grid(finite_items, n, -radius, radius + 1)
+        for move, (_, _, fails) in zip(todo, _move_fails(grid, radius,
+                                                         _keyed_moves(n, masks, words, todo))):
+            fresh[move] = radius, np.flatnonzero(fails)
+        held = _grid_memo.get(key)
+        if held is not None and sum(len(flat) for _, flat in itertools.chain(
+                held[4].values(), fresh.values())) <= _MEMO_IDS:
+            held[4].update(fresh)
+    side = 2 * radius + 1
+    counts, first = [], None
+    for k, move in enumerate(moves):
+        checked, flat = fresh[move] if move in fresh else held[4][move]
+        if checked > radius and len(flat):
+            idx = np.array(np.unravel_index(flat, (2 * checked + 1,) * n)) - (checked - radius)
+            flat = np.ravel_multi_index(idx[:, ((idx >= 0) & (idx < side)).all(axis=0)],
+                                        (side,) * n)
+        if len(flat) and (first is None or flat[0] < first[0]):
+            first = (int(flat[0]), k)
+        counts.append((side ** n, len(flat)))
+    if first is not None:
+        flat, k = first
+        if grid is None:
+            grid, masks, words = _scored_grid(finite_items, n, -radius, radius + 1)
+        idx = np.unravel_index(flat, (side,) * n)
+        shift = range(n) if moves[k] is None else moves[k]
+        to = tuple(i + (axis in shift) for axis, i in enumerate(idx))
+        first = (tuple(int(i) - radius for i in idx), k,
+                 *_families(masks, words[[grid[idx], grid[to]]]))
+    return counts, first
 
 
 # ---------------------------------------------------------------------------

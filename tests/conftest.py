@@ -116,8 +116,9 @@ def extract_checked(flock, cutoff=None, verify_radius=None) -> mf.Valuation:
 
 @pytest.fixture(autouse=True)
 def empty_grid_memo():
-    """Every test starts with no remembered box, so a test that patches the
-    box scan sees its calls whatever ran before it."""
+    """Every test starts with no remembered box, and so with none of the
+    move verdicts kept in its entry, so a test that patches the box scan or
+    the local-axiom pass sees its calls whatever ran before it."""
     from matflock import window
     window._grid_memo.clear()
 

@@ -367,6 +367,108 @@ def test_frobenius_counts_are_flock_counts():
             assert ff.ok and rep.ok, source
 
 
+def _reuse_orders(r: int):
+    """Orders of checks of one source that share a remembered box, as
+    (kind, radius, check_sets): a Frobenius check at r before and after a
+    flock check at a radius >= r, below r and with sets, and for r = 2 a
+    flock check with sets after a larger one."""
+    priors = [(max(r, 1), False), (max(r, 1), True)] + [(r - 1, False)] * (r >= 2)
+    for radius, sets in priors:
+        yield [("flock", radius, sets), ("ff", r, False)]
+        yield [("ff", r, False), ("flock", radius, sets)]
+    if r == 2:
+        yield [("flock", 2, True), ("flock", 1, True)]
+
+
+def _check_in_order(source, order, passes):
+    """The reports of the checks of ``order`` run one after another from no
+    remembered box, each with the moves it ran (``passes``), and the
+    report of each check run alone."""
+    flock = mf.flock_from_linearized(source)
+
+    def check(kind, radius, sets):
+        if kind == "ff":
+            return mf.check_frobenius_axioms(source, radius)
+        return mf.check_flock_axioms(flock, radius, check_sets=sets)
+    alone = []
+    for step in order:
+        window._grid_memo.clear()
+        alone.append(check(*step))
+    window._grid_memo.clear()
+    got = []
+    for step in order:
+        passes.clear()
+        got.append((check(*step), len(passes)))
+    return got, alone
+
+
+@pytest.fixture
+def move_passes(monkeypatch) -> list:
+    """The radius of every move that ``window._move_fails`` checks."""
+    passes = []
+    move_fails = window._move_fails
+
+    def counted(grid, radius, moves):
+        for out in move_fails(grid, radius, moves):
+            passes.append(radius)
+            yield out
+    monkeypatch.setattr(window, "_move_fails", counted)
+    return passes
+
+
+def test_checks_read_back_the_verdicts_of_earlier_checks(move_passes):
+    # a Frobenius check next to a flock check of the same source, in either
+    # order, and a flock check after a larger one, report what each reports
+    # alone; a check after one at a radius as large, with its moves, runs
+    # no move of its own, and a valid flock keeps no failing index
+    for k, source in enumerate(_grid_cases()):
+        for r in (0, 1, 2):
+            # every source at every r, one order each, in turn
+            orders = list(_reuse_orders(r))
+            order = orders[k % len(orders)]
+            got, alone = _check_in_order(source, order, move_passes)
+            assert [report for report, _ in got] == alone, (source.coords, order)
+            assert all(report.ok for report in alone)
+            (_, before, sets), (_, radius, needs_sets) = order
+            covered = before >= radius and (sets or not needs_sets or source.n == 1)
+            assert (got[1][1] == 0) == covered, (source.coords, order)
+            verdicts = next(iter(window._grid_memo.values()))[4]
+            assert verdicts and not any(len(flat) for _, flat in verdicts.values())
+
+
+def test_injected_failures_read_back_as_each_check_finds_them(monkeypatch, move_passes):
+    # one family's contraction key of one move made to match no deletion
+    # key: the checks of each order, reading each other's failing alphas,
+    # report the counts and the violation that each finds alone
+    minor_moves = window._minor_moves
+    fault = {}
+
+    def faulty(n, masks, words, moves):
+        rows = [k for k, family in enumerate(window._families(masks, words))
+                if family == fault["family"]]
+        for axes, left, right in minor_moves(n, masks, words, moves):
+            if axes in fault["moves"] and rows:
+                left = left.copy()
+                left[rows] = ~left[rows]
+            yield axes, left, right
+    monkeypatch.setattr(window, "_minor_moves", faulty)
+    failed = read = 0
+    # one element has no minor to show, and no flock on it can fail
+    sources = [source for source in _grid_cases() if source.n > 1]
+    for k, source in enumerate(sources[::9]):
+        n = source.n
+        fault["family"] = mf.flock_from_linearized(source).masks_at(
+            tuple((i + k) % 3 - 1 for i in range(n)))
+        fault["moves"] = {(k % n,), tuple(range(k % 2, n))}
+        for r in (0, 1, 2):
+            for order in _reuse_orders(r):
+                got, alone = _check_in_order(source, order, move_passes)
+                assert [report for report, _ in got] == alone, (source.coords, order)
+                failed += sum(not report.ok for report in alone)
+                read += got[1][1] == 0 and not alone[1].ok
+    assert failed > 1500 and read > 500
+
+
 def test_frobenius_grid_spaces_have_plucker_vector_q():
     # the maximal minors over GF(p) of each space are q on its family S, up
     # to one unit

@@ -84,9 +84,12 @@ def test_p_mismatch_rejected():
 
 
 def test_cli_bare_matrix_needs_p(tmp_path, capsys):
-    # every toric reader takes a bare matrix {"rows": ...} with --p, and
-    # prints what it prints for the toric document of that matrix
-    path = write(tmp_path, "A.json", {"rows": [[1, 0, 1, 1], [0, 1, 1, 2]]})
+    # every toric reader takes a bare matrix {"rows": ...} with --p, or
+    # naming its own p, and prints what it prints for the toric document of
+    # that matrix
+    rows = [[1, 0, 1, 1], [0, 1, 1, 2]]
+    path = write(tmp_path, "A.json", {"rows": rows})
+    named = write(tmp_path, "Ap.json", {"rows": rows, "p": 2})
     rep = write(tmp_path, "rep.json", jsonio.toric_to_json(toric_example(2)))
     for command in (["lindstrom-toric"], ["toric-matroid-at", "--alpha", "0,0,0,1"],
                     ["check-flock", "--radius", "1", "--from-toric"],
@@ -97,6 +100,11 @@ def test_cli_bare_matrix_needs_p(tmp_path, capsys):
         want = capsys.readouterr().out
         assert main([*command, path, "--p", "2"]) == 0, command
         assert capsys.readouterr().out == want
+        for args in ([named], [named, "--p", "2"]):
+            assert main([*command, *args]) == 0, (command, args)
+            assert capsys.readouterr().out == want
+        assert main([*command, named, "--p", "3"]) == 2
+        assert "p mismatch: file says 2, flag says 3" in capsys.readouterr().err
         for doc in (5, [[1, 0]], {"rows": [[1, "1/2"]]}):
             assert main([*command, write(tmp_path, "B.json", doc), "--p", "2"]) == 2
         capsys.readouterr()
@@ -432,6 +440,32 @@ def test_cli_fenchel(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     got = jsonio.window_function_from_json(doc)
     assert got((0, 0, 0, 0)) == mf.g_value(u24_valuation(), (0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("option", ["--alpha", "--beta", "--lo", "--hi"])
+def test_cli_vector_option_value_may_start_with_minus(tmp_path, capsys, option):
+    # argparse takes a separate value that starts with "-" for a flag; the
+    # value of a vector option is joined to it, so "--alpha -1,0" prints
+    # what "--alpha=-1,0" prints
+    vpath = write(tmp_path, "v.json", jsonio.valuation_to_json(u24_valuation()))
+    fpath = write(tmp_path, "f.json", jsonio.window_function_to_json(
+        mf.valuation_point_function(u24_valuation())))
+    argv = {"--alpha": ["matroid-at", vpath, "--alpha", "-1,0,2,0"],
+            "--beta": ["cells", vpath, "--beta", "-1,0,0,0"],
+            "--lo": ["fenchel", fpath, "--lo", "-2,-2,-2,-2", "--hi", "2,2,2,2"],
+            "--hi": ["fenchel", fpath, "--lo=-3,-3,-3,-3", "--hi", "-1,-1,-1,-1"]}[option]
+    assert main(argv) == 0
+    got = capsys.readouterr().out
+    k = argv.index(option)
+    assert main([*argv[:k], f"{option}={argv[k + 1]}", *argv[k + 2:]]) == 0
+    assert capsys.readouterr().out == got
+    if option == "--alpha":
+        # the script reads sys.argv the same way
+        toric = str(Path(__file__).parent / "fixtures" / "toric_wide.json")
+        done = _run_cli("toric-matroid-at", toric, "--alpha", "-1,0,0,0,0,0,0,0")
+        assert done.returncode == 0, done.stderr
+        assert main(["toric-matroid-at", toric, "--alpha=-1,0,0,0,0,0,0,0"]) == 0
+        assert capsys.readouterr().out == done.stdout
 
 
 def test_cli_g_value_matroid_at_support(tmp_path, capsys):

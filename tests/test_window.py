@@ -367,6 +367,32 @@ def test_memo_misses_scan_after_forgetting(monkeypatch):
     assert len(scans) == len(requests)
 
 
+def test_memo_keeps_no_verdicts_above_its_cap(monkeypatch):
+    # every move made to fail at every alpha: a check whose failing indices
+    # would pass the cap keeps no verdict, so the next check runs its moves
+    # again; under the cap the verdicts are kept and read back
+    flock = mf.flock_from_valuation(u24_valuation())
+    move_fails = window._move_fails
+    runs = []
+
+    def failing(grid, radius, moves):
+        for at, shifted, fails in move_fails(grid, radius, moves):
+            runs.append(radius)
+            yield at, shifted, np.ones_like(fails)
+    monkeypatch.setattr(window, "_move_fails", failing)
+    monkeypatch.setattr(window, "_MEMO_IDS", 6 ** 4)
+    want = mf.check_flock_axioms(flock, 2)
+    assert (want.mf1_failed, want.mf2_failed) == (4 * 5 ** 4, 5 ** 4)
+    (entry,) = window._grid_memo.values()
+    assert entry[4] == {}
+    assert mf.check_flock_axioms(flock, 2) == want and len(runs) == 10
+    monkeypatch.setattr(window, "_MEMO_IDS", 5 * 5 ** 4)
+    window._grid_memo.clear()
+    runs.clear()
+    assert mf.check_flock_axioms(flock, 2) == want and len(runs) == 5
+    assert mf.check_flock_axioms(flock, 2) == want and len(runs) == 5
+
+
 def test_memo_keeps_no_grid_above_its_cap(monkeypatch):
     items = u24_valuation().finite_items()
     monkeypatch.setattr(window, "_MEMO_IDS", 4 ** 4)
