@@ -68,10 +68,14 @@ scan.  A request for a nonempty box [lo, hi]^n inside the remembered one,
 with the same key, slices the remembered grid and renumbers the slice by
 ``_ranks``; the remembered ids are ranked in the lex order of their words,
 so the renumbered ids and the rows ``words[distinct]`` are what a fresh
-scan returns.  Any other request forgets the remembered box before it
-scans, so at most one grid is held and a scan's peak is not raised by it; a
-grid of more than ``_MEMO_IDS`` ids is not kept.  The arrays returned are
-read-only, so no caller can change what a later request reads.
+scan returns.  Any other request scans first and forgets the remembered
+box after (a refused scan keeps it): the remembered grid is the block on
+the heap top, so freeing it first lets glibc trim the heap, and the scan
+would fault those pages in again.  So a scan's peak is its own plus the
+one remembered grid, at most ``_MEMO_IDS`` ids; between requests at most
+one grid is held, and a grid of more than ``_MEMO_IDS`` ids is not kept.
+The arrays returned are read-only, so no caller can change what a later
+request reads.
 
 The remembered box's entry also keeps the verdicts of the local axioms
 checked on it (``_move_verdicts``, which both the flock check of a
@@ -445,8 +449,9 @@ def _scored_grid(finite_items, n: int, lo: int, hi: int):
     its table, grid and table read-only.  A nonempty box inside the one
     remembered for the same (n, finite_items) is sliced from it and
     renumbered by ``_ranks``, which keeps the lex order of the remembered
-    ids, so it is what a scan gives; any other request forgets that box
-    before it scans (module docstring)."""
+    ids, so it is what a scan gives; any other request scans while that box
+    is still held and forgets it after, so that freeing it does not trim the
+    heap before the scan (module docstring)."""
     key = (n, tuple(finite_items))
     held = _grid_memo.get(key)
     if held is not None and held[0] <= lo <= hi <= held[1]:
@@ -455,9 +460,9 @@ def _scored_grid(finite_items, n: int, lo: int, hi: int):
         rank, distinct = _ranks(part, len(table))
         grid, words = rank[part], table[distinct]
     else:
-        _grid_memo.clear()
         ids, words = _box_sets(finite_items, n, [lo] * n, [hi] * n)
         grid = ids.reshape((hi - lo + 1,) * n)
+        _grid_memo.clear()
         if lo <= hi and grid.size <= _MEMO_IDS:
             _grid_memo[key] = (lo, hi, grid, words, {})
     grid.setflags(write=False)

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -837,18 +838,16 @@ def _source_calls(draw):
     return argv, alpha, doc
 
 
-@settings(max_examples=200, deadline=None)
-@given(_source_calls())
-def test_cli_source_documents_end_in_an_exit_code(call):
-    # whatever the document, every source command exits 0, 1 or 2 without
-    # a traceback, and an input error is one line
-    argv, alpha, doc = call
+def assert_ends_in_an_exit_code(argv, doc, **fields):
+    """``cli.main`` on ``argv`` formatted with the path of ``doc`` written
+    as JSON (and ``fields``) exits 0 with JSON on stdout, or 1 or 2 with one
+    ``error:`` or ``input error:`` line, and raises nothing."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         Path(path).write_text(json.dumps(doc))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([arg.format(path=path, alpha=alpha) for arg in argv])
+            code = main([arg.format(path=path, **fields) for arg in argv])
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2)
     if code == 2:
@@ -857,6 +856,69 @@ def test_cli_source_documents_end_in_an_exit_code(call):
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
     else:
         assert lines == [] and json.loads(out.getvalue())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_source_calls())
+def test_cli_source_documents_end_in_an_exit_code(call):
+    # whatever the document, every source command exits 0, 1 or 2 without
+    # a traceback, and an input error is one line
+    argv, alpha, doc = call
+    assert_ends_in_an_exit_code(argv, doc, alpha=alpha)
+
+
+_EXPLICIT_COMMANDS = [["check-flock", "--explicit", "{path}", "--radius", "1"],
+                      ["check-flock", "--explicit", "{path}", "--radius", "1", "--sets"],
+                      ["extract-valuation", "--explicit", "{path}"]]
+
+
+@st.composite
+def _explicit_calls(draw):
+    """An explicit-table command and a document: mostly the table of a
+    valid valuation's flock on [-1, 2]^n, n <= 3 (the box a radius-1 check
+    reads), or on [-2, 3]^n (the box extraction verifies at radius 2), and
+    then, mostly, one change: an entry of another rank or on
+    another ground set, an alpha coordinate that is a bool, a float, a
+    string or past 2^63, two entries' matroids swapped (a table that need
+    not be a flock), an entry dropped, or a value replaced by junk."""
+    argv = draw(st.sampled_from(_EXPLICIT_COMMANDS))
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, n))
+    nu = random_valid_valuation(random.Random(draw(st.integers(0, 1 << 16))), n, d)
+    pad = draw(st.integers(1, 2))
+    entries = [{"alpha": list(alpha), "matroid": jsonio.matroid_to_json(mf.matroid_at(nu, alpha))}
+               for alpha in itertools.product(range(-pad, pad + 2), repeat=n)]
+    entry = draw(st.sampled_from(entries))
+    change = draw(st.sampled_from(["none", "rank", "ground", "alpha", "swap", "drop", "junk"]))
+    if change == "rank":
+        entry["matroid"] = jsonio.matroid_to_json(mf.uniform_matroid(d % n + 1, n))
+    elif change == "ground":
+        entry["matroid"] = jsonio.matroid_to_json(mf.uniform_matroid(d, n + 1))
+    elif change == "alpha":
+        entry["alpha"][draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+            [True, False, 1.0, 0.5, "0", 1 << 63, -(1 << 70), 10 ** 30]))
+    elif change == "swap":
+        other = draw(st.sampled_from(entries))
+        entry["matroid"], other["matroid"] = other["matroid"], entry["matroid"]
+    elif change == "drop":
+        entries.remove(entry)
+    elif change == "junk":
+        key = draw(st.sampled_from(["alpha", "matroid"]))
+        node = entry if key == "alpha" else entry["matroid"]
+        if key == "matroid":
+            key = draw(st.sampled_from(["ground", "rank", "bases"]))
+        node[key] = draw(_JUNK)
+    return argv, {"entries": entries}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_explicit_calls())
+def test_cli_explicit_tables_end_in_an_exit_code(call):
+    # mixed ranks and grounds, bool, float and huge alphas and tables that
+    # are no flock: check-flock and extract-valuation on an explicit table
+    # exit 0, 1 or 2 without a traceback, and an error is one line
+    argv, doc = call
+    assert_ends_in_an_exit_code(argv, doc)
 
 
 @pytest.mark.parametrize("command", [["check-flock", "--radius", "1", "--explicit"],

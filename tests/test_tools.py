@@ -1,14 +1,18 @@
-"""The summary and schedule of tools/bench_pair.py, on canned result lines."""
+"""The summary and schedule of tools/bench_pair.py, on canned result lines,
+and the environment that it and tools/bench_record.py record."""
 
-import importlib.util
+import json
+import platform
+import sys
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_pair", Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py")
-bench_pair = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pair)
+# the tools run as scripts, with tools/ as their first import path
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import bench_env  # noqa: E402
+import bench_pair  # noqa: E402
+import bench_record  # noqa: E402
 
 BENCH = {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
                         {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1}]}
@@ -66,3 +70,22 @@ def test_schedule_alternates_which_side_runs_first():
 
 def test_result_line_is_the_last_nonempty_line():
     assert bench_pair.result_line('progress\n{"x": 1}\n{"correct": true}\n\n') == {"correct": True}
+
+
+def test_environment_records_libc_and_allocator_variables():
+    environ = {"MALLOC_TOP_PAD_": "16777216", "MALLOC_ARENA_MAX": "2", "GLIBC_TUNABLES":
+               "glibc.malloc.trim_threshold=0", "PYTHONDONTWRITEBYTECODE": "1",
+               "HOME": "/home/x", "XMALLOC_": "1", "malloc_check_": "1"}
+    got = bench_env.environment(environ)
+    assert got["variables"] == {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=0",
+                                "MALLOC_ARENA_MAX": "2", "MALLOC_TOP_PAD_": "16777216",
+                                "PYTHONDONTWRITEBYTECODE": "1"}
+    assert got["libc"] == list(platform.libc_ver())
+    assert got["python"] == platform.python_version()
+    assert bench_env.environment({})["variables"] == {}
+    assert json.loads(json.dumps(got)) == got
+
+
+def test_both_tools_record_the_one_environment():
+    assert bench_pair.environment is bench_env.environment
+    assert bench_record.environment is bench_env.environment

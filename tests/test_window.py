@@ -340,31 +340,52 @@ def test_memo_hit_equals_fresh_scan(case, side):
     assert_nested_boxes_hit(items, n, lo[0], lo[0] + side)
 
 
-def test_memo_misses_scan_after_forgetting(monkeypatch):
+def test_memo_misses_scan_before_forgetting(monkeypatch):
     # a box that only overlaps the remembered one, a disjoint box, another n,
     # another valuation with the same masks, a larger box and an empty box
-    # all scan, and each forgets the remembered box before it scans
+    # all scan; each scans while the remembered box is still held, and
+    # forgets it after, so the memo then holds the new box alone
     items = u24_valuation().finite_items()
     other = [(mask, val + (mask == items[0][0])) for mask, val in items]
     box_sets = window._box_sets
     scans = []
 
     def scan(finite_items, n, lo, hi):
-        assert window._grid_memo == {}
+        # the memo is as the request found it: at most the previous box
+        assert [(key, id(entry)) for key, entry in window._grid_memo.items()] == held
+        assert len(held) <= 1
         scans.append((n, lo[0], hi[0]))
         return box_sets(finite_items, n, lo, hi)
     monkeypatch.setattr(window, "_box_sets", scan)
     requests = [(items, 4, -1, 2), (items, 4, 0, 3), (items, 4, 5, 6), (items, 5, 5, 6),
                 (other, 5, 5, 6), (other, 5, 4, 6), (other, 5, 1, 0), (other, 5, 4, 6)]
     for finite_items, n, lo, hi in requests:
+        held = [(key, id(entry)) for key, entry in window._grid_memo.items()]
         grid, _, words = window._scored_grid(finite_items, n, lo, hi)
         ids, want = box_sets(finite_items, n, [lo] * n, [hi] * n)
         assert grid.tobytes() == ids.tobytes() and np.array_equal(words, want)
-        assert len(window._grid_memo) == (lo <= hi)
+        want_memo = [((n, tuple(finite_items)), (lo, hi))] if lo <= hi else []
+        assert [(key, entry[:2]) for key, entry in window._grid_memo.items()] == want_memo
     assert scans == [(n, lo, hi) for _, n, lo, hi in requests]
     # the one remembered box answers the boxes inside it
     window._scored_grid(other, 5, 5, 5)
     assert len(scans) == len(requests)
+
+
+def test_refused_scan_keeps_the_remembered_box():
+    # a box whose scores would pass 2^62 is refused by _box_values before
+    # anything is allocated, and the box remembered before it still answers
+    items = u24_valuation().finite_items()
+    window._scored_grid(items, 4, -1, 2)
+    with pytest.raises(ValueError, match="too large to score"):
+        window._scored_grid(items, 4, -(1 << 61), 1 << 61)
+    assert [entry[:2] for entry in window._grid_memo.values()] == [(-1, 2)]
+    box_sets = window._box_sets
+    with mock.patch.object(window, "_box_sets", wraps=box_sets) as scans:
+        grid, _, words = window._scored_grid(items, 4, 0, 1)
+        assert scans.call_count == 0
+    ids, want = box_sets(items, 4, [0] * 4, [1] * 4)
+    assert grid.tobytes() == ids.tobytes() and np.array_equal(words, want)
 
 
 def test_memo_keeps_no_verdicts_above_its_cap(monkeypatch):

@@ -18,9 +18,11 @@ end-to-end metric of BENCHMARK.json: both sides' medians and quartiles,
 the pairs in which B read lower (ties count for neither), A's
 interquartile range over its median, and B's change against A's median
 in the direction the metric counts as worse, over the metric's bound.
-It also counts each side's failed and attempted instances.  It states
-numbers and decides nothing.  The file is rewritten after every run, so
-an interrupted session keeps the runs it finished.
+It also counts each side's failed and attempted instances, and states
+under ``environment`` what ``bench_env.environment`` records (versions, C
+library, CPU count, allocator and bytecode variables), which every run
+inherits.  It states numbers and decides nothing.  The file is rewritten
+after every run, so an interrupted session keeps the runs it finished.
 
 Run length is the benchmark's, so a pair takes about two benchmark runs
 per workload: about 40 minutes for ten pairs of four workloads on a
@@ -37,6 +39,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from bench_env import environment
 
 
 def git(root: Path, *args, **kwargs) -> str:
@@ -170,7 +174,8 @@ def main(argv=None) -> int:
         ap.error(f"unknown workload {sorted(unknown)[0]!r}")
     out = root / f"PAIRS_{a[:12]}_{b[:12]}.json"
     record = {"a": a, "b": b, "pairs": args.pairs, "seeds": seeds[:args.pairs],
-              "seconds": bench["run_seconds"], "trace": 0, "runs": []}
+              "seconds": bench["run_seconds"], "trace": 0, "environment": environment(),
+              "runs": []}
     into = Path(args.workdir or tempfile.mkdtemp(prefix="bench-pair-"))
     into.mkdir(parents=True, exist_ok=True)
     for pair, seed, workload, sha in schedule(a, b, seeds[:args.pairs], workloads):

@@ -11,8 +11,9 @@ object it prints last).  It then runs the tier-1 tests with
 phase that pytest reports, and each acceptance criterion's time against
 its budget, read from the ``PASS criterion`` lines of tests/test_acceptance.py.
 The file also states the git commit (and any tracked file that differs
-from it), the Python and numpy versions, the CPU count and
-PYTHONDONTWRITEBYTECODE, since each of them moves the numbers.
+from it) and, under ``environment``, what ``bench_env.environment`` records:
+the Python, numpy and C library versions, the CPU count and the allocator
+and bytecode variables, since each of them moves the numbers.
 
 The runs happen one after another, so the file takes the benchmark's full
 time per run plus tier-1: about 13 minutes on a 2-core machine.
@@ -22,12 +23,13 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+from bench_env import environment
 
 SEED = 1
 CRITERION = re.compile(r"PASS criterion (\d+): .*\(([\d.]+)s < (\d+)s\)")
@@ -88,20 +90,11 @@ def main() -> int:
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
     bench = json.loads((root / "BENCHMARK.json").read_text())
     sha = git(root, "rev-parse", "HEAD")
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = None
     record = {
         "git_sha": sha,
         "modified_tracked_files": git(root, "status", "--porcelain",
                                       "--untracked-files=no").splitlines(),
-        "python": platform.python_version(),
-        "numpy": numpy_version,
-        "cpu_count": os.cpu_count(),
-        "cpu_affinity": len(os.sched_getaffinity(0)),
-        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "environment": environment(),
         "runs": bench_runs(root, [w["name"] for w in bench["workloads"]],
                            bench["run_seconds"]),
         "tier1": tier1(root),
