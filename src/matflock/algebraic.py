@@ -406,34 +406,21 @@ class FrobeniusWindowReport:
 
 def frobenius_window(source: ToricRep | LinearizedParam, radius: int) -> FrobeniusFlockWindow:
     """The row spaces V_alpha of either source over [-radius, radius]^E,
-    keyed by alpha, read off its Lindström valuation's scored grid
-    (``_frobenius_grid``)."""
+    keyed by alpha.  V_alpha, the reduction at p (toric) or T = 0
+    (linearized) of the row lattice twisted by alpha, has as Plücker vector
+    the initial form of the valued one (Speyer 2008): q(B), the lowest
+    coefficient of B's signed minor, on the argmax family at alpha and 0
+    off it.  So the spaces are read off the Lindström valuation's scored
+    grid, one per id, and distinct ids hold distinct spaces."""
     from . import window
     radius = as_int(radius, "radius", 0)
-    d, grid, masks, words, q = _frobenius_grid(source, -radius, radius)
+    nu, q = _lindstrom(source)
+    grid, masks, words = window._scored_grid(nu.finite_items(), source.n, -radius, radius)
     spaces = [_plucker_rref({B: q[B] for B in family}, source.n, source.p)
               for family in window._families(masks, words)]
     points = itertools.product(range(-radius, radius + 1), repeat=source.n)
     table = dict(zip(points, map(spaces.__getitem__, grid.ravel().tolist())))
-    return FrobeniusFlockWindow(radius, source.p, d, source.ground, table)
-
-
-def _frobenius_grid(source: ToricRep | LinearizedParam, lo: int, hi: int):
-    """(d, grid, masks, words, q) of the Frobenius flock of either source
-    over [lo, hi]^E: the id grid indexed by alpha - lo per axis, the table
-    of its argmax families as ``window._scored_grid`` gives it (bit j:
-    basis ``masks[j]``), and the initial coefficients q, so that the space
-    of id k has Plücker vector q on the bases of row k.
-
-    V_alpha, the reduction at p (toric) or T = 0 (linearized) of the row
-    lattice twisted by alpha, has as Plücker vector the initial form of
-    the valued one (Speyer 2008): q(B), the lowest coefficient of B's
-    signed minor, on the argmax family S at alpha and 0 off it.  So the
-    grid is the Lindström valuation's scored grid, and distinct ids hold
-    distinct spaces."""
-    from . import window
-    nu, q = _lindstrom(source)
-    return (nu.d, *window._scored_grid(nu.finite_items(), source.n, lo, hi), q)
+    return FrobeniusFlockWindow(radius, source.p, nu.d, source.ground, table)
 
 
 def _plucker_rref(vector, n: int, p: int):
@@ -568,11 +555,11 @@ def check_frobenius_axioms(source: ToricRep | LinearizedParam, radius: int) -> F
     """(FF1)/(FF2) of either source for all alpha in [-radius, radius]^E.
 
     They are the (MF1)/(MF2) moves of its flock on the argmax families of
-    ``_frobenius_grid`` over [-radius, radius + 1]^E, the box the checks
-    compare, keyed by the flock's own minor keys: ``window._move_verdicts``
-    runs them once per remembered box, so after a check of the source's
-    flock at a radius >= ``radius`` every verdict is read back, not
-    recomputed.  No row space is built unless a check fails."""
+    its Lindström valuation's scored grid over [-radius, radius + 1]^E, the
+    box the checks compare, keyed by the flock's own minor keys:
+    ``window._move_verdicts`` runs them once per remembered box, so after a
+    check of the source's flock at a radius >= ``radius`` every verdict is
+    read back, not recomputed.  No row space is built unless a check fails."""
     from . import window
     radius = as_int(radius, "radius", 0)
     nu, q = _lindstrom(source)

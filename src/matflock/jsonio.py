@@ -195,10 +195,10 @@ def _prime(doc, p_override):
 
 
 def toric_from_json(doc, p_override=None) -> ToricRep:
-    """A toric document, or a bare matrix {"rows": …}, p from the document's
-    field or ``p_override`` (both given must agree)."""
+    """A toric document, or a bare matrix {"rows": …} (with neither, ``A`` is
+    missing); p from its field or ``p_override`` (both given must agree)."""
     from .algebraic import ToricRep
-    bare = isinstance(doc, dict) and "A" not in doc
+    bare = isinstance(doc, dict) and "A" not in doc and "rows" in doc
     p = _prime(doc, p_override)
     A = matrix_from_json(doc if bare else {"rows": _require(doc, "A", list)})
     try:

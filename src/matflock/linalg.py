@@ -63,32 +63,28 @@ def as_prime(p) -> int:
 
 def as_int_matrix(rows) -> tuple[tuple[int, ...], ...]:
     """Validate a rectangular matrix with (arbitrary-precision) int entries."""
-    out = []
-    width = None
-    for row in rows:
-        r = tuple(row)
-        if width is None:
-            width = len(r)
-        elif len(r) != width:
-            raise ValueError("matrix is not rectangular")
-        for x in r:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f"non-integer entry {x!r}")
-        out.append(r)
-    return tuple(out)
+    return _rectangular(rows, _int_entry)
 
 
 def as_rat_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
     """Validate a rectangular matrix with exact rational entries."""
+    return _rectangular(rows, Fraction)
+
+
+def _int_entry(x) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"non-integer entry {x!r}")
+    return x
+
+
+def _rectangular(rows, entry) -> tuple[tuple, ...]:
+    """The rows as tuples of ``entry(x)``; a row's width is checked before its entries."""
     out = []
-    width = None
     for row in rows:
-        r = tuple(Fraction(x) for x in row)
-        if width is None:
-            width = len(r)
-        elif len(r) != width:
+        r = tuple(row)
+        if out and len(r) != len(out[0]):
             raise ValueError("matrix is not rectangular")
-        out.append(r)
+        out.append(tuple(map(entry, r)))
     return tuple(out)
 
 
@@ -360,13 +356,9 @@ def _reduce(row, echelon):
 
 def _sparse(row):
     """A row of an exact rational matrix as a sparse {column: int} dict,
-    times the lcm of its denominators."""
-    out = dict(zip(itertools.compress(itertools.count(), row), filter(None, row)))
-    if all(type(x) is int for x in out.values()):
-        return out
-    out = {k: Fraction(x) for k, x in out.items()}
-    m = math.lcm(*(x.denominator for x in out.values()))
-    return {k: x.numerator * (m // x.denominator) for k, x in out.items() if x}
+    times the lcm of its denominators (``_integer_rows``)."""
+    (row,), _ = _integer_rows([row])
+    return {k: x for k, x in enumerate(row) if x}
 
 
 def _primitive(row):

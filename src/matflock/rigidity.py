@@ -18,8 +18,6 @@ needs and builds no kernel.
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
 from typing import Optional
 
 from . import linalg
@@ -94,10 +92,8 @@ class RigidityVerdict:
 
 
 def _integerize(vec):
-    den = math.lcm(*(Fraction(x).denominator for x in vec))
-    ints = [int(Fraction(x) * den) for x in vec]
-    g = math.gcd(*ints) if any(ints) else 1
-    return tuple(x // max(g, 1) for x in ints)
+    row = linalg._primitive(linalg._sparse(vec))
+    return tuple(row.get(k, 0) for k in range(len(vec)))
 
 
 def _outside_directions(kernel, span):

@@ -131,34 +131,25 @@ def _check_alpha(owner, alpha) -> tuple[int, ...]:
     return alpha
 
 
-def g_value(nu: Valuation, alpha) -> int:
-    """g(alpha) = max over finite B of e_B . alpha - nu(B)."""
+def _scores(nu: Valuation, alpha) -> dict[int, int]:
+    """{mask: e_B . alpha - nu(B)} over the finite bases B, alpha checked first."""
     alpha = _check_alpha(nu, alpha)
     if not nu.finite:
         raise ValueError("valuation violates (V1): no finite value")
-    n = len(nu.ground)
-    return max(
-        sum(alpha[i] for i in range(n) if mask >> i & 1) - val
-        for mask, val in nu.finite.items()
-    )
+    return {mask: sum(a for i, a in enumerate(alpha) if mask >> i & 1) - val
+            for mask, val in nu.finite.items()}
+
+
+def g_value(nu: Valuation, alpha) -> int:
+    """g(alpha) = max over finite B of e_B . alpha - nu(B)."""
+    return max(_scores(nu, alpha).values())
 
 
 def optimal_masks(nu: Valuation, alpha) -> frozenset[int]:
     """Basis masks of M^nu_alpha (the argmax set of e_B . alpha - nu(B))."""
-    alpha = _check_alpha(nu, alpha)
-    if not nu.finite:
-        raise ValueError("valuation violates (V1): no finite value")
-    n = len(nu.ground)
-    best = None
-    out = []
-    for mask, val in nu.finite.items():
-        s = sum(alpha[i] for i in range(n) if mask >> i & 1) - val
-        if best is None or s > best:
-            best = s
-            out = [mask]
-        elif s == best:
-            out.append(mask)
-    return frozenset(out)
+    scores = _scores(nu, alpha)
+    best = max(scores.values())
+    return frozenset(mask for mask, s in scores.items() if s == best)
 
 
 def matroid_at(nu: Valuation, alpha) -> Matroid:
@@ -171,22 +162,22 @@ def matroid_at(nu: Valuation, alpha) -> Matroid:
 
 def delete_element(nu: Valuation, e) -> Valuation:
     """Restriction to d-subsets avoiding e; e must not be a coloop."""
-    bit = nu.mask_of([e])
-    if all(mask & bit for mask in nu.finite):
-        raise ValueError(f"{e!r} is a coloop of the support matroid")
-    keep = [x for x in nu.ground if x != e]
-    vals = [(nu.labels_of(mask), v) for mask, v in nu.finite.items() if not mask & bit]
-    return Valuation.from_values(keep, nu.d, vals)
+    return _element_minor(nu, e, False)
 
 
 def contract_element(nu: Valuation, e) -> Valuation:
     """B -> nu(B + e) on (d-1)-subsets of E - e; e must not be a loop."""
+    return _element_minor(nu, e, True)
+
+
+def _element_minor(nu: Valuation, e, contract: bool) -> Valuation:
+    """The bases holding e (``contract``) or missing it, on E - e; refused if none do."""
     bit = nu.mask_of([e])
-    if not any(mask & bit for mask in nu.finite):
-        raise ValueError(f"{e!r} is a loop of the support matroid")
-    keep = [x for x in nu.ground if x != e]
-    vals = [(nu.labels_of(mask & ~bit), v) for mask, v in nu.finite.items() if mask & bit]
-    return Valuation.from_values(keep, nu.d - 1, vals)
+    vals = [(nu.labels_of(mask & ~bit), v) for mask, v in nu.finite.items()
+            if bool(mask & bit) == contract]
+    if not vals:
+        raise ValueError(f"{e!r} is a {'loop' if contract else 'coloop'} of the support matroid")
+    return Valuation.from_values([x for x in nu.ground if x != e], nu.d - contract, vals)
 
 
 def dual_valuation(nu: Valuation) -> Valuation:
@@ -264,16 +255,16 @@ def _integral_point(n: int, constraints: dict[tuple[int, int], int]):
 
 
 def is_trivial(nu: Valuation) -> TrivialityResult:
-    """Decide whether nu(B) - e_B . alpha is constant on the support for
-    some integral alpha, that is, whether M_alpha is the support matroid.
-
-    The alpha returned meets this up to that constant: for nu = 5 on every
-    basis of U(2, 3) it is (0, 0, 0), where e_B . alpha = 0.  For a
-    valuation (d >= 1) such an alpha exists exactly when the difference
-    constraints of the single exchanges inside the support are feasible: by
-    local optimality the support matroid is then optimal at their solution.
-    Shortest paths decide them and give the alpha returned, which is
-    certified.  That argument needs (V2): without it a support that single
+    """Decide whether nu is trivial: nu(B) = e_B . alpha on the support for
+    some rational alpha.  For d = 0 (B = ∅, e_B . alpha = 0) only the value
+    0 is.  For d >= 1 it means that nu(B) - e_B . alpha is constant on the
+    support for an integral alpha (c/d per entry absorbs a constant c), so
+    that M_alpha is the support matroid: that alpha is returned, (0, 0, 0)
+    for nu = 5 on every basis of U(2, 3).  It exists exactly when the
+    difference constraints of the single exchanges inside the support are
+    feasible: by local optimality the support matroid is then optimal at
+    their solution.  Shortest paths decide them and certify the alpha
+    returned.  That argument needs (V2): without it a support that single
     exchanges do not connect, such as {12, 34}, has no constraints at all.
     So a map that fails (V1)/(V2) raises ValueError.
     """

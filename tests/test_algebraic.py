@@ -308,9 +308,11 @@ def _grid_cases():
 
 
 def _grid_spaces(param, lo, hi):
-    """``_frobenius_grid`` with each id's Plücker vector read as its RREF."""
-    d, grid, masks, words, q = algebraic._frobenius_grid(param, lo, hi)
-    return d, grid, [_plucker_rref({B: q[B] for B in family}, param.n, param.p)
+    """The Lindström valuation's scored grid over [lo, hi]^E, with each id's
+    Plücker vector q on its argmax family read as its RREF."""
+    nu, q = algebraic._lindstrom(param)
+    grid, masks, words = window._scored_grid(nu.finite_items(), param.n, lo, hi)
+    return nu.d, grid, [_plucker_rref({B: q[B] for B in family}, param.n, param.p)
                      for family in window._families(masks, words)]
 
 

@@ -111,6 +111,17 @@ def test_cli_bare_matrix_needs_p(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_cli_toric_reader_names_the_toric_field(capsys):
+    # a document with neither "A" nor "rows" (here a linearized one) is read
+    # as a toric document, so the field it misses is the one a toric
+    # document needs, not the bare matrix's
+    param = str(Path(__file__).parent / "fixtures" / "paper_example_param.json")
+    for command in (["lindstrom-toric"], ["toric-matroid-at", "--alpha", "0,0,0,0"],
+                    ["check-flock", "--radius", "1", "--from-toric"]):
+        assert main([*command, param]) == 2, command
+        assert capsys.readouterr().err == "input error: missing field 'A'\n", command
+
+
 def test_explicit_flock_from_json():
     doc = {"radius": 1, "entries": [
         {"alpha": [0, 0], "matroid": {"ground": [1, 2], "rank": 1,
@@ -919,6 +930,63 @@ def test_cli_explicit_tables_end_in_an_exit_code(call):
     # exit 0, 1 or 2 without a traceback, and an error is one line
     argv, doc = call
     assert_ends_in_an_exit_code(argv, doc)
+
+
+# every command that reads a document of each fixture's kind, with a
+# placeholder for the document's path and the fixture's own alpha
+_FIXTURE_COMMANDS = {
+    "toric_wide.json": [[arg.format(path="{path}", alpha="0,0,0,1,0,0,0,-1") for arg in argv]
+                        for kind, argv in _SOURCE_COMMANDS if kind == "toric"],
+    "paper_example_param.json": [[arg.format(path="{path}", alpha="0,-2,-2,0") for arg in argv]
+                                 for kind, argv in _SOURCE_COMMANDS if kind == "linearized"],
+    "valuation_u24.json": [
+        ["check-valuation", "{path}"], ["support", "{path}"],
+        ["matroid-at", "{path}", "--alpha", "1,0,0,0"], ["g-value", "{path}", "--alpha", "1,0,0,0"],
+        ["cells", "{path}"], ["leaders", "{path}"],
+        ["check-flock", "--from-valuation", "{path}", "--radius", "1"],
+        ["extract-valuation", "--from-valuation", "{path}"]],
+    "explicit_n3_swapped.json": [
+        ["check-flock", "--explicit", "{path}", "--radius", "1"],
+        ["check-flock", "--explicit", "{path}", "--radius", "1", "--sets"],
+        ["extract-valuation", "--explicit", "{path}"]],
+}
+
+
+def _mutated(rng, doc):
+    """``doc`` with one key or list item dropped, or its value replaced by a
+    string, a float, a bool, a huge int or a nested list, at a random depth."""
+    node = doc = json.loads(json.dumps(doc))
+    while True:
+        key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+        if not (isinstance(node[key], (dict, list)) and node[key] and rng.random() < 0.6):
+            break
+        node = node[key]
+    if rng.random() < 0.5:
+        del node[key]
+    else:
+        node[key] = rng.choice(["x", 0.5, True, 10 ** 30, [[1]]])
+    return doc
+
+
+def test_cli_subprocess_mutated_fixtures_end_in_an_exit_code(tmp_path):
+    # the CLI as a process, under a wall-clock bound: each of 24 mutated
+    # fixtures, through every command that reads its kind, exits 0, 1 or 2
+    # without a traceback, and an error is one line
+    rng = random.Random(44)
+    names = sorted(_FIXTURE_COMMANDS)
+    for k in range(24):
+        name = names[k % len(names)]
+        doc = _mutated(rng, json.loads((Path(__file__).parent / "fixtures" / name).read_text()))
+        path = write(tmp_path, f"doc{k}.json", doc)
+        for argv in _FIXTURE_COMMANDS[name]:
+            args = [arg.format(path=path) for arg in argv]
+            done = subprocess.run([sys.executable, "-m", "matflock.cli", *args],
+                                  capture_output=True, text=True, env=_cli_env(), timeout=30)
+            lines = done.stderr.splitlines()
+            assert done.returncode in (0, 1, 2) and "Traceback" not in done.stderr, (args, doc)
+            if done.returncode:
+                prefix = "input error: " if done.returncode == 2 else "error: "
+                assert len(lines) == 1 and lines[0].startswith(prefix), (args, doc, lines)
 
 
 @pytest.mark.parametrize("command", [["check-flock", "--radius", "1", "--explicit"],

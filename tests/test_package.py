@@ -1,8 +1,10 @@
 """The package namespace: lazy submodule loading and uncached name lookup."""
 
+import argparse
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,3 +105,15 @@ def test_monkeypatch_on_home_module_is_seen_and_undone(monkeypatch):
     monkeypatch.undo()
     assert mf.extract_valuation is original
     assert "extract_valuation" not in vars(mf)
+
+
+def test_installed_cli_job_runs_every_subcommand():
+    # the CI job that runs the installed console script runs each command at
+    # least once: as `matflock <cmd>`, through probe.py, or as a refusal
+    from matflock import cli
+    workflow = (Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml").read_text()
+    job = re.search(r"^  installed-cli:\n(.*?)(?=^  \S|\Z)", workflow, re.M | re.S).group(1)
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = [cmd for cmd in sub.choices
+               if not re.search(rf"(matflock|probe\.py \S+|expect_\w*error) {cmd}(\s|$)", job)]
+    assert not missing, missing
