@@ -932,24 +932,26 @@ def test_cli_explicit_tables_end_in_an_exit_code(call):
     assert_ends_in_an_exit_code(argv, doc)
 
 
-# every command that reads a document of each fixture's kind, with a
-# placeholder for the document's path and the fixture's own alpha
-_FIXTURE_COMMANDS = {
-    "toric_wide.json": [[arg.format(path="{path}", alpha="0,0,0,1,0,0,0,-1") for arg in argv]
-                        for kind, argv in _SOURCE_COMMANDS if kind == "toric"],
-    "paper_example_param.json": [[arg.format(path="{path}", alpha="0,-2,-2,0") for arg in argv]
-                                 for kind, argv in _SOURCE_COMMANDS if kind == "linearized"],
-    "valuation_u24.json": [
-        ["check-valuation", "{path}"], ["support", "{path}"],
-        ["matroid-at", "{path}", "--alpha", "1,0,0,0"], ["g-value", "{path}", "--alpha", "1,0,0,0"],
-        ["cells", "{path}"], ["leaders", "{path}"],
-        ["check-flock", "--from-valuation", "{path}", "--radius", "1"],
-        ["extract-valuation", "--from-valuation", "{path}"]],
-    "explicit_n3_swapped.json": [
-        ["check-flock", "--explicit", "{path}", "--radius", "1"],
-        ["check-flock", "--explicit", "{path}", "--radius", "1", "--sets"],
-        ["extract-valuation", "--explicit", "{path}"]],
-}
+# each mutated fixture's kind and an alpha of its length, and the commands
+# that read each kind beyond the source documents, with placeholders for the
+# document's path and the alpha
+_FIXTURE_KINDS = {"toric_wide.json": ("toric", "0,0,0,1,0,0,0,-1"),
+                  "paper_example_param.json": ("linearized", "0,-2,-2,0"),
+                  "valuation_u24.json": ("valuation", "1,0,0,0"),
+                  "explicit_n3_swapped.json": ("explicit", None)}
+_KIND_COMMANDS = _SOURCE_COMMANDS + [
+    ("valuation", ["check-valuation", "{path}"]),
+    ("valuation", ["support", "{path}"]),
+    ("valuation", ["matroid-at", "{path}", "--alpha={alpha}"]),
+    ("valuation", ["g-value", "{path}", "--alpha={alpha}"]),
+    ("valuation", ["cells", "{path}"]),
+    ("valuation", ["leaders", "{path}"]),
+    ("valuation", ["check-flock", "--from-valuation", "{path}", "--radius", "1"]),
+    ("valuation", ["extract-valuation", "--from-valuation", "{path}"]),
+    ("explicit", ["check-flock", "--explicit", "{path}", "--radius", "1"]),
+    ("explicit", ["check-flock", "--explicit", "{path}", "--radius", "1", "--sets"]),
+    ("explicit", ["extract-valuation", "--explicit", "{path}"]),
+]
 
 
 def _mutated(rng, doc):
@@ -973,13 +975,14 @@ def test_cli_subprocess_mutated_fixtures_end_in_an_exit_code(tmp_path):
     # fixtures, through every command that reads its kind, exits 0, 1 or 2
     # without a traceback, and an error is one line
     rng = random.Random(44)
-    names = sorted(_FIXTURE_COMMANDS)
+    names = sorted(_FIXTURE_KINDS)
     for k in range(24):
         name = names[k % len(names)]
+        kind, alpha = _FIXTURE_KINDS[name]
         doc = _mutated(rng, json.loads((Path(__file__).parent / "fixtures" / name).read_text()))
         path = write(tmp_path, f"doc{k}.json", doc)
-        for argv in _FIXTURE_COMMANDS[name]:
-            args = [arg.format(path=path) for arg in argv]
+        for argv in (argv for reads, argv in _KIND_COMMANDS if reads == kind):
+            args = [arg.format(path=path, alpha=alpha) for arg in argv]
             done = subprocess.run([sys.executable, "-m", "matflock.cli", *args],
                                   capture_output=True, text=True, env=_cli_env(), timeout=30)
             lines = done.stderr.splitlines()
