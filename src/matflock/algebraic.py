@@ -474,7 +474,8 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
     capped at win.radius (win.radius by default); each check compares
     V_alpha with V_{alpha + e_I}, so the table is read on
     [-r, min(r + 1, win.radius)]^E only and must cover that box, with rows
-    of one entry per ground element (ValueError otherwise).  Each distinct
+    of one entry per ground element (ValueError otherwise); a window of
+    radius 0 checks nothing and is refused.  Each distinct
     entry's Plücker vector comes from one walk over its minors, scaled to 1
     at its least basis, so equal spaces share an id, and its minors are
     keyed once (``_plucker_keys``); the violation is the one at the
@@ -484,6 +485,8 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
     p, R, n = win.p, win.radius, len(win.ground)
     radius = as_int(R if box_radius is None else min(as_int(box_radius, "box_radius"), R),
                     "radius", 0)
+    if R == 0:
+        raise ValueError("a window of radius 0 checks nothing: no alpha has its shift in it")
     canon: dict[tuple, tuple] = {}
 
     def vector_at(alpha):
@@ -499,11 +502,10 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
         return canon[rows]
 
     grid, vectors = window._id_grid(n, -radius, min(radius + 1, R), vector_at)
-    vectors = [dict(vector) for vector in vectors]
-    keys = _plucker_keys(vectors, n, p)
+    keys = _plucker_keys([dict(vector) for vector in vectors], n, p)
     moves = [((k,), keys[0, k], keys[1, k]) for k in range(n)]
     counts, first = window._local_axioms(grid, radius, [*moves, (tuple(range(n)), None, None)])
-    return _frobenius_report(counts, first, vectors.__getitem__, radius, win.ground, p)
+    return _frobenius_report(counts, first, lambda a: dict(vector_at(a)), radius, win.ground, p)
 
 
 def _scaled(vector, p: int) -> tuple:
@@ -530,19 +532,19 @@ def _plucker_keys(vectors, n: int, p: int):
     return keys
 
 
-def _frobenius_report(counts, first, vector_of, radius: int, ground,
+def _frobenius_report(counts, first, vector_at, radius: int, ground,
                       p: int) -> FrobeniusWindowReport:
     """The report over [-radius, radius]^E of ``window._local_axioms``'s
-    ``counts`` and ``first`` for the (FF1) moves, one per element in ground
-    order, then the all-ones shift (FF2), on an id grid whose distinct ids
-    hold distinct spaces.  ``vector_of(x)`` is the Plücker vector of the
-    space that ``first`` names x (an id, or a family of bases), read only
-    for a violation's two sides."""
+    ``counts`` and ``first`` (alpha, move index) for the (FF1) moves, one
+    per element in ground order, then the all-ones shift (FF2).  The
+    violation's two sides are read by ``vector_at``, the Plücker vector of
+    V_alpha, at alpha and at alpha + e_k (alpha + 1 for the shift)."""
     n = len(ground)
     violation = None
     if first is not None:
-        alpha, k, a, b = first
-        left, right = vector_of(a), vector_of(b)
+        alpha, k = first
+        left, right = (vector_at(at) for at in
+                       (alpha, tuple(a + (i == k or k == n) for i, a in enumerate(alpha))))
         if k < n:
             left, right = _plucker_minor(left, k, True, p), _plucker_minor(right, k, False, p)
         violation = (alpha, ground[k] if k < n else "1",
@@ -559,12 +561,13 @@ def check_frobenius_axioms(source: ToricRep | LinearizedParam, radius: int) -> F
     box the checks compare, keyed by the flock's own minor keys:
     ``window._move_verdicts`` runs them once per remembered box, so after a
     check of the source's flock at a radius >= ``radius`` every verdict is
-    read back, not recomputed.  No row space is built unless a check fails."""
+    read back and nothing is scanned.  A violation's sides are q on
+    ``optimal_masks``; no row space is built unless a check fails."""
     from . import window
     radius = as_int(radius, "radius", 0)
     nu, q = _lindstrom(source)
     n = source.n
     counts, first = window._move_verdicts(nu.finite_items(), n, radius,
                                           [(k,) for k in range(n)] + [None])
-    return _frobenius_report(counts, first, lambda family: {B: q[B] for B in family},
+    return _frobenius_report(counts, first, lambda a: {B: q[B] for B in optimal_masks(nu, a)},
                              radius, source.ground, source.p)

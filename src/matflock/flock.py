@@ -193,7 +193,9 @@ def check_flock_axioms(flock: MatroidFlock, radius: int,
     axes in ground order, then the all-ones shift "1", then the sets I in
     order.  A flock that carries a valuation is checked on its scored grid
     by ``window._move_verdicts``, which reads back the verdict of each move
-    an earlier check of that valuation made at a radius as large.
+    an earlier check of that valuation made at a radius as large.  Either
+    pass says where a move fails first; its two sides are read from
+    ``optimal_masks`` of the valuation, or from ``masks_at``.
     """
     radius = as_int(radius, "radius", 1)
     from . import window
@@ -206,17 +208,19 @@ def check_flock_axioms(flock: MatroidFlock, radius: int,
     if flock.valuation is not None:
         # verdicts a check of this valuation already made are read back
         counts, first = window._move_verdicts(flock.valuation.finite_items(), n, radius, moves)
+        masks_at = lambda alpha: optimal_masks(flock.valuation, alpha)
     else:
         grid, masks, words = _grid(flock, -radius, radius + 1)
         counts, first = window._local_axioms(grid, radius,
                                              window._keyed_moves(n, masks, words, moves))
-        if first is not None:
-            first = (*first[:2], *window._families(masks, words[list(first[2:])]))
+        masks_at = flock.masks_at
 
     violation = None
     if first is not None:
-        alpha, k, left, right = first
-        left, right = Matroid(flock.ground, left), Matroid(flock.ground, right)
+        alpha, k = first
+        shift = range(n) if moves[k] is None else moves[k]
+        left, right = (Matroid(flock.ground, masks_at(at)) for at in
+                       (alpha, tuple(a + (i in shift) for i, a in enumerate(alpha))))
         if moves[k] is None:
             move = "1"
         else:
@@ -381,7 +385,16 @@ def _value_mismatch(nu: Valuation, ref: Valuation):
 
 
 def _window_mismatch(nu: Valuation, flock: MatroidFlock, radius: int):
-    """Lex-first alpha in the box where M^nu_alpha and the flock differ, or None."""
+    """Lex-first alpha in the box where M^nu_alpha and the flock differ, or
+    None.  The flock's box is read whole first; its ids are then compared
+    with ``score_box``'s through one numbering of the scored families."""
+    import numpy as np
     from . import window
     grid, table = window_ids(flock, radius)
-    return window._first_mismatch(nu.finite_items(), len(nu.ground), grid, table, radius)
+    n = len(nu.ground)
+    ids, scored = window.score_box(nu.finite_items(), n, [-radius] * n, [radius] * n)
+    number = {family: k for k, family in enumerate(scored)}
+    # -1 for a family that M^nu takes nowhere in the box
+    bad = np.flatnonzero(np.array([number.get(f, -1) for f in table])[grid.ravel()] != ids)
+    if len(bad):
+        return tuple(int(x) - radius for x in np.unravel_index(bad[0], grid.shape))

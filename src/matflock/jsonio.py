@@ -183,9 +183,11 @@ def window_function_from_json(doc) -> WindowFunction:
 # algebraic representations
 
 def _prime(doc, p_override):
-    """The field ``p`` (a JSON int) of a representation document, or the flag's value."""
-    p = doc.get("p", p_override) if isinstance(doc, dict) else p_override
-    if p is None:
+    """The field ``p`` (a JSON int) of a representation document, or the flag's
+    value; a ``null`` that is present is a field of the wrong type."""
+    present = isinstance(doc, dict) and "p" in doc
+    p = doc["p"] if present else p_override
+    if p is None and not present:
         raise InputError("missing prime p")
     if not isinstance(p, int) or isinstance(p, bool):
         raise InputError("field 'p' has the wrong type")

@@ -62,31 +62,27 @@ compares the ids themselves.
 
 The id grids of flocks and Frobenius flocks come from ``_scored_grid``,
 which remembers one box: the last one it scored, keyed by content as (n,
-the valuation's finite items).  A flock check over [-r, r + 1]^n and a
-Frobenius check of the same valuation over a nested box thus share one
-scan.  A request for a nonempty box [lo, hi]^n inside the remembered one,
-with the same key, slices the remembered grid and renumbers the slice by
-``_ranks``; the remembered ids are ranked in the lex order of their words,
-so the renumbered ids and the rows ``words[distinct]`` are what a fresh
-scan returns.  Any other request scans first and forgets the remembered
-box after (a refused scan keeps it): the remembered grid is the block on
-the heap top, so freeing it first lets glibc trim the heap, and the scan
-would fault those pages in again.  So a scan's peak is its own plus the
-one remembered grid, at most ``_MEMO_IDS`` ids; between requests at most
-one grid is held, and a grid of more than ``_MEMO_IDS`` ids is not kept.
-The arrays returned are read-only, so no caller can change what a later
-request reads.
+the valuation's finite items), with its bounds.  A request for that very
+box returns the remembered arrays.  Any other request scans first and
+forgets the remembered box after (a refused scan keeps it): the remembered
+grid is the block on the heap top, so freeing it first lets glibc trim the
+heap, and the scan would fault those pages in again.  So a scan's peak is
+its own plus the one remembered grid, at most ``_MEMO_IDS`` ids; between
+requests at most one grid is held, and a grid of more than ``_MEMO_IDS``
+ids is not kept.  The arrays returned are read-only, so no caller can
+change what a later request reads.
 
-The remembered box's entry also keeps the verdicts of the local axioms
-checked on it (``_move_verdicts``, which both the flock check of a
-valuation and a source's Frobenius check call): per move, the radius R
-checked and the flat indices of the alphas of [-R, R]^n where it fails.  A
-check compares the families at alpha and alpha + e_I, not their ids, so
-a later check at a radius <= R reads the move's failures inside its own
-box from them and compares nothing: a flock check at radius 2 and a
-Frobenius check at radius 1 make each comparison once.  A valid flock
-keeps empty arrays, so the entry grows with the failures, not the box,
-and the verdicts are forgotten with their grid.
+The entry also keeps the verdicts of the local axioms checked on the
+valuation (``_move_verdicts``, which the flock check of a valuation and a
+source's Frobenius check call): per move, the radius R checked and the
+flat indices of the alphas of [-R, R]^n where it fails.  A check compares
+the families at alpha and alpha + e_I, not their ids, so a verdict holds
+whatever box is remembered, and a scan that replaces the box for the same
+valuation carries the verdicts over.  A later check at a radius <= R reads
+the move's failures inside its own box and scans nothing: a flock check at
+radius 2 and a Frobenius check at radius 1 make each comparison once.  A
+valid flock keeps empty arrays, so the entry grows with the failures, not
+the box.
 
 Exactness: a box [lo, hi] of side s is read at beta = alpha - lo, in
 [0, s]^n, against w(B) = nu(B) - e_B . lo, shifted to minimum 0 and capped
@@ -446,19 +442,14 @@ def score_box(finite_items, n: int, lo, hi):
 def _scored_grid(finite_items, n: int, lo: int, hi: int):
     """(grid, masks, words) of ``_box_sets`` over [lo, hi]^n: its ids as a
     grid indexed by alpha - lo per axis, the masks of ``finite_items`` and
-    its table, grid and table read-only.  A nonempty box inside the one
-    remembered for the same (n, finite_items) is sliced from it and
-    renumbered by ``_ranks``, which keeps the lex order of the remembered
-    ids, so it is what a scan gives; any other request scans while that box
-    is still held and forgets it after, so that freeing it does not trim the
-    heap before the scan (module docstring)."""
+    its table, grid and table read-only.  The box remembered for the same
+    (n, finite_items, lo, hi) is returned as it is; any other request scans
+    while the remembered box is still held and forgets it after, so that
+    freeing it does not trim the heap before the scan (module docstring)."""
     key = (n, tuple(finite_items))
     held = _grid_memo.get(key)
-    if held is not None and held[0] <= lo <= hi <= held[1]:
-        start, _, whole, table, _ = held
-        part = whole[(slice(lo - start, hi - start + 1),) * n]
-        rank, distinct = _ranks(part, len(table))
-        grid, words = rank[part], table[distinct]
+    if held is not None and held[:2] == (lo, hi):
+        grid, words = held[2:4]
     else:
         ids, words = _box_sets(finite_items, n, [lo] * n, [hi] * n)
         grid = ids.reshape((hi - lo + 1,) * n)
@@ -505,30 +496,29 @@ def _local_axioms(grid: np.ndarray, radius: int, moves):
     ids hold distinct families.  A move is checked at every alpha of
     [-radius, radius]^E whose shift is in the grid, so a grid over
     [-radius, radius + 1]^E checks the whole box (``_move_fails``).
-    Returns (checked, failed) per move and the violation (alpha, move index,
-    id, id') at the lex-first failing alpha, ties going to the earlier move,
-    or None.
+    Returns (checked, failed) per move and where a move fails first, (alpha,
+    move index) at the lex-first failing alpha, ties going to the earlier
+    move, or None; the caller reads the two sides that the move compared.
     """
     counts = []
     first = None
-    for k, (at, shifted, fails) in enumerate(_move_fails(grid, radius, moves)):
+    for k, fails in enumerate(_move_fails(grid, radius, moves)):
         failed = int(np.count_nonzero(fails))
         if failed:
             idx = np.unravel_index(int(np.argmax(fails)), fails.shape)
             alpha = tuple(int(x) - radius for x in idx)
             if first is None or alpha < first[0]:
-                first = (alpha, k, int(at[idx]), int(shifted[idx]))
+                first = (alpha, k)
         counts.append((int(fails.size), failed))
     return counts, first
 
 
 def _move_fails(grid: np.ndarray, radius: int, moves):
-    """(at, shifted, fails) of each move of ``_local_axioms``, in order: the
-    views of ``_move_views`` and the bool array of the alphas where the move
-    fails.  The checked block is copied once per block shape into a
-    contiguous array that its moves share, and a move compares its keys word
-    by word, each word read with ``np.take``: two gathers and one comparison
-    per word, no key ranked."""
+    """The bool array of the alphas where each move of ``_local_axioms``
+    fails, in order, over the checked block of ``_move_views``.  The block
+    is copied once per block shape into a contiguous array that its moves
+    share, and a move compares its keys word by word, each word read with
+    ``np.take``: two gathers and one comparison per word, no key ranked."""
     blocks: dict = {}
     for axes, left, right in moves:
         at, shifted = _move_views(grid, radius, axes)
@@ -541,7 +531,7 @@ def _move_fails(grid: np.ndarray, radius: int, moves):
             fails = np.take(left[:, 0], block) != np.take(right[:, 0], shifted)
             for w in range(1, left.shape[1]):
                 fails |= np.take(left[:, w], block) != np.take(right[:, w], shifted)
-        yield at, shifted, fails
+        yield fails
 
 
 def _move_views(grid: np.ndarray, radius: int, axes):
@@ -652,36 +642,30 @@ def _keyed_moves(n: int, masks, words: np.ndarray, moves):
 def _move_verdicts(finite_items, n: int, radius: int, moves):
     """``_local_axioms`` of ``_keyed_moves``'s ``moves`` over
     [-radius, radius]^n on the scored grid of [-radius, radius + 1]^n:
-    (counts, first), its counts and its violation with the two families
-    the failing move compared, (alpha, move index, family at alpha, family
-    at alpha + e_I), each a frozenset of basis masks.
+    (counts, first), its counts and where a move fails first, (alpha, move
+    index), or None.
 
-    The verdict of a move, the radius R it was checked at and the flat
-    indices of its failing alphas in [-R, R]^n, is kept in the remembered
-    box's entry (module docstring).  A move with a verdict at R >= radius is
-    read from it: a check compares the families at alpha and alpha + e_I,
-    whatever their ids, and lex order is the flat order of every box.  The
-    other moves run ``_move_fails`` on ``_scored_grid``'s grid, and their
-    verdicts are kept unless the entry would then hold more than
-    ``_MEMO_IDS`` failing indices.  A request that reads every verdict asks
-    for the grid only if a move fails, for the two families."""
+    The verdicts stored (module docstring) are read first, and a move with
+    a verdict at R >= radius is read from them: lex order is the flat order
+    of every box.  The other moves run ``_move_fails`` on ``_scored_grid``'s
+    grid, and all the verdicts are kept in the entry that scan leaves,
+    unless they would hold more than ``_MEMO_IDS`` failing indices."""
     key = (n, tuple(finite_items))
     held = _grid_memo.get(key)
-    todo = [move for move in moves if held is None or held[4].get(move, (-1,))[0] < radius]
-    grid, fresh = None, {}
+    verdicts = dict(held[4]) if held is not None else {}
+    todo = [move for move in moves if verdicts.get(move, (-1,))[0] < radius]
     if todo:
         grid, masks, words = _scored_grid(finite_items, n, -radius, radius + 1)
-        for move, (_, _, fails) in zip(todo, _move_fails(grid, radius,
-                                                         _keyed_moves(n, masks, words, todo))):
-            fresh[move] = radius, np.flatnonzero(fails)
+        for move, fails in zip(todo, _move_fails(grid, radius,
+                                                 _keyed_moves(n, masks, words, todo))):
+            verdicts[move] = radius, np.flatnonzero(fails)
         held = _grid_memo.get(key)
-        if held is not None and sum(len(flat) for _, flat in itertools.chain(
-                held[4].values(), fresh.values())) <= _MEMO_IDS:
-            held[4].update(fresh)
+        if held is not None and sum(len(flat) for _, flat in verdicts.values()) <= _MEMO_IDS:
+            held[4].update(verdicts)
     side = 2 * radius + 1
     counts, first = [], None
     for k, move in enumerate(moves):
-        checked, flat = fresh[move] if move in fresh else held[4][move]
+        checked, flat = verdicts[move]
         if checked > radius and len(flat):
             idx = np.array(np.unravel_index(flat, (2 * checked + 1,) * n)) - (checked - radius)
             flat = np.ravel_multi_index(idx[:, ((idx >= 0) & (idx < side)).all(axis=0)],
@@ -691,38 +675,8 @@ def _move_verdicts(finite_items, n: int, radius: int, moves):
         counts.append((side ** n, len(flat)))
     if first is not None:
         flat, k = first
-        if grid is None:
-            grid, masks, words = _scored_grid(finite_items, n, -radius, radius + 1)
-        idx = np.unravel_index(flat, (side,) * n)
-        shift = range(n) if moves[k] is None else moves[k]
-        to = tuple(i + (axis in shift) for axis, i in enumerate(idx))
-        first = (tuple(int(i) - radius for i in idx), k,
-                 *_families(masks, words[[grid[idx], grid[to]]]))
+        first = (tuple(int(i) - radius for i in np.unravel_index(flat, (side,) * n)), k)
     return counts, first
-
-
-# ---------------------------------------------------------------------------
-# predicates on pairs of ids
-
-def _pair_holds(left, right, size: int, holds) -> np.ndarray:
-    """``holds(i, j)`` at each pair (i, j) of the broadcast id arrays ``left``
-    and ``right`` (every right id below ``size``), called once per distinct
-    pair."""
-    codes = left * size + right
-    pairs, inverse = np.unique(codes, return_inverse=True)
-    values = np.array([holds(*divmod(k, size)) for k in pairs.tolist()], dtype=bool)
-    return values[inverse].reshape(codes.shape)
-
-
-def _first_mismatch(finite_items, n: int, grid, table, radius: int):
-    """Lex-first alpha of [-radius, radius]^n whose argmax family is not
-    ``table[grid[alpha + radius]]``, or None."""
-    ids, scored = score_box(finite_items, n, [-radius] * n, [radius] * n)
-    bad = np.flatnonzero(_pair_holds(ids, grid.ravel(), len(table),
-                                     lambda i, j: scored[i] != table[j]))
-    if not len(bad):
-        return None
-    return tuple(int(x) - radius for x in np.unravel_index(bad[0], grid.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ from matflock.rigidity import RigidityVerdict, _integerize, dw_constraints
 from matflock.valuation import (LeaderScan, TrivialityResult, Valuation,
                                 _difference_constraints, _incidence_rows, _integral_point,
                                 check_valuation_axioms, is_trivial, optimal_masks)
-from matflock.window import _CHUNK, _KEY_BLOCK, _dense_ids, _pair_holds, score_ids
+from matflock.window import _CHUNK, _KEY_BLOCK, _dense_ids, score_ids
 
 
 def smith_normal_form(A):
@@ -267,6 +267,16 @@ def poly_det(rows, p: int):
         return (1,)
     M, _, sign = _bareiss(rows, _PolyRing(p))
     return poly_scale(M[-1][-1], sign, p)
+
+
+def _pair_holds(left, right, size: int, holds) -> np.ndarray:
+    """``holds(i, j)`` at each pair (i, j) of the broadcast id arrays ``left``
+    and ``right`` (every right id below ``size``), called once per distinct
+    pair."""
+    codes = left * size + right
+    pairs, inverse = np.unique(codes, return_inverse=True)
+    values = np.array([holds(*divmod(k, size)) for k in pairs.tolist()], dtype=bool)
+    return values[inverse].reshape(codes.shape)
 
 
 def _vertex_flags(finite_items, n: int, points) -> np.ndarray:
@@ -539,7 +549,10 @@ def rref_frobenius_report(grid, spaces, radius: int, ground, p: int) -> Frobeniu
     counts, first = window._local_axioms(grid, radius, moves)
     violation = None
     if first is not None:
-        alpha, k, a, b = first
+        alpha, k = first
+        at = tuple(x + radius for x in alpha)
+        to = tuple(x + (i == k or k == n) for i, x in enumerate(at))
+        a, b = int(grid[at]), int(grid[to])
         violation = (alpha, ground[k] if k < n else "1", *sides(k, a, b))
     return FrobeniusWindowReport(radius, sum(c for c, _ in counts[:n]),
                                  sum(f for _, f in counts[:n]), *counts[n], violation)
@@ -646,9 +659,8 @@ def strided_local_axioms(grid: np.ndarray, radius: int, moves):
     as keyed by the ids themselves.  A move is checked at every alpha of
     [-radius, radius]^E whose shift is in the grid, so a grid over
     [-radius, radius + 1]^E checks the whole box, with two gathers and one
-    comparison.  Returns (checked, failed) per move and the violation
-    (alpha, move index, id, id') at the lex-first failing alpha, ties going
-    to the earlier move, or None.
+    comparison.  Returns (checked, failed) per move and (alpha, move index)
+    at the lex-first failing alpha, ties going to the earlier move, or None.
     """
     counts = []
     first = None
@@ -662,7 +674,7 @@ def strided_local_axioms(grid: np.ndarray, radius: int, moves):
             idx = np.unravel_index(int(np.argmax(fails)), fails.shape)
             alpha = tuple(int(x) - radius for x in idx)
             if first is None or alpha < first[0]:
-                first = (alpha, k, int(at[idx]), int(shifted[idx]))
+                first = (alpha, k)
         counts.append((int(fails.size), failed))
     return counts, first
 

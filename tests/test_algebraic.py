@@ -263,6 +263,20 @@ def test_frobenius_report_radius_is_checked_box():
         mf.frobenius_window(param, -1)
 
 
+def test_radius_0_window_is_refused():
+    # no alpha of a radius-0 table has its shifted points in it, so its
+    # check would run nothing; it is refused before the table is read, at
+    # every box_radius, and a window of radius 1 checks at box_radius 0
+    win = mf.frobenius_window(mf.ToricRep(((1, 0), (0, 1)), 2), 0)
+    empty = mf.FrobeniusFlockWindow(0, win.p, win.d, win.ground, {})
+    for window in (win, empty):
+        for box_radius in (None, 0, 3):
+            with pytest.raises(ValueError, match="radius 0 checks nothing"):
+                mf.validate_frobenius_window(window, box_radius)
+    rep = mf.validate_frobenius_window(mf.frobenius_window(example_param(2, 2), 1), 0)
+    assert rep.ok and (rep.ff1_checked, rep.ff2_checked) == (4, 1)
+
+
 def test_frobenius_corrupted_window():
     win = mf.frobenius_window(example_param(2, 2), 2)
     table = dict(win.table)
@@ -438,12 +452,13 @@ def test_checks_read_back_the_verdicts_of_earlier_checks(move_passes):
             assert verdicts and not any(len(flat) for _, flat in verdicts.values())
 
 
-def test_injected_failures_read_back_as_each_check_finds_them(monkeypatch, move_passes):
-    # one family's contraction key of one move made to match no deletion
-    # key: the checks of each order, reading each other's failing alphas,
-    # report the counts and the violation that each finds alone
-    minor_moves = window._minor_moves
+@pytest.fixture
+def fault(monkeypatch) -> dict:
+    """``window._minor_moves`` with the contraction key of the family
+    ``fault["family"]`` made to match no deletion key, for the moves in
+    ``fault["moves"]``."""
     fault = {}
+    minor_moves = window._minor_moves
 
     def faulty(n, masks, words, moves):
         rows = [k for k, family in enumerate(window._families(masks, words))
@@ -454,6 +469,13 @@ def test_injected_failures_read_back_as_each_check_finds_them(monkeypatch, move_
                 left[rows] = ~left[rows]
             yield axes, left, right
     monkeypatch.setattr(window, "_minor_moves", faulty)
+    return fault
+
+
+def test_injected_failures_read_back_as_each_check_finds_them(fault, move_passes):
+    # one family's contraction key of one move made to match no deletion
+    # key: the checks of each order, reading each other's failing alphas,
+    # report the counts and the violation that each finds alone
     failed = read = 0
     # one element has no minor to show, and no flock on it can fail
     sources = [source for source in _grid_cases() if source.n > 1]
@@ -469,6 +491,30 @@ def test_injected_failures_read_back_as_each_check_finds_them(monkeypatch, move_
                 failed += sum(not report.ok for report in alone)
                 read += got[1][1] == 0 and not alone[1].ok
     assert failed > 1500 and read > 500
+
+
+def test_failing_frobenius_check_after_a_flock_check_scans_nothing(monkeypatch, fault):
+    # with one move made to fail, a flock check at radius 2 scans [-2, 3]^E
+    # once; the Frobenius check at radius 1 after it reads where its moves
+    # fail from the verdicts, and its violation's sides from q at those
+    # alphas, so it scans no box of its own
+    param = example_param(2, 2)
+    fault["family"] = mf.flock_from_linearized(param).masks_at((0, 0, 0, 0))
+    fault["moves"] = {(0,)}
+    window._grid_memo.clear()
+    want = [mf.check_flock_axioms(mf.flock_from_linearized(param), 2)]
+    window._grid_memo.clear()
+    want.append(mf.check_frobenius_axioms(param, 1))
+    window._grid_memo.clear()
+    scans = []
+    scored_grid = window._scored_grid
+    monkeypatch.setattr(window, "_scored_grid",
+                        lambda *args: scans.append(args[1:]) or scored_grid(*args))
+    got = [mf.check_flock_axioms(mf.flock_from_linearized(param), 2),
+           mf.check_frobenius_axioms(param, 1)]
+    assert got == want and not got[0].ok and not got[1].ok
+    assert got[1].violation[:2] == ((-1,) * 4, param.ground[0]) and got[1].ff2_failed == 0
+    assert scans == [(4, -2, 3)]
 
 
 def test_frobenius_grid_spaces_have_plucker_vector_q():
@@ -645,9 +691,9 @@ def test_lindstrom_walk_is_cached_and_bounded(monkeypatch, rng, source):
 
 
 def test_flock_and_frobenius_checks_share_one_scan(monkeypatch):
-    # the flock check scores [-2, 3]^E and the Frobenius check the nested
-    # [-1, 2]^E of the same valuation, sliced from it; both reports are
-    # those of fresh scans
+    # the flock check scores [-2, 3]^E, and the Frobenius check at radius 1
+    # reads its verdicts back and scans nothing; both reports are those the
+    # same two checks gave from an empty memo before
     param = example_param(2, 2)
     flock = mf.flock_from_linearized(param)
     want = (mf.check_flock_axioms(flock, 2), mf.check_frobenius_axioms(param, 1))
@@ -659,21 +705,6 @@ def test_flock_and_frobenius_checks_share_one_scan(monkeypatch):
     got = (mf.check_flock_axioms(flock, 2), mf.check_frobenius_axioms(param, 1))
     assert got == want and got[0].ok and got[1].ok
     assert scans == [([-2] * 4, [3] * 4)]
-
-
-def test_memo_hit_equals_fresh_scan_on_linearized_params(rng):
-    from test_window import assert_nested_boxes_hit
-    checked = 0
-    while checked < 30:
-        p = rng.choice([2, 3, 5])
-        m = rng.randint(1, 3)
-        try:
-            param = _random_param(rng, p, m, rng.randint(m, 5))
-        except ValueError:
-            continue
-        nu, _ = algebraic._lindstrom(param)
-        assert_nested_boxes_hit(nu.finite_items(), param.n, -2 + (param.n > 4), 3)
-        checked += 1
 
 
 def test_frobenius_check_runs_no_elimination(monkeypatch):

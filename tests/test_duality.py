@@ -26,6 +26,21 @@ def test_dual_valuation_matroids_vertices_and_leaders():
         assert set(mf.enumerate_leaders(dual).matroids()) == {M.dual() for M in leaders}
 
 
+def test_dual_flock_checks_and_extracts_to_the_dual_valuation():
+    # alpha -> (M^nu_{-alpha})* as an oracle flock, with no valuation
+    # attached: its axioms are checked on the walked table, and its walk
+    # extracts nu*, which the round trip then compares window by window
+    rng = random.Random(45)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        nu = random_valid_valuation(rng, n, rng.randint(0, n))
+        flock = mf.oracle_flock(nu.ground, n - nu.d,
+                                lambda a, nu=nu: mf.matroid_at(nu, tuple(-x for x in a)).dual())
+        assert mf.check_flock_axioms(flock, 2, check_sets=n <= 4).ok, nu.finite
+        got = mf.extract_valuation(flock, verify_radius=2)
+        assert got == mf.dual_valuation(nu).normalized(), nu.finite
+
+
 def test_gale_dual_toric_rep_has_the_dual_lindstrom_valuation():
     # a saturated A and the saturation of its kernel have the same Plücker
     # vector up to sign on complementary columns, so the p-adic valuations

@@ -534,6 +534,20 @@ def test_cli_prime_must_be_a_json_int(tmp_path, capsys, name):
         assert out.out == "" and out.err == "input error: field 'p' has the wrong type\n", argv
 
 
+def test_cli_null_prime_has_the_wrong_type(tmp_path, capsys):
+    # a "p": null that is present is a field of the wrong type, with --p and
+    # without it, not a missing prime
+    toric = write(tmp_path, "t.json", {"p": None, "A": [[1, 0, 1, 1], [0, 1, 1, 2]]})
+    param = write(tmp_path, "l.json",
+                  {**jsonio.linearized_to_json(example_param(2, 2)), "p": None})
+    for argv in (["lindstrom-toric", toric], ["check-ff", param, "--radius", "1"]):
+        for flag in ([], ["--p", "2"]):
+            assert main([*argv, *flag]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and out.err == "input error: field 'p' has the wrong type\n", \
+                (argv, flag)
+
+
 def test_cli_check_flock_explicit_table(tmp_path, capsys):
     nu = mf.Valuation.from_values([1, 2], 1, {(1,): 0, (2,): 0})
     entries = []
@@ -1138,11 +1152,12 @@ def test_cli_check_ff_matches_golden_report(capsys):
 def test_cli_check_flock_matches_golden_report(capsys):
     # a passing report with set-move counts; a violation on an explicit
     # table: the matroids of the valuation {12: 0, 13: 1, 23: 0} over
-    # [-1, 2]^3 with the one at (0, 1, 0) swapped for the one at (1, 0, 0);
+    # [-1, 2]^3 with the one at (0, 1, 0) swapped for the one at (1, 0, 0),
+    # with and without set moves;
     # and the toric fixture's 70 bases, two words per argmax set and per
     # minor key, with and without set moves; and the paper's linearized
     # example, the flock half of the check-ff pipeline.  The
-    # installed-package CI job diffs the console script against all five
+    # installed-package CI job diffs the console script against all six
     fixtures = Path(__file__).parent / "fixtures"
     for argv, report in ((["--from-valuation", "valuation_n5_d2.json", "--radius", "3", "--sets"],
                           "valuation_n5_d2_check_flock_r3_sets.json"),
@@ -1150,6 +1165,8 @@ def test_cli_check_flock_matches_golden_report(capsys):
                           "paper_example_check_flock_r2.json"),
                          (["--explicit", "explicit_n3_swapped.json", "--radius", "1"],
                           "explicit_n3_swapped_check_flock_r1.json"),
+                         (["--explicit", "explicit_n3_swapped.json", "--radius", "1", "--sets"],
+                          "explicit_n3_swapped_check_flock_r1_sets.json"),
                          (["--from-toric", "toric_wide.json", "--radius", "1"],
                           "toric_wide_check_flock_r1.json"),
                          (["--from-toric", "toric_wide.json", "--radius", "1", "--sets"],
@@ -1200,6 +1217,16 @@ def test_cli_extract_toric_cutoff_1_matches_pinned_error(capsys):
                  "--cutoff", "1"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == (fixtures / "toric_wide_cutoff1_error.txt").read_text()
+
+
+def test_cli_extract_explicit_verify_1_matches_pinned_error(capsys):
+    # the swapped table fails the round trip on [-1, 1]^3; the message names
+    # the lex-first alpha where M^nu_alpha and the table differ
+    fixtures = Path(__file__).parent / "fixtures"
+    assert main(["extract-valuation", "--explicit", str(fixtures / "explicit_n3_swapped.json"),
+                 "--verify-radius", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (fixtures / "explicit_n3_swapped_verify1_error.txt").read_text()
 
 
 def test_cli_rigidity_lazarson4_matches_pinned_report_in_bounded_time():

@@ -56,13 +56,13 @@ CORNERS = [0, 1 << 55, -(1 << 55), 1 << 61]
 
 
 @st.composite
-def tables(draw, max_n=4):
+def tables(draw):
     """Random finite value tables on d-subsets (not necessarily valuations),
     with the last element often a loop or a coloop of the support.  Some
     raise a few values by a spread of about 2^53 to 2^100, which the box
     scan caps and ``score_ids`` scores in Python ints past 2^62, and some
     move a few axes of the box by a corner of +-2^55 or 2^61."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(1, 4))
     d = draw(st.integers(0, n))
     subsets = [sum(1 << i for i in c) for c in itertools.combinations(range(n), d)]
     last = 1 << (n - 1)
@@ -312,39 +312,12 @@ def test_cli_leaders_large_window_in_bounded_time(tmp_path):
 # ---------------------------------------------------------------------------
 # the remembered box of _scored_grid
 
-def assert_nested_boxes_hit(items, n: int, lo: int, hi: int):
-    """Once [lo, hi]^n is scored, every nonempty box inside it is answered
-    without a scan, with the grid and words, byte for byte, of a fresh scan
-    (``_box_sets`` called directly, which remembers nothing)."""
-    box_sets = window._box_sets
-    window._grid_memo.clear()
-    with mock.patch.object(window, "_box_sets", wraps=box_sets) as scans:
-        window._scored_grid(items, n, lo, hi)
-        for a, b in itertools.combinations_with_replacement(range(lo, hi + 1), 2):
-            grid, masks, words = window._scored_grid(items, n, a, b)
-            ids, want = box_sets(items, n, [a] * n, [b] * n)
-            assert grid.shape == (b - a + 1,) * n and grid.dtype == ids.dtype
-            assert grid.tobytes() == ids.tobytes()
-            assert masks == [mask for mask, _ in items]
-            assert words.dtype == want.dtype and np.array_equal(words, want)
-            assert not grid.flags.writeable and not words.flags.writeable
-        assert scans.call_count == 1
-    assert len(window._grid_memo) == 1
-
-
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(tables(max_n=5), st.integers(0, 4))
-def test_memo_hit_equals_fresh_scan(case, side):
-    # random tables (not only valuations), at corners near 0 and far from it
-    items, n, lo, _ = case
-    assert_nested_boxes_hit(items, n, lo[0], lo[0] + side)
-
-
 def test_memo_misses_scan_before_forgetting(monkeypatch):
-    # a box that only overlaps the remembered one, a disjoint box, another n,
-    # another valuation with the same masks, a larger box and an empty box
-    # all scan; each scans while the remembered box is still held, and
-    # forgets it after, so the memo then holds the new box alone
+    # a box inside the remembered one, a box that only overlaps it, a
+    # disjoint box, another n, another valuation with the same masks, a
+    # larger box and an empty box all scan; each scans while the remembered
+    # box is still held, and forgets it after, so the memo then holds the
+    # new box alone
     items = u24_valuation().finite_items()
     other = [(mask, val + (mask == items[0][0])) for mask, val in items]
     box_sets = window._box_sets
@@ -357,8 +330,9 @@ def test_memo_misses_scan_before_forgetting(monkeypatch):
         scans.append((n, lo[0], hi[0]))
         return box_sets(finite_items, n, lo, hi)
     monkeypatch.setattr(window, "_box_sets", scan)
-    requests = [(items, 4, -1, 2), (items, 4, 0, 3), (items, 4, 5, 6), (items, 5, 5, 6),
-                (other, 5, 5, 6), (other, 5, 4, 6), (other, 5, 1, 0), (other, 5, 4, 6)]
+    requests = [(items, 4, -1, 2), (items, 4, 0, 1), (items, 4, 0, 3), (items, 4, 5, 6),
+                (items, 5, 5, 6), (other, 5, 5, 6), (other, 5, 4, 6), (other, 5, 1, 0),
+                (other, 5, 4, 6)]
     for finite_items, n, lo, hi in requests:
         held = [(key, id(entry)) for key, entry in window._grid_memo.items()]
         grid, _, words = window._scored_grid(finite_items, n, lo, hi)
@@ -367,14 +341,16 @@ def test_memo_misses_scan_before_forgetting(monkeypatch):
         want_memo = [((n, tuple(finite_items)), (lo, hi))] if lo <= hi else []
         assert [(key, entry[:2]) for key, entry in window._grid_memo.items()] == want_memo
     assert scans == [(n, lo, hi) for _, n, lo, hi in requests]
-    # the one remembered box answers the boxes inside it
-    window._scored_grid(other, 5, 5, 5)
-    assert len(scans) == len(requests)
+    # the one remembered box answers itself, with the arrays it holds
+    (entry,) = window._grid_memo.values()
+    grid, _, words = window._scored_grid(other, 5, 4, 6)
+    assert len(scans) == len(requests) and grid is entry[2] and words is entry[3]
 
 
 def test_refused_scan_keeps_the_remembered_box():
     # a box whose scores would pass 2^62 is refused by _box_values before
     # anything is allocated, and the box remembered before it still answers
+    # itself
     items = u24_valuation().finite_items()
     window._scored_grid(items, 4, -1, 2)
     with pytest.raises(ValueError, match="too large to score"):
@@ -382,9 +358,9 @@ def test_refused_scan_keeps_the_remembered_box():
     assert [entry[:2] for entry in window._grid_memo.values()] == [(-1, 2)]
     box_sets = window._box_sets
     with mock.patch.object(window, "_box_sets", wraps=box_sets) as scans:
-        grid, _, words = window._scored_grid(items, 4, 0, 1)
+        grid, _, words = window._scored_grid(items, 4, -1, 2)
         assert scans.call_count == 0
-    ids, want = box_sets(items, 4, [0] * 4, [1] * 4)
+    ids, want = box_sets(items, 4, [-1] * 4, [2] * 4)
     assert grid.tobytes() == ids.tobytes() and np.array_equal(words, want)
 
 
@@ -397,9 +373,9 @@ def test_memo_keeps_no_verdicts_above_its_cap(monkeypatch):
     runs = []
 
     def failing(grid, radius, moves):
-        for at, shifted, fails in move_fails(grid, radius, moves):
+        for fails in move_fails(grid, radius, moves):
             runs.append(radius)
-            yield at, shifted, np.ones_like(fails)
+            yield np.ones_like(fails)
     monkeypatch.setattr(window, "_move_fails", failing)
     monkeypatch.setattr(window, "_MEMO_IDS", 6 ** 4)
     want = mf.check_flock_axioms(flock, 2)
@@ -412,6 +388,38 @@ def test_memo_keeps_no_verdicts_above_its_cap(monkeypatch):
     runs.clear()
     assert mf.check_flock_axioms(flock, 2) == want and len(runs) == 5
     assert mf.check_flock_axioms(flock, 2) == want and len(runs) == 5
+
+
+def test_verdicts_carry_over_to_the_box_that_replaces_theirs(monkeypatch):
+    # a flock check at radius 3 remembers [-3, 4]^n with its verdicts; one at
+    # radius 2 with sets scans [-2, 3]^n for its set moves, which replaces
+    # that box, and reads its (MF1) and (MF2) verdicts from radius 3.  Each
+    # reports what it reports alone, and the new entry keeps every verdict
+    rng = random.Random(4501)
+    cases = [u24_valuation()] + [random_valid_valuation(rng, n, rng.randint(1, n - 1))
+                                 for n in (3, 4, 4, 5)]
+    move_fails = window._move_fails
+    passes = []
+
+    def counted(grid, radius, moves):
+        for fails in move_fails(grid, radius, moves):
+            passes.append(radius)
+            yield fails
+    monkeypatch.setattr(window, "_move_fails", counted)
+    for nu in cases:
+        flock, n = mf.flock_from_valuation(nu), len(nu.ground)
+        alone = []
+        for radius, sets in ((3, False), (2, True)):
+            window._grid_memo.clear()
+            alone.append(mf.check_flock_axioms(flock, radius, check_sets=sets))
+        window._grid_memo.clear()
+        passes.clear()
+        assert mf.check_flock_axioms(flock, 3) == alone[0]
+        assert mf.check_flock_axioms(flock, 2, check_sets=True) == alone[1], nu.finite
+        assert passes == [3] * (n + 1) + [2] * (2 ** n - 1 - n)
+        ((_, entry),) = window._grid_memo.items()
+        assert entry[:2] == (-2, 3) and len(entry[4]) == 2 ** n
+        assert {checked for checked, _ in entry[4].values()} == {2, 3}
 
 
 def test_memo_keeps_no_grid_above_its_cap(monkeypatch):
