@@ -475,14 +475,17 @@ def validate_frobenius_window(win: FrobeniusFlockWindow,
     V_alpha with V_{alpha + e_I}, so the table is read on
     [-r, min(r + 1, win.radius)]^E only and must cover that box, with rows
     of one entry per ground element (ValueError otherwise); a window of
-    radius 0 checks nothing and is refused.  Each distinct
+    radius 0 checks nothing and is refused.  The record checks none of its
+    fields, so win.radius and win.p are read here, by ``lattice.as_int``
+    and ``linalg.as_prime`` (ValueError unless a nonnegative integer and a
+    prime).  Each distinct
     entry's Plücker vector comes from one walk over its minors, scaled to 1
     at its least basis, so equal spaces share an id, and its minors are
     keyed once (``_plucker_keys``); the violation is the one at the
     lex-first failing alpha, (FF1) in ground order first.
     """
     from . import window
-    p, R, n = win.p, win.radius, len(win.ground)
+    p, R, n = linalg.as_prime(win.p), as_int(win.radius, "radius", 0), len(win.ground)
     radius = as_int(R if box_radius is None else min(as_int(box_radius, "box_radius"), R),
                     "radius", 0)
     if R == 0:

@@ -94,6 +94,7 @@ exact while (d + 1) s + 1 < 2^62; a larger box is refused.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from itertools import compress
 
@@ -582,7 +583,9 @@ def _word_keys(n: int, masks, table: np.ndarray) -> np.ndarray:
     row where that leaves nothing."""
     hold = _row_words((np.array(masks, dtype=np.int64) >> np.arange(n)[:, None] & 1).astype(bool))
     sides = np.stack([table & hold[:, None], table & ~hold[:, None]])
-    return np.where(sides.any(axis=3, keepdims=True), sides, table)
+    # a side is empty where the OR of its words is 0, one array pass per word
+    filled = functools.reduce(np.bitwise_or, np.moveaxis(sides, 3, 0)) != 0
+    return np.where(filled[..., None], sides, table)
 
 
 def _set_moves(n: int, masks, words: np.ndarray, moves):
