@@ -388,7 +388,8 @@ def _exchange_faces(masks, n: int) -> list[int]:
     """The (d-2)-sets F = B - x - y with B in ``masks``, in lex order of
     their element lists; none when d < 2."""
     bits = lambda m: [i for i in range(n) if m >> i & 1]
-    Fs = {B & ~(1 << x | 1 << y) for B in masks for x, y in itertools.combinations(bits(B), 2)}
+    Fs = {B ^ x ^ y for B in masks
+          for x, y in itertools.combinations([1 << i for i in range(n) if B >> i & 1], 2)}
     return sorted(Fs, key=bits)
 
 
@@ -418,6 +419,32 @@ def _reached(masks, n: int) -> set[int]:
                 reached.add(B2)
                 todo.append(B2)
     return reached
+
+
+def _exchange_connected(masks) -> bool:
+    """Do single exchanges inside ``masks`` reach all of it from any one?
+    Two d-sets are one exchange apart exactly when they share a (d-1)-set,
+    so the walk steps through the (d-1)-sets, each once: d steps a mask,
+    where ``_reached`` tries its d(n-d) exchanges."""
+    through: dict[int, list[int]] = {}
+    for B in masks:
+        b = B
+        while b:
+            low = b & -b
+            b ^= low
+            through.setdefault(B ^ low, []).append(B)
+    first = next(iter(masks))
+    seen, todo = {first}, [first]
+    while todo:
+        B = b = todo.pop()
+        while b:
+            low = b & -b
+            b ^= low
+            for B2 in through.pop(B ^ low, ()):
+                if B2 not in seen:
+                    seen.add(B2)
+                    todo.append(B2)
+    return len(seen) == len(masks)
 
 
 def _quad_failure(values: dict, triple) -> Optional[tuple]:
@@ -534,9 +561,9 @@ def _exchange_failure(values: dict, ground) -> Optional[tuple]:
     pair = _rule_failure(values, n)
     if pair is not None:
         return witness(*pair)
-    reached = _reached(values, n)
-    if len(reached) == len(values):
+    if _exchange_connected(values):
         return None
+    reached = _reached(values, n)
     # breadth-first over all d-sets from the reached bases finds a closest
     # unreached basis; any working exchange there would give a closer pair
     source = {B: B for B in reached}
