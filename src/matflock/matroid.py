@@ -14,8 +14,8 @@ quadruples, which loads no numpy, so the exact commands start fast.  From
 ``_COLD_QUADS`` on when it is not (where the saved loop time outweighs
 importing it), one numpy pass (``_flagged_quad``) reads the three pairing
 sums of every quadruple at once; a spread of 2**62 or more, which int64
-cannot hold, keeps the loop.  Basis-graph connectivity and its witness
-stay in plain Python.
+cannot hold, keeps the loop.  Basis-graph connectivity
+(``_exchange_connected``) and its witness stay in plain Python.
 """
 
 from __future__ import annotations
@@ -474,17 +474,17 @@ _QUAD_BLOCK = 1 << 15
 
 @lru_cache(maxsize=16)
 def _quad_layout(k: int):
-    """The pairs {i, j} and 4-sets of k positions, both in lex order, as
-    (first, second, quads, six): each 4-set a < b < c < e reads its pairings
-    ab|ce, ac|be, ae|bc as six pair indices."""
+    """The pairs {i, j} of k positions in lex order, as (first, second), and
+    the six pair indices by which each 4-set a < b < c < e, in lex order,
+    reads its pairings ab|ce, ac|be, ae|bc."""
     import numpy as np
     first, second = np.triu_indices(k, 1)
     pair = np.zeros((k, k), dtype=np.intp)
     pair[first, second] = np.arange(len(first))
     quads = np.array(list(itertools.combinations(range(k), 4)), dtype=np.intp).reshape(-1, 4)
     a, b, c, e = quads.T
-    return first, second, quads, np.stack([pair[a, b], pair[c, e], pair[a, c],
-                                           pair[b, e], pair[a, e], pair[b, c]])
+    return first, second, np.stack([pair[a, b], pair[c, e], pair[a, c],
+                                    pair[b, e], pair[a, e], pair[b, c]])
 
 
 def _flagged_quad(values: dict, faces: list[int], n: int, low: int):
@@ -494,7 +494,8 @@ def _flagged_quad(values: dict, faces: list[int], n: int, low: int):
     least one, and the spread must be below 2**62, so that two of them add
     up within int64; finiteness is a mask."""
     import numpy as np
-    first, second, quads, six = _quad_layout(n - faces[0].bit_count())
+    first, second, six = _quad_layout(n - faces[0].bit_count())
+    per_face = six.shape[1]
     keys = sorted(values)
     shifted = np.array([values[m] - low for m in keys], dtype=np.int64)
     keys = np.array(keys, dtype=np.int64)
@@ -504,7 +505,7 @@ def _flagged_quad(values: dict, faces: list[int], n: int, low: int):
     bits = elements[np.nonzero(fmasks[:, None] & elements == 0)[1]].reshape(len(faces), -1)
     # an infinite pairing sum reads as int64's max, above every finite one
     never = np.iinfo(np.int64).max
-    block = max(1, _QUAD_BLOCK // len(quads))
+    block = max(1, _QUAD_BLOCK // per_face)
     for start in range(0, len(faces), block):
         rows = bits[start:start + block]
         sets = fmasks[start:start + block, None] | rows[:, first] | rows[:, second]
@@ -517,7 +518,7 @@ def _flagged_quad(values: dict, faces: list[int], n: int, low: int):
         least = np.minimum(s0, s1)
         flags = (s2 < least) | (s2 > least) & (s0 != s1)
         if flags.any():
-            row, q = divmod(int(np.argmax(flags)), len(quads))
+            row, q = divmod(int(np.argmax(flags)), per_face)
             return faces[start + row], q
     return None
 
@@ -526,7 +527,8 @@ def _rule_failure(values: dict, n: int) -> Optional[tuple]:
     """The first failure (B, B') of the three-term rule, in
     ``_exchange_quads``' order, or None.  From ``_WARM_QUADS`` quadruples on
     with numpy loaded, and from ``_COLD_QUADS`` on without, ``_flagged_quad``
-    finds the quadruple and the loop's rule names its pairing."""
+    finds the quadruple (when n < 63 and the spread is below 2**62) and the
+    loop's rule names its pairing."""
     faces = _exchange_faces(values, n)
     k = n - faces[0].bit_count() if faces else 0
     if n < 63 and len(faces) * math.comb(k, 4) >= (

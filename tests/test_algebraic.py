@@ -263,6 +263,28 @@ def test_frobenius_report_radius_is_checked_box():
         mf.frobenius_window(param, -1)
 
 
+@pytest.mark.parametrize("value", [1.0, 2.0, True, 4, "1", None])
+@pytest.mark.parametrize("field", ["radius", "p"])
+def test_window_fields_are_read_as_integers(field, value):
+    # FrobeniusFlockWindow checks none of its fields; the check reads the
+    # radius by lattice.as_int and p by linalg.as_prime.  A radius of 1.0 or
+    # 2.0 reads as 1 or 2, and a p of 2.0 as 2; p = 1.0 (1 is no prime), a
+    # bool, a string, None, p = 4 and radius 4 (past the radius-2 table) are
+    # refused with ValueError
+    win = mf.frobenius_window(example_param(2, 2), 2)
+
+    def check(v):
+        fields = {"radius": win.radius, "p": win.p, field: v}
+        return mf.validate_frobenius_window(
+            mf.FrobeniusFlockWindow(fields["radius"], fields["p"], win.d, win.ground, win.table))
+    reads_as = {("radius", 1.0): 1, ("radius", 2.0): 2, ("p", 2.0): 2}
+    if type(value) is float and (field, value) in reads_as:
+        assert check(value) == check(reads_as[field, value])
+    else:
+        with pytest.raises(ValueError):
+            check(value)
+
+
 def test_radius_0_window_is_refused():
     # no alpha of a radius-0 table has its shifted points in it, so its
     # check would run nothing; it is refused before the table is read, at

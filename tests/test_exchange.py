@@ -6,16 +6,21 @@ the Dress-Wenzel equations.  Both survive here only as test oracles.
 """
 
 import itertools
+import math
 import random
+import sys
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matflock as mf
-from matflock import linalg
-from matflock.matroid import _exchange_failure, _exchange_quads, _single_exchanges
+from matflock import linalg, matroid
+from matflock.matroid import (_exchange_connected, _exchange_failure, _exchange_quads, _reached,
+                              _single_exchanges)
 
 import oracles
+from conftest import random_saturated_toric
 
 
 def pairwise_failure(values: dict, n: int):
@@ -126,6 +131,7 @@ def test_every_family_up_to_five_elements_matches_pairwise_scan():
             for pick in range(1, 1 << len(masks)):
                 family = {m: 0 for k, m in enumerate(masks) if pick >> k & 1}
                 check_against_oracle(family, n)
+                assert _exchange_connected(family) == (len(_reached(family, n)) == len(family))
                 checked += 1
     assert checked > 2000
 
@@ -228,3 +234,110 @@ def test_dw_constraints_match_old_enumeration():
     assert sum(len(dw_oracle(M)) > 0 for M in mats) >= 8
     for M in mats:
         assert mf.dw_constraints(M).equations == dw_oracle(M)
+
+
+# ---------------------------------------------------------------------------
+# the three-term rule's numpy pass against its loop
+
+def rule_paths(values: dict, n: int):
+    """``_exchange_failure``'s witness with the numpy pass forced on (warm
+    count 1) and forced off, and whether the forced pass ran."""
+    ground = tuple(range(n))
+    with mock.patch.object(matroid, "_flagged_quad", wraps=matroid._flagged_quad) as spy:
+        with mock.patch.object(matroid, "_WARM_QUADS", 1):
+            fast = _exchange_failure(values, ground)
+        ran = spy.call_count == 1
+        with mock.patch.object(matroid, "_WARM_QUADS", math.inf):
+            slow = _exchange_failure(values, ground)
+        assert spy.call_count == ran
+    return fast, slow, ran
+
+
+def toric_values(rng: random.Random, n: int, d: int) -> dict:
+    rep = random_saturated_toric(rng, d, n, rng.choice([2, 3, 5]))
+    return dict(mf.lindstrom_toric(rep).finite)
+
+
+def perturbed(rng: random.Random, values: dict, delete: bool) -> dict:
+    """``values`` with 1-3 of its bases moved by +-1 or +-2, and one basis
+    deleted when ``delete`` and more than one is left."""
+    values = dict(values)
+    for mask in rng.sample(sorted(values), min(len(values), rng.randint(1, 3))):
+        values[mask] += rng.choice([-2, -1, 1, 2])
+    if delete and len(values) > 1:
+        del values[rng.choice(sorted(values))]
+    return values
+
+
+def test_rule_pass_matches_loop_on_seeded_toric_valuations():
+    rng = random.Random(4601)
+    failing = passed = 0
+    for case in range(240):
+        n = rng.randint(4, 9)
+        d = rng.randint(2, min(4, n - 2))
+        values = toric_values(rng, n, d)
+        if case % 4:
+            values = perturbed(rng, values, delete=case % 4 == 3)
+        fast, slow, ran = rule_paths(values, n)
+        assert ran and fast == slow, (n, d, values)
+        failing += fast is not None
+        passed += fast is None
+    assert failing > 60 and passed > 60, (failing, passed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(4, 9), st.integers(2, 4), st.integers(0, 2))
+def test_rule_pass_matches_loop_on_drawn_toric_valuations(seed, n, d, edit):
+    rng = random.Random(seed)
+    d = min(d, n - 2)
+    values = toric_values(rng, n, d)
+    if edit:
+        values = perturbed(rng, values, delete=edit == 2)
+    fast, slow, ran = rule_paths(values, n)
+    assert ran and fast == slow
+
+
+def test_rule_pass_matches_loop_on_disconnected_and_low_rank_supports():
+    cases = [
+        # two components of the basis graph: the rule passes, the walk fails
+        (6, {0b000111: 0, 0b111000: 2}),
+        (8, {0b00001111: 0, 0b11110000: 0, 0b01110001: 5}),
+        # U(2,4) on {0..3} and on {4..7}: valid pieces, no exchange between
+        (8, {m << s: 0 for m in (3, 5, 6, 9, 10, 12) for s in (0, 4)}),
+        # d = 1 and d = 0: no (d-2)-set, so no quadruple and no pass
+        (5, {1: 0, 4: 3, 16: -2}),
+        (4, {0: 7}),
+    ]
+    for k, (n, values) in enumerate(cases):
+        fast, slow, ran = rule_paths(values, n)
+        assert fast == slow and ran == (k < 3) and (fast is None) == (k >= 3), values
+
+
+def test_rule_pass_leaves_spreads_past_int64_to_the_loop():
+    # two shifted values must add up within int64, so from a spread of 2**62
+    # on the loop decides; a scaled valuation is one, and moving one of its
+    # values by 1 breaks a tie of the three-term rule
+    values = toric_values(random.Random(4602), 7, 3)
+    spread = max(values.values()) - min(values.values())
+    valid = []
+    for scale in (1, (2 ** 62 - 1) // spread, 2 ** 62 // spread + 1, 2 ** 70):
+        scaled = {m: v * scale for m, v in values.items()}
+        low = min(scaled)
+        for table in (scaled, {**scaled, low: scaled[low] + 1}):
+            fast, slow, ran = rule_paths(table, 7)
+            assert fast == slow and ran == (spread * scale < 2 ** 62), scale
+            valid.append(fast is None)
+    assert valid == [True, False] * 4
+
+
+def test_rule_pass_needs_numpy_loaded_below_the_cold_count(monkeypatch):
+    # without numpy in sys.modules only _COLD_QUADS quadruples start the pass
+    values = toric_values(random.Random(4603), 7, 3)
+    calls = []
+    monkeypatch.setattr(matroid, "_flagged_quad", lambda *args: calls.append(args))
+    monkeypatch.delitem(sys.modules, "numpy")
+    _exchange_failure(values, tuple(range(7)))
+    assert not calls
+    monkeypatch.setattr(matroid, "_COLD_QUADS", 1)
+    _exchange_failure(values, tuple(range(7)))
+    assert len(calls) == 1

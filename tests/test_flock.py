@@ -379,19 +379,39 @@ def test_valuation_checked_once_and_not_at_extraction(monkeypatch):
         assert calls == [], build
 
 
+def _wide_toric(d: int, n: int, seed: int) -> mf.ToricRep:
+    """[I_d | A] over p = 3, A's entries drawn from -4..4 by ``seed``."""
+    rng = random.Random(seed)
+    rows = [tuple([int(i == j) for j in range(d)] + [rng.randint(-4, 4) for _ in range(n - d)])
+            for i in range(d)]
+    return mf.ToricRep(tuple(rows), 3)
+
+
 def test_extract_7x16_toric_in_bounded_time():
     # 7 x 16 over p = 3, C(16, 7) = 11 440 subsets; reading each value off
     # its d(n-d) = 63 single exchanges, not walking the envelope over every
     # basis, keeps build plus extraction to a few seconds
-    rng = random.Random(2316)
-    rows = [tuple([int(i == j) for j in range(7)] + [rng.randint(-4, 4) for _ in range(9)])
-            for i in range(7)]
+    rep = _wide_toric(7, 16, 2316)
     start = time.perf_counter()
-    flock = mf.flock_from_toric(mf.ToricRep(tuple(rows), 3))
+    flock = mf.flock_from_toric(rep)
     nu = mf.extract_valuation(flock)
     elapsed = time.perf_counter() - start
     assert nu == flock.valuation.normalized() and len(nu.finite) > 10_000
     assert elapsed < 10, elapsed
+
+
+def test_check_8x18_toric_valuation_in_bounded_time():
+    # 43 175 bases and 9 187 695 (F, quadruple) rows of the three-term
+    # rule: 0.64 s with the numpy pass and the walk over shared (d-1)-sets,
+    # measured on a 2-core machine, where the per-quadruple loop and the
+    # walk over single exchanges took 20.6 s
+    found = mf.lindstrom_toric(_wide_toric(8, 18, 2318))
+    nu = mf.Valuation(found.ground, found.d, dict(found.finite))
+    start = time.perf_counter()
+    check = mf.check_valuation_axioms(nu)
+    elapsed = time.perf_counter() - start
+    assert check.ok and len(nu.finite) == 43_175
+    assert elapsed < 5, elapsed
 
 
 def test_extract_backed_flock_never_evaluates_points(monkeypatch):

@@ -20,6 +20,7 @@ import matflock as mf
 from matflock import jsonio, svg
 from matflock.cli import main
 from matflock.discrete_convex import WindowFunction
+from matflock.matroid import _COLD_QUADS, _WARM_QUADS, _exchange_faces
 
 from conftest import example_param, random_valid_valuation, toric_example, u24_valuation
 
@@ -290,12 +291,19 @@ def test_exact_commands_start_without_numpy(tmp_path):
     fixtures = Path(__file__).parent / "fixtures"
     matroid = str(fixtures / "uniform_2_4.json")
     nu = str(fixtures / "valuation_u24.json")
+    mid = fixtures / "valuation_n7_d3.json"
     param = str(fixtures / "paper_example_param.json")
     point_fn = str(fixtures / "point_function_u24.json")
     rep = write(tmp_path, "rep.json", jsonio.toric_to_json(toric_example()))
+    # 105 exchange quadruples: the numpy pass would check them were numpy
+    # loaded, and a fresh process checks them without importing it
+    values = jsonio.valuation_from_json(json.loads(mid.read_text())).finite
+    quads = len(_exchange_faces(values, 7)) * 15
+    assert _WARM_QUADS <= quads == 105 < _COLD_QUADS
     exact = [
         ("check-matroid", matroid),
         ("check-valuation", nu),
+        ("check-valuation", str(mid)),
         ("support", nu),
         ("matroid-at", nu, "--alpha", "1,0,0,0"),
         ("g-value", nu, "--alpha", "1,0,0,0"),

@@ -1,6 +1,9 @@
 """The summary and schedule of tools/bench_pair.py, on canned result lines,
-and the environment that it and tools/bench_record.py record."""
+the environment that it and tools/bench_record.py record, and the library
+names that the benchmark in perfbench/ binds to."""
 
+import importlib
+import importlib.util
 import json
 import platform
 import sys
@@ -89,3 +92,22 @@ def test_environment_records_libc_and_allocator_variables():
 def test_both_tools_record_the_one_environment():
     assert bench_pair.environment is bench_env.environment
     assert bench_record.environment is bench_env.environment
+
+
+def test_benchmark_bindings_resolve_in_the_library():
+    # perfbench/tracer.py wraps each (module, attribute) of TRACED, and
+    # perfbench/workloads.py wraps algebraic._saturated_tangent in every
+    # run; a renamed library function fails here, not in perfbench/run.py
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", perfbench / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert len(tracer.TRACED) > 30
+    bindings = [(module, attribute) for module, attribute, _ in tracer.TRACED]
+    assert "algebraic._saturated_tangent" in (perfbench / "workloads.py").read_text()
+    for module, attribute in [*bindings, ("algebraic", "_saturated_tangent")]:
+        owner = importlib.import_module(f"matflock.{module}")
+        for name in attribute.split("."):
+            assert hasattr(owner, name), (module, attribute)
+            owner = getattr(owner, name)
+        assert callable(owner), (module, attribute)
