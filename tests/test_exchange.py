@@ -322,8 +322,8 @@ def test_rule_pass_leaves_spreads_past_int64_to_the_loop():
     valid = []
     for scale in (1, (2 ** 62 - 1) // spread, 2 ** 62 // spread + 1, 2 ** 70):
         scaled = {m: v * scale for m, v in values.items()}
-        low = min(scaled)
-        for table in (scaled, {**scaled, low: scaled[low] + 1}):
+        first = min(scaled)
+        for table in (scaled, {**scaled, first: scaled[first] + 1}):
             fast, slow, ran = rule_paths(table, 7)
             assert fast == slow and ran == (spread * scale < 2 ** 62), scale
             valid.append(fast is None)
