@@ -115,9 +115,8 @@ def explicit_flock(table: dict, ground, d: int) -> MatroidFlock:
     return MatroidFlock(ground, d, ev, "explicit")
 
 
-def oracle_flock(ground, d: int, fn: Callable[[tuple], Matroid],
-                 source: str = "oracle") -> MatroidFlock:
-    return MatroidFlock(ground, d, lambda a: fn(a).masks, source)
+def oracle_flock(ground, d: int, fn: Callable[[tuple], Matroid]) -> MatroidFlock:
+    return MatroidFlock(ground, d, lambda a: fn(a).masks, "oracle")
 
 
 # ---------------------------------------------------------------------------

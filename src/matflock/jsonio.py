@@ -40,6 +40,15 @@ def _int_vector(doc, key):
     return tuple(vec)
 
 
+def _built(what: str, build, *args):
+    """``build(*args)``, with its ValueError or TypeError raised as
+    InputError("bad {what}: ...")."""
+    try:
+        return build(*args)
+    except (ValueError, TypeError) as exc:
+        raise InputError(f"bad {what}: {exc}") from None
+
+
 def _ground(entries):
     try:
         return tuple(entries)
@@ -62,10 +71,7 @@ def matroid_from_json(doc) -> Matroid:
     ground = _ground(_require(doc, "ground", list))
     rank = _require(doc, "rank", int)
     bases = _require(doc, "bases", list)
-    try:
-        M = Matroid.from_bases(ground, bases)
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"bad matroid document: {exc}") from None
+    M = _built("matroid document", Matroid.from_bases, ground, bases)
     if M.d != rank:
         raise InputError(f"declared rank {rank} but bases have size {M.d}")
     return M
@@ -141,10 +147,7 @@ def valuation_from_json(doc) -> Valuation:
         elif not isinstance(val, int) or isinstance(val, bool):
             raise InputError(f"bad valuation value {val!r}")
         pairs.append((basis, val))
-    try:
-        return Valuation.from_values(ground, d, pairs)
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"bad valuation document: {exc}") from None
+    return _built("valuation document", Valuation.from_values, ground, d, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +175,9 @@ def window_function_from_json(doc) -> WindowFunction:
         if v != "inf" and (not isinstance(v, int) or isinstance(v, bool)):
             raise InputError(f"bad window value {v!r}")
         values[x] = v
-    try:
-        # "inf" points are passed on as ∞, so they too must lie in the box
-        return WindowFunction(n, lo, hi, {x: INF if v == "inf" else v for x, v in values.items()})
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"bad window function document: {exc}") from None
+    # "inf" points are passed on as ∞, so they too must lie in the box
+    return _built("window function document", WindowFunction, n, lo, hi,
+                  {x: INF if v == "inf" else v for x, v in values.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +204,7 @@ def toric_from_json(doc, p_override=None) -> ToricRep:
     bare = isinstance(doc, dict) and "A" not in doc and "rows" in doc
     p = _prime(doc, p_override)
     A = matrix_from_json(doc if bare else {"rows": _require(doc, "A", list)})
-    try:
-        return ToricRep(A, p)
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"bad toric representation: {exc}") from None
+    return _built("toric representation", ToricRep, A, p)
 
 
 def toric_to_json(rep: ToricRep) -> dict:
@@ -225,10 +223,7 @@ def linearized_from_json(doc, p_override=None) -> LinearizedParam:
         terms.append([(
             _require(t, "v", int), _require(t, "k", int), _require(t, "c", int),
         ) for t in clist])
-    try:
-        return LinearizedParam(p, len(params), terms)
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"bad linearized parametrization: {exc}") from None
+    return _built("linearized parametrization", LinearizedParam, p, len(params), terms)
 
 
 def linearized_to_json(param: LinearizedParam) -> dict:
@@ -255,10 +250,7 @@ def explicit_flock_from_json(doc) -> MatroidFlock:
     if not table:
         raise InputError("explicit flock with no entries")
     d = next(iter(table.values())).d
-    try:
-        return explicit_flock(table, ground, d)
-    except ValueError as exc:
-        raise InputError(f"bad explicit flock: {exc}") from None
+    return _built("explicit flock", explicit_flock, table, ground, d)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ quadruples, which loads no numpy, so the exact commands start fast.  From
 ``_COLD_QUADS`` on when it is not (where the saved loop time outweighs
 importing it), one numpy pass (``_flagged_quad``) reads the three pairing
 sums of every quadruple at once; a spread of 2**62 or more, which int64
-cannot hold, keeps the loop.  Basis-graph connectivity
-(``_exchange_connected``) and its witness stay in plain Python.
+cannot hold, keeps the loop.  One walk of the basis graph
+(``_exchange_component``) decides connectivity and seeds its witness, in
+plain Python.
 """
 
 from __future__ import annotations
@@ -408,24 +409,12 @@ def _exchange_quads(masks, n: int):
         yield from _face_quads(f, n)
 
 
-def _reached(masks, n: int) -> set[int]:
+def _exchange_component(masks) -> list[int]:
     """The masks of ``masks`` that single exchanges inside it reach from its
-    first one: the component of that basis in the basis graph."""
-    reached = {next(iter(masks))}
-    todo = list(reached)
-    while todo:
-        for _, _, B2 in _single_exchanges(todo.pop(), n):
-            if B2 in masks and B2 not in reached:
-                reached.add(B2)
-                todo.append(B2)
-    return reached
-
-
-def _exchange_connected(masks) -> bool:
-    """Do single exchanges inside ``masks`` reach all of it from any one?
-    Two d-sets are one exchange apart exactly when they share a (d-1)-set,
-    so the walk steps through the (d-1)-sets, each once: d steps a mask,
-    where ``_reached`` tries its d(n-d) exchanges."""
+    first one, in the order the walk reaches them: the component of that
+    basis in the basis graph.  Two d-sets are one exchange apart exactly
+    when they share a (d-1)-set, so the walk steps through the (d-1)-sets,
+    each once: d steps a mask, not the d(n-d) exchanges of each."""
     through: dict[int, list[int]] = {}
     for B in masks:
         b = B
@@ -433,18 +422,19 @@ def _exchange_connected(masks) -> bool:
             low = b & -b
             b ^= low
             through.setdefault(B ^ low, []).append(B)
-    first = next(iter(masks))
-    seen, todo = {first}, [first]
-    while todo:
-        B = b = todo.pop()
+    component = [next(iter(masks))]
+    seen = set(component)
+    # the loop reads each mask the walk appends: breadth first
+    for B in component:
+        b = B
         while b:
             low = b & -b
             b ^= low
             for B2 in through.pop(B ^ low, ()):
                 if B2 not in seen:
                     seen.add(B2)
-                    todo.append(B2)
-    return len(seen) == len(masks)
+                    component.append(B2)
+    return component
 
 
 def _quad_failure(values: dict, triple) -> Optional[tuple]:
@@ -563,13 +553,13 @@ def _exchange_failure(values: dict, ground) -> Optional[tuple]:
     pair = _rule_failure(values, n)
     if pair is not None:
         return witness(*pair)
-    if _exchange_connected(values):
+    reached = _exchange_component(values)
+    if len(reached) == len(values):
         return None
-    reached = _reached(values, n)
     # breadth-first over all d-sets from the reached bases finds a closest
     # unreached basis; any working exchange there would give a closer pair
     source = {B: B for B in reached}
-    layer = list(reached)
+    layer = reached
     while True:
         nxt = []
         for S in layer:

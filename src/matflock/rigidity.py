@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import linalg
 from .lattice import as_int
-from .matroid import (QQ, Matroid, _exchange_connected, _exchange_quads, _raise_unless,
+from .matroid import (QQ, Matroid, _exchange_component, _exchange_quads, _raise_unless,
                       check_basis_axioms, matroid_from_matrix, record)
 from .valuation import Valuation, check_valuation_axioms, is_trivial
 
@@ -136,7 +136,7 @@ def rigidity_certificate(M: Matroid) -> RigidityVerdict:
     var = {b: k for k, b in enumerate(basis_masks)}
 
     pairings = list(_finite_pairings(M.masks, n))
-    if any(len(finite) == 1 for finite in pairings) or not _exchange_connected(M.masks):
+    if any(len(finite) == 1 for finite in pairings) or len(_exchange_component(M.masks)) < m:
         _raise_unless(check_basis_axioms(M.ground, M.d, M.bases), "basis family")
     # the last quadruples first: the elimination then measured 1.3-4 times
     # faster (less fill-in), and a rigid lazarson(3) reduces 483 of its 816

@@ -203,14 +203,15 @@ def box_array(lo, hi) -> np.ndarray:
     return _box_points(lo, hi, np.arange(_box_size(lo, hi), dtype=np.int64))
 
 
-def iter_box_chunks(lo, hi, chunk: int = _CHUNK):
-    """Lattice points of [lo, hi] in lex order, yielded as (M, n) arrays.
+def iter_box_chunks(lo, hi):
+    """Lattice points of [lo, hi] in lex order, yielded as (M, n) arrays of
+    at most ``_CHUNK`` rows.
 
     Memory stays bounded for windows too large to materialize whole.
     """
     size = _box_size(lo, hi)
-    for start in range(0, size, chunk):
-        yield _box_points(lo, hi, np.arange(start, min(start + chunk, size), dtype=np.int64))
+    for start in range(0, size, _CHUNK):
+        yield _box_points(lo, hi, np.arange(start, min(start + _CHUNK, size), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,10 @@ move of a source by its argmax families alone in the flock's GF(2) pass
 (``window._minor_moves``), replaced.  A toric source's row spaces by
 saturation (``saturation_frobenius_window``): each twisted row lattice
 saturated over Z and reduced mod p, the independent route to V_alpha.
-Single exchanges by a test of all n^2 bit pairs.
+Single exchanges by a test of all n^2 bit pairs.  The basis-graph component
+by trying every single exchange of each basis reached
+(``single_exchange_component``): the route that the walk through shared
+(d-1)-sets, ``matroid._exchange_component``, replaced.
 
 Minor keys by projection (``projected_minor_moves``): every (move, id,
 basis) entry projected to b_j \\ I, its signed and scaled value written
@@ -73,7 +76,7 @@ from matflock.discrete_convex import LConvexReport, WindowFunction, _box_points
 from matflock.lattice import INF, vadd, vjoin, vmeet
 from matflock.linalg import (_ZZ, _PolyRing, _bareiss, _echelon_mod, _integer_rows,
                              as_rat_matrix, gf_rref, poly_scale)
-from matflock.matroid import _connected, _raise_unless, check_basis_axioms
+from matflock.matroid import _connected, _raise_unless, _single_exchanges, check_basis_axioms
 from matflock.rigidity import RigidityVerdict, _integerize, dw_constraints
 from matflock.valuation import (LeaderScan, TrivialityResult, Valuation,
                                 _difference_constraints, _incidence_rows, _integral_point,
@@ -648,6 +651,19 @@ def bit_test_single_exchanges(mask: int, n: int):
             for j in range(n):
                 if not mask >> j & 1:
                     yield i, j, mask & ~(1 << i) | 1 << j
+
+
+def single_exchange_component(masks, n: int) -> set[int]:
+    """The masks of ``masks`` that single exchanges inside it reach from its
+    first one: the component of that basis in the basis graph."""
+    reached = {next(iter(masks))}
+    todo = list(reached)
+    while todo:
+        for _, _, B2 in _single_exchanges(todo.pop(), n):
+            if B2 in masks and B2 not in reached:
+                reached.add(B2)
+                todo.append(B2)
+    return reached
 
 
 def strided_local_axioms(grid: np.ndarray, radius: int, moves):

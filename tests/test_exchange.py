@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import matflock as mf
 from matflock import linalg, matroid
-from matflock.matroid import (_exchange_connected, _exchange_failure, _exchange_quads, _reached,
+from matflock.matroid import (_exchange_component, _exchange_failure, _exchange_quads,
                               _single_exchanges)
 
 import oracles
@@ -131,7 +131,8 @@ def test_every_family_up_to_five_elements_matches_pairwise_scan():
             for pick in range(1, 1 << len(masks)):
                 family = {m: 0 for k, m in enumerate(masks) if pick >> k & 1}
                 check_against_oracle(family, n)
-                assert _exchange_connected(family) == (len(_reached(family, n)) == len(family))
+                reference = oracles.single_exchange_component(family, n)
+                assert set(_exchange_component(family)) == reference
                 checked += 1
     assert checked > 2000
 
@@ -159,6 +160,51 @@ def test_connectivity_witness_is_a_closest_pair():
     assert not check.ok and check.kind == "B2"
     B, B2, i = check.witness
     assert {B, B2} == {(1, 2, 3, 4), (1, 5, 6, 7)} and i in set(B) - set(B2)
+
+
+def disconnected_families(rng: random.Random, n: int, count: int) -> list:
+    """``count`` seeded families of d-sets on ``n`` elements, every value 0,
+    that pass the three-term rule and whose basis graph is disconnected, as
+    (values, n) in shuffled order.  Each is the union of 2-3 stars, the
+    sets G + j of one (d-1)-set G and 1-3 elements j outside it.  Bases in
+    two components are at distance 3 or more, so 3 <= d <= n - 3."""
+    found = []
+    while len(found) < count:
+        d = rng.randint(3, n - 3)
+        masks = set()
+        for _ in range(rng.randint(2, 3)):
+            G = rng.sample(range(n), d - 1)
+            rest = [j for j in range(n) if j not in G]
+            masks.update(sum(1 << e for e in G) | 1 << j for j in rng.sample(rest, rng.randint(1, 3)))
+        masks = sorted(masks)
+        rng.shuffle(masks)
+        values = dict.fromkeys(masks, 0)
+        if (len(oracles.single_exchange_component(values, n)) < len(values)
+                and matroid._rule_failure(values, n) is None):
+            found.append((values, n))
+    return found
+
+
+def test_connectivity_witness_is_a_closest_pair_on_seeded_families():
+    # the witness joins the first mask's component to a basis outside it at
+    # the least distance |B - B'| between the two.  On n = 7 elements every
+    # pair across components is at distance 3; on n = 8 the first mask alone
+    # can be farther from every outside basis than its component is
+    distance = lambda S, T: (S & ~T).bit_count()
+    rng = random.Random(4701)
+    farther = 0
+    families = [family for n in (7, 8) for family in disconnected_families(rng, n, 150)]
+    for values, n in families:
+        component = _exchange_component(values)
+        assert component[0] == next(iter(values)) and len(set(component)) == len(component)
+        assert set(component) == oracles.single_exchange_component(values, n)
+        outside = [T for T in values if T not in component]
+        closest = min(distance(S, T) for S in component for T in outside)
+        B, B2, i = kernel_failure(values, n)
+        assert B in component and B2 in outside and distance(B, B2) == closest
+        assert B >> i & 1 and not B2 >> i & 1
+        farther += min(distance(component[0], T) for T in outside) > closest
+    assert farther > 0
 
 
 # ---------------------------------------------------------------------------

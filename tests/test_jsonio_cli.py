@@ -1269,6 +1269,30 @@ def test_cli_rigidity_matches_golden_report(capsys, name):
     assert capsys.readouterr().out == (fixtures / f"{name}_rigidity.json").read_text()
 
 
+@pytest.mark.parametrize("command, doc, report", [
+    ("check-matroid", "matroid_n4_three_term.json", "matroid_n4_three_term_check.json"),
+    ("check-matroid", "matroid_n8_disconnected.json", "matroid_n8_disconnected_check.json"),
+    ("check-valuation", "valuation_n6_disconnected.json", "valuation_n6_disconnected_check.json"),
+])
+def test_cli_exchange_witnesses_match_pinned_reports(capsys, command, doc, report):
+    # a (B2) failure of the three-term rule, and (B2) and (V2) failures of
+    # connectivity, the first with one closest pair across its components;
+    # the installed-package CI job diffs the console script against them
+    fixtures = Path(__file__).parent / "fixtures"
+    assert main([command, str(fixtures / doc)]) == 0
+    assert capsys.readouterr().out == (fixtures / report).read_text()
+
+
+def test_cli_rigidity_of_disconnected_basis_family_matches_pinned_error(capsys):
+    # the certificate refuses a basis family whose basis graph is not
+    # connected, with check-matroid's witness
+    fixtures = Path(__file__).parent / "fixtures"
+    assert main(["rigidity", str(fixtures / "matroid_n8_disconnected.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (fixtures / "matroid_n8_disconnected_rigidity_error.txt").read_text()
+
+
 def test_cli_rigidity_rank_zero_is_rigid(tmp_path, capsys):
     # every valuation of a rank-0 matroid is a constant, so trivial
     path = write(tmp_path, "m.json", {"ground": [1, 2, 3], "rank": 0, "bases": [[]]})

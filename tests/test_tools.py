@@ -90,8 +90,10 @@ def test_environment_records_libc_and_allocator_variables():
 
 
 def test_both_tools_record_the_one_environment():
-    assert bench_pair.environment is bench_env.environment
-    assert bench_record.environment is bench_env.environment
+    # and share bench_env's one copy of each helper
+    for name in ("environment", "git", "result_line"):
+        assert getattr(bench_pair, name) is getattr(bench_env, name)
+        assert getattr(bench_record, name) is getattr(bench_env, name)
 
 
 def test_benchmark_bindings_resolve_in_the_library():

@@ -1,9 +1,10 @@
-"""The environment a benchmark ran in, as one JSON object.
+"""The environment a benchmark ran in, as one JSON object, and the helpers
+that ``tools/bench_record.py`` and ``tools/bench_pair.py`` share.
 
-``tools/bench_record.py`` and ``tools/bench_pair.py`` write it into their
-output file, since each entry moves the numbers: the Python, numpy and C
-library versions, the CPU count, and the environment variables that change
-how the interpreter compiles or allocates.  glibc's malloc options
+Both scripts write the environment into their output file, since each
+entry moves the numbers: the Python, numpy and C library versions, the CPU
+count, and the environment variables that change how the interpreter
+compiles or allocates.  glibc's malloc options
 (``MALLOC_*``, ``GLIBC_TUNABLES``) decide whether freed memory is trimmed
 and whether large blocks are mmapped, so any one of them voids a gain
 that comes from page faults; ``PYTHONDONTWRITEBYTECODE`` makes every
@@ -12,8 +13,11 @@ process compile the library from source.
 
 from __future__ import annotations
 
+import json
 import os
 import platform
+import subprocess
+from pathlib import Path
 
 # recorded whenever set, with every variable named MALLOC_*
 VARIABLES = ("GLIBC_TUNABLES", "PYTHONDONTWRITEBYTECODE", "PYTHONMALLOC")
@@ -37,3 +41,14 @@ def environment(environ=None) -> dict:
         "variables": {name: environ[name] for name in sorted(environ)
                       if name.startswith("MALLOC_") or name in VARIABLES},
     }
+
+
+def git(root: Path, *args) -> str:
+    """The stripped standard output of ``git *args`` run in ``root``."""
+    return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def result_line(stdout: str) -> dict:
+    """The run's result: the JSON object on the last nonempty line."""
+    return json.loads(stdout.strip().splitlines()[-1])

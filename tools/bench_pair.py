@@ -40,17 +40,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_env import environment
-
-
-def git(root: Path, *args, **kwargs) -> str:
-    return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
-                          check=True, **kwargs).stdout.strip()
-
-
-def result_line(stdout: str) -> dict:
-    """The run's result: the JSON object on the last nonempty line."""
-    return json.loads(stdout.strip().splitlines()[-1])
+from bench_env import environment, git, result_line
 
 
 def export(root: Path, sha: str, into: Path) -> Path:

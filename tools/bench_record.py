@@ -29,21 +29,11 @@ import sys
 import time
 from pathlib import Path
 
-from bench_env import environment
+from bench_env import environment, git, result_line
 
 SEED = 1
 CRITERION = re.compile(r"PASS criterion (\d+): .*\(([\d.]+)s < (\d+)s\)")
 DURATION = re.compile(r"^([\d.]+)s (setup|call|teardown)\s+(\S+)$")
-
-
-def git(root: Path, *args) -> str:
-    return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
-                          check=True).stdout.strip()
-
-
-def result_line(stdout: str) -> dict:
-    """The run's result: the JSON object on the last nonempty line."""
-    return json.loads(stdout.strip().splitlines()[-1])
 
 
 def bench_runs(root: Path, workloads, seconds) -> list[dict]:
