@@ -175,7 +175,8 @@ def disconnected_families(rng: random.Random, n: int, count: int) -> list:
         for _ in range(rng.randint(2, 3)):
             G = rng.sample(range(n), d - 1)
             rest = [j for j in range(n) if j not in G]
-            masks.update(sum(1 << e for e in G) | 1 << j for j in rng.sample(rest, rng.randint(1, 3)))
+            g = sum(1 << e for e in G)
+            masks.update(g | 1 << j for j in rng.sample(rest, rng.randint(1, 3)))
         masks = sorted(masks)
         rng.shuffle(masks)
         values = dict.fromkeys(masks, 0)
